@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .operators import SpatialGrid, build_grid
+from .operators import SpatialGrid, build_grid, sample
 from .problems import DampedWaveProblem, sample_problem
 from .schemes import SchemeConfig, Trajectory, config_for, solve_evolution
 
@@ -69,7 +69,7 @@ def error_profile(traj: Trajectory, problem: DampedWaveProblem, t: float) -> Err
     grid = traj.grid
     x = grid.all_nodes()
     numeric = np.concatenate(([problem.u_a(ts)], interior, [problem.u_b(ts)]))
-    exact = np.array([problem.exact(xi, ts) for xi in x])
+    exact = sample(problem.exact, x, ts)
     err = np.abs(numeric - exact)
     return ErrorProfile(
         t=ts,
@@ -254,7 +254,7 @@ def max_error_series(
     x = grid.interior_nodes
     rows = []
     for i, t in enumerate(traj.times):
-        exact = np.array([problem.exact(xi, t) for xi in x])
+        exact = sample(problem.exact, x, t)
         err = np.abs(traj.displacements[i] - exact)
         rows.append((float(t), float(np.max(err))))
     return Table(columns=("t", "max_error"), rows=tuple(rows))

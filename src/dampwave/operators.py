@@ -12,15 +12,19 @@ Dirichlet boundary contribution B(t) = [u_a(t), 0, ..., 0, u_b(t)].
 
 M is kept in block form (tridiagonal + diagonal); it is only densified by
 `BlockOperator.to_dense`, a validation-scale utility.
+
+Problem callables meet node arrays only in `sample`: a callable receives the
+whole node array when it accepts it, and is called once per node otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .problems import DampedWaveProblem
+from .problems import DampedWaveProblem, ExpressionError
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -59,6 +63,28 @@ def build_grid(a: float, b: float, N: int) -> SpatialGrid:
     h = (b - a) / N
     nodes = a + h * np.arange(1, N)
     return SpatialGrid(a=float(a), b=float(b), N=int(N), h=h, interior_nodes=_readonly(nodes))
+
+
+def sample(fn: Callable, nodes: np.ndarray, *t: float) -> np.ndarray:
+    """fn(x, *t) at every node x, as a new float array shaped like nodes.
+
+    fn is called once with the whole node array, and a scalar result (a
+    constant lambda) is broadcast to every node. When fn rejects the array,
+    as a scalar-only callable such as math.sin or a lambda branching on x
+    does, it is called once per node instead. An ExpressionError is an
+    evaluation failure, already reported at its first failing node, not a
+    rejection: it propagates.
+    """
+    values = np.empty(np.shape(nodes))
+    try:
+        values[...] = fn(nodes, *t)
+    except ExpressionError:
+        raise
+    except Exception:
+        # whatever the array made fn raise, the per-node calls below behave,
+        # and raise, exactly as per-node evaluation always did
+        return np.array([fn(x, *t) for x in nodes], dtype=float)
+    return values
 
 
 @dataclass(frozen=True)
@@ -134,7 +160,7 @@ def assemble_system(grid: SpatialGrid, problem: DampedWaveProblem) -> BlockOpera
     Rejects negative damping values (the model assumes gamma >= 0).
     """
     n = grid.n_interior
-    gamma = np.array([problem.gamma(x) for x in grid.interior_nodes], dtype=float)
+    gamma = sample(problem.gamma, grid.interior_nodes)
     if np.any(gamma < 0):
         i = int(np.argmin(gamma))
         raise ValueError(
@@ -167,7 +193,7 @@ def boundary_vector(problem: DampedWaveProblem, grid: SpatialGrid, t: float) -> 
 def forcing_vector(problem: DampedWaveProblem, grid: SpatialGrid, t: float) -> ForcingVector:
     """Assemble F(t) for the first-order system at time t."""
     n = grid.n_interior
-    g_vals = np.array([problem.g(x, t) for x in grid.interior_nodes], dtype=float)
+    g_vals = sample(problem.g, grid.interior_nodes, t)
     values = np.zeros(2 * n)
     values[n:] = g_vals + boundary_vector(problem, grid, t) / grid.h**2
     return ForcingVector(t=float(t), values=_readonly(values))

@@ -25,6 +25,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 
 class ExpressionError(ValueError):
     """Base class for expression parsing and evaluation failures."""
@@ -286,7 +288,10 @@ def parse_expression(text: str) -> Expression:
 
 
 def eval_expression(expr: Expression, x: float, t: float) -> float:
-    """Evaluate the tree at (x, t) with float semantics.
+    """Evaluate the tree at one point (x, t) with float semantics.
+
+    This is the scalar reference: `compile_expression` must agree with it
+    wherever it is finite and defers to it wherever it is not.
 
     Domain failures (division by zero, sqrt of a negative, overflow and other
     non-finite results) raise EvaluationError naming the offending
@@ -327,6 +332,75 @@ def eval_expression(expr: Expression, x: float, t: float) -> float:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+_NP_FN = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
+_NP_OP = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+
+def _vectorize(expr: Expression) -> Callable:
+    """The tree as nested numpy closures (x, t) -> values, without domain checks."""
+    if isinstance(expr, Num):
+        value = expr.value
+        if not math.isfinite(value):
+            # a literal such as 1e999 can be absorbed (1/1e999 = 0) without
+            # any floating-point flag; leave such trees to the scalar path
+            def literal(x, t):
+                raise FloatingPointError("non-finite literal")
+
+            return literal
+        return lambda x, t: value
+    if isinstance(expr, Var):
+        if expr.name == "x":
+            return lambda x, t: x
+        if expr.name == "t":
+            return lambda x, t: t
+        return lambda x, t: math.pi
+    if isinstance(expr, Neg):
+        arg = _vectorize(expr.arg)
+        return lambda x, t: -arg(x, t)
+    if isinstance(expr, Call):
+        fn, arg = _NP_FN[expr.fn], _vectorize(expr.arg)
+        return lambda x, t: fn(arg(x, t))
+    if isinstance(expr, BinOp):
+        op, left, right = _NP_OP[expr.op], _vectorize(expr.left), _vectorize(expr.right)
+        return lambda x, t: op(left(x, t), right(x, t))
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def compile_expression(expr: Expression) -> Callable:
+    """Compile the tree once into a closure f(x, t) that broadcasts over arrays.
+
+    Scalar arguments are evaluated by `eval_expression`. Array arguments are
+    evaluated in one numpy pass over every point, with overflow, division by
+    zero and invalid operations raising. From finite leaves every non-finite
+    intermediate sets one of those flags, so a pass that completes matches
+    the scalar reference wherever that is finite. A pass that raises, or
+    non-finite arguments, re-evaluate point by point with `eval_expression`,
+    which raises the same EvaluationError at the first failing point, naming
+    the same sub-expression, or returns its values.
+    """
+    vectorized = _vectorize(expr)
+
+    def evaluate(x, t):
+        if np.ndim(x) == 0 and np.ndim(t) == 0:
+            return eval_expression(expr, x, t)
+        x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+        shape = np.broadcast_shapes(x.shape, t.shape)
+        if np.isfinite(x).all() and np.isfinite(t).all():
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+                    values = vectorized(x, t)
+            except FloatingPointError:
+                pass
+            else:
+                return np.broadcast_to(values, shape).copy()
+        points = np.broadcast(x, t)
+        return np.array(
+            [eval_expression(expr, float(xi), float(ti)) for xi, ti in points]
+        ).reshape(shape)
+
+    return evaluate
+
+
 # ---------------------------------------------------------------------------
 # Problem record
 
@@ -339,6 +413,13 @@ class DampedWaveProblem:
     phi/psi are initial displacement/velocity; u_a/u_b the Dirichlet boundary
     data; exact, when present, is the reference solution used for error
     reporting.
+
+    The solvers sample gamma, g, phi, psi and exact through
+    `operators.sample`: each callable receives the whole node array (and a
+    scalar t) when it accepts one, and returns the values at every node or a
+    scalar for all of them. A callable written for scalars only, such as
+    math.sin or a lambda that branches on x, is called once per node
+    instead. u_a and u_b are only ever called with a scalar t.
     """
 
     domain: tuple[float, float]
@@ -378,11 +459,13 @@ def sample_problem() -> DampedWaveProblem:
         domain=(0.0, math.pi),
         gamma=lambda x: 2.0,
         g=lambda x, t: 0.0,
-        phi=math.sin,
-        psi=lambda x: -math.sin(x),
+        phi=np.sin,
+        psi=lambda x: -np.sin(x),
         u_a=lambda t: 0.0,
         u_b=lambda t: 0.0,
-        exact=lambda x, t: math.exp(-t) * math.sin(x),
+        # t is always a scalar; math.exp keeps the reference values bitwise
+        # (np.exp differs from it in the last bit for some arguments)
+        exact=lambda x, t: math.exp(-t) * np.sin(x),
         name="sample",
     )
 
@@ -401,7 +484,7 @@ _SCHEMA_FIELDS = {
 }
 
 
-def _compile(field: str, source: object, allowed: set[str]) -> tuple[Expression, Callable]:
+def _compile(field: str, source: object, allowed: set[str]) -> Expression:
     if not isinstance(source, str):
         raise ProblemConfigError(f"field {field!r} must be an expression string")
     try:
@@ -464,23 +547,22 @@ def load_problem_config(text: str) -> DampedWaveProblem:
     if extras:
         raise ProblemConfigError(f"unknown fields: {sorted(extras)}")
 
-    def of_x(tree: Expression) -> Callable[[float], float]:
-        return lambda x: eval_expression(tree, x, 0.0)
+    def of_x(tree: Expression) -> Callable:
+        f = compile_expression(tree)
+        return lambda x: f(x, 0.0)
 
-    def of_t(tree: Expression) -> Callable[[float], float]:
-        return lambda t: eval_expression(tree, 0.0, t)
-
-    def of_xt(tree: Expression) -> Callable[[float, float], float]:
-        return lambda x, t: eval_expression(tree, x, t)
+    def of_t(tree: Expression) -> Callable:
+        f = compile_expression(tree)
+        return lambda t: f(0.0, t)
 
     return DampedWaveProblem(
         domain=(a, b),
         gamma=of_x(trees["gamma"]),
-        g=of_xt(trees["g"]),
+        g=compile_expression(trees["g"]),
         phi=of_x(trees["phi"]),
         psi=of_x(trees["psi"]),
         u_a=of_t(trees["u_a"]),
         u_b=of_t(trees["u_b"]),
-        exact=of_xt(exact_tree) if exact_tree is not None else None,
+        exact=compile_expression(exact_tree) if exact_tree is not None else None,
         name="config",
     )

@@ -47,6 +47,7 @@ from .operators import (
     boundary_vector,
     forcing_vector,
     laplacian_stencil,
+    sample,
 )
 from .pade import apply_poly, pade_coefficients, validate_orders
 from .problems import DampedWaveProblem
@@ -128,15 +129,14 @@ def _interleaved_kM(op: BlockOperator, k: float) -> scipy.sparse.csr_matrix:
     """k*M with unknowns ordered (u_1, w_1, u_2, w_2, ...)."""
     n = op.n_interior
     lap = op.laplacian
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        rows.append(2 * i); cols.append(2 * i + 1); vals.append(k)
-        rows.append(2 * i + 1); cols.append(2 * i); vals.append(k * op.inv_h2 * lap.diag[i])
-        if i >= 1:
-            rows.append(2 * i + 1); cols.append(2 * (i - 1)); vals.append(k * op.inv_h2 * lap.lower[i - 1])
-        if i <= n - 2:
-            rows.append(2 * i + 1); cols.append(2 * (i + 1)); vals.append(k * op.inv_h2 * lap.upper[i])
-        rows.append(2 * i + 1); cols.append(2 * i + 1); vals.append(-k * op.damping[i])
+    c = k * op.inv_h2
+    u = 2 * np.arange(n)  # row/column of u_i; w_i sits at u + 1
+    w = u + 1
+    rows = np.concatenate([u, w, w[1:], w[:-1], w])
+    cols = np.concatenate([w, u, u[:-1], u[1:], w])
+    vals = np.concatenate(
+        [np.full(n, k), c * lap.diag, c * lap.lower, c * lap.upper, -k * op.damping]
+    )
     coo = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
     return coo.tocsr()
 
@@ -165,15 +165,14 @@ class SemigroupStepper:
     perm: Optional[np.ndarray]
     inv_perm: Optional[np.ndarray]
 
+    # One-entry cache {t: F(t)}: step n's F(t_{n+1}) is step n+1's F(t_n).
+    # Per stepper, because concurrent solves each build their own.
+    forcing_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
     @property
     def initial_state(self) -> StateVector:
         x = self.grid.interior_nodes
-        values = np.concatenate(
-            [
-                [self.problem.phi(xi) for xi in x],
-                [self.problem.psi(xi) for xi in x],
-            ]
-        ).astype(float)
+        values = np.concatenate([sample(self.problem.phi, x), sample(self.problem.psi, x)])
         return StateVector(t=0.0, values=values)
 
 
@@ -204,10 +203,10 @@ def startup_u1(problem: DampedWaveProblem, grid: SpatialGrid, k: float) -> np.nd
     """
     x = grid.interior_nodes
     a, b = grid.a, grid.b
-    phi = np.array([problem.phi(xi) for xi in x])
-    psi = np.array([problem.psi(xi) for xi in x])
-    g0 = np.array([problem.g(xi, 0.0) for xi in x])
-    gamma = np.array([problem.gamma(xi) for xi in x])
+    phi = sample(problem.phi, x)
+    psi = sample(problem.psi, x)
+    g0 = sample(problem.g, x, 0.0)
+    gamma = sample(problem.gamma, x)
     phi_ext = np.concatenate(([problem.phi(a)], phi, [problem.phi(b)]))
     lap = (phi_ext[:-2] - 2.0 * phi_ext[1:-1] + phi_ext[2:]) / grid.h**2
     return phi + k * psi + 0.5 * k**2 * (lap - gamma * psi + g0)
@@ -225,9 +224,9 @@ def _oifd_ghost_start(
     r = k / grid.h
     x = grid.interior_nodes
     stencil = laplacian_stencil(n)
-    phi = np.array([problem.phi(xi) for xi in x])
-    psi = np.array([problem.psi(xi) for xi in x])
-    g0 = np.array([problem.g(xi, 0.0) for xi in x])
+    phi = sample(problem.phi, x)
+    psi = sample(problem.psi, x)
+    g0 = sample(problem.g, x, 0.0)
     half_r2 = 0.5 * r**2
     lhs = linalg.BandedMatrix.from_tridiagonal(
         lower=-half_r2 * stencil.lower,
@@ -274,8 +273,7 @@ def make_stepper(
 
     gamma = op.damping
     r = k / grid.h
-    x = grid.interior_nodes
-    u0 = np.array([problem.phi(xi) for xi in x])
+    u0 = sample(problem.phi, grid.interior_nodes)
     if config.kind == "oefd":
         return BaselineStepper(
             config=config,
@@ -314,10 +312,15 @@ def step_semigroup(stepper: SemigroupStepper, state: StateVector) -> StateVector
     k = stepper.config.k
     op = stepper.op
     rhs = apply_poly(stepper.p, op, k, state.values)
-    f_n = forcing_vector(stepper.problem, stepper.grid, state.t).values
+    cache = stepper.forcing_cache
+    f_n = cache.get(state.t)
+    if f_n is None:
+        f_n = forcing_vector(stepper.problem, stepper.grid, state.t).values
     if f_n.any():
         rhs = rhs + (k / 2.0) * apply_poly(stepper.p, op, k, f_n)
     f_next = forcing_vector(stepper.problem, stepper.grid, state.t + k).values
+    cache.clear()
+    cache[state.t + k] = f_next
     if f_next.any():
         rhs = rhs + (k / 2.0) * apply_poly(stepper.q, op, k, f_next)
     if stepper.q_fact is None:
@@ -333,7 +336,7 @@ def step_oefd(
     """One explicit baseline step: levels (n, n-1) at time t_n -> level n+1."""
     grid, problem = stepper.grid, stepper.problem
     k, r, gamma = stepper.config.k, stepper.r, stepper.gamma
-    g_n = np.array([problem.g(xi, t) for xi in grid.interior_nodes])
+    g_n = sample(problem.g, grid.interior_nodes, t)
     rhs = (
         2.0 * u_curr
         + r**2 * stepper._stencil.matvec(u_curr)
@@ -351,7 +354,7 @@ def step_oifd(
     grid, problem = stepper.grid, stepper.problem
     k, r, gamma = stepper.config.k, stepper.r, stepper.gamma
     half_r2 = 0.5 * r**2
-    g_n = np.array([problem.g(xi, t) for xi in grid.interior_nodes])
+    g_n = sample(problem.g, grid.interior_nodes, t)
     rhs = (
         2.0 * u_curr
         + half_r2 * stepper._stencil.matvec(u_curr)

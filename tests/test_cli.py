@@ -119,6 +119,17 @@ class TestSolve:
         assert code == 2
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["fd11", "oefd", "oifd"])
+    def test_coefficient_failing_at_a_node_exits_2(self, tmp_path, capsys, scheme):
+        # N=2 on [0, 2] puts the only interior node at x=1, where g divides by zero
+        cfg = tmp_path / "pole.json"
+        cfg.write_text(json.dumps(dict(UNDAMPED_DOC, domain=[0, 2], phi="0", g="1/(x - 1)")))
+        code = run_command(["solve", "--problem", str(cfg), "--scheme", scheme,
+                            "--N", "2", "--k", "0.1", "--t-final", "0.1",
+                            "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "(1.0 / (x - 1.0))" in capsys.readouterr().err
+
     def test_blow_up_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "undamped.json"
         cfg.write_text(json.dumps(UNDAMPED_DOC))

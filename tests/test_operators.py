@@ -8,8 +8,15 @@ from dampwave.operators import (
     build_grid,
     forcing_vector,
     laplacian_stencil,
+    sample,
 )
-from dampwave.problems import DampedWaveProblem, sample_problem
+from dampwave.problems import (
+    DampedWaveProblem,
+    EvaluationError,
+    compile_expression,
+    parse_expression,
+    sample_problem,
+)
 
 
 def make_problem(gamma=lambda x: 2.0, g=lambda x, t: 0.0, u_a=lambda t: 0.0,
@@ -163,3 +170,56 @@ class TestForcingVector:
 def test_laplacian_stencil_single_row():
     st = laplacian_stencil(1)
     assert st.matvec(np.array([2.0])) == pytest.approx([-4.0])
+
+
+def _branching(x):
+    return 1.0 if x < 1.0 else x * x
+
+
+class TestSample:
+    def test_constant_broadcasts(self):
+        nodes = build_grid(0.0, 2.0, 8).interior_nodes
+        values = sample(lambda x, t: 0.5, nodes, 3.0)
+        assert values.shape == nodes.shape
+        assert np.all(values == 0.5)
+        assert values.flags.writeable
+
+    @pytest.mark.parametrize("fn", [math.sin, _branching], ids=["math.sin", "branching"])
+    @pytest.mark.parametrize("N", [2, 9])
+    def test_scalar_only_callable_matches_per_node_loop(self, fn, N):
+        nodes = build_grid(0.0, 2.0, N).interior_nodes
+        expected = np.array([fn(x) for x in nodes], dtype=float)
+        assert np.array_equal(sample(fn, nodes), expected)
+
+    @pytest.mark.parametrize("N", [2, 9])
+    def test_array_callable_called_once(self, N):
+        nodes = build_grid(0.0, 2.0, N).interior_nodes
+        calls = []
+
+        def g(x, t):
+            calls.append(x)
+            return np.sin(x) * t
+
+        values = sample(g, nodes, 2.0)
+        assert len(calls) == 1
+        assert np.array_equal(values, np.array([math.sin(x) * 2.0 for x in nodes]))
+
+    def test_single_interior_node(self):
+        nodes = build_grid(0.0, 1.0, 2).interior_nodes
+        assert sample(lambda x: 3.0, nodes).tolist() == [3.0]
+        assert sample(np.cos, nodes).tolist() == [math.cos(0.5)]
+        compiled = compile_expression(parse_expression("x*t"))
+        assert sample(compiled, nodes, 4.0).tolist() == [2.0]
+
+    def test_evaluation_error_propagates_without_fallback(self):
+        nodes = build_grid(0.0, 2.0, 4).interior_nodes  # 0.5, 1.0, 1.5
+        compiled = compile_expression(parse_expression("1/(x - 1)"))
+        calls = []
+
+        def g(x, t):
+            calls.append(x)
+            return compiled(x, t)
+
+        with pytest.raises(EvaluationError, match=r"\(1\.0 / \(x - 1\.0\)\)"):
+            sample(g, nodes, 0.0)
+        assert len(calls) == 1

@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dampwave.harness import error_profile
 from dampwave.operators import build_grid
@@ -16,6 +19,7 @@ from dampwave.problems import (
     ProblemConfigError,
     UnknownIdentifierError,
     Var,
+    compile_expression,
     eval_expression,
     expression_variables,
     format_expression,
@@ -129,6 +133,114 @@ def test_print_parse_round_trip():
     for _ in range(10_000):
         tree = random_tree(rng, int(rng.integers(1, 9)))
         assert parse_expression(format_expression(tree)) == tree
+
+
+# numpy's exp and power differ from libm's by one ulp on some arguments, and
+# an ill-conditioned tree (sin of a large argument, cancellation) amplifies
+# that difference. Each call and '^' result, scaled by a few ulps one at a
+# time, shows how far the tree's value can legitimately move; where that is
+# more than 1e-6 relative the value has no digits left to compare.
+ULP_SCALE = 1.0 + 4 * 2.0**-52
+
+
+def _one_scaled(node):
+    """Copies of the tree with one call or '^' result multiplied by ULP_SCALE."""
+    if isinstance(node, Neg):
+        yield from (Neg(v) for v in _one_scaled(node.arg))
+    elif isinstance(node, Call):
+        yield BinOp("*", node, Num(ULP_SCALE))
+        yield from (Call(node.fn, v) for v in _one_scaled(node.arg))
+    elif isinstance(node, BinOp):
+        if node.op == "^":
+            yield BinOp("*", node, Num(ULP_SCALE))
+        yield from (BinOp(node.op, v, node.right) for v in _one_scaled(node.left))
+        yield from (BinOp(node.op, node.left, v) for v in _one_scaled(node.right))
+
+
+def _scalar(tree, x, t):
+    try:
+        return eval_expression(tree, x, t)
+    except EvaluationError:
+        return None
+
+
+def _ulp_sensitivity(tree, x, t, value):
+    total = 0.0
+    for variant in _one_scaled(tree):
+        moved = _scalar(variant, x, t)
+        if moved is None:
+            return math.inf  # a few ulps from a domain failure
+        total += abs(moved - value)
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    xs=st.lists(st.floats(-10, 10), min_size=1, max_size=12),
+    t=st.floats(-10, 10),
+)
+def test_compiled_agrees_with_scalar_reference(seed, xs, t):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, int(rng.integers(1, 7)))
+    f = compile_expression(tree)
+    reference = [_scalar(tree, x, t) for x in xs]
+    # the whole array at once raises exactly when some node fails
+    if None in reference:
+        with pytest.raises(EvaluationError):
+            f(np.array(xs), t)
+        whole = None
+    else:
+        whole = f(np.array(xs), t)
+        assert whole.shape == (len(xs),)
+    for i, (x, want) in enumerate(zip(xs, reference)):
+        if want is None:
+            with pytest.raises(EvaluationError):
+                f(np.array([x]), t)
+            continue
+        got = [f(np.array([x]), t)[0]] + ([] if whole is None else [whole[i]])
+        spread = _ulp_sensitivity(tree, x, t, want)
+        if spread <= 1e-6 * abs(want):
+            for value in got:
+                assert abs(value - want) <= 1e-12 * abs(want) + spread, format_expression(tree)
+
+
+class TestCompiledExpression:
+    def test_scalar_arguments_use_the_reference(self):
+        f = compile_expression(parse_expression("exp(-t)*sin(x)"))
+        assert f(0.3, 1.2) == eval_expression(parse_expression("exp(-t)*sin(x)"), 0.3, 1.2)
+        assert type(f(0.3, 1.2)) is float
+
+    def test_constant_broadcasts_to_node_shape(self):
+        f = compile_expression(parse_expression("2*pi"))
+        out = f(np.linspace(0.0, 1.0, 5), 0.0)
+        assert out.shape == (5,) and np.all(out == 2 * math.pi)
+
+    def test_failure_names_subexpression_of_first_failing_node(self):
+        f = compile_expression(parse_expression("1 + 1/(x - 1)"))
+        with pytest.raises(EvaluationError, match=r"\(1\.0 / \(x - 1\.0\)\)"):
+            f(np.array([0.5, 1.0, 1.5]), 0.0)
+
+    def test_absorbed_intermediate_failure_still_raises(self):
+        # 1/(x-1) is inf at x=1 and 1/inf = 0 is finite, yet the scalar
+        # reference fails at the inner division
+        f = compile_expression(parse_expression("1/(1/(x - 1))"))
+        with pytest.raises(EvaluationError, match=r"\(1\.0 / \(x - 1\.0\)\)"):
+            f(np.array([0.0, 1.0, 2.0]), 0.0)
+
+    def test_non_finite_literal_follows_the_reference(self):
+        f = compile_expression(parse_expression("1/(1e999 + x)"))
+        with pytest.raises(EvaluationError):
+            f(np.array([0.0, 1.0]), 0.0)
+
+    def test_no_runtime_warning(self):
+        f = compile_expression(parse_expression("sqrt(x) + exp(x^2)"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError):
+                f(np.array([1.0, -1.0]), 0.0)
+            with pytest.raises(EvaluationError):
+                f(np.array([1.0, 1e3]), 0.0)
 
 
 def test_expression_variables():

@@ -6,6 +6,7 @@ import pytest
 from dampwave.linalg import matrix_exponential
 from dampwave.operators import assemble_system, build_grid, forcing_vector
 from dampwave.problems import DampedWaveProblem, sample_problem
+from dampwave import schemes
 from dampwave.schemes import (
     SchemeConfig,
     StateVector,
@@ -16,6 +17,8 @@ from dampwave.schemes import (
     step_oefd,
     step_oifd,
     step_semigroup,
+    _interleave_perm,
+    _interleaved_kM,
 )
 
 
@@ -79,7 +82,45 @@ class TestMakeStepper:
         assert stepper.u1 == pytest.approx(startup_u1(problem, grid, 0.1), abs=0)
 
 
+@pytest.mark.parametrize("N", [2, 3, 7, 20])
+def test_interleaved_kM_is_permuted_dense_operator(N):
+    problem = plain_problem(gamma=lambda x: 1.0 + x * x)
+    grid = build_grid(0.0, math.pi, N)
+    op = assemble_system(grid, problem)
+    k = 0.07
+    perm, _ = _interleave_perm(op.n_interior)
+    P = np.eye(op.size)[perm]
+    expected = P @ (k * op.to_dense()) @ P.T
+    assert np.array_equal(_interleaved_kM(op, k).toarray(), expected)
+
+
 class TestStepSemigroup:
+    @pytest.mark.parametrize("scheme", ["fd01", "fd11", "fdST"])
+    def test_forcing_evaluated_once_per_time_level(self, scheme, monkeypatch):
+        problem = plain_problem(gamma=lambda x: 1.0 + x, g=lambda x, t: np.sin(x) * np.cos(t),
+                                exact=None)
+        grid = build_grid(0.0, math.pi, 12)
+        config = config_for(scheme, 0.01, (2, 2) if scheme == "fdST" else None)
+        # reference: every step evaluates both F(t_n) and F(t_{n+1})
+        stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
+        state = stepper.initial_state
+        rows = [state.values]
+        for _ in range(10):
+            stepper.forcing_cache.clear()
+            state = step_semigroup(stepper, state)
+            rows.append(state.values)
+        times = []
+
+        def counted(problem, grid, t):
+            times.append(t)
+            return forcing_vector(problem, grid, t)
+
+        monkeypatch.setattr(schemes, "forcing_vector", counted)
+        traj = solve_evolution(problem, grid, config, 0.1)
+        assert len(traj.times) == 11
+        assert len(times) == 11 and len(set(times)) == 11
+        assert np.array_equal(traj.states, np.array(rows))
+
     def test_single_node_matches_dense_crank_nicolson(self):
         # 2x2 system from N=2 with nonzero damping, forcing and boundary data
         problem = DampedWaveProblem(
