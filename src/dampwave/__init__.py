@@ -30,7 +30,6 @@ from .linalg import (
 )
 from .operators import (
     BlockOperator,
-    ForcingVector,
     SpatialGrid,
     assemble_system,
     build_grid,
@@ -57,9 +56,6 @@ from .schemes import (
     config_for,
     make_stepper,
     solve_evolution,
-    startup_u1,
-    step_oefd,
-    step_oifd,
     step_semigroup,
 )
 from .stability import (
@@ -85,7 +81,6 @@ __all__ = [
     "EvaluationError",
     "ExpressionError",
     "ExpressionSyntaxError",
-    "ForcingVector",
     "ProblemConfigError",
     "QuadraticCoeffs",
     "RationalApproximant",
@@ -125,9 +120,6 @@ __all__ = [
     "solve_banded",
     "solve_evolution",
     "spectral_radius",
-    "startup_u1",
-    "step_oefd",
-    "step_oifd",
     "step_semigroup",
     "write_csv",
 ]

@@ -20,16 +20,9 @@ import numpy as np
 
 from . import harness, stability
 from .linalg import SingularMatrixError, spectral_radius
-from .operators import assemble_system, build_grid
+from .operators import assemble_system, build_grid, subintervals
 from .problems import BUILTINS, DampedWaveProblem, ProblemConfigError, load_problem_config
-from .schemes import (
-    SCHEME_NAMES,
-    StateVector,
-    config_for,
-    make_stepper,
-    solve_evolution,
-    step_semigroup,
-)
+from .schemes import SCHEME_NAMES, amplify, config_for, make_stepper, solve_evolution
 
 FIGURE_GRID_N = 23  # nearest subinterval count to the reference mesh width 0.13464
 FIGURE_R_VALUES = (0.016, 0.159, 0.995, 1.45)
@@ -152,7 +145,7 @@ def _resolve_grid(problem: DampedWaveProblem, args) -> "SpatialGrid":
     a, b = problem.domain
     if args.N is not None:
         return build_grid(a, b, args.N)
-    N = max(2, round((b - a) / args.h))
+    N = subintervals(a, b, args.h)
     grid = build_grid(a, b, N)
     if abs(grid.h - args.h) > 1e-9 * max(grid.h, args.h):
         print(f"note: h snapped to (b-a)/{N} = {grid.h!r}", file=sys.stderr)
@@ -220,18 +213,11 @@ def _cmd_compare(args) -> int:
         return _fail("compare needs a problem with an exact solution", EXIT_USAGE)
     grid = _resolve_grid(problem, args)
     k = _resolve_k(args, grid.h)
-    profiles = {}
-    for name in harness.TABLE_SCHEMES:
-        traj = solve_evolution(problem, grid, config_for(name, k), args.t_final)
-        profiles[name] = harness.error_profile(traj, problem, args.t_final)
-        flag = " (diverged)" if traj.blow_up or profiles[name].max_error > harness.DIVERGENCE_THRESHOLD else ""
-        print(f"{name}: max abs error = {profiles[name].max_error:.6e}{flag}")
-    x = profiles["oefd"].x
-    rows = tuple(
-        (float(x[i]),) + tuple(float(profiles[n].abs_error[i]) for n in harness.TABLE_SCHEMES)
-        for i in range(len(x))
-    )
-    harness.write_csv(harness.Table(("x",) + harness.TABLE_SCHEMES, rows), args.out)
+    table, summary = harness.compare_schemes(problem, grid, k, args.t_final)
+    for name, (max_error, diverged) in summary.items():
+        flag = " (diverged)" if diverged else ""
+        print(f"{name}: max abs error = {max_error:.6e}{flag}")
+    harness.write_csv(table, args.out)
     return EXIT_OK
 
 
@@ -275,14 +261,11 @@ def _empirical_radius(N: int, h: float, k: float, gamma_max: float, seed: int) -
     op = assemble_system(grid, problem)
     stepper = make_stepper(config_for("fd11", k), op, grid, problem)
 
-    def amplify(v):
-        return step_semigroup(stepper, StateVector(0.0, v)).values
-
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return spectral_radius(amplify, op.size, seed=seed)
+        return spectral_radius(lambda v: amplify(stepper, v), op.size, seed=seed)
 
 
 def _cmd_convergence(args) -> int:

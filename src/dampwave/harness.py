@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .operators import SpatialGrid, build_grid, sample
+from .operators import SpatialGrid, build_grid, sample, subintervals
 from .problems import DampedWaveProblem, sample_problem
 from .schemes import SchemeConfig, Trajectory, config_for, solve_evolution
 
@@ -25,16 +23,6 @@ DIVERGENCE_THRESHOLD = 1e6
 
 TABLE2_R_VALUES = (1.59, 0.53, 0.32, 0.23, 0.18)
 TABLE_SCHEMES = ("oefd", "oifd", "fd01", "fd11")
-
-
-def _max_workers() -> int:
-    env = os.environ.get("DAMPWAVE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -153,6 +141,31 @@ class Table:
         return [row[i] for row in self.rows]
 
 
+def compare_schemes(
+    problem: DampedWaveProblem, grid: SpatialGrid, k: float, t: float, stride: int = 1
+) -> tuple[Table, dict[str, tuple[float, bool]]]:
+    """Run every TABLE_SCHEMES scheme to t at the same grid and step.
+
+    Returns the per-node absolute errors at the snapshot nearest to t, as a
+    table with an x column and one column per scheme, and each scheme's
+    (max error, diverged) pair. A run diverged when it blew up or its max
+    error exceeds DIVERGENCE_THRESHOLD.
+    """
+    profiles = {}
+    summary = {}
+    for name in TABLE_SCHEMES:
+        traj = solve_evolution(problem, grid, config_for(name, k), t, stride=stride)
+        profile = profiles[name] = error_profile(traj, problem, t)
+        diverged = traj.blow_up or not profile.max_error <= DIVERGENCE_THRESHOLD
+        summary[name] = (profile.max_error, diverged)
+    x = profiles[TABLE_SCHEMES[0]].x
+    rows = tuple(
+        (float(x[i]),) + tuple(float(profiles[name].abs_error[i]) for name in TABLE_SCHEMES)
+        for i in range(len(x))
+    )
+    return Table(columns=("x",) + TABLE_SCHEMES, rows=rows), summary
+
+
 def reproduce_table1(
     N: int = 10, k: float = 0.1, t_eval: Optional[float] = None
 ) -> Table:
@@ -166,27 +179,7 @@ def reproduce_table1(
     problem = sample_problem()
     a, b = problem.domain
     grid = build_grid(a, b, N)
-    t = k if t_eval is None else t_eval
-    profiles = {}
-    for name in TABLE_SCHEMES:
-        traj = solve_evolution(problem, grid, config_for(name, k), t_final=t)
-        profiles[name] = error_profile(traj, problem, t)
-    x = profiles["oefd"].x
-    rows = tuple(
-        (float(x[i]),) + tuple(float(profiles[name].abs_error[i]) for name in TABLE_SCHEMES)
-        for i in range(len(x))
-    )
-    return Table(columns=("x",) + TABLE_SCHEMES, rows=rows)
-
-
-def _table2_cell(
-    problem: DampedWaveProblem, grid: SpatialGrid, name: str, k: float, t_final: float
-) -> tuple[float, bool]:
-    traj = solve_evolution(problem, grid, config_for(name, k), t_final, stride=10**9)
-    profile = error_profile(traj, problem, t_final)
-    diverged = traj.blow_up or not math.isfinite(profile.max_error) \
-        or profile.max_error > DIVERGENCE_THRESHOLD
-    return profile.max_error, diverged
+    return compare_schemes(problem, grid, k, k if t_eval is None else t_eval)[0]
 
 
 def reproduce_table2(
@@ -198,29 +191,20 @@ def reproduce_table2(
 
     h defaults to pi/50 (the reference ratios leave it unstated); divergent
     runs keep their magnitude and carry a flag column rather than failing.
-    Independent runs execute concurrently (capped by DAMPWAVE_THREADS).
     """
     problem = sample_problem()
     a, b = problem.domain
-    if h is None:
-        h = (b - a) / 50
-    N = max(2, round((b - a) / h))
-    grid = build_grid(a, b, N)
-    jobs = [(r, name) for r in r_values for name in TABLE_SCHEMES]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(
-            pool.map(lambda job: _table2_cell(problem, grid, job[1], job[0] * grid.h, t_final), jobs)
-        )
-    cells = dict(zip(jobs, results))
+    grid = build_grid(a, b, 50 if h is None else subintervals(a, b, h))
     columns = ["r", "k"]
     for name in TABLE_SCHEMES:
         columns += [name, f"{name}_diverged"]
     rows = []
     for r in r_values:
-        row: list = [float(r), float(r * grid.h)]
+        k = r * grid.h
+        _, summary = compare_schemes(problem, grid, k, t_final, stride=10**9)
+        row: list = [float(r), float(k)]
         for name in TABLE_SCHEMES:
-            value, diverged = cells[(r, name)]
-            row += [value, diverged]
+            row += summary[name]
         rows.append(tuple(row))
     return Table(columns=tuple(columns), rows=tuple(rows))
 

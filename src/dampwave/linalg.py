@@ -1,7 +1,7 @@
 """Small linear-algebra kernels backing the time steppers and their validation.
 
 Banded LU (LAPACK gbtrf/gbtrs) factors the implicit-step matrices once per
-(grid, k, scheme); a dense scaling-and-squaring exponential serves as the
+(grid, k, scheme); the dense exponential scipy.linalg.expm serves as the
 one-step oracle at validation scale; spectral_radius estimates the dominant
 eigenvalue magnitude of a linear map given only its action.
 """
@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import expm, get_lapack_funcs
 
 from .operators import BlockOperator
-from .pade import _exp_pade_fractions
 
 PIVOT_RTOL = 1e-14
 ORACLE_MAX_SIZE = 200
@@ -41,18 +40,6 @@ class BandedMatrix:
     ab: np.ndarray  # shape (kl + ku + 1, n)
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, kl: int, ku: int) -> "BandedMatrix":
-        dense = np.asarray(dense, dtype=float)
-        n = dense.shape[0]
-        if dense.shape != (n, n):
-            raise ValueError("matrix must be square")
-        ab = np.zeros((kl + ku + 1, n))
-        for i in range(n):
-            for j in range(max(0, i - kl), min(n, i + ku + 1)):
-                ab[ku + i - j, j] = dense[i, j]
-        return cls(n=n, kl=kl, ku=ku, ab=ab)
-
-    @classmethod
     def from_sparse(cls, mat: scipy.sparse.spmatrix) -> "BandedMatrix":
         coo = mat.tocoo()
         n = coo.shape[0]
@@ -74,16 +61,6 @@ class BandedMatrix:
         ab[1, :] = diag
         ab[2, :-1] = lower
         return cls(n=n, kl=1, ku=1, ab=ab)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        out = np.zeros(self.n)
-        for d in range(-self.kl, self.ku + 1):
-            if d >= 0:
-                out[: self.n - d] += self.ab[self.ku - d, d:] * v[d:]
-            else:
-                out[-d:] += self.ab[self.ku - d, : self.n + d] * v[: self.n + d]
-        return out
 
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.n, self.n))
@@ -148,35 +125,13 @@ def solve_banded(fact: BandedFactorization, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _matrix_poly(coeffs, x: np.ndarray) -> np.ndarray:
-    eye = np.eye(x.shape[0])
-    acc = float(coeffs[-1]) * eye
-    for c in reversed(coeffs[:-1]):
-        acc = acc @ x + float(c) * eye
-    return acc
-
-
-def expm_dense(a: np.ndarray) -> np.ndarray:
-    """Dense matrix exponential: scale by 2^-s, apply the diagonal (6, 6)
-    approximant, square s times."""
-    a = np.asarray(a, dtype=float)
-    norm = np.linalg.norm(a, 1)
-    s = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
-    x = a / 2.0**s
-    p, q, _ = _exp_pade_fractions(6, 6)
-    r = np.linalg.solve(_matrix_poly(q, x), _matrix_poly(p, x))
-    for _ in range(s):
-        r = r @ r
-    return r
-
-
 def matrix_exponential(op: BlockOperator, k: float) -> np.ndarray:
     """e^{M k} as a dense matrix; validation oracle for small systems only."""
     if op.size > ORACLE_MAX_SIZE:
         raise ValueError(
             f"oracle limited to systems of size {ORACLE_MAX_SIZE}, got {op.size}"
         )
-    return expm_dense(k * op.to_dense())
+    return expm(k * op.to_dense())
 
 
 def spectral_radius(

@@ -19,6 +19,7 @@ whole node array when it accepts it, and is called once per node otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,39 +88,29 @@ def sample(fn: Callable, nodes: np.ndarray, *t: float) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class Tridiagonal:
-    """Symmetric-profile tridiagonal matrix stored as diagonals."""
+def second_difference(v: np.ndarray) -> np.ndarray:
+    """A v for the second-difference matrix A = tridiag(1, -2, 1) (no 1/h^2 factor).
 
-    diag: np.ndarray
-    lower: np.ndarray  # length n-1
-    upper: np.ndarray  # length n-1
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        if self.n > 1:
-            out[:-1] += self.upper * v[1:]
-            out[1:] += self.lower * v[:-1]
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        if self.n > 1:
-            m += np.diag(self.lower, -1) + np.diag(self.upper, 1)
-        return m
+    Works along the first axis, so second_difference(np.eye(n)) is A itself.
+    """
+    out = -2.0 * v
+    out[:-1] += v[1:]
+    out[1:] += v[:-1]
+    return out
 
 
-def laplacian_stencil(n: int) -> Tridiagonal:
-    """The n x n second-difference matrix tridiag(1, -2, 1) (no 1/h^2 factor)."""
-    return Tridiagonal(
-        diag=_readonly(np.full(n, -2.0)),
-        lower=_readonly(np.ones(max(n - 1, 0))),
-        upper=_readonly(np.ones(max(n - 1, 0))),
-    )
+def subintervals(a: float, b: float, h: float) -> int:
+    """The subinterval count N = max(2, round((b - a)/h)) that snaps h to the grid.
+
+    Raises ValueError naming h unless h is finite, positive and large enough
+    for (b - a)/h to be finite.
+    """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"mesh width h must be finite and positive, got h={h}")
+    n = (b - a) / h
+    if not math.isfinite(n):
+        raise ValueError(f"mesh width h={h} is too small for [{a}, {b}]")
+    return max(2, round(n))
 
 
 @dataclass(frozen=True)
@@ -127,7 +118,6 @@ class BlockOperator:
     """The 2(N-1) x 2(N-1) operator M = [[0, I], [A/h^2, -Gamma]] in block form."""
 
     n_interior: int
-    laplacian: Tridiagonal
     damping: np.ndarray  # gamma(x_i), the diagonal of Gamma
     inv_h2: float
 
@@ -142,14 +132,14 @@ class BlockOperator:
             raise ValueError(f"expected vector of length {self.size}, got shape {v.shape}")
         n = self.n_interior
         u, w = v[:n], v[n:]
-        return np.concatenate([w, self.inv_h2 * self.laplacian.matvec(u) - self.damping * w])
+        return np.concatenate([w, self.inv_h2 * second_difference(u) - self.damping * w])
 
     def to_dense(self) -> np.ndarray:
         """Densified M; validation-scale utility, never used in the solve path."""
         n = self.n_interior
         m = np.zeros((2 * n, 2 * n))
         m[:n, n:] = np.eye(n)
-        m[n:, :n] = self.inv_h2 * self.laplacian.to_dense()
+        m[n:, :n] = self.inv_h2 * second_difference(np.eye(n))
         m[n:, n:] = -np.diag(self.damping)
         return m
 
@@ -168,18 +158,9 @@ def assemble_system(grid: SpatialGrid, problem: DampedWaveProblem) -> BlockOpera
         )
     return BlockOperator(
         n_interior=n,
-        laplacian=laplacian_stencil(n),
         damping=_readonly(gamma),
         inv_h2=1.0 / grid.h**2,
     )
-
-
-@dataclass(frozen=True)
-class ForcingVector:
-    """F(t) = [0; G(t) + B(t)/h^2] evaluated at one time."""
-
-    t: float
-    values: np.ndarray
 
 
 def boundary_vector(problem: DampedWaveProblem, grid: SpatialGrid, t: float) -> np.ndarray:
@@ -190,10 +171,10 @@ def boundary_vector(problem: DampedWaveProblem, grid: SpatialGrid, t: float) -> 
     return b
 
 
-def forcing_vector(problem: DampedWaveProblem, grid: SpatialGrid, t: float) -> ForcingVector:
-    """Assemble F(t) for the first-order system at time t."""
+def forcing_vector(problem: DampedWaveProblem, grid: SpatialGrid, t: float) -> np.ndarray:
+    """F(t) for the first-order system at time t, as a read-only array."""
     n = grid.n_interior
     g_vals = sample(problem.g, grid.interior_nodes, t)
     values = np.zeros(2 * n)
     values[n:] = g_vals + boundary_vector(problem, grid, t) / grid.h**2
-    return ForcingVector(t=float(t), values=_readonly(values))
+    return _readonly(values)

@@ -140,6 +140,32 @@ class TestSolve:
         assert "diverged" in capsys.readouterr().err
         assert out.exists()  # data still written
 
+    @pytest.mark.parametrize("scheme,step", [("fd01", 623), ("oefd", 379)])
+    def test_divergence_step_reported(self, tmp_path, capsys, scheme, step):
+        # r = 1.59 lies outside both explicit schemes' stability regions
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_command(["solve", "--scheme", scheme, "--N", "50", "--r", "1.59",
+                                "--t-final", "80", "--stride", "7",
+                                "--out", str(tmp_path / "blow.csv")])
+        assert code == 4
+        assert f"non-finite state at step {step} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--scheme", "fd11", "--k", "0.1", "--t-final", "0.1", "--h", "0"],
+        ["solve", "--scheme", "fd11", "--k", "0.1", "--t-final", "0.1", "--h", "-0.5"],
+        ["solve", "--scheme", "fd11", "--k", "0.1", "--t-final", "0.1", "--h", "inf"],
+        ["solve", "--scheme", "fd11", "--k", "0.1", "--t-final", "0.1", "--h", "nan"],
+        ["solve", "--scheme", "fd11", "--k", "0.1", "--t-final", "0.1", "--h", "1e-320"],
+        ["table2", "--h", "0"],
+        ["table2", "--h", "-1"],
+    ], ids=["solve-0", "solve-negative", "solve-inf", "solve-nan", "solve-tiny",
+            "table2-0", "table2-negative"])
+    def test_bad_mesh_width_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert run_command(argv + ["--out", str(out)]) == 2
+        assert "mesh width h" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solution_profile_without_exact(self, tmp_path):
         cfg = tmp_path / "noexact.json"
         cfg.write_text(json.dumps(dict(UNDAMPED_DOC, gamma="2", psi="-sin(x)")))

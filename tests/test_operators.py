@@ -7,8 +7,9 @@ from dampwave.operators import (
     assemble_system,
     build_grid,
     forcing_vector,
-    laplacian_stencil,
     sample,
+    second_difference,
+    subintervals,
 )
 from dampwave.problems import (
     DampedWaveProblem,
@@ -69,22 +70,39 @@ class TestBuildGrid:
             build_grid(a, b, N)
 
 
+class TestSubintervals:
+    @pytest.mark.parametrize("h,N", [(math.pi / 50, 50), (0.3, 10), (10.0, 2)])
+    def test_snaps_to_nearest_count(self, h, N):
+        assert subintervals(0.0, math.pi, h) == N
+
+    @pytest.mark.parametrize("h", [0.0, -0.5, math.inf, -math.inf, math.nan, 1e-320])
+    def test_rejects_bad_mesh_width(self, h):
+        with pytest.raises(ValueError, match="mesh width h"):
+            subintervals(0.0, math.pi, h)
+
+
+def laplacian_block(op):
+    """The A block of M = [[0, I], [A/h^2, -Gamma]], rescaled by h^2."""
+    n = op.n_interior
+    return op.to_dense()[n:, :n] / op.inv_h2
+
+
 class TestAssembleSystem:
     def test_stencil_n3(self):
         grid = build_grid(0.0, math.pi, 3)
         op = assemble_system(grid, make_problem())
-        assert op.laplacian.to_dense() == pytest.approx(np.array([[-2.0, 1.0], [1.0, -2.0]]))
+        assert laplacian_block(op) == pytest.approx(np.array([[-2.0, 1.0], [1.0, -2.0]]))
 
     def test_degenerate_single_node(self):
         grid = build_grid(0.0, 1.0, 2)
         op = assemble_system(grid, make_problem(gamma=lambda x: 3.0))
-        assert op.laplacian.to_dense() == pytest.approx(np.array([[-2.0]]))
+        assert laplacian_block(op) == pytest.approx(np.array([[-2.0]]))
         assert op.damping == pytest.approx([3.0])
 
     def test_eigenvalues_n3(self):
         grid = build_grid(0.0, math.pi, 3)
         op = assemble_system(grid, make_problem())
-        eig = np.sort(np.linalg.eigvalsh(op.laplacian.to_dense()))
+        eig = np.sort(np.linalg.eigvalsh(laplacian_block(op)))
         assert eig == pytest.approx([-3.0, -1.0], abs=1e-12)
         formula = np.sort([-4 * math.sin(n * math.pi / 6) ** 2 for n in (1, 2)])
         assert eig == pytest.approx(formula, abs=1e-12)
@@ -94,7 +112,7 @@ class TestAssembleSystem:
         # brute-force eigendecomposition against the sine formula
         grid = build_grid(0.0, math.pi, N)
         op = assemble_system(grid, make_problem())
-        eig = np.sort(np.linalg.eigvalsh(op.laplacian.to_dense()))
+        eig = np.sort(np.linalg.eigvalsh(laplacian_block(op)))
         formula = np.sort([-4 * math.sin(n * math.pi / (2 * N)) ** 2 for n in range(1, N)])
         assert eig == pytest.approx(formula, abs=1e-10)
 
@@ -128,30 +146,31 @@ class TestForcingVector:
         grid = build_grid(0.0, math.pi, 10)
         for t in (0.0, 0.37, 5.0):
             f = forcing_vector(problem, grid, t)
-            assert not f.values.any()
+            assert not f.any()
+            assert not f.flags.writeable
 
     def test_boundary_placement(self):
         problem = make_problem(u_a=lambda t: 1.0, domain=(0.0, 1.5))
         grid = build_grid(0.0, 1.5, 3)  # h = 0.5
         f = forcing_vector(problem, grid, 0.7)
         n = grid.n_interior
-        assert f.values[:n] == pytest.approx([0.0, 0.0])
-        assert f.values[n:] == pytest.approx([4.0, 0.0])  # u_a / h^2 = 1/0.25
+        assert f[:n] == pytest.approx([0.0, 0.0])
+        assert f[n:] == pytest.approx([4.0, 0.0])  # u_a / h^2 = 1/0.25
 
     def test_interior_forcing_values(self):
         problem = make_problem(g=lambda x, t: x * t, domain=(0.0, 1.0))
         grid = build_grid(0.0, 1.0, 3)
         f = forcing_vector(problem, grid, 2.0)
         n = grid.n_interior
-        assert f.values[:n] == pytest.approx([0.0, 0.0])
-        assert f.values[n:] == pytest.approx([2.0 / 3.0, 4.0 / 3.0])
+        assert f[:n] == pytest.approx([0.0, 0.0])
+        assert f[n:] == pytest.approx([2.0 / 3.0, 4.0 / 3.0])
 
     def test_first_block_always_zero(self):
         problem = make_problem(g=lambda x, t: math.sin(x + t), u_a=lambda t: t,
                                u_b=lambda t: -t)
         grid = build_grid(0.0, math.pi, 8)
         f = forcing_vector(problem, grid, 1.3)
-        assert not f.values[: grid.n_interior].any()
+        assert not f[: grid.n_interior].any()
 
     def test_linearity_in_data(self):
         # forcing(alpha * data) == alpha * forcing(data)
@@ -162,14 +181,13 @@ class TestForcingVector:
         scaled = make_problem(g=lambda x, t: alpha * (x - t), u_a=lambda t: alpha * 2 * t,
                               u_b=lambda t: alpha * (1.0 + t), domain=(0.0, 2.0))
         for t in (0.0, 0.9, 4.2):
-            f1 = forcing_vector(base, grid, t).values
-            f2 = forcing_vector(scaled, grid, t).values
+            f1 = forcing_vector(base, grid, t)
+            f2 = forcing_vector(scaled, grid, t)
             assert f2 == pytest.approx(alpha * f1, rel=1e-13)
 
 
 def test_laplacian_stencil_single_row():
-    st = laplacian_stencil(1)
-    assert st.matvec(np.array([2.0])) == pytest.approx([-4.0])
+    assert second_difference(np.array([2.0])) == pytest.approx([-4.0])
 
 
 def _branching(x):

@@ -1,15 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from dampwave.harness import error_profile
 from dampwave.linalg import matrix_exponential
 from dampwave.operators import assemble_system, build_grid, forcing_vector
-from dampwave.problems import DampedWaveProblem, sample_problem
+from dampwave.problems import DampedWaveProblem, load_problem_config, sample_problem
 from dampwave import schemes
 from dampwave.schemes import (
     SchemeConfig,
     StateVector,
+    amplify,
     config_for,
     make_stepper,
     solve_evolution,
@@ -78,8 +81,11 @@ class TestMakeStepper:
         grid = build_grid(0.0, math.pi, 10)
         op = assemble_system(grid, problem)
         stepper = make_stepper(config_for("oefd", 0.1), op, grid, problem)
-        assert stepper.u0 == pytest.approx(np.sin(grid.interior_nodes))
-        assert stepper.u1 == pytest.approx(startup_u1(problem, grid, 0.1), abs=0)
+        u0, u1 = stepper.start()
+        assert (u0.t, u1.t) == (0.0, 0.1)
+        assert u0.values == pytest.approx(np.sin(grid.interior_nodes))
+        assert u1.values == pytest.approx(startup_u1(problem, grid, 0.1), abs=0)
+        assert u1.prev is u0.values
 
 
 @pytest.mark.parametrize("N", [2, 3, 7, 20])
@@ -103,7 +109,7 @@ class TestStepSemigroup:
         config = config_for(scheme, 0.01, (2, 2) if scheme == "fdST" else None)
         # reference: every step evaluates both F(t_n) and F(t_{n+1})
         stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
-        state = stepper.initial_state
+        (state,) = stepper.start()
         rows = [state.values]
         for _ in range(10):
             stepper.forcing_cache.clear()
@@ -141,8 +147,8 @@ class TestStepSemigroup:
 
         m = op.to_dense()
         eye = np.eye(2)
-        f0 = forcing_vector(problem, grid, 0.0).values
-        f1 = forcing_vector(problem, grid, k).values
+        f0 = forcing_vector(problem, grid, 0.0)
+        f1 = forcing_vector(problem, grid, k)
         rhs = (eye + k * m / 2) @ v0 + (k / 2) * ((eye + k * m / 2) @ f0 + (eye - k * m / 2) @ f1)
         expected = np.linalg.solve(eye - k * m / 2, rhs)
         assert got.values == pytest.approx(expected, rel=1e-13, abs=1e-13)
@@ -163,8 +169,8 @@ class TestStepSemigroup:
 
         m = op.to_dense()
         eye = np.eye(op.size)
-        f0 = forcing_vector(problem, grid, t0).values
-        f1 = forcing_vector(problem, grid, t0 + k).values
+        f0 = forcing_vector(problem, grid, t0)
+        f1 = forcing_vector(problem, grid, t0 + k)
         rhs = (eye + k * m / 2) @ v + (k / 2) * ((eye + k * m / 2) @ f0 + (eye - k * m / 2) @ f1)
         expected = np.linalg.solve(eye - k * m / 2, rhs)
         assert np.abs(got.values - expected).max() <= 1e-13 * max(1.0, np.abs(expected).max())
@@ -247,11 +253,11 @@ class TestStartup:
         n_steps = int(math.floor(t_final / k * (1 + 1e-12) + 1e-12))
 
         def run(u1):
-            u_prev, u = stepper.u0, u1
-            for level in range(2, n_steps + 1):
-                u_prev, u = u, step_oefd(stepper, u, u_prev, (level - 1) * k)
+            state = StateVector(k, u1, prev=stepper.u0)
+            for _ in range(2, n_steps + 1):
+                state = step_oefd(stepper, state)
             exact = np.exp(-n_steps * k) * np.sin(grid.interior_nodes)
-            return np.abs(u - exact).max()
+            return np.abs(state.values - exact).max()
 
         err_taylor = run(stepper.u1)
         err_exact = run(np.exp(-k) * np.sin(grid.interior_nodes))
@@ -277,8 +283,10 @@ class TestBaselineSteps:
         rng = np.random.default_rng(0)
         u_curr = np.full(grid.n_interior, 3.0) + 0 * rng.standard_normal(grid.n_interior)
         u_prev = np.full(grid.n_interior, 2.0)
-        out = step_oefd(stepper, u_curr, u_prev, 0.4)
-        assert out == pytest.approx(2 * u_curr - u_prev, abs=1e-14)
+        out = step_oefd(stepper, StateVector(0.4, u_curr, prev=u_prev))
+        assert out.t == pytest.approx(0.45)
+        assert out.values == pytest.approx(2 * u_curr - u_prev, abs=1e-14)
+        assert out.prev is u_curr
 
     def test_oefd_matches_dense_formula(self):
         problem = plain_problem(
@@ -297,7 +305,7 @@ class TestBaselineSteps:
         rng = np.random.default_rng(9)
         u_curr, u_prev = rng.standard_normal((2, grid.n_interior))
         t = 1.1
-        got = step_oefd(stepper, u_curr, u_prev, t)
+        got = step_oefd(stepper, StateVector(t, u_curr, prev=u_prev)).values
 
         n = grid.n_interior
         r = k / grid.h
@@ -330,11 +338,12 @@ class TestBaselineSteps:
         stepper = make_stepper(config_for("oifd", k), op, grid, problem)
         rng = np.random.default_rng(4)
         u_curr, u_prev = rng.standard_normal((2, grid.n_interior))
-        out = step_oifd(stepper, u_curr, u_prev, 0.0)
-        assert out == pytest.approx(2 * u_curr - u_prev, abs=1e-9)
+        out = step_oifd(stepper, StateVector(0.0, u_curr, prev=u_prev))
+        assert out.values == pytest.approx(2 * u_curr - u_prev, abs=1e-9)
+        assert out.prev is u_curr
 
     def test_oifd_solve_residual(self):
-        from dampwave.operators import boundary_vector, laplacian_stencil
+        from dampwave.operators import boundary_vector
 
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 10)
@@ -343,22 +352,114 @@ class TestBaselineSteps:
         stepper = make_stepper(config_for("oifd", k), op, grid, problem)
         n = grid.n_interior
         r = k / grid.h
-        stencil = laplacian_stencil(n)
+        a = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
         gamma = stepper.gamma
-        u_prev, u = stepper.u0, stepper.u1
-        for level in range(2, 8):
-            t = (level - 1) * k
-            u_next = step_oifd(stepper, u, u_prev, t)
+        state = stepper.start()[1]
+        for _ in range(2, 8):
+            t, u, u_prev = state.t, state.values, state.prev
+            state = step_oifd(stepper, state)
+            u_next = state.values
             rhs = (
                 2 * u
-                + 0.5 * r**2 * stencil.matvec(u)
+                + 0.5 * r**2 * a @ u
                 + (gamma * k / 2 - 1) * u_prev
                 + 0.5 * r**2 * (boundary_vector(problem, grid, t + k) + boundary_vector(problem, grid, t))
                 + k**2 * 0.0
             )
-            lhs = (1 + gamma * k / 2) * u_next - 0.5 * r**2 * stencil.matvec(u_next)
+            lhs = (1 + gamma * k / 2) * u_next - 0.5 * r**2 * a @ u_next
             assert np.linalg.norm(lhs - rhs) < 1e-11 * max(1.0, np.linalg.norm(rhs))
-            u_prev, u = u, u_next
+
+
+def test_amplify_is_the_unforced_step():
+    problem = plain_problem(gamma=lambda x: 1.0 + x, g=lambda x, t: np.sin(x) * t, exact=None)
+    grid = build_grid(0.0, math.pi, 9)
+    op = assemble_system(grid, problem)
+    unforced = plain_problem(gamma=lambda x: 1.0 + x, exact=None)
+    v = np.random.default_rng(3).standard_normal(op.size)
+    for name, orders in (("fd01", None), ("fd11", None), ("fdST", (2, 2))):
+        config = config_for(name, 0.1, orders)
+        stepper = make_stepper(config, op, grid, problem)
+        plain = make_stepper(config, op, grid, unforced)
+        assert np.array_equal(amplify(stepper, v), step_semigroup(plain, StateVector(0.4, v)).values)
+        forced = step_semigroup(stepper, StateVector(0.4, v)).values
+        assert not np.array_equal(forced, amplify(stepper, v))
+
+
+ALL_SCHEMES = [("fd01", None), ("fd11", None), ("fdST", (2, 2)), ("oefd", None), ("oifd", None)]
+STEP_FUNCTIONS = {"semigroup": step_semigroup, "oefd": step_oefd, "oifd": step_oifd}
+
+
+def forced_problem():
+    return plain_problem(gamma=lambda x: 1.0 + x, g=lambda x, t: np.sin(x) * np.cos(t),
+                         u_a=lambda t: 0.5 * t, u_b=lambda t: -0.2 * t,
+                         psi=lambda x: 1.0 - x, exact=None)
+
+
+class TestStepperProtocol:
+    @pytest.mark.parametrize("steps", [0, 1, 2])
+    @pytest.mark.parametrize("name,orders", ALL_SCHEMES, ids=[n for n, _ in ALL_SCHEMES])
+    def test_short_runs_are_start_levels_then_steps(self, name, orders, steps):
+        problem = forced_problem()
+        grid = build_grid(0.0, math.pi, 9)
+        k = 0.05
+        config = config_for(name, k, orders)
+        traj = solve_evolution(problem, grid, config, (steps + 0.25) * k)
+
+        stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
+        levels = stepper.start()
+        assert len(levels) == (1 if config.kind == "semigroup" else 2)
+        while len(levels) <= steps:
+            levels.append(STEP_FUNCTIONS[config.kind](stepper, levels[-1]))
+        assert not traj.blow_up and traj.blow_up_index is None
+        assert np.array_equal(traj.times, k * np.arange(steps + 1))
+        assert [s.t for s in levels[: steps + 1]] == pytest.approx(traj.times, abs=1e-15)
+        assert np.array_equal(traj.states, np.array([s.values for s in levels[: steps + 1]]))
+        width = grid.n_interior * (2 if config.kind == "semigroup" else 1)
+        assert traj.states.shape == (steps + 1, width)
+
+    @pytest.mark.parametrize("name,level", [("fd01", 623), ("oefd", 379)])
+    def test_blow_up_level_kept_off_stride(self, name, level):
+        # r = 1.59 lies outside both explicit schemes' stability regions
+        problem = sample_problem()
+        grid = build_grid(0.0, math.pi, 50)
+        k = 1.59 * grid.h
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = solve_evolution(problem, grid, config_for(name, k), 80.0, stride=7)
+        assert traj.blow_up and traj.blow_up_index == level
+        kept = list(range(0, level, 7)) + [level]
+        assert np.array_equal(traj.times, np.array(kept) * k)
+        assert np.isfinite(traj.states[:-1]).all()
+        assert not np.isfinite(traj.states[-1]).all()
+
+
+MANUFACTURED_DOC = {
+    # u = cos t sin x: every term of u_tt = u_xx - gamma u_t + g is nonzero
+    "domain": [0, math.pi],
+    "gamma": "1 + x",
+    "g": "-(1 + x)*sin(t)*sin(x)",
+    "phi": "sin(x)",
+    "psi": "0",
+    "u_a": "0",
+    "u_b": "0",
+    "exact": "cos(t)*sin(x)",
+}
+
+
+def test_oifd_is_first_order_in_time_when_u_xxt_is_nonzero():
+    # k and h refined together at r = 0.25; oifd's averaged Laplacian leaves
+    # a (k/2) u_xxt truncation term, so its order falls toward 1
+    problem = load_problem_config(json.dumps(MANUFACTURED_DOC))
+    orders = {}
+    for name in ("oifd", "oefd", "fd11"):
+        errors = []
+        for N in (20, 40, 80, 160):
+            grid = build_grid(0.0, math.pi, N)
+            traj = solve_evolution(problem, grid, config_for(name, 0.25 * grid.h), 1.0)
+            errors.append(error_profile(traj, problem, 1.0).max_error)
+        orders[name] = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert orders["oifd"] == pytest.approx([1.149, 1.049, 1.026], abs=5e-3)
+    for name in ("oefd", "fd11"):
+        assert min(orders[name]) > 1.95, name
 
 
 class TestSolveEvolution:
