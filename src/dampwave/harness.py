@@ -248,7 +248,9 @@ def format_value(v) -> str:
     """Deterministic, round-trippable cell formatting.
 
     Floats keep their shortest round-trip representation; magnitudes below
-    1e-3 (and at or above 1e16) use scientific notation.
+    1e-3 (and at or above 1e16) use scientific notation. repr gives exactly
+    that outside [1e-4, 1e-3), where it prints positional notation instead,
+    once a trailing ".0" is dropped.
     """
     if isinstance(v, bool) or isinstance(v, np.bool_):
         return "true" if v else "false"
@@ -263,9 +265,10 @@ def format_value(v) -> str:
         return "inf" if f > 0 else "-inf"
     if f == 0.0:
         return "0"
-    if abs(f) < 1e-3 or abs(f) >= 1e16:
+    if 1e-4 <= abs(f) < 1e-3:
         return np.format_float_scientific(f, unique=True, trim="-")
-    return np.format_float_positional(f, unique=True, trim="-")
+    text = repr(f)
+    return text[:-2] if text.endswith(".0") else text
 
 
 def write_csv(table: Table, path) -> None:

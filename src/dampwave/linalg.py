@@ -2,13 +2,13 @@
 
 Banded LU (LAPACK gbtrf/gbtrs) factors the implicit-step matrices once per
 (grid, k, scheme); the dense exponential scipy.linalg.expm serves as the
-one-step oracle at validation scale; spectral_radius estimates the dominant
-eigenvalue magnitude of a linear map given only its action.
+one-step oracle at validation scale; spectral_radius computes the dominant
+eigenvalue magnitude of a linear map given only its action, from the
+eigenvalues of its dense matrix.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +19,7 @@ from .operators import BlockOperator
 
 PIVOT_RTOL = 1e-14
 ORACLE_MAX_SIZE = 200
+SPECTRAL_MAX_SIZE = 2000
 
 
 class SingularMatrixError(RuntimeError):
@@ -134,68 +135,20 @@ def matrix_exponential(op: BlockOperator, k: float) -> np.ndarray:
     return expm(k * op.to_dense())
 
 
-def spectral_radius(
-    apply,
-    n: int,
-    seed: int | None = 0,
-    tol: float = 1e-6,
-    max_iter: int = 10000,
-) -> float:
-    """Dominant eigenvalue magnitude of a linear map on R^n.
+def spectral_radius(apply, n: int) -> float:
+    """Dominant eigenvalue magnitude of a linear map on R^n, given only its action.
 
-    Power iteration with a random start. Each step least-squares fits the
-    two-term recurrence x_{k+1} = alpha x_k + beta x_{k-1}, resolving a
-    dominant complex pair (or a defective double eigenvalue) as the root
-    modulus of mu^2 - alpha mu - beta; the fit counts as converged only
-    while its residual is negligible. If the fit never settles (three or
-    more eigenvalue clusters of nearly equal modulus), the run completes
-    max_iter steps, reports non-convergence as a RuntimeWarning (not an
-    error) and returns the geometric-mean growth rate of the late iterates,
-    which the warning makes explicit.
+    The map is applied to the n unit vectors to form its dense matrix, whose
+    eigenvalues LAPACK computes directly, so complex pairs, defective and
+    tied dominant moduli need no special handling. Limited to n <=
+    SPECTRAL_MAX_SIZE, where the dense eigenvalue problem stays within
+    seconds.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(n)
-    u /= np.linalg.norm(u)
-    v = np.asarray(apply(u), dtype=float)
-    a = np.linalg.norm(v)
-    if a == 0.0:
-        return 0.0
-    v_hat = v / a
-    log_growth = [np.log(a)]
-    estimate = a
-    stable = 0
-    for _ in range(max_iter):
-        w = np.asarray(apply(v_hat), dtype=float)
-        b = np.linalg.norm(w)
-        if b == 0.0:
-            return 0.0
-        log_growth.append(np.log(b))
-        w_hat = w / b
-        # least squares for x2 = alpha x1 + beta x0 with
-        # x0 = u, x1 = a v_hat, x2 = a b w_hat  (||x2|| = a b)
-        cols = np.stack([a * v_hat, u], axis=1)
-        target = a * b * w_hat
-        sol, _, _, _ = np.linalg.lstsq(cols, target, rcond=None)
-        resid = np.linalg.norm(target - cols @ sol) / (a * b)
-        roots = np.roots([1.0, -sol[0], -sol[1]])
-        rho = float(np.max(np.abs(roots)))
-        if resid <= 1e-8 and abs(rho - estimate) <= tol * max(rho, np.finfo(float).tiny):
-            stable += 1
-            if stable >= 3:
-                return rho
-        else:
-            stable = 0
-        estimate = rho
-        u, v_hat, a = v_hat, w_hat, b
-    tail = log_growth[len(log_growth) // 2 :]
-    geo = float(np.exp(np.mean(tail)))
-    warnings.warn(
-        f"power iteration did not converge to rtol={tol} within {max_iter} "
-        f"iterations (near-tied dominant moduli); returning the late-window "
-        f"geometric growth rate {geo:.9e}",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return geo
+    if n > SPECTRAL_MAX_SIZE:
+        raise ValueError(
+            f"dense spectral radius limited to maps of size {SPECTRAL_MAX_SIZE}, got {n}"
+        )
+    matrix = np.column_stack([np.asarray(apply(e), dtype=float) for e in np.eye(n)])
+    return float(np.abs(np.linalg.eigvals(matrix)).max())

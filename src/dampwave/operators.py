@@ -27,6 +27,10 @@ import numpy as np
 
 from .problems import DampedWaveProblem, ExpressionError
 
+#: largest subinterval count build_grid accepts (the bound on grid size, as
+#: schemes.MAX_STEPS bounds the step count)
+MAX_SUBINTERVALS = 1_000_000
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -55,12 +59,14 @@ class SpatialGrid:
 def build_grid(a: float, b: float, N: int) -> SpatialGrid:
     """Mesh [a, b] into N subintervals, h = (b-a)/N.
 
-    Requires b > a and N >= 2 (at least one interior node).
+    Requires b > a and 2 <= N <= MAX_SUBINTERVALS (at least one interior node).
     """
     if not b > a:
         raise ValueError(f"need b > a, got a={a}, b={b}")
     if N < 2:
         raise ValueError(f"need N >= 2 for interior nodes, got N={N}")
+    if N > MAX_SUBINTERVALS:
+        raise ValueError(f"grid of N={N} subintervals exceeds the bound {MAX_SUBINTERVALS}")
     h = (b - a) / N
     nodes = a + h * np.arange(1, N)
     return SpatialGrid(a=float(a), b=float(b), N=int(N), h=h, interior_nodes=_readonly(nodes))
@@ -103,13 +109,16 @@ def subintervals(a: float, b: float, h: float) -> int:
     """The subinterval count N = max(2, round((b - a)/h)) that snaps h to the grid.
 
     Raises ValueError naming h unless h is finite, positive and large enough
-    for (b - a)/h to be finite.
+    for (b - a)/h to stay within MAX_SUBINTERVALS.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"mesh width h must be finite and positive, got h={h}")
     n = (b - a) / h
-    if not math.isfinite(n):
-        raise ValueError(f"mesh width h={h} is too small for [{a}, {b}]")
+    if not n <= MAX_SUBINTERVALS:
+        raise ValueError(
+            f"mesh width h={h} gives N={n:.6g} subintervals on [{a}, {b}], "
+            f"above the bound {MAX_SUBINTERVALS}"
+        )
     return max(2, round(n))
 
 

@@ -89,8 +89,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}; expected one of {KINDS}")
-        if not self.k > 0:
-            raise ValueError(f"time step must be positive, got k={self.k}")
+        if not 0 < self.k < math.inf:
+            raise ValueError(f"time step must be positive and finite, got k={self.k}")
         if self.kind == "semigroup":
             if self.orders is None:
                 raise ValueError("semigroup scheme needs (S, T) orders")
@@ -131,7 +131,10 @@ class StateVector:
 
 def _num_steps(t_final: float, k: float) -> int:
     # last step with t <= t_final; tolerant of k not dividing t_final exactly
-    return int(math.floor(t_final / k * (1.0 + 1e-12) + 1e-12))
+    steps = t_final / k
+    if steps > MAX_STEPS:  # before int(): t_final/k may overflow to inf
+        raise ValueError(f"run would need {steps:.6g} steps (cap {MAX_STEPS})")
+    return int(math.floor(steps * (1.0 + 1e-12) + 1e-12))
 
 
 def _interleave_perm(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -320,7 +323,7 @@ def amplify(stepper: SemigroupStepper, v: np.ndarray, *forcing: np.ndarray) -> n
     """Q_S(kM)^{-1} [P_T(kM) v + the forcing terms].
 
     With no forcing terms this is the homogeneous one-step map R(kM) v, the
-    amplification whose spectral radius `stability --empirical` estimates.
+    amplification whose spectral radius `stability --empirical` computes.
     """
     rhs = apply_poly(stepper.p, stepper.op, stepper.config.k, v)
     for f in forcing:
@@ -426,13 +429,11 @@ def solve_evolution(
     A non-finite entry in any level after the initial one halts the run and
     flags the trajectory (the offending level is retained as data).
     """
-    if not t_final > 0:
-        raise ValueError(f"t_final must be positive, got {t_final}")
+    if not 0 < t_final < math.inf:
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     n_steps = _num_steps(t_final, config.k)
-    if n_steps > MAX_STEPS:
-        raise ValueError(f"run would need {n_steps} steps (cap {MAX_STEPS})")
 
     op = assemble_system(grid, problem)
     stepper = make_stepper(config, op, grid, problem)

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import MAX_SUBINTERVALS
+
 
 @dataclass(frozen=True)
 class QuadraticCoeffs:
@@ -113,8 +115,8 @@ class AmplificationSpectrum:
 
 def implicit_amplification(N: int, h: float, k: float, gamma_const: float) -> AmplificationSpectrum:
     """Closed-form amplification spectrum of the implicit (1,1) scheme."""
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
+    if not 2 <= N <= MAX_SUBINTERVALS:
+        raise ValueError(f"need 2 <= N <= {MAX_SUBINTERVALS}, got N={N}")
     n = np.arange(1, N)
     inner = gamma_const**2 - (16.0 / h**2) * np.sin(n * np.pi / (2 * N)) ** 2
     root = np.sqrt(inner.astype(complex))

@@ -166,6 +166,31 @@ class TestSolve:
         assert "mesh width h" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--scheme", "fd11", "--N", "10", "--k", "0.1", "--t-final", "inf"],
+         "t_final must be positive and finite, got inf"),
+        (["--scheme", "oefd", "--N", "10", "--k", "inf", "--t-final", "1"],
+         "time step must be positive and finite, got k=inf"),
+        (["--scheme", "fd11", "--N", "10", "--k", "1e-320", "--t-final", "1e10"],
+         "run would need inf steps"),
+    ], ids=["t-final-inf", "k-inf", "k-subnormal"])
+    def test_non_finite_time_input_exits_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.csv"
+        assert run_command(["solve"] + argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mesh,message", [
+        (["--h", "1e-300"], "gives N=3.14159e+300 subintervals"),
+        (["--N", "2000000"], "N=2000000 subintervals exceeds the bound 1000000"),
+    ], ids=["h", "N"])
+    def test_grid_size_bound_exits_2(self, tmp_path, capsys, mesh, message):
+        out = tmp_path / "x.csv"
+        argv = ["solve", "--scheme", "fd11", "--k", "0.1", "--t-final", "0.1"]
+        assert run_command(argv + mesh + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solution_profile_without_exact(self, tmp_path):
         cfg = tmp_path / "noexact.json"
         cfg.write_text(json.dumps(dict(UNDAMPED_DOC, gamma="2", psi="-sin(x)")))
@@ -222,7 +247,31 @@ class TestStability:
         assert "empirical" in out
         analytic = float(out.split("max |mu| over modes:")[1].split()[0])
         empirical = float(out.split("(seed=3):")[1].split()[0])
-        assert empirical == pytest.approx(analytic, rel=1e-6)
+        assert empirical == pytest.approx(analytic, rel=1e-10)
+
+    def test_empirical_at_bench_configuration(self, capsys):
+        code = run_command(["stability", "--gamma-max", "2", "--k", "0.05",
+                            "--h", repr(math.pi / 50), "--N", "50",
+                            "--empirical", "--seed", "5"])
+        assert code == 0
+        out = capsys.readouterr().out
+        analytic = float(out.split("max |mu| over modes:")[1].split()[0])
+        empirical = float(out.split("empirical spectral radius (seed=5):")[1].split()[0])
+        assert analytic == pytest.approx(0.969829531, rel=1e-9)
+        assert empirical == pytest.approx(analytic, rel=1e-10)
+
+    def test_empirical_size_bound_exits_2(self, capsys):
+        code = run_command(["stability", "--gamma-max", "2", "--k", "0.05",
+                            "--h", "0.003", "--N", "1002", "--empirical"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--empirical at N=1002" in err and "size 2000" in err
+
+    def test_spectrum_grid_size_bound_exits_2(self, capsys):
+        code = run_command(["stability", "--gamma-max", "2", "--k", "0.05",
+                            "--h", "0.1", "--N", str(10**19)])
+        assert code == 2
+        assert f"got N={10**19}" in capsys.readouterr().err
 
     def test_out_csv(self, tmp_path):
         out = tmp_path / "stab.csv"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dampwave.harness import (
     DIVERGENCE_THRESHOLD,
@@ -261,6 +263,19 @@ class TestFigureData:
         assert table.column("max_error")[0] == pytest.approx(0.0, abs=1e-15)
 
 
+def numpy_reference_format(f):
+    """The cell format through numpy's shortest round-trip formatters."""
+    if abs(f) < 1e-3 or abs(f) >= 1e16:
+        return np.format_float_scientific(f, unique=True, trim="-")
+    return np.format_float_positional(f, unique=True, trim="-")
+
+
+# the edges of the scientific band and of repr's positional band, with their
+# neighbouring floats
+BAND_EDGES = [float(v) for edge in (1e-4, 1e-3, 1e16)
+              for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))]
+
+
 class TestCsv:
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -296,6 +311,20 @@ class TestCsv:
         assert format_value(False) == "false"
         assert format_value(math.inf) == "inf"
         assert format_value(7) == "7"
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).filter(lambda f: f != 0.0),
+        st.builds(lambda m, e: m * 10.0**e,
+                  st.floats(min_value=1.0, max_value=10.0), st.integers(-320, 307)),
+        st.sampled_from(BAND_EDGES),
+    ))
+    @example(1e-4)
+    @example(1e-3)
+    @example(1e16)
+    def test_matches_numpy_reference_formatting(self, f):
+        for v in (f, -f):
+            assert format_value(v) == numpy_reference_format(v)
 
     def test_crlf_and_terminated(self, tmp_path):
         path = tmp_path / "x.csv"
