@@ -16,12 +16,11 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import harness, stability
 from .linalg import SPECTRAL_MAX_SIZE, SingularMatrixError, spectral_radius
 from .operators import assemble_system, build_grid, subintervals
-from .problems import BUILTINS, DampedWaveProblem, ProblemConfigError, load_problem_config
+from .problems import (BUILTINS, DampedWaveProblem, ProblemConfigError, load_problem_config,
+                       sample_problem)
 from .schemes import SCHEME_NAMES, amplify, config_for, make_stepper, solve_evolution
 
 FIGURE_GRID_N = 23  # nearest subinterval count to the reference mesh width 0.13464
@@ -178,25 +177,13 @@ def _cmd_solve(args) -> int:
     config = config_for(args.scheme, k, _parse_pade(args))
     traj = solve_evolution(problem, grid, config, args.t_final, stride=args.stride)
     if problem.exact is not None:
-        profile = harness.error_profile(traj, problem, args.t_final)
-        rows = tuple(
-            (float(profile.x[i]), float(profile.numeric[i]),
-             float(profile.exact[i]), float(profile.abs_error[i]))
-            for i in range(len(profile.x))
-        )
-        table = harness.Table(("x", "numeric", "exact", "abs_error"), rows)
-        print(f"{config.label}: t={profile.t!r} max abs error = {profile.max_error:.6e}")
+        p = harness.error_profile(traj, problem, args.t_final)
+        columns = ("x", "numeric", "exact", "abs_error")
+        table = harness.Table.from_columns(columns, p.x, p.numeric, p.exact, p.abs_error)
+        print(f"{config.label}: t={p.t!r} max abs error = {p.max_error:.6e}")
     else:
-        idx = traj.nearest_index(args.t_final)
-        x = grid.all_nodes()
-        ts = float(traj.times[idx])
-        numeric = np.concatenate(
-            ([problem.u_a(ts)], traj.displacements[idx], [problem.u_b(ts)])
-        )
-        table = harness.Table(
-            ("x", "numeric"),
-            tuple((float(xi), float(vi)) for xi, vi in zip(x, numeric)),
-        )
+        ts, x, numeric = harness.snapshot(traj, problem, args.t_final)
+        table = harness.Table.from_columns(("x", "numeric"), x, numeric)
         print(f"{config.label}: wrote solution profile at t={ts!r}")
     harness.write_csv(table, args.out)
     if traj.blow_up:
@@ -282,19 +269,18 @@ def _cmd_convergence(args) -> int:
         args.t_eval,
         _parse_pade(args),
     )
-    rows = []
-    for j in range(len(report.levels)):
-        order = "" if j == 0 or not math.isfinite(report.orders[j - 1]) else float(report.orders[j - 1])
-        rows.append((j, float(report.levels[j]), float(report.max_errors[j]), order))
-        shown = f"{order:.3f}" if isinstance(order, float) else "-"
+    # the first level, and any pair with a blown-up level, has no order
+    orders = [""] + [float(o) if math.isfinite(o) else "" for o in report.orders]
+    for j, order in enumerate(orders):
+        shown = "-" if order == "" else f"{order:.3f}"
         print(
             f"level {j}: {report.axis}={report.levels[j]:.6g} "
             f"max_error={report.max_errors[j]:.6e} order={shown}"
         )
-    harness.write_csv(
-        harness.Table(("level", report.axis == "time" and "k" or "h", "max_error", "order"), tuple(rows)),
-        args.out,
-    )
+    columns = ("level", "k" if report.axis == "time" else "h", "max_error", "order")
+    levels = range(len(orders))
+    table = harness.Table.from_columns(columns, levels, report.levels, report.max_errors, orders)
+    harness.write_csv(table, args.out)
     return EXIT_OK
 
 
@@ -318,8 +304,6 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    from .problems import sample_problem
-
     problem = sample_problem()
     os.makedirs(args.out_dir, exist_ok=True)
     print(
@@ -366,9 +350,7 @@ def run_command(argv) -> int:
         return _COMMANDS[args.command](args)
     except SingularMatrixError as exc:
         return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
-    except (ProblemConfigError, ValueError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         return _fail(str(exc), EXIT_USAGE)
 
 

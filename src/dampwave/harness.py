@@ -1,5 +1,9 @@
 """Error measurement, convergence studies and the benchmark tables.
 
+`snapshot` turns a trajectory into the all-node profile nearest a requested
+time, with endpoint rows from the boundary data; `Table.from_columns` turns
+per-node arrays into table rows.
+
 Outputs are small column-oriented tables written as RFC-4180-style CSV
 (header row, CRLF line endings, '.' decimal separator, scientific notation
 for magnitudes below 1e-3, shortest round-trip float formatting).
@@ -10,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -30,17 +34,24 @@ class ErrorProfile:
     """Per-node absolute errors at one snapshot, endpoints included."""
 
     t: float                  # snapshot time actually used
-    t_requested: float
     x: np.ndarray             # all N+1 nodes
     numeric: np.ndarray
     exact: np.ndarray
     abs_error: np.ndarray
     max_error: float
 
-    @property
-    def offset(self) -> float:
-        """Gap between the requested time and the snapshot used."""
-        return self.t - self.t_requested
+
+def snapshot(
+    traj: Trajectory, problem: DampedWaveProblem, t: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(t_used, x, numeric) at the snapshot nearest to t, over all N+1 nodes.
+
+    The endpoint rows take the boundary data u_a(t_used), u_b(t_used).
+    """
+    idx = traj.nearest_index(t)
+    ts = float(traj.times[idx])
+    numeric = np.concatenate(([problem.u_a(ts)], traj.displacements[idx], [problem.u_b(ts)]))
+    return ts, traj.grid.all_nodes(), numeric
 
 
 def error_profile(traj: Trajectory, problem: DampedWaveProblem, t: float) -> ErrorProfile:
@@ -51,17 +62,11 @@ def error_profile(traj: Trajectory, problem: DampedWaveProblem, t: float) -> Err
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    idx = traj.nearest_index(t)
-    ts = float(traj.times[idx])
-    interior = traj.displacements[idx]
-    grid = traj.grid
-    x = grid.all_nodes()
-    numeric = np.concatenate(([problem.u_a(ts)], interior, [problem.u_b(ts)]))
+    ts, x, numeric = snapshot(traj, problem, t)
     exact = sample(problem.exact, x, ts)
     err = np.abs(numeric - exact)
     return ErrorProfile(
         t=ts,
-        t_requested=float(t),
         x=x,
         numeric=numeric,
         exact=exact,
@@ -136,6 +141,11 @@ class Table:
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
 
+    @classmethod
+    def from_columns(cls, columns: tuple[str, ...], *arrays) -> "Table":
+        """One row per index across equally long column arrays."""
+        return cls(columns, tuple(zip(*arrays, strict=True)))
+
     def column(self, name: str) -> list:
         i = self.columns.index(name)
         return [row[i] for row in self.rows]
@@ -151,19 +161,14 @@ def compare_schemes(
     (max error, diverged) pair. A run diverged when it blew up or its max
     error exceeds DIVERGENCE_THRESHOLD.
     """
-    profiles = {}
-    summary = {}
+    errors, summary = [], {}
     for name in TABLE_SCHEMES:
         traj = solve_evolution(problem, grid, config_for(name, k), t, stride=stride)
-        profile = profiles[name] = error_profile(traj, problem, t)
+        profile = error_profile(traj, problem, t)
+        errors.append(profile.abs_error)
         diverged = traj.blow_up or not profile.max_error <= DIVERGENCE_THRESHOLD
         summary[name] = (profile.max_error, diverged)
-    x = profiles[TABLE_SCHEMES[0]].x
-    rows = tuple(
-        (float(x[i]),) + tuple(float(profiles[name].abs_error[i]) for name in TABLE_SCHEMES)
-        for i in range(len(x))
-    )
-    return Table(columns=("x",) + TABLE_SCHEMES, rows=rows), summary
+    return Table.from_columns(("x",) + TABLE_SCHEMES, profile.x, *errors), summary
 
 
 def reproduce_table1(
@@ -182,11 +187,7 @@ def reproduce_table1(
     return compare_schemes(problem, grid, k, k if t_eval is None else t_eval)[0]
 
 
-def reproduce_table2(
-    h: Optional[float] = None,
-    r_values: Sequence[float] = TABLE2_R_VALUES,
-    t_final: float = 6.0,
-) -> Table:
+def reproduce_table2(h: Optional[float] = None, t_final: float = 6.0) -> Table:
     """Maximum error at t_final for each scheme across Courant ratios r = k/h.
 
     h defaults to pi/50 (the reference ratios leave it unstated); divergent
@@ -195,53 +196,41 @@ def reproduce_table2(
     problem = sample_problem()
     a, b = problem.domain
     grid = build_grid(a, b, 50 if h is None else subintervals(a, b, h))
-    columns = ["r", "k"]
-    for name in TABLE_SCHEMES:
-        columns += [name, f"{name}_diverged"]
+    columns = ("r", "k") + tuple(c for name in TABLE_SCHEMES for c in (name, f"{name}_diverged"))
     rows = []
-    for r in r_values:
+    for r in TABLE2_R_VALUES:
         k = r * grid.h
         _, summary = compare_schemes(problem, grid, k, t_final, stride=10**9)
-        row: list = [float(r), float(k)]
-        for name in TABLE_SCHEMES:
-            row += summary[name]
-        rows.append(tuple(row))
-    return Table(columns=tuple(columns), rows=tuple(rows))
+        rows.append((r, k) + tuple(v for name in TABLE_SCHEMES for v in summary[name]))
+    return Table(columns=columns, rows=tuple(rows))
 
 
 def solution_profile(
-    problem: DampedWaveProblem, scheme: str, N: int, k: float, t: float,
-    pade_orders: Optional[tuple[int, int]] = None,
+    problem: DampedWaveProblem, scheme: str, N: int, k: float, t: float
 ) -> Table:
     """(x, numeric, exact) series at the snapshot nearest to t."""
     a, b = problem.domain
     grid = build_grid(a, b, N)
-    traj = solve_evolution(problem, grid, config_for(scheme, k, pade_orders), max(t, k))
+    traj = solve_evolution(problem, grid, config_for(scheme, k), max(t, k))
     profile = error_profile(traj, problem, t)
-    rows = tuple(
-        (float(profile.x[i]), float(profile.numeric[i]), float(profile.exact[i]))
-        for i in range(len(profile.x))
-    )
-    return Table(columns=("x", "numeric", "exact"), rows=rows)
+    return Table.from_columns(("x", "numeric", "exact"), profile.x, profile.numeric, profile.exact)
 
 
 def max_error_series(
-    problem: DampedWaveProblem, scheme: str, N: int, k: float, t_final: float,
-    pade_orders: Optional[tuple[int, int]] = None,
+    problem: DampedWaveProblem, scheme: str, N: int, k: float, t_final: float
 ) -> Table:
     """(t, max abs error) time series over a whole run."""
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
     a, b = problem.domain
     grid = build_grid(a, b, N)
-    traj = solve_evolution(problem, grid, config_for(scheme, k, pade_orders), t_final)
+    traj = solve_evolution(problem, grid, config_for(scheme, k), t_final)
     x = grid.interior_nodes
-    rows = []
-    for i, t in enumerate(traj.times):
-        exact = sample(problem.exact, x, t)
-        err = np.abs(traj.displacements[i] - exact)
-        rows.append((float(t), float(np.max(err))))
-    return Table(columns=("t", "max_error"), rows=tuple(rows))
+    errors = [
+        np.max(np.abs(u - sample(problem.exact, x, t)))
+        for t, u in zip(traj.times, traj.displacements)
+    ]
+    return Table.from_columns(("t", "max_error"), traj.times, errors)
 
 
 def format_value(v) -> str:

@@ -59,7 +59,8 @@ class SpatialGrid:
 def build_grid(a: float, b: float, N: int) -> SpatialGrid:
     """Mesh [a, b] into N subintervals, h = (b-a)/N.
 
-    Requires b > a and 2 <= N <= MAX_SUBINTERVALS (at least one interior node).
+    Requires b > a, 2 <= N <= MAX_SUBINTERVALS (at least one interior node)
+    and finite a, b and h.
     """
     if not b > a:
         raise ValueError(f"need b > a, got a={a}, b={b}")
@@ -68,6 +69,8 @@ def build_grid(a: float, b: float, N: int) -> SpatialGrid:
     if N > MAX_SUBINTERVALS:
         raise ValueError(f"grid of N={N} subintervals exceeds the bound {MAX_SUBINTERVALS}")
     h = (b - a) / N
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(h)):
+        raise ValueError(f"grid needs finite a, b and h = (b-a)/N, got a={a}, b={b}, h={h}")
     nodes = a + h * np.arange(1, N)
     return SpatialGrid(a=float(a), b=float(b), N=int(N), h=h, interior_nodes=_readonly(nodes))
 

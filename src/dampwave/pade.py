@@ -25,22 +25,6 @@ from .operators import BlockOperator
 MAX_ORDER = 4  # supported range for the scheme family
 
 
-def _exp_pade_fractions(S: int, T: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction]:
-    """Exact numerator/denominator coefficients and leading error, no range cap."""
-    denom = factorial(S + T)
-    p = tuple(
-        Fraction(factorial(S + T - j) * factorial(T), denom * factorial(j) * factorial(T - j))
-        for j in range(T + 1)
-    )
-    q = tuple(
-        (-1) ** j
-        * Fraction(factorial(S + T - j) * factorial(S), denom * factorial(j) * factorial(S - j))
-        for j in range(S + 1)
-    )
-    lead = (-1) ** S * Fraction(factorial(S) * factorial(T), denom * factorial(S + T + 1))
-    return p, q, lead
-
-
 @dataclass(frozen=True)
 class RationalApproximant:
     """Exact-rational (S, T) approximant of e^theta."""
@@ -70,7 +54,17 @@ def validate_orders(S: int, T: int) -> None:
 def pade_coefficients(S: int, T: int) -> RationalApproximant:
     """Exact coefficients of the (S, T) approximant of the exponential."""
     validate_orders(S, T)
-    p, q, lead = _exp_pade_fractions(S, T)
+    denom = factorial(S + T)
+    p = tuple(
+        Fraction(factorial(S + T - j) * factorial(T), denom * factorial(j) * factorial(T - j))
+        for j in range(T + 1)
+    )
+    q = tuple(
+        (-1) ** j
+        * Fraction(factorial(S + T - j) * factorial(S), denom * factorial(j) * factorial(S - j))
+        for j in range(S + 1)
+    )
+    lead = (-1) ** S * Fraction(factorial(S) * factorial(T), denom * factorial(S + T + 1))
     return RationalApproximant(S=S, T=T, p_coeffs=p, q_coeffs=q, leading_error=lead)
 
 

@@ -38,8 +38,9 @@ Every scheme runs behind one stepper protocol:
 * `stepper.start()` returns the levels known before any step: [V^0] for
   the semigroup family, [u^0, u^1] for the baselines;
 * `step_semigroup`, `step_oefd` and `step_oifd` each map (stepper, state)
-  to the next level's StateVector; a baseline state carries u^{n-1} in
-  `prev`;
+  to the next level's StateVector; a semigroup state carries F(t_n) in
+  `forcing` (None until a step has computed it), so each forcing level is
+  evaluated once, and a baseline state carries u^{n-1} in `prev`;
 * `solve_evolution` owns the only time loop, with its snapshot, stride and
   blow-up bookkeeping.
 
@@ -51,7 +52,7 @@ ordering (u_1, w_1, u_2, w_2, ...) that keeps Q_S(Mk) banded with bandwidth
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -121,12 +122,13 @@ def config_for(name: str, k: float, pade_orders: Optional[tuple[int, int]] = Non
 
 @dataclass(frozen=True)
 class StateVector:
-    """One time level: [u(x_i); u_t(x_i)] for the semigroup family, u(x_i)
-    for the two-level baselines, which carry the previous level in prev."""
+    """One time level: [u(x_i); u_t(x_i)] and F(t) in forcing for the semigroup
+    family, u(x_i) and the previous level in prev for the two-level baselines."""
 
     t: float
     values: np.ndarray
     prev: Optional[np.ndarray] = None
+    forcing: Optional[np.ndarray] = None
 
 
 def _num_steps(t_final: float, k: float) -> int:
@@ -183,9 +185,6 @@ class SemigroupStepper:
     q_fact: Optional[linalg.BandedFactorization]  # None when Q is the identity
     perm: Optional[np.ndarray]
     inv_perm: Optional[np.ndarray]
-
-    # One-entry cache {t: F(t)}: step n's F(t_{n+1}) is step n+1's F(t_n).
-    forcing_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def start(self) -> list[StateVector]:
         """[V^0]: the initial data [phi; psi] at the interior nodes."""
@@ -296,26 +295,14 @@ def make_stepper(
     gamma = op.damping
     r = k / grid.h
     u0 = sample(problem.phi, grid.interior_nodes)
+    lhs = 1.0 + gamma * k / 2.0
     if config.kind == "oefd":
-        return BaselineStepper(
-            config=config,
-            grid=grid,
-            problem=problem,
-            gamma=gamma,
-            r=r,
-            u0=u0,
-            u1=startup_u1(problem, grid, k),
-            lhs_denom=1.0 + gamma * k / 2.0,
-        )
+        fields = dict(u1=startup_u1(problem, grid, k), lhs_denom=lhs)
+    else:
+        fields = dict(u1=_oifd_ghost_start(problem, grid, gamma, k),
+                      lhs_fact=_oifd_factor(lhs, 0.5 * r**2))
     return BaselineStepper(
-        config=config,
-        grid=grid,
-        problem=problem,
-        gamma=gamma,
-        r=r,
-        u0=u0,
-        u1=_oifd_ghost_start(problem, grid, gamma, k),
-        lhs_fact=_oifd_factor(1.0 + gamma * k / 2.0, 0.5 * r**2),
+        config=config, grid=grid, problem=problem, gamma=gamma, r=r, u0=u0, **fields
     )
 
 
@@ -334,23 +321,21 @@ def amplify(stepper: SemigroupStepper, v: np.ndarray, *forcing: np.ndarray) -> n
 
 
 def step_semigroup(stepper: SemigroupStepper, state: StateVector) -> StateVector:
-    """Advance the first-order system by one step of the (S, T) scheme."""
+    """One (S, T) step; F(t_n) comes from state.forcing when set, F(t_{n+1}) goes in the result."""
     k = stepper.config.k
     op = stepper.op
     t_next = state.t + k
-    cache = stepper.forcing_cache
-    f_n = cache.get(state.t)
+    f_n = state.forcing
     if f_n is None:
         f_n = forcing_vector(stepper.problem, stepper.grid, state.t)
     f_next = forcing_vector(stepper.problem, stepper.grid, t_next)
-    cache.clear()
-    cache[t_next] = f_next
     forcing = []
     if f_n.any():
         forcing.append((k / 2.0) * apply_poly(stepper.p, op, k, f_n))
     if f_next.any():
         forcing.append((k / 2.0) * apply_poly(stepper.q, op, k, f_next))
-    return StateVector(t=t_next, values=amplify(stepper, state.values, *forcing))
+    values = amplify(stepper, state.values, *forcing)
+    return StateVector(t=t_next, values=values, forcing=f_next)
 
 
 def step_oefd(stepper: BaselineStepper, state: StateVector) -> StateVector:
@@ -397,17 +382,14 @@ class Trajectory:
     """
 
     grid: SpatialGrid
-    config: SchemeConfig
     times: np.ndarray
     states: np.ndarray
-    n_interior: int
-    stride: int
     blow_up: bool = False
     blow_up_index: Optional[int] = None
 
     @property
     def displacements(self) -> np.ndarray:
-        return self.states[:, : self.n_interior]
+        return self.states[:, : self.grid.n_interior]
 
     @property
     def final_time(self) -> float:
@@ -457,11 +439,8 @@ def solve_evolution(
 
     return Trajectory(
         grid=grid,
-        config=config,
         times=np.array(times),
         states=np.array(rows),
-        n_interior=grid.n_interior,
-        stride=stride,
         blow_up=blow_up_index is not None,
         blow_up_index=blow_up_index,
     )

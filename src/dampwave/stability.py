@@ -76,7 +76,11 @@ class ConditionCheck:
 class StabilityVerdict:
     stable: bool
     conditions: tuple[ConditionCheck, ...]
-    gamma_star: float
+
+
+def _require_finite(k: float, h: float, gamma: float) -> None:
+    if not all(math.isfinite(v) for v in (k, h, gamma)):
+        raise ValueError(f"need finite k, h and gamma*, got k={k}, h={h}, gamma*={gamma}")
 
 
 def check_explicit_stability(k: float, h: float, gamma_star: float) -> StabilityVerdict:
@@ -89,16 +93,13 @@ def check_explicit_stability(k: float, h: float, gamma_star: float) -> Stability
         raise ValueError(f"need k > 0 and h > 0, got k={k}, h={h}")
     if gamma_star < 0:
         raise ValueError(f"gamma_star must be nonnegative, got {gamma_star}")
+    _require_finite(k, h, gamma_star)
     bound1 = math.inf if gamma_star == 0 else 2.0 / gamma_star
     cond1 = ConditionCheck("k < 2/gamma*", value=k, bound=bound1, passed=k < bound1)
     value2 = math.sqrt(k) / h
     bound2 = math.sqrt(gamma_star) / 2.0
     cond2 = ConditionCheck("sqrt(k)/h < sqrt(gamma*)/2", value=value2, bound=bound2, passed=value2 < bound2)
-    return StabilityVerdict(
-        stable=cond1.passed and cond2.passed,
-        conditions=(cond1, cond2),
-        gamma_star=gamma_star,
-    )
+    return StabilityVerdict(stable=cond1.passed and cond2.passed, conditions=(cond1, cond2))
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,7 @@ def implicit_amplification(N: int, h: float, k: float, gamma_const: float) -> Am
     """Closed-form amplification spectrum of the implicit (1,1) scheme."""
     if not 2 <= N <= MAX_SUBINTERVALS:
         raise ValueError(f"need 2 <= N <= {MAX_SUBINTERVALS}, got N={N}")
+    _require_finite(k, h, gamma_const)
     n = np.arange(1, N)
     inner = gamma_const**2 - (16.0 / h**2) * np.sin(n * np.pi / (2 * N)) ** 2
     root = np.sqrt(inner.astype(complex))

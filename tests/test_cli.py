@@ -7,6 +7,9 @@ import pytest
 
 from dampwave.cli import run_command
 from dampwave.linalg import SingularMatrixError
+from dampwave.operators import build_grid
+from dampwave.problems import load_problem_config
+from dampwave.schemes import config_for, solve_evolution
 
 
 def read_csv(path):
@@ -119,6 +122,17 @@ class TestSolve:
         assert code == 2
         assert "gamma" in capsys.readouterr().err
 
+    def test_infinite_domain_exits_2(self, tmp_path, capsys):
+        # Python's json reads 1e999 as inf
+        cfg = tmp_path / "inf.json"
+        cfg.write_text(json.dumps(dict(UNDAMPED_DOC, domain=[0, 1])).replace("1]", "1e999]"))
+        out = tmp_path / "x.csv"
+        code = run_command(["solve", "--problem", str(cfg), "--scheme", "fd11",
+                            "--N", "10", "--k", "0.1", "--t-final", "1", "--out", str(out)])
+        assert code == 2
+        assert "grid needs finite a, b and h" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scheme", ["fd11", "oefd", "oifd"])
     def test_coefficient_failing_at_a_node_exits_2(self, tmp_path, capsys, scheme):
         # N=2 on [0, 2] puts the only interior node at x=1, where g divides by zero
@@ -192,15 +206,26 @@ class TestSolve:
         assert not out.exists()
 
     def test_solution_profile_without_exact(self, tmp_path):
+        doc = json.dumps(dict(UNDAMPED_DOC, gamma="2", psi="-sin(x)", u_a="sin(t)", u_b="t"))
         cfg = tmp_path / "noexact.json"
-        cfg.write_text(json.dumps(dict(UNDAMPED_DOC, gamma="2", psi="-sin(x)")))
+        cfg.write_text(doc)
         out = tmp_path / "sol.csv"
         code = run_command(["solve", "--problem", str(cfg), "--scheme", "fd11",
-                            "--N", "8", "--k", "0.1", "--t-final", "0.5", "--out", str(out)])
+                            "--N", "8", "--k", "0.1", "--t-final", "0.55", "--out", str(out)])
         assert code == 0
         header, rows = read_csv(out)
         assert header == ["x", "numeric"]
         assert len(rows) == 9
+        problem = load_problem_config(doc)
+        grid = build_grid(0.0, math.pi, 8)
+        traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 0.55)
+        t = traj.final_time
+        assert t == pytest.approx(0.5)
+        x, numeric = np.array(rows, dtype=float).T
+        assert np.array_equal(x, grid.all_nodes())
+        assert numeric[0] == problem.u_a(t) == pytest.approx(math.sin(0.5), rel=1e-15)
+        assert numeric[-1] == problem.u_b(t) == pytest.approx(0.5, rel=1e-15)
+        assert np.array_equal(numeric[1:-1], traj.displacements[-1])
 
 
 class TestCompare:
@@ -281,6 +306,18 @@ class TestStability:
         header, rows = read_csv(out)
         assert header == ["condition", "value", "bound", "margin", "passed"]
         assert rows[1][4] == "false"  # mesh-ratio condition unsatisfiable
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--gamma-max", "nan", "gamma*=nan"), ("--gamma-max", "inf", "gamma*=inf"),
+        ("--k", "inf", "k=inf"), ("--h", "inf", "h=inf"),
+    ])
+    def test_non_finite_input_exits_2(self, capsys, flag, value, named):
+        argv = {"--gamma-max": "2", "--k": "0.1", "--h": "0.1", flag: value}
+        code = run_command(["stability", *(a for kv in argv.items() for a in kv), "--N", "10"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "need finite k, h and gamma*" in captured.err and named in captured.err
+        assert captured.out == ""
 
     def test_empirical_requires_N(self, capsys):
         code = run_command(["stability", "--gamma-max", "2", "--k", "0.1",

@@ -64,7 +64,10 @@ class TestBuildGrid:
         assert np.all(np.diff(grid.interior_nodes) > 0)
         assert grid.interior_nodes[0] > grid.a and grid.interior_nodes[-1] < grid.b
 
-    @pytest.mark.parametrize("a,b,N", [(0.0, 1.0, 1), (0.0, 1.0, 0), (1.0, 1.0, 4), (2.0, 1.0, 4)])
+    @pytest.mark.parametrize("a,b,N", [
+        (0.0, 1.0, 1), (0.0, 1.0, 0), (1.0, 1.0, 4), (2.0, 1.0, 4),
+        (-math.inf, 0.0, 10), (0.0, math.inf, 10), (-1e308, 1e308, 10),
+    ])
     def test_rejects_bad_input(self, a, b, N):
         with pytest.raises(ValueError):
             build_grid(a, b, N)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,14 @@ class TestExplicitVerdict:
             check_explicit_stability(-0.1, 0.5, 1.0)
         with pytest.raises(ValueError):
             check_explicit_stability(0.1, 0.5, -1.0)
+        for k, h, gamma, name in ((0.1, 0.5, math.nan, "gamma*=nan"),
+                                  (0.1, 0.5, math.inf, "gamma*=inf"),
+                                  (math.inf, 0.5, 1.0, "k=inf"),
+                                  (0.1, math.inf, 1.0, "h=inf")):
+            with pytest.raises(ValueError, match=re.escape(name)):
+                check_explicit_stability(k, h, gamma)
+            with pytest.raises(ValueError, match=re.escape(name)):
+                implicit_amplification(10, h, k, gamma)
 
 
 class TestImplicitAmplification:
