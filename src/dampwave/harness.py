@@ -2,7 +2,10 @@
 
 `snapshot` turns a trajectory into the all-node profile nearest a requested
 time, with endpoint rows from the boundary data; `Table.from_columns` turns
-per-node arrays into table rows.
+per-node arrays into table rows. `max_error_series` samples the exact
+solution at every kept time into one array, subtracts the displacements
+and takes the absolute value in place, and reduces each row to its maximum
+in one call.
 
 Outputs are small column-oriented tables written as RFC-4180-style CSV
 (header row, CRLF line endings, '.' decimal separator, scientific notation
@@ -226,11 +229,12 @@ def max_error_series(
     grid = build_grid(a, b, N)
     traj = solve_evolution(problem, grid, config_for(scheme, k), t_final)
     x = grid.interior_nodes
-    errors = [
-        np.max(np.abs(u - sample(problem.exact, x, t)))
-        for t, u in zip(traj.times, traj.displacements)
-    ]
-    return Table.from_columns(("t", "max_error"), traj.times, errors)
+    err = np.empty((len(traj.times), grid.n_interior))
+    for row, t in zip(err, traj.times):
+        row[...] = sample(problem.exact, x, t)
+    np.subtract(err, traj.displacements, out=err)
+    np.abs(err, out=err)
+    return Table.from_columns(("t", "max_error"), traj.times, err.max(axis=1))
 
 
 def format_value(v) -> str:
@@ -239,19 +243,16 @@ def format_value(v) -> str:
     Floats keep their shortest round-trip representation; magnitudes below
     1e-3 (and at or above 1e16) use scientific notation. repr gives exactly
     that outside [1e-4, 1e-3), where it prints positional notation instead,
-    once a trailing ".0" is dropped.
+    once a trailing ".0" is dropped; it prints nan, inf and -inf as they are.
     """
-    if isinstance(v, bool) or isinstance(v, np.bool_):
-        return "true" if v else "false"
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    if not isinstance(v, float):  # np.float64 is a float
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
     f = float(v)
-    if math.isnan(f):
-        return "nan"
-    if math.isinf(f):
-        return "inf" if f > 0 else "-inf"
     if f == 0.0:
         return "0"
     if 1e-4 <= abs(f) < 1e-3:
@@ -267,6 +268,6 @@ def write_csv(table: Table, path) -> None:
             writer = csv.writer(fh, lineterminator="\r\n")
             writer.writerow(table.columns)
             for row in table.rows:
-                writer.writerow([format_value(v) for v in row])
+                writer.writerow(map(format_value, row))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc

@@ -22,13 +22,12 @@ ORACLE_MAX_SIZE = 200
 SPECTRAL_MAX_SIZE = 2000
 
 
+#: the float64 LAPACK banded LU routines, looked up once
+_GBTRF, _GBTRS = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
+
+
 class SingularMatrixError(RuntimeError):
     """Factorization hit a (numerically) zero pivot."""
-
-    def __init__(self, message: str, pivot: float = 0.0, index: int = -1):
-        super().__init__(message)
-        self.pivot = pivot
-        self.index = index
 
 
 @dataclass(frozen=True)
@@ -94,22 +93,17 @@ def lu_factor_banded(matrix: BandedMatrix) -> BandedFactorization:
     scale = float(np.abs(matrix.ab).max()) if matrix.ab.size else 0.0
     full = np.zeros((2 * kl + ku + 1, n))
     full[kl:, :] = matrix.ab
-    (gbtrf,) = get_lapack_funcs(("gbtrf",), (full,))
-    lu, ipiv, info = gbtrf(full, kl, ku)
+    lu, ipiv, info = _GBTRF(full, kl, ku)
     if info < 0:
         raise ValueError(f"illegal argument {-info} to banded factorization")
     if info > 0:
-        raise SingularMatrixError(
-            f"exactly singular: zero pivot at position {info - 1}", 0.0, info - 1
-        )
+        raise SingularMatrixError(f"exactly singular: zero pivot at position {info - 1}")
     pivots = np.abs(lu[kl + ku, :])
     worst = int(np.argmin(pivots))
     if pivots[worst] < PIVOT_RTOL * scale:
         raise SingularMatrixError(
             f"numerically singular: pivot {lu[kl + ku, worst]:.3e} at position {worst} "
-            f"(threshold {PIVOT_RTOL * scale:.3e})",
-            float(lu[kl + ku, worst]),
-            worst,
+            f"(threshold {PIVOT_RTOL * scale:.3e})"
         )
     return BandedFactorization(n=n, kl=kl, ku=ku, lu=lu, ipiv=ipiv)
 
@@ -119,8 +113,7 @@ def solve_banded(fact: BandedFactorization, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (fact.n,):
         raise ValueError(f"expected rhs of length {fact.n}, got shape {rhs.shape}")
-    (gbtrs,) = get_lapack_funcs(("gbtrs",), (fact.lu, rhs))
-    x, info = gbtrs(fact.lu, fact.kl, fact.ku, rhs, fact.ipiv)
+    x, info = _GBTRS(fact.lu, fact.kl, fact.ku, rhs, fact.ipiv)
     if info != 0:
         raise ValueError(f"banded solve failed with info={info}")
     return x

@@ -85,7 +85,7 @@ def sample(fn: Callable, nodes: np.ndarray, *t: float) -> np.ndarray:
     evaluation failure, already reported at its first failing node, not a
     rejection: it propagates.
     """
-    values = np.empty(np.shape(nodes))
+    values = np.empty_like(nodes, dtype=float)
     try:
         values[...] = fn(nodes, *t)
     except ExpressionError:
@@ -143,8 +143,13 @@ class BlockOperator:
         if v.shape != (self.size,):
             raise ValueError(f"expected vector of length {self.size}, got shape {v.shape}")
         n = self.n_interior
-        u, w = v[:n], v[n:]
-        return np.concatenate([w, self.inv_h2 * second_difference(u) - self.damping * w])
+        w = v[n:]
+        out = np.empty(self.size)
+        out[:n] = w
+        lap = second_difference(v[:n])
+        lap *= self.inv_h2
+        np.subtract(lap, self.damping * w, out=out[n:])
+        return out
 
     def to_dense(self) -> np.ndarray:
         """Densified M; validation-scale utility, never used in the solve path."""

@@ -95,5 +95,7 @@ def apply_poly(coeffs: Sequence, op: BlockOperator, k: float, v: np.ndarray) -> 
         raise ValueError("empty coefficient sequence")
     acc = cs[-1] * v
     for c in reversed(cs[:-1]):
-        acc = k * op.apply(acc) + c * v
+        acc = op.apply(acc)
+        acc *= k
+        acc += c * v
     return acc

@@ -4,11 +4,17 @@ Two families are provided:
 
 * the semigroup family: one-step recurrences obtained by replacing the
   exact propagator e^{Mk} of dV/dt = MV + F with a rational (S, T)
-  approximant and the Duhamel integral with the trapezoidal rule,
+  approximant R = P_T/Q_S and the Duhamel integral with the trapezoidal rule,
 
       Q_S(Mk) V^{n+1} = P_T(Mk) V^n + (k/2) [P_T(Mk) F(t_n) + Q_S(Mk) F(t_{n+1})],
 
-  explicit for S = 0 (fd01 is (0,1)), implicit otherwise (fd11 is (1,1));
+  explicit for S = 0 (fd01 is (0,1)), implicit otherwise (fd11 is (1,1)).
+  A step computes the same recurrence as
+
+      V^{n+1} = R(Mk) [V^n + (k/2) F(t_n)] + (k/2) F(t_{n+1}),
+
+  one polynomial pass and one solve; an all-zero F(t) adds nothing, so an
+  unforced step is R(Mk) V^n exactly;
 
 * the ordinary two-level baselines on the displacement vector alone:
   explicit (oefd)
@@ -38,11 +44,14 @@ Every scheme runs behind one stepper protocol:
 * `stepper.start()` returns the levels known before any step: [V^0] for
   the semigroup family, [u^0, u^1] for the baselines;
 * `step_semigroup`, `step_oefd` and `step_oifd` each map (stepper, state)
-  to the next level's StateVector; a semigroup state carries F(t_n) in
-  `forcing` (None until a step has computed it), so each forcing level is
-  evaluated once, and a baseline state carries u^{n-1} in `prev`;
+  to the next level's StateVector; a semigroup state carries F(t_n) and an
+  oifd state B(t_n) in `forcing` (None until a step has computed it), so
+  each forcing level is evaluated once, and a baseline state carries
+  u^{n-1} in `prev`;
 * `solve_evolution` owns the only time loop, with its snapshot, stride and
-  blow-up bookkeeping.
+  blow-up bookkeeping. The kept levels are copied into one array allocated
+  before the loop (the number kept follows from the step count and the
+  stride), and a blown-up run returns the rows filled so far.
 
 Implicit systems are assembled once per stepper in an interleaved unknown
 ordering (u_1, w_1, u_2, w_2, ...) that keeps Q_S(Mk) banded with bandwidth
@@ -181,7 +190,6 @@ class SemigroupStepper:
     grid: SpatialGrid
     problem: DampedWaveProblem
     p: tuple[float, ...]
-    q: tuple[float, ...]
     q_fact: Optional[linalg.BandedFactorization]  # None when Q is the identity
     perm: Optional[np.ndarray]
     inv_perm: Optional[np.ndarray]
@@ -198,10 +206,11 @@ class BaselineStepper:
     config: SchemeConfig
     grid: SpatialGrid
     problem: DampedWaveProblem
-    gamma: np.ndarray
-    r: float
     u0: np.ndarray
     u1: np.ndarray
+    prev_coeff: np.ndarray  # gamma k/2 - 1, the factor on u^{n-1}
+    lap_coeff: float  # r^2 (oefd) or r^2/2 (oifd), the factor on A u^n and B
+    k2: float  # k^2, the factor on g
     lhs_denom: Optional[np.ndarray] = None  # oefd: 1 + gamma k/2
     lhs_fact: Optional[linalg.BandedFactorization] = None  # oifd
 
@@ -286,7 +295,6 @@ def make_stepper(
             grid=grid,
             problem=problem,
             p=approx.p_floats,
-            q=approx.q_floats,
             q_fact=q_fact,
             perm=perm,
             inv_perm=inv_perm,
@@ -297,78 +305,75 @@ def make_stepper(
     u0 = sample(problem.phi, grid.interior_nodes)
     lhs = 1.0 + gamma * k / 2.0
     if config.kind == "oefd":
-        fields = dict(u1=startup_u1(problem, grid, k), lhs_denom=lhs)
+        fields = dict(u1=startup_u1(problem, grid, k), lhs_denom=lhs, lap_coeff=r**2)
     else:
+        half_r2 = 0.5 * r**2
         fields = dict(u1=_oifd_ghost_start(problem, grid, gamma, k),
-                      lhs_fact=_oifd_factor(lhs, 0.5 * r**2))
+                      lhs_fact=_oifd_factor(lhs, half_r2), lap_coeff=half_r2)
     return BaselineStepper(
-        config=config, grid=grid, problem=problem, gamma=gamma, r=r, u0=u0, **fields
+        config=config, grid=grid, problem=problem, u0=u0,
+        prev_coeff=gamma * k / 2.0 - 1.0, k2=k**2, **fields
     )
 
 
-def amplify(stepper: SemigroupStepper, v: np.ndarray, *forcing: np.ndarray) -> np.ndarray:
-    """Q_S(kM)^{-1} [P_T(kM) v + the forcing terms].
-
-    With no forcing terms this is the homogeneous one-step map R(kM) v, the
-    amplification whose spectral radius `stability --empirical` computes.
-    """
+def amplify(stepper: SemigroupStepper, v: np.ndarray) -> np.ndarray:
+    """R(kM) v = Q_S(kM)^{-1} P_T(kM) v, whose spectral radius `stability --empirical` computes."""
     rhs = apply_poly(stepper.p, stepper.op, stepper.config.k, v)
-    for f in forcing:
-        rhs = rhs + f
     if stepper.q_fact is None:
         return rhs
     return linalg.solve_banded(stepper.q_fact, rhs[stepper.perm])[stepper.inv_perm]
 
 
 def step_semigroup(stepper: SemigroupStepper, state: StateVector) -> StateVector:
-    """One (S, T) step; F(t_n) comes from state.forcing when set, F(t_{n+1}) goes in the result."""
-    k = stepper.config.k
-    op = stepper.op
-    t_next = state.t + k
+    """One (S, T) step, R(kM)[V_n + (k/2)F_n] + (k/2)F_{n+1}; F_n comes from
+    state.forcing when set, F_{n+1} goes in the result."""
+    half_k = stepper.config.k / 2.0
+    t_next = state.t + stepper.config.k
     f_n = state.forcing
     if f_n is None:
         f_n = forcing_vector(stepper.problem, stepper.grid, state.t)
     f_next = forcing_vector(stepper.problem, stepper.grid, t_next)
-    forcing = []
-    if f_n.any():
-        forcing.append((k / 2.0) * apply_poly(stepper.p, op, k, f_n))
-    if f_next.any():
-        forcing.append((k / 2.0) * apply_poly(stepper.q, op, k, f_next))
-    values = amplify(stepper, state.values, *forcing)
+    # count_nonzero is the cheapest any() numpy has
+    v = state.values + half_k * f_n if np.count_nonzero(f_n) else state.values
+    values = amplify(stepper, v)
+    if np.count_nonzero(f_next):
+        values += half_k * f_next
     return StateVector(t=t_next, values=values, forcing=f_next)
 
 
 def step_oefd(stepper: BaselineStepper, state: StateVector) -> StateVector:
     """One explicit baseline step: level n (with level n-1 in prev) -> level n+1."""
     grid, problem = stepper.grid, stepper.problem
-    k, r, gamma = stepper.config.k, stepper.r, stepper.gamma
     u, t = state.values, state.t
-    g_n = sample(problem.g, grid.interior_nodes, t)
     rhs = (
         2.0 * u
-        + r**2 * second_difference(u)
-        + (gamma * k / 2.0 - 1.0) * state.prev
-        + r**2 * boundary_vector(problem, grid, t)
-        + k**2 * g_n
+        + stepper.lap_coeff * second_difference(u)
+        + stepper.prev_coeff * state.prev
+        + stepper.lap_coeff * boundary_vector(problem, grid, t)
+        + stepper.k2 * sample(problem.g, grid.interior_nodes, t)
     )
-    return StateVector(t=t + k, values=rhs / stepper.lhs_denom, prev=u)
+    return StateVector(t=t + stepper.config.k, values=rhs / stepper.lhs_denom, prev=u)
 
 
 def step_oifd(stepper: BaselineStepper, state: StateVector) -> StateVector:
-    """One implicit baseline step (banded solve): level n (with n-1 in prev) -> n+1."""
+    """One implicit baseline step (banded solve): level n (with n-1 in prev) -> n+1;
+    B(t_n) comes from state.forcing when set, B(t_{n+1}) goes in the result."""
     grid, problem = stepper.grid, stepper.problem
-    k, r, gamma = stepper.config.k, stepper.r, stepper.gamma
     u, t = state.values, state.t
-    half_r2 = 0.5 * r**2
-    g_n = sample(problem.g, grid.interior_nodes, t)
+    t_next = t + stepper.config.k
+    b_n = state.forcing
+    if b_n is None:
+        b_n = boundary_vector(problem, grid, t)
+    b_next = boundary_vector(problem, grid, t_next)
     rhs = (
         2.0 * u
-        + half_r2 * second_difference(u)
-        + (gamma * k / 2.0 - 1.0) * state.prev
-        + half_r2 * (boundary_vector(problem, grid, t + k) + boundary_vector(problem, grid, t))
-        + k**2 * g_n
+        + stepper.lap_coeff * second_difference(u)
+        + stepper.prev_coeff * state.prev
+        + stepper.lap_coeff * (b_next + b_n)
+        + stepper.k2 * sample(problem.g, grid.interior_nodes, t)
     )
-    return StateVector(t=t + k, values=linalg.solve_banded(stepper.lhs_fact, rhs), prev=u)
+    values = linalg.solve_banded(stepper.lhs_fact, rhs)
+    return StateVector(t=t_next, values=values, prev=u, forcing=b_next)
 
 
 @dataclass
@@ -422,25 +427,34 @@ def solve_evolution(
     # chosen per call, so that a rebinding of these module names takes effect
     step = {"semigroup": step_semigroup, "oefd": step_oefd, "oifd": step_oifd}[config.kind]
     start = stepper.start()
-    k = config.k
 
-    times: list[float] = []
-    rows: list[np.ndarray] = []
+    # every stride-th level, plus the final level when the stride skips it
+    n_kept = n_steps // stride + 1 + (n_steps % stride != 0)
+    levels = np.empty(n_kept, dtype=np.intp)
+    try:
+        states = np.empty((n_kept, start[0].values.size))
+    except MemoryError as exc:
+        raise ValueError(f"cannot hold {n_kept} snapshots ({exc}); raise the stride") from None
+    kept = 0
     blow_up_index: Optional[int] = None
-    for level in range(n_steps + 1):
-        state = start[level] if level < len(start) else step(stepper, state)
-        bad = level > 0 and not np.isfinite(state.values).all()
-        if level % stride == 0 or level == n_steps or bad:
-            times.append(level * k)
-            rows.append(state.values)
-        if bad:
-            blow_up_index = level
-            break
+    # a diverging run overflows before its first non-finite level is caught
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(n_steps + 1):
+            state = start[level] if level < len(start) else step(stepper, state)
+            values = state.values  # a finite sum of squares proves every entry finite
+            bad = level > 0 and not (math.isfinite(values @ values) or np.isfinite(values).all())
+            if level % stride == 0 or level == n_steps or bad:
+                levels[kept] = level
+                states[kept] = values
+                kept += 1
+            if bad:
+                blow_up_index = level
+                break
 
     return Trajectory(
         grid=grid,
-        times=np.array(times),
-        states=np.array(rows),
+        times=levels[:kept] * config.k,
+        states=states[:kept],
         blow_up=blow_up_index is not None,
         blow_up_index=blow_up_index,
     )

@@ -119,8 +119,14 @@ def implicit_amplification(N: int, h: float, k: float, gamma_const: float) -> Am
     if not 2 <= N <= MAX_SUBINTERVALS:
         raise ValueError(f"need 2 <= N <= {MAX_SUBINTERVALS}, got N={N}")
     _require_finite(k, h, gamma_const)
+    try:
+        scale = 16.0 / h**2
+    except ArithmeticError:  # h**2 overflows, or underflows to zero
+        scale = math.nan
+    if not 0 < scale < math.inf:
+        raise ValueError(f"mesh width h={h} leaves 16/h^2 outside the positive finite floats")
     n = np.arange(1, N)
-    inner = gamma_const**2 - (16.0 / h**2) * np.sin(n * np.pi / (2 * N)) ** 2
+    inner = gamma_const**2 - scale * np.sin(n * np.pi / (2 * N)) ** 2
     root = np.sqrt(inner.astype(complex))
     lam_p = -gamma_const / 2.0 + root / 2.0
     lam_m = -gamma_const / 2.0 - root / 2.0

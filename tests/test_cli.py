@@ -157,10 +157,9 @@ class TestSolve:
     @pytest.mark.parametrize("scheme,step", [("fd01", 623), ("oefd", 379)])
     def test_divergence_step_reported(self, tmp_path, capsys, scheme, step):
         # r = 1.59 lies outside both explicit schemes' stability regions
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run_command(["solve", "--scheme", scheme, "--N", "50", "--r", "1.59",
-                                "--t-final", "80", "--stride", "7",
-                                "--out", str(tmp_path / "blow.csv")])
+        code = run_command(["solve", "--scheme", scheme, "--N", "50", "--r", "1.59",
+                            "--t-final", "80", "--stride", "7",
+                            "--out", str(tmp_path / "blow.csv")])
         assert code == 4
         assert f"non-finite state at step {step} " in capsys.readouterr().err
 
@@ -203,6 +202,16 @@ class TestSolve:
         argv = ["solve", "--scheme", "fd11", "--k", "0.1", "--t-final", "0.1"]
         assert run_command(argv + mesh + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snapshot_buffer_beyond_memory_exits_2(self, tmp_path, capsys):
+        # every level of 9.9e6 steps at N=1e6: 144 TiB, more than any address
+        # space holds, so the allocation fails before the first step
+        out = tmp_path / "x.csv"
+        code = run_command(["solve", "--scheme", "fd01", "--N", "1000000", "--k", "1e-6",
+                            "--t-final", "9.9", "--out", str(out)])
+        assert code == 2
+        assert "cannot hold 9900001 snapshots" in capsys.readouterr().err
         assert not out.exists()
 
     def test_solution_profile_without_exact(self, tmp_path):
@@ -318,6 +327,14 @@ class TestStability:
         captured = capsys.readouterr()
         assert "need finite k, h and gamma*" in captured.err and named in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("h", ["1e-200", "1e200"])
+    def test_spectrum_mesh_width_out_of_float_range_exits_2(self, capsys, h):
+        # h**2 underflows to zero at 1e-200 and overflows at 1e200
+        code = run_command(["stability", "--gamma-max", "2", "--k", "0.1", "--h", h, "--N", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"mesh width h={float(h)}" in err and "Traceback" not in err
 
     def test_empirical_requires_N(self, capsys):
         code = run_command(["stability", "--gamma-max", "2", "--k", "0.1",

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -18,8 +19,8 @@ from dampwave.harness import (
     solution_profile,
     write_csv,
 )
-from dampwave.operators import build_grid
-from dampwave.problems import DampedWaveProblem, sample_problem
+from dampwave.operators import build_grid, sample
+from dampwave.problems import DampedWaveProblem, load_problem_config, sample_problem
 from dampwave.schemes import config_for, solve_evolution
 
 # published per-node reference errors for h = pi/10, k = 1/10 (errors of the
@@ -262,6 +263,30 @@ class TestFigureData:
         assert ts == pytest.approx(0.1 * np.arange(11))
         assert table.column("max_error")[0] == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("scheme", ["fd11", "oifd"])
+    def test_max_error_series_is_the_per_row_formula(self, scheme):
+        # forced, with nonzero boundary data: the in-place array form must
+        # reproduce max |u - exact| row by row, bit for bit
+        problem = load_problem_config(json.dumps({
+            "domain": [0, math.pi],
+            "gamma": "1 + x",
+            "g": "(1 - t) * sin(x) - sin(t) + (1 + x) * (cos(t) - sin(x))",
+            "phi": "sin(x)",
+            "psi": "1 - sin(x)",
+            "u_a": "sin(t)",
+            "u_b": "sin(t)",
+            "exact": "(1 - t) * sin(x) + sin(t)",
+        }))
+        table = max_error_series(problem, scheme, 12, 0.05, 0.5)
+        grid = build_grid(0.0, math.pi, 12)
+        traj = solve_evolution(problem, grid, config_for(scheme, 0.05), 0.5)
+        x = grid.interior_nodes
+        expected = [np.max(np.abs(u - sample(problem.exact, x, t)))
+                    for t, u in zip(traj.times, traj.displacements)]
+        assert np.array_equal(table.column("t"), traj.times)
+        assert np.array_equal(table.column("max_error"), expected)
+        assert 0 < min(expected[1:]) and max(expected) < 0.05
+
 
 def numpy_reference_format(f):
     """The cell format through numpy's shortest round-trip formatters."""
@@ -311,6 +336,11 @@ class TestCsv:
         assert format_value(False) == "false"
         assert format_value(math.inf) == "inf"
         assert format_value(7) == "7"
+        for v, text in ((math.nan, "nan"), (-math.inf, "-inf"), (np.float64(math.nan), "nan"),
+                        (np.float64(-math.inf), "-inf"), (-0.0, "0"), (np.float64(-0.0), "0"),
+                        (np.float32(0.5), "0.5"), (np.int64(3), "3"), (np.bool_(True), "true"),
+                        (np.float64(2.5e-4), "2.5e-04"), (np.float64(12.0), "12")):
+            assert format_value(v) == text, v
 
     @settings(max_examples=1000, deadline=None)
     @given(st.one_of(

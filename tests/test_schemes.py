@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dampwave.harness import error_profile
 from dampwave.linalg import matrix_exponential
-from dampwave.operators import assemble_system, build_grid, forcing_vector
+from dampwave.operators import assemble_system, build_grid, forcing_vector, second_difference
 from dampwave.problems import DampedWaveProblem, load_problem_config, sample_problem
 from dampwave import schemes
 from dampwave.schemes import (
@@ -353,7 +355,7 @@ class TestBaselineSteps:
         n = grid.n_interior
         r = k / grid.h
         a = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
-        gamma = stepper.gamma
+        gamma = op.damping
         state = stepper.start()[1]
         for _ in range(2, 8):
             t, u, u_prev = state.t, state.values, state.prev
@@ -395,41 +397,79 @@ def forced_problem():
                          psi=lambda x: 1.0 - x, exact=None)
 
 
+def manual_levels(config, problem, grid, steps):
+    """The start levels, then steps made one by one, up to level `steps`."""
+    stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
+    levels = stepper.start()
+    assert len(levels) == (1 if config.kind == "semigroup" else 2)
+    while len(levels) <= steps:
+        levels.append(STEP_FUNCTIONS[config.kind](stepper, levels[-1]))
+    return levels[: steps + 1]
+
+
 class TestStepperProtocol:
-    @pytest.mark.parametrize("steps", [0, 1, 2])
+    # (steps, stride): every level kept, a stride that does not divide the
+    # step count, and a stride larger than it
+    @pytest.mark.parametrize("steps,stride", [(0, 1), (1, 1), (2, 1), (7, 3), (2, 5)],
+                             ids=["0", "1", "2", "7-stride3", "2-stride5"])
     @pytest.mark.parametrize("name,orders", ALL_SCHEMES, ids=[n for n, _ in ALL_SCHEMES])
-    def test_short_runs_are_start_levels_then_steps(self, name, orders, steps):
+    def test_short_runs_are_start_levels_then_steps(self, name, orders, steps, stride):
         problem = forced_problem()
         grid = build_grid(0.0, math.pi, 9)
         k = 0.05
         config = config_for(name, k, orders)
-        traj = solve_evolution(problem, grid, config, (steps + 0.25) * k)
+        traj = solve_evolution(problem, grid, config, (steps + 0.25) * k, stride=stride)
 
-        stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
-        levels = stepper.start()
-        assert len(levels) == (1 if config.kind == "semigroup" else 2)
-        while len(levels) <= steps:
-            levels.append(STEP_FUNCTIONS[config.kind](stepper, levels[-1]))
+        levels = manual_levels(config, problem, grid, steps)
+        kept = [n for n in range(steps + 1) if n % stride == 0 or n == steps]
         assert not traj.blow_up and traj.blow_up_index is None
-        assert np.array_equal(traj.times, k * np.arange(steps + 1))
-        assert [s.t for s in levels[: steps + 1]] == pytest.approx(traj.times, abs=1e-15)
-        assert np.array_equal(traj.states, np.array([s.values for s in levels[: steps + 1]]))
+        assert np.array_equal(traj.times, k * np.array(kept))
+        assert [levels[n].t for n in kept] == pytest.approx(traj.times, abs=1e-15)
+        assert np.array_equal(traj.states, np.array([levels[n].values for n in kept]))
         width = grid.n_interior * (2 if config.kind == "semigroup" else 1)
-        assert traj.states.shape == (steps + 1, width)
+        assert traj.states.shape == (len(kept), width)
 
     @pytest.mark.parametrize("name,level", [("fd01", 623), ("oefd", 379)])
-    def test_blow_up_level_kept_off_stride(self, name, level):
+    def test_blow_up_level_kept_off_stride(self, name, level, recwarn):
         # r = 1.59 lies outside both explicit schemes' stability regions
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 50)
-        k = 1.59 * grid.h
-        with np.errstate(over="ignore", invalid="ignore"):
-            traj = solve_evolution(problem, grid, config_for(name, k), 80.0, stride=7)
+        config = config_for(name, 1.59 * grid.h)
+        traj = solve_evolution(problem, grid, config, 80.0, stride=7)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert traj.blow_up and traj.blow_up_index == level
         kept = list(range(0, level, 7)) + [level]
-        assert np.array_equal(traj.times, np.array(kept) * k)
+        assert np.array_equal(traj.times, np.array(kept) * config.k)
         assert np.isfinite(traj.states[:-1]).all()
         assert not np.isfinite(traj.states[-1]).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            levels = manual_levels(config, problem, grid, level)
+        expected = np.array([levels[n].values for n in kept])
+        assert np.array_equal(traj.states, expected, equal_nan=True)
+
+    def test_oifd_boundary_data_evaluated_once_per_time_level(self):
+        problem = forced_problem()
+        calls = []
+
+        def u_a(t):
+            calls.append(t)
+            return 0.5 * t
+
+        problem = dataclasses.replace(problem, u_a=u_a)
+        grid = build_grid(0.0, math.pi, 9)
+        config = config_for("oifd", 0.05)
+        stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
+        state = stepper.start()[1]
+        rows = [state.values]
+        for _ in range(8):
+            # reference: every step evaluates both B(t_n) and B(t_{n+1})
+            state = step_oifd(stepper, dataclasses.replace(state, forcing=None))
+            rows.append(state.values)
+        calls.clear()
+        traj = solve_evolution(problem, grid, config, 0.45)
+        assert np.array_equal(traj.states[1:], np.array(rows))
+        # the ghost start takes B(0) and B(k); the steps take B(k) once, then one level each
+        assert len(calls) == 2 + 1 + 8
 
 
 MANUFACTURED_DOC = {
@@ -519,6 +559,31 @@ class TestSolveEvolution:
             traj = solve_evolution(problem, grid, config_for("fd11", k), 20.0)
             norms = np.linalg.norm(traj.states, axis=1)
             assert np.all(np.diff(norms) <= 1e-8), (N, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.integers(2, 30),
+        r=st.floats(0.05, 8.0),
+        gamma=st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)),
+        modes=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                       min_size=1, max_size=5),
+    )
+    def test_fd11_never_increases_discrete_energy(self, N, r, gamma, modes):
+        # fd11 is Crank-Nicolson on M, which is dissipative in the energy
+        # E = |w|^2 + u.(-A/h^2)u; unforced with zero boundary data, no step
+        # may raise E, whatever the (nonnegative) damping and initial data
+        def series(coeffs):
+            return lambda x: sum(c * np.sin((j + 1) * x) for j, c in enumerate(coeffs))
+
+        problem = plain_problem(gamma=lambda x: gamma[0] + gamma[1] * x,
+                                phi=series([a for a, _ in modes]),
+                                psi=series([b for _, b in modes]), exact=None)
+        grid = build_grid(0.0, math.pi, N)
+        k = r * grid.h
+        traj = solve_evolution(problem, grid, config_for("fd11", k), 30.25 * k)
+        u, w = np.split(traj.states, 2, axis=1)
+        energy = (w * w).sum(axis=1) - (u * second_difference(u.T).T).sum(axis=1) / grid.h**2
+        assert np.all(np.diff(energy) <= 1e-12 * energy[0])
 
     def test_blow_up_detected_and_flagged(self):
         problem = plain_problem(gamma=lambda x: 0.0, psi=lambda x: 0.0, exact=None)
