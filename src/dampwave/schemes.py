@@ -441,11 +441,10 @@ def solve_evolution(
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(n_steps + 1):
             state = start[level] if level < len(start) else step(stepper, state)
-            values = state.values  # a finite sum of squares proves every entry finite
-            bad = level > 0 and not (math.isfinite(values @ values) or np.isfinite(values).all())
+            bad = level > 0 and not np.isfinite(state.values).all()
             if level % stride == 0 or level == n_steps or bad:
                 levels[kept] = level
-                states[kept] = values
+                states[kept] = state.values
                 kept += 1
             if bad:
                 blow_up_index = level

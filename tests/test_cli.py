@@ -204,14 +204,22 @@ class TestSolve:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_snapshot_buffer_beyond_memory_exits_2(self, tmp_path, capsys):
-        # every level of 9.9e6 steps at N=1e6: 144 TiB, more than any address
-        # space holds, so the allocation fails before the first step
+    def test_snapshot_buffer_beyond_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the (41, 18) snapshot buffer of 40 steps at N=10 is refused, as a
+        # buffer larger than the memory would be
+        empty = np.empty
+
+        def refuse_snapshots(shape, *args, **kwargs):
+            if shape == (41, 18):
+                raise MemoryError("Unable to allocate the snapshot buffer")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refuse_snapshots)
         out = tmp_path / "x.csv"
-        code = run_command(["solve", "--scheme", "fd01", "--N", "1000000", "--k", "1e-6",
-                            "--t-final", "9.9", "--out", str(out)])
+        code = run_command(["solve", "--scheme", "fd01", "--N", "10", "--k", "0.1",
+                            "--t-final", "4.0", "--out", str(out)])
         assert code == 2
-        assert "cannot hold 9900001 snapshots" in capsys.readouterr().err
+        assert "cannot hold 41 snapshots" in capsys.readouterr().err
         assert not out.exists()
 
     def test_solution_profile_without_exact(self, tmp_path):
