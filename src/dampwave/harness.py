@@ -62,19 +62,21 @@ def error_profile(traj: Trajectory, problem: DampedWaveProblem, t: float) -> Err
 
     Endpoint rows take the boundary data as the numeric value, so their
     error vanishes whenever the boundary data matches the exact solution.
+    The max error is inf when any entry of the snapshot's state (u_t too) is non-finite.
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
     ts, x, numeric = snapshot(traj, problem, t)
     exact = sample(problem.exact, x, ts)
     err = np.abs(numeric - exact)
+    finite = np.isfinite(err).all() and np.isfinite(traj.states[traj.nearest_index(t)]).all()
     return ErrorProfile(
         t=ts,
         x=x,
         numeric=numeric,
         exact=exact,
         abs_error=err,
-        max_error=float(np.max(err)) if np.all(np.isfinite(err)) else math.inf,
+        max_error=float(np.max(err)) if finite else math.inf,
     )
 
 
@@ -123,12 +125,10 @@ def observed_order(
             err = error_profile(traj, problem, t_eval).max_error
         level_values.append(k_j if axis == "time" else grid.h)
         errors.append(err)
-    orders = []
-    for j in range(levels - 1):
-        if math.isfinite(errors[j]) and math.isfinite(errors[j + 1]) and errors[j + 1] > 0:
-            orders.append(math.log2(errors[j] / errors[j + 1]))
-        else:
-            orders.append(math.nan)
+    orders = [
+        math.log2(e0 / e1) if math.isfinite(e0) and math.isfinite(e1) and e1 > 0 else math.nan
+        for e0, e1 in zip(errors, errors[1:])
+    ]
     return ConvergenceReport(
         axis=axis,
         levels=np.array(level_values),

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 from scipy.linalg import expm, get_lapack_funcs
 
 from .operators import BlockOperator
@@ -40,20 +39,6 @@ class BandedMatrix:
     ab: np.ndarray  # shape (kl + ku + 1, n)
 
     @classmethod
-    def from_sparse(cls, mat: scipy.sparse.spmatrix) -> "BandedMatrix":
-        coo = mat.tocoo()
-        n = coo.shape[0]
-        if coo.shape != (n, n):
-            raise ValueError("matrix must be square")
-        if coo.nnz == 0:
-            return cls(n=n, kl=0, ku=0, ab=np.zeros((1, n)))
-        kl = int(max(0, (coo.row - coo.col).max()))
-        ku = int(max(0, (coo.col - coo.row).max()))
-        ab = np.zeros((kl + ku + 1, n))
-        np.add.at(ab, (ku + coo.row - coo.col, coo.col), coo.data)
-        return cls(n=n, kl=kl, ku=ku, ab=ab)
-
-    @classmethod
     def from_tridiagonal(cls, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> "BandedMatrix":
         n = len(diag)
         ab = np.zeros((3, n))
@@ -65,10 +50,7 @@ class BandedMatrix:
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.n, self.n))
         for d in range(-self.kl, self.ku + 1):
-            if d >= 0:
-                m += np.diag(self.ab[self.ku - d, d:], d)
-            else:
-                m += np.diag(self.ab[self.ku - d, : self.n + d], d)
+            m += np.diag(self.ab[self.ku - d, max(d, 0) : self.n + min(d, 0)], d)
         return m
 
 

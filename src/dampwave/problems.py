@@ -366,8 +366,19 @@ def _vectorize(expr: Expression) -> Callable:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def _marked(fn: Callable, variables) -> Callable:
+    fn.variables = frozenset(variables)  # the variables fn may read
+    return fn
+
+
+def time_free(fn: Callable) -> bool:
+    """True when fn is marked as never reading t (see DampedWaveProblem)."""
+    return "t" not in getattr(fn, "variables", ("t",))
+
+
 def compile_expression(expr: Expression) -> Callable:
-    """Compile the tree once into a closure f(x, t) that broadcasts over arrays.
+    """Compile the tree once into a closure f(x, t) that broadcasts over arrays,
+    with `expression_variables(expr)` as its `variables` attribute.
 
     Scalar arguments are evaluated by `eval_expression`. Array arguments are
     evaluated in one numpy pass over every point, with overflow, division by
@@ -398,7 +409,7 @@ def compile_expression(expr: Expression) -> Callable:
             [eval_expression(expr, float(xi), float(ti)) for xi, ti in points]
         ).reshape(shape)
 
-    return evaluate
+    return _marked(evaluate, expression_variables(expr))
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +431,10 @@ class DampedWaveProblem:
     scalar for all of them. A callable written for scalars only, such as
     math.sin or a lambda that branches on x, is called once per node
     instead. u_a and u_b are only ever called with a scalar t.
+
+    When g, u_a and u_b are all `time_free` (marked with `variables` lacking
+    "t": config expressions without t, the sample problem's zero data), a
+    solve evaluates the forcing once instead of at every level.
     """
 
     domain: tuple[float, float]
@@ -455,14 +470,15 @@ def sample_problem() -> DampedWaveProblem:
 
     Dirichlet-zero boundary; exact solution e^{-t} sin x.
     """
+    zero = _marked(lambda *args: 0.0, ())
     return DampedWaveProblem(
         domain=(0.0, math.pi),
         gamma=lambda x: 2.0,
-        g=lambda x, t: 0.0,
+        g=zero,
         phi=np.sin,
         psi=lambda x: -np.sin(x),
-        u_a=lambda t: 0.0,
-        u_b=lambda t: 0.0,
+        u_a=zero,
+        u_b=zero,
         # t is always a scalar; math.exp keeps the reference values bitwise
         # (np.exp differs from it in the last bit for some arguments)
         exact=lambda x, t: math.exp(-t) * np.sin(x),
@@ -553,7 +569,7 @@ def load_problem_config(text: str) -> DampedWaveProblem:
 
     def of_t(tree: Expression) -> Callable:
         f = compile_expression(tree)
-        return lambda t: f(0.0, t)
+        return _marked(lambda t: f(0.0, t), f.variables)
 
     return DampedWaveProblem(
         domain=(a, b),

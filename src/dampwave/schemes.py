@@ -40,22 +40,24 @@ Two families are provided:
 Every scheme runs behind one stepper protocol:
 
 * `make_stepper` precomputes what a step needs (coefficients,
-  factorizations, start levels);
+  factorizations, start levels, and F or the baselines' boundary and g
+  terms when g, u_a and u_b are all `time_free`: the steps add those
+  arrays in the per-level order, so both paths give the same bits);
 * `stepper.start()` returns the levels known before any step: [V^0] for
   the semigroup family, [u^0, u^1] for the baselines;
 * `step_semigroup`, `step_oefd` and `step_oifd` each map (stepper, state)
-  to the next level's StateVector; a semigroup state carries F(t_n) and an
-  oifd state B(t_n) in `forcing` (None until a step has computed it), so
-  each forcing level is evaluated once, and a baseline state carries
-  u^{n-1} in `prev`;
+  to the next level's StateVector; with unsteady forcing a semigroup state
+  carries F(t_n) and an oifd state B(t_n) in `forcing` (None until a step
+  has computed it), so each level is evaluated once, and a baseline state
+  carries u^{n-1} in `prev`;
 * `solve_evolution` owns the only time loop, with its snapshot, stride and
   blow-up bookkeeping. The kept levels are copied into one array allocated
-  before the loop (the number kept follows from the step count and the
-  stride), and a blown-up run returns the rows filled so far.
+  before the loop, and a blown-up run returns the rows filled so far.
 
-Implicit systems are assembled once per stepper in an interleaved unknown
-ordering (u_1, w_1, u_2, w_2, ...) that keeps Q_S(Mk) banded with bandwidth
-<= 2S+1, LU-factored once, and solved in O(N) per step.
+Q_S(Mk) is built once per stepper straight in band storage, in the
+interleaved ordering (u_1, w_1, u_2, w_2, ...): Horner's rule over kM's four
+diagonals (offsets -3, -1, 0, 1) gives (kl, ku) = (3, 1), (3, 2), (5, 3),
+(5, 4) for S = 1..4. It is LU-factored once and solved in O(N) per step.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.sparse
 
 from . import linalg
 from .operators import (
@@ -78,7 +79,7 @@ from .operators import (
     second_difference,
 )
 from .pade import apply_poly, pade_coefficients, validate_orders
-from .problems import DampedWaveProblem
+from .problems import DampedWaveProblem, time_free
 
 MAX_STEPS = 10_000_000
 
@@ -148,39 +149,44 @@ def _num_steps(t_final: float, k: float) -> int:
     return int(math.floor(steps * (1.0 + 1e-12) + 1e-12))
 
 
-def _interleave_perm(n: int) -> tuple[np.ndarray, np.ndarray]:
-    perm = np.empty(2 * n, dtype=np.intp)
-    perm[0::2] = np.arange(n)
-    perm[1::2] = n + np.arange(n)
-    return perm, np.argsort(perm)
+def _rows(size: int, d: int) -> slice:
+    """The rows i of a size x size matrix whose column i + d exists."""
+    return slice(max(0, -d), max(0, -d, min(size, size - d)))
 
 
-def _interleaved_kM(op: BlockOperator, k: float) -> scipy.sparse.csr_matrix:
-    """k*M with unknowns ordered (u_1, w_1, u_2, w_2, ...)."""
-    n = op.n_interior
+def _interleaved_kM(op: BlockOperator, k: float) -> dict[int, np.ndarray]:
+    """k*M with unknowns ordered (u_1, w_1, u_2, w_2, ...) as its diagonals: offset
+    d maps to the entries (i, i + d) indexed by row i, zero where absent."""
     c = k * op.inv_h2
-    u = 2 * np.arange(n)  # row/column of u_i; w_i sits at u + 1
-    w = u + 1
-    rows = np.concatenate([u, w, w[1:], w[:-1], w])
-    cols = np.concatenate([w, u, u[:-1], u[1:], w])
-    vals = np.concatenate(
-        [np.full(n, k), np.full(n, -2.0 * c), np.full(n - 1, c), np.full(n - 1, c),
-         -k * op.damping]
-    )
-    coo = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
-    return coo.tocsr()
+    diags = {d: np.zeros(op.size) for d in (-3, -1, 0, 1)}
+    diags[1][0::2] = k  # u_i -> w_i
+    diags[1][1:-1:2] = c  # w_i -> u_{i+1}
+    diags[-1][1::2] = -2.0 * c  # w_i -> u_i
+    diags[-3][3::2] = c  # w_i -> u_{i-1}
+    diags[0][1::2] = -k * op.damping  # w_i -> w_i
+    return diags
 
 
 def _banded_poly(coeffs, op: BlockOperator, k: float) -> linalg.BandedMatrix:
-    """sum_j coeffs[j] (kM)^j as a banded matrix in interleaved ordering."""
-    x = _interleaved_kM(op, k)
-    eye = scipy.sparse.identity(x.shape[0], format="csr")
-    acc = float(coeffs[-1]) * eye
+    """sum_j coeffs[j] (kM)^j in interleaved band storage by Horner's rule over diagonals.
+    Each product entry sums its terms from zero in ascending column order, as a CSR
+    product does; kl and ku are trimmed to the outermost nonzero diagonals."""
+    x, size = _interleaved_kM(op, k), op.size
+    acc = {0: np.full(size, float(coeffs[-1]))}
     for c in reversed(coeffs[:-1]):
-        acc = acc @ x + float(c) * eye
-    acc = acc.tocsr()
-    acc.eliminate_zeros()
-    return linalg.BandedMatrix.from_sparse(acc)
+        prod = {d: np.zeros(size) for d in range(min(acc) - 3, max(acc) + 2)}
+        for d1 in sorted(acc):
+            rows, cols = _rows(size, d1), _rows(size, -d1)
+            for d2, diag in x.items():
+                prod[d1 + d2][rows] += acc[d1][rows] * diag[cols]
+        prod[0] += float(c)
+        acc = prod
+    offsets = [d for d, diag in acc.items() if diag.any()]
+    kl, ku = -min(min(offsets), 0), max(max(offsets), 0)
+    ab = np.zeros((kl + ku + 1, size))
+    for d in offsets:
+        ab[ku - d, _rows(size, -d)] = acc[d][_rows(size, d)]
+    return linalg.BandedMatrix(n=size, kl=kl, ku=ku, ab=ab)
 
 
 @dataclass(frozen=True)
@@ -193,6 +199,8 @@ class SemigroupStepper:
     q_fact: Optional[linalg.BandedFactorization]  # None when Q is the identity
     perm: Optional[np.ndarray]
     inv_perm: Optional[np.ndarray]
+    steady: bool = False  # F is the same at every level
+    half_k_forcing: Optional[np.ndarray] = None  # (k/2) F when steady and not all zero
 
     def start(self) -> list[StateVector]:
         """[V^0]: the initial data [phi; psi] at the interior nodes."""
@@ -213,6 +221,8 @@ class BaselineStepper:
     k2: float  # k^2, the factor on g
     lhs_denom: Optional[np.ndarray] = None  # oefd: 1 + gamma k/2
     lhs_fact: Optional[linalg.BandedFactorization] = None  # oifd
+    # steady B and g: the terms lap_coeff B (oefd) or lap_coeff (B + B) (oifd), and k^2 g
+    steady_terms: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def start(self) -> list[StateVector]:
         """[u^0, u^1]: the initial displacement and the one-step start level."""
@@ -222,20 +232,22 @@ class BaselineStepper:
 Stepper = Union[SemigroupStepper, BaselineStepper]
 
 
-def startup_u1(problem: DampedWaveProblem, grid: SpatialGrid, k: float) -> np.ndarray:
+def startup_u1(
+    problem: DampedWaveProblem, grid: SpatialGrid, k: float, gamma: np.ndarray
+) -> np.ndarray:
     """Second-order Taylor start for two-level schemes:
 
     u^1_i = phi(x_i) + k psi(x_i)
             + (k^2/2) [Lap_h phi(x_i) - gamma(x_i) psi(x_i) + g(x_i, 0)]
 
-    with Lap_h the second-difference Laplacian using phi's endpoint values.
+    with Lap_h the second-difference Laplacian using phi's endpoint values
+    and gamma the damping at the interior nodes (`BlockOperator.damping`).
     """
     x = grid.interior_nodes
     a, b = grid.a, grid.b
     phi = sample(problem.phi, x)
     psi = sample(problem.psi, x)
     g0 = sample(problem.g, x, 0.0)
-    gamma = sample(problem.gamma, x)
     phi_ext = np.concatenate(([problem.phi(a)], phi, [problem.phi(b)]))
     lap = (phi_ext[:-2] - 2.0 * phi_ext[1:-1] + phi_ext[2:]) / grid.h**2
     return phi + k * psi + 0.5 * k**2 * (lap - gamma * psi + g0)
@@ -250,69 +262,71 @@ def _oifd_factor(d: np.ndarray, half_r2: float) -> linalg.BandedFactorization:
 
 
 def _oifd_ghost_start(
-    problem: DampedWaveProblem, grid: SpatialGrid, gamma: np.ndarray, k: float
+    problem: DampedWaveProblem, grid: SpatialGrid, u0: np.ndarray, gamma: np.ndarray,
+    k: float, steady_terms: Optional[tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
     """Ghost-level elimination of the implicit stencil at the first step:
 
     (2I - (r^2/2) A) u^1 = (2I + (r^2/2) A) u^0 - 2k (gamma k/2 - 1) psi
-                           + (r^2/2)(B(k) + B(0)) + k^2 g(., 0).
+                           + (r^2/2)(B(k) + B(0)) + k^2 g(., 0),
+
+    taking the last two terms from steady_terms when given.
     """
-    r = k / grid.h
     x = grid.interior_nodes
-    phi = sample(problem.phi, x)
-    psi = sample(problem.psi, x)
-    g0 = sample(problem.g, x, 0.0)
-    half_r2 = 0.5 * r**2
+    half_r2 = 0.5 * (k / grid.h) ** 2
+    b_term, g_term = steady_terms or (
+        half_r2 * (boundary_vector(problem, grid, k) + boundary_vector(problem, grid, 0.0)),
+        k**2 * sample(problem.g, x, 0.0),
+    )
     rhs = (
-        2.0 * phi
-        + half_r2 * second_difference(phi)
-        - 2.0 * k * (gamma * k / 2.0 - 1.0) * psi
-        + half_r2 * (boundary_vector(problem, grid, k) + boundary_vector(problem, grid, 0.0))
-        + k**2 * g0
+        2.0 * u0
+        + half_r2 * second_difference(u0)
+        - 2.0 * k * (gamma * k / 2.0 - 1.0) * sample(problem.psi, x)
+        + b_term
+        + g_term
     )
     return linalg.solve_banded(_oifd_factor(np.full(grid.n_interior, 2.0), half_r2), rhs)
 
 
 def make_stepper(
-    config: SchemeConfig,
-    op: BlockOperator,
-    grid: SpatialGrid,
-    problem: DampedWaveProblem,
+    config: SchemeConfig, op: BlockOperator, grid: SpatialGrid, problem: DampedWaveProblem
 ) -> Stepper:
-    """Precompute everything a step needs (coefficients, factorizations, start levels)."""
+    """Precompute what a step needs: coefficients, factorizations, start levels, steady F."""
     k = config.k
+    steady = all(time_free(f) for f in (problem.g, problem.u_a, problem.u_b))
     if config.kind == "semigroup":
         approx = pade_coefficients(*config.orders)
-        if approx.S == 0:
-            q_fact, perm, inv_perm = None, None, None
-        else:
-            banded = _banded_poly(approx.q_floats, op, k)
-            q_fact = linalg.lu_factor_banded(banded)
-            perm, inv_perm = _interleave_perm(op.n_interior)
+        q_fact = perm = inv_perm = half_k_forcing = None
+        if approx.S > 0:
+            q_fact = linalg.lu_factor_banded(_banded_poly(approx.q_floats, op, k))
+            perm = np.arange(op.size).reshape(2, -1).T.ravel()
+            inv_perm = np.arange(op.size).reshape(-1, 2).T.ravel()
+        if steady:
+            f = forcing_vector(problem, grid, 0.0)
+            half_k_forcing = k / 2.0 * f if np.count_nonzero(f) else None
         return SemigroupStepper(
-            config=config,
-            op=op,
-            grid=grid,
-            problem=problem,
-            p=approx.p_floats,
-            q_fact=q_fact,
-            perm=perm,
-            inv_perm=inv_perm,
+            config=config, op=op, grid=grid, problem=problem, p=approx.p_floats, q_fact=q_fact,
+            perm=perm, inv_perm=inv_perm, steady=steady, half_k_forcing=half_k_forcing,
         )
 
     gamma = op.damping
     r = k / grid.h
     u0 = sample(problem.phi, grid.interior_nodes)
     lhs = 1.0 + gamma * k / 2.0
+    lap_coeff = r**2 if config.kind == "oefd" else 0.5 * r**2
+    steady_terms = None
+    if steady:
+        b = boundary_vector(problem, grid, 0.0)
+        steady_terms = (lap_coeff * (b if config.kind == "oefd" else b + b),
+                        k**2 * sample(problem.g, grid.interior_nodes, 0.0))
     if config.kind == "oefd":
-        fields = dict(u1=startup_u1(problem, grid, k), lhs_denom=lhs, lap_coeff=r**2)
+        fields = dict(u1=startup_u1(problem, grid, k, gamma), lhs_denom=lhs)
     else:
-        half_r2 = 0.5 * r**2
-        fields = dict(u1=_oifd_ghost_start(problem, grid, gamma, k),
-                      lhs_fact=_oifd_factor(lhs, half_r2), lap_coeff=half_r2)
+        fields = dict(u1=_oifd_ghost_start(problem, grid, u0, gamma, k, steady_terms),
+                      lhs_fact=_oifd_factor(lhs, lap_coeff))
     return BaselineStepper(
-        config=config, grid=grid, problem=problem, u0=u0,
-        prev_coeff=gamma * k / 2.0 - 1.0, k2=k**2, **fields
+        config=config, grid=grid, problem=problem, u0=u0, prev_coeff=gamma * k / 2.0 - 1.0,
+        lap_coeff=lap_coeff, k2=k**2, steady_terms=steady_terms, **fields
     )
 
 
@@ -325,10 +339,16 @@ def amplify(stepper: SemigroupStepper, v: np.ndarray) -> np.ndarray:
 
 
 def step_semigroup(stepper: SemigroupStepper, state: StateVector) -> StateVector:
-    """One (S, T) step, R(kM)[V_n + (k/2)F_n] + (k/2)F_{n+1}; F_n comes from
-    state.forcing when set, F_{n+1} goes in the result."""
+    """One (S, T) step, R(kM)[V_n + (k/2)F_n] + (k/2)F_{n+1}; F_n comes from the
+    stepper when steady, else from state.forcing when set, and F_{n+1} goes in the result."""
     half_k = stepper.config.k / 2.0
     t_next = state.t + stepper.config.k
+    if stepper.steady:  # (k/2) F, None when F is all zero
+        half_kf = stepper.half_k_forcing
+        values = amplify(stepper, state.values if half_kf is None else state.values + half_kf)
+        if half_kf is not None:
+            values += half_kf
+        return StateVector(t=t_next, values=values)
     f_n = state.forcing
     if f_n is None:
         f_n = forcing_vector(stepper.problem, stepper.grid, state.t)
@@ -345,33 +365,31 @@ def step_oefd(stepper: BaselineStepper, state: StateVector) -> StateVector:
     """One explicit baseline step: level n (with level n-1 in prev) -> level n+1."""
     grid, problem = stepper.grid, stepper.problem
     u, t = state.values, state.t
-    rhs = (
-        2.0 * u
-        + stepper.lap_coeff * second_difference(u)
-        + stepper.prev_coeff * state.prev
-        + stepper.lap_coeff * boundary_vector(problem, grid, t)
-        + stepper.k2 * sample(problem.g, grid.interior_nodes, t)
+    b_term, g_term = stepper.steady_terms or (
+        stepper.lap_coeff * boundary_vector(problem, grid, t),
+        stepper.k2 * sample(problem.g, grid.interior_nodes, t),
     )
+    rhs = (2.0 * u + stepper.lap_coeff * second_difference(u) + stepper.prev_coeff * state.prev
+           + b_term + g_term)
     return StateVector(t=t + stepper.config.k, values=rhs / stepper.lhs_denom, prev=u)
 
 
 def step_oifd(stepper: BaselineStepper, state: StateVector) -> StateVector:
-    """One implicit baseline step (banded solve): level n (with n-1 in prev) -> n+1;
-    B(t_n) comes from state.forcing when set, B(t_{n+1}) goes in the result."""
+    """One implicit baseline step (banded solve): level n (with n-1 in prev) -> n+1; an
+    unsteady B(t_n) comes from state.forcing when set, B(t_{n+1}) goes in the result."""
     grid, problem = stepper.grid, stepper.problem
     u, t = state.values, state.t
     t_next = t + stepper.config.k
-    b_n = state.forcing
-    if b_n is None:
-        b_n = boundary_vector(problem, grid, t)
-    b_next = boundary_vector(problem, grid, t_next)
-    rhs = (
-        2.0 * u
-        + stepper.lap_coeff * second_difference(u)
-        + stepper.prev_coeff * state.prev
-        + stepper.lap_coeff * (b_next + b_n)
-        + stepper.k2 * sample(problem.g, grid.interior_nodes, t)
-    )
+    if stepper.steady_terms is None:
+        b_n = state.forcing if state.forcing is not None else boundary_vector(problem, grid, t)
+        b_next = boundary_vector(problem, grid, t_next)
+        b_term = stepper.lap_coeff * (b_next + b_n)
+        g_term = stepper.k2 * sample(problem.g, grid.interior_nodes, t)
+    else:
+        b_next = None
+        b_term, g_term = stepper.steady_terms
+    rhs = (2.0 * u + stepper.lap_coeff * second_difference(u) + stepper.prev_coeff * state.prev
+           + b_term + g_term)
     values = linalg.solve_banded(stepper.lhs_fact, rhs)
     return StateVector(t=t_next, values=values, prev=u, forcing=b_next)
 

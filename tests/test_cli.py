@@ -163,6 +163,16 @@ class TestSolve:
         assert code == 4
         assert f"non-finite state at step {step} " in capsys.readouterr().err
 
+    def test_diverged_velocity_reports_infinite_error(self, tmp_path, capsys):
+        # the level fd01 halts at keeps finite displacements beside a non-finite u_t
+        code = run_command(["solve", "--scheme", "fd01", "--N", "10", "--k", "1.5",
+                            "--t-final", "3000", "--stride", "7",
+                            "--out", str(tmp_path / "blow.csv")])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out == "fd01: t=502.5 max abs error = inf\n"
+        assert "non-finite state at step 335 " in err
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--scheme", "fd11", "--k", "0.1", "--t-final", "0.1", "--h", "0"],
         ["solve", "--scheme", "fd11", "--k", "0.1", "--t-final", "0.1", "--h", "-0.5"],

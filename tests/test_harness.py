@@ -38,6 +38,17 @@ TABLE1_REFERENCE = {
 
 
 class TestErrorProfile:
+    def test_non_finite_velocity_gives_infinite_error(self):
+        # fd01 at k = 1.5 first overflows in u_t, at level 335
+        problem = sample_problem()
+        traj = solve_evolution(problem, build_grid(0.0, math.pi, 10), config_for("fd01", 1.5),
+                               3000.0, stride=7)
+        assert traj.blow_up_index == 335
+        assert np.isfinite(traj.displacements[-1]).all()
+        profile = error_profile(traj, problem, traj.final_time)
+        assert np.isfinite(profile.abs_error).all()
+        assert profile.max_error == math.inf
+
     def test_zero_at_initial_time(self):
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 10)

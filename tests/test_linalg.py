@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 from dampwave.linalg import (
     SPECTRAL_MAX_SIZE,
@@ -30,16 +29,23 @@ def random_banded(rng, n, kl, ku):
 
 
 def banded(dense):
-    return BandedMatrix.from_sparse(scipy.sparse.csr_matrix(dense))
+    """Band storage of a square dense matrix, kl and ku trimmed to its nonzero diagonals."""
+    n = len(dense)
+    offsets = [d for d in range(1 - n, n) if np.diagonal(dense, d).any()] or [0]
+    kl, ku = max(0, -min(offsets)), max(0, max(offsets))
+    ab = np.zeros((kl + ku + 1, n))
+    for d in range(-kl, ku + 1):
+        ab[ku - d, max(d, 0) : n + min(d, 0)] = np.diagonal(dense, d)
+    return BandedMatrix(n=n, kl=kl, ku=ku, ab=ab)
 
 
 class TestBandedMatrix:
-    def test_from_sparse_detects_bandwidth(self):
+    def test_from_dense_detects_bandwidth(self):
         rng = np.random.default_rng(1)
         dense = random_banded(rng, 9, 3, 2)
-        banded = BandedMatrix.from_sparse(scipy.sparse.csr_matrix(dense))
-        assert banded.kl <= 3 and banded.ku <= 2
-        assert banded.to_dense() == pytest.approx(dense, abs=0)
+        assert (banded(dense).kl, banded(dense).ku) == (3, 2)
+        assert banded(dense).to_dense() == pytest.approx(dense, abs=0)
+        assert (banded(np.eye(4)).kl, banded(np.eye(4)).ku) == (0, 0)
 
     def test_from_tridiagonal(self):
         banded = BandedMatrix.from_tridiagonal(

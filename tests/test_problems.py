@@ -26,6 +26,7 @@ from dampwave.problems import (
     load_problem_config,
     parse_expression,
     sample_problem,
+    time_free,
 )
 from dampwave.schemes import config_for, solve_evolution
 
@@ -246,6 +247,28 @@ class TestCompiledExpression:
 def test_expression_variables():
     assert expression_variables(parse_expression("exp(-t)*sin(x)+pi")) == {"x", "t"}
     assert expression_variables(parse_expression("pi*2")) == set()
+
+
+class TestTimeFree:
+    def test_compiled_expressions_carry_their_variables(self):
+        assert compile_expression(parse_expression("exp(-t)*sin(x)")).variables == {"x", "t"}
+        assert time_free(compile_expression(parse_expression("sin(x) + pi")))
+        assert not time_free(compile_expression(parse_expression("x*t")))
+
+    def test_config_boundary_data_keep_the_marker(self):
+        problem = load_problem_config(json.dumps(dict(SAMPLE_DOC, u_b="sin(t)")))
+        assert time_free(problem.g) and time_free(problem.u_a)
+        assert not time_free(problem.u_b)
+
+    def test_unmarked_callables_count_as_using_t(self):
+        assert not time_free(lambda x, t: 0.0)
+        assert not time_free(np.sin)
+
+    def test_sample_problem_forcing_is_time_free(self):
+        problem = sample_problem()
+        for fn in (problem.g, problem.u_a, problem.u_b):
+            assert time_free(fn) and fn.variables == set()
+        assert problem.g(np.arange(3.0), 2.0) == 0.0 and problem.u_a(1.5) == 0.0
 
 
 class TestSampleProblem:

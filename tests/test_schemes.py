@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dampwave.harness import error_profile
 from dampwave.linalg import matrix_exponential
 from dampwave.operators import assemble_system, build_grid, forcing_vector, second_difference
-from dampwave.problems import DampedWaveProblem, load_problem_config, sample_problem
+from dampwave.pade import pade_coefficients
+from dampwave.problems import DampedWaveProblem, load_problem_config, sample_problem, time_free
 from dampwave import schemes
 from dampwave.schemes import (
     SchemeConfig,
@@ -23,7 +25,7 @@ from dampwave.schemes import (
     step_oefd,
     step_oifd,
     step_semigroup,
-    _interleave_perm,
+    _banded_poly,
     _interleaved_kM,
 )
 
@@ -87,8 +89,13 @@ class TestMakeStepper:
         u0, u1 = stepper.start()
         assert (u0.t, u1.t) == (0.0, 0.1)
         assert u0.values == pytest.approx(np.sin(grid.interior_nodes))
-        assert u1.values == pytest.approx(startup_u1(problem, grid, 0.1), abs=0)
+        assert u1.values == pytest.approx(startup_u1(problem, grid, 0.1, op.damping), abs=0)
         assert u1.prev is u0.values
+
+
+def interleaving(size):
+    """The permutation matrix taking (u_1..u_n, w_1..w_n) to (u_1, w_1, u_2, w_2, ...)."""
+    return np.eye(size)[np.arange(size).reshape(2, -1).T.ravel()]
 
 
 @pytest.mark.parametrize("N", [2, 3, 7, 20])
@@ -97,10 +104,71 @@ def test_interleaved_kM_is_permuted_dense_operator(N):
     grid = build_grid(0.0, math.pi, N)
     op = assemble_system(grid, problem)
     k = 0.07
-    perm, _ = _interleave_perm(op.n_interior)
-    P = np.eye(op.size)[perm]
+    P = interleaving(op.size)
     expected = P @ (k * op.to_dense()) @ P.T
-    assert np.array_equal(_interleaved_kM(op, k).toarray(), expected)
+    diags = _interleaved_kM(op, k)
+    assert sorted(diags) == [-3, -1, 0, 1]
+    got = np.zeros((op.size, op.size))
+    rows = np.arange(op.size)
+    for d, diag in diags.items():
+        inside = (rows + d >= 0) & (rows + d < op.size)
+        got[rows[inside], rows[inside] + d] = diag[inside]
+        assert not diag[~inside].any()  # entries past the matrix edge stay zero
+    assert np.array_equal(got, expected)
+
+
+def dense_horner(coeffs, x):
+    acc = coeffs[-1] * np.eye(len(x))
+    for c in reversed(coeffs[:-1]):
+        acc = acc @ x + c * np.eye(len(x))
+    return acc
+
+
+@pytest.mark.parametrize("N", [2, 3, 10, 41])
+@pytest.mark.parametrize("S, bands", [(1, (3, 1)), (2, (3, 2)), (3, (5, 3)), (4, (5, 4))])
+def test_band_assembly_is_dense_horner_polynomial(S, bands, N):
+    problem = plain_problem(gamma=lambda x: 0.5 + x * np.cos(x) ** 2)
+    grid = build_grid(0.0, math.pi, N)
+    op = assemble_system(grid, problem)
+    k = 0.3
+    coeffs = pade_coefficients(S, S).q_floats
+    P = interleaving(op.size)
+    expected = dense_horner(coeffs, P @ (k * op.to_dense()) @ P.T)
+    banded = _banded_poly(coeffs, op, k)
+    if N > 3:  # two or four unknowns cannot hold the full band
+        assert (banded.kl, banded.ku) == bands
+    got = banded.to_dense()
+    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def csr_horner_band(coeffs, op, k):
+    """Q(kM) in interleaved band storage through scipy.sparse CSR products."""
+    P = scipy.sparse.csr_matrix(interleaving(op.size))
+    x = (P @ scipy.sparse.csr_matrix(k * op.to_dense()) @ P.T).tocsr()
+    eye = scipy.sparse.identity(op.size, format="csr")
+    acc = coeffs[-1] * eye
+    for c in reversed(coeffs[:-1]):
+        acc = acc @ x + c * eye
+    coo = acc.tocoo()
+    coo.eliminate_zeros()
+    kl, ku = max(0, (coo.row - coo.col).max()), max(0, (coo.col - coo.row).max())
+    ab = np.zeros((kl + ku + 1, op.size))
+    ab[ku + coo.row - coo.col, coo.col] = coo.data
+    return kl, ku, ab
+
+
+@pytest.mark.parametrize("S", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [2, 10, 50])
+def test_band_assembly_matches_csr_products_bitwise(S, N):
+    problem = plain_problem(gamma=lambda x: 0.5 + x * np.cos(x) ** 2)
+    grid = build_grid(0.0, math.pi, N)
+    op = assemble_system(grid, problem)
+    for k in (0.01, 0.3 * grid.h, 1.7):
+        coeffs = pade_coefficients(S, 4 - S // 2).q_floats
+        banded = _banded_poly(coeffs, op, k)
+        kl, ku, ab = csr_horner_band(coeffs, op, k)
+        assert (banded.kl, banded.ku) == (kl, ku)
+        assert np.array_equal(banded.ab, ab)
 
 
 class TestStepSemigroup:
@@ -231,14 +299,14 @@ class TestStartup:
             u_b=lambda t: 1.0,
         )
         grid = build_grid(0.0, 1.0, 8)
-        u1 = startup_u1(problem, grid, 0.2)
+        u1 = startup_u1(problem, grid, 0.2, np.zeros(grid.n_interior))
         assert u1 == pytest.approx(grid.interior_nodes, abs=1e-15)
 
     def test_sample_problem_accuracy(self):
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 10)
         k = 0.1
-        u1 = startup_u1(problem, grid, k)
+        u1 = startup_u1(problem, grid, k, np.full(grid.n_interior, 2.0))
         exact = np.exp(-k) * np.sin(grid.interior_nodes)
         err = np.abs(u1 - exact).max()
         assert err == pytest.approx(2.0357026e-4, rel=1e-5)
@@ -405,6 +473,74 @@ def manual_levels(config, problem, grid, steps):
     while len(levels) <= steps:
         levels.append(STEP_FUNCTIONS[config.kind](stepper, levels[-1]))
     return levels[: steps + 1]
+
+
+STEADY_DOC = {
+    "domain": [0, math.pi], "gamma": "0.5 + 0.2*x", "g": "sin(x)", "phi": "1 + 0.4*x",
+    "psi": "0.1*x*(pi - x)", "u_a": "1", "u_b": "1 + 0.4*pi",
+}
+
+
+def plain_copy(problem):
+    """The same problem through plain lambdas, which carry no time-free marker."""
+    return dataclasses.replace(
+        problem,
+        gamma=lambda x: problem.gamma(x), g=lambda x, t: problem.g(x, t),
+        phi=lambda x: problem.phi(x), psi=lambda x: problem.psi(x),
+        u_a=lambda t: problem.u_a(t), u_b=lambda t: problem.u_b(t),
+    )
+
+
+class TestSteadyForcing:
+    @pytest.mark.parametrize("name,orders", ALL_SCHEMES, ids=[n for n, _ in ALL_SCHEMES])
+    @pytest.mark.parametrize("doc", [STEADY_DOC, dict(STEADY_DOC, g="0", u_a="0", u_b="0",
+                                                      phi="sin(x)")], ids=["forced", "zero"])
+    def test_steady_path_matches_per_level_path(self, name, orders, doc):
+        problem = load_problem_config(json.dumps(doc))
+        assert time_free(problem.u_b) and not time_free(plain_copy(problem).u_b)
+        grid = build_grid(0.0, math.pi, 12)
+        config = config_for(name, 0.02, orders)
+        steady = solve_evolution(problem, grid, config, 0.5)
+        per_level = solve_evolution(plain_copy(problem), grid, config, 0.5)
+        assert np.array_equal(steady.states, per_level.states)
+        assert np.array_equal(steady.times, per_level.times)
+
+    def test_sample_problem_takes_the_steady_path(self):
+        problem = sample_problem()
+        grid = build_grid(0.0, math.pi, 10)
+        op = assemble_system(grid, problem)
+        stepper = make_stepper(config_for("fd11", 0.1), op, grid, problem)
+        assert stepper.steady and stepper.half_k_forcing is None  # F = 0 adds nothing
+        for name in ("fd01", "fd11", "oefd", "oifd"):
+            config = config_for(name, 0.1)
+            steady = solve_evolution(problem, grid, config, 1.0)
+            per_level = solve_evolution(plain_copy(problem), grid, config, 1.0)
+            assert np.array_equal(steady.states, per_level.states)
+
+    @pytest.mark.parametrize("name,orders", ALL_SCHEMES, ids=[n for n, _ in ALL_SCHEMES])
+    def test_forcing_evaluations_per_solve(self, name, orders, monkeypatch):
+        # F for the semigroup family, B for the baselines
+        counted_name = "forcing_vector" if name.startswith("fd") else "boundary_vector"
+        original = getattr(schemes, counted_name)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(schemes, counted_name, counted)
+        grid = build_grid(0.0, math.pi, 12)
+        config = config_for(name, 0.05, orders)
+
+        def count(problem, steps):
+            calls.clear()
+            solve_evolution(problem, grid, config, steps * 0.05)
+            return len(calls)
+
+        steady = load_problem_config(json.dumps(STEADY_DOC))
+        assert count(steady, 10) == count(steady, 20) == 1
+        uses_t = load_problem_config(json.dumps(dict(STEADY_DOC, u_b="1 + 0.4*pi + t")))
+        assert count(uses_t, 20) - count(uses_t, 10) == 10
 
 
 class TestStepperProtocol:
