@@ -14,15 +14,18 @@ Expression grammar (standard precedence, highest first):
     atom    :=  NUMBER | 'x' | 't' | 'pi' | FUNC '(' expr ')' | '(' expr ')'
     FUNC    :=  sin | cos | exp | sqrt | abs
 
-Note '^' binds tighter than unary minus: -x^2 == -(x^2).
+Note '^' binds tighter than unary minus: -x^2 == -(x^2). Literals must be
+finite, and an expression may nest at most MAX_DEPTH levels.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,13 +99,9 @@ Expression = Num | Var | Neg | BinOp | Call
 VARIABLES = ("x", "t", "pi")
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
 
-_FN = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
-    "abs": abs,
-}
+_FN = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt, "abs": abs}
+_OP = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+       "^": operator.pow}
 
 
 def format_expression(node: Expression) -> str:
@@ -138,6 +137,11 @@ def expression_variables(node: Expression) -> set[str]:
 
 _OPERATORS = "+-*/^()"
 
+#: the deepest an expression may nest, where each parenthesis, call, unary minus,
+#: '^' and chained + - * / is one level; deeper input is an ExpressionSyntaxError,
+#: not a RecursionError in the parser or in the functions that walk the tree
+MAX_DEPTH = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Return (kind, text, offset) triples; kinds: num, ident, op, end."""
@@ -166,9 +170,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                     while j < n and text[j].isdigit():
                         j += 1
             try:
-                float(text[i:j])
+                value = float(text[i:j])
             except ValueError:
                 raise ExpressionSyntaxError(f"malformed number {text[i:j]!r}", i) from None
+            if not math.isfinite(value):
+                raise ExpressionSyntaxError(f"number {text[i:j]!r} is not finite", i)
             tokens.append(("num", text[i:j], i))
             i = j
             continue
@@ -186,9 +192,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        # levels open above the current token; levels in the last node parsed
+        self.depth = self.height = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -209,6 +216,19 @@ class _Parser:
             expected=(symbol,),
         )
 
+    def check(self, levels: int, offset: int) -> int:
+        if levels > MAX_DEPTH:
+            raise ExpressionSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", offset)
+        return levels
+
+    def nested(self, parse: Callable[[], Expression], offset: int) -> Expression:
+        """parse() one level down, checked before it recurses; its node gains that level."""
+        self.depth = self.check(self.depth + 1, offset)
+        node = parse()
+        self.depth -= 1
+        self.height = self.check(self.height + 1, offset)
+        return node
+
     def parse(self) -> Expression:
         node = self.expr()
         kind, text, offset = self.peek()
@@ -216,57 +236,54 @@ class _Parser:
             raise ExpressionSyntaxError(f"unexpected trailing {text!r}", offset)
         return node
 
-    def expr(self) -> Expression:
-        node = self.term()
+    def expr(self, ops: str = "+-") -> Expression:
+        """expr, or term when ops is "*/": operand {op operand}, left-associative, each
+        op one level above the last."""
+        operand = self.unary if ops == "*/" else partial(self.expr, "*/")
+        node, height = operand(), self.height
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
+            kind, text, offset = self.peek()
+            if kind != "op" or text not in ops:
+                self.height = height
                 return node
-
-    def term(self) -> Expression:
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.unary())
-            else:
-                return node
+            self.advance()
+            node = BinOp(text, node, operand())
+            height = self.check(max(height, self.height) + 1, offset)
 
     def unary(self) -> Expression:
-        kind, text, _ = self.peek()
+        kind, text, offset = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary, offset))
         return self.power()
 
     def power(self) -> Expression:
-        base = self.atom()
-        kind, text, _ = self.peek()
+        base, height = self.atom(), self.height
+        kind, text, offset = self.peek()
         if kind == "op" and text == "^":
             self.advance()
             # right-associative; exponent may carry a unary minus
-            return BinOp("^", base, self.unary())
+            node = BinOp("^", base, self.nested(self.unary, offset))
+            self.height = self.check(max(height + 1, self.height), offset)
+            return node
         return base
 
     def atom(self) -> Expression:
         kind, text, offset = self.advance()
+        self.height = 0
         if kind == "num":
             return Num(float(text))
         if kind == "ident":
             if text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.nested(self.expr, offset)
                 self.expect_op(")")
                 return Call(text, arg)
             if text in VARIABLES:
                 return Var(text)
             raise UnknownIdentifierError(text, offset)
         if kind == "op" and text == "(":
-            node = self.expr()
+            node = self.nested(self.expr, offset)
             self.expect_op(")")
             return node
         raise ExpressionSyntaxError(
@@ -314,16 +331,7 @@ def eval_expression(expr: Expression, x: float, t: float) -> float:
         a = eval_expression(expr.left, x, t)
         b = eval_expression(expr.right, x, t)
         try:
-            if expr.op == "+":
-                out = a + b
-            elif expr.op == "-":
-                out = a - b
-            elif expr.op == "*":
-                out = a * b
-            elif expr.op == "/":
-                out = a / b
-            else:
-                out = a ** b
+            out = _OP[expr.op](a, b)
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise EvaluationError(str(exc), expr) from None
         if isinstance(out, complex) or not math.isfinite(out):
@@ -433,8 +441,9 @@ class DampedWaveProblem:
     instead. u_a and u_b are only ever called with a scalar t.
 
     When g, u_a and u_b are all `time_free` (marked with `variables` lacking
-    "t": config expressions without t, the sample problem's zero data), a
-    solve evaluates the forcing once instead of at every level.
+    "t": config expressions without t, the sample problem's zero data), the
+    forcing source that `schemes.make_stepper` binds is evaluated once, at
+    t = 0, instead of at every level; an unmarked callable counts as using t.
     """
 
     domain: tuple[float, float]
@@ -524,7 +533,7 @@ def load_problem_config(text: str) -> DampedWaveProblem:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ProblemConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemConfigError("document must be a JSON object")
@@ -543,7 +552,7 @@ def load_problem_config(text: str) -> DampedWaveProblem:
     if (
         not isinstance(domain, (list, tuple))
         or len(domain) != 2
-        or not all(isinstance(v, (int, float)) for v in domain)
+        or not all(type(v) in (int, float) for v in domain)  # bool is an int
     ):
         raise ProblemConfigError("field 'domain' must be a pair of numbers [a, b]")
     a, b = float(domain[0]), float(domain[1])

@@ -40,16 +40,17 @@ Two families are provided:
 Every scheme runs behind one stepper protocol:
 
 * `make_stepper` precomputes what a step needs (coefficients,
-  factorizations, start levels, and F or the baselines' boundary and g
-  terms when g, u_a and u_b are all `time_free`: the steps add those
-  arrays in the per-level order, so both paths give the same bits);
+  factorizations, start levels) and binds the stepper's one forcing
+  source, a function of t: it is evaluated at every level, or once when g,
+  u_a and u_b are all `time_free`, with the same bits either way;
 * `stepper.start()` returns the levels known before any step: [V^0] for
   the semigroup family, [u^0, u^1] for the baselines;
 * `step_semigroup`, `step_oefd` and `step_oifd` each map (stepper, state)
-  to the next level's StateVector; with unsteady forcing a semigroup state
-  carries F(t_n) and an oifd state B(t_n) in `forcing` (None until a step
-  has computed it), so each level is evaluated once, and a baseline state
-  carries u^{n-1} in `prev`;
+  to the next level's StateVector, a baseline state carrying u^{n-1} in
+  `prev`. So that each level's forcing is evaluated once, `carry` holds
+  W_n = V^n + (k/2) F(t_n) for the semigroup family (the source returns
+  (k/2) F, or None when F is all zero, so an unforced step is one bare
+  R(Mk) W_n) and B(t_n) for oifd; it is None on start levels and oefd;
 * `solve_evolution` owns the only time loop, with its snapshot, stride and
   blow-up bookkeeping. The kept levels are copied into one array allocated
   before the loop, and a blown-up run returns the rows filled so far.
@@ -64,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -132,13 +133,13 @@ def config_for(name: str, k: float, pade_orders: Optional[tuple[int, int]] = Non
 
 @dataclass(frozen=True)
 class StateVector:
-    """One time level: [u(x_i); u_t(x_i)] and F(t) in forcing for the semigroup
-    family, u(x_i) and the previous level in prev for the two-level baselines."""
+    """One time level: [u(x_i); u_t(x_i)] for the semigroup family, u(x_i) and the
+    previous level in prev for the two-level baselines; carry as in `schemes`."""
 
     t: float
     values: np.ndarray
     prev: Optional[np.ndarray] = None
-    forcing: Optional[np.ndarray] = None
+    carry: Optional[np.ndarray] = None
 
 
 def _num_steps(t_final: float, k: float) -> int:
@@ -199,8 +200,7 @@ class SemigroupStepper:
     q_fact: Optional[linalg.BandedFactorization]  # None when Q is the identity
     perm: Optional[np.ndarray]
     inv_perm: Optional[np.ndarray]
-    steady: bool = False  # F is the same at every level
-    half_k_forcing: Optional[np.ndarray] = None  # (k/2) F when steady and not all zero
+    source: Callable  # t -> (k/2) F(t), None when F(t) is all zero
 
     def start(self) -> list[StateVector]:
         """[V^0]: the initial data [phi; psi] at the interior nodes."""
@@ -212,17 +212,15 @@ class SemigroupStepper:
 @dataclass(frozen=True)
 class BaselineStepper:
     config: SchemeConfig
-    grid: SpatialGrid
-    problem: DampedWaveProblem
     u0: np.ndarray
     u1: np.ndarray
     prev_coeff: np.ndarray  # gamma k/2 - 1, the factor on u^{n-1}
     lap_coeff: float  # r^2 (oefd) or r^2/2 (oifd), the factor on A u^n and B
-    k2: float  # k^2, the factor on g
+    # oefd: t -> (lap_coeff B(t), k^2 g(., t)); oifd: (t, B(t) or None) ->
+    # (lap_coeff (B(t + k) + B(t)), k^2 g(., t), B(t + k))
+    source: Callable
     lhs_denom: Optional[np.ndarray] = None  # oefd: 1 + gamma k/2
     lhs_fact: Optional[linalg.BandedFactorization] = None  # oifd
-    # steady B and g: the terms lap_coeff B (oefd) or lap_coeff (B + B) (oifd), and k^2 g
-    steady_terms: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def start(self) -> list[StateVector]:
         """[u^0, u^1]: the initial displacement and the one-step start level."""
@@ -233,24 +231,23 @@ Stepper = Union[SemigroupStepper, BaselineStepper]
 
 
 def startup_u1(
-    problem: DampedWaveProblem, grid: SpatialGrid, k: float, gamma: np.ndarray
+    problem: DampedWaveProblem, grid: SpatialGrid, k: float, gamma: np.ndarray, u0: np.ndarray
 ) -> np.ndarray:
     """Second-order Taylor start for two-level schemes:
 
     u^1_i = phi(x_i) + k psi(x_i)
             + (k^2/2) [Lap_h phi(x_i) - gamma(x_i) psi(x_i) + g(x_i, 0)]
 
-    with Lap_h the second-difference Laplacian using phi's endpoint values
-    and gamma the damping at the interior nodes (`BlockOperator.damping`).
+    with Lap_h the second-difference Laplacian using phi's endpoint values,
+    gamma the damping at the interior nodes (`BlockOperator.damping`) and u0
+    phi at the interior nodes.
     """
     x = grid.interior_nodes
-    a, b = grid.a, grid.b
-    phi = sample(problem.phi, x)
     psi = sample(problem.psi, x)
     g0 = sample(problem.g, x, 0.0)
-    phi_ext = np.concatenate(([problem.phi(a)], phi, [problem.phi(b)]))
+    phi_ext = np.concatenate(([problem.phi(grid.a)], u0, [problem.phi(grid.b)]))
     lap = (phi_ext[:-2] - 2.0 * phi_ext[1:-1] + phi_ext[2:]) / grid.h**2
-    return phi + k * psi + 0.5 * k**2 * (lap - gamma * psi + g0)
+    return u0 + k * psi + 0.5 * k**2 * (lap - gamma * psi + g0)
 
 
 def _oifd_factor(d: np.ndarray, half_r2: float) -> linalg.BandedFactorization:
@@ -263,71 +260,81 @@ def _oifd_factor(d: np.ndarray, half_r2: float) -> linalg.BandedFactorization:
 
 def _oifd_ghost_start(
     problem: DampedWaveProblem, grid: SpatialGrid, u0: np.ndarray, gamma: np.ndarray,
-    k: float, steady_terms: Optional[tuple[np.ndarray, np.ndarray]],
+    k: float, half_r2: float, source: Callable,
 ) -> np.ndarray:
     """Ghost-level elimination of the implicit stencil at the first step:
 
     (2I - (r^2/2) A) u^1 = (2I + (r^2/2) A) u^0 - 2k (gamma k/2 - 1) psi
                            + (r^2/2)(B(k) + B(0)) + k^2 g(., 0),
 
-    taking the last two terms from steady_terms when given.
+    with half_r2 = r^2/2 and the last two terms from the oifd forcing source at t = 0.
     """
-    x = grid.interior_nodes
-    half_r2 = 0.5 * (k / grid.h) ** 2
-    b_term, g_term = steady_terms or (
-        half_r2 * (boundary_vector(problem, grid, k) + boundary_vector(problem, grid, 0.0)),
-        k**2 * sample(problem.g, x, 0.0),
-    )
+    b_term, g_term, _ = source(0.0)
     rhs = (
         2.0 * u0
         + half_r2 * second_difference(u0)
-        - 2.0 * k * (gamma * k / 2.0 - 1.0) * sample(problem.psi, x)
+        - 2.0 * k * (gamma * k / 2.0 - 1.0) * sample(problem.psi, grid.interior_nodes)
         + b_term
         + g_term
     )
     return linalg.solve_banded(_oifd_factor(np.full(grid.n_interior, 2.0), half_r2), rhs)
 
 
+def _bind(problem: DampedWaveProblem, terms: Callable) -> Callable:
+    """A forcing source: terms itself when g, u_a or u_b reads t; else terms(0.0),
+    evaluated once here and returned at every level."""
+    if not all(time_free(f) for f in (problem.g, problem.u_a, problem.u_b)):
+        return terms
+    fixed = terms(0.0)
+    return lambda *_: fixed
+
+
 def make_stepper(
     config: SchemeConfig, op: BlockOperator, grid: SpatialGrid, problem: DampedWaveProblem
 ) -> Stepper:
-    """Precompute what a step needs: coefficients, factorizations, start levels, steady F."""
-    k = config.k
-    steady = all(time_free(f) for f in (problem.g, problem.u_a, problem.u_b))
+    """Precompute what a step needs: coefficients, factorizations, start levels and
+    the forcing source."""
+    k, x = config.k, grid.interior_nodes
     if config.kind == "semigroup":
         approx = pade_coefficients(*config.orders)
-        q_fact = perm = inv_perm = half_k_forcing = None
+        q_fact = perm = inv_perm = None
         if approx.S > 0:
             q_fact = linalg.lu_factor_banded(_banded_poly(approx.q_floats, op, k))
             perm = np.arange(op.size).reshape(2, -1).T.ravel()
             inv_perm = np.arange(op.size).reshape(-1, 2).T.ravel()
-        if steady:
-            f = forcing_vector(problem, grid, 0.0)
-            half_k_forcing = k / 2.0 * f if np.count_nonzero(f) else None
+
+        def half_k_forcing(t):
+            f = forcing_vector(problem, grid, t)
+            # count_nonzero is the cheapest any() numpy has
+            return k / 2.0 * f if np.count_nonzero(f) else None
+
         return SemigroupStepper(
             config=config, op=op, grid=grid, problem=problem, p=approx.p_floats, q_fact=q_fact,
-            perm=perm, inv_perm=inv_perm, steady=steady, half_k_forcing=half_k_forcing,
+            perm=perm, inv_perm=inv_perm, source=_bind(problem, half_k_forcing),
         )
 
     gamma = op.damping
-    r = k / grid.h
-    u0 = sample(problem.phi, grid.interior_nodes)
+    u0 = sample(problem.phi, x)
     lhs = 1.0 + gamma * k / 2.0
-    lap_coeff = r**2 if config.kind == "oefd" else 0.5 * r**2
-    steady_terms = None
-    if steady:
-        b = boundary_vector(problem, grid, 0.0)
-        steady_terms = (lap_coeff * (b if config.kind == "oefd" else b + b),
-                        k**2 * sample(problem.g, grid.interior_nodes, 0.0))
     if config.kind == "oefd":
-        fields = dict(u1=startup_u1(problem, grid, k, gamma), lhs_denom=lhs)
+        lap_coeff = (k / grid.h) ** 2
+        source = _bind(problem, lambda t: (lap_coeff * boundary_vector(problem, grid, t),
+                                           k**2 * sample(problem.g, x, t)))
+        fields = dict(u1=startup_u1(problem, grid, k, gamma, u0), lhs_denom=lhs)
     else:
-        fields = dict(u1=_oifd_ghost_start(problem, grid, u0, gamma, k, steady_terms),
+        lap_coeff = 0.5 * (k / grid.h) ** 2
+        b_at = _bind(problem, lambda t: boundary_vector(problem, grid, t))  # steady: one B
+
+        def terms(t, b_n=None):
+            b_next = b_at(t + k)
+            b_n = b_at(t) if b_n is None else b_n
+            return lap_coeff * (b_next + b_n), k**2 * sample(problem.g, x, t), b_next
+
+        source = _bind(problem, terms)
+        fields = dict(u1=_oifd_ghost_start(problem, grid, u0, gamma, k, lap_coeff, source),
                       lhs_fact=_oifd_factor(lhs, lap_coeff))
-    return BaselineStepper(
-        config=config, grid=grid, problem=problem, u0=u0, prev_coeff=gamma * k / 2.0 - 1.0,
-        lap_coeff=lap_coeff, k2=k**2, steady_terms=steady_terms, **fields
-    )
+    return BaselineStepper(config=config, u0=u0, prev_coeff=gamma * k / 2.0 - 1.0,
+                           lap_coeff=lap_coeff, source=source, **fields)
 
 
 def amplify(stepper: SemigroupStepper, v: np.ndarray) -> np.ndarray:
@@ -338,60 +345,40 @@ def amplify(stepper: SemigroupStepper, v: np.ndarray) -> np.ndarray:
     return linalg.solve_banded(stepper.q_fact, rhs[stepper.perm])[stepper.inv_perm]
 
 
+def _plus(v: np.ndarray, half_kf: Optional[np.ndarray]) -> np.ndarray:
+    return v if half_kf is None else v + half_kf
+
+
 def step_semigroup(stepper: SemigroupStepper, state: StateVector) -> StateVector:
-    """One (S, T) step, R(kM)[V_n + (k/2)F_n] + (k/2)F_{n+1}; F_n comes from the
-    stepper when steady, else from state.forcing when set, and F_{n+1} goes in the result."""
-    half_k = stepper.config.k / 2.0
+    """One (S, T) step, V_{n+1} = R(kM) W_n + (k/2)F_{n+1} with W_n = V_n + (k/2)F_n
+    from state.carry (made here when None); the result carries W_{n+1}."""
     t_next = state.t + stepper.config.k
-    if stepper.steady:  # (k/2) F, None when F is all zero
-        half_kf = stepper.half_k_forcing
-        values = amplify(stepper, state.values if half_kf is None else state.values + half_kf)
-        if half_kf is not None:
-            values += half_kf
-        return StateVector(t=t_next, values=values)
-    f_n = state.forcing
-    if f_n is None:
-        f_n = forcing_vector(stepper.problem, stepper.grid, state.t)
-    f_next = forcing_vector(stepper.problem, stepper.grid, t_next)
-    # count_nonzero is the cheapest any() numpy has
-    v = state.values + half_k * f_n if np.count_nonzero(f_n) else state.values
-    values = amplify(stepper, v)
-    if np.count_nonzero(f_next):
-        values += half_k * f_next
-    return StateVector(t=t_next, values=values, forcing=f_next)
+    w = state.carry if state.carry is not None else _plus(state.values, stepper.source(state.t))
+    values = amplify(stepper, w)
+    half_kf = stepper.source(t_next)
+    if half_kf is not None:
+        values += half_kf
+    return StateVector(t=t_next, values=values, carry=_plus(values, half_kf))
 
 
 def step_oefd(stepper: BaselineStepper, state: StateVector) -> StateVector:
     """One explicit baseline step: level n (with level n-1 in prev) -> level n+1."""
-    grid, problem = stepper.grid, stepper.problem
-    u, t = state.values, state.t
-    b_term, g_term = stepper.steady_terms or (
-        stepper.lap_coeff * boundary_vector(problem, grid, t),
-        stepper.k2 * sample(problem.g, grid.interior_nodes, t),
-    )
+    u = state.values
+    b_term, g_term = stepper.source(state.t)
     rhs = (2.0 * u + stepper.lap_coeff * second_difference(u) + stepper.prev_coeff * state.prev
            + b_term + g_term)
-    return StateVector(t=t + stepper.config.k, values=rhs / stepper.lhs_denom, prev=u)
+    return StateVector(t=state.t + stepper.config.k, values=rhs / stepper.lhs_denom, prev=u)
 
 
 def step_oifd(stepper: BaselineStepper, state: StateVector) -> StateVector:
-    """One implicit baseline step (banded solve): level n (with n-1 in prev) -> n+1; an
-    unsteady B(t_n) comes from state.forcing when set, B(t_{n+1}) goes in the result."""
-    grid, problem = stepper.grid, stepper.problem
-    u, t = state.values, state.t
-    t_next = t + stepper.config.k
-    if stepper.steady_terms is None:
-        b_n = state.forcing if state.forcing is not None else boundary_vector(problem, grid, t)
-        b_next = boundary_vector(problem, grid, t_next)
-        b_term = stepper.lap_coeff * (b_next + b_n)
-        g_term = stepper.k2 * sample(problem.g, grid.interior_nodes, t)
-    else:
-        b_next = None
-        b_term, g_term = stepper.steady_terms
+    """One implicit baseline step (banded solve): level n (with n-1 in prev) -> n+1;
+    B(t_n) comes from state.carry when set, B(t_{n+1}) goes in the result's."""
+    u = state.values
+    b_term, g_term, b_next = stepper.source(state.t, state.carry)
     rhs = (2.0 * u + stepper.lap_coeff * second_difference(u) + stepper.prev_coeff * state.prev
            + b_term + g_term)
     values = linalg.solve_banded(stepper.lhs_fact, rhs)
-    return StateVector(t=t_next, values=values, prev=u, forcing=b_next)
+    return StateVector(t=state.t + stepper.config.k, values=values, prev=u, carry=b_next)
 
 
 @dataclass

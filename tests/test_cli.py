@@ -133,6 +133,44 @@ class TestSolve:
         assert "grid needs finite a, b and h" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        "(" * 200 + "x" + ")" * 200, "-" * 990 + "x", "^".join(["x"] * 991),
+        "+".join(["x"] * 991), "sin(" * 300 + "x" + ")" * 300,
+    ], ids=["parens", "minus", "power", "sum", "calls"])
+    def test_deep_expression_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(json.dumps(dict(UNDAMPED_DOC, phi=text)))
+        code = run_command(["solve", "--problem", str(cfg), "--scheme", "fd11",
+                            "--N", "10", "--k", "0.1", "--t-final", "0.1",
+                            "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "'phi'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ("[" * 100_000, "invalid JSON"),
+        (json.dumps(dict(UNDAMPED_DOC, domain=[False, True])), "must be a pair of numbers"),
+    ], ids=["nested-json", "boolean-domain"])
+    def test_rejected_document_exits_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "doc.json"
+        cfg.write_text(text)
+        code = run_command(["solve", "--problem", str(cfg), "--scheme", "fd11",
+                            "--N", "10", "--k", "0.1", "--t-final", "0.1",
+                            "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["phi", "gamma", "g", "u_b", "exact"])
+    def test_non_finite_literal_exits_2(self, tmp_path, capsys, field):
+        cfg = tmp_path / "inf.json"
+        cfg.write_text(json.dumps(dict(UNDAMPED_DOC, **{"exact": "sin(x)", field: "1e400"})))
+        out = tmp_path / "x.csv"
+        code = run_command(["solve", "--problem", str(cfg), "--scheme", "fd11",
+                            "--N", "10", "--k", "0.1", "--t-final", "0.1", "--out", str(out)])
+        assert code == 2
+        assert f"field '{field}': number '1e400' is not finite at offset 0" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("scheme", ["fd11", "oefd", "oifd"])
     def test_coefficient_failing_at_a_node_exits_2(self, tmp_path, capsys, scheme):
         # N=2 on [0, 2] puts the only interior node at x=1, where g divides by zero

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dampwave.harness import error_profile
 from dampwave.operators import build_grid
 from dampwave.problems import (
+    MAX_DEPTH,
     BinOp,
     Call,
     EvaluationError,
@@ -85,6 +86,60 @@ class TestParse:
 
     def test_scientific_literals(self):
         assert eval_expression(parse_expression("1e-3 + 2.5E+1"), 0.0, 0.0) == pytest.approx(25.001)
+
+    @pytest.mark.parametrize("text", ["1e400", "x + 1e309", "2*1E+999"])
+    def test_non_finite_literal_rejected(self, text):
+        with pytest.raises(ExpressionSyntaxError, match="not finite") as err:
+            parse_expression(text)
+        assert err.value.offset == text.index("1")
+        assert parse_expression("1.7e308") == Num(1.7e308)
+
+
+def _deep(kind, n):
+    """An expression n levels deep, and the offset of the token opening level n."""
+    if kind == "parens":
+        return "(" * n + "x" + ")" * n, n - 1
+    if kind == "calls":
+        return "sin(" * n + "x" + ")" * n, 4 * (n - 1)
+    if kind == "minus":
+        return "-" * n + "x", n - 1
+    # a chain of n operators: the n-th is at 2n - 1
+    return {"power": "^", "sum": "+", "product": "*"}[kind].join(["x"] * (n + 1)), 2 * n - 1
+
+
+class TestDepthBound:
+    KINDS = ["parens", "calls", "minus", "power", "sum", "product"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_max_depth_parses_and_walks(self, kind):
+        tree = parse_expression(_deep(kind, MAX_DEPTH)[0])
+        assert expression_variables(tree) == {"x"}
+        assert compile_expression(tree)(np.array([0.5]), 0.0).shape == (1,)
+        format_expression(tree)
+
+    @pytest.mark.parametrize("n", [MAX_DEPTH + 1, 1000, 100_000])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_deeper_is_a_syntax_error_at_the_offending_token(self, kind, n):
+        text, _ = _deep(kind, n)
+        with pytest.raises(ExpressionSyntaxError, match="deeper than") as err:
+            parse_expression(text)
+        assert err.value.offset == _deep(kind, MAX_DEPTH + 1)[1]
+
+    def test_depth_counts_the_tallest_path(self):
+        # MAX_DEPTH / 2 parentheses around a sum of MAX_DEPTH / 2 + 1 terms
+        half = MAX_DEPTH // 2
+        inner = "+".join(["x"] * (half + 1))
+        parse_expression("(" * half + inner + ")" * half)
+        with pytest.raises(ExpressionSyntaxError):
+            parse_expression("(" * half + inner + "+x" + ")" * half)
+        # a '^' is one level above its base as well as its exponent
+        base = "(" + "+".join(["x"] * MAX_DEPTH) + ")"
+        parse_expression(base)
+        with pytest.raises(ExpressionSyntaxError):
+            parse_expression(base + "^2")
+        # each parenthesised sum ends one level above its first term's
+        with pytest.raises(ExpressionSyntaxError):
+            parse_expression("(" * MAX_DEPTH + "x" + "+x)" * MAX_DEPTH)
 
 
 class TestEval:
@@ -230,7 +285,8 @@ class TestCompiledExpression:
             f(np.array([0.0, 1.0, 2.0]), 0.0)
 
     def test_non_finite_literal_follows_the_reference(self):
-        f = compile_expression(parse_expression("1/(1e999 + x)"))
+        # the parser rejects 1e999, so build 1/(1e999 + x) directly
+        f = compile_expression(BinOp("/", Num(1.0), BinOp("+", Num(math.inf), Var("x"))))
         with pytest.raises(EvaluationError):
             f(np.array([0.0, 1.0]), 0.0)
 
@@ -368,6 +424,20 @@ class TestLoadConfig:
     def test_not_json(self):
         with pytest.raises(ProblemConfigError, match="invalid JSON"):
             load_problem_config("{")
+
+    def test_deeply_nested_json(self):
+        with pytest.raises(ProblemConfigError, match="invalid JSON"):
+            load_problem_config("[" * 100_000)
+
+    @pytest.mark.parametrize("domain", [[False, True], [0, True], [False, 1.0]])
+    def test_boolean_domain_rejected(self, domain):
+        with pytest.raises(ProblemConfigError, match="must be a pair of numbers"):
+            load_problem_config(json.dumps(dict(SAMPLE_DOC, domain=domain)))
+
+    @pytest.mark.parametrize("field", ["gamma", "g", "phi", "psi", "u_a", "u_b", "exact"])
+    def test_non_finite_literal_named(self, field):
+        with pytest.raises(ProblemConfigError, match=f"{field}.*not finite at offset 0"):
+            load_problem_config(json.dumps(dict(SAMPLE_DOC, **{field: "1e400"})))
 
     def test_exact_optional(self):
         doc = dict(SAMPLE_DOC)

@@ -89,8 +89,22 @@ class TestMakeStepper:
         u0, u1 = stepper.start()
         assert (u0.t, u1.t) == (0.0, 0.1)
         assert u0.values == pytest.approx(np.sin(grid.interior_nodes))
-        assert u1.values == pytest.approx(startup_u1(problem, grid, 0.1, op.damping), abs=0)
+        expected = startup_u1(problem, grid, 0.1, op.damping, u0.values)
+        assert u1.values == pytest.approx(expected, abs=0)
         assert u1.prev is u0.values
+
+    @pytest.mark.parametrize("name", ["fd11", "oefd", "oifd"])
+    def test_phi_sampled_once_per_solve(self, name):
+        array_calls = []
+
+        def phi(x):
+            if np.ndim(x):
+                array_calls.append(len(x))
+            return np.sin(x)
+
+        problem = plain_problem(phi=phi)
+        solve_evolution(problem, build_grid(0.0, math.pi, 10), config_for(name, 0.1), 0.5)
+        assert array_calls == [9]
 
 
 def interleaving(size):
@@ -183,7 +197,7 @@ class TestStepSemigroup:
         (state,) = stepper.start()
         rows = [state.values]
         for _ in range(10):
-            state = step_semigroup(stepper, dataclasses.replace(state, forcing=None))
+            state = step_semigroup(stepper, dataclasses.replace(state, carry=None))
             rows.append(state.values)
         times = []
 
@@ -299,14 +313,15 @@ class TestStartup:
             u_b=lambda t: 1.0,
         )
         grid = build_grid(0.0, 1.0, 8)
-        u1 = startup_u1(problem, grid, 0.2, np.zeros(grid.n_interior))
+        u1 = startup_u1(problem, grid, 0.2, np.zeros(grid.n_interior), grid.interior_nodes)
         assert u1 == pytest.approx(grid.interior_nodes, abs=1e-15)
 
     def test_sample_problem_accuracy(self):
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 10)
         k = 0.1
-        u1 = startup_u1(problem, grid, k, np.full(grid.n_interior, 2.0))
+        u1 = startup_u1(problem, grid, k, np.full(grid.n_interior, 2.0),
+                        np.sin(grid.interior_nodes))
         exact = np.exp(-k) * np.sin(grid.interior_nodes)
         err = np.abs(u1 - exact).max()
         assert err == pytest.approx(2.0357026e-4, rel=1e-5)
@@ -505,12 +520,22 @@ class TestSteadyForcing:
         assert np.array_equal(steady.states, per_level.states)
         assert np.array_equal(steady.times, per_level.times)
 
-    def test_sample_problem_takes_the_steady_path(self):
+    def test_sample_problem_takes_the_steady_path(self, monkeypatch):
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 10)
-        op = assemble_system(grid, problem)
-        stepper = make_stepper(config_for("fd11", 0.1), op, grid, problem)
-        assert stepper.steady and stepper.half_k_forcing is None  # F = 0 adds nothing
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return forcing_vector(*args)
+
+        monkeypatch.setattr(schemes, "forcing_vector", counted)
+        # F = 0 is evaluated once, and its step is R(kM) V exactly
+        traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 1.0)
+        assert calls == [0.0]
+        stepper = make_stepper(config_for("fd11", 0.1), assemble_system(grid, problem), grid,
+                               problem)
+        assert np.array_equal(traj.states[1], amplify(stepper, traj.states[0]))
         for name in ("fd01", "fd11", "oefd", "oifd"):
             config = config_for(name, 0.1)
             steady = solve_evolution(problem, grid, config, 1.0)
@@ -599,7 +624,7 @@ class TestStepperProtocol:
         rows = [state.values]
         for _ in range(8):
             # reference: every step evaluates both B(t_n) and B(t_{n+1})
-            state = step_oifd(stepper, dataclasses.replace(state, forcing=None))
+            state = step_oifd(stepper, dataclasses.replace(state, carry=None))
             rows.append(state.values)
         calls.clear()
         traj = solve_evolution(problem, grid, config, 0.45)
