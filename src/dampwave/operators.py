@@ -59,8 +59,8 @@ class SpatialGrid:
 def build_grid(a: float, b: float, N: int) -> SpatialGrid:
     """Mesh [a, b] into N subintervals, h = (b-a)/N.
 
-    Requires b > a, 2 <= N <= MAX_SUBINTERVALS (at least one interior node)
-    and finite a, b and h.
+    Requires b > a, 2 <= N <= MAX_SUBINTERVALS (at least one interior node),
+    finite a and b, and an h whose 1/h^2 is a positive finite float.
     """
     if not b > a:
         raise ValueError(f"need b > a, got a={a}, b={b}")
@@ -69,8 +69,13 @@ def build_grid(a: float, b: float, N: int) -> SpatialGrid:
     if N > MAX_SUBINTERVALS:
         raise ValueError(f"grid of N={N} subintervals exceeds the bound {MAX_SUBINTERVALS}")
     h = (b - a) / N
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(h)):
-        raise ValueError(f"grid needs finite a, b and h = (b-a)/N, got a={a}, b={b}, h={h}")
+    try:
+        inv_h2 = 1.0 / h**2
+    except ArithmeticError:  # h**2 overflows, or underflows to zero
+        inv_h2 = math.nan
+    if not (math.isfinite(a) and math.isfinite(b) and 0 < inv_h2 < math.inf):
+        raise ValueError(f"grid needs finite a, b and h = (b-a)/N with 1/h^2 a positive finite "
+                         f"float, got a={a}, b={b}, h={h}")
     nodes = a + h * np.arange(1, N)
     return SpatialGrid(a=float(a), b=float(b), N=int(N), h=h, interior_nodes=_readonly(nodes))
 

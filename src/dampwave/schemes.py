@@ -39,18 +39,20 @@ Two families are provided:
 
 Every scheme runs behind one stepper protocol:
 
-* `make_stepper` precomputes what a step needs (coefficients,
-  factorizations, start levels) and binds the stepper's one forcing
-  source, a function of t: it is evaluated at every level, or once when g,
-  u_a and u_b are all `time_free`, with the same bits either way;
-* `stepper.start()` returns the levels known before any step: [V^0] for
-  the semigroup family, [u^0, u^1] for the baselines;
+* `make_stepper` precomputes what a step needs (coefficients and
+  factorizations) and binds the stepper's one forcing source, a function
+  of t: it is evaluated at every level, or once when g, u_a and u_b are all
+  `time_free`, with the same bits either way;
+* `stepper.start` is the tuple of levels known before any step, which
+  `make_stepper` builds from phi and psi sampled once at the interior
+  nodes: (V^0,) for the semigroup family, (u^0, u^1) for the baselines;
 * `step_semigroup`, `step_oefd` and `step_oifd` each map (stepper, state)
   to the next level's StateVector, a baseline state carrying u^{n-1} in
   `prev`. So that each level's forcing is evaluated once, `carry` holds
   W_n = V^n + (k/2) F(t_n) for the semigroup family (the source returns
   (k/2) F, or None when F is all zero, so an unforced step is one bare
-  R(Mk) W_n) and B(t_n) for oifd; it is None on start levels and oefd;
+  R(Mk) W_n) and B(t_n) for oifd, whose u^1 level carries the B(k) of its
+  ghost start; it is None on V^0, u^0 and every oefd level;
 * `solve_evolution` owns the only time loop, with its snapshot, stride and
   blow-up bookkeeping. The kept levels are copied into one array allocated
   before the loop, and a blown-up run returns the rows filled so far.
@@ -194,26 +196,18 @@ def _banded_poly(coeffs, op: BlockOperator, k: float) -> linalg.BandedMatrix:
 class SemigroupStepper:
     config: SchemeConfig
     op: BlockOperator
-    grid: SpatialGrid
-    problem: DampedWaveProblem
+    start: tuple[StateVector, ...]  # (V^0,)
     p: tuple[float, ...]
     q_fact: Optional[linalg.BandedFactorization]  # None when Q is the identity
     perm: Optional[np.ndarray]
     inv_perm: Optional[np.ndarray]
     source: Callable  # t -> (k/2) F(t), None when F(t) is all zero
 
-    def start(self) -> list[StateVector]:
-        """[V^0]: the initial data [phi; psi] at the interior nodes."""
-        x = self.grid.interior_nodes
-        values = np.concatenate([sample(self.problem.phi, x), sample(self.problem.psi, x)])
-        return [StateVector(t=0.0, values=values)]
-
 
 @dataclass(frozen=True)
 class BaselineStepper:
     config: SchemeConfig
-    u0: np.ndarray
-    u1: np.ndarray
+    start: tuple[StateVector, ...]  # (u^0, u^1)
     prev_coeff: np.ndarray  # gamma k/2 - 1, the factor on u^{n-1}
     lap_coeff: float  # r^2 (oefd) or r^2/2 (oifd), the factor on A u^n and B
     # oefd: t -> (lap_coeff B(t), k^2 g(., t)); oifd: (t, B(t) or None) ->
@@ -222,16 +216,13 @@ class BaselineStepper:
     lhs_denom: Optional[np.ndarray] = None  # oefd: 1 + gamma k/2
     lhs_fact: Optional[linalg.BandedFactorization] = None  # oifd
 
-    def start(self) -> list[StateVector]:
-        """[u^0, u^1]: the initial displacement and the one-step start level."""
-        return [StateVector(0.0, self.u0), StateVector(self.config.k, self.u1, prev=self.u0)]
-
 
 Stepper = Union[SemigroupStepper, BaselineStepper]
 
 
 def startup_u1(
-    problem: DampedWaveProblem, grid: SpatialGrid, k: float, gamma: np.ndarray, u0: np.ndarray
+    problem: DampedWaveProblem, grid: SpatialGrid, k: float, gamma: np.ndarray, u0: np.ndarray,
+    psi: np.ndarray,
 ) -> np.ndarray:
     """Second-order Taylor start for two-level schemes:
 
@@ -239,12 +230,10 @@ def startup_u1(
             + (k^2/2) [Lap_h phi(x_i) - gamma(x_i) psi(x_i) + g(x_i, 0)]
 
     with Lap_h the second-difference Laplacian using phi's endpoint values,
-    gamma the damping at the interior nodes (`BlockOperator.damping`) and u0
-    phi at the interior nodes.
+    gamma the damping at the interior nodes (`BlockOperator.damping`), and u0
+    and psi phi and psi at the interior nodes.
     """
-    x = grid.interior_nodes
-    psi = sample(problem.psi, x)
-    g0 = sample(problem.g, x, 0.0)
+    g0 = sample(problem.g, grid.interior_nodes, 0.0)
     phi_ext = np.concatenate(([problem.phi(grid.a)], u0, [problem.phi(grid.b)]))
     lap = (phi_ext[:-2] - 2.0 * phi_ext[1:-1] + phi_ext[2:]) / grid.h**2
     return u0 + k * psi + 0.5 * k**2 * (lap - gamma * psi + g0)
@@ -259,25 +248,20 @@ def _oifd_factor(d: np.ndarray, half_r2: float) -> linalg.BandedFactorization:
 
 
 def _oifd_ghost_start(
-    problem: DampedWaveProblem, grid: SpatialGrid, u0: np.ndarray, gamma: np.ndarray,
-    k: float, half_r2: float, source: Callable,
-) -> np.ndarray:
+    u0: np.ndarray, psi: np.ndarray, gamma: np.ndarray, k: float, half_r2: float, source: Callable
+) -> tuple[np.ndarray, np.ndarray]:
     """Ghost-level elimination of the implicit stencil at the first step:
 
     (2I - (r^2/2) A) u^1 = (2I + (r^2/2) A) u^0 - 2k (gamma k/2 - 1) psi
                            + (r^2/2)(B(k) + B(0)) + k^2 g(., 0),
 
-    with half_r2 = r^2/2 and the last two terms from the oifd forcing source at t = 0.
+    with half_r2 = r^2/2 and the last two terms from the oifd forcing source at
+    t = 0; returns u^1 and B(k), which the first step reuses.
     """
-    b_term, g_term, _ = source(0.0)
-    rhs = (
-        2.0 * u0
-        + half_r2 * second_difference(u0)
-        - 2.0 * k * (gamma * k / 2.0 - 1.0) * sample(problem.psi, grid.interior_nodes)
-        + b_term
-        + g_term
-    )
-    return linalg.solve_banded(_oifd_factor(np.full(grid.n_interior, 2.0), half_r2), rhs)
+    b_term, g_term, b_k = source(0.0)
+    rhs = 2.0 * u0 + half_r2 * second_difference(u0) - 2.0 * k * (gamma * k / 2.0 - 1.0) * psi
+    u1 = linalg.solve_banded(_oifd_factor(np.full(len(u0), 2.0), half_r2), rhs + b_term + g_term)
+    return u1, b_k
 
 
 def _bind(problem: DampedWaveProblem, terms: Callable) -> Callable:
@@ -295,6 +279,7 @@ def make_stepper(
     """Precompute what a step needs: coefficients, factorizations, start levels and
     the forcing source."""
     k, x = config.k, grid.interior_nodes
+    phi, psi = sample(problem.phi, x), sample(problem.psi, x)
     if config.kind == "semigroup":
         approx = pade_coefficients(*config.orders)
         q_fact = perm = inv_perm = None
@@ -309,18 +294,19 @@ def make_stepper(
             return k / 2.0 * f if np.count_nonzero(f) else None
 
         return SemigroupStepper(
-            config=config, op=op, grid=grid, problem=problem, p=approx.p_floats, q_fact=q_fact,
-            perm=perm, inv_perm=inv_perm, source=_bind(problem, half_k_forcing),
+            config=config, op=op, start=(StateVector(0.0, np.concatenate([phi, psi])),),
+            p=approx.p_floats, q_fact=q_fact, perm=perm, inv_perm=inv_perm,
+            source=_bind(problem, half_k_forcing),
         )
 
     gamma = op.damping
-    u0 = sample(problem.phi, x)
     lhs = 1.0 + gamma * k / 2.0
     if config.kind == "oefd":
         lap_coeff = (k / grid.h) ** 2
         source = _bind(problem, lambda t: (lap_coeff * boundary_vector(problem, grid, t),
                                            k**2 * sample(problem.g, x, t)))
-        fields = dict(u1=startup_u1(problem, grid, k, gamma, u0), lhs_denom=lhs)
+        u1, b_k = startup_u1(problem, grid, k, gamma, phi, psi), None
+        fields = dict(lhs_denom=lhs)
     else:
         lap_coeff = 0.5 * (k / grid.h) ** 2
         b_at = _bind(problem, lambda t: boundary_vector(problem, grid, t))  # steady: one B
@@ -331,9 +317,10 @@ def make_stepper(
             return lap_coeff * (b_next + b_n), k**2 * sample(problem.g, x, t), b_next
 
         source = _bind(problem, terms)
-        fields = dict(u1=_oifd_ghost_start(problem, grid, u0, gamma, k, lap_coeff, source),
-                      lhs_fact=_oifd_factor(lhs, lap_coeff))
-    return BaselineStepper(config=config, u0=u0, prev_coeff=gamma * k / 2.0 - 1.0,
+        u1, b_k = _oifd_ghost_start(phi, psi, gamma, k, lap_coeff, source)
+        fields = dict(lhs_fact=_oifd_factor(lhs, lap_coeff))
+    start = (StateVector(0.0, phi), StateVector(k, u1, prev=phi, carry=b_k))
+    return BaselineStepper(config=config, start=start, prev_coeff=gamma * k / 2.0 - 1.0,
                            lap_coeff=lap_coeff, source=source, **fields)
 
 
@@ -394,8 +381,11 @@ class Trajectory:
     grid: SpatialGrid
     times: np.ndarray
     states: np.ndarray
-    blow_up: bool = False
-    blow_up_index: Optional[int] = None
+    blow_up_index: Optional[int] = None  # the level that halted the run
+
+    @property
+    def blow_up(self) -> bool:
+        return self.blow_up_index is not None
 
     @property
     def displacements(self) -> np.ndarray:
@@ -431,7 +421,7 @@ def solve_evolution(
     stepper = make_stepper(config, op, grid, problem)
     # chosen per call, so that a rebinding of these module names takes effect
     step = {"semigroup": step_semigroup, "oefd": step_oefd, "oifd": step_oifd}[config.kind]
-    start = stepper.start()
+    start = stepper.start
 
     # every stride-th level, plus the final level when the stride skips it
     n_kept = n_steps // stride + 1 + (n_steps % stride != 0)
@@ -459,6 +449,5 @@ def solve_evolution(
         grid=grid,
         times=levels[:kept] * config.k,
         states=states[:kept],
-        blow_up=blow_up_index is not None,
         blow_up_index=blow_up_index,
     )

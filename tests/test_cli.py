@@ -133,6 +133,23 @@ class TestSolve:
         assert "grid needs finite a, b and h" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "--scheme", "fd11", "--N", "10", "--k", "0.1", "--t-final", "1"],
+        ["compare", "--N", "10", "--k", "0.1", "--t-final", "1"],
+        ["convergence", "--scheme", "fd11", "--axis", "time", "--base-k", "0.1",
+         "--base-N", "10", "--levels", "3", "--t-eval", "0.2"],
+    ], ids=["solve", "compare", "convergence"])
+    @pytest.mark.parametrize("b", ["1e-300", "1e-160", "1e200"])
+    def test_domain_without_finite_inverse_square_mesh_width_exits_2(self, tmp_path, capsys,
+                                                                     command, b):
+        # with N = 10, h^2 underflows to zero, is subnormal (1/h^2 = inf), or overflows
+        cfg = tmp_path / "domain.json"
+        cfg.write_text(json.dumps(dict(UNDAMPED_DOC, phi="0", exact="0", domain=[0, float(b)])))
+        out = tmp_path / "x.csv"
+        assert run_command(command + ["--problem", str(cfg), "--out", str(out)]) == 2
+        assert "1/h^2 a positive finite float" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         "(" * 200 + "x" + ")" * 200, "-" * 990 + "x", "^".join(["x"] * 991),
         "+".join(["x"] * 991), "sin(" * 300 + "x" + ")" * 300,

@@ -67,6 +67,8 @@ class TestBuildGrid:
     @pytest.mark.parametrize("a,b,N", [
         (0.0, 1.0, 1), (0.0, 1.0, 0), (1.0, 1.0, 4), (2.0, 1.0, 4),
         (-math.inf, 0.0, 10), (0.0, math.inf, 10), (-1e308, 1e308, 10),
+        # h^2 underflows to zero, is subnormal (1/h^2 = inf), or overflows
+        (0.0, 1e-300, 10), (0.0, 1e-160, 10), (0.0, 1e200, 10),
     ])
     def test_rejects_bad_input(self, a, b, N):
         with pytest.raises(ValueError):

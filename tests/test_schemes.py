@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from dampwave.harness import error_profile
 from dampwave.linalg import matrix_exponential
-from dampwave.operators import assemble_system, build_grid, forcing_vector, second_difference
+from dampwave.operators import (
+    assemble_system, boundary_vector, build_grid, forcing_vector, second_difference,
+)
 from dampwave.pade import pade_coefficients
 from dampwave.problems import DampedWaveProblem, load_problem_config, sample_problem, time_free
 from dampwave import schemes
@@ -86,10 +88,11 @@ class TestMakeStepper:
         grid = build_grid(0.0, math.pi, 10)
         op = assemble_system(grid, problem)
         stepper = make_stepper(config_for("oefd", 0.1), op, grid, problem)
-        u0, u1 = stepper.start()
+        u0, u1 = stepper.start
         assert (u0.t, u1.t) == (0.0, 0.1)
         assert u0.values == pytest.approx(np.sin(grid.interior_nodes))
-        expected = startup_u1(problem, grid, 0.1, op.damping, u0.values)
+        expected = startup_u1(problem, grid, 0.1, op.damping, u0.values,
+                              -np.sin(grid.interior_nodes))
         assert u1.values == pytest.approx(expected, abs=0)
         assert u1.prev is u0.values
 
@@ -194,7 +197,7 @@ class TestStepSemigroup:
         config = config_for(scheme, 0.01, (2, 2) if scheme == "fdST" else None)
         # reference: every step evaluates both F(t_n) and F(t_{n+1})
         stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
-        (state,) = stepper.start()
+        (state,) = stepper.start
         rows = [state.values]
         for _ in range(10):
             state = step_semigroup(stepper, dataclasses.replace(state, carry=None))
@@ -313,7 +316,8 @@ class TestStartup:
             u_b=lambda t: 1.0,
         )
         grid = build_grid(0.0, 1.0, 8)
-        u1 = startup_u1(problem, grid, 0.2, np.zeros(grid.n_interior), grid.interior_nodes)
+        u1 = startup_u1(problem, grid, 0.2, np.zeros(grid.n_interior), grid.interior_nodes,
+                        np.zeros(grid.n_interior))
         assert u1 == pytest.approx(grid.interior_nodes, abs=1e-15)
 
     def test_sample_problem_accuracy(self):
@@ -321,7 +325,7 @@ class TestStartup:
         grid = build_grid(0.0, math.pi, 10)
         k = 0.1
         u1 = startup_u1(problem, grid, k, np.full(grid.n_interior, 2.0),
-                        np.sin(grid.interior_nodes))
+                        np.sin(grid.interior_nodes), -np.sin(grid.interior_nodes))
         exact = np.exp(-k) * np.sin(grid.interior_nodes)
         err = np.abs(u1 - exact).max()
         assert err == pytest.approx(2.0357026e-4, rel=1e-5)
@@ -335,16 +339,17 @@ class TestStartup:
         t_final = 6.0
         op = assemble_system(grid, problem)
         stepper = make_stepper(config_for("oefd", k), op, grid, problem)
+        u0, u1 = stepper.start
         n_steps = int(math.floor(t_final / k * (1 + 1e-12) + 1e-12))
 
         def run(u1):
-            state = StateVector(k, u1, prev=stepper.u0)
+            state = StateVector(k, u1, prev=u0.values)
             for _ in range(2, n_steps + 1):
                 state = step_oefd(stepper, state)
             exact = np.exp(-n_steps * k) * np.sin(grid.interior_nodes)
             return np.abs(state.values - exact).max()
 
-        err_taylor = run(stepper.u1)
+        err_taylor = run(u1.values)
         err_exact = run(np.exp(-k) * np.sin(grid.interior_nodes))
         assert abs(err_taylor - err_exact) / max(err_taylor, err_exact) < 0.10
 
@@ -428,8 +433,6 @@ class TestBaselineSteps:
         assert out.prev is u_curr
 
     def test_oifd_solve_residual(self):
-        from dampwave.operators import boundary_vector
-
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 10)
         op = assemble_system(grid, problem)
@@ -439,7 +442,7 @@ class TestBaselineSteps:
         r = k / grid.h
         a = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
         gamma = op.damping
-        state = stepper.start()[1]
+        state = stepper.start[1]
         for _ in range(2, 8):
             t, u, u_prev = state.t, state.values, state.prev
             state = step_oifd(stepper, state)
@@ -483,7 +486,7 @@ def forced_problem():
 def manual_levels(config, problem, grid, steps):
     """The start levels, then steps made one by one, up to level `steps`."""
     stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
-    levels = stepper.start()
+    levels = list(stepper.start)
     assert len(levels) == (1 if config.kind == "semigroup" else 2)
     while len(levels) <= steps:
         levels.append(STEP_FUNCTIONS[config.kind](stepper, levels[-1]))
@@ -620,7 +623,8 @@ class TestStepperProtocol:
         grid = build_grid(0.0, math.pi, 9)
         config = config_for("oifd", 0.05)
         stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
-        state = stepper.start()[1]
+        state = stepper.start[1]
+        assert np.array_equal(state.carry, boundary_vector(problem, grid, 0.05))
         rows = [state.values]
         for _ in range(8):
             # reference: every step evaluates both B(t_n) and B(t_{n+1})
@@ -629,8 +633,54 @@ class TestStepperProtocol:
         calls.clear()
         traj = solve_evolution(problem, grid, config, 0.45)
         assert np.array_equal(traj.states[1:], np.array(rows))
-        # the ghost start takes B(0) and B(k); the steps take B(k) once, then one level each
-        assert len(calls) == 2 + 1 + 8
+        # the ghost start takes B(0) and B(k), which u^1 carries; each step takes one level
+        assert len(calls) == 2 + 8
+
+
+SIX_SCHEMES = ALL_SCHEMES + [("fdST", (3, 3))]
+
+# each data field a sum of coefficient * term, with g, u_a and u_b all reading t
+SUPERPOSITION_TERMS = {
+    "g": ("sin(x)*cos(t)", "x*t", "1"),
+    "phi": ("sin(x)", "x", "1"),
+    "psi": ("cos(x)", "x*x"),
+    "u_a": ("t", "sin(2*t)", "1"),
+    "u_b": ("cos(t)", "t*t"),
+}
+
+
+def random_coefficients(rng):
+    """Coefficients for SUPERPOSITION_TERMS, with u_a(0) = phi(0) and u_b(0) = phi(pi)."""
+    coeffs = {f: rng.uniform(-1.0, 1.0, len(terms)) for f, terms in SUPERPOSITION_TERMS.items()}
+    coeffs["u_a"][2] = coeffs["phi"][2]
+    coeffs["u_b"][0] = math.pi * coeffs["phi"][1] + coeffs["phi"][2]
+    return coeffs
+
+
+def linear_problem(coeffs):
+    doc = {"domain": [0, math.pi], "gamma": "0.5 + 0.3*x"}
+    for field, terms in SUPERPOSITION_TERMS.items():
+        doc[field] = " + ".join(f"({float(c)!r})*{term}" for c, term in zip(coeffs[field], terms))
+    return load_problem_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name,orders", SIX_SCHEMES,
+                         ids=[f"{n}{o[0]}{o[1]}" if o else n for n, o in SIX_SCHEMES])
+def test_solutions_superpose(name, orders):
+    # every scheme is linear in (phi, psi, g, u_a, u_b) at fixed gamma, so
+    # solve(alpha P1 + beta P2) = alpha solve(P1) + beta solve(P2) up to rounding
+    rng = np.random.default_rng(5)
+    grid = build_grid(0.0, math.pi, 12)
+    config = config_for(name, 0.02, orders)
+    for _ in range(5):
+        c1, c2 = random_coefficients(rng), random_coefficients(rng)
+        alpha, beta = rng.uniform(-2.0, 2.0, 2)
+        mixed = {f: alpha * c1[f] + beta * c2[f] for f in SUPERPOSITION_TERMS}
+        s1, s2, s = (solve_evolution(linear_problem(c), grid, config, 40 * 0.02).states
+                     for c in (c1, c2, mixed))
+        assert len(s) == 41
+        scale = max(np.abs(states).max() for states in (s1, s2, s))
+        assert np.abs(s - (alpha * s1 + beta * s2)).max() <= 1e-12 * scale
 
 
 MANUFACTURED_DOC = {

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dampwave.operators import assemble_system, build_grid
 from dampwave.problems import DampedWaveProblem
@@ -200,3 +202,18 @@ class TestImplicitAmplification:
             spec = implicit_amplification(N, h, k, gamma)
             worst = max(worst, spec.max_modulus)
         assert worst <= 1.0 + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gamma=st.floats(-3.0, 3.0), h=st.floats(-3.0, 0.0), k=st.floats(-6.0, 0.0),
+        N=st.integers(2, 200),
+    )
+    def test_explicit_conditions_are_sufficient(self, gamma, h, k, N):
+        # log-uniform (gamma*, h, k): a stable verdict must bound every explicit
+        # (0,1) amplification factor 1 + k lambda of M's closed-form eigenvalues
+        gamma, h, k = 10.0**gamma, 10.0**h, 10.0**k
+        if not check_explicit_stability(k, h, gamma).stable:
+            return
+        spec = implicit_amplification(N, h, k, gamma)
+        lam = np.concatenate([spec.lambda_plus, spec.lambda_minus])
+        assert np.abs(1.0 + k * lam).max() <= 1.0
