@@ -230,7 +230,7 @@ def _cmd_stability(args) -> int:
     elif args.empirical:
         return _fail("--empirical needs --N", EXIT_USAGE)
     if args.out:
-        table = harness.Table(("condition", "value", "bound", "margin", "passed"), tuple(rows))
+        table = harness.Table.from_rows(("condition", "value", "bound", "margin", "passed"), rows)
         harness.write_csv(table, args.out)
     return EXIT_OK
 

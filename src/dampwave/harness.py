@@ -1,21 +1,22 @@
 """Error measurement, convergence studies and the benchmark tables.
 
 `snapshot` turns a trajectory into the all-node profile nearest a requested
-time, with endpoint rows from the boundary data; `Table.from_columns` turns
-per-node arrays into table rows. `max_error_series` samples the exact
-solution at every kept time into one array, subtracts the displacements
-and takes the absolute value in place, and reduces each row to its maximum
-in one call.
+time, with endpoint rows from the boundary data. `max_error_series` reduces
+the absolute errors at every kept time to their maxima in place.
 
-Outputs are small column-oriented tables written as RFC-4180-style CSV
-(header row, CRLF line endings, '.' decimal separator, scientific notation
-for magnitudes below 1e-3, shortest round-trip float formatting).
+Outputs are `Table`s, which store their columns as given, written as
+RFC-4180-style CSV: header row, CRLF line endings, '.' decimal separator,
+scientific notation for magnitudes below 1e-3, shortest round-trip float
+formatting. The body is formatted and written in blocks of rows; a float64
+column takes repr, and only the cells where `format_value` differs from it
+(integral values below 1e16, [1e-4, 1e-3)) leave that path.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,14 +71,7 @@ def error_profile(traj: Trajectory, problem: DampedWaveProblem, t: float) -> Err
     exact = sample(problem.exact, x, ts)
     err = np.abs(numeric - exact)
     finite = np.isfinite(err).all() and np.isfinite(traj.states[traj.nearest_index(t)]).all()
-    return ErrorProfile(
-        t=ts,
-        x=x,
-        numeric=numeric,
-        exact=exact,
-        abs_error=err,
-        max_error=float(np.max(err)) if finite else math.inf,
-    )
+    return ErrorProfile(ts, x, numeric, exact, err, float(np.max(err)) if finite else math.inf)
 
 
 @dataclass(frozen=True)
@@ -104,54 +98,62 @@ def observed_order(
 
     The fixed axis must be fine enough that the refined one dominates the
     error, otherwise the observed orders flatten toward the fixed-axis floor.
-    Blown-up levels are recorded as inf and excluded from order estimates.
+    Blown-up levels are recorded as inf and excluded from order estimates;
+    any other level whose snapshot misses t_eval raises ValueError.
     """
     if axis not in ("time", "space"):
         raise ValueError(f"axis must be 'time' or 'space', got {axis!r}")
     if levels < 3:
         raise ValueError(f"need at least 3 levels, got {levels}")
-    a, b = problem.domain
-    level_values = []
-    errors = []
+    level_values, errors = [], []
     for j in range(levels):
         k_j = base_k / 2**j if axis == "time" else base_k
         N_j = base_N if axis == "time" else base_N * 2**j
-        grid = build_grid(a, b, N_j)
-        config = config_for(scheme, k_j, pade_orders)
-        traj = solve_evolution(problem, grid, config, t_eval)
-        if traj.blow_up:
-            err = math.inf
-        else:
-            err = error_profile(traj, problem, t_eval).max_error
+        grid = build_grid(*problem.domain, N_j)
+        traj = solve_evolution(problem, grid, config_for(scheme, k_j, pade_orders), t_eval)
+        profile = None if traj.blow_up else error_profile(traj, problem, t_eval)
+        if profile is not None and abs(profile.t - t_eval) > 1e-9 * t_eval:
+            raise ValueError(f"level {j} (k={k_j!r}) has no snapshot at t_eval={t_eval!r}; "
+                             f"its nearest is t={profile.t!r}")
         level_values.append(k_j if axis == "time" else grid.h)
-        errors.append(err)
+        errors.append(math.inf if profile is None else profile.max_error)
     orders = [
         math.log2(e0 / e1) if math.isfinite(e0) and math.isfinite(e1) and e1 > 0 else math.nan
         for e0, e1 in zip(errors, errors[1:])
     ]
-    return ConvergenceReport(
-        axis=axis,
-        levels=np.array(level_values),
-        max_errors=np.array(errors),
-        orders=np.array(orders),
-    )
+    return ConvergenceReport(axis, np.array(level_values), np.array(errors), np.array(orders))
 
 
 @dataclass(frozen=True)
 class Table:
-    """Column-labelled rows ready for CSV emission."""
+    """Labelled columns for CSV emission, each stored as given (arrays stay arrays).
+    `write_csv` writes the body in blocks of rows; of a float64 column only the cells
+    that repr prints unlike `format_value` (integral below 1e16, [1e-4, 1e-3)) leave
+    the repr path. `rows` and `column` build Python values (tolist): flags are bools."""
 
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    data: tuple  # one equally long sequence per column
 
     @classmethod
     def from_columns(cls, columns: tuple[str, ...], *arrays) -> "Table":
-        """One row per index across equally long column arrays."""
-        return cls(columns, tuple(zip(*arrays, strict=True)))
+        if len({len(a) for a in arrays}) > 1:
+            raise ValueError(f"column lengths differ: {[len(a) for a in arrays]}")
+        return cls(columns, arrays)
+
+    @classmethod
+    def from_rows(cls, columns: tuple[str, ...], rows) -> "Table":
+        return cls(columns, tuple(zip(*rows, strict=True)) or tuple(() for _ in columns))
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(zip(*map(_values, self.data)))
 
     def column(self, name: str) -> list:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
+        return _values(self.data[self.columns.index(name)])
+
+
+def _values(col) -> list:
+    return col.tolist() if isinstance(col, np.ndarray) else list(col)
 
 
 def compare_schemes(
@@ -185,8 +187,7 @@ def reproduce_table1(
     longer horizons.
     """
     problem = sample_problem()
-    a, b = problem.domain
-    grid = build_grid(a, b, N)
+    grid = build_grid(*problem.domain, N)
     return compare_schemes(problem, grid, k, k if t_eval is None else t_eval)[0]
 
 
@@ -205,15 +206,14 @@ def reproduce_table2(h: Optional[float] = None, t_final: float = 6.0) -> Table:
         k = r * grid.h
         _, summary = compare_schemes(problem, grid, k, t_final, stride=10**9)
         rows.append((r, k) + tuple(v for name in TABLE_SCHEMES for v in summary[name]))
-    return Table(columns=columns, rows=tuple(rows))
+    return Table.from_rows(columns, rows)
 
 
 def solution_profile(
     problem: DampedWaveProblem, scheme: str, N: int, k: float, t: float
 ) -> Table:
     """(x, numeric, exact) series at the snapshot nearest to t."""
-    a, b = problem.domain
-    grid = build_grid(a, b, N)
+    grid = build_grid(*problem.domain, N)
     traj = solve_evolution(problem, grid, config_for(scheme, k), max(t, k))
     profile = error_profile(traj, problem, t)
     return Table.from_columns(("x", "numeric", "exact"), profile.x, profile.numeric, profile.exact)
@@ -225,8 +225,7 @@ def max_error_series(
     """(t, max abs error) time series over a whole run."""
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    a, b = problem.domain
-    grid = build_grid(a, b, N)
+    grid = build_grid(*problem.domain, N)
     traj = solve_evolution(problem, grid, config_for(scheme, k), t_final)
     x = grid.interior_nodes
     err = np.empty((len(traj.times), grid.n_interior))
@@ -261,13 +260,35 @@ def format_value(v) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
+_BLOCK_ROWS = 256  # rows formatted per write; bounds the text held at once
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _fields(col) -> list[str]:
+    """One block of a column as CSV fields: repr for a float64 array but where it differs
+    from format_value; format_value elsewhere, quoted as csv's QUOTE_MINIMAL quotes."""
+    values = _values(col)
+    if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
+        texts = map(format_value, values)
+        return ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) else t for t in texts]
+    texts, mag = list(map(repr, values)), np.abs(col)
+    differs = ((col == np.trunc(col)) & (mag < 1e16)) | ((mag >= 1e-4) & (mag < 1e-3))
+    for i in np.flatnonzero(differs):
+        texts[i] = format_value(values[i])
+    return texts
+
+
 def write_csv(table: Table, path) -> None:
     """Emit a table as CSV: header row, CRLF terminators, newline-terminated."""
+    n_rows = len(table.data[0]) if table.data else 0
+    blocks = itertools.chain([[(name,) for name in table.columns]], (
+        [c[lo : lo + _BLOCK_ROWS] for c in table.data] for lo in range(0, n_rows, _BLOCK_ROWS)))
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\r\n")
-            writer.writerow(table.columns)
-            for row in table.rows:
-                writer.writerow(map(format_value, row))
+            for block in blocks:
+                cols = [_fields(c) for c in block]
+                if len(cols) == 1:  # csv quotes a row whose only field is empty
+                    cols = [['""' if t == "" else t for t in cols[0]]]
+                fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc

@@ -428,6 +428,15 @@ class TestConvergence:
         assert rows[0][3] == ""
         assert float(rows[1][3]) == pytest.approx(2.0, abs=0.3)
 
+    def test_level_off_t_eval_exits_2(self, tmp_path, capsys):
+        code = run_command(["convergence", "--scheme", "fd11", "--axis", "time",
+                            "--base-k", "0.1", "--base-N", "40", "--levels", "4",
+                            "--t-eval", "0.55", "--out", str(tmp_path / "conv.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "level 0 (k=0.1)" in captured.err and "t=0.5" in captured.err
+        assert "order=" not in captured.out
+
 
 class TestTables:
     def test_table1_deterministic_bytes(self, tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dampwave.harness import (
+    _BLOCK_ROWS,
     DIVERGENCE_THRESHOLD,
     Table,
     error_profile,
@@ -158,6 +160,13 @@ class TestObservedOrder:
         assert np.all(np.isinf(report.max_errors))
         assert np.all(np.isnan(report.orders))
 
+    @pytest.mark.parametrize("t_eval,t_used", [(0.55, 0.5), (0.05, 0.0)])
+    def test_rejects_level_without_snapshot_at_t_eval(self, t_eval, t_used):
+        # k = 0.1 does not divide t_eval, so level 0 would be measured at t_used
+        with pytest.raises(ValueError, match=rf"level 0 \(k=0\.1\).* t={t_used!r}"):
+            observed_order(sample_problem(), "fd11", "time",
+                           base_k=0.1, base_N=40, levels=4, t_eval=t_eval)
+
     def test_scaling_invariance_of_orders(self):
         alpha = 7.0
         base = sample_problem()
@@ -214,7 +223,7 @@ class TestTable1:
     def test_deterministic(self):
         t1 = reproduce_table1()
         t2 = reproduce_table1()
-        assert t1 == t2
+        assert t1.rows == t2.rows
 
 
 class TestTable2:
@@ -312,10 +321,69 @@ BAND_EDGES = [float(v) for edge in (1e-4, 1e-3, 1e16)
               for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))]
 
 
+def reference_csv(table):
+    """The per-cell writer: csv.writer over format_value of every row's cells."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(table.columns)
+    for row in zip(*table.data):  # array cells as numpy scalars, as row tuples held them
+        writer.writerow(map(format_value, row))
+    return buf.getvalue().encode()
+
+
+FLOAT_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from(BAND_EDGES + [-v for v in BAND_EDGES] + [
+        0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -7.0, 123456.0, 2.0**53,
+        9999999999999998.0, -9999999999999998.0]),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-320, 307)),
+)
+TEXT_CELLS = st.text(st.sampled_from('ab ;.,"\r\n\u00e9'), max_size=6)
+B = _BLOCK_ROWS
+ROW_COUNTS = st.one_of(st.sampled_from([0, 1, B - 1, B, B + 1, 2 * B + 3]), st.integers(0, 3 * B))
+
+
+@st.composite
+def random_tables(draw):
+    """Tables of float64, int, range, bool, string and float-or-"" columns.
+
+    Each column repeats a small drawn pool of cells in a seeded random order,
+    so long columns stay cheap to draw.
+    """
+    n = draw(ROW_COUNTS)
+    names = tuple(draw(st.lists(TEXT_CELLS, min_size=1, max_size=4)))
+    data = []
+    for _ in names:
+        kind = draw(st.sampled_from(["float64", "int64", "int", "range", "bool", "bool_array",
+                                     "text", "mixed"]))
+        if kind == "range":
+            start = draw(st.integers(-10**6, 10**6))
+            data.append(range(start, start + n))
+            continue
+        cells = {"float64": FLOAT_CELLS, "int64": st.integers(-2**63, 2**63 - 1),
+                 "int": st.integers(), "bool": st.booleans(), "bool_array": st.booleans(),
+                 "text": TEXT_CELLS, "mixed": st.one_of(FLOAT_CELLS, st.just(""))}[kind]
+        pool = draw(st.lists(cells, min_size=1, max_size=12))
+        order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(len(pool), size=n)
+        column = [pool[i] for i in order]
+        if kind in ("float64", "int64", "bool_array"):
+            column = np.array(column, dtype={"float64": np.float64, "int64": np.int64,
+                                             "bool_array": bool}[kind])
+        data.append(column)
+    return Table(names, tuple(data))
+
+
 class TestCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(random_tables())
+    def test_matches_per_cell_writer_bytes(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(table, path)
+        assert path.read_bytes() == reference_csv(table)
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_csv(Table(("a", "b"), ()), path)
+        write_csv(Table.from_rows(("a", "b"), ()), path)
         content = path.read_bytes()
         assert content == b"a,b\r\n"
 
@@ -331,7 +399,7 @@ class TestCsv:
     def test_round_trip_full_precision(self, tmp_path):
         values = (0.0, 1.0, -0.1, 4.010538170406974e-05, 1.00967e34,
                   math.pi, 2.231e-06, -7.75e-300, 123456.789)
-        table = Table(("v",), tuple((v,) for v in values))
+        table = Table.from_rows(("v",), [(v,) for v in values])
         path = tmp_path / "v.csv"
         write_csv(table, path)
         with open(path, newline="") as fh:
@@ -369,7 +437,7 @@ class TestCsv:
 
     def test_crlf_and_terminated(self, tmp_path):
         path = tmp_path / "x.csv"
-        write_csv(Table(("a",), ((1.5,),)), path)
+        write_csv(Table.from_rows(("a",), [(1.5,)]), path)
         raw = path.read_bytes()
         assert raw.endswith(b"\r\n")
         assert raw == b"a\r\n1.5\r\n"
@@ -377,7 +445,7 @@ class TestCsv:
     def test_write_failure_has_path_context(self, tmp_path):
         bad = tmp_path / "no_dir" / "x.csv"
         with pytest.raises(OSError, match="no_dir"):
-            write_csv(Table(("a",), ()), bad)
+            write_csv(Table.from_rows(("a",), ()), bad)
 
 
 def test_divergence_threshold_value():

@@ -713,6 +713,52 @@ def test_oifd_is_first_order_in_time_when_u_xxt_is_nonzero():
         assert min(orders[name]) > 1.95, name
 
 
+# the bench's forced-config problem (bench/workloads.py, manufactured_config)
+# at the centre of its parameter ranges: u = cos(2t) sin x + (1 + x/4) sin t
+# with gamma = 1 + x/2, so g, the Dirichlet data and psi are all nonzero
+FORCED_GAMMA = "1.0 + 0.5*x"
+FORCED_DOC = {
+    "domain": [0, math.pi],
+    "gamma": FORCED_GAMMA,
+    "g": ("(1 - 2.0^2)*cos(2.0*t)*sin(x) - (1.0 + 0.25*x)*sin(t)"
+          f" + ({FORCED_GAMMA})*(-2.0*sin(2.0*t)*sin(x) + (1.0 + 0.25*x)*cos(t))"),
+    "phi": "sin(x)",
+    "psi": "1.0 + 0.25*x",
+    "u_a": "1.0*sin(t)",
+    "u_b": "(1.0 + 0.25*pi)*sin(t)",
+}
+
+# observed time orders at N=16 and t=0.2 against the same scheme at k=0.01/32;
+# the semigroup members are second order because the trapezoid rule for the
+# Duhamel integral caps them there: fd22's 2 is that cap, which the
+# exponential quadrature of ROADMAP item 1 lifts to >= 3.8
+TIME_ORDER_PINS = [
+    ("fd01", None, (0.9, 1.25)),
+    ("oifd", None, (0.9, 1.25)),
+    ("fd11", None, (1.85, 2.15)),
+    ("fdST", (1, 2), (1.85, 2.15)),
+    ("fdST", (2, 2), (1.85, 2.15)),
+    ("oefd", None, (1.85, 2.15)),
+]
+
+
+@pytest.mark.parametrize("name,orders,band", TIME_ORDER_PINS,
+                         ids=[f"{n}{o[0]}{o[1]}" if o else n for n, o, _ in TIME_ORDER_PINS])
+def test_time_order_on_forced_problem(name, orders, band):
+    problem = load_problem_config(json.dumps(FORCED_DOC))
+    grid = build_grid(0.0, math.pi, 16)
+
+    def final_u(k):
+        traj = solve_evolution(problem, grid, config_for(name, k, orders), 0.2)
+        assert traj.times[-1] == pytest.approx(0.2, abs=1e-12)
+        return traj.displacements[-1]
+
+    reference = final_u(0.01 / 32)
+    errors = [np.abs(final_u(0.01 / 2**j) - reference).max() for j in range(3)]
+    observed = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert all(band[0] <= p <= band[1] for p in observed), observed
+
+
 class TestSolveEvolution:
     def test_table_values_at_first_level(self):
         problem = sample_problem()
