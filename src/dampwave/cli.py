@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Subcommands: solve, compare, stability, convergence, table1, table2, figures.
-Problems come from the builtin catalog (--problem sample) or a JSON config
-path; results are CSV files per the harness format.
+Problems are the builtin sample problem (--problem sample) or a JSON config
+path; results are CSV files per the harness format. table1 and table2 are the
+paper's configurations; compare --N 10 --k 0.1 --t-final 0.1 writes table1.
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical failure
 (singular system), 4 a requested solve diverged (table2/compare report
@@ -19,9 +20,8 @@ import sys
 from . import harness, stability
 from .linalg import SPECTRAL_MAX_SIZE, SingularMatrixError, spectral_radius
 from .operators import assemble_system, build_grid, subintervals
-from .problems import (BUILTINS, DampedWaveProblem, ProblemConfigError, load_problem_config,
-                       sample_problem)
-from .schemes import SCHEME_NAMES, amplify, config_for, make_stepper, solve_evolution
+from .problems import DampedWaveProblem, ProblemConfigError, load_problem_config, sample_problem
+from .schemes import MAX_STEPS, SCHEME_NAMES, amplify, config_for, make_stepper, solve_evolution
 
 FIGURE_GRID_N = 23  # nearest subinterval count to the reference mesh width 0.13464
 FIGURE_R_VALUES = (0.016, 0.159, 0.995, 1.45)
@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_step_flags(sp)
     sp.add_argument("--t-final", type=float, required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--stride", type=int, default=1, help="snapshot thinning stride")
 
     sp = sub.add_parser("compare", help="run all four standard schemes at the same parameters")
     _add_problem_flag(sp)
@@ -107,21 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-eval", type=float, required=True)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("table1", help="per-node error table at h=pi/10, k=1/10")
+    sp = sub.add_parser("table1", help="per-node error table at h=pi/10, k=1/10, t=k")
     sp.add_argument("--out", default="table1.csv")
-    sp.add_argument("--N", type=int, default=10)
-    sp.add_argument("--k", type=float, default=0.1)
-    sp.add_argument(
-        "--t-eval",
-        type=float,
-        default=None,
-        help="evaluation time (default: the first time level t = k, where the "
-        "reference values for this table are defined)",
-    )
 
-    sp = sub.add_parser("table2", help="max error at t=6 across Courant ratios")
+    # without abbreviations, --h is refused instead of read as --help
+    sp = sub.add_parser("table2", help="max error at t-final across Courant ratios, h=pi/50",
+                        allow_abbrev=False)
     sp.add_argument("--out", default="table2.csv")
-    sp.add_argument("--h", type=float, default=None, help="mesh width (default pi/50)")
     sp.add_argument("--t-final", type=float, default=6.0)
 
     sp = sub.add_parser("figures", help="emit profile and error-history series as CSV")
@@ -132,14 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_problem(value: str) -> DampedWaveProblem:
-    if value in BUILTINS:
-        return BUILTINS[value]()
+    if value == "sample":
+        return sample_problem()
     if os.path.exists(value):
         with open(value) as fh:
             return load_problem_config(fh.read())
-    raise ProblemConfigError(
-        f"{value!r} is neither a builtin ({sorted(BUILTINS)}) nor an existing config path"
-    )
+    raise ProblemConfigError(f"{value!r} is neither 'sample' nor an existing config path")
 
 
 def _resolve_grid(problem: DampedWaveProblem, args) -> "SpatialGrid":
@@ -175,7 +164,7 @@ def _cmd_solve(args) -> int:
     grid = _resolve_grid(problem, args)
     k = _resolve_k(args, grid.h)
     config = config_for(args.scheme, k, _parse_pade(args))
-    traj = solve_evolution(problem, grid, config, args.t_final, stride=args.stride)
+    traj = solve_evolution(problem, grid, config, args.t_final, stride=MAX_STEPS)  # ends only
     if problem.exact is not None:
         p = harness.error_profile(traj, problem, args.t_final)
         columns = ("x", "numeric", "exact", "abs_error")
@@ -285,14 +274,14 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    table = harness.reproduce_table1(N=args.N, k=args.k, t_eval=args.t_eval)
+    table = harness.reproduce_table1()
     harness.write_csv(table, args.out)
     print(f"wrote {args.out} ({len(table.rows)} rows)")
     return EXIT_OK
 
 
 def _cmd_table2(args) -> int:
-    table = harness.reproduce_table2(h=args.h, t_final=args.t_final)
+    table = harness.reproduce_table2(t_final=args.t_final)
     harness.write_csv(table, args.out)
     for row in table.rows:
         cells = dict(zip(table.columns, row))

@@ -1,8 +1,9 @@
 """Error measurement, convergence studies and the benchmark tables.
 
 `snapshot` turns a trajectory into the all-node profile nearest a requested
-time, with endpoint rows from the boundary data. `max_error_series` reduces
-the absolute errors at every kept time to their maxima in place.
+time, with endpoint rows from the boundary data. Readers of one level solve
+with stride MAX_STEPS, which no run reaches, and hold the start and final
+levels; `max_error_series` alone keeps every level, reducing it in place.
 
 Outputs are `Table`s, which store their columns as given, written as
 RFC-4180-style CSV: header row, CRLF line endings, '.' decimal separator,
@@ -22,9 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import SpatialGrid, build_grid, sample, subintervals
+from .operators import SpatialGrid, build_grid, sample
 from .problems import DampedWaveProblem, sample_problem
-from .schemes import SchemeConfig, Trajectory, config_for, solve_evolution
+from .schemes import MAX_STEPS, Trajectory, config_for, solve_evolution
 
 #: error magnitude past which a finite run is reported as divergent
 DIVERGENCE_THRESHOLD = 1e6
@@ -110,7 +111,8 @@ def observed_order(
         k_j = base_k / 2**j if axis == "time" else base_k
         N_j = base_N if axis == "time" else base_N * 2**j
         grid = build_grid(*problem.domain, N_j)
-        traj = solve_evolution(problem, grid, config_for(scheme, k_j, pade_orders), t_eval)
+        config = config_for(scheme, k_j, pade_orders)
+        traj = solve_evolution(problem, grid, config, t_eval, stride=MAX_STEPS)
         profile = None if traj.blow_up else error_profile(traj, problem, t_eval)
         if profile is not None and abs(profile.t - t_eval) > 1e-9 * t_eval:
             raise ValueError(f"level {j} (k={k_j!r}) has no snapshot at t_eval={t_eval!r}; "
@@ -157,7 +159,7 @@ def _values(col) -> list:
 
 
 def compare_schemes(
-    problem: DampedWaveProblem, grid: SpatialGrid, k: float, t: float, stride: int = 1
+    problem: DampedWaveProblem, grid: SpatialGrid, k: float, t: float
 ) -> tuple[Table, dict[str, tuple[float, bool]]]:
     """Run every TABLE_SCHEMES scheme to t at the same grid and step.
 
@@ -168,7 +170,7 @@ def compare_schemes(
     """
     errors, summary = [], {}
     for name in TABLE_SCHEMES:
-        traj = solve_evolution(problem, grid, config_for(name, k), t, stride=stride)
+        traj = solve_evolution(problem, grid, config_for(name, k), t, stride=MAX_STEPS)
         profile = error_profile(traj, problem, t)
         errors.append(profile.abs_error)
         diverged = traj.blow_up or not profile.max_error <= DIVERGENCE_THRESHOLD
@@ -176,35 +178,27 @@ def compare_schemes(
     return Table.from_columns(("x",) + TABLE_SCHEMES, profile.x, *errors), summary
 
 
-def reproduce_table1(
-    N: int = 10, k: float = 0.1, t_eval: Optional[float] = None
-) -> Table:
-    """Per-node absolute errors of the four schemes on the sample problem.
-
-    Defaults h = pi/10, k = 1/10. With t_eval omitted, errors are taken at
-    the first time level (t = k), which is where the published reference
-    values for this configuration are defined; pass an explicit t_eval for
-    longer horizons.
-    """
+def reproduce_table1() -> Table:
+    """Per-node absolute errors of the four schemes on the sample problem at h = pi/10,
+    k = 1/10 and t = k, where the published reference values are defined;
+    `compare_schemes` (`dampwave compare`) gives the table at any other mesh or time."""
     problem = sample_problem()
-    grid = build_grid(*problem.domain, N)
-    return compare_schemes(problem, grid, k, k if t_eval is None else t_eval)[0]
+    return compare_schemes(problem, build_grid(*problem.domain, 10), 0.1, 0.1)[0]
 
 
-def reproduce_table2(h: Optional[float] = None, t_final: float = 6.0) -> Table:
+def reproduce_table2(t_final: float = 6.0) -> Table:
     """Maximum error at t_final for each scheme across Courant ratios r = k/h.
 
-    h defaults to pi/50 (the reference ratios leave it unstated); divergent
+    The mesh is h = pi/50 (the reference ratios leave it unstated); divergent
     runs keep their magnitude and carry a flag column rather than failing.
     """
     problem = sample_problem()
-    a, b = problem.domain
-    grid = build_grid(a, b, 50 if h is None else subintervals(a, b, h))
+    grid = build_grid(*problem.domain, 50)
     columns = ("r", "k") + tuple(c for name in TABLE_SCHEMES for c in (name, f"{name}_diverged"))
     rows = []
     for r in TABLE2_R_VALUES:
         k = r * grid.h
-        _, summary = compare_schemes(problem, grid, k, t_final, stride=10**9)
+        _, summary = compare_schemes(problem, grid, k, t_final)
         rows.append((r, k) + tuple(v for name in TABLE_SCHEMES for v in summary[name]))
     return Table.from_rows(columns, rows)
 
@@ -214,7 +208,7 @@ def solution_profile(
 ) -> Table:
     """(x, numeric, exact) series at the snapshot nearest to t."""
     grid = build_grid(*problem.domain, N)
-    traj = solve_evolution(problem, grid, config_for(scheme, k), max(t, k))
+    traj = solve_evolution(problem, grid, config_for(scheme, k), max(t, k), stride=MAX_STEPS)
     profile = error_profile(traj, problem, t)
     return Table.from_columns(("x", "numeric", "exact"), profile.x, profile.numeric, profile.exact)
 

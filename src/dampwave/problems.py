@@ -2,7 +2,7 @@
 
 A problem bundles the domain, damping coefficient, forcing, initial and
 boundary data, and (optionally) an exact solution. Problems can be built in
-code, taken from the builtin catalog, or loaded from a JSON document whose
+code (the builtin `sample_problem`) or loaded from a JSON document whose
 coefficient fields are strings in a small expression language.
 
 Expression grammar (standard precedence, highest first):
@@ -24,7 +24,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
@@ -440,10 +440,9 @@ class DampedWaveProblem:
     math.sin or a lambda that branches on x, is called once per node
     instead. u_a and u_b are only ever called with a scalar t.
 
-    When g, u_a and u_b are all `time_free` (marked with `variables` lacking
-    "t": config expressions without t, the sample problem's zero data), the
-    forcing source that `schemes.make_stepper` binds is evaluated once, at
-    t = 0, instead of at every level; an unmarked callable counts as using t.
+    `steady`, set on construction, holds when g, u_a and u_b are all `time_free`
+    (config expressions without t, the sample problem's zero data); then
+    `schemes.make_stepper` evaluates the forcing once, at t = 0, not per level.
     """
 
     domain: tuple[float, float]
@@ -455,8 +454,10 @@ class DampedWaveProblem:
     u_b: Callable[[float], float]
     exact: Optional[Callable[[float, float], float]] = None
     name: str = "custom"
+    steady: bool = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "steady", all(map(time_free, (self.g, self.u_a, self.u_b))))
         a, b = self.domain
         if not b > a:
             raise ValueError(f"domain must satisfy a < b, got ({a}, {b})")
@@ -495,10 +496,6 @@ def sample_problem() -> DampedWaveProblem:
     )
 
 
-BUILTINS: dict[str, Callable[[], DampedWaveProblem]] = {
-    "sample": sample_problem,
-}
-
 _SCHEMA_FIELDS = {
     "gamma": {"x"},
     "g": {"x", "t"},
@@ -527,9 +524,9 @@ def _compile(field: str, source: object, allowed: set[str]) -> Expression:
 def load_problem_config(text: str) -> DampedWaveProblem:
     """Build a problem from a JSON document.
 
-    Either {"builtin": <name>} or the full schema with fields
-    domain=[a,b], gamma(x), g(x,t), phi(x), psi(x), u_a(t), u_b(t) and an
-    optional exact(x,t), each coefficient an expression string.
+    The fields are domain=[a,b], gamma(x), g(x,t), phi(x), psi(x), u_a(t),
+    u_b(t) and an optional exact(x,t), each an expression string. The builtin
+    sample problem is named by `--problem sample`, not by a document.
     """
     try:
         doc = json.loads(text)
@@ -537,14 +534,6 @@ def load_problem_config(text: str) -> DampedWaveProblem:
         raise ProblemConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemConfigError("document must be a JSON object")
-
-    if "builtin" in doc:
-        name = doc["builtin"]
-        if name not in BUILTINS:
-            raise ProblemConfigError(
-                f"unknown builtin {name!r}; available: {sorted(BUILTINS)}"
-            )
-        return BUILTINS[name]()
 
     if "domain" not in doc:
         raise ProblemConfigError("missing field 'domain'")

@@ -41,8 +41,8 @@ Every scheme runs behind one stepper protocol:
 
 * `make_stepper` precomputes what a step needs (coefficients and
   factorizations) and binds the stepper's one forcing source, a function
-  of t: it is evaluated at every level, or once when g, u_a and u_b are all
-  `time_free`, with the same bits either way;
+  of t: it is evaluated at every level, or once when the problem is
+  `steady` (g, u_a and u_b all `time_free`), with the same bits either way;
 * `stepper.start` is the tuple of levels known before any step, which
   `make_stepper` builds from phi and psi sampled once at the interior
   nodes: (V^0,) for the semigroup family, (u^0, u^1) for the baselines;
@@ -82,7 +82,7 @@ from .operators import (
     second_difference,
 )
 from .pade import apply_poly, pade_coefficients, validate_orders
-from .problems import DampedWaveProblem, time_free
+from .problems import DampedWaveProblem
 
 MAX_STEPS = 10_000_000
 
@@ -265,9 +265,9 @@ def _oifd_ghost_start(
 
 
 def _bind(problem: DampedWaveProblem, terms: Callable) -> Callable:
-    """A forcing source: terms itself when g, u_a or u_b reads t; else terms(0.0),
+    """A forcing source: terms itself unless the problem is `steady`; else terms(0.0),
     evaluated once here and returned at every level."""
-    if not all(time_free(f) for f in (problem.g, problem.u_a, problem.u_b)):
+    if not problem.steady:
         return terms
     fixed = terms(0.0)
     return lambda *_: fixed

@@ -41,7 +41,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 def test_criterion_1_table1_reproduction():
     """Benchmark error table at h=pi/10, k=1/10: per-scheme bands around the
     reference values (which live at the table's first time level)."""
-    table = reproduce_table1(N=10, k=0.1)
+    table = reproduce_table1()
     bands = {
         "fd11": (2e-5, 8e-5),
         "fd01": (2.4e-3, 9.7e-3),

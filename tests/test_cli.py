@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dampwave import cli
 from dampwave.cli import run_command
 from dampwave.linalg import SingularMatrixError
 from dampwave.operators import build_grid
@@ -27,6 +28,30 @@ UNDAMPED_DOC = {
     "u_a": "0",
     "u_b": "0",
 }
+
+
+def assert_matches_every_level_run(tmp_path, capsys, monkeypatch, argv, code):
+    """solve holds two levels, and its CSV and output equal those of a run that holds
+    every level; returns stderr."""
+    held = []
+
+    def spy(*args, stride):
+        traj = solve_evolution(*args, stride=stride)
+        held.append(traj.states.shape[0])
+        return traj
+
+    def run(name):
+        out = tmp_path / name
+        assert run_command(["solve", *argv, "--out", str(out)]) == code
+        return out.read_bytes(), capsys.readouterr()
+
+    monkeypatch.setattr(cli, "solve_evolution", spy)
+    ends = run("ends.csv")
+    assert held == [2]
+    monkeypatch.setattr(cli, "solve_evolution",
+                        lambda *args, stride: solve_evolution(*args, stride=1))
+    assert run("every.csv") == ends
+    return ends[1].err
 
 
 class TestSolve:
@@ -213,7 +238,7 @@ class TestSolve:
     def test_divergence_step_reported(self, tmp_path, capsys, scheme, step):
         # r = 1.59 lies outside both explicit schemes' stability regions
         code = run_command(["solve", "--scheme", scheme, "--N", "50", "--r", "1.59",
-                            "--t-final", "80", "--stride", "7",
+                            "--t-final", "80",
                             "--out", str(tmp_path / "blow.csv")])
         assert code == 4
         assert f"non-finite state at step {step} " in capsys.readouterr().err
@@ -221,7 +246,7 @@ class TestSolve:
     def test_diverged_velocity_reports_infinite_error(self, tmp_path, capsys):
         # the level fd01 halts at keeps finite displacements beside a non-finite u_t
         code = run_command(["solve", "--scheme", "fd01", "--N", "10", "--k", "1.5",
-                            "--t-final", "3000", "--stride", "7",
+                            "--t-final", "3000",
                             "--out", str(tmp_path / "blow.csv")])
         assert code == 4
         out, err = capsys.readouterr()
@@ -234,10 +259,7 @@ class TestSolve:
         ["solve", "--scheme", "fd11", "--k", "0.1", "--t-final", "0.1", "--h", "inf"],
         ["solve", "--scheme", "fd11", "--k", "0.1", "--t-final", "0.1", "--h", "nan"],
         ["solve", "--scheme", "fd11", "--k", "0.1", "--t-final", "0.1", "--h", "1e-320"],
-        ["table2", "--h", "0"],
-        ["table2", "--h", "-1"],
-    ], ids=["solve-0", "solve-negative", "solve-inf", "solve-nan", "solve-tiny",
-            "table2-0", "table2-negative"])
+    ], ids=["solve-0", "solve-negative", "solve-inf", "solve-nan", "solve-tiny"])
     def test_bad_mesh_width_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"
         assert run_command(argv + ["--out", str(out)]) == 2
@@ -269,23 +291,25 @@ class TestSolve:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_snapshot_buffer_beyond_memory_exits_2(self, tmp_path, capsys, monkeypatch):
-        # the (41, 18) snapshot buffer of 40 steps at N=10 is refused, as a
-        # buffer larger than the memory would be
-        empty = np.empty
+    @pytest.mark.parametrize("problem", ["sample", "forced-no-exact"])
+    @pytest.mark.parametrize("scheme", [["fd01"], ["fd11"], ["fdST", "--pade", "2,2"],
+                                        ["oefd"], ["oifd"]], ids=["fd01", "fd11", "fd22",
+                                                                  "oefd", "oifd"])
+    def test_output_matches_every_level_run(self, tmp_path, capsys, monkeypatch, scheme,
+                                            problem):
+        if problem != "sample":
+            doc = dict(UNDAMPED_DOC, gamma="1 + x", g="x*t", psi="-sin(x)", u_a="sin(t)",
+                       u_b="t")
+            problem = tmp_path / "forced.json"
+            problem.write_text(json.dumps(doc))
+        argv = ["--problem", str(problem), "--scheme", *scheme, "--N", "12", "--r", "0.5",
+                "--t-final", "1.3"]
+        assert_matches_every_level_run(tmp_path, capsys, monkeypatch, argv, 0)
 
-        def refuse_snapshots(shape, *args, **kwargs):
-            if shape == (41, 18):
-                raise MemoryError("Unable to allocate the snapshot buffer")
-            return empty(shape, *args, **kwargs)
-
-        monkeypatch.setattr(np, "empty", refuse_snapshots)
-        out = tmp_path / "x.csv"
-        code = run_command(["solve", "--scheme", "fd01", "--N", "10", "--k", "0.1",
-                            "--t-final", "4.0", "--out", str(out)])
-        assert code == 2
-        assert "cannot hold 41 snapshots" in capsys.readouterr().err
-        assert not out.exists()
+    def test_blow_up_matches_every_level_run(self, tmp_path, capsys, monkeypatch):
+        argv = ["--scheme", "fd01", "--N", "50", "--r", "1.59", "--t-final", "80"]
+        err = assert_matches_every_level_run(tmp_path, capsys, monkeypatch, argv, 4)
+        assert "non-finite state at step 623 " in err
 
     def test_solution_profile_without_exact(self, tmp_path):
         doc = json.dumps(dict(UNDAMPED_DOC, gamma="2", psi="-sin(x)", u_a="sin(t)", u_b="t"))
@@ -450,6 +474,13 @@ class TestTables:
         center = rows[5]
         assert float(center[4]) == pytest.approx(4.01054e-05, rel=1e-5)
 
+    def test_compare_writes_table1(self, tmp_path):
+        table1, compare = tmp_path / "table1.csv", tmp_path / "compare.csv"
+        assert run_command(["table1", "--out", str(table1)]) == 0
+        assert run_command(["compare", "--problem", "sample", "--N", "10", "--k", "0.1",
+                            "--t-final", "0.1", "--out", str(compare)]) == 0
+        assert compare.read_bytes() == table1.read_bytes()
+
     def test_table2(self, tmp_path, capsys):
         out = tmp_path / "t2.csv"
         code = run_command(["table2", "--out", str(out)])
@@ -473,8 +504,6 @@ class TestFigures:
 
 class TestErrorWiring:
     def test_numerical_failure_exits_3(self, monkeypatch, capsys):
-        import dampwave.cli as cli
-
         def boom(**kwargs):
             raise SingularMatrixError("numerically singular: pivot 0 at position 0")
 
@@ -486,3 +515,25 @@ class TestErrorWiring:
     def test_help_exits_zero(self):
         assert run_command(["--help"]) == 0
         assert run_command(["solve", "--help"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--scheme", "fd11", "--N", "10", "--k", "0.1", "--t-final", "0.1",
+         "--stride", "1"],
+        ["table1", "--N", "10"], ["table1", "--k", "0.1"], ["table1", "--t-eval", "0.3"],
+        ["table2", "--h", "0.1"],
+    ], ids=["solve-stride", "table1-N", "table1-k", "table1-t-eval", "table2-h"])
+    def test_removed_settings_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert run_command(argv + ["--out", str(out)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_builtin_document_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "builtin.json"
+        cfg.write_text(json.dumps({"builtin": "sample"}))
+        out = tmp_path / "x.csv"
+        code = run_command(["solve", "--problem", str(cfg), "--scheme", "fd11", "--N", "10",
+                            "--k", "0.1", "--t-final", "0.1", "--out", str(out)])
+        assert code == 2
+        assert "missing field 'domain'" in capsys.readouterr().err
+        assert not out.exists()

@@ -12,6 +12,7 @@ from dampwave.harness import (
     _BLOCK_ROWS,
     DIVERGENCE_THRESHOLD,
     Table,
+    compare_schemes,
     error_profile,
     format_value,
     max_error_series,
@@ -215,8 +216,8 @@ class TestTable1:
             assert col == pytest.approx(col[::-1], rel=1e-10, abs=1e-12)
 
     def test_explicit_t_eval(self):
-        # three-step horizon: independently verified dense-run values
-        table = reproduce_table1(t_eval=0.3)
+        # Table 1's mesh at a three-step horizon: independently verified dense-run values
+        table, _ = compare_schemes(sample_problem(), build_grid(0.0, math.pi, 10), 0.1, 0.3)
         assert max(table.column("fd11")) == pytest.approx(8.456962e-05, rel=1e-4)
         assert max(table.column("fd01")) == pytest.approx(1.159688e-02, rel=1e-4)
 

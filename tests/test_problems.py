@@ -379,13 +379,9 @@ class TestSampleProblem:
 
 class TestLoadConfig:
     def test_builtin(self):
-        problem = load_problem_config('{"builtin": "sample"}')
-        assert problem.name == "sample"
-        assert problem.exact(math.pi / 2, 0.0) == 1.0
-
-    def test_unknown_builtin(self):
-        with pytest.raises(ProblemConfigError, match="unknown builtin"):
-            load_problem_config('{"builtin": "nope"}')
+        # builtins are named by --problem, not by a document
+        with pytest.raises(ProblemConfigError, match="'domain'"):
+            load_problem_config('{"builtin": "sample"}')
 
     def test_full_document_matches_builtin_solve(self):
         problem_cfg = load_problem_config(json.dumps(SAMPLE_DOC))

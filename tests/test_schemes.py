@@ -570,6 +570,30 @@ class TestSteadyForcing:
         uses_t = load_problem_config(json.dumps(dict(STEADY_DOC, u_b="1 + 0.4*pi + t")))
         assert count(uses_t, 20) - count(uses_t, 10) == 10
 
+    @pytest.mark.parametrize("name,orders", ALL_SCHEMES, ids=[n for n, _ in ALL_SCHEMES])
+    def test_wrapping_after_construction_keeps_the_steady_path(self, name, orders):
+        # callables replaced by plain wrappers after construction, as a tracer
+        # does, lose their time-free marker but not the problem's steadiness
+        problem = load_problem_config(json.dumps(STEADY_DOC))
+        calls = []
+        for field in ("g", "u_a", "u_b"):
+            def wrapped(*args, fn=getattr(problem, field), field=field):
+                calls.append(field)
+                return fn(*args)
+
+            object.__setattr__(problem, field, wrapped)
+        assert problem.steady and not time_free(problem.g)
+        grid = build_grid(0.0, math.pi, 12)
+        config = config_for(name, 0.05, orders)
+        first = solve_evolution(problem, grid, config, 0.5)
+        # one forcing evaluation per solve: g once, B(t) once (oefd's Taylor start adds g(., 0))
+        once = ["g", "u_a", "u_b"] + (["g"] if name == "oefd" else [])
+        assert sorted(calls) == sorted(once)
+        calls.clear()
+        assert np.array_equal(solve_evolution(problem, grid, config, 1.0).states[:11],
+                              first.states)
+        assert sorted(calls) == sorted(once)
+
 
 class TestStepperProtocol:
     # (steps, stride): every level kept, a stride that does not divide the
@@ -887,3 +911,18 @@ class TestSolveEvolution:
         grid = build_grid(0.0, math.pi, 6)
         with pytest.raises(ValueError, match="steps"):
             solve_evolution(problem, grid, config_for("fd11", 1e-9), 100.0)
+
+    def test_snapshot_buffer_beyond_memory_raises(self, monkeypatch):
+        # the (41, 18) snapshot buffer of 40 steps at N=10 is refused, as a
+        # buffer larger than the memory would be
+        empty = np.empty
+
+        def refuse_snapshots(shape, *args, **kwargs):
+            if shape == (41, 18):
+                raise MemoryError("Unable to allocate the snapshot buffer")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refuse_snapshots)
+        grid = build_grid(0.0, math.pi, 10)
+        with pytest.raises(ValueError, match="cannot hold 41 snapshots"):
+            solve_evolution(sample_problem(), grid, config_for("fd01", 0.1), 4.0)
