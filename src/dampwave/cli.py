@@ -19,7 +19,7 @@ import sys
 
 from . import harness, stability
 from .linalg import SPECTRAL_MAX_SIZE, SingularMatrixError, spectral_radius
-from .operators import assemble_system, build_grid, subintervals
+from .operators import assemble_system, build_grid
 from .problems import DampedWaveProblem, ProblemConfigError, load_problem_config, sample_problem
 from .schemes import MAX_STEPS, SCHEME_NAMES, amplify, config_for, make_stepper, solve_evolution
 
@@ -41,14 +41,8 @@ def _add_problem_flag(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--problem",
         default="sample",
-        help="builtin problem name or path to a JSON problem config (default: sample)",
+        help="sample, or the path to a JSON problem config (default: sample)",
     )
-
-
-def _add_mesh_flags(sp: argparse.ArgumentParser) -> None:
-    g = sp.add_mutually_exclusive_group(required=True)
-    g.add_argument("--N", type=int, help="number of subintervals")
-    g.add_argument("--h", type=float, help="mesh width (snapped to (b-a)/N)")
 
 
 def _add_step_flags(sp: argparse.ArgumentParser) -> None:
@@ -69,17 +63,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", help="run one scheme and write its error/solution profile")
+    # solve, compare and table2 take no --h; without abbreviations it is
+    # refused instead of read as --help
+    sp = sub.add_parser("solve", help="run one scheme and write its error/solution profile",
+                        allow_abbrev=False)
     _add_problem_flag(sp)
     _add_scheme_flags(sp)
-    _add_mesh_flags(sp)
+    sp.add_argument("--N", type=int, required=True, help="number of subintervals")
     _add_step_flags(sp)
     sp.add_argument("--t-final", type=float, required=True)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("compare", help="run all four standard schemes at the same parameters")
+    sp = sub.add_parser("compare", help="run all four standard schemes at the same parameters",
+                        allow_abbrev=False)
     _add_problem_flag(sp)
-    _add_mesh_flags(sp)
+    sp.add_argument("--N", type=int, required=True, help="number of subintervals")
     _add_step_flags(sp)
     sp.add_argument("--t-final", type=float, required=True)
     sp.add_argument("--out", required=True)
@@ -109,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("table1", help="per-node error table at h=pi/10, k=1/10, t=k")
     sp.add_argument("--out", default="table1.csv")
 
-    # without abbreviations, --h is refused instead of read as --help
     sp = sub.add_parser("table2", help="max error at t-final across Courant ratios, h=pi/50",
                         allow_abbrev=False)
     sp.add_argument("--out", default="table2.csv")
@@ -131,17 +128,6 @@ def _resolve_problem(value: str) -> DampedWaveProblem:
     raise ProblemConfigError(f"{value!r} is neither 'sample' nor an existing config path")
 
 
-def _resolve_grid(problem: DampedWaveProblem, args) -> "SpatialGrid":
-    a, b = problem.domain
-    if args.N is not None:
-        return build_grid(a, b, args.N)
-    N = subintervals(a, b, args.h)
-    grid = build_grid(a, b, N)
-    if abs(grid.h - args.h) > 1e-9 * max(grid.h, args.h):
-        print(f"note: h snapped to (b-a)/{N} = {grid.h!r}", file=sys.stderr)
-    return grid
-
-
 def _resolve_k(args, h: float) -> float:
     return args.k if args.k is not None else args.r * h
 
@@ -153,15 +139,16 @@ def _parse_pade(args) -> tuple[int, int] | None:
         return None
     if not args.pade:
         raise ValueError("--scheme fdST requires --pade S,T")
-    parts = args.pade.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--pade expects 'S,T', got {args.pade!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        S, T = (int(part) for part in args.pade.split(","))
+    except ValueError:  # not two parts, or a part that is not an integer
+        raise ValueError(f"--pade expects two integers 'S,T', got {args.pade!r}") from None
+    return S, T
 
 
 def _cmd_solve(args) -> int:
     problem = _resolve_problem(args.problem)
-    grid = _resolve_grid(problem, args)
+    grid = build_grid(*problem.domain, args.N)
     k = _resolve_k(args, grid.h)
     config = config_for(args.scheme, k, _parse_pade(args))
     traj = solve_evolution(problem, grid, config, args.t_final, stride=MAX_STEPS)  # ends only
@@ -189,7 +176,7 @@ def _cmd_compare(args) -> int:
     problem = _resolve_problem(args.problem)
     if problem.exact is None:
         return _fail("compare needs a problem with an exact solution", EXIT_USAGE)
-    grid = _resolve_grid(problem, args)
+    grid = build_grid(*problem.domain, args.N)
     k = _resolve_k(args, grid.h)
     table, summary = harness.compare_schemes(problem, grid, k, args.t_final)
     for name, (max_error, diverged) in summary.items():

@@ -1,10 +1,9 @@
-"""Small linear-algebra kernels backing the time steppers and their validation.
+"""Small linear-algebra kernels backing the time steppers.
 
 Banded LU (LAPACK gbtrf/gbtrs) factors the implicit-step matrices once per
-(grid, k, scheme); the dense exponential scipy.linalg.expm serves as the
-one-step oracle at validation scale; spectral_radius computes the dominant
-eigenvalue magnitude of a linear map given only its action, from the
-eigenvalues of its dense matrix.
+(grid, k, scheme); spectral_radius computes the dominant eigenvalue
+magnitude of a linear map given only its action, from the eigenvalues of
+its dense matrix.
 """
 
 from __future__ import annotations
@@ -12,12 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, get_lapack_funcs
-
-from .operators import BlockOperator
+from scipy.linalg import get_lapack_funcs
 
 PIVOT_RTOL = 1e-14
-ORACLE_MAX_SIZE = 200
 SPECTRAL_MAX_SIZE = 2000
 
 
@@ -46,12 +42,6 @@ class BandedMatrix:
         ab[1, :] = diag
         ab[2, :-1] = lower
         return cls(n=n, kl=1, ku=1, ab=ab)
-
-    def to_dense(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n))
-        for d in range(-self.kl, self.ku + 1):
-            m += np.diag(self.ab[self.ku - d, max(d, 0) : self.n + min(d, 0)], d)
-        return m
 
 
 @dataclass(frozen=True)
@@ -99,15 +89,6 @@ def solve_banded(fact: BandedFactorization, rhs: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"banded solve failed with info={info}")
     return x
-
-
-def matrix_exponential(op: BlockOperator, k: float) -> np.ndarray:
-    """e^{M k} as a dense matrix; validation oracle for small systems only."""
-    if op.size > ORACLE_MAX_SIZE:
-        raise ValueError(
-            f"oracle limited to systems of size {ORACLE_MAX_SIZE}, got {op.size}"
-        )
-    return expm(k * op.to_dense())
 
 
 def spectral_radius(apply, n: int) -> float:

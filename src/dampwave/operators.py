@@ -10,8 +10,8 @@ A = tridiag(1, -2, 1), Gamma = diag(gamma(x_i)) and
 F(t) = [0; G(t) + B(t)/h^2] carrying the interior forcing G and the
 Dirichlet boundary contribution B(t) = [u_a(t), 0, ..., 0, u_b(t)].
 
-M is kept in block form (tridiagonal + diagonal); it is only densified by
-`BlockOperator.to_dense`, a validation-scale utility.
+M is kept in block form (tridiagonal + diagonal) and applied blockwise; no
+solve densifies it.
 
 Problem callables meet node arrays only in `sample`: a callable receives the
 whole node array when it accepts it, and is called once per node otherwise.
@@ -113,23 +113,6 @@ def second_difference(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def subintervals(a: float, b: float, h: float) -> int:
-    """The subinterval count N = max(2, round((b - a)/h)) that snaps h to the grid.
-
-    Raises ValueError naming h unless h is finite, positive and large enough
-    for (b - a)/h to stay within MAX_SUBINTERVALS.
-    """
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"mesh width h must be finite and positive, got h={h}")
-    n = (b - a) / h
-    if not n <= MAX_SUBINTERVALS:
-        raise ValueError(
-            f"mesh width h={h} gives N={n:.6g} subintervals on [{a}, {b}], "
-            f"above the bound {MAX_SUBINTERVALS}"
-        )
-    return max(2, round(n))
-
-
 @dataclass(frozen=True)
 class BlockOperator:
     """The 2(N-1) x 2(N-1) operator M = [[0, I], [A/h^2, -Gamma]] in block form."""
@@ -155,15 +138,6 @@ class BlockOperator:
         lap *= self.inv_h2
         np.subtract(lap, self.damping * w, out=out[n:])
         return out
-
-    def to_dense(self) -> np.ndarray:
-        """Densified M; validation-scale utility, never used in the solve path."""
-        n = self.n_interior
-        m = np.zeros((2 * n, 2 * n))
-        m[:n, n:] = np.eye(n)
-        m[n:, :n] = self.inv_h2 * second_difference(np.eye(n))
-        m[n:, n:] = -np.diag(self.damping)
-        return m
 
 
 def assemble_system(grid: SpatialGrid, problem: DampedWaveProblem) -> BlockOperator:

@@ -68,23 +68,6 @@ def pade_coefficients(S: int, T: int) -> RationalApproximant:
     return RationalApproximant(S=S, T=T, p_coeffs=p, q_coeffs=q, leading_error=lead)
 
 
-def _poly_scalar(coeffs: Sequence[float], theta: float) -> float:
-    acc = 0.0
-    for c in reversed([float(c) for c in coeffs]):
-        acc = acc * theta + c
-    return acc
-
-
-def eval_scalar(approx: RationalApproximant, theta: float) -> float:
-    """P_T(theta) / Q_S(theta); signals a pole when |Q_S(theta)| < 1e-14."""
-    denom = _poly_scalar(approx.q_floats, theta)
-    if abs(denom) < 1e-14:
-        raise ZeroDivisionError(
-            f"({approx.S},{approx.T}) approximant has a pole near theta = {theta}"
-        )
-    return _poly_scalar(approx.p_floats, theta) / denom
-
-
 def apply_poly(coeffs: Sequence, op: BlockOperator, k: float, v: np.ndarray) -> np.ndarray:
     """Evaluate sum_j coeffs[j] (k M)^j v by Horner over blockwise matvecs."""
     v = np.asarray(v, dtype=float)

@@ -391,10 +391,6 @@ class Trajectory:
     def displacements(self) -> np.ndarray:
         return self.states[:, : self.grid.n_interior]
 
-    @property
-    def final_time(self) -> float:
-        return float(self.times[-1])
-
     def nearest_index(self, t: float) -> int:
         return int(np.argmin(np.abs(self.times - t)))
 

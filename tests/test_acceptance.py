@@ -4,15 +4,16 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines alongside pytest's own verdicts. Every tolerance is pinned here.
 """
 
+import hashlib
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dampwave.cli import run_command
 from dampwave.harness import observed_order, reproduce_table1, reproduce_table2
-from dampwave.linalg import matrix_exponential
 from dampwave.operators import assemble_system, build_grid
 from dampwave.pade import pade_coefficients
 from dampwave.problems import sample_problem
@@ -30,7 +31,53 @@ from dampwave.stability import (
     jury_stable,
 )
 
+from oracles import matrix_exponential
+
 GAMMA_STAR = 2.0  # damping maximum of the sample problem
+
+#: the committed Table 1 and Table 2 references, which the benchmark also reads
+REF_DIR = Path(__file__).resolve().parents[1] / "bench" / "ref"
+
+#: SHA-256 of each `figures` CSV at the default --t-final 6. A change that
+#: means to alter a figure's bytes updates its digest here and says why.
+FIGURE_DIGESTS = {
+    "figures_fd01_maxerr_r0.016.csv":
+        "d6e94c74c1c982af53cdd4c2af9edb85e7e9525d1f68584f867ec8c653015146",
+    "figures_fd01_maxerr_r0.159.csv":
+        "69f6b5e7b608338b000cce1dbe39da2a6dceecef7ac6694f53330abd00749fb3",
+    "figures_fd01_maxerr_r0.995.csv":
+        "057ab6541e4a4bc2d2e0cc4c30858e9fae637ec9a49b4857389e647de22de5f0",
+    "figures_fd01_maxerr_r1.45.csv":
+        "031bd085d98ee848b933bbae6c81e43f049472cbf0bf40c9c3c6fc19a0be4374",
+    "figures_fd01_profile_N23_k0.05_t1.csv":
+        "aad2966dae93acb82e8ba0d8cd1ed8d8cc474395d71d48ee3d7e24ede0c6b997",
+    "figures_fd11_maxerr_r0.016.csv":
+        "c29e47e4a0a0725a9574bbf4374dc4c5e818aef4c475b109e6fda7697fac6280",
+    "figures_fd11_maxerr_r0.159.csv":
+        "f8a096aa8405be61d21c81d44814d4faad316d62140bb7cc33dae660dececefa",
+    "figures_fd11_maxerr_r0.995.csv":
+        "bb746110ba57de2f299985a56a708104fe960d365524162db298c5cc00715aa4",
+    "figures_fd11_maxerr_r1.45.csv":
+        "43ce473ce363840fefc8f62ddd0d88e0d820a159db5a3845dabe66d2b6ed71af",
+    "figures_fd11_profile_N23_k0.05_t1.csv":
+        "ca79da5615518c91a46638d55a4134346118fcb9b71332c0862a986a5400bef6",
+    "figures_oefd_maxerr_r0.016.csv":
+        "bbebb229f3dadb58356d81b8936ef9cc543380e4adaabaf941c7fefc80c586e5",
+    "figures_oefd_maxerr_r0.159.csv":
+        "167dab8002313277fa6e4c2ae54be234c45a94b345f917bdd1ad19083ce58e88",
+    "figures_oefd_maxerr_r0.995.csv":
+        "1a296ef1c88e30e6f322f77a24617f5f8f986b47fc2e0adfcd75d27beee1662a",
+    "figures_oefd_maxerr_r1.45.csv":
+        "5776c56d22b808cd9e3035043602e77826905b55c3a8f1f2cb0244d093dbc18e",
+    "figures_oifd_maxerr_r0.016.csv":
+        "6ec26e7161378b67599e72354cff3f37a6c5d3a513c9bebec16989bd71bf304e",
+    "figures_oifd_maxerr_r0.159.csv":
+        "abccb20a12688ade346ba33cbfb687fbb533bd9a84d8bf0aeacdbdbf65540ef7",
+    "figures_oifd_maxerr_r0.995.csv":
+        "426fd9acdb48279791bd2dc4743f3e5b6413065465faf17803e748443b466d29",
+    "figures_oifd_maxerr_r1.45.csv":
+        "a9f558864a434ca469662893883de44dbeff47633912b0ead62a47c7633fec8d",
+}
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -191,7 +238,7 @@ def test_criterion_7_verdict_vs_experiment():
             traj = solve_evolution(problem, grid, config_for("fd01", k), 6.0, stride=10**9)
             err = np.abs(
                 traj.displacements[-1]
-                - np.exp(-traj.final_time) * np.sin(grid.interior_nodes)
+                - np.exp(-traj.times[-1]) * np.sin(grid.interior_nodes)
             ).max()
             if not err < 1.0:
                 stable_failures.append((alpha, N, err))
@@ -249,4 +296,33 @@ def test_criterion_9_cli_determinism(tmp_path):
         "criterion 9: byte-identical CLI table output",
         ok,
         f"exit codes ({code1}, {code2}), {len(b1)} bytes each, identical={b1 == b2}",
+    )
+
+
+def test_criterion_10_tables_match_references(tmp_path):
+    """table1 and table2 write the committed reference bytes."""
+    mismatched = []
+    for argv, ref in ((["table1"], "table1.csv"), (["table2"], "table2_full.csv")):
+        out = tmp_path / ref
+        code = run_command(argv + ["--out", str(out)])
+        if code != 0 or out.read_bytes() != (REF_DIR / ref).read_bytes():
+            mismatched.append(f"{argv[0]} (exit {code})")
+    report(
+        "criterion 10: Table 1 and Table 2 equal bench/ref byte for byte",
+        not mismatched,
+        f"mismatched={mismatched}",
+    )
+
+
+def test_criterion_11_figure_digests(tmp_path):
+    """Every figure series keeps its recorded bytes."""
+    code = run_command(["figures", "--out-dir", str(tmp_path)])
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.glob("*.csv")}
+    changed = sorted(n for n in FIGURE_DIGESTS.keys() | digests.keys()
+                     if digests.get(n) != FIGURE_DIGESTS.get(n))
+    report(
+        "criterion 11: figure CSVs byte-identical to their recorded digests",
+        code == 0 and not changed,
+        f"exit {code}, {len(digests)} files, changed={changed}",
     )

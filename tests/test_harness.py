@@ -48,7 +48,7 @@ class TestErrorProfile:
                                3000.0, stride=7)
         assert traj.blow_up_index == 335
         assert np.isfinite(traj.displacements[-1]).all()
-        profile = error_profile(traj, problem, traj.final_time)
+        profile = error_profile(traj, problem, traj.times[-1])
         assert np.isfinite(profile.abs_error).all()
         assert profile.max_error == math.inf
 

@@ -9,7 +9,6 @@ from dampwave.operators import (
     forcing_vector,
     sample,
     second_difference,
-    subintervals,
 )
 from dampwave.problems import (
     DampedWaveProblem,
@@ -18,6 +17,8 @@ from dampwave.problems import (
     parse_expression,
     sample_problem,
 )
+
+from oracles import operator_to_dense
 
 
 def make_problem(gamma=lambda x: 2.0, g=lambda x, t: 0.0, u_a=lambda t: 0.0,
@@ -75,21 +76,10 @@ class TestBuildGrid:
             build_grid(a, b, N)
 
 
-class TestSubintervals:
-    @pytest.mark.parametrize("h,N", [(math.pi / 50, 50), (0.3, 10), (10.0, 2)])
-    def test_snaps_to_nearest_count(self, h, N):
-        assert subintervals(0.0, math.pi, h) == N
-
-    @pytest.mark.parametrize("h", [0.0, -0.5, math.inf, -math.inf, math.nan, 1e-320])
-    def test_rejects_bad_mesh_width(self, h):
-        with pytest.raises(ValueError, match="mesh width h"):
-            subintervals(0.0, math.pi, h)
-
-
 def laplacian_block(op):
     """The A block of M = [[0, I], [A/h^2, -Gamma]], rescaled by h^2."""
     n = op.n_interior
-    return op.to_dense()[n:, :n] / op.inv_h2
+    return operator_to_dense(op)[n:, :n] / op.inv_h2
 
 
 class TestAssembleSystem:
@@ -131,7 +121,7 @@ class TestAssembleSystem:
         rng = np.random.default_rng(42 + N)
         grid = build_grid(0.0, math.pi, N)
         op = assemble_system(grid, make_problem(gamma=lambda x: 1.0 + x))
-        dense = op.to_dense()
+        dense = operator_to_dense(op)
         for _ in range(5):
             v = rng.standard_normal(op.size)
             lhs = op.apply(v)

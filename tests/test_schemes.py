@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dampwave.harness import error_profile
-from dampwave.linalg import matrix_exponential
 from dampwave.operators import (
     assemble_system, boundary_vector, build_grid, forcing_vector, second_difference,
 )
@@ -30,6 +29,8 @@ from dampwave.schemes import (
     _banded_poly,
     _interleaved_kM,
 )
+
+from oracles import banded_to_dense, matrix_exponential, operator_to_dense
 
 
 def plain_problem(**kw):
@@ -122,7 +123,7 @@ def test_interleaved_kM_is_permuted_dense_operator(N):
     op = assemble_system(grid, problem)
     k = 0.07
     P = interleaving(op.size)
-    expected = P @ (k * op.to_dense()) @ P.T
+    expected = P @ (k * operator_to_dense(op)) @ P.T
     diags = _interleaved_kM(op, k)
     assert sorted(diags) == [-3, -1, 0, 1]
     got = np.zeros((op.size, op.size))
@@ -150,18 +151,18 @@ def test_band_assembly_is_dense_horner_polynomial(S, bands, N):
     k = 0.3
     coeffs = pade_coefficients(S, S).q_floats
     P = interleaving(op.size)
-    expected = dense_horner(coeffs, P @ (k * op.to_dense()) @ P.T)
+    expected = dense_horner(coeffs, P @ (k * operator_to_dense(op)) @ P.T)
     banded = _banded_poly(coeffs, op, k)
     if N > 3:  # two or four unknowns cannot hold the full band
         assert (banded.kl, banded.ku) == bands
-    got = banded.to_dense()
+    got = banded_to_dense(banded)
     assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def csr_horner_band(coeffs, op, k):
     """Q(kM) in interleaved band storage through scipy.sparse CSR products."""
     P = scipy.sparse.csr_matrix(interleaving(op.size))
-    x = (P @ scipy.sparse.csr_matrix(k * op.to_dense()) @ P.T).tocsr()
+    x = (P @ scipy.sparse.csr_matrix(k * operator_to_dense(op)) @ P.T).tocsr()
     eye = scipy.sparse.identity(op.size, format="csr")
     acc = coeffs[-1] * eye
     for c in reversed(coeffs[:-1]):
@@ -232,7 +233,7 @@ class TestStepSemigroup:
         v0 = np.array([problem.phi(0.5), problem.psi(0.5)])
         got = step_semigroup(stepper, StateVector(0.0, v0))
 
-        m = op.to_dense()
+        m = operator_to_dense(op)
         eye = np.eye(2)
         f0 = forcing_vector(problem, grid, 0.0)
         f1 = forcing_vector(problem, grid, k)
@@ -254,7 +255,7 @@ class TestStepSemigroup:
         t0 = 0.4
         got = step_semigroup(stepper, StateVector(t0, v))
 
-        m = op.to_dense()
+        m = operator_to_dense(op)
         eye = np.eye(op.size)
         f0 = forcing_vector(problem, grid, t0)
         f1 = forcing_vector(problem, grid, t0 + k)

@@ -16,6 +16,8 @@ from dampwave.stability import (
     jury_stable,
 )
 
+from oracles import operator_to_dense
+
 
 def roots_inside(q: QuadraticCoeffs) -> bool:
     r = np.roots([q.a, q.b, q.c])
@@ -91,7 +93,7 @@ class TestExplicitCharPoly:
         )
         grid = build_grid(0.0, math.pi, N)
         op = assemble_system(grid, problem)
-        amp = np.eye(op.size) + k * op.to_dense()
+        amp = np.eye(op.size) + k * operator_to_dense(op)
         eig = np.linalg.eigvals(amp)
         expected = []
         for n in range(1, N):
@@ -181,7 +183,7 @@ class TestImplicitAmplification:
         )
         grid = build_grid(0.0, math.pi, 10)
         op = assemble_system(grid, problem)
-        eig = np.linalg.eigvals(op.to_dense())
+        eig = np.linalg.eigvals(operator_to_dense(op))
         spec = implicit_amplification(10, grid.h, 0.1, gamma_c)
         formula = np.concatenate([spec.lambda_plus, spec.lambda_minus])
         key = lambda z: (np.round(np.real(z), 8), np.round(np.imag(z), 8))
