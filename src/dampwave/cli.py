@@ -21,7 +21,7 @@ from . import harness, stability
 from .linalg import SPECTRAL_MAX_SIZE, SingularMatrixError, spectral_radius
 from .operators import assemble_system, build_grid
 from .problems import DampedWaveProblem, ProblemConfigError, load_problem_config, sample_problem
-from .schemes import MAX_STEPS, SCHEME_NAMES, amplify, config_for, make_stepper, solve_evolution
+from .schemes import SCHEME_NAMES, amplify, config_for, make_stepper, num_steps, solve_evolution
 
 FIGURE_GRID_N = 23  # nearest subinterval count to the reference mesh width 0.13464
 FIGURE_R_VALUES = (0.016, 0.159, 0.995, 1.45)
@@ -151,14 +151,14 @@ def _cmd_solve(args) -> int:
     grid = build_grid(*problem.domain, args.N)
     k = _resolve_k(args, grid.h)
     config = config_for(args.scheme, k, _parse_pade(args))
-    traj = solve_evolution(problem, grid, config, args.t_final, stride=MAX_STEPS)  # ends only
+    traj = solve_evolution(problem, grid, config, args.t_final, every_level=False)
     if problem.exact is not None:
-        p = harness.error_profile(traj, problem, args.t_final)
+        p = harness.error_profile(traj, problem)
         columns = ("x", "numeric", "exact", "abs_error")
         table = harness.Table.from_columns(columns, p.x, p.numeric, p.exact, p.abs_error)
         print(f"{config.label}: t={p.t!r} max abs error = {p.max_error:.6e}")
     else:
-        ts, x, numeric = harness.snapshot(traj, problem, args.t_final)
+        ts, x, numeric = harness.snapshot(traj, problem)
         table = harness.Table.from_columns(("x", "numeric"), x, numeric)
         print(f"{config.label}: wrote solution profile at t={ts!r}")
     harness.write_csv(table, args.out)
@@ -187,7 +187,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    if args.empirical and args.N is None:
+        return _fail("--empirical needs --N", EXIT_USAGE)
+    # everything is computed before the first line is printed
     verdict = stability.check_explicit_stability(args.k, args.h, args.gamma_max)
+    spec = None if args.N is None else stability.implicit_amplification(
+        args.N, args.h, args.k, args.gamma_max)
+    rho = _empirical_radius(args.N, args.h, args.k, args.gamma_max) if args.empirical else None
     print(f"explicit scheme verdict: {'stable' if verdict.stable else 'unstable'}")
     rows = []
     for cond in verdict.conditions:
@@ -197,14 +203,10 @@ def _cmd_stability(args) -> int:
             f"margin={cond.margin:.6g} [{status}]"
         )
         rows.append((cond.name, cond.value, cond.bound, cond.margin, cond.passed))
-    if args.N is not None:
-        spec = stability.implicit_amplification(args.N, args.h, args.k, args.gamma_max)
+    if spec is not None:
         print(f"implicit (1,1) max |mu| over modes: {spec.max_modulus:.12f}")
-        if args.empirical:
-            rho = _empirical_radius(args.N, args.h, args.k, args.gamma_max)
-            print(f"implicit (1,1) empirical spectral radius (seed={args.seed}): {rho:.12f}")
-    elif args.empirical:
-        return _fail("--empirical needs --N", EXIT_USAGE)
+    if rho is not None:
+        print(f"implicit (1,1) empirical spectral radius (seed={args.seed}): {rho:.12f}")
     if args.out:
         table = harness.Table.from_rows(("condition", "value", "bound", "margin", "passed"), rows)
         harness.write_csv(table, args.out)
@@ -280,6 +282,9 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_figures(args) -> int:
+    h = math.pi / 50
+    for r in FIGURE_R_VALUES:  # every series' --t-final check, before any file is written
+        num_steps(args.t_final, r * h)
     problem = sample_problem()
     os.makedirs(args.out_dir, exist_ok=True)
     print(
@@ -292,7 +297,6 @@ def _cmd_figures(args) -> int:
         path = os.path.join(args.out_dir, f"figures_{scheme}_profile_N{FIGURE_GRID_N}_k0.05_t1.csv")
         harness.write_csv(table, path)
         written.append(path)
-    h = math.pi / 50
     for r in FIGURE_R_VALUES:
         k = r * h
         for scheme in harness.TABLE_SCHEMES:

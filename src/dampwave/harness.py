@@ -1,9 +1,9 @@
 """Error measurement, convergence studies and the benchmark tables.
 
-`snapshot` turns a trajectory into the all-node profile nearest a requested
-time, with endpoint rows from the boundary data. Readers of one level solve
-with stride MAX_STEPS, which no run reaches, and hold the start and final
-levels; `max_error_series` alone keeps every level, reducing it in place.
+`snapshot` turns a trajectory's last level into an all-node profile, with
+endpoint rows from the boundary data. Readers of one level solve with
+every_level=False and hold the start and last levels; `max_error_series`
+alone keeps every level, reducing it in place.
 
 Outputs are `Table`s, which store their columns as given, written as
 RFC-4180-style CSV: header row, CRLF line endings, '.' decimal separator,
@@ -25,7 +25,7 @@ import numpy as np
 
 from .operators import SpatialGrid, build_grid, sample
 from .problems import DampedWaveProblem, sample_problem
-from .schemes import MAX_STEPS, Trajectory, config_for, solve_evolution
+from .schemes import Trajectory, config_for, solve_evolution
 
 #: error magnitude past which a finite run is reported as divergent
 DIVERGENCE_THRESHOLD = 1e6
@@ -36,9 +36,9 @@ TABLE_SCHEMES = ("oefd", "oifd", "fd01", "fd11")
 
 @dataclass(frozen=True)
 class ErrorProfile:
-    """Per-node absolute errors at one snapshot, endpoints included."""
+    """Per-node absolute errors at one level, endpoints included."""
 
-    t: float                  # snapshot time actually used
+    t: float                  # the level's time
     x: np.ndarray             # all N+1 nodes
     numeric: np.ndarray
     exact: np.ndarray
@@ -46,32 +46,29 @@ class ErrorProfile:
     max_error: float
 
 
-def snapshot(
-    traj: Trajectory, problem: DampedWaveProblem, t: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(t_used, x, numeric) at the snapshot nearest to t, over all N+1 nodes.
+def snapshot(traj: Trajectory, problem: DampedWaveProblem) -> tuple[float, np.ndarray, np.ndarray]:
+    """(t, x, numeric) at the trajectory's last level, over all N+1 nodes.
 
-    The endpoint rows take the boundary data u_a(t_used), u_b(t_used).
+    The endpoint rows take the boundary data u_a(t), u_b(t).
     """
-    idx = traj.nearest_index(t)
-    ts = float(traj.times[idx])
-    numeric = np.concatenate(([problem.u_a(ts)], traj.displacements[idx], [problem.u_b(ts)]))
+    ts = float(traj.times[-1])
+    numeric = np.concatenate(([problem.u_a(ts)], traj.displacements[-1], [problem.u_b(ts)]))
     return ts, traj.grid.all_nodes(), numeric
 
 
-def error_profile(traj: Trajectory, problem: DampedWaveProblem, t: float) -> ErrorProfile:
-    """Absolute errors |numeric - exact| at the snapshot nearest to t.
+def error_profile(traj: Trajectory, problem: DampedWaveProblem) -> ErrorProfile:
+    """Absolute errors |numeric - exact| at the trajectory's last level.
 
     Endpoint rows take the boundary data as the numeric value, so their
     error vanishes whenever the boundary data matches the exact solution.
-    The max error is inf when any entry of the snapshot's state (u_t too) is non-finite.
+    The max error is inf when any entry of the level's state (u_t too) is non-finite.
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    ts, x, numeric = snapshot(traj, problem, t)
+    ts, x, numeric = snapshot(traj, problem)
     exact = sample(problem.exact, x, ts)
     err = np.abs(numeric - exact)
-    finite = np.isfinite(err).all() and np.isfinite(traj.states[traj.nearest_index(t)]).all()
+    finite = np.isfinite(err).all() and np.isfinite(traj.states[-1]).all()
     return ErrorProfile(ts, x, numeric, exact, err, float(np.max(err)) if finite else math.inf)
 
 
@@ -100,7 +97,7 @@ def observed_order(
     The fixed axis must be fine enough that the refined one dominates the
     error, otherwise the observed orders flatten toward the fixed-axis floor.
     Blown-up levels are recorded as inf and excluded from order estimates;
-    any other level whose snapshot misses t_eval raises ValueError.
+    any other level whose last step misses t_eval raises ValueError.
     """
     if axis not in ("time", "space"):
         raise ValueError(f"axis must be 'time' or 'space', got {axis!r}")
@@ -112,11 +109,11 @@ def observed_order(
         N_j = base_N if axis == "time" else base_N * 2**j
         grid = build_grid(*problem.domain, N_j)
         config = config_for(scheme, k_j, pade_orders)
-        traj = solve_evolution(problem, grid, config, t_eval, stride=MAX_STEPS)
-        profile = None if traj.blow_up else error_profile(traj, problem, t_eval)
+        traj = solve_evolution(problem, grid, config, t_eval, every_level=False)
+        profile = None if traj.blow_up else error_profile(traj, problem)
         if profile is not None and abs(profile.t - t_eval) > 1e-9 * t_eval:
-            raise ValueError(f"level {j} (k={k_j!r}) has no snapshot at t_eval={t_eval!r}; "
-                             f"its nearest is t={profile.t!r}")
+            raise ValueError(f"level {j} (k={k_j!r}) has no step at t_eval={t_eval!r}; "
+                             f"its last is t={profile.t!r}")
         level_values.append(k_j if axis == "time" else grid.h)
         errors.append(math.inf if profile is None else profile.max_error)
     orders = [
@@ -163,15 +160,15 @@ def compare_schemes(
 ) -> tuple[Table, dict[str, tuple[float, bool]]]:
     """Run every TABLE_SCHEMES scheme to t at the same grid and step.
 
-    Returns the per-node absolute errors at the snapshot nearest to t, as a
+    Returns the per-node absolute errors at the last step with t_n <= t, as a
     table with an x column and one column per scheme, and each scheme's
     (max error, diverged) pair. A run diverged when it blew up or its max
     error exceeds DIVERGENCE_THRESHOLD.
     """
     errors, summary = [], {}
     for name in TABLE_SCHEMES:
-        traj = solve_evolution(problem, grid, config_for(name, k), t, stride=MAX_STEPS)
-        profile = error_profile(traj, problem, t)
+        traj = solve_evolution(problem, grid, config_for(name, k), t, every_level=False)
+        profile = error_profile(traj, problem)
         errors.append(profile.abs_error)
         diverged = traj.blow_up or not profile.max_error <= DIVERGENCE_THRESHOLD
         summary[name] = (profile.max_error, diverged)
@@ -206,10 +203,10 @@ def reproduce_table2(t_final: float = 6.0) -> Table:
 def solution_profile(
     problem: DampedWaveProblem, scheme: str, N: int, k: float, t: float
 ) -> Table:
-    """(x, numeric, exact) series at the snapshot nearest to t."""
+    """(x, numeric, exact) series at the last step with t_n <= t."""
     grid = build_grid(*problem.domain, N)
-    traj = solve_evolution(problem, grid, config_for(scheme, k), max(t, k), stride=MAX_STEPS)
-    profile = error_profile(traj, problem, t)
+    traj = solve_evolution(problem, grid, config_for(scheme, k), t, every_level=False)
+    profile = error_profile(traj, problem)
     return Table.from_columns(("x", "numeric", "exact"), profile.x, profile.numeric, profile.exact)
 
 

@@ -10,8 +10,8 @@ A = tridiag(1, -2, 1), Gamma = diag(gamma(x_i)) and
 F(t) = [0; G(t) + B(t)/h^2] carrying the interior forcing G and the
 Dirichlet boundary contribution B(t) = [u_a(t), 0, ..., 0, u_b(t)].
 
-M is kept in block form (tridiagonal + diagonal) and applied blockwise; no
-solve densifies it.
+M is kept in block form (tridiagonal + diagonal): `pade.apply_poly` takes
+its products block by block, and no solve densifies it.
 
 Problem callables meet node arrays only in `sample`: a callable receives the
 whole node array when it accepts it, and is called once per node otherwise.
@@ -124,20 +124,6 @@ class BlockOperator:
     @property
     def size(self) -> int:
         return 2 * self.n_interior
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Blockwise M @ v: O(N) work, no densification."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.size,):
-            raise ValueError(f"expected vector of length {self.size}, got shape {v.shape}")
-        n = self.n_interior
-        w = v[n:]
-        out = np.empty(self.size)
-        out[:n] = w
-        lap = second_difference(v[:n])
-        lap *= self.inv_h2
-        np.subtract(lap, self.damping * w, out=out[n:])
-        return out
 
 
 def assemble_system(grid: SpatialGrid, problem: DampedWaveProblem) -> BlockOperator:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import BlockOperator
+from .operators import BlockOperator, second_difference
 
 MAX_ORDER = 4  # supported range for the scheme family
 
@@ -68,17 +68,18 @@ def pade_coefficients(S: int, T: int) -> RationalApproximant:
     return RationalApproximant(S=S, T=T, p_coeffs=p, q_coeffs=q, leading_error=lead)
 
 
-def apply_poly(coeffs: Sequence, op: BlockOperator, k: float, v: np.ndarray) -> np.ndarray:
-    """Evaluate sum_j coeffs[j] (k M)^j v by Horner over blockwise matvecs."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (op.size,):
-        raise ValueError(f"expected vector of length {op.size}, got shape {v.shape}")
-    cs = [float(c) for c in coeffs]
-    if not cs:
-        raise ValueError("empty coefficient sequence")
-    acc = cs[-1] * v
-    for c in reversed(cs[:-1]):
-        acc = op.apply(acc)
-        acc *= k
-        acc += c * v
+def apply_poly(coeffs: Sequence[float], op: BlockOperator, k: float, v: np.ndarray) -> np.ndarray:
+    """Evaluate sum_j coeffs[j] (k M)^j v by Horner's rule, each M-product taken in block
+    form, M [u; w] = [w; A u / h^2 - Gamma w]: O(N) work, no densification."""
+    n = op.n_interior
+    acc = coeffs[-1] * v
+    for c in reversed(coeffs[:-1]):
+        out = np.empty_like(acc)
+        out[:n] = acc[n:]
+        lap = second_difference(acc[:n])
+        lap *= op.inv_h2
+        np.subtract(lap, op.damping * acc[n:], out=out[n:])
+        out *= k
+        out += c * v
+        acc = out
     return acc

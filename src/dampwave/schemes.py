@@ -53,9 +53,10 @@ Every scheme runs behind one stepper protocol:
   (k/2) F, or None when F is all zero, so an unforced step is one bare
   R(Mk) W_n) and B(t_n) for oifd, whose u^1 level carries the B(k) of its
   ghost start; it is None on V^0, u^0 and every oefd level;
-* `solve_evolution` owns the only time loop, with its snapshot, stride and
-  blow-up bookkeeping. The kept levels are copied into one array allocated
-  before the loop, and a blown-up run returns the rows filled so far.
+* `solve_evolution` owns the only time loop and its blow-up bookkeeping. It
+  keeps every level, or only the start and last levels for readers of one
+  level, in one array allocated before the loop; a blown-up run returns the
+  rows filled so far, its last row the level that halted it.
 
 Q_S(Mk) is built once per stepper straight in band storage, in the
 interleaved ordering (u_1, w_1, u_2, w_2, ...): Horner's rule over kM's four
@@ -144,12 +145,18 @@ class StateVector:
     carry: Optional[np.ndarray] = None
 
 
-def _num_steps(t_final: float, k: float) -> int:
-    # last step with t <= t_final; tolerant of k not dividing t_final exactly
+def num_steps(t_final: float, k: float) -> int:
+    """Steps to the last level with t <= t_final, tolerant of k not dividing t_final
+    exactly; raises ValueError unless that is between 1 and MAX_STEPS."""
+    if not 0 < t_final < math.inf:
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
     steps = t_final / k
     if steps > MAX_STEPS:  # before int(): t_final/k may overflow to inf
         raise ValueError(f"run would need {steps:.6g} steps (cap {MAX_STEPS})")
-    return int(math.floor(steps * (1.0 + 1e-12) + 1e-12))
+    n = int(math.floor(steps * (1.0 + 1e-12) + 1e-12))
+    if n == 0:
+        raise ValueError(f"t_final={t_final!r} is shorter than one time step k={k!r}")
+    return n
 
 
 def _rows(size: int, d: int) -> slice:
@@ -370,12 +377,12 @@ def step_oifd(stepper: BaselineStepper, state: StateVector) -> StateVector:
 
 @dataclass
 class Trajectory:
-    """Snapshots of a solve: times and states, plus blow-up bookkeeping.
+    """Kept levels of a solve: times and states, plus blow-up bookkeeping.
 
     For semigroup schemes a state row is the full [u; u_t] vector; for the
-    two-level baselines it is the displacement vector alone. Snapshots are
-    retained every `stride` steps; the initial and final levels are always
-    kept.
+    two-level baselines it is the displacement vector alone. The last row is
+    the last level computed: the last step with t <= t_final, or the level
+    that halted a blown-up run.
     """
 
     grid: SpatialGrid
@@ -391,27 +398,21 @@ class Trajectory:
     def displacements(self) -> np.ndarray:
         return self.states[:, : self.grid.n_interior]
 
-    def nearest_index(self, t: float) -> int:
-        return int(np.argmin(np.abs(self.times - t)))
-
 
 def solve_evolution(
     problem: DampedWaveProblem,
     grid: SpatialGrid,
     config: SchemeConfig,
     t_final: float,
-    stride: int = 1,
+    every_level: bool = True,
 ) -> Trajectory:
-    """Run the configured scheme from the initial data to the last step with t <= t_final.
+    """Run the configured scheme from the initial data to the last step with t <= t_final,
+    keeping every level or, with every_level=False, the start and last levels only.
 
     A non-finite entry in any level after the initial one halts the run and
     flags the trajectory (the offending level is retained as data).
     """
-    if not 0 < t_final < math.inf:
-        raise ValueError(f"t_final must be positive and finite, got {t_final}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    n_steps = _num_steps(t_final, config.k)
+    n_steps = num_steps(t_final, config.k)
 
     op = assemble_system(grid, problem)
     stepper = make_stepper(config, op, grid, problem)
@@ -419,13 +420,12 @@ def solve_evolution(
     step = {"semigroup": step_semigroup, "oefd": step_oefd, "oifd": step_oifd}[config.kind]
     start = stepper.start
 
-    # every stride-th level, plus the final level when the stride skips it
-    n_kept = n_steps // stride + 1 + (n_steps % stride != 0)
-    levels = np.empty(n_kept, dtype=np.intp)
+    n_kept = n_steps + 1 if every_level else 2
     try:
         states = np.empty((n_kept, start[0].values.size))
     except MemoryError as exc:
-        raise ValueError(f"cannot hold {n_kept} snapshots ({exc}); raise the stride") from None
+        raise ValueError(f"cannot hold {n_kept} snapshots ({exc}); shorten t_final "
+                         "or lengthen the step") from None
     kept = 0
     blow_up_index: Optional[int] = None
     # a diverging run overflows before its first non-finite level is caught
@@ -433,17 +433,17 @@ def solve_evolution(
         for level in range(n_steps + 1):
             state = start[level] if level < len(start) else step(stepper, state)
             bad = level > 0 and not np.isfinite(state.values).all()
-            if level % stride == 0 or level == n_steps or bad:
-                levels[kept] = level
+            if every_level or level == 0 or level == n_steps or bad:
                 states[kept] = state.values
                 kept += 1
             if bad:
                 blow_up_index = level
                 break
 
+    levels = np.arange(kept) if every_level else np.array([0, level])
     return Trajectory(
         grid=grid,
-        times=levels[:kept] * config.k,
+        times=levels * config.k,
         states=states[:kept],
         blow_up_index=blow_up_index,
     )

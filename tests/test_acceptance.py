@@ -79,6 +79,26 @@ FIGURE_DIGESTS = {
         "a9f558864a434ca469662893883de44dbeff47633912b0ead62a47c7633fec8d",
 }
 
+#: SHA-256 of the `solve` CSV and of its stdout for each CLI scheme on the sample
+#: problem (--N 40 --k 0.05 --t-final 1). A change that means to alter these bytes
+#: updates the digests here and says why.
+SOLVE_DIGESTS = {
+    ("fd01",): ("d79a10012eee63095df7990fb7bc991eab90b89d643ed05b8e10fb69e4ec04a3",
+                "4f32dd355dfabdbd08bf52ea8264f4701c367c5d750d80eeb4f550b97337e232"),
+    ("fd11",): ("1b3be88769982791e45b9b40bfd517df6b60ba154ec456761e39d38be44b678f",
+                "f2aaf4ef54d6db7d3515b2f3a4e664f418fa92a9214e15fa6611e6162ddd9045"),
+    ("fdST", "--pade", "2,2"): (
+        "2d6fa7a8fa7fe554625bbf77065aef20142e57d469edee19fc07ae12bc84fc92",
+        "384373b7b6dae1d134b739eec8fd83a13dea9794d22650b14a12d49c6078e4f5"),
+    ("fdST", "--pade", "3,3"): (
+        "a68937896b37def8e776e4f559e6d2d5dff580e3a641ba9dfc312ab46985f983",
+        "02709340e65d24d250281e6723f90c5aa0ef806a3de383a9a6359fb5e4f70822"),
+    ("oefd",): ("f1b8b9be1323e80fe61872b39a9147f81ba3cde0caaa2f4dee4d63acf7496828",
+                "45e8212e9ecc818bcb20ed540205f88287dd5443d0970f85031d28bca5016c55"),
+    ("oifd",): ("13603c194a9d032ac402d55d9c3f624fe4e7c413cb374a6c43149a098f8ce69c",
+                "83d91a8c2b657ea6d889a897af3e24bfbfef63164705edb5583fd5b364454caa"),
+}
+
 
 def report(name: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'}: {name} ({detail})")
@@ -235,7 +255,8 @@ def test_criterion_7_verdict_vs_experiment():
             k = alpha * GAMMA_STAR * grid.h**2 / 4.0
             verdict = check_explicit_stability(k, grid.h, GAMMA_STAR)
             assert verdict.stable, (alpha, N)
-            traj = solve_evolution(problem, grid, config_for("fd01", k), 6.0, stride=10**9)
+            traj = solve_evolution(problem, grid, config_for("fd01", k), 6.0,
+                                   every_level=False)
             err = np.abs(
                 traj.displacements[-1]
                 - np.exp(-traj.times[-1]) * np.sin(grid.interior_nodes)
@@ -325,4 +346,22 @@ def test_criterion_11_figure_digests(tmp_path):
         "criterion 11: figure CSVs byte-identical to their recorded digests",
         code == 0 and not changed,
         f"exit {code}, {len(digests)} files, changed={changed}",
+    )
+
+
+def test_criterion_12_solve_digests(tmp_path, capsys):
+    """Every CLI scheme's `solve` CSV and stdout keep their recorded bytes."""
+    changed = []
+    for scheme, (csv_digest, stdout_digest) in SOLVE_DIGESTS.items():
+        out = tmp_path / f"{''.join(scheme)}.csv"
+        code = run_command(["solve", "--scheme", *scheme, "--N", "40", "--k", "0.05",
+                            "--t-final", "1", "--out", str(out)])
+        stdout = capsys.readouterr().out
+        if (code, hashlib.sha256(out.read_bytes()).hexdigest(),
+                hashlib.sha256(stdout.encode()).hexdigest()) != (0, csv_digest, stdout_digest):
+            changed.append(" ".join(scheme))
+    report(
+        "criterion 12: solve CSV and stdout byte-identical to their recorded digests",
+        not changed,
+        f"{len(SOLVE_DIGESTS)} schemes, changed={changed}",
     )

@@ -36,8 +36,8 @@ def assert_matches_every_level_run(tmp_path, capsys, monkeypatch, argv, code):
     every level; returns stderr."""
     held = []
 
-    def spy(*args, stride):
-        traj = solve_evolution(*args, stride=stride)
+    def spy(*args, every_level):
+        traj = solve_evolution(*args, every_level=every_level)
         held.append(traj.states.shape[0])
         return traj
 
@@ -50,7 +50,7 @@ def assert_matches_every_level_run(tmp_path, capsys, monkeypatch, argv, code):
     ends = run("ends.csv")
     assert held == [2]
     monkeypatch.setattr(cli, "solve_evolution",
-                        lambda *args, stride: solve_evolution(*args, stride=1))
+                        lambda *args, every_level: solve_evolution(*args))
     assert run("every.csv") == ends
     return ends[1].err
 
@@ -305,6 +305,11 @@ class TestSolve:
         err = assert_matches_every_level_run(tmp_path, capsys, monkeypatch, argv, 4)
         assert "non-finite state at step 623 " in err
 
+    def test_blow_up_at_r3_matches_every_level_run(self, tmp_path, capsys, monkeypatch):
+        argv = ["--scheme", "fd01", "--N", "50", "--r", "3", "--t-final", "100"]
+        err = assert_matches_every_level_run(tmp_path, capsys, monkeypatch, argv, 4)
+        assert "non-finite state at step 414 " in err
+
     def test_solution_profile_without_exact(self, tmp_path):
         doc = json.dumps(dict(UNDAMPED_DOC, gamma="2", psi="-sin(x)", u_a="sin(t)", u_b="t"))
         cfg = tmp_path / "noexact.json"
@@ -389,8 +394,9 @@ class TestStability:
         code = run_command(["stability", "--gamma-max", "2", "--k", "0.05",
                             "--h", "0.003", "--N", "1002", "--empirical"])
         assert code == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert "--empirical at N=1002" in err and "size 2000" in err
+        assert out == ""  # the verdict lines are not printed before the failure
 
     def test_spectrum_grid_size_bound_exits_2(self, capsys):
         code = run_command(["stability", "--gamma-max", "2", "--k", "0.05",
@@ -431,6 +437,7 @@ class TestStability:
         code = run_command(["stability", "--gamma-max", "2", "--k", "0.1",
                             "--h", "0.5", "--empirical"])
         assert code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestConvergence:
@@ -494,6 +501,33 @@ class TestFigures:
         assert "figures_fd01_profile_N23_k0.05_t1.csv" in files
         assert "figures_fd11_profile_N23_k0.05_t1.csv" in files
         assert sum(1 for f in files if "maxerr" in f) == 16
+
+    # 0.09 lies below the largest series step, 1.45 pi/50 = 0.0911
+    @pytest.mark.parametrize("t_final", ["0", "0.09"])
+    def test_t_final_rejected_before_any_file(self, tmp_path, capsys, t_final):
+        code = run_command(["figures", "--out-dir", str(tmp_path), "--t-final", t_final])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "t_final" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRunShorterThanOneStep:
+    """t_final < k has no step to report: the command exits 2 and writes nothing,
+    where it used to report the initial data as the answer."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--scheme", "fd11", "--N", "10", "--k", "0.1", "--t-final", "0.05"],
+        ["compare", "--N", "10", "--k", "0.1", "--t-final", "0.05"],
+        ["table2", "--t-final", "0.01"],
+    ], ids=["solve", "compare", "table2"])
+    def test_exits_2_without_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert run_command(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "shorter than one time step" in captured.err and "t_final=" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestErrorWiring:

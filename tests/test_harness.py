@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -45,10 +46,10 @@ class TestErrorProfile:
         # fd01 at k = 1.5 first overflows in u_t, at level 335
         problem = sample_problem()
         traj = solve_evolution(problem, build_grid(0.0, math.pi, 10), config_for("fd01", 1.5),
-                               3000.0, stride=7)
+                               3000.0, every_level=False)
         assert traj.blow_up_index == 335
         assert np.isfinite(traj.displacements[-1]).all()
-        profile = error_profile(traj, problem, traj.times[-1])
+        profile = error_profile(traj, problem)
         assert np.isfinite(profile.abs_error).all()
         assert profile.max_error == math.inf
 
@@ -56,7 +57,9 @@ class TestErrorProfile:
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 10)
         traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 0.5)
-        profile = error_profile(traj, problem, 0.0)
+        # error_profile reads the last level; cut the trajectory after its first
+        start = dataclasses.replace(traj, times=traj.times[:1], states=traj.states[:1])
+        profile = error_profile(start, problem)
         assert profile.t == 0.0
         assert profile.max_error == pytest.approx(0.0, abs=1e-15)
 
@@ -66,15 +69,16 @@ class TestErrorProfile:
         center = 5  # x = 1.570796327
         for name, expected in (("fd11", 4.01054e-05), ("fd01", 0.004837418)):
             traj = solve_evolution(problem, grid, config_for(name, 0.1), 0.1)
-            profile = error_profile(traj, problem, 0.1)
+            profile = error_profile(traj, problem)
             assert profile.x[center] == pytest.approx(1.570796327)
             assert profile.abs_error[center] == pytest.approx(expected, rel=1e-5)
 
     def test_nearest_snapshot_with_offset(self):
+        # the last step below t_final is the kept level nearest to it
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 10)
-        traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 0.5)
-        profile = error_profile(traj, problem, 0.234)
+        traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 0.234, every_level=False)
+        profile = error_profile(traj, problem)
         assert profile.t == pytest.approx(0.2)
         assert profile.t - 0.234 == pytest.approx(-0.034)
 
@@ -82,7 +86,7 @@ class TestErrorProfile:
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 10)
         traj = solve_evolution(problem, grid, config_for("oefd", 0.1), 0.3)
-        profile = error_profile(traj, problem, 0.3)
+        profile = error_profile(traj, problem)
         assert profile.abs_error[0] == 0.0
         assert profile.abs_error[-1] == pytest.approx(0.0, abs=1e-15)
 
@@ -90,8 +94,7 @@ class TestErrorProfile:
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 8)
         traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 0.4)
-        idx = traj.nearest_index(0.4)
-        snapshot = dict(zip(np.round(grid.interior_nodes, 12), traj.displacements[idx]))
+        snapshot = dict(zip(np.round(grid.interior_nodes, 12), traj.displacements[-1]))
 
         def own_output(x, t):
             key = round(x, 12)
@@ -104,7 +107,7 @@ class TestErrorProfile:
             phi=problem.phi, psi=problem.psi, u_a=problem.u_a, u_b=problem.u_b,
             exact=own_output,
         )
-        profile = error_profile(traj, self_problem, 0.4)
+        profile = error_profile(traj, self_problem)
         assert profile.max_error == 0.0
 
     def test_requires_exact(self):
@@ -116,7 +119,7 @@ class TestErrorProfile:
         grid = build_grid(0.0, math.pi, 6)
         traj = solve_evolution(stripped, grid, config_for("fd11", 0.1), 0.3)
         with pytest.raises(ValueError, match="exact"):
-            error_profile(traj, stripped, 0.3)
+            error_profile(traj, stripped)
 
 
 class TestObservedOrder:
@@ -161,10 +164,14 @@ class TestObservedOrder:
         assert np.all(np.isinf(report.max_errors))
         assert np.all(np.isnan(report.orders))
 
-    @pytest.mark.parametrize("t_eval,t_used", [(0.55, 0.5), (0.05, 0.0)])
-    def test_rejects_level_without_snapshot_at_t_eval(self, t_eval, t_used):
-        # k = 0.1 does not divide t_eval, so level 0 would be measured at t_used
-        with pytest.raises(ValueError, match=rf"level 0 \(k=0\.1\).* t={t_used!r}"):
+    # k = 0.1 does not divide t_eval: at 0.55 level 0's last step is at t = 0.5, and
+    # at 0.05 it has no step at all, where the start level at t = 0.0 was measured
+    @pytest.mark.parametrize("t_eval,match", [
+        (0.55, r"level 0 \(k=0\.1\).* t=0\.5"),
+        (0.05, r"t_final=0\.05 is shorter than one time step k=0\.1"),
+    ], ids=["0.55-0.5", "0.05-0.0"])
+    def test_rejects_level_without_snapshot_at_t_eval(self, t_eval, match):
+        with pytest.raises(ValueError, match=match):
             observed_order(sample_problem(), "fd11", "time",
                            base_k=0.1, base_N=40, levels=4, t_eval=t_eval)
 
@@ -276,6 +283,11 @@ class TestFigureData:
         num = np.array(table.column("numeric"))
         ex = np.array(table.column("exact"))
         assert np.abs(num - ex).max() < 5e-3
+
+    def test_solution_profile_before_the_first_step_is_refused(self):
+        # it used to solve to k and report the start level, the nearer to t = 0.04
+        with pytest.raises(ValueError, match="t_final=0.04 is shorter than one time step"):
+            solution_profile(sample_problem(), "fd11", 10, 0.1, 0.04)
 
     def test_max_error_series(self):
         table = max_error_series(sample_problem(), "fd11", 10, 0.1, 1.0)

@@ -443,4 +443,4 @@ class TestLoadConfig:
         grid = build_grid(0.0, math.pi, 6)
         traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 0.3)
         with pytest.raises(ValueError, match="exact"):
-            error_profile(traj, problem, 0.3)
+            error_profile(traj, problem)

@@ -597,20 +597,26 @@ class TestSteadyForcing:
 
 
 class TestStepperProtocol:
-    # (steps, stride): every level kept, a stride that does not divide the
-    # step count, and a stride larger than it
-    @pytest.mark.parametrize("steps,stride", [(0, 1), (1, 1), (2, 1), (7, 3), (2, 5)],
+    # (steps, every_level): a run too short for one step, every level kept, and the
+    # start and last levels only; the last two ids name the stride cases (a stride
+    # that skips the last level, one longer than the run) whose kept levels these are
+    @pytest.mark.parametrize("steps,every_level",
+                             [(0, True), (1, True), (2, True), (7, False), (2, False)],
                              ids=["0", "1", "2", "7-stride3", "2-stride5"])
     @pytest.mark.parametrize("name,orders", ALL_SCHEMES, ids=[n for n, _ in ALL_SCHEMES])
-    def test_short_runs_are_start_levels_then_steps(self, name, orders, steps, stride):
+    def test_short_runs_are_start_levels_then_steps(self, name, orders, steps, every_level):
         problem = forced_problem()
         grid = build_grid(0.0, math.pi, 9)
         k = 0.05
         config = config_for(name, k, orders)
-        traj = solve_evolution(problem, grid, config, (steps + 0.25) * k, stride=stride)
+        if steps == 0:  # no step to report: refused, not answered with the start level
+            with pytest.raises(ValueError, match="shorter than one time step"):
+                solve_evolution(problem, grid, config, 0.25 * k, every_level)
+            return
+        traj = solve_evolution(problem, grid, config, (steps + 0.25) * k, every_level)
 
         levels = manual_levels(config, problem, grid, steps)
-        kept = [n for n in range(steps + 1) if n % stride == 0 or n == steps]
+        kept = list(range(steps + 1)) if every_level else [0, steps]
         assert not traj.blow_up and traj.blow_up_index is None
         assert np.array_equal(traj.times, k * np.array(kept))
         assert [levels[n].t for n in kept] == pytest.approx(traj.times, abs=1e-15)
@@ -618,16 +624,19 @@ class TestStepperProtocol:
         width = grid.n_interior * (2 if config.kind == "semigroup" else 1)
         assert traj.states.shape == (len(kept), width)
 
-    @pytest.mark.parametrize("name,level", [("fd01", 623), ("oefd", 379)])
-    def test_blow_up_level_kept_off_stride(self, name, level, recwarn):
-        # r = 1.59 lies outside both explicit schemes' stability regions
+    @pytest.mark.parametrize("name,r,level", [("fd01", 1.59, 623), ("oefd", 1.59, 379),
+                                              ("fd01", 3.0, 414)],
+                             ids=["fd01-623", "oefd-379", "fd01-414"])
+    def test_blow_up_level_kept_off_stride(self, name, r, level, recwarn):
+        # r = 1.59 and 3 lie outside both explicit schemes' stability regions; an
+        # ends-only run keeps the halting level, which is not its last step
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 50)
-        config = config_for(name, 1.59 * grid.h)
-        traj = solve_evolution(problem, grid, config, 80.0, stride=7)
+        config = config_for(name, r * grid.h)
+        traj = solve_evolution(problem, grid, config, 80.0, every_level=False)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert traj.blow_up and traj.blow_up_index == level
-        kept = list(range(0, level, 7)) + [level]
+        kept = [0, level]
         assert np.array_equal(traj.times, np.array(kept) * config.k)
         assert np.isfinite(traj.states[:-1]).all()
         assert not np.isfinite(traj.states[-1]).all()
@@ -731,7 +740,7 @@ def test_oifd_is_first_order_in_time_when_u_xxt_is_nonzero():
         for N in (20, 40, 80, 160):
             grid = build_grid(0.0, math.pi, N)
             traj = solve_evolution(problem, grid, config_for(name, 0.25 * grid.h), 1.0)
-            errors.append(error_profile(traj, problem, 1.0).max_error)
+            errors.append(error_profile(traj, problem).max_error)
         orders[name] = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert orders["oifd"] == pytest.approx([1.149, 1.049, 1.026], abs=5e-3)
     for name in ("oefd", "fd11"):
@@ -785,6 +794,18 @@ def test_time_order_on_forced_problem(name, orders, band):
 
 
 class TestSolveEvolution:
+    @pytest.mark.parametrize("name,orders", ALL_SCHEMES + [("fdST", (3, 3))],
+                             ids=[n for n, _ in ALL_SCHEMES] + ["fdST33"])
+    def test_ends_only_rows_are_first_and_last_of_every_level_run(self, name, orders):
+        problem = forced_problem()
+        grid = build_grid(0.0, math.pi, 12)
+        config = config_for(name, 0.05, orders)
+        every = solve_evolution(problem, grid, config, 1.33)
+        ends = solve_evolution(problem, grid, config, 1.33, every_level=False)
+        assert every.times.shape == (27,) and ends.blow_up_index is every.blow_up_index is None
+        assert np.array_equal(ends.times, every.times[[0, -1]])
+        assert np.array_equal(ends.states, every.states[[0, -1]])
+
     def test_table_values_at_first_level(self):
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 10)
@@ -885,14 +906,14 @@ class TestSolveEvolution:
         traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 1.0)
         assert traj.times == pytest.approx(0.1 * np.arange(11))
         assert np.diff(traj.times) == pytest.approx(np.full(10, 0.1))
-        thinned = solve_evolution(problem, grid, config_for("fd11", 0.1), 1.0, stride=5)
-        assert thinned.times == pytest.approx([0.0, 0.5, 1.0])
-        assert thinned.states[-1] == pytest.approx(traj.states[-1], abs=0)
+        ends = solve_evolution(problem, grid, config_for("fd11", 0.1), 1.0, every_level=False)
+        assert np.array_equal(ends.times, traj.times[[0, -1]])
+        assert np.array_equal(ends.states, traj.states[[0, -1]])
 
     def test_final_level_always_kept(self):
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 6)
-        traj = solve_evolution(problem, grid, config_for("oefd", 0.1), 0.7, stride=3)
+        traj = solve_evolution(problem, grid, config_for("oefd", 0.1), 0.7, every_level=False)
         assert traj.times[-1] == pytest.approx(0.7)
 
     def test_t_final_not_multiple_of_k(self):
