@@ -83,12 +83,11 @@ def build_grid(a: float, b: float, N: int) -> SpatialGrid:
 def sample(fn: Callable, nodes: np.ndarray, *t: float) -> np.ndarray:
     """fn(x, *t) at every node x, as a new float array shaped like nodes.
 
-    fn is called once with the whole node array, and a scalar result (a
-    constant lambda) is broadcast to every node. When fn rejects the array,
-    as a scalar-only callable such as math.sin or a lambda branching on x
-    does, it is called once per node instead. An ExpressionError is an
-    evaluation failure, already reported at its first failing node, not a
-    rejection: it propagates.
+    fn is called once with the whole node array; a scalar result is broadcast
+    to every node. When fn rejects the array (math.sin, a lambda branching on
+    x, an expression whose numpy pass raised FloatingPointError), it is called
+    once per node, the package's only node-by-node loop, which stops at the
+    first node that raises. An ExpressionError is not a rejection: it propagates.
     """
     values = np.empty_like(nodes, dtype=float)
     try:

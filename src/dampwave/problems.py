@@ -14,8 +14,14 @@ Expression grammar (standard precedence, highest first):
     atom    :=  NUMBER | 'x' | 't' | 'pi' | FUNC '(' expr ')' | '(' expr ')'
     FUNC    :=  sin | cos | exp | sqrt | abs
 
-Note '^' binds tighter than unary minus: -x^2 == -(x^2). Literals must be
-finite, and an expression may nest at most MAX_DEPTH levels.
+Note '^' binds tighter than unary minus: -x^2 == -(x^2). An expression may
+nest at most MAX_DEPTH levels.
+
+Tokens are what the `_TOKEN` pattern matches, left to right; whitespace only
+separates them. A NUMBER is a decimal digit, or '.' before one, then digits and
+'.', then optionally e|E, a sign and at least one digit; it must read as a
+finite float. A name is a letter, '_' or non-decimal numeral such as '²', then
+word characters. The operators are + - * / ^ ( ); any other character is an error.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -135,59 +142,40 @@ def expression_variables(node: Expression) -> set[str]:
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
-_OPERATORS = "+-*/^()"
-
 #: the deepest an expression may nest, where each parenthesis, call, unary minus,
 #: '^' and chained + - * / is one level; deeper input is an ExpressionSyntaxError,
 #: not a RecursionError in the parser or in the functions that walk the tree
 MAX_DEPTH = 100
 
 
+#: groups: number, name, operator, any other non-space character (an error)
+_TOKEN = re.compile(r"((?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)|([^\W\d]\w*)|([-+*/^()])|(\S)")
+_KINDS = (None, "num", "ident", "op", "bad")
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Return (kind, text, offset) triples; kinds: num, ident, op, end."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPERATORS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            # optional exponent part: 1e-3, 2.5E+4
-            if j < n and text[j] in "eE":
-                p = j + 1
-                if p < n and text[p] in "+-":
-                    p += 1
-                if p < n and text[p].isdigit():
-                    j = p
-                    while j < n and text[j].isdigit():
-                        j += 1
+    for match in _TOKEN.finditer(text):
+        kind, token, i = _KINDS[match.lastindex], match.group(), match.start()
+        if kind == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {token!r}", i)
+        if kind == "num":
             try:
-                value = float(text[i:j])
+                value = float(token)
             except ValueError:
-                raise ExpressionSyntaxError(f"malformed number {text[i:j]!r}", i) from None
+                raise ExpressionSyntaxError(f"malformed number {token!r}", i) from None
             if not math.isfinite(value):
-                raise ExpressionSyntaxError(f"number {text[i:j]!r} is not finite", i)
-            tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
+                raise ExpressionSyntaxError(f"number {token!r} is not finite", i)
+        tokens.append((kind, token, i))
+    tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _unexpected(token: tuple[str, str, int], *expected: str) -> ExpressionSyntaxError:
+    kind, text, offset = token
+    message = "unexpected end of input" if kind == "end" else f"unexpected {text!r}"
+    return ExpressionSyntaxError(message, offset, expected)
 
 
 class _Parser:
@@ -206,15 +194,9 @@ class _Parser:
         return tok
 
     def expect_op(self, symbol: str) -> None:
-        kind, text, offset = self.peek()
-        if kind == "op" and text == symbol:
-            self.advance()
-            return
-        raise ExpressionSyntaxError(
-            f"unexpected {text!r}" if kind != "end" else "unexpected end of input",
-            offset,
-            expected=(symbol,),
-        )
+        if self.peek()[:2] != ("op", symbol):
+            raise _unexpected(self.peek(), symbol)
+        self.advance()
 
     def check(self, levels: int, offset: int) -> int:
         if levels > MAX_DEPTH:
@@ -286,11 +268,7 @@ class _Parser:
             node = self.nested(self.expr, offset)
             self.expect_op(")")
             return node
-        raise ExpressionSyntaxError(
-            f"unexpected {text!r}" if kind != "end" else "unexpected end of input",
-            offset,
-            expected=("number", "identifier", "("),
-        )
+        raise _unexpected((kind, text, offset), "number", "identifier", "(")
 
 
 def parse_expression(text: str) -> Expression:
@@ -307,8 +285,8 @@ def parse_expression(text: str) -> Expression:
 def eval_expression(expr: Expression, x: float, t: float) -> float:
     """Evaluate the tree at one point (x, t) with float semantics.
 
-    This is the scalar reference: `compile_expression` must agree with it
-    wherever it is finite and defers to it wherever it is not.
+    This is the scalar reference: `compile_expression` calls it for scalar
+    arguments, and its numpy pass must agree with it wherever it completes.
 
     Domain failures (division by zero, sqrt of a negative, overflow and other
     non-finite results) raise EvaluationError naming the offending
@@ -348,13 +326,6 @@ def _vectorize(expr: Expression) -> Callable:
     """The tree as nested numpy closures (x, t) -> values, without domain checks."""
     if isinstance(expr, Num):
         value = expr.value
-        if not math.isfinite(value):
-            # a literal such as 1e999 can be absorbed (1/1e999 = 0) without
-            # any floating-point flag; leave such trees to the scalar path
-            def literal(x, t):
-                raise FloatingPointError("non-finite literal")
-
-            return literal
         return lambda x, t: value
     if isinstance(expr, Var):
         if expr.name == "x":
@@ -385,37 +356,23 @@ def time_free(fn: Callable) -> bool:
 
 
 def compile_expression(expr: Expression) -> Callable:
-    """Compile the tree once into a closure f(x, t) that broadcasts over arrays,
-    with `expression_variables(expr)` as its `variables` attribute.
+    """Compile the tree once into a closure f(x, t), with
+    `expression_variables(expr)` as its `variables` attribute.
 
-    Scalar arguments are evaluated by `eval_expression`. Array arguments are
-    evaluated in one numpy pass over every point, with overflow, division by
-    zero and invalid operations raising. From finite leaves every non-finite
-    intermediate sets one of those flags, so a pass that completes matches
-    the scalar reference wherever that is finite. A pass that raises, or
-    non-finite arguments, re-evaluate point by point with `eval_expression`,
-    which raises the same EvaluationError at the first failing point, naming
-    the same sub-expression, or returns its values.
+    Scalar arguments go to `eval_expression`. Array arguments take one numpy
+    pass that raises FloatingPointError on overflow, division by zero or an
+    invalid operation; from finite leaves and arguments every non-finite
+    intermediate sets one of those, so a pass that completes matches the
+    reference. On that raise `operators.sample` calls f node by node, and the
+    reference raises the EvaluationError at the first failing node.
     """
     vectorized = _vectorize(expr)
 
     def evaluate(x, t):
         if np.ndim(x) == 0 and np.ndim(t) == 0:
-            return eval_expression(expr, x, t)
-        x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
-        shape = np.broadcast_shapes(x.shape, t.shape)
-        if np.isfinite(x).all() and np.isfinite(t).all():
-            try:
-                with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
-                    values = vectorized(x, t)
-            except FloatingPointError:
-                pass
-            else:
-                return np.broadcast_to(values, shape).copy()
-        points = np.broadcast(x, t)
-        return np.array(
-            [eval_expression(expr, float(xi), float(ti)) for xi, ti in points]
-        ).reshape(shape)
+            return eval_expression(expr, float(x), float(t))
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            return vectorized(x, t)
 
     return _marked(evaluate, expression_variables(expr))
 
@@ -436,9 +393,10 @@ class DampedWaveProblem:
     The solvers sample gamma, g, phi, psi and exact through
     `operators.sample`: each callable receives the whole node array (and a
     scalar t) when it accepts one, and returns the values at every node or a
-    scalar for all of them. A callable written for scalars only, such as
-    math.sin or a lambda that branches on x, is called once per node
-    instead. u_a and u_b are only ever called with a scalar t.
+    scalar for all of them. A callable that rejects the array (a scalar-only
+    one such as math.sin, or an expression whose numpy pass raised a
+    floating-point error) is called once per node instead. u_a and u_b are
+    only ever called with a scalar t.
 
     `steady`, set on construction, holds when g, u_a and u_b are all `time_free`
     (config expressions without t, the sample problem's zero data); then
@@ -530,7 +488,7 @@ def load_problem_config(text: str) -> DampedWaveProblem:
     """
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an int past the digit limit
         raise ProblemConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemConfigError("document must be a JSON object")
@@ -544,7 +502,10 @@ def load_problem_config(text: str) -> DampedWaveProblem:
         or not all(type(v) in (int, float) for v in domain)  # bool is an int
     ):
         raise ProblemConfigError("field 'domain' must be a pair of numbers [a, b]")
-    a, b = float(domain[0]), float(domain[1])
+    try:
+        a, b = float(domain[0]), float(domain[1])
+    except OverflowError:  # an integer beyond the float range
+        raise ProblemConfigError("field 'domain' holds an integer too large for a float") from None
     if not b > a:
         raise ProblemConfigError(f"field 'domain' must satisfy a < b, got [{a}, {b}]")
 

@@ -1,13 +1,15 @@
-"""Dense reference implementations the tests compare the solvers against.
+"""Reference implementations the tests compare the package against.
 
 None of these runs in a solve: the package applies M blockwise, keeps its
 matrices in band storage and evaluates approximants only as matrix
 polynomials. These densify, exponentiate and evaluate scalars so that small
-cases can be checked directly.
+cases can be checked directly. `tokenize` is the expression scanner as a
+character loop, the reference for the package's one-pattern scanner.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -16,6 +18,7 @@ from scipy.linalg import expm
 from dampwave.linalg import BandedMatrix
 from dampwave.operators import BlockOperator, second_difference
 from dampwave.pade import RationalApproximant
+from dampwave.problems import ExpressionSyntaxError
 
 ORACLE_MAX_SIZE = 200
 
@@ -62,3 +65,53 @@ def eval_scalar(approx: RationalApproximant, theta: float) -> float:
             f"({approx.S},{approx.T}) approximant has a pole near theta = {theta}"
         )
     return _poly_scalar(approx.p_floats, theta) / denom
+
+
+_OPERATORS = "+-*/^()"
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Return (kind, text, offset) triples; kinds: num, ident, op, end."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _OPERATORS:
+            tokens.append(("op", c, i))
+            i += 1
+            continue
+        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            # optional exponent part: 1e-3, 2.5E+4
+            if j < n and text[j] in "eE":
+                p = j + 1
+                if p < n and text[p] in "+-":
+                    p += 1
+                if p < n and text[p].isdigit():
+                    j = p
+                    while j < n and text[j].isdigit():
+                        j += 1
+            try:
+                value = float(text[i:j])
+            except ValueError:
+                raise ExpressionSyntaxError(f"malformed number {text[i:j]!r}", i) from None
+            if not math.isfinite(value):
+                raise ExpressionSyntaxError(f"number {text[i:j]!r} is not finite", i)
+            tokens.append(("num", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+            i = j
+            continue
+        raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
+    tokens.append(("end", "", n))
+    return tokens

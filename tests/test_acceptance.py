@@ -5,6 +5,7 @@ lines alongside pytest's own verdicts. Every tolerance is pinned here.
 """
 
 import hashlib
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +33,7 @@ from dampwave.stability import (
 )
 
 from oracles import matrix_exponential
+from test_schemes import FORCED_DOC
 
 GAMMA_STAR = 2.0  # damping maximum of the sample problem
 
@@ -98,6 +100,26 @@ SOLVE_DIGESTS = {
     ("oifd",): ("13603c194a9d032ac402d55d9c3f624fe4e7c413cb374a6c43149a098f8ce69c",
                 "83d91a8c2b657ea6d889a897af3e24bfbfef63164705edb5583fd5b364454caa"),
 }
+
+#: the same digests for the forced problem of test_schemes (nonzero g, damping,
+#: Dirichlet data and psi, every field an expression) with its exact solution
+FORCED_SOLVE_DIGESTS = {
+    ("fd01",): ("f651f2fb6f62c1e20d0763a450727c0e815621369b13977f3597f9546d63bb20",
+                "2f435fcc60577610e96d17694047577b88b5c5d95e293ed3064bffea724e3a4e"),
+    ("fd11",): ("38b3c6c76df493afc08a250cc6a9d2f54b051b6e3d59047aa50dcb816c2728c9",
+                "f3f0be2606c989dc8fd8cde96d1c346ed5e9758f905bc79e7560e7464a016d95"),
+    ("fdST", "--pade", "2,2"): (
+        "70ab0be8ed89c6dca291350cef16e06f760577afcaa4039a0ca7981bf4eab7c9",
+        "2c2affa8421af57d659db09217887ec751a4d8d3ea9c798775c2597ad164e144"),
+    ("fdST", "--pade", "3,3"): (
+        "78f4bf8bbb18b4648b9a722797977a04fc231011d9c07c4147df12f308871b03",
+        "75fecd9e8df1ba1a8979ee5060a1f66291c0b7b9b8ea8d7e81f2a5541e64529c"),
+    ("oefd",): ("16c4b69bd11a8b7faa1a1e30834d96f7d7f359c4c7962c8ba318581b5f20ddd1",
+                "9e7de708718729088a19233a4ac55baf94806ef9b26a8fd22dec14c8232757f9"),
+    ("oifd",): ("5a79230f10d92a3b5cba287e841b859f8444a5af694a4e41832d05a102a9373c",
+                "5ebe93a45dea43a53964d567f5c24307c752f4d710fb07b5c59c9c1223ace9b7"),
+}
+FORCED_EXACT = "cos(2.0*t)*sin(x) + (1.0 + 0.25*x)*sin(t)"
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -349,19 +371,36 @@ def test_criterion_11_figure_digests(tmp_path):
     )
 
 
-def test_criterion_12_solve_digests(tmp_path, capsys):
-    """Every CLI scheme's `solve` CSV and stdout keep their recorded bytes."""
+def _changed_solve_digests(digests, problem, tmp_path, capsys):
     changed = []
-    for scheme, (csv_digest, stdout_digest) in SOLVE_DIGESTS.items():
+    for scheme, (csv_digest, stdout_digest) in digests.items():
         out = tmp_path / f"{''.join(scheme)}.csv"
-        code = run_command(["solve", "--scheme", *scheme, "--N", "40", "--k", "0.05",
-                            "--t-final", "1", "--out", str(out)])
+        code = run_command(["solve", "--scheme", *scheme, "--problem", problem, "--N", "40",
+                            "--k", "0.05", "--t-final", "1", "--out", str(out)])
         stdout = capsys.readouterr().out
         if (code, hashlib.sha256(out.read_bytes()).hexdigest(),
                 hashlib.sha256(stdout.encode()).hexdigest()) != (0, csv_digest, stdout_digest):
             changed.append(" ".join(scheme))
+    return changed
+
+
+def test_criterion_12_solve_digests(tmp_path, capsys):
+    """Every CLI scheme's `solve` CSV and stdout keep their recorded bytes."""
+    changed = _changed_solve_digests(SOLVE_DIGESTS, "sample", tmp_path, capsys)
     report(
         "criterion 12: solve CSV and stdout byte-identical to their recorded digests",
         not changed,
         f"{len(SOLVE_DIGESTS)} schemes, changed={changed}",
+    )
+
+
+def test_criterion_12_forced_solve_digests(tmp_path, capsys):
+    """The same on a config whose every field goes through the expression language."""
+    cfg = tmp_path / "forced.json"
+    cfg.write_text(json.dumps(dict(FORCED_DOC, exact=FORCED_EXACT)))
+    changed = _changed_solve_digests(FORCED_SOLVE_DIGESTS, str(cfg), tmp_path, capsys)
+    report(
+        "criterion 12: forced-config solve CSV and stdout byte-identical to their digests",
+        not changed,
+        f"{len(FORCED_SOLVE_DIGESTS)} schemes, changed={changed}",
     )

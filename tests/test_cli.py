@@ -199,7 +199,15 @@ class TestSolve:
     @pytest.mark.parametrize("text,message", [
         ("[" * 100_000, "invalid JSON"),
         (json.dumps(dict(UNDAMPED_DOC, domain=[False, True])), "must be a pair of numbers"),
-    ], ids=["nested-json", "boolean-domain"])
+        # an int past the float range, and one past Python's int-parsing digit limit
+        (json.dumps(dict(UNDAMPED_DOC, domain=[0, 10**400])), "field 'domain'"),
+        ('{"domain": [0, 1' + "0" * 5000 + "]}", "invalid JSON"),
+        # non-decimal numerals: names to the scanner, numbers or bad characters before
+        (json.dumps(dict(UNDAMPED_DOC, phi="²")), "unknown identifier '²'"),
+        (json.dumps(dict(UNDAMPED_DOC, phi="2²")), "unexpected trailing '²'"),
+        (json.dumps(dict(UNDAMPED_DOC, phi="x + ½")), "unknown identifier '½'"),
+    ], ids=["nested-json", "boolean-domain", "domain-beyond-float", "domain-beyond-digit-limit",
+            "superscript-numeral", "superscript-after-number", "fraction-numeral"])
     def test_rejected_document_exits_2(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "doc.json"
         cfg.write_text(text)

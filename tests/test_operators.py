@@ -229,6 +229,9 @@ class TestSample:
             calls.append(x)
             return compiled(x, t)
 
+        # the array pass raises FloatingPointError, so sample goes node by node;
+        # the EvaluationError at x=1 ends that loop before the node at 1.5
         with pytest.raises(EvaluationError, match=r"\(1\.0 / \(x - 1\.0\)\)"):
             sample(g, nodes, 0.0)
-        assert len(calls) == 1
+        assert len(calls) == 3 and calls[0] is nodes
+        assert calls[1:] == [0.5, 1.0]

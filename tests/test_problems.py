@@ -1,5 +1,6 @@
 import json
 import math
+import string
 import warnings
 
 import numpy as np
@@ -8,18 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dampwave.harness import error_profile
-from dampwave.operators import build_grid
+from dampwave.operators import build_grid, sample
 from dampwave.problems import (
     MAX_DEPTH,
     BinOp,
     Call,
     EvaluationError,
+    ExpressionError,
     ExpressionSyntaxError,
     Neg,
     Num,
     ProblemConfigError,
     UnknownIdentifierError,
     Var,
+    _tokenize,
     compile_expression,
     eval_expression,
     expression_variables,
@@ -30,6 +33,8 @@ from dampwave.problems import (
     time_free,
 )
 from dampwave.schemes import config_for, solve_evolution
+
+from oracles import tokenize as loop_tokenize
 
 SAMPLE_DOC = {
     "domain": [0, math.pi],
@@ -142,6 +147,40 @@ class TestDepthBound:
             parse_expression("(" * MAX_DEPTH + "x" + "+x)" * MAX_DEPTH)
 
 
+def _scan(tokenize, text):
+    """The tokens of text, or the class, message and offset of its syntax error."""
+    try:
+        return tokenize(text)
+    except ExpressionSyntaxError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+#: what numbers are made of, drawn as often as all the rest together
+_NUMBER_CHARS = string.digits + ".eE+-"
+_OTHER_CHARS = "*/^()" + string.ascii_letters + "_" + " \n\t\r\x0b\x0c" + "é"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(st.one_of(st.sampled_from(_NUMBER_CHARS), st.sampled_from(_OTHER_CHARS)),
+               max_size=24))
+def test_scanner_matches_the_character_loop(text):
+    assert _scan(_tokenize, text) == _scan(loop_tokenize, text)
+
+
+@pytest.mark.parametrize("text,loop_error,error", [
+    ("²", "malformed number '²' at offset 0", "unknown identifier '²' at offset 0"),
+    ("2²", "malformed number '2²' at offset 0", "unexpected trailing '²' at offset 1"),
+    ("x + ½", "unexpected character '½' at offset 4", "unknown identifier '½' at offset 4"),
+])
+def test_non_decimal_numerals_scan_as_names(text, loop_error, error):
+    # the one departure from the character loop, which read isdigit() numerals
+    # such as '²' as part of a number and rejected '½' as a character
+    with pytest.raises(ExpressionSyntaxError, match=loop_error):
+        loop_tokenize(text)
+    with pytest.raises(ExpressionError, match=error):
+        parse_expression(text)
+
+
 class TestEval:
     def test_pi(self):
         assert eval_expression(parse_expression("pi"), 0.0, 0.0) == math.pi
@@ -241,20 +280,20 @@ def test_compiled_agrees_with_scalar_reference(seed, xs, t):
     tree = random_tree(rng, int(rng.integers(1, 7)))
     f = compile_expression(tree)
     reference = [_scalar(tree, x, t) for x in xs]
-    # the whole array at once raises exactly when some node fails
+    # sampling the whole array raises exactly when some node fails
     if None in reference:
         with pytest.raises(EvaluationError):
-            f(np.array(xs), t)
+            sample(f, np.array(xs), t)
         whole = None
     else:
-        whole = f(np.array(xs), t)
+        whole = sample(f, np.array(xs), t)
         assert whole.shape == (len(xs),)
     for i, (x, want) in enumerate(zip(xs, reference)):
         if want is None:
             with pytest.raises(EvaluationError):
-                f(np.array([x]), t)
+                sample(f, np.array([x]), t)
             continue
-        got = [f(np.array([x]), t)[0]] + ([] if whole is None else [whole[i]])
+        got = [sample(f, np.array([x]), t)[0]] + ([] if whole is None else [whole[i]])
         spread = _ulp_sensitivity(tree, x, t, want)
         if spread <= 1e-6 * abs(want):
             for value in got:
@@ -269,35 +308,34 @@ class TestCompiledExpression:
 
     def test_constant_broadcasts_to_node_shape(self):
         f = compile_expression(parse_expression("2*pi"))
-        out = f(np.linspace(0.0, 1.0, 5), 0.0)
+        out = sample(f, np.linspace(0.0, 1.0, 5), 0.0)
         assert out.shape == (5,) and np.all(out == 2 * math.pi)
 
     def test_failure_names_subexpression_of_first_failing_node(self):
         f = compile_expression(parse_expression("1 + 1/(x - 1)"))
         with pytest.raises(EvaluationError, match=r"\(1\.0 / \(x - 1\.0\)\)"):
-            f(np.array([0.5, 1.0, 1.5]), 0.0)
+            sample(f, np.array([0.5, 1.0, 1.5]), 0.0)
 
     def test_absorbed_intermediate_failure_still_raises(self):
         # 1/(x-1) is inf at x=1 and 1/inf = 0 is finite, yet the scalar
         # reference fails at the inner division
         f = compile_expression(parse_expression("1/(1/(x - 1))"))
         with pytest.raises(EvaluationError, match=r"\(1\.0 / \(x - 1\.0\)\)"):
-            f(np.array([0.0, 1.0, 2.0]), 0.0)
+            sample(f, np.array([0.0, 1.0, 2.0]), 0.0)
 
-    def test_non_finite_literal_follows_the_reference(self):
-        # the parser rejects 1e999, so build 1/(1e999 + x) directly
-        f = compile_expression(BinOp("/", Num(1.0), BinOp("+", Num(math.inf), Var("x"))))
-        with pytest.raises(EvaluationError):
-            f(np.array([0.0, 1.0]), 0.0)
+    def test_array_pass_raises_floating_point_error(self):
+        # the rejection that sends operators.sample node by node
+        with pytest.raises(FloatingPointError):
+            compile_expression(parse_expression("1/(x - 1)"))(np.array([0.5, 1.0]), 0.0)
 
     def test_no_runtime_warning(self):
         f = compile_expression(parse_expression("sqrt(x) + exp(x^2)"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EvaluationError):
-                f(np.array([1.0, -1.0]), 0.0)
+                sample(f, np.array([1.0, -1.0]), 0.0)
             with pytest.raises(EvaluationError):
-                f(np.array([1.0, 1e3]), 0.0)
+                sample(f, np.array([1.0, 1e3]), 0.0)
 
 
 def test_expression_variables():
