@@ -25,7 +25,7 @@ import numpy as np
 
 from .operators import SpatialGrid, build_grid, sample
 from .problems import DampedWaveProblem, sample_problem
-from .schemes import Trajectory, config_for, solve_evolution
+from .schemes import Trajectory, config_for, num_steps, solve_evolution
 
 #: error magnitude past which a finite run is reported as divergent
 DIVERGENCE_THRESHOLD = 1e6
@@ -97,24 +97,26 @@ def observed_order(
     The fixed axis must be fine enough that the refined one dominates the
     error, otherwise the observed orders flatten toward the fixed-axis floor.
     Blown-up levels are recorded as inf and excluded from order estimates;
-    any other level whose last step misses t_eval raises ValueError.
+    any other level whose last step misses t_eval raises ValueError. Every
+    level's grid and step count is checked before the first solve.
     """
     if axis not in ("time", "space"):
         raise ValueError(f"axis must be 'time' or 'space', got {axis!r}")
     if levels < 3:
         raise ValueError(f"need at least 3 levels, got {levels}")
-    level_values, errors = [], []
+    runs, level_values, errors = [], [], []
     for j in range(levels):
         k_j = base_k / 2**j if axis == "time" else base_k
-        N_j = base_N if axis == "time" else base_N * 2**j
-        grid = build_grid(*problem.domain, N_j)
-        config = config_for(scheme, k_j, pade_orders)
+        grid = build_grid(*problem.domain, base_N if axis == "time" else base_N * 2**j)
+        runs.append((grid, config_for(scheme, k_j, pade_orders)))
+        num_steps(t_eval, k_j)
+        level_values.append(k_j if axis == "time" else grid.h)
+    for j, (grid, config) in enumerate(runs):
         traj = solve_evolution(problem, grid, config, t_eval, every_level=False)
         profile = None if traj.blow_up else error_profile(traj, problem)
         if profile is not None and abs(profile.t - t_eval) > 1e-9 * t_eval:
-            raise ValueError(f"level {j} (k={k_j!r}) has no step at t_eval={t_eval!r}; "
+            raise ValueError(f"level {j} (k={config.k!r}) has no step at t_eval={t_eval!r}; "
                              f"its last is t={profile.t!r}")
-        level_values.append(k_j if axis == "time" else grid.h)
         errors.append(math.inf if profile is None else profile.max_error)
     orders = [
         math.log2(e0 / e1) if math.isfinite(e0) and math.isfinite(e1) and e1 > 0 else math.nan

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -101,12 +101,11 @@ def sample(fn: Callable, nodes: np.ndarray, *t: float) -> np.ndarray:
     return values
 
 
-def second_difference(v: np.ndarray) -> np.ndarray:
-    """A v for the second-difference matrix A = tridiag(1, -2, 1) (no 1/h^2 factor).
-
-    Works along the first axis, so second_difference(np.eye(n)) is A itself.
-    """
-    out = -2.0 * v
+def second_difference(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """A v for the second-difference matrix A = tridiag(1, -2, 1) (no 1/h^2 factor), into
+    out when given (shaped like v, not overlapping it). Works along the first axis, so
+    second_difference(np.eye(n)) is A itself."""
+    out = np.multiply(-2.0, v, out=out)
     out[:-1] += v[1:]
     out[1:] += v[:-1]
     return out

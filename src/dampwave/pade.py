@@ -70,16 +70,18 @@ def pade_coefficients(S: int, T: int) -> RationalApproximant:
 
 def apply_poly(coeffs: Sequence[float], op: BlockOperator, k: float, v: np.ndarray) -> np.ndarray:
     """Evaluate sum_j coeffs[j] (k M)^j v by Horner's rule, each M-product taken in block
-    form, M [u; w] = [w; A u / h^2 - Gamma w]: O(N) work, no densification."""
+    form, M [u; w] = [w; A u / h^2 - Gamma w]: O(N) work, no densification. A coefficient
+    of exactly 1 (every Pade numerator's p_0, fd01's p_1) adds v itself, unmultiplied: the
+    same bits, as 1.0 * x == x. v is never written; the result is a new array."""
     n = op.n_interior
-    acc = coeffs[-1] * v
+    acc = v if coeffs[-1] == 1.0 and len(coeffs) > 1 else coeffs[-1] * v
     for c in reversed(coeffs[:-1]):
         out = np.empty_like(acc)
         out[:n] = acc[n:]
-        lap = second_difference(acc[:n])
+        lap = second_difference(acc[:n], out=out[n:])
         lap *= op.inv_h2
-        np.subtract(lap, op.damping * acc[n:], out=out[n:])
+        lap -= op.damping * acc[n:]
         out *= k
-        out += c * v
+        out += v if c == 1.0 else c * v
         acc = out
     return acc

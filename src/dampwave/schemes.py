@@ -49,14 +49,19 @@ Every scheme runs behind one stepper protocol:
 * `step_semigroup`, `step_oefd` and `step_oifd` each map (stepper, state)
   to the next level's StateVector, a baseline state carrying u^{n-1} in
   `prev`. So that each level's forcing is evaluated once, `carry` holds
-  W_n = V^n + (k/2) F(t_n) for the semigroup family (the source returns
-  (k/2) F, or None when F is all zero, so an unforced step is one bare
-  R(Mk) W_n) and B(t_n) for oifd, whose u^1 level carries the B(k) of its
-  ghost start; it is None on V^0, u^0 and every oefd level;
+  W_n = V^n + (k/2) F(t_n) for the semigroup family and B(t_n) for oifd,
+  whose u^1 level carries the B(k) of its ghost start; it is None on V^0,
+  u^0 and every oefd level. A source returns None for an all-zero term (so
+  an unforced semigroup step is one bare R(Mk) W_n), which adds nothing;
 * `solve_evolution` owns the only time loop and its blow-up bookkeeping. It
   keeps every level, or only the start and last levels for readers of one
-  level, in one array allocated before the loop; a blown-up run returns the
-  rows filled so far, its last row the level that halted it.
+  level, in one array allocated before the loop; a blown-up run ends at its
+  first non-finite level. It checks every CHECK_EVERY levels and the last:
+  a non-finite entry persists at every later level, as every coefficient and
+  pivot is finite and NaN and inf spread through +, * and the banded solve.
+  A failed check, or a step that raises, rewinds to the last level that
+  passed and steps on checking every level. The rewind reuses that level's
+  arrays, so no step writes into the arrays of the state it is given.
 
 Q_S(Mk) is built once per stepper straight in band storage, in the
 interleaved ordering (u_1, w_1, u_2, w_2, ...): Horner's rule over kM's four
@@ -86,6 +91,9 @@ from .pade import apply_poly, pade_coefficients, validate_orders
 from .problems import DampedWaveProblem
 
 MAX_STEPS = 10_000_000
+
+#: levels between blow-up checks in solve_evolution (every level after a failed one)
+CHECK_EVERY = 64
 
 KINDS = ("semigroup", "oefd", "oifd")
 
@@ -134,7 +142,7 @@ def config_for(name: str, k: float, pade_orders: Optional[tuple[int, int]] = Non
     raise ValueError(f"unknown scheme name {name!r}; expected one of {SCHEME_NAMES}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StateVector:
     """One time level: [u(x_i); u_t(x_i)] for the semigroup family, u(x_i) and the
     previous level in prev for the two-level baselines; carry as in `schemes`."""
@@ -217,8 +225,8 @@ class BaselineStepper:
     start: tuple[StateVector, ...]  # (u^0, u^1)
     prev_coeff: np.ndarray  # gamma k/2 - 1, the factor on u^{n-1}
     lap_coeff: float  # r^2 (oefd) or r^2/2 (oifd), the factor on A u^n and B
-    # oefd: t -> (lap_coeff B(t), k^2 g(., t)); oifd: (t, B(t) or None) ->
-    # (lap_coeff (B(t + k) + B(t)), k^2 g(., t), B(t + k))
+    # oefd: t -> (lap_coeff B(t), k^2 g(., t)); oifd: (t, B(t) or None) -> (lap_coeff
+    # (B(t + k) + B(t)), k^2 g(., t), B(t + k)); an all-zero B or g term is None
     source: Callable
     lhs_denom: Optional[np.ndarray] = None  # oefd: 1 + gamma k/2
     lhs_fact: Optional[linalg.BandedFactorization] = None  # oifd
@@ -267,8 +275,22 @@ def _oifd_ghost_start(
     """
     b_term, g_term, b_k = source(0.0)
     rhs = 2.0 * u0 + half_r2 * second_difference(u0) - 2.0 * k * (gamma * k / 2.0 - 1.0) * psi
-    u1 = linalg.solve_banded(_oifd_factor(np.full(len(u0), 2.0), half_r2), rhs + b_term + g_term)
+    u1 = linalg.solve_banded(_oifd_factor(np.full(len(u0), 2.0), half_r2),
+                             _add_terms(rhs, b_term, g_term))
     return u1, b_k
+
+
+def _nonzero(term: np.ndarray) -> Optional[np.ndarray]:
+    """term, or None when it is all zero (count_nonzero is the cheapest any() numpy has)."""
+    return term if np.count_nonzero(term) else None
+
+
+def _add_terms(rhs: np.ndarray, *terms: Optional[np.ndarray]) -> np.ndarray:
+    """rhs += each term in turn, None adding nothing; returns rhs."""
+    for term in terms:
+        if term is not None:
+            rhs += term
+    return rhs
 
 
 def _bind(problem: DampedWaveProblem, terms: Callable) -> Callable:
@@ -294,24 +316,18 @@ def make_stepper(
             q_fact = linalg.lu_factor_banded(_banded_poly(approx.q_floats, op, k))
             perm = np.arange(op.size).reshape(2, -1).T.ravel()
             inv_perm = np.arange(op.size).reshape(-1, 2).T.ravel()
-
-        def half_k_forcing(t):
-            f = forcing_vector(problem, grid, t)
-            # count_nonzero is the cheapest any() numpy has
-            return k / 2.0 * f if np.count_nonzero(f) else None
-
         return SemigroupStepper(
             config=config, op=op, start=(StateVector(0.0, np.concatenate([phi, psi])),),
             p=approx.p_floats, q_fact=q_fact, perm=perm, inv_perm=inv_perm,
-            source=_bind(problem, half_k_forcing),
+            source=_bind(problem, lambda t: _nonzero(k / 2.0 * forcing_vector(problem, grid, t))),
         )
 
     gamma = op.damping
     lhs = 1.0 + gamma * k / 2.0
     if config.kind == "oefd":
         lap_coeff = (k / grid.h) ** 2
-        source = _bind(problem, lambda t: (lap_coeff * boundary_vector(problem, grid, t),
-                                           k**2 * sample(problem.g, x, t)))
+        source = _bind(problem, lambda t: (_nonzero(lap_coeff * boundary_vector(problem, grid, t)),
+                                           _nonzero(k**2 * sample(problem.g, x, t))))
         u1, b_k = startup_u1(problem, grid, k, gamma, phi, psi), None
         fields = dict(lhs_denom=lhs)
     else:
@@ -320,8 +336,8 @@ def make_stepper(
 
         def terms(t, b_n=None):
             b_next = b_at(t + k)
-            b_n = b_at(t) if b_n is None else b_n
-            return lap_coeff * (b_next + b_n), k**2 * sample(problem.g, x, t), b_next
+            b_sum = b_next + (b_at(t) if b_n is None else b_n)
+            return _nonzero(lap_coeff * b_sum), _nonzero(k**2 * sample(problem.g, x, t)), b_next
 
         source = _bind(problem, terms)
         u1, b_k = _oifd_ghost_start(phi, psi, gamma, k, lap_coeff, source)
@@ -355,24 +371,30 @@ def step_semigroup(stepper: SemigroupStepper, state: StateVector) -> StateVector
     return StateVector(t=t_next, values=values, carry=_plus(values, half_kf))
 
 
+def _baseline_rhs(stepper: BaselineStepper, state: StateVector, *terms) -> np.ndarray:
+    """2u + lap_coeff A u + prev_coeff u^{n-1} + terms, summed in that order in one new
+    array that starts as lap_coeff A u (IEEE addition commutes: the bits are the same)."""
+    u = state.values
+    rhs = second_difference(u)
+    rhs *= stepper.lap_coeff
+    rhs += 2.0 * u
+    rhs += stepper.prev_coeff * state.prev
+    return _add_terms(rhs, *terms)
+
+
 def step_oefd(stepper: BaselineStepper, state: StateVector) -> StateVector:
     """One explicit baseline step: level n (with level n-1 in prev) -> level n+1."""
-    u = state.values
-    b_term, g_term = stepper.source(state.t)
-    rhs = (2.0 * u + stepper.lap_coeff * second_difference(u) + stepper.prev_coeff * state.prev
-           + b_term + g_term)
-    return StateVector(t=state.t + stepper.config.k, values=rhs / stepper.lhs_denom, prev=u)
+    rhs = _baseline_rhs(stepper, state, *stepper.source(state.t))
+    rhs /= stepper.lhs_denom
+    return StateVector(t=state.t + stepper.config.k, values=rhs, prev=state.values)
 
 
 def step_oifd(stepper: BaselineStepper, state: StateVector) -> StateVector:
     """One implicit baseline step (banded solve): level n (with n-1 in prev) -> n+1;
     B(t_n) comes from state.carry when set, B(t_{n+1}) goes in the result's."""
-    u = state.values
     b_term, g_term, b_next = stepper.source(state.t, state.carry)
-    rhs = (2.0 * u + stepper.lap_coeff * second_difference(u) + stepper.prev_coeff * state.prev
-           + b_term + g_term)
-    values = linalg.solve_banded(stepper.lhs_fact, rhs)
-    return StateVector(t=state.t + stepper.config.k, values=values, prev=u, carry=b_next)
+    values = linalg.solve_banded(stepper.lhs_fact, _baseline_rhs(stepper, state, b_term, g_term))
+    return StateVector(t=state.t + stepper.config.k, values=values, prev=state.values, carry=b_next)
 
 
 @dataclass
@@ -426,24 +448,34 @@ def solve_evolution(
     except MemoryError as exc:
         raise ValueError(f"cannot hold {n_kept} snapshots ({exc}); shorten t_final "
                          "or lengthen the step") from None
-    kept = 0
+    level, state = 0, start[0]
+    states[0] = state.values
+    checked = (level, state)  # the last level that passed a check; level 0 is never checked
+    spacing = CHECK_EVERY
     blow_up_index: Optional[int] = None
     # a diverging run overflows before its first non-finite level is caught
     with np.errstate(over="ignore", invalid="ignore"):
-        for level in range(n_steps + 1):
-            state = start[level] if level < len(start) else step(stepper, state)
-            bad = level > 0 and not np.isfinite(state.values).all()
-            if every_level or level == 0 or level == n_steps or bad:
-                states[kept] = state.values
-                kept += 1
-            if bad:
+        while level < n_steps:
+            level += 1
+            try:
+                state = start[level] if level < len(start) else step(stepper, state)
+            except Exception:
+                if spacing == 1:
+                    raise
+                # whatever it is, it may come from a level past an unchecked blow-up
+                (level, state), spacing = checked, 1
+                continue
+            if every_level or level == n_steps or spacing == 1:
+                states[level if every_level else 1] = state.values
+            if level % spacing and level < n_steps:
+                continue
+            if np.isfinite(state.values).all():
+                checked = (level, state)
+            elif spacing == 1:
                 blow_up_index = level
                 break
+            else:
+                (level, state), spacing = checked, 1
 
-    levels = np.arange(kept) if every_level else np.array([0, level])
-    return Trajectory(
-        grid=grid,
-        times=levels * config.k,
-        states=states[:kept],
-        blow_up_index=blow_up_index,
-    )
+    levels = np.arange(level + 1) if every_level else np.array([0, level])
+    return Trajectory(grid, levels * config.k, states[: len(levels)], blow_up_index)

@@ -4,7 +4,9 @@ None of these runs in a solve: the package applies M blockwise, keeps its
 matrices in band storage and evaluates approximants only as matrix
 polynomials. These densify, exponentiate and evaluate scalars so that small
 cases can be checked directly. `tokenize` is the expression scanner as a
-character loop, the reference for the package's one-pattern scanner.
+character loop, the reference for the package's one-pattern scanner, and
+`solve_checking_every_level` is the time loop that looks for a non-finite
+entry at every level, the reference for `solve_evolution`'s spaced checks.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
+from dampwave import schemes
 from dampwave.linalg import BandedMatrix
-from dampwave.operators import BlockOperator, second_difference
+from dampwave.operators import BlockOperator, assemble_system, second_difference
 from dampwave.pade import RationalApproximant
 from dampwave.problems import ExpressionSyntaxError
 
@@ -115,3 +118,28 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
         raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
     tokens.append(("end", "", n))
     return tokens
+
+
+def solve_checking_every_level(problem, grid, config, t_final, every_level=True):
+    """`schemes.solve_evolution` with a blow-up check at every level after the first."""
+    n_steps = schemes.num_steps(t_final, config.k)
+    stepper = schemes.make_stepper(config, assemble_system(grid, problem), grid, problem)
+    step = {"semigroup": schemes.step_semigroup, "oefd": schemes.step_oefd,
+            "oifd": schemes.step_oifd}[config.kind]
+    start = stepper.start
+    states = np.empty((n_steps + 1 if every_level else 2, start[0].values.size))
+    kept = 0
+    blow_up_index = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(n_steps + 1):
+            state = start[level] if level < len(start) else step(stepper, state)
+            bad = level > 0 and not np.isfinite(state.values).all()
+            if every_level or level == 0 or level == n_steps or bad:
+                states[kept] = state.values
+                kept += 1
+            if bad:
+                blow_up_index = level
+                break
+    levels = np.arange(kept) if every_level else np.array([0, level])
+    return schemes.Trajectory(grid=grid, times=levels * config.k, states=states[:kept],
+                              blow_up_index=blow_up_index)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dampwave
-from dampwave import cli
+from dampwave import cli, harness
 from dampwave.cli import run_command
 from dampwave.linalg import SingularMatrixError
 from dampwave.operators import build_grid
@@ -259,6 +259,17 @@ class TestSolve:
         assert code == 4
         assert f"non-finite state at step {step} " in capsys.readouterr().err
 
+    def test_error_past_the_blow_up_still_exits_4(self, tmp_path, capsys):
+        # g raises from t = 633.5 k on, ten levels past fd01's blow-up at 623
+        k = 1.59 * math.pi / 50
+        cfg = tmp_path / "late_g.json"
+        cfg.write_text(json.dumps(dict(UNDAMPED_DOC, gamma="2", psi="-sin(x)",
+                                       g=f"0*sqrt({633.5 * k!r} - t)")))
+        code = run_command(["solve", "--problem", str(cfg), "--scheme", "fd01", "--N", "50",
+                            "--r", "1.59", "--t-final", "80", "--out", str(tmp_path / "b.csv")])
+        assert code == 4
+        assert "non-finite state at step 623 " in capsys.readouterr().err
+
     def test_diverged_velocity_reports_infinite_error(self, tmp_path, capsys):
         # the level fd01 halts at keeps finite displacements beside a non-finite u_t
         code = run_command(["solve", "--scheme", "fd01", "--N", "10", "--k", "1.5",
@@ -460,6 +471,22 @@ class TestConvergence:
         assert len(rows) == 3
         assert rows[0][3] == ""
         assert float(rows[1][3]) == pytest.approx(2.0, abs=0.3)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--axis", "time", "--levels", "21"], "run would need 1.04858e+07 steps (cap 10000000)"),
+        (["--axis", "space", "--levels", "30"],
+         "grid of N=1310720 subintervals exceeds the bound 1000000"),
+    ], ids=["time", "space"])
+    def test_level_past_a_bound_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                         argv, message):
+        solves = []
+        monkeypatch.setattr(harness, "solve_evolution", lambda *args, **kw: solves.append(args))
+        out = tmp_path / "conv.csv"
+        code = run_command(["convergence", "--scheme", "fd11", *argv, "--base-k", "0.1",
+                            "--base-N", "10", "--t-eval", "1", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert solves == [] and not out.exists()
 
     def test_level_off_t_eval_exits_2(self, tmp_path, capsys):
         code = run_command(["convergence", "--scheme", "fd11", "--axis", "time",

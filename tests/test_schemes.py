@@ -13,9 +13,12 @@ from dampwave.operators import (
     assemble_system, boundary_vector, build_grid, forcing_vector, second_difference,
 )
 from dampwave.pade import pade_coefficients
-from dampwave.problems import DampedWaveProblem, load_problem_config, sample_problem, time_free
+from dampwave.problems import (
+    DampedWaveProblem, ExpressionError, load_problem_config, sample_problem, time_free,
+)
 from dampwave import schemes
 from dampwave.schemes import (
+    CHECK_EVERY,
     SchemeConfig,
     StateVector,
     amplify,
@@ -30,7 +33,9 @@ from dampwave.schemes import (
     _interleaved_kM,
 )
 
-from oracles import banded_to_dense, matrix_exponential, operator_to_dense
+from oracles import (
+    banded_to_dense, matrix_exponential, operator_to_dense, solve_checking_every_level,
+)
 
 
 def plain_problem(**kw):
@@ -948,3 +953,106 @@ class TestSolveEvolution:
         grid = build_grid(0.0, math.pi, 10)
         with pytest.raises(ValueError, match="cannot hold 41 snapshots"):
             solve_evolution(sample_problem(), grid, config_for("fd01", 0.1), 4.0)
+
+
+def _equal_runs(got, want):
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.states, want.states, equal_nan=True)
+    assert got.blow_up_index == want.blow_up_index
+
+
+class TestSpacedBlowUpChecks:
+    """solve_evolution checks every CHECK_EVERY levels and rewinds on a failed check or
+    a raising step; its runs equal those of the loop that checks every level."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scheme=st.sampled_from(SIX_SCHEMES), every_level=st.booleans(),
+           forced=st.booleans(),
+           steps=st.sampled_from([1, 2, CHECK_EVERY - 1, CHECK_EVERY, CHECK_EVERY + 1,
+                                  2 * CHECK_EVERY, 2 * CHECK_EVERY + 1]))
+    def test_finite_runs_match_the_every_level_check(self, scheme, every_level, forced, steps):
+        problem = forced_problem() if forced else sample_problem()
+        grid = build_grid(0.0, math.pi, 9)
+        config = config_for(scheme[0], 0.05, scheme[1])
+        t_final = (steps + 0.25) * 0.05
+        got = solve_evolution(problem, grid, config, t_final, every_level)
+        assert got.times[-1] == pytest.approx(steps * 0.05)
+        _equal_runs(got, solve_checking_every_level(problem, grid, config, t_final,
+                                                    every_level))
+
+    @pytest.mark.parametrize("every_level", [True, False], ids=["every", "ends"])
+    # (scheme, r, last level, blow-up level): runs that end past the next check, before
+    # it, and at the blow-up itself
+    @pytest.mark.parametrize("name,r,steps,level", [
+        ("fd01", 1.59, 800, 623), ("fd01", 1.59, 630, 623), ("fd01", 1.59, 623, 623),
+        ("oefd", 1.59, 800, 379), ("fd01", 3.0, 530, 414),
+    ], ids=["fd01-623", "fd01-623-ends-before-check", "fd01-623-last", "oefd-379", "fd01-414"])
+    def test_blow_up_inside_an_interval(self, name, r, steps, level, every_level):
+        assert level % CHECK_EVERY
+        problem = sample_problem()
+        grid = build_grid(0.0, math.pi, 50)
+        config = config_for(name, r * grid.h)
+        t_final = (steps + 0.25) * config.k
+        got = solve_evolution(problem, grid, config, t_final, every_level)
+        assert got.blow_up_index == level
+        _equal_runs(got, solve_checking_every_level(problem, grid, config, t_final,
+                                                    every_level))
+
+    @pytest.mark.filterwarnings("ignore:initial/boundary mismatch:UserWarning")
+    @pytest.mark.parametrize("every_level", [True, False], ids=["every", "ends"])
+    @pytest.mark.parametrize("name,orders", SIX_SCHEMES,
+                             ids=[f"{n}{o[0]}{o[1]}" if o else n for n, o in SIX_SCHEMES])
+    def test_blow_up_at_the_first_level(self, name, orders, every_level):
+        # phi = 1e308 sin x overflows in u^1's Laplacian (and in the first step)
+        problem = dataclasses.replace(sample_problem(), phi=lambda x: 1e308 * np.sin(x))
+        grid = build_grid(0.0, math.pi, 50)
+        config = config_for(name, 0.5 * grid.h, orders)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = solve_evolution(problem, grid, config, 10.0, every_level)
+            want = solve_checking_every_level(problem, grid, config, 10.0, every_level)
+        assert got.blow_up_index == 1
+        _equal_runs(got, want)
+
+    def test_step_raising_past_an_unchecked_blow_up_reports_the_blow_up(self):
+        # g raises from level 634 on, 11 levels past fd01's blow-up at 623 and before
+        # the check at 640
+        grid = build_grid(0.0, math.pi, 50)
+        k = 1.59 * grid.h
+        problem = load_problem_config(json.dumps(dict(
+            SAMPLE_DOC, g=f"0*sqrt({633.5 * k!r} - t)")))
+        got = solve_evolution(problem, grid, config_for("fd01", k), 80.0, every_level=False)
+        assert got.blow_up_index == 623
+        _equal_runs(got, solve_checking_every_level(problem, grid, config_for("fd01", k), 80.0,
+                                                    every_level=False))
+
+    def test_step_raising_on_a_finite_run_raises_as_before(self):
+        grid = build_grid(0.0, math.pi, 50)
+        k = 0.5 * grid.h
+        problem = load_problem_config(json.dumps(dict(SAMPLE_DOC, g=f"0*sqrt({70.5 * k!r} - t)")))
+        for solve in (solve_evolution, solve_checking_every_level):
+            with pytest.raises(ExpressionError, match="math domain error"):
+                solve(problem, grid, config_for("fd11", k), 100 * k)
+
+
+# the sample problem as a config: u = e^{-t} sin x with gamma = 2 and no forcing
+SAMPLE_DOC = {"domain": [0, math.pi], "gamma": "2", "g": "0", "phi": "sin(x)",
+              "psi": "-sin(x)", "u_a": "0", "u_b": "0", "exact": "exp(-t)*sin(x)"}
+
+
+@pytest.mark.parametrize("doc", [FORCED_DOC, SAMPLE_DOC], ids=["forced", "sample"])
+@pytest.mark.parametrize("name,orders", SIX_SCHEMES,
+                         ids=[f"{n}{o[0]}{o[1]}" if o else n for n, o in SIX_SCHEMES])
+def test_no_step_writes_into_its_input(name, orders, doc):
+    # solve_evolution rewinds to an earlier level, so a step must leave it as it was
+    problem = load_problem_config(json.dumps(doc))
+    grid = build_grid(0.0, math.pi, 12)
+    config = config_for(name, 0.05, orders)
+    stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
+    state = stepper.start[-1]
+    for _ in range(3):
+        before = [None if a is None else a.copy() for a in (state.values, state.prev, state.carry)]
+        after = STEP_FUNCTIONS[config.kind](stepper, state)
+        for old, new in zip(before, (state.values, state.prev, state.carry)):
+            assert (old is None) == (new is None)
+            assert old is None or np.array_equal(old, new)
+        state = after
