@@ -955,6 +955,11 @@ class TestSolveEvolution:
             solve_evolution(sample_problem(), grid, config_for("fd01", 0.1), 4.0)
 
 
+# the sample problem as a config: u = e^{-t} sin x with gamma = 2 and no forcing
+SAMPLE_DOC = {"domain": [0, math.pi], "gamma": "2", "g": "0", "phi": "sin(x)",
+              "psi": "-sin(x)", "u_a": "0", "u_b": "0", "exact": "exp(-t)*sin(x)"}
+
+
 def _equal_runs(got, want):
     assert np.array_equal(got.times, want.times)
     assert np.array_equal(got.states, want.states, equal_nan=True)
@@ -980,9 +985,9 @@ class TestSpacedBlowUpChecks:
         _equal_runs(got, solve_checking_every_level(problem, grid, config, t_final,
                                                     every_level))
 
-    @pytest.mark.parametrize("every_level", [True, False], ids=["every", "ends"])
     # (scheme, r, last level, blow-up level): runs that end past the next check, before
     # it, and at the blow-up itself
+    @pytest.mark.parametrize("every_level", [True, False], ids=["every", "ends"])
     @pytest.mark.parametrize("name,r,steps,level", [
         ("fd01", 1.59, 800, 623), ("fd01", 1.59, 630, 623), ("fd01", 1.59, 623, 623),
         ("oefd", 1.59, 800, 379), ("fd01", 3.0, 530, 414),
@@ -1032,11 +1037,6 @@ class TestSpacedBlowUpChecks:
         for solve in (solve_evolution, solve_checking_every_level):
             with pytest.raises(ExpressionError, match="math domain error"):
                 solve(problem, grid, config_for("fd11", k), 100 * k)
-
-
-# the sample problem as a config: u = e^{-t} sin x with gamma = 2 and no forcing
-SAMPLE_DOC = {"domain": [0, math.pi], "gamma": "2", "g": "0", "phi": "sin(x)",
-              "psi": "-sin(x)", "u_a": "0", "u_b": "0", "exact": "exp(-t)*sin(x)"}
 
 
 @pytest.mark.parametrize("doc", [FORCED_DOC, SAMPLE_DOC], ids=["forced", "sample"])
