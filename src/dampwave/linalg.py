@@ -1,10 +1,5 @@
-"""Small linear-algebra kernels backing the time steppers.
-
-Banded LU (LAPACK gbtrf/gbtrs) factors the implicit-step matrices once per
-(grid, k, scheme); spectral_radius computes the dominant eigenvalue
-magnitude of a linear map given only its action, from the eigenvalues of
-its dense matrix.
-"""
+"""Banded LU (LAPACK gbtrf/gbtrs), which factors the implicit-step matrices
+once per (grid, k, scheme) and solves with them once per step."""
 
 from __future__ import annotations
 
@@ -14,7 +9,6 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 PIVOT_RTOL = 1e-14
-SPECTRAL_MAX_SIZE = 2000
 
 
 #: the float64 LAPACK banded LU routines, looked up once
@@ -89,22 +83,3 @@ def solve_banded(fact: BandedFactorization, rhs: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"banded solve failed with info={info}")
     return x
-
-
-def spectral_radius(apply, n: int) -> float:
-    """Dominant eigenvalue magnitude of a linear map on R^n, given only its action.
-
-    The map is applied to the n unit vectors to form its dense matrix, whose
-    eigenvalues LAPACK computes directly, so complex pairs, defective and
-    tied dominant moduli need no special handling. Limited to n <=
-    SPECTRAL_MAX_SIZE, where the dense eigenvalue problem stays within
-    seconds.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > SPECTRAL_MAX_SIZE:
-        raise ValueError(
-            f"dense spectral radius limited to maps of size {SPECTRAL_MAX_SIZE}, got {n}"
-        )
-    matrix = np.column_stack([np.asarray(apply(e), dtype=float) for e in np.eye(n)])
-    return float(np.abs(np.linalg.eigvals(matrix)).max())

@@ -348,7 +348,8 @@ def make_stepper(
 
 
 def amplify(stepper: SemigroupStepper, v: np.ndarray) -> np.ndarray:
-    """R(kM) v = Q_S(kM)^{-1} P_T(kM) v, whose spectral radius `stability --empirical` computes."""
+    """R(kM) v = Q_S(kM)^{-1} P_T(kM) v; `stability.spectral_radius` applies it to the
+    sine-mode planes to measure its radius for `stability --empirical`."""
     rhs = apply_poly(stepper.p, stepper.op, stepper.config.k, v)
     if stepper.q_fact is None:
         return rhs
@@ -436,25 +437,26 @@ def solve_evolution(
     """
     n_steps = num_steps(t_final, config.k)
 
-    op = assemble_system(grid, problem)
-    stepper = make_stepper(config, op, grid, problem)
-    # chosen per call, so that a rebinding of these module names takes effect
-    step = {"semigroup": step_semigroup, "oefd": step_oefd, "oifd": step_oifd}[config.kind]
-    start = stepper.start
-
-    n_kept = n_steps + 1 if every_level else 2
-    try:
-        states = np.empty((n_kept, start[0].values.size))
-    except MemoryError as exc:
-        raise ValueError(f"cannot hold {n_kept} snapshots ({exc}); shorten t_final "
-                         "or lengthen the step") from None
-    level, state = 0, start[0]
-    states[0] = state.values
-    checked = (level, state)  # the last level that passed a check; level 0 is never checked
-    spacing = CHECK_EVERY
-    blow_up_index: Optional[int] = None
-    # a diverging run overflows before its first non-finite level is caught
+    # set-up too, so that an overflow there is a non-finite start level, a blow-up at
+    # level 1; a diverging run overflows before its first non-finite level is caught
     with np.errstate(over="ignore", invalid="ignore"):
+        op = assemble_system(grid, problem)
+        stepper = make_stepper(config, op, grid, problem)
+        # chosen per call, so that a rebinding of these module names takes effect
+        step = {"semigroup": step_semigroup, "oefd": step_oefd, "oifd": step_oifd}[config.kind]
+        start = stepper.start
+
+        n_kept = n_steps + 1 if every_level else 2
+        try:
+            states = np.empty((n_kept, start[0].values.size))
+        except MemoryError as exc:
+            raise ValueError(f"cannot hold {n_kept} snapshots ({exc}); shorten t_final "
+                             "or lengthen the step") from None
+        level, state = 0, start[0]
+        states[0] = state.values
+        checked = (level, state)  # the last level that passed a check; level 0 is never checked
+        spacing = CHECK_EVERY
+        blow_up_index: Optional[int] = None
         while level < n_steps:
             level += 1
             try:

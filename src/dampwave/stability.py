@@ -1,8 +1,6 @@
 """Stability analysis of the explicit and implicit schemes.
 
-The explicit (0,1) scheme's per-mode amplification eigenvalues are the roots
-of a real quadratic; a Jury-type coefficient test places both roots inside
-the unit disk. The scheme is stable when
+The explicit (0,1) scheme is stable when
 
     k < 2 / gamma*        and        sqrt(k) / h < sqrt(gamma*) / 2,
 
@@ -14,50 +12,20 @@ The implicit (1,1) scheme maps the operator eigenvalues
 
 through the Cayley transform mu = (1 + k lambda/2) / (1 - k lambda/2);
 Re(lambda) <= 0 gives |mu| <= 1 for every (h, k): unconditional stability.
+With constant damping, M and so every one-step map R(kM) keep each plane
+{[s_n; 0], [0; s_n]} of an orthonormal sine mode s_n invariant: `spectral_radius`
+measures a map's radius from its 2x2 block per plane, a check of the closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .operators import MAX_SUBINTERVALS
-
-
-@dataclass(frozen=True)
-class QuadraticCoeffs:
-    """p(x) = a x^2 + b x + c with a > 0."""
-
-    a: float
-    b: float
-    c: float
-
-
-def jury_stable(q: QuadraticCoeffs) -> bool:
-    """True iff both roots of p lie strictly inside the unit disk.
-
-    Coefficient form of the criterion: |c| < a, p(1) > 0 and p(-1) > 0.
-    """
-    if not q.a > 0:
-        raise ValueError(f"leading coefficient must be positive, got a={q.a}")
-    p1 = q.a + q.b + q.c
-    pm1 = q.a - q.b + q.c
-    return abs(q.c) < q.a and p1 > 0 and pm1 > 0
-
-
-def explicit_char_poly(n: int, N: int, k: float, h: float, gamma_n: float) -> QuadraticCoeffs:
-    """Quadratic whose roots are mode n's amplification eigenvalues of I + kM.
-
-    lambda^2 + (-2 + gamma k) lambda + 1 - k gamma + 4 r^2 sin^2(n pi / 2N),
-    r = k/h.
-    """
-    if not 1 <= n <= N - 1:
-        raise ValueError(f"mode index must satisfy 1 <= n <= N-1, got n={n}, N={N}")
-    r = k / h
-    s = math.sin(n * math.pi / (2 * N)) ** 2
-    return QuadraticCoeffs(a=1.0, b=-2.0 + gamma_n * k, c=1.0 - k * gamma_n + 4.0 * r**2 * s)
 
 
 @dataclass(frozen=True)
@@ -140,3 +108,40 @@ def implicit_amplification(N: int, h: float, k: float, gamma_const: float) -> Am
         mu_minus=mu_m,
         max_modulus=max_mod,
     )
+
+
+#: the largest one-step map, 2(N-1) unknowns, that `spectral_radius` takes (32 MB of images)
+MAX_MAP_SIZE = 2000
+#: the largest relative off-plane part of a mode plane's image that counts as rounding
+PLANE_RESIDUAL_TOL = 1e-8
+
+
+class ModeCouplingError(ValueError):
+    """A one-step map moves a sine-mode plane off itself: its damping is not constant."""
+
+
+def spectral_radius(apply: Callable[[np.ndarray], np.ndarray], N: int) -> tuple[float, float]:
+    """(spectral radius, off-plane residual) of a one-step map of [u; u_t] on N - 1 interior
+    nodes with constant damping. apply runs once on each of the 2(N-1) vectors [s_n; 0] and
+    [0; s_n]; their images projected onto s_n form mode n's 2x2 block, whose eigenvalues are
+    taken in closed form. The residual, the largest entry of an image off its plane over the
+    largest entry of any image, raises ModeCouplingError past PLANE_RESIDUAL_TOL."""
+    n = N - 1
+    if not 1 <= n <= MAX_MAP_SIZE // 2:
+        raise ValueError(f"per-mode spectral radius needs a map of size 2 up to size "
+                         f"{MAX_MAP_SIZE}, got {2 * n}")
+    nodes = np.arange(1, N)
+    modes = math.sqrt(2.0 / N) * np.sin(np.outer(nodes, nodes) * (math.pi / N))  # row n: s_n
+    zero = np.zeros(n)
+    # images[n, c, r]: half r (u, then u_t) of the image of the plane's c-th basis vector
+    images = np.array([[apply(np.concatenate(v)) for v in ((s, zero), (zero, s))]
+                       for s in modes]).reshape(n, 2, 2, n)
+    blocks = np.einsum("ncrj,nj->nrc", images, modes)
+    off_plane = images - np.einsum("nrc,nj->ncrj", blocks, modes)
+    residual = float(np.abs(off_plane).max() / np.abs(images).max())
+    if not residual <= PLANE_RESIDUAL_TOL:
+        raise ModeCouplingError(f"the one-step map couples sine modes: off-plane residual "
+                                f"{residual:.3e} exceeds {PLANE_RESIDUAL_TOL:.0e}")
+    (a, b), (c, d) = blocks.transpose(1, 2, 0)
+    half_trace, root = (a + d) / 2.0, np.sqrt((((a - d) / 2.0) ** 2 + b * c).astype(complex))
+    return float(np.abs([half_trace + root, half_trace - root]).max()), residual

@@ -6,12 +6,18 @@ polynomials. These densify, exponentiate and evaluate scalars so that small
 cases can be checked directly. `tokenize` is the expression scanner as a
 character loop, the reference for the package's one-pattern scanner, and
 `solve_checking_every_level` is the time loop that looks for a non-finite
-entry at every level, the reference for `solve_evolution`'s spaced checks.
+entry at every level, the reference for `solve_evolution`'s spaced checks;
+`max_error_per_level` samples the exact solution once per level, the
+reference for `harness.max_error_series`. `spectral_radius` takes the
+eigenvalues of a map's dense matrix, the reference for the per-mode
+`stability.spectral_radius`, and `jury_stable` with `explicit_char_poly`
+places the explicit scheme's per-mode eigenvalues by a coefficient test.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,11 +25,13 @@ from scipy.linalg import expm
 
 from dampwave import schemes
 from dampwave.linalg import BandedMatrix
-from dampwave.operators import BlockOperator, assemble_system, second_difference
+from dampwave.harness import Table
+from dampwave.operators import BlockOperator, assemble_system, build_grid, sample, second_difference
 from dampwave.pade import RationalApproximant
 from dampwave.problems import ExpressionSyntaxError
 
 ORACLE_MAX_SIZE = 200
+SPECTRAL_MAX_SIZE = 2000
 
 
 def banded_to_dense(matrix: BandedMatrix) -> np.ndarray:
@@ -143,3 +151,65 @@ def solve_checking_every_level(problem, grid, config, t_final, every_level=True)
     levels = np.arange(kept) if every_level else np.array([0, level])
     return schemes.Trajectory(grid=grid, times=levels * config.k, states=states[:kept],
                               blow_up_index=blow_up_index)
+
+
+def max_error_per_level(problem, scheme, N, k, t_final):
+    """`harness.max_error_series` with the exact solution sampled one level at a time."""
+    grid = build_grid(*problem.domain, N)
+    traj = schemes.solve_evolution(problem, grid, schemes.config_for(scheme, k), t_final)
+    errors = [np.max(np.abs(u - sample(problem.exact, grid.interior_nodes, t)))
+              for t, u in zip(traj.times, traj.displacements)]
+    return Table.from_columns(("t", "max_error"), traj.times, np.array(errors))
+
+
+def spectral_radius(apply, n: int) -> float:
+    """Dominant eigenvalue magnitude of a linear map on R^n, given only its action.
+
+    The map is applied to the n unit vectors to form its dense matrix, whose
+    eigenvalues LAPACK computes directly, so complex pairs, defective and
+    tied dominant moduli need no special handling. Limited to n <=
+    SPECTRAL_MAX_SIZE, where the dense eigenvalue problem stays within
+    seconds.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > SPECTRAL_MAX_SIZE:
+        raise ValueError(
+            f"dense spectral radius limited to maps of size {SPECTRAL_MAX_SIZE}, got {n}"
+        )
+    matrix = np.column_stack([np.asarray(apply(e), dtype=float) for e in np.eye(n)])
+    return float(np.abs(np.linalg.eigvals(matrix)).max())
+
+
+@dataclass(frozen=True)
+class QuadraticCoeffs:
+    """p(x) = a x^2 + b x + c with a > 0."""
+
+    a: float
+    b: float
+    c: float
+
+
+def jury_stable(q: QuadraticCoeffs) -> bool:
+    """True iff both roots of p lie strictly inside the unit disk.
+
+    Coefficient form of the criterion: |c| < a, p(1) > 0 and p(-1) > 0.
+    """
+    if not q.a > 0:
+        raise ValueError(f"leading coefficient must be positive, got a={q.a}")
+    p1 = q.a + q.b + q.c
+    pm1 = q.a - q.b + q.c
+    return abs(q.c) < q.a and p1 > 0 and pm1 > 0
+
+
+def explicit_char_poly(n: int, N: int, k: float, h: float, gamma_n: float) -> QuadraticCoeffs:
+    """Quadratic whose roots are mode n's amplification eigenvalues of I + kM.
+
+    lambda^2 + (-2 + gamma k) lambda + 1 - k gamma + 4 r^2 sin^2(n pi / 2N),
+    r = k/h.
+    """
+    if not 1 <= n <= N - 1:
+        raise ValueError(f"mode index must satisfy 1 <= n <= N-1, got n={n}, N={N}")
+    r = k / h
+    s = math.sin(n * math.pi / (2 * N)) ** 2
+    return QuadraticCoeffs(a=1.0, b=-2.0 + gamma_n * k, c=1.0 - k * gamma_n + 4.0 * r**2 * s)

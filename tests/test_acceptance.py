@@ -25,14 +25,9 @@ from dampwave.schemes import (
     solve_evolution,
     step_semigroup,
 )
-from dampwave.stability import (
-    QuadraticCoeffs,
-    check_explicit_stability,
-    implicit_amplification,
-    jury_stable,
-)
+from dampwave.stability import check_explicit_stability, implicit_amplification
 
-from oracles import matrix_exponential
+from oracles import QuadraticCoeffs, jury_stable, matrix_exponential
 from test_schemes import FORCED_DOC
 
 GAMMA_STAR = 2.0  # damping maximum of the sample problem

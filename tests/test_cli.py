@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -601,6 +602,31 @@ class TestErrorWiring:
         assert code == 2
         assert "missing field 'domain'" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSetUpOverflow:
+    """Overflow in a solve's set-up is a blow-up at level 1, warning-free."""
+
+    @pytest.mark.parametrize("fields,argv", [
+        # u^1's Laplacian of phi = 1e308 sin x; u_b matches phi at the corner
+        (dict(phi="1e308*sin(x)", u_b="1e308*sin(pi)"), ["--scheme", "oefd"]),
+        (dict(phi="1e308*sin(x)", u_b="1e308*sin(pi)"), ["--scheme", "oifd"]),
+        # the forcing B/h^2 that a steady problem evaluates once in make_stepper
+        (dict(phi="x/pi*1e308", u_b="1e308"), ["--scheme", "fd01"]),
+        (dict(phi="x/pi*1e308", u_b="1e308"), ["--scheme", "fdST", "--pade", "2,2"]),
+        # Q_2(kM)'s (k gamma)^2 entries
+        (dict(gamma="1e200"), ["--scheme", "fdST", "--pade", "2,2"]),
+    ], ids=["oefd-start", "oifd-ghost-start", "fd01-steady-forcing", "fd22-steady-forcing",
+            "fd22-denominator"])
+    def test_exits_4_at_step_1(self, tmp_path, capsys, fields, argv):
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps(dict(UNDAMPED_DOC, **fields)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_command(["solve", "--problem", str(cfg), *argv, "--N", "50",
+                                "--r", "0.5", "--t-final", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 4
+        assert "non-finite state at step 1 " in capsys.readouterr().err
 
 
 class TestPackageRoot:

@@ -27,6 +27,9 @@ from dampwave.operators import build_grid, sample
 from dampwave.problems import DampedWaveProblem, load_problem_config, sample_problem
 from dampwave.schemes import config_for, solve_evolution
 
+from oracles import max_error_per_level
+from test_schemes import FORCED_DOC
+
 # published per-node reference errors for h = pi/10, k = 1/10 (errors of the
 # first time level; symmetric about the midpoint, zero at the ends)
 TABLE1_REFERENCE = {
@@ -295,6 +298,32 @@ class TestFigureData:
         ts = table.column("t")
         assert ts == pytest.approx(0.1 * np.arange(11))
         assert table.column("max_error")[0] == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("case,scheme,N,r,t_final", [
+        ("sample", "fd11", 50, 0.159, 1.0),
+        ("forced", "oifd", 40, 0.5, 1.0),
+        ("scalar-only", "oefd", 20, 0.5, 1.0),  # math.sin rejects arrays: level by level
+        ("multi-block", "fd01", 50, 1.59, 80.0),  # three blocks, the last ending in a blow-up
+    ])
+    def test_max_error_series_is_the_per_level_loop(self, case, scheme, N, r, t_final):
+        problem = {
+            "sample": sample_problem(),
+            "multi-block": sample_problem(),
+            "forced": load_problem_config(json.dumps(dict(
+                FORCED_DOC, exact="cos(2.0*t)*sin(x) + (1.0 + 0.25*x)*sin(t)"))),
+            "scalar-only": dataclasses.replace(
+                sample_problem(), exact=lambda x, t: math.exp(-t) * math.sin(x)),
+        }[case]
+        k = r * (problem.domain[1] - problem.domain[0]) / N
+        got = max_error_series(problem, scheme, N, k, t_final)
+        want = max_error_per_level(problem, scheme, N, k, t_final)
+        assert np.array_equal(got.column("t"), want.column("t"))
+        assert np.array_equal(got.column("max_error"), want.column("max_error"), equal_nan=True)
+        if case == "multi-block":
+            assert len(got.rows) == 624 > 2 * _BLOCK_ROWS
+            assert got.column("max_error")[-1] > 1e300
+        else:
+            assert max(got.column("max_error")) < 0.05
 
     @pytest.mark.parametrize("scheme", ["fd11", "oifd"])
     def test_max_error_series_is_the_per_row_formula(self, scheme):

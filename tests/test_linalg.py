@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dampwave.linalg import (
-    SPECTRAL_MAX_SIZE,
-    BandedMatrix,
-    SingularMatrixError,
-    lu_factor_banded,
-    solve_banded,
-    spectral_radius,
-)
+from dampwave.linalg import BandedMatrix, SingularMatrixError, lu_factor_banded, solve_banded
 from dampwave.operators import assemble_system, build_grid
 from dampwave.problems import sample_problem
 from dampwave.schemes import amplify, config_for, make_stepper
 from dampwave.stability import implicit_amplification
 
-from oracles import banded_to_dense, matrix_exponential, operator_to_dense
+from oracles import (
+    SPECTRAL_MAX_SIZE,
+    banded_to_dense,
+    matrix_exponential,
+    operator_to_dense,
+    spectral_radius,
+)
 
 
 def random_banded(rng, n, kl, ku):

@@ -387,6 +387,17 @@ class TestSampleProblem:
             u_t = sum(wi * problem.exact(x, t + o) for wi, o in zip(wd1, offs1))
             assert abs(u_tt - u_xx + 2 * u_t) < 1e-6
 
+    def test_exact_keeps_the_bits_of_math_exp(self):
+        exact = sample_problem().exact
+        rng = np.random.default_rng(3)
+        x, ts = rng.uniform(0.0, math.pi, 37), rng.uniform(0.0, 6.0, 200)
+        for t in ts:
+            assert np.array_equal(exact(x, t), math.exp(-t) * np.sin(x))
+            assert exact(float(x[0]), float(t)) == math.exp(-t) * np.sin(x[0])
+        # a column of t broadcasts against a row of nodes, level by level the same
+        assert np.array_equal(exact(x[None, :], ts[:, None]),
+                              [math.exp(-t) * np.sin(x) for t in ts])
+
     def test_damping_maximum(self):
         problem = sample_problem()
         xs = np.linspace(0, math.pi, 101)

@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 
 from dampwave.operators import assemble_system, build_grid
 from dampwave.problems import DampedWaveProblem
+from dampwave.schemes import amplify, config_for, make_stepper
 from dampwave.stability import (
-    QuadraticCoeffs,
+    MAX_MAP_SIZE,
+    ModeCouplingError,
     check_explicit_stability,
-    explicit_char_poly,
     implicit_amplification,
-    jury_stable,
+    spectral_radius,
 )
 
-from oracles import operator_to_dense
+from oracles import QuadraticCoeffs, explicit_char_poly, jury_stable, operator_to_dense
+from oracles import spectral_radius as dense_spectral_radius
 
 
 def roots_inside(q: QuadraticCoeffs) -> bool:
@@ -219,3 +221,63 @@ class TestImplicitAmplification:
         spec = implicit_amplification(N, h, k, gamma)
         lam = np.concatenate([spec.lambda_plus, spec.lambda_minus])
         assert np.abs(1.0 + k * lam).max() <= 1.0
+
+
+def probe_stepper(N, h, k, gamma, name="fd11", orders=None):
+    """The one-step map of an unforced problem on [0, N h], as `stability --empirical` builds it."""
+    problem = DampedWaveProblem(
+        domain=(0.0, N * h),
+        gamma=gamma if callable(gamma) else lambda x: gamma,
+        g=lambda x, t: 0.0,
+        phi=lambda x: 0.0,
+        psi=lambda x: 0.0,
+        u_a=lambda t: 0.0,
+        u_b=lambda t: 0.0,
+    )
+    grid = build_grid(0.0, N * h, N)
+    return make_stepper(config_for(name, k, orders), assemble_system(grid, problem), grid, problem)
+
+
+class TestPerModeSpectralRadius:
+    @pytest.mark.parametrize("N,h,k,gamma", [
+        (50, math.pi / 50, 0.05, 2.0),  # the bench's `stability --empirical`
+        (2, 0.5, 0.1, 1.0),
+        (10, math.pi / 10, 0.3, 0.0),  # no damping: |mu| = 1
+        (12, 0.1, 0.05, 50.0),  # overdamped, gamma^2 > 16/h^2
+        (25, 0.05, 1.0, 3.0),
+        (40, 0.2, 0.01, 7.5),
+    ])
+    @pytest.mark.parametrize("name,orders", [("fd11", None), ("fd01", None), ("fdST", (2, 2))])
+    def test_matches_the_dense_oracle(self, N, h, k, gamma, name, orders):
+        stepper = probe_stepper(N, h, k, gamma, name, orders)
+        rho, residual = spectral_radius(lambda v: amplify(stepper, v), N)
+        dense = dense_spectral_radius(lambda v: amplify(stepper, v), 2 * (N - 1))
+        assert rho == pytest.approx(dense, rel=1e-12)
+        assert 0.0 <= residual < 1e-12
+        if name == "fd11":
+            closed = implicit_amplification(N, h, k, gamma).max_modulus
+            assert rho == pytest.approx(closed, rel=1e-12)
+
+    def test_bench_configuration(self):
+        stepper = probe_stepper(50, math.pi / 50, 0.05, 2.0)
+        rho, residual = spectral_radius(lambda v: amplify(stepper, v), 50)
+        assert f"{rho:.12f}" == "0.969829531354"
+        assert residual < 1e-12
+
+    def test_one_application_per_plane_basis_vector(self):
+        stepper = probe_stepper(9, 0.3, 0.1, 1.0)
+        calls = []
+        spectral_radius(lambda v: calls.append(v) or amplify(stepper, v), 9)
+        assert len(calls) == 16
+
+    def test_varying_damping_is_refused_by_name(self):
+        stepper = probe_stepper(20, math.pi / 20, 0.05, lambda x: 1.0 + x)
+        with pytest.raises(ModeCouplingError, match="couples sine modes"):
+            spectral_radius(lambda v: amplify(stepper, v), 20)
+
+    @pytest.mark.parametrize("N", [1, MAX_MAP_SIZE // 2 + 2])
+    def test_size_bound(self, N):
+        calls = []
+        with pytest.raises(ValueError, match=f"size {MAX_MAP_SIZE}, got {2 * (N - 1)}"):
+            spectral_radius(calls.append, N)
+        assert calls == []
