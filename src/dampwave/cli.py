@@ -152,7 +152,7 @@ def _cmd_solve(args) -> int:
     grid = build_grid(*problem.domain, args.N)
     k = _resolve_k(args, grid.h)
     config = config_for(args.scheme, k, _parse_pade(args))
-    traj = solve_evolution(problem, grid, config, args.t_final, every_level=False)
+    traj = solve_evolution(problem, grid, config, args.t_final)
     if problem.exact is not None:
         p = harness.error_profile(traj, problem)
         columns = ("x", "numeric", "exact", "abs_error")

@@ -1,10 +1,9 @@
 """Error measurement, convergence studies and the benchmark tables.
 
 `snapshot` turns a trajectory's last level into an all-node profile, with
-endpoint rows from the boundary data. Readers of one level solve with
-every_level=False and hold the start and last levels; `max_error_series`
-alone keeps every level, and reduces it a block of levels at a time against
-one call of the exact solution per block.
+endpoint rows from the boundary data. A trajectory holds only the start and
+last levels; `max_error_series` alone reads every level, reducing each block
+that `solve_evolution` hands over against one call of the exact solution.
 
 Outputs are `Table`s, which store their columns as given, written as
 RFC-4180-style CSV: header row, CRLF line endings, '.' decimal separator,
@@ -113,7 +112,7 @@ def observed_order(
         num_steps(t_eval, k_j)
         level_values.append(k_j if axis == "time" else grid.h)
     for j, (grid, config) in enumerate(runs):
-        traj = solve_evolution(problem, grid, config, t_eval, every_level=False)
+        traj = solve_evolution(problem, grid, config, t_eval)
         profile = None if traj.blow_up else error_profile(traj, problem)
         if profile is not None and abs(profile.t - t_eval) > 1e-9 * t_eval:
             raise ValueError(f"level {j} (k={config.k!r}) has no step at t_eval={t_eval!r}; "
@@ -170,7 +169,7 @@ def compare_schemes(
     """
     errors, summary = [], {}
     for name in TABLE_SCHEMES:
-        traj = solve_evolution(problem, grid, config_for(name, k), t, every_level=False)
+        traj = solve_evolution(problem, grid, config_for(name, k), t)
         profile = error_profile(traj, problem)
         errors.append(profile.abs_error)
         diverged = traj.blow_up or not profile.max_error <= DIVERGENCE_THRESHOLD
@@ -208,7 +207,7 @@ def solution_profile(
 ) -> Table:
     """(x, numeric, exact) series at the last step with t_n <= t."""
     grid = build_grid(*problem.domain, N)
-    traj = solve_evolution(problem, grid, config_for(scheme, k), t, every_level=False)
+    traj = solve_evolution(problem, grid, config_for(scheme, k), t)
     profile = error_profile(traj, problem)
     return Table.from_columns(("x", "numeric", "exact"), profile.x, profile.numeric, profile.exact)
 
@@ -216,17 +215,18 @@ def solution_profile(
 def max_error_series(
     problem: DampedWaveProblem, scheme: str, N: int, k: float, t_final: float
 ) -> Table:
-    """(t, max abs error) time series over a whole run. exact is called once per block of
-    _BLOCK_ROWS levels, on x[None, :] and t[:, None], or level by level if it rejects them."""
+    """(t, max abs error) time series over a whole run. exact is called once per block that
+    `solve_evolution` hands over, on x[None, :] and t[:, None], or level by level if it
+    rejects them."""
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    grid = build_grid(*problem.domain, N)
-    traj = solve_evolution(problem, grid, config_for(scheme, k), t_final)
-    x, times, u = grid.interior_nodes, traj.times, traj.displacements
+    grid, config = build_grid(*problem.domain, N), config_for(scheme, k)
+    x, times = grid.interior_nodes, np.arange(num_steps(t_final, k) + 1) * k
     max_error = np.empty(len(times))
-    for lo in range(0, len(times), _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        err = np.empty(u[rows].shape)
+
+    def reduce(first: int, states: np.ndarray) -> None:
+        rows = slice(first, first + len(states))
+        err = np.empty((len(states), x.size))
         try:
             err[...] = problem.exact(x[None, :], times[rows, None])
         except ExpressionError:
@@ -234,10 +234,13 @@ def max_error_series(
         except Exception:  # a callable that rejects arrays: one level at a time
             for row, t in zip(err, times[rows]):
                 row[...] = sample(problem.exact, x, t)
-        np.subtract(err, u[rows], out=err)
+        np.subtract(err, states[:, : x.size], out=err)
         np.abs(err, out=err)
         err.max(axis=1, out=max_error[rows])
-    return Table.from_columns(("t", "max_error"), times, max_error)
+
+    traj = solve_evolution(problem, grid, config, t_final, reduce)
+    end = len(times) if traj.blow_up_index is None else traj.blow_up_index + 1
+    return Table.from_columns(("t", "max_error"), times[:end], max_error[:end])
 
 
 def format_value(v) -> str:
@@ -264,7 +267,7 @@ def format_value(v) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-_BLOCK_ROWS = 256  # rows per CSV write, and levels per exact call in max_error_series
+_BLOCK_ROWS = 256  # rows per CSV write
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 

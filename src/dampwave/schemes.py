@@ -54,9 +54,9 @@ Every scheme runs behind one stepper protocol:
   u^0 and every oefd level. A source returns None for an all-zero term (so
   an unforced semigroup step is one bare R(Mk) W_n), which adds nothing;
 * `solve_evolution` owns the only time loop and its blow-up bookkeeping. It
-  keeps every level, or only the start and last levels for readers of one
-  level, in one array allocated before the loop; a blown-up run ends at its
-  first non-finite level. It checks every CHECK_EVERY levels and the last:
+  returns the start and last levels (a blown-up run ends at its first
+  non-finite one), and hands every level to `on_block` in checked runs of
+  one reused buffer. It checks every CHECK_EVERY levels and the last:
   a non-finite entry persists at every later level, as every coefficient and
   pivot is finite and NaN and inf spread through +, * and the banded solve.
   A failed check, or a step that raises, rewinds to the last level that
@@ -94,6 +94,7 @@ MAX_STEPS = 10_000_000
 
 #: levels between blow-up checks in solve_evolution (every level after a failed one)
 CHECK_EVERY = 64
+LEVEL_BLOCK = 4 * CHECK_EVERY  # most levels in a run handed to solve_evolution's on_block
 
 KINDS = ("semigroup", "oefd", "oifd")
 
@@ -235,6 +236,14 @@ class BaselineStepper:
 Stepper = Union[SemigroupStepper, BaselineStepper]
 
 
+def _square(v: float) -> float:
+    """v**2 (not v*v, whose bits differ), or inf where the Python float overflows."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
 def startup_u1(
     problem: DampedWaveProblem, grid: SpatialGrid, k: float, gamma: np.ndarray, u0: np.ndarray,
     psi: np.ndarray,
@@ -251,7 +260,7 @@ def startup_u1(
     g0 = sample(problem.g, grid.interior_nodes, 0.0)
     phi_ext = np.concatenate(([problem.phi(grid.a)], u0, [problem.phi(grid.b)]))
     lap = (phi_ext[:-2] - 2.0 * phi_ext[1:-1] + phi_ext[2:]) / grid.h**2
-    return u0 + k * psi + 0.5 * k**2 * (lap - gamma * psi + g0)
+    return u0 + k * psi + 0.5 * _square(k) * (lap - gamma * psi + g0)
 
 
 def _oifd_factor(d: np.ndarray, half_r2: float) -> linalg.BandedFactorization:
@@ -322,22 +331,22 @@ def make_stepper(
             source=_bind(problem, lambda t: _nonzero(k / 2.0 * forcing_vector(problem, grid, t))),
         )
 
-    gamma = op.damping
+    gamma, k2 = op.damping, _square(k)
     lhs = 1.0 + gamma * k / 2.0
     if config.kind == "oefd":
-        lap_coeff = (k / grid.h) ** 2
+        lap_coeff = _square(k / grid.h)
         source = _bind(problem, lambda t: (_nonzero(lap_coeff * boundary_vector(problem, grid, t)),
-                                           _nonzero(k**2 * sample(problem.g, x, t))))
+                                           _nonzero(k2 * sample(problem.g, x, t))))
         u1, b_k = startup_u1(problem, grid, k, gamma, phi, psi), None
         fields = dict(lhs_denom=lhs)
     else:
-        lap_coeff = 0.5 * (k / grid.h) ** 2
+        lap_coeff = 0.5 * _square(k / grid.h)
         b_at = _bind(problem, lambda t: boundary_vector(problem, grid, t))  # steady: one B
 
         def terms(t, b_n=None):
             b_next = b_at(t + k)
             b_sum = b_next + (b_at(t) if b_n is None else b_n)
-            return _nonzero(lap_coeff * b_sum), _nonzero(k**2 * sample(problem.g, x, t)), b_next
+            return _nonzero(lap_coeff * b_sum), _nonzero(k2 * sample(problem.g, x, t)), b_next
 
         source = _bind(problem, terms)
         u1, b_k = _oifd_ghost_start(phi, psi, gamma, k, lap_coeff, source)
@@ -400,7 +409,7 @@ def step_oifd(stepper: BaselineStepper, state: StateVector) -> StateVector:
 
 @dataclass
 class Trajectory:
-    """Kept levels of a solve: times and states, plus blow-up bookkeeping.
+    """The start and last levels of a solve: times, states and blow-up bookkeeping.
 
     For semigroup schemes a state row is the full [u; u_t] vector; for the
     two-level baselines it is the displacement vector alone. The last row is
@@ -427,36 +436,34 @@ def solve_evolution(
     grid: SpatialGrid,
     config: SchemeConfig,
     t_final: float,
-    every_level: bool = True,
+    on_block: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> Trajectory:
-    """Run the configured scheme from the initial data to the last step with t <= t_final,
-    keeping every level or, with every_level=False, the start and last levels only.
-
-    A non-finite entry in any level after the initial one halts the run and
-    flags the trajectory (the offending level is retained as data).
-    """
+    """Run the configured scheme from the initial data to the last step with t <= t_final, or
+    to the first non-finite level after the initial one, which halts and flags the run. The
+    start and last levels are returned; on_block(first_level, states) gets every level once,
+    in order, in runs that end at multiples of LEVEL_BLOCK or the last level, each a view of
+    one buffer handed over under the caller's np.geterr() once it has passed a check."""
     n_steps = num_steps(t_final, config.k)
+    caller_err = np.geterr()
 
     # set-up too, so that an overflow there is a non-finite start level, a blow-up at
     # level 1; a diverging run overflows before its first non-finite level is caught
     with np.errstate(over="ignore", invalid="ignore"):
-        op = assemble_system(grid, problem)
-        stepper = make_stepper(config, op, grid, problem)
+        stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
         # chosen per call, so that a rebinding of these module names takes effect
         step = {"semigroup": step_semigroup, "oefd": step_oefd, "oifd": step_oifd}[config.kind]
         start = stepper.start
 
-        n_kept = n_steps + 1 if every_level else 2
-        try:
-            states = np.empty((n_kept, start[0].values.size))
-        except MemoryError as exc:
-            raise ValueError(f"cannot hold {n_kept} snapshots ({exc}); shorten t_final "
-                             "or lengthen the step") from None
-        level, state = 0, start[0]
-        states[0] = state.values
+        if on_block is not None:
+            rows = min(LEVEL_BLOCK, n_steps) + 1
+            try:
+                block = np.empty((rows, start[0].values.size))
+            except MemoryError as exc:
+                raise ValueError(f"cannot hold {rows} snapshots ({exc})") from None
+            block[0] = start[0].values
+        level, first, state = 0, 0, start[0]  # first: the next level to hand over, in row 0
         checked = (level, state)  # the last level that passed a check; level 0 is never checked
         spacing = CHECK_EVERY
-        blow_up_index: Optional[int] = None
         while level < n_steps:
             level += 1
             try:
@@ -467,17 +474,22 @@ def solve_evolution(
                 # whatever it is, it may come from a level past an unchecked blow-up
                 (level, state), spacing = checked, 1
                 continue
-            if every_level or level == n_steps or spacing == 1:
-                states[level if every_level else 1] = state.values
+            if on_block is not None:
+                block[level - first] = state.values
             if level % spacing and level < n_steps:
                 continue
-            if np.isfinite(state.values).all():
-                checked = (level, state)
-            elif spacing == 1:
-                blow_up_index = level
-                break
-            else:
+            finite = np.isfinite(state.values).all()
+            if not finite and spacing > 1:
                 (level, state), spacing = checked, 1
+                continue
+            checked = (level, state)
+            if on_block is not None and (not finite or not level % LEVEL_BLOCK or level == n_steps):
+                with np.errstate(**caller_err):
+                    on_block(first, block[: level - first + 1])
+                first = level + 1
+            if not finite:
+                break
 
-    levels = np.arange(level + 1) if every_level else np.array([0, level])
-    return Trajectory(grid, levels * config.k, states[: len(levels)], blow_up_index)
+    # the loop ends on a check: the last level passed it, or the run blew up there
+    states = np.stack((start[0].values, state.values))
+    return Trajectory(grid, np.array([0, level]) * config.k, states, None if finite else level)

@@ -7,9 +7,11 @@ cases can be checked directly. `tokenize` is the expression scanner as a
 character loop, the reference for the package's one-pattern scanner, and
 `solve_checking_every_level` is the time loop that looks for a non-finite
 entry at every level, the reference for `solve_evolution`'s spaced checks;
-`max_error_per_level` samples the exact solution once per level, the
-reference for `harness.max_error_series`. `spectral_radius` takes the
-eigenvalues of a map's dense matrix, the reference for the per-mode
+`solve_every_level` gathers the levels `solve_evolution` hands to its
+`on_block` into one trajectory. `max_error_per_level` samples the exact
+solution once per level of the reference loop, the reference for
+`harness.max_error_series`. `spectral_radius` takes the eigenvalues of a
+map's dense matrix, the reference for the per-mode
 `stability.spectral_radius`, and `jury_stable` with `explicit_char_poly`
 places the explicit scheme's per-mode eigenvalues by a coefficient test.
 """
@@ -153,10 +155,27 @@ def solve_checking_every_level(problem, grid, config, t_final, every_level=True)
                               blow_up_index=blow_up_index)
 
 
+def solve_every_level(problem, grid, config, t_final):
+    """`schemes.solve_evolution` with every level its on_block receives, as one trajectory;
+    asserts that the runs come in order from level 0, each level once, and end in the
+    levels the solve returns."""
+    runs = []
+
+    def keep(first, states):
+        assert first == sum(map(len, runs)) and 0 < len(states) <= schemes.LEVEL_BLOCK + 1
+        runs.append(states.copy())
+
+    ends = schemes.solve_evolution(problem, grid, config, t_final, keep)
+    states = np.concatenate(runs)
+    assert np.array_equal(states[[0, -1]], ends.states, equal_nan=True)
+    return schemes.Trajectory(grid=grid, times=np.arange(len(states)) * config.k,
+                              states=states, blow_up_index=ends.blow_up_index)
+
+
 def max_error_per_level(problem, scheme, N, k, t_final):
     """`harness.max_error_series` with the exact solution sampled one level at a time."""
     grid = build_grid(*problem.domain, N)
-    traj = schemes.solve_evolution(problem, grid, schemes.config_for(scheme, k), t_final)
+    traj = solve_checking_every_level(problem, grid, schemes.config_for(scheme, k), t_final)
     errors = [np.max(np.abs(u - sample(problem.exact, grid.interior_nodes, t)))
               for t, u in zip(traj.times, traj.displacements)]
     return Table.from_columns(("t", "max_error"), traj.times, np.array(errors))

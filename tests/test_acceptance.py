@@ -27,7 +27,7 @@ from dampwave.schemes import (
 )
 from dampwave.stability import check_explicit_stability, implicit_amplification
 
-from oracles import QuadraticCoeffs, jury_stable, matrix_exponential
+from oracles import QuadraticCoeffs, jury_stable, matrix_exponential, solve_every_level
 from test_schemes import FORCED_DOC
 
 GAMMA_STAR = 2.0  # damping maximum of the sample problem
@@ -253,7 +253,7 @@ def test_criterion_6_one_step_oracle():
 def _run_fd01_magnitude(N: int, k: float, t_final: float) -> float:
     problem = sample_problem()
     grid = build_grid(0.0, math.pi, N)
-    traj = solve_evolution(problem, grid, config_for("fd01", k), t_final)
+    traj = solve_every_level(problem, grid, config_for("fd01", k), t_final)
     finite = traj.states[np.isfinite(traj.states)]
     peak = float(np.abs(finite).max()) if finite.size else math.inf
     return math.inf if traj.blow_up else peak
@@ -272,8 +272,7 @@ def test_criterion_7_verdict_vs_experiment():
             k = alpha * GAMMA_STAR * grid.h**2 / 4.0
             verdict = check_explicit_stability(k, grid.h, GAMMA_STAR)
             assert verdict.stable, (alpha, N)
-            traj = solve_evolution(problem, grid, config_for("fd01", k), 6.0,
-                                   every_level=False)
+            traj = solve_evolution(problem, grid, config_for("fd01", k), 6.0)
             err = np.abs(
                 traj.displacements[-1]
                 - np.exp(-traj.times[-1]) * np.sin(grid.interior_nodes)

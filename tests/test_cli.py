@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import dampwave
 from dampwave import cli, harness
@@ -13,6 +17,8 @@ from dampwave.linalg import SingularMatrixError
 from dampwave.operators import build_grid
 from dampwave.problems import load_problem_config
 from dampwave.schemes import config_for, solve_evolution
+
+from oracles import solve_every_level
 
 
 def read_csv(path):
@@ -33,12 +39,12 @@ UNDAMPED_DOC = {
 
 
 def assert_matches_every_level_run(tmp_path, capsys, monkeypatch, argv, code):
-    """solve holds two levels, and its CSV and output equal those of a run that holds
-    every level; returns stderr."""
+    """solve holds two levels, and its CSV and output equal those of a run that collects
+    every level through on_block; returns stderr."""
     held = []
 
-    def spy(*args, every_level):
-        traj = solve_evolution(*args, every_level=every_level)
+    def spy(*args, **kwargs):
+        traj = solve_evolution(*args, **kwargs)
         held.append(traj.states.shape[0])
         return traj
 
@@ -50,8 +56,7 @@ def assert_matches_every_level_run(tmp_path, capsys, monkeypatch, argv, code):
     monkeypatch.setattr(cli, "solve_evolution", spy)
     ends = run("ends.csv")
     assert held == [2]
-    monkeypatch.setattr(cli, "solve_evolution",
-                        lambda *args, every_level: solve_evolution(*args))
+    monkeypatch.setattr(cli, "solve_evolution", solve_every_level)
     assert run("every.csv") == ends
     return ends[1].err
 
@@ -627,6 +632,68 @@ class TestSetUpOverflow:
                                 "--r", "0.5", "--t-final", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 4
         assert "non-finite state at step 1 " in capsys.readouterr().err
+
+    # r^2 = 1e310 overflows as a Python float; oefd's Taylor start u^1 needs only k^2
+    # (finite), so it blows up at its first step, level 2, where oifd's ghost start is
+    # already non-finite at level 1
+    @pytest.mark.parametrize("scheme,t_final,code,step", [
+        ("oefd", "1e154", 0, None), ("oefd", "3e154", 4, 2), ("oifd", "1e154", 4, 1),
+    ], ids=["oefd-start", "oefd", "oifd"])
+    def test_courant_ratio_squared_past_the_float_range(self, tmp_path, capsys, scheme,
+                                                       t_final, code, step):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_command(["solve", "--scheme", scheme, "--N", "50", "--r", "1e155",
+                               "--t-final", t_final, "--out", str(tmp_path / "x.csv")])
+        assert got == code
+        err = capsys.readouterr().err
+        assert step is None and err == "" or f"non-finite state at step {step} " in err
+
+
+# the expression grammar over a field's variables, with constants near the float
+# range's edges
+def expressions(variables):
+    atoms = st.sampled_from(["0", "1", "0.5", "2", "700", "1e155", "1e308", "1e-320", "pi",
+                             *variables])
+    return st.recursive(atoms, lambda inner: st.one_of(
+        inner.map(lambda e: f"-({e})"),
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(lambda p: f"({p[0]}){p[1]}({p[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]), inner)
+        .map(lambda p: f"{p[0]}({p[1]})"),
+    ), max_leaves=5)
+
+
+CONFIG_FIELDS = st.fixed_dictionaries(
+    {"gamma": expressions("x").map(lambda e: f"abs({e})"),
+     "g": expressions("xt"), "phi": expressions("x"), "psi": expressions("x"),
+     "u_a": expressions("t"), "u_b": expressions("t")},
+    optional={"exact": expressions("xt")})
+SOLVE_SCHEMES = [["fd01"], ["fd11"], ["fdST", "--pade", "2,2"], ["fdST", "--pade", "3,3"],
+                 ["oefd"], ["oifd"]]
+
+
+class TestGeneratedConfigs:
+    """No config the grammar can write makes solve raise: it exits 0, 2, 3 or 4."""
+
+    # no shrink phase: shrinking r toward an overflow edge takes minutes per failure
+    @settings(max_examples=150, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(fields=CONFIG_FIELDS, scheme=st.sampled_from(SOLVE_SCHEMES),
+           N=st.sampled_from([2, 3, 8, 20]),
+           r=st.one_of(st.sampled_from([0.5, 1.59, 1e155]), st.floats(1e-3, 1e155)),
+           steps=st.sampled_from([1, 2, 70]))
+    def test_solve_exits_with_a_code(self, fields, scheme, N, r, steps):
+        t_final = (steps + 0.5) * r * math.pi / N
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "initial/boundary mismatch", UserWarning)
+            cfg = os.path.join(tmp, "generated.json")
+            with open(cfg, "w") as fh:
+                json.dump(dict(fields, domain=[0, math.pi]), fh)
+            code = run_command(["solve", "--problem", cfg, "--scheme", *scheme, "--N", str(N),
+                                "--r", repr(r), "--t-final", repr(t_final),
+                                "--out", os.path.join(tmp, "x.csv")])
+        assert code in (0, 2, 3, 4)
 
 
 class TestPackageRoot:

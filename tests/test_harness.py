@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from dampwave.operators import build_grid, sample
 from dampwave.problems import DampedWaveProblem, load_problem_config, sample_problem
 from dampwave.schemes import config_for, solve_evolution
 
-from oracles import max_error_per_level
+from oracles import max_error_per_level, solve_every_level
 from test_schemes import FORCED_DOC
 
 # published per-node reference errors for h = pi/10, k = 1/10 (errors of the
@@ -49,7 +51,7 @@ class TestErrorProfile:
         # fd01 at k = 1.5 first overflows in u_t, at level 335
         problem = sample_problem()
         traj = solve_evolution(problem, build_grid(0.0, math.pi, 10), config_for("fd01", 1.5),
-                               3000.0, every_level=False)
+                               3000.0)
         assert traj.blow_up_index == 335
         assert np.isfinite(traj.displacements[-1]).all()
         profile = error_profile(traj, problem)
@@ -80,7 +82,7 @@ class TestErrorProfile:
         # the last step below t_final is the kept level nearest to it
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 10)
-        traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 0.234, every_level=False)
+        traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 0.234)
         profile = error_profile(traj, problem)
         assert profile.t == pytest.approx(0.2)
         assert profile.t - 0.234 == pytest.approx(-0.034)
@@ -292,6 +294,25 @@ class TestFigureData:
         with pytest.raises(ValueError, match="t_final=0.04 is shorter than one time step"):
             solution_profile(sample_problem(), "fd11", 10, 0.1, 0.04)
 
+    def test_max_error_series_memory_grows_only_by_its_output(self):
+        # levels stream through one buffer of blocks: at 4x the levels the peak grows by
+        # no more than the t and max_error columns of the longer run
+        k = 0.016 * math.pi / 50
+        max_error_series(sample_problem(), "fd11", 50, k, 0.1)  # warm up
+
+        def peak(t_final):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                table = max_error_series(sample_problem(), "fd11", 50, k, t_final)
+                return tracemalloc.get_traced_memory()[1], sum(c.nbytes for c in table.data)
+            finally:
+                tracemalloc.stop()
+
+        (short, _), (long, output) = peak(1.5), peak(6.0)
+        assert output == 2 * 8 * 5969  # 5968 steps and the start level
+        assert long - short <= output
+
     def test_max_error_series(self):
         table = max_error_series(sample_problem(), "fd11", 10, 0.1, 1.0)
         assert table.columns == ("t", "max_error")
@@ -341,7 +362,7 @@ class TestFigureData:
         }))
         table = max_error_series(problem, scheme, 12, 0.05, 0.5)
         grid = build_grid(0.0, math.pi, 12)
-        traj = solve_evolution(problem, grid, config_for(scheme, 0.05), 0.5)
+        traj = solve_every_level(problem, grid, config_for(scheme, 0.05), 0.5)
         x = grid.interior_nodes
         expected = [np.max(np.abs(u - sample(problem.exact, x, t)))
                     for t, u in zip(traj.times, traj.displacements)]

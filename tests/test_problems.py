@@ -34,7 +34,7 @@ from dampwave.problems import (
 )
 from dampwave.schemes import config_for, solve_evolution
 
-from oracles import tokenize as loop_tokenize
+from oracles import solve_every_level, tokenize as loop_tokenize
 
 SAMPLE_DOC = {
     "domain": [0, math.pi],
@@ -438,8 +438,8 @@ class TestLoadConfig:
         grid = build_grid(0.0, math.pi, 8)
         k = 0.05
         for name in ("fd11", "oefd"):
-            t_cfg = solve_evolution(problem_cfg, grid, config_for(name, k), 0.5)
-            t_ref = solve_evolution(problem_ref, grid, config_for(name, k), 0.5)
+            t_cfg = solve_every_level(problem_cfg, grid, config_for(name, k), 0.5)
+            t_ref = solve_every_level(problem_ref, grid, config_for(name, k), 0.5)
             assert np.abs(t_cfg.states - t_ref.states).max() <= 1e-14
 
     def test_missing_field_named(self):

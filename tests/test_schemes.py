@@ -19,6 +19,7 @@ from dampwave.problems import (
 from dampwave import schemes
 from dampwave.schemes import (
     CHECK_EVERY,
+    LEVEL_BLOCK,
     SchemeConfig,
     StateVector,
     amplify,
@@ -35,6 +36,7 @@ from dampwave.schemes import (
 
 from oracles import (
     banded_to_dense, matrix_exponential, operator_to_dense, solve_checking_every_level,
+    solve_every_level,
 )
 
 
@@ -215,7 +217,7 @@ class TestStepSemigroup:
             return forcing_vector(problem, grid, t)
 
         monkeypatch.setattr(schemes, "forcing_vector", counted)
-        traj = solve_evolution(problem, grid, config, 0.1)
+        traj = solve_every_level(problem, grid, config, 0.1)
         assert len(traj.times) == 11
         assert len(times) == 11 and len(set(times)) == 11
         assert np.array_equal(traj.states, np.array(rows))
@@ -524,8 +526,8 @@ class TestSteadyForcing:
         assert time_free(problem.u_b) and not time_free(plain_copy(problem).u_b)
         grid = build_grid(0.0, math.pi, 12)
         config = config_for(name, 0.02, orders)
-        steady = solve_evolution(problem, grid, config, 0.5)
-        per_level = solve_evolution(plain_copy(problem), grid, config, 0.5)
+        steady = solve_every_level(problem, grid, config, 0.5)
+        per_level = solve_every_level(plain_copy(problem), grid, config, 0.5)
         assert np.array_equal(steady.states, per_level.states)
         assert np.array_equal(steady.times, per_level.times)
 
@@ -540,15 +542,15 @@ class TestSteadyForcing:
 
         monkeypatch.setattr(schemes, "forcing_vector", counted)
         # F = 0 is evaluated once, and its step is R(kM) V exactly
-        traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 1.0)
+        traj = solve_every_level(problem, grid, config_for("fd11", 0.1), 1.0)
         assert calls == [0.0]
         stepper = make_stepper(config_for("fd11", 0.1), assemble_system(grid, problem), grid,
                                problem)
         assert np.array_equal(traj.states[1], amplify(stepper, traj.states[0]))
         for name in ("fd01", "fd11", "oefd", "oifd"):
             config = config_for(name, 0.1)
-            steady = solve_evolution(problem, grid, config, 1.0)
-            per_level = solve_evolution(plain_copy(problem), grid, config, 1.0)
+            steady = solve_every_level(problem, grid, config, 1.0)
+            per_level = solve_every_level(plain_copy(problem), grid, config, 1.0)
             assert np.array_equal(steady.states, per_level.states)
 
     @pytest.mark.parametrize("name,orders", ALL_SCHEMES, ids=[n for n, _ in ALL_SCHEMES])
@@ -591,37 +593,39 @@ class TestSteadyForcing:
         assert problem.steady and not time_free(problem.g)
         grid = build_grid(0.0, math.pi, 12)
         config = config_for(name, 0.05, orders)
-        first = solve_evolution(problem, grid, config, 0.5)
+        first = solve_every_level(problem, grid, config, 0.5)
         # one forcing evaluation per solve: g once, B(t) once (oefd's Taylor start adds g(., 0))
         once = ["g", "u_a", "u_b"] + (["g"] if name == "oefd" else [])
         assert sorted(calls) == sorted(once)
         calls.clear()
-        assert np.array_equal(solve_evolution(problem, grid, config, 1.0).states[:11],
+        assert np.array_equal(solve_every_level(problem, grid, config, 1.0).states[:11],
                               first.states)
         assert sorted(calls) == sorted(once)
 
 
 class TestStepperProtocol:
-    # (steps, every_level): a run too short for one step, every level kept, and the
-    # start and last levels only; the last two ids name the stride cases (a stride
-    # that skips the last level, one longer than the run) whose kept levels these are
-    @pytest.mark.parametrize("steps,every_level",
+    # (steps, every): a run too short for one step, every level collected through
+    # on_block, and the start and last levels only; the last two ids name the stride
+    # cases (a stride that skips the last level, one longer than the run) whose kept
+    # levels these are
+    @pytest.mark.parametrize("steps,every",
                              [(0, True), (1, True), (2, True), (7, False), (2, False)],
                              ids=["0", "1", "2", "7-stride3", "2-stride5"])
     @pytest.mark.parametrize("name,orders", ALL_SCHEMES, ids=[n for n, _ in ALL_SCHEMES])
-    def test_short_runs_are_start_levels_then_steps(self, name, orders, steps, every_level):
+    def test_short_runs_are_start_levels_then_steps(self, name, orders, steps, every):
         problem = forced_problem()
         grid = build_grid(0.0, math.pi, 9)
         k = 0.05
         config = config_for(name, k, orders)
+        solve = solve_every_level if every else solve_evolution
         if steps == 0:  # no step to report: refused, not answered with the start level
             with pytest.raises(ValueError, match="shorter than one time step"):
-                solve_evolution(problem, grid, config, 0.25 * k, every_level)
+                solve(problem, grid, config, 0.25 * k)
             return
-        traj = solve_evolution(problem, grid, config, (steps + 0.25) * k, every_level)
+        traj = solve(problem, grid, config, (steps + 0.25) * k)
 
         levels = manual_levels(config, problem, grid, steps)
-        kept = list(range(steps + 1)) if every_level else [0, steps]
+        kept = list(range(steps + 1)) if every else [0, steps]
         assert not traj.blow_up and traj.blow_up_index is None
         assert np.array_equal(traj.times, k * np.array(kept))
         assert [levels[n].t for n in kept] == pytest.approx(traj.times, abs=1e-15)
@@ -638,7 +642,7 @@ class TestStepperProtocol:
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 50)
         config = config_for(name, r * grid.h)
-        traj = solve_evolution(problem, grid, config, 80.0, every_level=False)
+        traj = solve_evolution(problem, grid, config, 80.0)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert traj.blow_up and traj.blow_up_index == level
         kept = [0, level]
@@ -670,7 +674,7 @@ class TestStepperProtocol:
             state = step_oifd(stepper, dataclasses.replace(state, carry=None))
             rows.append(state.values)
         calls.clear()
-        traj = solve_evolution(problem, grid, config, 0.45)
+        traj = solve_every_level(problem, grid, config, 0.45)
         assert np.array_equal(traj.states[1:], np.array(rows))
         # the ghost start takes B(0) and B(k), which u^1 carries; each step takes one level
         assert len(calls) == 2 + 8
@@ -715,7 +719,7 @@ def test_solutions_superpose(name, orders):
         c1, c2 = random_coefficients(rng), random_coefficients(rng)
         alpha, beta = rng.uniform(-2.0, 2.0, 2)
         mixed = {f: alpha * c1[f] + beta * c2[f] for f in SUPERPOSITION_TERMS}
-        s1, s2, s = (solve_evolution(linear_problem(c), grid, config, 40 * 0.02).states
+        s1, s2, s = (solve_every_level(linear_problem(c), grid, config, 40 * 0.02).states
                      for c in (c1, c2, mixed))
         assert len(s) == 41
         scale = max(np.abs(states).max() for states in (s1, s2, s))
@@ -805,8 +809,8 @@ class TestSolveEvolution:
         problem = forced_problem()
         grid = build_grid(0.0, math.pi, 12)
         config = config_for(name, 0.05, orders)
-        every = solve_evolution(problem, grid, config, 1.33)
-        ends = solve_evolution(problem, grid, config, 1.33, every_level=False)
+        every = solve_every_level(problem, grid, config, 1.33)
+        ends = solve_evolution(problem, grid, config, 1.33)
         assert every.times.shape == (27,) and ends.blow_up_index is every.blow_up_index is None
         assert np.array_equal(ends.times, every.times[[0, -1]])
         assert np.array_equal(ends.states, every.states[[0, -1]])
@@ -842,7 +846,7 @@ class TestSolveEvolution:
         problem = plain_problem(phi=lambda x: 0.0, psi=lambda x: 0.0, exact=None)
         grid = build_grid(0.0, math.pi, 8)
         for name in ("fd01", "fd11", "oefd", "oifd"):
-            traj = solve_evolution(problem, grid, config_for(name, 0.05), 0.5)
+            traj = solve_every_level(problem, grid, config_for(name, 0.05), 0.5)
             assert not traj.states.any(), name
 
     def test_linearity_in_initial_data(self):
@@ -856,15 +860,15 @@ class TestSolveEvolution:
         )
         grid = build_grid(0.0, math.pi, 8)
         for name in ("fd11", "oefd", "oifd"):
-            t1 = solve_evolution(base, grid, config_for(name, 0.05), 0.5)
-            t2 = solve_evolution(scaled, grid, config_for(name, 0.05), 0.5)
+            t1 = solve_every_level(base, grid, config_for(name, 0.05), 0.5)
+            t2 = solve_every_level(scaled, grid, config_for(name, 0.05), 0.5)
             assert np.abs(t2.states - alpha * t1.states).max() <= 1e-10
 
     def test_implicit_norm_never_grows(self):
         problem = sample_problem()
         for N, k in ((10, 0.1), (23, 0.05), (10, 0.5)):
             grid = build_grid(0.0, math.pi, N)
-            traj = solve_evolution(problem, grid, config_for("fd11", k), 20.0)
+            traj = solve_every_level(problem, grid, config_for("fd11", k), 20.0)
             norms = np.linalg.norm(traj.states, axis=1)
             assert np.all(np.diff(norms) <= 1e-8), (N, k)
 
@@ -890,7 +894,7 @@ class TestSolveEvolution:
                                 psi=series([b for _, b in modes]), exact=None)
         grid = build_grid(0.0, math.pi, N)
         k = r * grid.h
-        traj = solve_evolution(problem, grid, config_for("fd11", k), 30.25 * k)
+        traj = solve_every_level(problem, grid, config_for("fd11", k), 30.25 * k)
         u, w = np.split(traj.states, 2, axis=1)
         energy = (w * w).sum(axis=1) - (u * second_difference(u.T).T).sum(axis=1) / grid.h**2
         assert np.all(np.diff(energy) <= 1e-12 * energy[0])
@@ -908,17 +912,17 @@ class TestSolveEvolution:
     def test_trajectory_times_and_stride(self):
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 6)
-        traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 1.0)
+        traj = solve_every_level(problem, grid, config_for("fd11", 0.1), 1.0)
         assert traj.times == pytest.approx(0.1 * np.arange(11))
         assert np.diff(traj.times) == pytest.approx(np.full(10, 0.1))
-        ends = solve_evolution(problem, grid, config_for("fd11", 0.1), 1.0, every_level=False)
+        ends = solve_evolution(problem, grid, config_for("fd11", 0.1), 1.0)
         assert np.array_equal(ends.times, traj.times[[0, -1]])
         assert np.array_equal(ends.states, traj.states[[0, -1]])
 
     def test_final_level_always_kept(self):
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 6)
-        traj = solve_evolution(problem, grid, config_for("oefd", 0.1), 0.7, every_level=False)
+        traj = solve_evolution(problem, grid, config_for("oefd", 0.1), 0.7)
         assert traj.times[-1] == pytest.approx(0.7)
 
     def test_t_final_not_multiple_of_k(self):
@@ -940,7 +944,7 @@ class TestSolveEvolution:
             solve_evolution(problem, grid, config_for("fd11", 1e-9), 100.0)
 
     def test_snapshot_buffer_beyond_memory_raises(self, monkeypatch):
-        # the (41, 18) snapshot buffer of 40 steps at N=10 is refused, as a
+        # the (41, 18) level buffer of 40 steps at N=10 is refused, as a
         # buffer larger than the memory would be
         empty = np.empty
 
@@ -952,7 +956,8 @@ class TestSolveEvolution:
         monkeypatch.setattr(np, "empty", refuse_snapshots)
         grid = build_grid(0.0, math.pi, 10)
         with pytest.raises(ValueError, match="cannot hold 41 snapshots"):
-            solve_evolution(sample_problem(), grid, config_for("fd01", 0.1), 4.0)
+            solve_evolution(sample_problem(), grid, config_for("fd01", 0.1), 4.0,
+                            on_block=lambda first, states: None)
 
 
 # the sample problem as a config: u = e^{-t} sin x with gamma = 2 and no forcing
@@ -980,7 +985,8 @@ class TestSpacedBlowUpChecks:
         grid = build_grid(0.0, math.pi, 9)
         config = config_for(scheme[0], 0.05, scheme[1])
         t_final = (steps + 0.25) * 0.05
-        got = solve_evolution(problem, grid, config, t_final, every_level)
+        got = (solve_every_level if every_level else solve_evolution)(problem, grid, config,
+                                                                        t_final)
         assert got.times[-1] == pytest.approx(steps * 0.05)
         _equal_runs(got, solve_checking_every_level(problem, grid, config, t_final,
                                                     every_level))
@@ -998,7 +1004,8 @@ class TestSpacedBlowUpChecks:
         grid = build_grid(0.0, math.pi, 50)
         config = config_for(name, r * grid.h)
         t_final = (steps + 0.25) * config.k
-        got = solve_evolution(problem, grid, config, t_final, every_level)
+        got = (solve_every_level if every_level else solve_evolution)(problem, grid, config,
+                                                                        t_final)
         assert got.blow_up_index == level
         _equal_runs(got, solve_checking_every_level(problem, grid, config, t_final,
                                                     every_level))
@@ -1013,7 +1020,8 @@ class TestSpacedBlowUpChecks:
         grid = build_grid(0.0, math.pi, 50)
         config = config_for(name, 0.5 * grid.h, orders)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = solve_evolution(problem, grid, config, 10.0, every_level)
+            got = (solve_every_level if every_level else solve_evolution)(problem, grid, config,
+                                                                            10.0)
             want = solve_checking_every_level(problem, grid, config, 10.0, every_level)
         assert got.blow_up_index == 1
         _equal_runs(got, want)
@@ -1025,7 +1033,7 @@ class TestSpacedBlowUpChecks:
         k = 1.59 * grid.h
         problem = load_problem_config(json.dumps(dict(
             SAMPLE_DOC, g=f"0*sqrt({633.5 * k!r} - t)")))
-        got = solve_evolution(problem, grid, config_for("fd01", k), 80.0, every_level=False)
+        got = solve_evolution(problem, grid, config_for("fd01", k), 80.0)
         assert got.blow_up_index == 623
         _equal_runs(got, solve_checking_every_level(problem, grid, config_for("fd01", k), 80.0,
                                                     every_level=False))
@@ -1037,6 +1045,49 @@ class TestSpacedBlowUpChecks:
         for solve in (solve_evolution, solve_checking_every_level):
             with pytest.raises(ExpressionError, match="math domain error"):
                 solve(problem, grid, config_for("fd11", k), 100 * k)
+
+
+class TestLevelBlocks:
+    """on_block gets every level once, in order, in runs that end at multiples of
+    LEVEL_BLOCK, the last level or the blow-up level, each a view of one buffer."""
+
+    # (scheme, r, steps, blow-up level): runs shorter than a block, of exactly one, and
+    # of several, finite and ending in blow-ups inside a check interval
+    @pytest.mark.parametrize("name,r,steps,level", [
+        ("fd11", 0.5, 3, None), ("fd11", 0.5, LEVEL_BLOCK, None),
+        ("oifd", 0.5, 2 * LEVEL_BLOCK + 5, None), ("fd01", 1.59, 800, 623),
+        ("oefd", 1.59, 800, 379), ("fd01", 1.59, 623, 623),
+    ], ids=["short", "one-block", "oifd-three-blocks", "fd01-623", "oefd-379", "fd01-623-last"])
+    def test_runs_cover_every_level_once(self, name, r, steps, level):
+        problem = sample_problem()
+        grid = build_grid(0.0, math.pi, 50)
+        config = config_for(name, r * grid.h)
+        t_final = (steps + 0.25) * config.k
+        runs = []
+        ends = solve_evolution(problem, grid, config, t_final,
+                               on_block=lambda first, states: runs.append((first, states)))
+        last = steps if level is None else level
+        assert ends.blow_up_index == level
+        assert [first for first, _ in runs] == [0] + list(range(LEVEL_BLOCK + 1, last + 1,
+                                                                LEVEL_BLOCK))
+        assert sum(len(states) for _, states in runs) == last + 1
+        assert all(len(states) <= LEVEL_BLOCK + 1 for _, states in runs)
+        assert all(np.shares_memory(runs[0][1], states) for _, states in runs)
+        want = solve_checking_every_level(problem, grid, config, t_final)
+        _equal_runs(solve_every_level(problem, grid, config, t_final), want)
+
+    def test_consumer_runs_under_the_callers_error_state(self):
+        # the loop ignores overflow, the consumer does not: under over="raise" an
+        # overflow in on_block raises, while the diverging run itself does not
+        grid = build_grid(0.0, math.pi, 50)
+        config = config_for("fd01", 1.59 * grid.h)
+        with np.errstate(over="raise"):
+            ends = solve_evolution(sample_problem(), grid, config, 80.0,
+                                   on_block=lambda first, states: None)
+            assert ends.blow_up_index == 623
+            with pytest.raises(FloatingPointError):
+                solve_evolution(sample_problem(), grid, config, 1.0,
+                                on_block=lambda first, states: states * 1e308 * 1e308)
 
 
 @pytest.mark.parametrize("doc", [FORCED_DOC, SAMPLE_DOC], ids=["forced", "sample"])
