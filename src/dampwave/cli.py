@@ -299,9 +299,8 @@ def _cmd_figures(args) -> int:
         harness.write_csv(table, path)
         written.append(path)
     for r in FIGURE_R_VALUES:
-        k = r * h
-        for scheme in harness.TABLE_SCHEMES:
-            table = harness.max_error_series(problem, scheme, 50, k, args.t_final)
+        tables = harness.max_error_series(problem, harness.TABLE_SCHEMES, 50, r * h, args.t_final)
+        for scheme, table in zip(harness.TABLE_SCHEMES, tables):
             path = os.path.join(args.out_dir, f"figures_{scheme}_maxerr_r{r}.csv")
             harness.write_csv(table, path)
             written.append(path)

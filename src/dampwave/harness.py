@@ -4,6 +4,11 @@
 endpoint rows from the boundary data. A trajectory holds only the start and
 last levels; `max_error_series` alone reads every level, reducing each block
 that `solve_evolution` hands over against one call of the exact solution.
+`compare_schemes` (Table 1, Table 2) and `max_error_series` given a tuple of
+schemes (the figure series) run the schemes of one (grid, k) in lockstep, as
+one `solve_evolution` call with a member per scheme (see `schemes`): each
+member's results are those of its solo run, and a figure block's one exact
+call serves every member's rows.
 
 Outputs are `Table`s, which store their columns as given, written as
 RFC-4180-style CSV: header row, CRLF line endings, '.' decimal separator,
@@ -19,7 +24,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -168,8 +173,8 @@ def compare_schemes(
     error exceeds DIVERGENCE_THRESHOLD.
     """
     errors, summary = [], {}
-    for name in TABLE_SCHEMES:
-        traj = solve_evolution(problem, grid, config_for(name, k), t)
+    trajs = solve_evolution(problem, grid, tuple(config_for(name, k) for name in TABLE_SCHEMES), t)
+    for name, traj in zip(TABLE_SCHEMES, trajs):
         profile = error_profile(traj, problem)
         errors.append(profile.abs_error)
         diverged = traj.blow_up or not profile.max_error <= DIVERGENCE_THRESHOLD
@@ -213,34 +218,40 @@ def solution_profile(
 
 
 def max_error_series(
-    problem: DampedWaveProblem, scheme: str, N: int, k: float, t_final: float
-) -> Table:
-    """(t, max abs error) time series over a whole run. exact is called once per block that
+    problem: DampedWaveProblem, scheme, N: int, k: float, t_final: float
+) -> Union[Table, tuple[Table, ...]]:
+    """(t, max abs error) time series over a whole run of a scheme, or a tuple of them for a
+    tuple of schemes, which run in lockstep. exact is called once per block that
     `solve_evolution` hands over, on x[None, :] and t[:, None], or level by level if it
-    rejects them."""
+    rejects them; every member's rows of the block are reduced against that one call."""
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    grid, config = build_grid(*problem.domain, N), config_for(scheme, k)
+    names = (scheme,) if isinstance(scheme, str) else scheme
+    grid, configs = build_grid(*problem.domain, N), tuple(config_for(s, k) for s in names)
     x, times = grid.interior_nodes, np.arange(num_steps(t_final, k) + 1) * k
-    max_error = np.empty(len(times))
+    max_errors = [np.empty(len(times)) for _ in names]
 
-    def reduce(first: int, states: np.ndarray) -> None:
-        rows = slice(first, first + len(states))
-        err = np.empty((len(states), x.size))
+    def reduce(first: int, blocks: tuple) -> None:
+        rows = slice(first, first + max(map(len, blocks)))
+        exact = np.empty((rows.stop - first, x.size))
         try:
-            err[...] = problem.exact(x[None, :], times[rows, None])
+            exact[...] = problem.exact(x[None, :], times[rows, None])
         except ExpressionError:
             raise
         except Exception:  # a callable that rejects arrays: one level at a time
-            for row, t in zip(err, times[rows]):
+            for row, t in zip(exact, times[rows]):
                 row[...] = sample(problem.exact, x, t)
-        np.subtract(err, states[:, : x.size], out=err)
-        np.abs(err, out=err)
-        err.max(axis=1, out=max_error[rows])
+        for states, max_error in zip(blocks, max_errors):
+            err = np.subtract(exact[: len(states)], states[:, : x.size])
+            np.abs(err, out=err)
+            err.max(axis=1, out=max_error[first : first + len(states)])
 
-    traj = solve_evolution(problem, grid, config, t_final, reduce)
-    end = len(times) if traj.blow_up_index is None else traj.blow_up_index + 1
-    return Table.from_columns(("t", "max_error"), times[:end], max_error[:end])
+    tables = []
+    for traj, max_error in zip(solve_evolution(problem, grid, configs, t_final, reduce),
+                               max_errors):
+        end = len(times) if traj.blow_up_index is None else traj.blow_up_index + 1
+        tables.append(Table.from_columns(("t", "max_error"), times[:end], max_error[:end]))
+    return tables[0] if isinstance(scheme, str) else tuple(tables)
 
 
 def format_value(v) -> str:

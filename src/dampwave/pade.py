@@ -68,13 +68,20 @@ def pade_coefficients(S: int, T: int) -> RationalApproximant:
     return RationalApproximant(S=S, T=T, p_coeffs=p, q_coeffs=q, leading_error=lead)
 
 
-def apply_poly(coeffs: Sequence[float], op: BlockOperator, k: float, v: np.ndarray) -> np.ndarray:
+def _is_one(c) -> bool:
+    return not isinstance(c, np.ndarray) and c == 1.0
+
+
+def apply_poly(coeffs: Sequence, op: BlockOperator, k: float, v: np.ndarray) -> np.ndarray:
     """Evaluate sum_j coeffs[j] (k M)^j v by Horner's rule, each M-product taken in block
     form, M [u; w] = [w; A u / h^2 - Gamma w]: O(N) work, no densification. A coefficient
     of exactly 1 (every Pade numerator's p_0, fd01's p_1) adds v itself, unmultiplied: the
-    same bits, as 1.0 * x == x. v is never written; the result is a new array."""
+    same bits, as 1.0 * x == x. v is never written; the result is a new array.
+
+    v may carry a trailing member axis, (2n, m) for m members stepped in lockstep; op's
+    damping is then (n, m), and a coefficient is a float or an array shaped like v."""
     n = op.n_interior
-    acc = v if coeffs[-1] == 1.0 and len(coeffs) > 1 else coeffs[-1] * v
+    acc = v if _is_one(coeffs[-1]) and len(coeffs) > 1 else coeffs[-1] * v
     for c in reversed(coeffs[:-1]):
         out = np.empty_like(acc)
         out[:n] = acc[n:]
@@ -82,6 +89,6 @@ def apply_poly(coeffs: Sequence[float], op: BlockOperator, k: float, v: np.ndarr
         lap *= op.inv_h2
         lap -= op.damping * acc[n:]
         out *= k
-        out += v if c == 1.0 else c * v
+        out += v if _is_one(c) else c * v
         acc = out
     return acc

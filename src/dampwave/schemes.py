@@ -46,13 +46,14 @@ Every scheme runs behind one stepper protocol:
 * `stepper.start` is the tuple of levels known before any step, which
   `make_stepper` builds from phi and psi sampled once at the interior
   nodes: (V^0,) for the semigroup family, (u^0, u^1) for the baselines;
-* `step_semigroup`, `step_oefd` and `step_oifd` each map (stepper, state)
-  to the next level's StateVector, a baseline state carrying u^{n-1} in
-  `prev`. So that each level's forcing is evaluated once, `carry` holds
-  W_n = V^n + (k/2) F(t_n) for the semigroup family and B(t_n) for oifd,
-  whose u^1 level carries the B(k) of its ghost start; it is None on V^0,
-  u^0 and every oefd level. A source returns None for an all-zero term (so
-  an unforced semigroup step is one bare R(Mk) W_n), which adds nothing;
+* `step_semigroup` and `step_baseline` (bound as `step_oefd` and `step_oifd`
+  too) each map (stepper, state) to the next level's StateVector, a baseline
+  state carrying u^{n-1} in `prev`. So that each level's forcing is evaluated
+  once, `carry` holds W_n = V^n + (k/2) F(t_n) for the semigroup family and
+  B(t_n) for oifd, whose u^1 level carries the B(k) of its ghost start; it is
+  None on V^0, u^0 and every oefd level. A source returns None for an
+  all-zero term (so an unforced semigroup step is one bare R(Mk) W_n), which
+  adds nothing;
 * `solve_evolution` owns the only time loop and its blow-up bookkeeping. It
   returns the start and last levels (a blown-up run ends at its first
   non-finite one), and hands every level to `on_block` in checked runs of
@@ -63,6 +64,22 @@ Every scheme runs behind one stepper protocol:
   passed and steps on checking every level. The rewind reuses that level's
   arrays, so no step writes into the arrays of the state it is given.
 
+The schemes of a comparison run in lockstep: given a tuple of configs at one
+k, `solve_evolution` steps them as lanes of members that share array ops,
+semigroup members whose numerators have one length (fd01 and fd11) and the
+baselines (oefd and oifd, through `_baseline_rhs`). A lane stacks its members'
+states along a trailing member axis, node-major and member-minor, (2n, m) or
+(n, m), so that one numpy call serves every member; `v[1:]` and `v[:-1]` stay
+contiguous and `second_difference` keeps its first-axis form. Coefficients
+that differ between members are pre-expanded to the full array shape, as a
+broadcast (m,) or (n, 1) operand costs about three contiguous ones. Each
+member keeps its own finish on its column (its Q_S solve in interleaved order,
+oifd's solve, oefd's divide) and its own blow-up bookkeeping: a member whose
+spaced check fails rewinds the lanes to the last level every member passed
+and is checked at every level from then on, while the others keep their
+CHECK_EVERY spacing, and a member halts at the level, and with the state, of
+its solo run and leaves its lane. A solo run is the one-member case.
+
 Q_S(Mk) is built once per stepper straight in band storage, in the
 interleaved ordering (u_1, w_1, u_2, w_2, ...): Horner's rule over kM's four
 diagonals (offsets -3, -1, 0, 1) gives (kl, ku) = (3, 1), (3, 2), (5, 3),
@@ -71,9 +88,10 @@ diagonals (offsets -3, -1, 0, 1) gives (kl, ku) = (3, 1), (3, 2), (5, 3),
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -208,16 +226,21 @@ def _banded_poly(coeffs, op: BlockOperator, k: float) -> linalg.BandedMatrix:
     return linalg.BandedMatrix(n=size, kl=kl, ku=ku, ab=ab)
 
 
+# A lockstep stepper's coefficients are a float where its members agree, and otherwise
+# pre-expanded to its state's shape; `members` holds the steppers of its state's columns,
+# which finish them. A solo stepper has no members and finishes its state itself.
+
+
 @dataclass(frozen=True)
 class SemigroupStepper:
     config: SchemeConfig
-    op: BlockOperator
+    op: BlockOperator  # a group's damping is pre-expanded to (n, m)
     start: tuple[StateVector, ...]  # (V^0,)
-    p: tuple[float, ...]
+    p: tuple  # P_T's coefficients
     q_fact: Optional[linalg.BandedFactorization]  # None when Q is the identity
-    perm: Optional[np.ndarray]
-    inv_perm: Optional[np.ndarray]
+    perm: Optional[np.ndarray]  # the interleaved order of the unknowns q_fact solves for
     source: Callable  # t -> (k/2) F(t), None when F(t) is all zero
+    members: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -225,12 +248,13 @@ class BaselineStepper:
     config: SchemeConfig
     start: tuple[StateVector, ...]  # (u^0, u^1)
     prev_coeff: np.ndarray  # gamma k/2 - 1, the factor on u^{n-1}
-    lap_coeff: float  # r^2 (oefd) or r^2/2 (oifd), the factor on A u^n and B
-    # oefd: t -> (lap_coeff B(t), k^2 g(., t)); oifd: (t, B(t) or None) -> (lap_coeff
-    # (B(t + k) + B(t)), k^2 g(., t), B(t + k)); an all-zero B or g term is None
+    lap_coeff: Union[float, np.ndarray]  # r^2 (oefd) or r^2/2 (oifd), the factor on A u^n and B
+    # (t, B(t) or None) -> (lap_coeff B(t) for oefd, lap_coeff (B(t + k) + B(t)) for oifd;
+    # k^2 g(., t); B(t + k) for oifd, None for oefd); an all-zero B or g term is None
     source: Callable
     lhs_denom: Optional[np.ndarray] = None  # oefd: 1 + gamma k/2
     lhs_fact: Optional[linalg.BandedFactorization] = None  # oifd
+    members: tuple = ()
 
 
 Stepper = Union[SemigroupStepper, BaselineStepper]
@@ -320,14 +344,13 @@ def make_stepper(
     phi, psi = sample(problem.phi, x), sample(problem.psi, x)
     if config.kind == "semigroup":
         approx = pade_coefficients(*config.orders)
-        q_fact = perm = inv_perm = None
+        q_fact = perm = None
         if approx.S > 0:
             q_fact = linalg.lu_factor_banded(_banded_poly(approx.q_floats, op, k))
             perm = np.arange(op.size).reshape(2, -1).T.ravel()
-            inv_perm = np.arange(op.size).reshape(-1, 2).T.ravel()
         return SemigroupStepper(
             config=config, op=op, start=(StateVector(0.0, np.concatenate([phi, psi])),),
-            p=approx.p_floats, q_fact=q_fact, perm=perm, inv_perm=inv_perm,
+            p=approx.p_floats, q_fact=q_fact, perm=perm,
             source=_bind(problem, lambda t: _nonzero(k / 2.0 * forcing_vector(problem, grid, t))),
         )
 
@@ -335,8 +358,9 @@ def make_stepper(
     lhs = 1.0 + gamma * k / 2.0
     if config.kind == "oefd":
         lap_coeff = _square(k / grid.h)
-        source = _bind(problem, lambda t: (_nonzero(lap_coeff * boundary_vector(problem, grid, t)),
-                                           _nonzero(k2 * sample(problem.g, x, t))))
+        source = _bind(problem, lambda t, _=None: (
+            _nonzero(lap_coeff * boundary_vector(problem, grid, t)),
+            _nonzero(k2 * sample(problem.g, x, t)), None))
         u1, b_k = startup_u1(problem, grid, k, gamma, phi, psi), None
         fields = dict(lhs_denom=lhs)
     else:
@@ -357,12 +381,15 @@ def make_stepper(
 
 
 def amplify(stepper: SemigroupStepper, v: np.ndarray) -> np.ndarray:
-    """R(kM) v = Q_S(kM)^{-1} P_T(kM) v; `stability.spectral_radius` applies it to the
-    sine-mode planes to measure its radius for `stability --empirical`."""
-    rhs = apply_poly(stepper.p, stepper.op, stepper.config.k, v)
-    if stepper.q_fact is None:
-        return rhs
-    return linalg.solve_banded(stepper.q_fact, rhs[stepper.perm])[stepper.inv_perm]
+    """R(kM) v = Q_S(kM)^{-1} P_T(kM) v, each member's solve on its own column;
+    `stability.spectral_radius` applies it to the sine-mode planes to measure its radius
+    for `stability --empirical`."""
+    rhs, n = apply_poly(stepper.p, stepper.op, stepper.config.k, v), stepper.op.n_interior
+    for member, col in zip(stepper.members or (stepper,), rhs.reshape(len(rhs), -1).T):
+        if member.q_fact is not None:  # x holds (u_1, w_1, u_2, w_2, ...)
+            x = linalg.solve_banded(member.q_fact, col[member.perm])
+            col[:n], col[n:] = x[0::2], x[1::2]
+    return rhs
 
 
 def _plus(v: np.ndarray, half_kf: Optional[np.ndarray]) -> np.ndarray:
@@ -378,33 +405,117 @@ def step_semigroup(stepper: SemigroupStepper, state: StateVector) -> StateVector
     half_kf = stepper.source(t_next)
     if half_kf is not None:
         values += half_kf
-    return StateVector(t=t_next, values=values, carry=_plus(values, half_kf))
+    return StateVector(t_next, values, None, _plus(values, half_kf))
 
 
-def _baseline_rhs(stepper: BaselineStepper, state: StateVector, *terms) -> np.ndarray:
-    """2u + lap_coeff A u + prev_coeff u^{n-1} + terms, summed in that order in one new
-    array that starts as lap_coeff A u (IEEE addition commutes: the bits are the same)."""
+def _baseline_rhs(stepper: BaselineStepper, state: StateVector) -> np.ndarray:
+    """2u + lap_coeff A u + prev_coeff u^{n-1}, summed in that order in one new array that
+    starts as lap_coeff A u (IEEE addition commutes: the bits are the same)."""
     u = state.values
     rhs = second_difference(u)
     rhs *= stepper.lap_coeff
     rhs += 2.0 * u
     rhs += stepper.prev_coeff * state.prev
-    return _add_terms(rhs, *terms)
+    return rhs
 
 
-def step_oefd(stepper: BaselineStepper, state: StateVector) -> StateVector:
-    """One explicit baseline step: level n (with level n-1 in prev) -> level n+1."""
-    rhs = _baseline_rhs(stepper, state, *stepper.source(state.t))
-    rhs /= stepper.lhs_denom
-    return StateVector(t=state.t + stepper.config.k, values=rhs, prev=state.values)
+def step_baseline(stepper: BaselineStepper, state: StateVector) -> StateVector:
+    """One baseline step, level n (with level n-1 in prev) -> n+1: the shared right-hand
+    side, then each member's forcing terms and its own finish on its column, a divide for
+    oefd and a banded solve for oifd. oifd takes B(t_n) from its carry when set, and its
+    result carries B(t_{n+1}); a group's carry is the tuple of its members'."""
+    rhs = _baseline_rhs(stepper, state)
+    carry = []
+    for member, b_n, col in zip(stepper.members or (stepper,),
+                                state.carry if stepper.members else (state.carry,),
+                                rhs.reshape(len(rhs), -1).T):
+        b_term, g_term, b_next = member.source(state.t, b_n)
+        _add_terms(col, b_term, g_term)
+        if member.lhs_fact is None:
+            col /= member.lhs_denom
+        else:
+            col[...] = linalg.solve_banded(member.lhs_fact, col)
+        carry.append(b_next)
+    return StateVector(state.t + stepper.config.k, rhs, state.values,
+                       tuple(carry) if stepper.members else carry[0])
 
 
-def step_oifd(stepper: BaselineStepper, state: StateVector) -> StateVector:
-    """One implicit baseline step (banded solve): level n (with n-1 in prev) -> n+1;
-    B(t_n) comes from state.carry when set, B(t_{n+1}) goes in the result's."""
-    b_term, g_term, b_next = stepper.source(state.t, state.carry)
-    values = linalg.solve_banded(stepper.lhs_fact, _baseline_rhs(stepper, state, b_term, g_term))
-    return StateVector(t=state.t + stepper.config.k, values=values, prev=state.values, carry=b_next)
+# the names solve_evolution steps each kind by (the benchmark's tracer patches all three)
+step_oefd = step_oifd = step_baseline
+
+
+def _stacked(states: Sequence[StateVector], baseline: bool) -> StateVector:
+    """Members' states at one level as one state with a trailing member axis."""
+    if len(states) == 1:
+        return states[0]
+
+    def stack(arrays):
+        return None if arrays[0] is None else np.stack(arrays, axis=-1)
+
+    carries = [s.carry for s in states]
+    return StateVector(states[0].t, stack([s.values for s in states]),
+                       stack([s.prev for s in states]),
+                       tuple(carries) if baseline else stack(carries))
+
+
+def _columns(ids: tuple, state: StateVector) -> dict:
+    """Each member's state in its lane's state: `_stacked` undone."""
+    if len(ids) == 1:
+        return {ids[0]: state}
+
+    def col(a, j):
+        return a if a is None else a[j] if isinstance(a, tuple) else a[:, j]
+
+    return {i: StateVector(state.t, *(col(a, j) for a in (state.values, state.prev, state.carry)))
+            for j, i in enumerate(ids)}
+
+
+def _lockstep(steppers: Sequence[Stepper]) -> Stepper:
+    """One stepper for the members of a lane, with `_stacked` start levels; the semigroup
+    members share the first one's forcing source, as F(t) is theirs alike."""
+    first = steppers[0]
+    if len(steppers) == 1:
+        return first
+
+    def per_member(values, like):  # a float where all agree, else pre-expanded
+        if all(isinstance(v, float) and v == values[0] for v in values):
+            return values[0]
+        return np.stack([np.broadcast_to(v, like.shape) for v in values], axis=-1)
+
+    baseline, u0 = first.config.kind != "semigroup", first.start[0].values
+    start = tuple(_stacked(level, baseline) for level in zip(*(s.start for s in steppers)))
+    if baseline:
+        return dataclasses.replace(
+            first, start=start, members=tuple(steppers),
+            prev_coeff=per_member([s.prev_coeff for s in steppers], u0),
+            lap_coeff=per_member([s.lap_coeff for s in steppers], u0))
+    damping = per_member([s.op.damping for s in steppers], first.op.damping)
+    return dataclasses.replace(
+        first, start=start, members=tuple(steppers), q_fact=None, perm=None,
+        op=dataclasses.replace(first.op, damping=damping),
+        p=tuple(per_member(c, u0) for c in zip(*(s.p for s in steppers))),
+        source=lambda t: None if (f := first.source(t)) is None else f[:, None])
+
+
+def _lanes(steppers: Sequence[Stepper], states: dict) -> list:
+    """(members, lockstep stepper, state) for each lane of the members that `states` maps
+    to their states: the semigroup members with numerators of one length, the baselines."""
+    lanes = {}
+    for i in states:
+        s = steppers[i]
+        lanes.setdefault(len(s.p) if s.config.kind == "semigroup" else 0, []).append(i)
+    return [(tuple(ids), _lockstep([steppers[i] for i in ids]),
+             _stacked([states[i] for i in ids], steppers[ids[0]].config.kind != "semigroup"))
+            for ids in lanes.values()]
+
+
+def _non_finite(lanes: list, among: Optional[set] = None) -> set:
+    """The members (of among, when given) whose state in lanes has a non-finite entry."""
+    failed = set()
+    for ids, _, _, state, _ in lanes:
+        finite = np.isfinite(state.values.reshape(len(state.values), -1)).all(axis=0)
+        failed.update(i for i, ok in zip(ids, finite) if not ok and (among is None or i in among))
+    return failed
 
 
 @dataclass
@@ -434,62 +545,108 @@ class Trajectory:
 def solve_evolution(
     problem: DampedWaveProblem,
     grid: SpatialGrid,
-    config: SchemeConfig,
+    config: Union[SchemeConfig, tuple[SchemeConfig, ...]],
     t_final: float,
-    on_block: Optional[Callable[[int, np.ndarray], None]] = None,
-) -> Trajectory:
+    on_block: Optional[Callable] = None,
+) -> Union[Trajectory, tuple[Trajectory, ...]]:
     """Run the configured scheme from the initial data to the last step with t <= t_final, or
     to the first non-finite level after the initial one, which halts and flags the run. The
     start and last levels are returned; on_block(first_level, states) gets every level once,
-    in order, in runs that end at multiples of LEVEL_BLOCK or the last level, each a view of
-    one buffer handed over under the caller's np.geterr() once it has passed a check."""
-    n_steps = num_steps(t_final, config.k)
+    in order, in runs that end at multiples of LEVEL_BLOCK, the last level or the blow-up
+    level, each a view of one buffer handed over under the caller's np.geterr() once it has
+    passed a check.
+
+    A tuple of m configs at one k runs in lockstep (see `schemes`) and returns a tuple of
+    Trajectories, each its member's solo run bit for bit. on_block then gets a tuple of each
+    member's rows, none past its blow-up, in runs of at most LEVEL_BLOCK // m levels, so that
+    the buffers hold no more than a solo run's. A step that raises rewinds every member to be
+    checked at each level, and the run raises if that step raises again."""
+    group = isinstance(config, tuple)
+    configs = config if group else (config,)
+    if len({c.k for c in configs}) != 1:
+        raise ValueError(f"a lockstep run needs one time step, got k = {[c.k for c in configs]}")
+    k = configs[0].k
+    n_steps = num_steps(t_final, k)
+    block = max(LEVEL_BLOCK // len(configs), 1)
     caller_err = np.geterr()
 
     # set-up too, so that an overflow there is a non-finite start level, a blow-up at
     # level 1; a diverging run overflows before its first non-finite level is caught
     with np.errstate(over="ignore", invalid="ignore"):
-        stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
+        op = assemble_system(grid, problem)
+        solo = [make_stepper(c, op, grid, problem) for c in configs]
         # chosen per call, so that a rebinding of these module names takes effect
-        step = {"semigroup": step_semigroup, "oefd": step_oefd, "oifd": step_oifd}[config.kind]
-        start = stepper.start
+        step = {"semigroup": step_semigroup, "oefd": step_oefd, "oifd": step_oifd}
+        rows = min(block, n_steps) + 1
 
-        if on_block is not None:
-            rows = min(LEVEL_BLOCK, n_steps) + 1
-            try:
-                block = np.empty((rows, start[0].values.size))
-            except MemoryError as exc:
-                raise ValueError(f"cannot hold {rows} snapshots ({exc})") from None
-            block[0] = start[0].values
-        level, first, state = 0, 0, start[0]  # first: the next level to hand over, in row 0
-        checked = (level, state)  # the last level that passed a check; level 0 is never checked
-        spacing = CHECK_EVERY
-        while level < n_steps:
+        def lanes_of(states: dict) -> list:
+            """(members, stepper, step, state, level buffer) for each lane of states' members."""
+            return [(ids, s, step[s.config.kind], state,
+                     None if on_block is None else np.empty((rows,) + state.values.shape))
+                    for ids, s, state in _lanes(solo, states)]
+
+        try:
+            lanes = lanes_of({i: s.start[0] for i, s in enumerate(solo)})
+        except MemoryError as exc:
+            raise ValueError(f"cannot hold {rows} snapshots ({exc})") from None
+        for *_, state, buf in lanes if on_block is not None else ():
+            buf[0] = state.values
+        level, first = 0, 0  # first: the next level to hand over, in row 0
+        halts, eager = {}, set()  # member -> (blow-up level, state); members checked each level
+        # the last level every running member passed a check at (level 0 is never checked)
+        checked = (level, lanes, halts)
+        while level < n_steps and lanes:
             level += 1
             try:
-                state = start[level] if level < len(start) else step(stepper, state)
+                lanes = [(ids, s, fn, s.start[level] if level < len(s.start) else fn(s, state), buf)
+                         for ids, s, fn, state, buf in lanes]
             except Exception:
-                if spacing == 1:
+                running = {i for lane in lanes for i in lane[0]}
+                if running <= eager:
                     raise
                 # whatever it is, it may come from a level past an unchecked blow-up
-                (level, state), spacing = checked, 1
+                eager |= running
+                level, lanes, halts = checked
                 continue
             if on_block is not None:
-                block[level - first] = state.values
-            if level % spacing and level < n_steps:
+                for _, _, _, state, buf in lanes:
+                    buf[level - first] = state.values
+            full = not level % CHECK_EVERY or not level % block or level == n_steps or (
+                eager and {i for lane in lanes for i in lane[0]} <= eager)
+            if not (full or eager):
                 continue
-            finite = np.isfinite(state.values).all()
-            if not finite and spacing > 1:
-                (level, state), spacing = checked, 1
+            failed = _non_finite(lanes, None if full else eager)
+            if failed and not full:  # an eager member blew up: check the others here too
+                full, failed = True, _non_finite(lanes)
+            if not failed <= eager:  # a spaced check failed: rewind, and check that member
+                eager |= failed  # at every level from then on
+                level, lanes, halts = checked
                 continue
-            checked = (level, state)
-            if on_block is not None and (not finite or not level % LEVEL_BLOCK or level == n_steps):
+            if not full:
+                continue
+            # every running member passed its check here, or halts at its blow-up
+            if on_block is not None and (failed or not level % block or level == n_steps):
+                views = {i: (buf if buf.ndim == 2 else buf[:, :, j])[: level - first + 1]
+                         for ids, *_, buf in lanes for j, i in enumerate(ids)}
+                blocks = tuple(views.get(i, np.empty((0, s.start[0].values.size)))
+                               for i, s in enumerate(solo))
                 with np.errstate(**caller_err):
-                    on_block(first, block[: level - first + 1])
+                    on_block(first, blocks if group else blocks[0])
                 first = level + 1
-            if not finite:
-                break
+            if failed:
+                states = {i: st for ids, _, _, state, _ in lanes
+                          for i, st in _columns(ids, state).items()}
+                halts = {**halts, **{i: (level, states.pop(i)) for i in failed}}
+                lanes = lanes_of(states)
+            checked = (level, lanes, halts)
 
     # the loop ends on a check: the last level passed it, or the run blew up there
-    states = np.stack((start[0].values, state.values))
-    return Trajectory(grid, np.array([0, level]) * config.k, states, None if finite else level)
+    ends = {i: (level, st) for ids, _, _, state, _ in lanes
+            for i, st in _columns(ids, state).items()}
+    trajs = []
+    for i, s in enumerate(solo):
+        last, state = halts.get(i) or ends[i]
+        trajs.append(Trajectory(grid, np.array([0, last]) * k,
+                                np.stack((s.start[0].values, state.values)),
+                                last if i in halts else None))
+    return tuple(trajs) if group else trajs[0]

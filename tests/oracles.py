@@ -8,7 +8,8 @@ character loop, the reference for the package's one-pattern scanner, and
 `solve_checking_every_level` is the time loop that looks for a non-finite
 entry at every level, the reference for `solve_evolution`'s spaced checks;
 `solve_every_level` gathers the levels `solve_evolution` hands to its
-`on_block` into one trajectory. `max_error_per_level` samples the exact
+`on_block` into one trajectory, and `solve_group_every_level` does so for each
+member of a lockstep run. `max_error_per_level` samples the exact
 solution once per level of the reference loop, the reference for
 `harness.max_error_series`. `spectral_radius` takes the eigenvalues of a
 map's dense matrix, the reference for the per-mode
@@ -170,6 +171,30 @@ def solve_every_level(problem, grid, config, t_final):
     assert np.array_equal(states[[0, -1]], ends.states, equal_nan=True)
     return schemes.Trajectory(grid=grid, times=np.arange(len(states)) * config.k,
                               states=states, blow_up_index=ends.blow_up_index)
+
+
+def solve_group_every_level(problem, grid, configs, t_final):
+    """`schemes.solve_evolution` of configs in lockstep, with every level its on_block hands
+    each member, as one trajectory per member; asserts that a member's rows come in order
+    from level 0, each level once, and end in the levels the solve returns."""
+    runs = [[] for _ in configs]
+
+    def keep(first, blocks):
+        assert len(blocks) == len(configs)
+        for rows, states in zip(runs, blocks):
+            assert len(states) <= schemes.LEVEL_BLOCK // len(configs) + 1
+            if len(states):
+                assert first == sum(map(len, rows))
+                rows.append(states.copy())
+
+    ends = schemes.solve_evolution(problem, grid, tuple(configs), t_final, keep)
+    trajs = []
+    for rows, end, config in zip(runs, ends, configs):
+        states = np.concatenate(rows)
+        assert np.array_equal(states[[0, -1]], end.states, equal_nan=True)
+        trajs.append(schemes.Trajectory(grid=grid, times=np.arange(len(states)) * config.k,
+                                        states=states, blow_up_index=end.blow_up_index))
+    return trajs
 
 
 def max_error_per_level(problem, scheme, N, k, t_final):

@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import json
 import math
 import os
+import pathlib
 import tempfile
 import warnings
 
@@ -704,6 +706,28 @@ class TestPackageRoot:
         ]
         for name in dampwave.__all__:
             assert callable(getattr(dampwave, name))
+
+    def test_every_traced_name_stays_bound(self):
+        # each per-layer bench metric reads null when no name of its bucket is bound;
+        # ("cli", "step_semigroup") has never been bound, as the CLI steps no scheme
+        spec = importlib.util.spec_from_file_location(
+            "bench_tracer", pathlib.Path(__file__).parents[1] / "bench" / "tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        unbound = [(module, name) for module, name, _ in tracer.PATCH_POINTS
+                   if not callable(getattr(getattr(dampwave, module), name, None))]
+        assert unbound == [("cli", "step_semigroup")]
+
+    def test_make_stepper_takes_what_the_bench_set_up_passes(self):
+        # bench/run.py measure_setup: config_for(scheme, k, pade), then
+        # make_stepper(config, op, grid, problem) positionally
+        problem = dampwave.sample_problem()
+        grid = dampwave.build_grid(*problem.domain, 50)
+        op = dampwave.assemble_system(grid, problem)
+        for scheme, pade in (("fd11", None), ("fdST", (2, 2)), ("oifd", None)):
+            config = dampwave.config_for(scheme, 0.5 * grid.h, pade)
+            stepper = dampwave.make_stepper(config, op, grid, problem)
+            assert stepper.start[0].values.shape[0] in (op.size, grid.n_interior)
 
     @pytest.mark.parametrize("module", ["schemes", "linalg", "harness", "stability"])
     def test_cli_import_binds_the_traced_modules(self, module):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dampwave.harness import (
     _BLOCK_ROWS,
     DIVERGENCE_THRESHOLD,
+    TABLE_SCHEMES,
     Table,
     compare_schemes,
     error_profile,
@@ -295,23 +296,30 @@ class TestFigureData:
             solution_profile(sample_problem(), "fd11", 10, 0.1, 0.04)
 
     def test_max_error_series_memory_grows_only_by_its_output(self):
-        # levels stream through one buffer of blocks: at 4x the levels the peak grows by
-        # no more than the t and max_error columns of the longer run
+        # levels stream through one buffer of blocks per lane: at 4x the levels the peak
+        # grows by no more than the t column and the max_error columns of the longer run,
+        # for one scheme and for the four schemes in lockstep
         k = 0.016 * math.pi / 50
-        max_error_series(sample_problem(), "fd11", 50, k, 0.1)  # warm up
+        for schemes in ("fd11", TABLE_SCHEMES):
+            max_error_series(sample_problem(), schemes, 50, k, 0.1)  # warm up
 
-        def peak(t_final):
-            gc.collect()
-            tracemalloc.start()
-            try:
-                table = max_error_series(sample_problem(), "fd11", 50, k, t_final)
-                return tracemalloc.get_traced_memory()[1], sum(c.nbytes for c in table.data)
-            finally:
-                tracemalloc.stop()
+            def peak(t_final):
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    tables = max_error_series(sample_problem(), schemes, 50, k, t_final)
+                    return tracemalloc.get_traced_memory()[1], tables
+                finally:
+                    tracemalloc.stop()
 
-        (short, _), (long, output) = peak(1.5), peak(6.0)
-        assert output == 2 * 8 * 5969  # 5968 steps and the start level
-        assert long - short <= output
+            (short, _), (long, tables) = peak(1.5), peak(6.0)
+            tables = (tables,) if isinstance(tables, Table) else tables
+            # 5968 steps and the start level, in one t column that every table shares and
+            # a max_error column each
+            assert [c.nbytes for t in tables for c in t.data] == [8 * 5969] * 2 * len(tables)
+            assert all(np.shares_memory(t.data[0], tables[0].data[0]) for t in tables)
+            output = 8 * 5969 * (1 + len(tables))
+            assert long - short <= output, schemes
 
     def test_max_error_series(self):
         table = max_error_series(sample_problem(), "fd11", 10, 0.1, 1.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dampwave.harness import error_profile
@@ -36,7 +36,7 @@ from dampwave.schemes import (
 
 from oracles import (
     banded_to_dense, matrix_exponential, operator_to_dense, solve_checking_every_level,
-    solve_every_level,
+    solve_every_level, solve_group_every_level,
 )
 
 
@@ -1107,3 +1107,88 @@ def test_no_step_writes_into_its_input(name, orders, doc):
             assert (old is None) == (new is None)
             assert old is None or np.array_equal(old, new)
         state = after
+
+
+LOCKSTEP_SCHEMES = [("fd01", None), ("fd11", None), ("fdST", (2, 2)), ("oefd", None),
+                    ("oifd", None)]
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestLockstep:
+    """A tuple of configs runs in lockstep, and each member's levels, blow-up and on_block
+    rows are those of its solo run, bit for bit; if a solo run raises, the group does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(members=st.lists(st.sampled_from(LOCKSTEP_SCHEMES), min_size=1, max_size=5,
+                            unique=True),
+           N=st.sampled_from([2, 3, 8, 50]),
+           r=st.one_of(st.sampled_from([0.5, 1.59, 3.0]), st.floats(0.05, 3.0)),
+           doc=st.sampled_from([SAMPLE_DOC, FORCED_DOC]),
+           steps=st.sampled_from([1, 2, CHECK_EVERY - 1, CHECK_EVERY, CHECK_EVERY + 1, 130, 700]),
+           raise_at=st.one_of(st.none(), st.sampled_from([1, 40, 634])))
+    # fd01 blows up at 623 while fd11 runs on; oefd (379) and fd01 blow up before g raises
+    # at level 634, a raise that rewinds fd01 to its blow-up, and that fd11 raises at
+    @example(members=LOCKSTEP_SCHEMES[:2], N=50, r=1.59, doc=SAMPLE_DOC, steps=700,
+             raise_at=None)
+    @example(members=[LOCKSTEP_SCHEMES[i] for i in (0, 3)], N=50, r=1.59, doc=SAMPLE_DOC,
+             steps=700, raise_at=634)
+    @example(members=LOCKSTEP_SCHEMES[:2], N=50, r=1.59, doc=SAMPLE_DOC, steps=700,
+             raise_at=634)
+    def test_members_equal_solo_runs(self, members, N, r, doc, steps, raise_at):
+        grid = build_grid(0.0, math.pi, N)
+        k = r * grid.h
+        if raise_at is not None:  # g raises from t = (raise_at - 1/2) k on
+            doc = dict(doc, g=f"({doc['g']}) + 0*sqrt({(raise_at - 0.5) * k!r} - t)")
+        problem = load_problem_config(json.dumps(doc))
+        configs = [config_for(name, k, orders) for name, orders in members]
+        t_final = (steps + 0.25) * k
+        solo = []
+        for config in configs:
+            try:
+                solo.append(solve_every_level(problem, grid, config, t_final))
+            except ExpressionError:
+                solo.append(None)
+            else:  # and the solo run is the loop that checks every level
+                want = solve_checking_every_level(problem, grid, config, t_final)
+                assert np.array_equal(bits(solo[-1].states), bits(want.states))
+                assert solo[-1].blow_up_index == want.blow_up_index
+        if None in solo:
+            with pytest.raises(ExpressionError):
+                solve_evolution(problem, grid, tuple(configs), t_final)
+            return
+        every = solve_group_every_level(problem, grid, configs, t_final)
+        ends = solve_evolution(problem, grid, tuple(configs), t_final)
+        for got, end, want in zip(every, ends, solo):
+            assert got.blow_up_index == end.blow_up_index == want.blow_up_index
+            assert np.array_equal(bits(got.states), bits(want.states))
+            assert np.array_equal(bits(end.times), bits(want.times[[0, -1]]))
+            assert np.array_equal(bits(end.states), bits(want.states[[0, -1]]))
+
+    def test_a_solo_config_is_the_one_member_group(self):
+        grid = build_grid(0.0, math.pi, 12)
+        config = config_for("oifd", 0.05)
+        (group,) = solve_evolution(forced_problem(), grid, (config,), 1.0)
+        solo = solve_evolution(forced_problem(), grid, config, 1.0)
+        assert np.array_equal(bits(group.states), bits(solo.states))
+
+    def test_members_need_one_time_step(self):
+        grid = build_grid(0.0, math.pi, 12)
+        with pytest.raises(ValueError, match="one time step"):
+            solve_evolution(sample_problem(), grid, (config_for("fd11", 0.05),
+                                                     config_for("oifd", 0.1)), 1.0)
+
+    @pytest.mark.parametrize("names", [("fd01", "fd11"), ("oefd", "oifd")])
+    def test_members_of_a_kind_share_one_step(self, names, monkeypatch):
+        # one step per level serves the whole lane: fd01 and fd11, or oefd and oifd
+        calls = []
+        for name in ("step_semigroup", "step_oefd", "step_oifd"):
+            def counted(stepper, state, fn=getattr(schemes, name)):
+                calls.append(len(stepper.members))
+                return fn(stepper, state)
+            monkeypatch.setattr(schemes, name, counted)
+        grid = build_grid(0.0, math.pi, 12)
+        solve_evolution(sample_problem(), grid, tuple(config_for(n, 0.05) for n in names), 0.5)
+        assert calls == [2] * (10 if names[0] == "fd01" else 9)
