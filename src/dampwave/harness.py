@@ -4,8 +4,8 @@
 endpoint rows from the boundary data. A trajectory holds only the start and
 last levels; `max_error_series` alone reads every level, reducing each block
 that `solve_evolution` hands over against one call of the exact solution.
-`compare_schemes` (Table 1, Table 2) and `max_error_series` given a tuple of
-schemes (the figure series) run the schemes of one (grid, k) in lockstep, as
+`compare_schemes` (Table 1, Table 2) and `max_error_series` (the figure
+series) run the schemes of one (grid, k) in lockstep, as
 one `solve_evolution` call with a member per scheme (see `schemes`): each
 member's results are those of its solo run, and a figure block's one exact
 call serves every member's rows.
@@ -24,7 +24,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -218,18 +218,17 @@ def solution_profile(
 
 
 def max_error_series(
-    problem: DampedWaveProblem, scheme, N: int, k: float, t_final: float
-) -> Union[Table, tuple[Table, ...]]:
-    """(t, max abs error) time series over a whole run of a scheme, or a tuple of them for a
-    tuple of schemes, which run in lockstep. exact is called once per block that
+    problem: DampedWaveProblem, schemes: tuple[str, ...], N: int, k: float, t_final: float
+) -> tuple[Table, ...]:
+    """(t, max abs error) time series over a whole run of each scheme, all run in lockstep,
+    one Table per scheme. exact is called once per block that
     `solve_evolution` hands over, on x[None, :] and t[:, None], or level by level if it
     rejects them; every member's rows of the block are reduced against that one call."""
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    names = (scheme,) if isinstance(scheme, str) else scheme
-    grid, configs = build_grid(*problem.domain, N), tuple(config_for(s, k) for s in names)
+    grid, configs = build_grid(*problem.domain, N), tuple(config_for(s, k) for s in schemes)
     x, times = grid.interior_nodes, np.arange(num_steps(t_final, k) + 1) * k
-    max_errors = [np.empty(len(times)) for _ in names]
+    max_errors = [np.empty(len(times)) for _ in schemes]
 
     def reduce(first: int, blocks: tuple) -> None:
         rows = slice(first, first + max(map(len, blocks)))
@@ -251,7 +250,7 @@ def max_error_series(
                                max_errors):
         end = len(times) if traj.blow_up_index is None else traj.blow_up_index + 1
         tables.append(Table.from_columns(("t", "max_error"), times[:end], max_error[:end]))
-    return tables[0] if isinstance(scheme, str) else tuple(tables)
+    return tuple(tables)
 
 
 def format_value(v) -> str:

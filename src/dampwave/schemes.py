@@ -74,11 +74,10 @@ contiguous and `second_difference` keeps its first-axis form. Coefficients
 that differ between members are pre-expanded to the full array shape, as a
 broadcast (m,) or (n, 1) operand costs about three contiguous ones. Each
 member keeps its own finish on its column (its Q_S solve in interleaved order,
-oifd's solve, oefd's divide) and its own blow-up bookkeeping: a member whose
-spaced check fails rewinds the lanes to the last level every member passed
-and is checked at every level from then on, while the others keep their
-CHECK_EVERY spacing, and a member halts at the level, and with the state, of
-its solo run and leaves its lane. A solo run is the one-member case.
+oifd's solve, oefd's divide) and its own blow-up: a failed check rewinds
+every lane and checks every member at each level from then on, so that each
+halts at the level, and with the state, of its solo run and leaves its lane.
+A solo run is the one-member case.
 
 Q_S(Mk) is built once per stepper straight in band storage, in the
 interleaved ordering (u_1, w_1, u_2, w_2, ...): Horner's rule over kM's four
@@ -452,10 +451,8 @@ def _stacked(states: Sequence[StateVector], baseline: bool) -> StateVector:
     def stack(arrays):
         return None if arrays[0] is None else np.stack(arrays, axis=-1)
 
-    carries = [s.carry for s in states]
-    return StateVector(states[0].t, stack([s.values for s in states]),
-                       stack([s.prev for s in states]),
-                       tuple(carries) if baseline else stack(carries))
+    values, prev, carry = zip(*((s.values, s.prev, s.carry) for s in states))
+    return StateVector(states[0].t, stack(values), stack(prev), carry if baseline else stack(carry))
 
 
 def _columns(ids: tuple, state: StateVector) -> dict:
@@ -497,24 +494,12 @@ def _lockstep(steppers: Sequence[Stepper]) -> Stepper:
         source=lambda t: None if (f := first.source(t)) is None else f[:, None])
 
 
-def _lanes(steppers: Sequence[Stepper], states: dict) -> list:
-    """(members, lockstep stepper, state) for each lane of the members that `states` maps
-    to their states: the semigroup members with numerators of one length, the baselines."""
-    lanes = {}
-    for i in states:
-        s = steppers[i]
-        lanes.setdefault(len(s.p) if s.config.kind == "semigroup" else 0, []).append(i)
-    return [(tuple(ids), _lockstep([steppers[i] for i in ids]),
-             _stacked([states[i] for i in ids], steppers[ids[0]].config.kind != "semigroup"))
-            for ids in lanes.values()]
-
-
-def _non_finite(lanes: list, among: Optional[set] = None) -> set:
-    """The members (of among, when given) whose state in lanes has a non-finite entry."""
+def _non_finite(lanes: list) -> set:
+    """The members whose state in lanes has a non-finite entry."""
     failed = set()
     for ids, _, _, state, _ in lanes:
         finite = np.isfinite(state.values.reshape(len(state.values), -1)).all(axis=0)
-        failed.update(i for i, ok in zip(ids, finite) if not ok and (among is None or i in among))
+        failed.update(i for i, ok in zip(ids, finite) if not ok)
     return failed
 
 
@@ -559,8 +544,7 @@ def solve_evolution(
     A tuple of m configs at one k runs in lockstep (see `schemes`) and returns a tuple of
     Trajectories, each its member's solo run bit for bit. on_block then gets a tuple of each
     member's rows, none past its blow-up, in runs of at most LEVEL_BLOCK // m levels, so that
-    the buffers hold no more than a solo run's. A step that raises rewinds every member to be
-    checked at each level, and the run raises if that step raises again."""
+    the buffers hold no more than a solo run's; the run raises if any member's step does."""
     group = isinstance(config, tuple)
     configs = config if group else (config,)
     if len({c.k for c in configs}) != 1:
@@ -579,52 +563,48 @@ def solve_evolution(
         step = {"semigroup": step_semigroup, "oefd": step_oefd, "oifd": step_oifd}
         rows = min(block, n_steps) + 1
 
-        def lanes_of(states: dict) -> list:
-            """(members, stepper, step, state, level buffer) for each lane of states' members."""
-            return [(ids, s, step[s.config.kind], state,
-                     None if on_block is None else np.empty((rows,) + state.values.shape))
-                    for ids, s, state in _lanes(solo, states)]
+        def lanes_of(states: dict):
+            """Yield (members, stepper, step, state, level buffer) for each lane of states' members:
+            the semigroup members with numerators of one length, and the baselines."""
+            lanes = {}
+            for i in states:
+                lanes.setdefault(len(solo[i].p) if solo[i].config.kind == "semigroup" else 0,
+                                 []).append(i)
+            for ids in map(tuple, lanes.values()):
+                s = _lockstep([solo[i] for i in ids])
+                state = _stacked([states[i] for i in ids], s.config.kind != "semigroup")
+                yield (ids, s, step[s.config.kind], state,
+                       None if on_block is None else np.empty((rows,) + state.values.shape))
 
         try:
-            lanes = lanes_of({i: s.start[0] for i, s in enumerate(solo)})
+            lanes = list(lanes_of({i: s.start[0] for i, s in enumerate(solo)}))
         except MemoryError as exc:
             raise ValueError(f"cannot hold {rows} snapshots ({exc})") from None
         for *_, state, buf in lanes if on_block is not None else ():
             buf[0] = state.values
-        level, first = 0, 0  # first: the next level to hand over, in row 0
-        halts, eager = {}, set()  # member -> (blow-up level, state); members checked each level
-        # the last level every running member passed a check at (level 0 is never checked)
-        checked = (level, lanes, halts)
+        level, first, halts = 0, 0, {}  # first: the next level to hand over, in row 0
+        checked = (level, lanes)  # the last level that passed a check; level 0 is never checked
+        spacing = CHECK_EVERY
         while level < n_steps and lanes:
             level += 1
             try:
                 lanes = [(ids, s, fn, s.start[level] if level < len(s.start) else fn(s, state), buf)
                          for ids, s, fn, state, buf in lanes]
             except Exception:
-                running = {i for lane in lanes for i in lane[0]}
-                if running <= eager:
+                if spacing == 1:
                     raise
                 # whatever it is, it may come from a level past an unchecked blow-up
-                eager |= running
-                level, lanes, halts = checked
+                (level, lanes), spacing = checked, 1
                 continue
             if on_block is not None:
                 for _, _, _, state, buf in lanes:
                     buf[level - first] = state.values
-            full = not level % CHECK_EVERY or not level % block or level == n_steps or (
-                eager and {i for lane in lanes for i in lane[0]} <= eager)
-            if not (full or eager):
+            if level % spacing and level % block and level < n_steps:
                 continue
-            failed = _non_finite(lanes, None if full else eager)
-            if failed and not full:  # an eager member blew up: check the others here too
-                full, failed = True, _non_finite(lanes)
-            if not failed <= eager:  # a spaced check failed: rewind, and check that member
-                eager |= failed  # at every level from then on
-                level, lanes, halts = checked
+            failed = _non_finite(lanes)
+            if failed and spacing > 1:
+                (level, lanes), spacing = checked, 1
                 continue
-            if not full:
-                continue
-            # every running member passed its check here, or halts at its blow-up
             if on_block is not None and (failed or not level % block or level == n_steps):
                 views = {i: (buf if buf.ndim == 2 else buf[:, :, j])[: level - first + 1]
                          for ids, *_, buf in lanes for j, i in enumerate(ids)}
@@ -633,12 +613,12 @@ def solve_evolution(
                 with np.errstate(**caller_err):
                     on_block(first, blocks if group else blocks[0])
                 first = level + 1
-            if failed:
+            if failed:  # checked at every level since the rewind: each halts as it does solo
                 states = {i: st for ids, _, _, state, _ in lanes
                           for i, st in _columns(ids, state).items()}
-                halts = {**halts, **{i: (level, states.pop(i)) for i in failed}}
-                lanes = lanes_of(states)
-            checked = (level, lanes, halts)
+                halts.update((i, (level, states.pop(i))) for i in failed)
+                lanes = list(lanes_of(states))
+            checked = (level, lanes)
 
     # the loop ends on a check: the last level passed it, or the run blew up there
     ends = {i: (level, st) for ids, _, _, state, _ in lanes

@@ -300,7 +300,7 @@ class TestFigureData:
         # grows by no more than the t column and the max_error columns of the longer run,
         # for one scheme and for the four schemes in lockstep
         k = 0.016 * math.pi / 50
-        for schemes in ("fd11", TABLE_SCHEMES):
+        for schemes in (("fd11",), TABLE_SCHEMES):
             max_error_series(sample_problem(), schemes, 50, k, 0.1)  # warm up
 
             def peak(t_final):
@@ -313,7 +313,6 @@ class TestFigureData:
                     tracemalloc.stop()
 
             (short, _), (long, tables) = peak(1.5), peak(6.0)
-            tables = (tables,) if isinstance(tables, Table) else tables
             # 5968 steps and the start level, in one t column that every table shares and
             # a max_error column each
             assert [c.nbytes for t in tables for c in t.data] == [8 * 5969] * 2 * len(tables)
@@ -322,7 +321,7 @@ class TestFigureData:
             assert long - short <= output, schemes
 
     def test_max_error_series(self):
-        table = max_error_series(sample_problem(), "fd11", 10, 0.1, 1.0)
+        (table,) = max_error_series(sample_problem(), ("fd11",), 10, 0.1, 1.0)
         assert table.columns == ("t", "max_error")
         ts = table.column("t")
         assert ts == pytest.approx(0.1 * np.arange(11))
@@ -344,7 +343,7 @@ class TestFigureData:
                 sample_problem(), exact=lambda x, t: math.exp(-t) * math.sin(x)),
         }[case]
         k = r * (problem.domain[1] - problem.domain[0]) / N
-        got = max_error_series(problem, scheme, N, k, t_final)
+        (got,) = max_error_series(problem, (scheme,), N, k, t_final)
         want = max_error_per_level(problem, scheme, N, k, t_final)
         assert np.array_equal(got.column("t"), want.column("t"))
         assert np.array_equal(got.column("max_error"), want.column("max_error"), equal_nan=True)
@@ -368,7 +367,7 @@ class TestFigureData:
             "u_b": "sin(t)",
             "exact": "(1 - t) * sin(x) + sin(t)",
         }))
-        table = max_error_series(problem, scheme, 12, 0.05, 0.5)
+        (table,) = max_error_series(problem, (scheme,), 12, 0.05, 0.5)
         grid = build_grid(0.0, math.pi, 12)
         traj = solve_every_level(problem, grid, config_for(scheme, 0.05), 0.5)
         x = grid.interior_nodes
