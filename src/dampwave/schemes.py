@@ -76,8 +76,10 @@ broadcast (m,) or (n, 1) operand costs about three contiguous ones. Each
 member keeps its own finish on its column (its Q_S solve in interleaved order,
 oifd's solve, oefd's divide) and its own blow-up: a failed check rewinds
 every lane and checks every member at each level from then on, so that each
-halts at the level, and with the state, of its solo run and leaves its lane.
-A solo run is the one-member case.
+halts at the level, and with the state, of its solo run. Lanes are built once
+per solve and kept to its end: a halted member becomes None in its lane's
+`members` and its column rides along unread, with no finish or forcing; a lane
+of halted members is no longer stepped. A solo run is the one-member lane.
 
 Q_S(Mk) is built once per stepper straight in band storage, in the
 interleaved ordering (u_1, w_1, u_2, w_2, ...): Horner's rule over kM's four
@@ -225,21 +227,21 @@ def _banded_poly(coeffs, op: BlockOperator, k: float) -> linalg.BandedMatrix:
     return linalg.BandedMatrix(n=size, kl=kl, ku=ku, ab=ab)
 
 
-# A lockstep stepper's coefficients are a float where its members agree, and otherwise
-# pre-expanded to its state's shape; `members` holds the steppers of its state's columns,
-# which finish them. A solo stepper has no members and finishes its state itself.
+# A lane's coefficients are a float where its members agree, and otherwise pre-expanded
+# to its state's shape; `members` lists the steppers of its state's columns, which finish
+# them, None for a halted one. `make_stepper`'s has no members and finishes its state itself.
 
 
 @dataclass(frozen=True)
 class SemigroupStepper:
     config: SchemeConfig
-    op: BlockOperator  # a group's damping is pre-expanded to (n, m)
+    op: BlockOperator  # a lane's damping is pre-expanded to (n, m)
     start: tuple[StateVector, ...]  # (V^0,)
     p: tuple  # P_T's coefficients
     q_fact: Optional[linalg.BandedFactorization]  # None when Q is the identity
     perm: Optional[np.ndarray]  # the interleaved order of the unknowns q_fact solves for
     source: Callable  # t -> (k/2) F(t), None when F(t) is all zero
-    members: tuple = ()
+    members: Sequence = ()
 
 
 @dataclass(frozen=True)
@@ -253,7 +255,7 @@ class BaselineStepper:
     source: Callable
     lhs_denom: Optional[np.ndarray] = None  # oefd: 1 + gamma k/2
     lhs_fact: Optional[linalg.BandedFactorization] = None  # oifd
-    members: tuple = ()
+    members: Sequence = ()
 
 
 Stepper = Union[SemigroupStepper, BaselineStepper]
@@ -380,12 +382,12 @@ def make_stepper(
 
 
 def amplify(stepper: SemigroupStepper, v: np.ndarray) -> np.ndarray:
-    """R(kM) v = Q_S(kM)^{-1} P_T(kM) v, each member's solve on its own column;
-    `stability.spectral_radius` applies it to the sine-mode planes to measure its radius
-    for `stability --empirical`."""
+    """R(kM) v = Q_S(kM)^{-1} P_T(kM) v, each member's solve on its own column (none on a
+    halted member's); `stability.spectral_radius` applies it to the sine-mode planes to
+    measure its radius for `stability --empirical`."""
     rhs, n = apply_poly(stepper.p, stepper.op, stepper.config.k, v), stepper.op.n_interior
     for member, col in zip(stepper.members or (stepper,), rhs.reshape(len(rhs), -1).T):
-        if member.q_fact is not None:  # x holds (u_1, w_1, u_2, w_2, ...)
+        if member is not None and member.q_fact is not None:  # x is (u_1, w_1, u_2, w_2, ...)
             x = linalg.solve_banded(member.q_fact, col[member.perm])
             col[:n], col[n:] = x[0::2], x[1::2]
     return rhs
@@ -420,21 +422,22 @@ def _baseline_rhs(stepper: BaselineStepper, state: StateVector) -> np.ndarray:
 
 def step_baseline(stepper: BaselineStepper, state: StateVector) -> StateVector:
     """One baseline step, level n (with level n-1 in prev) -> n+1: the shared right-hand
-    side, then each member's forcing terms and its own finish on its column, a divide for
-    oefd and a banded solve for oifd. oifd takes B(t_n) from its carry when set, and its
-    result carries B(t_{n+1}); a group's carry is the tuple of its members'."""
+    side, then each live member's forcing terms and its own finish on its column, a divide
+    for oefd and a banded solve for oifd. oifd takes B(t_n) from its carry when set, and its
+    result carries B(t_{n+1}); a lane's carry is the tuple of its members'."""
     rhs = _baseline_rhs(stepper, state)
     carry = []
-    for member, b_n, col in zip(stepper.members or (stepper,),
-                                state.carry if stepper.members else (state.carry,),
-                                rhs.reshape(len(rhs), -1).T):
-        b_term, g_term, b_next = member.source(state.t, b_n)
-        _add_terms(col, b_term, g_term)
-        if member.lhs_fact is None:
-            col /= member.lhs_denom
-        else:
-            col[...] = linalg.solve_banded(member.lhs_fact, col)
-        carry.append(b_next)
+    for member, b, col in zip(stepper.members or (stepper,),  # b: B(t_n) in, B(t_{n+1}) out
+                              state.carry if stepper.members else (state.carry,),
+                              rhs.reshape(len(rhs), -1).T):
+        if member is not None:  # a halted member's column rides along unread
+            b_term, g_term, b = member.source(state.t, b)
+            _add_terms(col, b_term, g_term)
+            if member.lhs_fact is None:
+                col /= member.lhs_denom
+            else:
+                col[...] = linalg.solve_banded(member.lhs_fact, col)
+        carry.append(b)
     return StateVector(state.t + stepper.config.k, rhs, state.values,
                        tuple(carry) if stepper.members else carry[0])
 
@@ -443,64 +446,36 @@ def step_baseline(stepper: BaselineStepper, state: StateVector) -> StateVector:
 step_oefd = step_oifd = step_baseline
 
 
-def _stacked(states: Sequence[StateVector], baseline: bool) -> StateVector:
-    """Members' states at one level as one state with a trailing member axis."""
-    if len(states) == 1:
-        return states[0]
-
-    def stack(arrays):
-        return None if arrays[0] is None else np.stack(arrays, axis=-1)
-
-    values, prev, carry = zip(*((s.values, s.prev, s.carry) for s in states))
-    return StateVector(states[0].t, stack(values), stack(prev), carry if baseline else stack(carry))
-
-
-def _columns(ids: tuple, state: StateVector) -> dict:
-    """Each member's state in its lane's state: `_stacked` undone."""
-    if len(ids) == 1:
-        return {ids[0]: state}
-
-    def col(a, j):
-        return a if a is None else a[j] if isinstance(a, tuple) else a[:, j]
-
-    return {i: StateVector(state.t, *(col(a, j) for a in (state.values, state.prev, state.carry)))
-            for j, i in enumerate(ids)}
-
-
 def _lockstep(steppers: Sequence[Stepper]) -> Stepper:
-    """One stepper for the members of a lane, with `_stacked` start levels; the semigroup
-    members share the first one's forcing source, as F(t) is theirs alike."""
+    """One stepper for the members of a lane, with their start levels stacked along a
+    trailing member axis; the semigroup members share the first one's forcing source, as
+    F(t) is theirs alike."""
     first = steppers[0]
-    if len(steppers) == 1:
-        return first
 
     def per_member(values, like):  # a float where all agree, else pre-expanded
         if all(isinstance(v, float) and v == values[0] for v in values):
             return values[0]
         return np.stack([np.broadcast_to(v, like.shape) for v in values], axis=-1)
 
+    def stack(arrays):
+        return None if arrays[0] is None else np.stack(arrays, axis=-1)
+
     baseline, u0 = first.config.kind != "semigroup", first.start[0].values
-    start = tuple(_stacked(level, baseline) for level in zip(*(s.start for s in steppers)))
+    start = tuple(StateVector(level[0].t, stack([s.values for s in level]),
+                              stack([s.prev for s in level]),  # V^0 has no carry:
+                              tuple(s.carry for s in level) if baseline else None)
+                  for level in zip(*(s.start for s in steppers)))
     if baseline:
         return dataclasses.replace(
-            first, start=start, members=tuple(steppers),
+            first, start=start, members=list(steppers),
             prev_coeff=per_member([s.prev_coeff for s in steppers], u0),
             lap_coeff=per_member([s.lap_coeff for s in steppers], u0))
     damping = per_member([s.op.damping for s in steppers], first.op.damping)
     return dataclasses.replace(
-        first, start=start, members=tuple(steppers), q_fact=None, perm=None,
+        first, start=start, members=list(steppers), q_fact=None, perm=None,
         op=dataclasses.replace(first.op, damping=damping),
         p=tuple(per_member(c, u0) for c in zip(*(s.p for s in steppers))),
         source=lambda t: None if (f := first.source(t)) is None else f[:, None])
-
-
-def _non_finite(lanes: list) -> set:
-    """The members whose state in lanes has a non-finite entry."""
-    failed = set()
-    for ids, _, _, state, _ in lanes:
-        finite = np.isfinite(state.values.reshape(len(state.values), -1)).all(axis=0)
-        failed.update(i for i, ok in zip(ids, finite) if not ok)
-    return failed
 
 
 @dataclass
@@ -542,9 +517,11 @@ def solve_evolution(
     passed a check.
 
     A tuple of m configs at one k runs in lockstep (see `schemes`) and returns a tuple of
-    Trajectories, each its member's solo run bit for bit. on_block then gets a tuple of each
+    Trajectories, each its member's solo run bit for bit, from lanes built once (a halted
+    member rides along in its lane, its finish skipped). on_block then gets a tuple of each
     member's rows, none past its blow-up, in runs of at most LEVEL_BLOCK // m levels, so that
-    the buffers hold no more than a solo run's; the run raises if any member's step does."""
+    the (rows, size, m) lane buffers hold no more than a solo run's; the run raises if any
+    member's step does."""
     group = isinstance(config, tuple)
     configs = config if group else (config,)
     if len({c.k for c in configs}) != 1:
@@ -561,72 +538,63 @@ def solve_evolution(
         solo = [make_stepper(c, op, grid, problem) for c in configs]
         # chosen per call, so that a rebinding of these module names takes effect
         step = {"semigroup": step_semigroup, "oefd": step_oefd, "oifd": step_oifd}
+        # the lanes: the semigroup members with numerators of one length, and the baselines
+        key = [len(s.p) if s.config.kind == "semigroup" else 0 for s in solo]
+        ids = [[i for i, ki in enumerate(key) if ki == kj] for kj in dict.fromkeys(key)]
+        place = sorted((i, lane, j) for lane, members in enumerate(ids)
+                       for j, i in enumerate(members))  # member i is column j of its lane
+        lanes = [_lockstep([solo[i] for i in members]) for members in ids]
+        states = [s.start[0] for s in lanes]
         rows = min(block, n_steps) + 1
-
-        def lanes_of(states: dict):
-            """Yield (members, stepper, step, state, level buffer) for each lane of states' members:
-            the semigroup members with numerators of one length, and the baselines."""
-            lanes = {}
-            for i in states:
-                lanes.setdefault(len(solo[i].p) if solo[i].config.kind == "semigroup" else 0,
-                                 []).append(i)
-            for ids in map(tuple, lanes.values()):
-                s = _lockstep([solo[i] for i in ids])
-                state = _stacked([states[i] for i in ids], s.config.kind != "semigroup")
-                yield (ids, s, step[s.config.kind], state,
-                       None if on_block is None else np.empty((rows,) + state.values.shape))
-
         try:
-            lanes = list(lanes_of({i: s.start[0] for i, s in enumerate(solo)}))
+            bufs = [] if on_block is None else [np.empty((rows,) + s.values.shape) for s in states]
         except MemoryError as exc:
             raise ValueError(f"cannot hold {rows} snapshots ({exc})") from None
-        for *_, state, buf in lanes if on_block is not None else ():
+        for buf, state in zip(bufs, states):
             buf[0] = state.values
         level, first, halts = 0, 0, {}  # first: the next level to hand over, in row 0
-        checked = (level, lanes)  # the last level that passed a check; level 0 is never checked
+        checked = (level, states)  # the last level that passed a check; level 0 is never checked
         spacing = CHECK_EVERY
-        while level < n_steps and lanes:
+        while level < n_steps and len(halts) < len(solo):
             level += 1
-            try:
-                lanes = [(ids, s, fn, s.start[level] if level < len(s.start) else fn(s, state), buf)
-                         for ids, s, fn, state, buf in lanes]
+            try:  # a lane whose members have all halted is not stepped
+                states = [s.start[level] if level < len(s.start) else
+                          step[s.config.kind](s, state) if any(s.members) else state
+                          for s, state in zip(lanes, states)]
             except Exception:
                 if spacing == 1:
                     raise
                 # whatever it is, it may come from a level past an unchecked blow-up
-                (level, lanes), spacing = checked, 1
+                (level, states), spacing = checked, 1
                 continue
-            if on_block is not None:
-                for _, _, _, state, buf in lanes:
-                    buf[level - first] = state.values
+            for buf, state in zip(bufs, states):
+                buf[level - first] = state.values
             if level % spacing and level % block and level < n_steps:
                 continue
-            failed = _non_finite(lanes)
+            finite = [np.isfinite(state.values).all(axis=0) for state in states]
+            failed = [(i, lane, j) for i, lane, j in place
+                      if lanes[lane].members[j] is not None and not finite[lane][j]]
             if failed and spacing > 1:
-                (level, lanes), spacing = checked, 1
+                (level, states), spacing = checked, 1
                 continue
             if on_block is not None and (failed or not level % block or level == n_steps):
-                views = {i: (buf if buf.ndim == 2 else buf[:, :, j])[: level - first + 1]
-                         for ids, *_, buf in lanes for j, i in enumerate(ids)}
-                blocks = tuple(views.get(i, np.empty((0, s.start[0].values.size)))
-                               for i, s in enumerate(solo))
+                blocks = tuple(bufs[lane][: 0 if i in halts else level - first + 1, :, j]
+                               for i, lane, j in place)
                 with np.errstate(**caller_err):
                     on_block(first, blocks if group else blocks[0])
                 first = level + 1
-            if failed:  # checked at every level since the rewind: each halts as it does solo
-                states = {i: st for ids, _, _, state, _ in lanes
-                          for i, st in _columns(ids, state).items()}
-                halts.update((i, (level, states.pop(i))) for i in failed)
-                lanes = list(lanes_of(states))
-            checked = (level, lanes)
+            # checked at every level since the rewind, so no rewind follows: each member
+            # halts as it does solo, and rides along in its lane with its finish skipped
+            for i, lane, j in failed:
+                halts[i] = (level, states[lane].values[:, j])
+                lanes[lane].members[j] = None
+            checked = (level, states)
 
     # the loop ends on a check: the last level passed it, or the run blew up there
-    ends = {i: (level, st) for ids, _, _, state, _ in lanes
-            for i, st in _columns(ids, state).items()}
     trajs = []
-    for i, s in enumerate(solo):
-        last, state = halts.get(i) or ends[i]
+    for i, lane, j in place:
+        last, values = halts.get(i) or (level, states[lane].values[:, j])
         trajs.append(Trajectory(grid, np.array([0, last]) * k,
-                                np.stack((s.start[0].values, state.values)),
+                                np.stack((solo[i].start[0].values, values)),
                                 last if i in halts else None))
     return tuple(trajs) if group else trajs[0]

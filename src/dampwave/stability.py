@@ -94,13 +94,17 @@ def implicit_amplification(N: int, h: float, k: float, gamma_const: float) -> Am
     if not 0 < scale < math.inf:
         raise ValueError(f"mesh width h={h} leaves 16/h^2 outside the positive finite floats")
     n = np.arange(1, N)
-    inner = gamma_const**2 - scale * np.sin(n * np.pi / (2 * N)) ** 2
-    root = np.sqrt(inner.astype(complex))
-    lam_p = -gamma_const / 2.0 + root / 2.0
-    lam_m = -gamma_const / 2.0 - root / 2.0
-    mu_p = (1.0 + k * lam_p / 2.0) / (1.0 - k * lam_p / 2.0)
-    mu_m = (1.0 + k * lam_m / 2.0) / (1.0 - k * lam_m / 2.0)
-    max_mod = float(max(np.abs(mu_p).max(), np.abs(mu_m).max()))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves max_mod non-finite
+        inner = np.float64(gamma_const) ** 2 - scale * np.sin(n * np.pi / (2 * N)) ** 2
+        root = np.sqrt(inner.astype(complex))
+        lam_p = -gamma_const / 2.0 + root / 2.0
+        lam_m = -gamma_const / 2.0 - root / 2.0
+        mu_p = (1.0 + k * lam_p / 2.0) / (1.0 - k * lam_p / 2.0)
+        mu_m = (1.0 + k * lam_m / 2.0) / (1.0 - k * lam_m / 2.0)
+        max_mod = float(max(np.abs(mu_p).max(), np.abs(mu_m).max()))
+    if not math.isfinite(max_mod):
+        raise ValueError(f"k={k}, h={h} and gamma*={gamma_const} put the implicit spectrum "
+                         f"outside the finite floats")
     return AmplificationSpectrum(
         lambda_plus=lam_p,
         lambda_minus=lam_m,

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import dampwave
@@ -460,6 +460,17 @@ class TestStability:
         err = capsys.readouterr().err
         assert f"mesh width h={float(h)}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("gamma,k", [("1e200", "0.05"), ("2", "1e308")],
+                             ids=["gamma-squared", "k-lambda"])
+    def test_spectrum_overflow_exits_2(self, capsys, gamma, k):
+        # finite inputs whose spectrum overflows: gamma*^2 at 1e200, k lambda at k = 1e308
+        code = run_command(["stability", "--gamma-max", gamma, "--k", k, "--h", "0.1",
+                            "--N", "5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "implicit spectrum outside the finite floats" in captured.err
+        assert captured.out == ""
+
     def test_empirical_requires_N(self, capsys):
         code = run_command(["stability", "--gamma-max", "2", "--k", "0.1",
                             "--h", "0.5", "--empirical"])
@@ -684,6 +695,10 @@ class TestGeneratedConfigs:
            N=st.sampled_from([2, 3, 8, 20]),
            r=st.one_of(st.sampled_from([0.5, 1.59, 1e155]), st.floats(1e-3, 1e155)),
            steps=st.sampled_from([1, 2, 70]))
+    # finite endpoint data 1e308 away from the exact solution: the error overflows to inf
+    @example(fields={"u_b": "1e308", "exact": "-(abs(1e308))", "gamma": "0.5", "g": "-(1e308)",
+                     "phi": "sin(1e308)", "psi": "-(sin(x))", "u_a": "0"},
+             scheme=["oifd"], N=20, r=1.59, steps=1)
     def test_solve_exits_with_a_code(self, fields, scheme, N, r, steps):
         t_final = (steps + 0.5) * r * math.pi / N
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():

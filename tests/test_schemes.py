@@ -944,12 +944,12 @@ class TestSolveEvolution:
             solve_evolution(problem, grid, config_for("fd11", 1e-9), 100.0)
 
     def test_snapshot_buffer_beyond_memory_raises(self, monkeypatch):
-        # the (41, 18) level buffer of 40 steps at N=10 is refused, as a
-        # buffer larger than the memory would be
+        # the (41, 18, 1) level buffer of 40 steps at N=10, a one-member lane's, is
+        # refused, as a buffer larger than the memory would be
         empty = np.empty
 
         def refuse_snapshots(shape, *args, **kwargs):
-            if shape == (41, 18):
+            if shape == (41, 18, 1):
                 raise MemoryError("Unable to allocate the snapshot buffer")
             return empty(shape, *args, **kwargs)
 
@@ -1129,10 +1129,16 @@ class TestLockstep:
            doc=st.sampled_from([SAMPLE_DOC, FORCED_DOC]),
            steps=st.sampled_from([1, 2, CHECK_EVERY - 1, CHECK_EVERY, CHECK_EVERY + 1, 130, 700]),
            raise_at=st.one_of(st.none(), st.sampled_from([1, 40, 634])))
-    # fd01 blows up at 623 while fd11 runs on; oefd (379) and fd01 blow up before g raises
-    # at level 634, a raise that rewinds fd01 to its blow-up, and that fd11 raises at
+    # fd01 blows up at 623 while fd11 runs on, and oefd at 379 while oifd runs on in its
+    # lane; oefd (379) and fd01 blow up before g raises at level 634, a raise that rewinds
+    # fd01 to its blow-up, and that fd11 raises at
     @example(members=LOCKSTEP_SCHEMES[:2], N=50, r=1.59, doc=SAMPLE_DOC, steps=700,
              raise_at=None)
+    @example(members=LOCKSTEP_SCHEMES[3:], N=50, r=1.59, doc=SAMPLE_DOC, steps=700,
+             raise_at=None)
+    # fd01's lane, halted at 623, is not stepped on into the raise at 634 that oifd never meets
+    @example(members=[LOCKSTEP_SCHEMES[i] for i in (0, 4)], N=50, r=1.59, doc=SAMPLE_DOC,
+             steps=634, raise_at=634)
     @example(members=[LOCKSTEP_SCHEMES[i] for i in (0, 3)], N=50, r=1.59, doc=SAMPLE_DOC,
              steps=700, raise_at=634)
     @example(members=LOCKSTEP_SCHEMES[:2], N=50, r=1.59, doc=SAMPLE_DOC, steps=700,
