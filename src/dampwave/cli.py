@@ -8,11 +8,16 @@ paper's configurations; compare --N 10 --k 0.1 --t-final 0.1 writes table1.
 Exit codes: 0 success, 2 usage or input error, 3 numerical failure
 (singular system), 4 a requested solve diverged (table2/compare report
 divergence as data and still exit 0).
+
+One parser serves a process: `build_parser` builds it on the first
+`run_command` call and every later call reuses it. Each parse starts from a
+fresh namespace, so no call sees another's arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -57,6 +62,7 @@ def _add_scheme_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--pade", help="S,T orders for --scheme fdST (e.g. --pade 2,2)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dampwave",

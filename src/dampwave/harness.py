@@ -259,8 +259,9 @@ def format_value(v) -> str:
 
     Floats keep their shortest round-trip representation; magnitudes below
     1e-3 (and at or above 1e16) use scientific notation. repr gives exactly
-    that outside [1e-4, 1e-3), where it prints positional notation instead,
-    once a trailing ".0" is dropped; it prints nan, inf and -inf as they are.
+    that outside [1e-4, 1e-3), once a trailing ".0" is dropped; it prints nan,
+    inf and -inf as they are. Inside that band repr prints the same digits
+    positionally, "0.000ddd", which are moved into "d.dde-04".
     """
     if not isinstance(v, float):  # np.float64 is a float
         if isinstance(v, (bool, np.bool_)):
@@ -272,10 +273,16 @@ def format_value(v) -> str:
     f = float(v)
     if f == 0.0:
         return "0"
-    if 1e-4 <= abs(f) < 1e-3:
-        return np.format_float_scientific(f, unique=True, trim="-")
     text = repr(f)
+    if 1e-4 <= abs(f) < 1e-3:
+        return _e04(text)
     return text[:-2] if text.endswith(".0") else text
+
+
+def _e04(text: str) -> str:
+    """repr's "0.000ddd" of a magnitude in [1e-4, 1e-3) as "d.dde-04", its sign kept."""
+    sign, _, digits = text.partition("0.000")
+    return f"{sign}{digits[0]}{'.' if digits[1:] else ''}{digits[1:]}e-04"
 
 
 _BLOCK_ROWS = 256  # rows per CSV write
@@ -283,15 +290,17 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def _fields(col) -> list[str]:
-    """One block of a column as CSV fields: repr for a float64 array but where it differs
-    from format_value; format_value elsewhere, quoted as csv's QUOTE_MINIMAL quotes."""
+    """One block of a column as CSV fields: repr for a float64 array, its [1e-4, 1e-3)
+    cells rewritten by `_e04` and its integral cells by format_value; format_value
+    elsewhere, quoted as csv's QUOTE_MINIMAL quotes."""
     values = _values(col)
     if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
         texts = map(format_value, values)
         return ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) else t for t in texts]
     texts, mag = list(map(repr, values)), np.abs(col)
-    differs = ((col == np.trunc(col)) & (mag < 1e16)) | ((mag >= 1e-4) & (mag < 1e-3))
-    for i in np.flatnonzero(differs):
+    for i in np.flatnonzero((mag >= 1e-4) & (mag < 1e-3)).tolist():
+        texts[i] = _e04(texts[i])
+    for i in np.flatnonzero((col == np.trunc(col)) & (mag < 1e16)).tolist():
         texts[i] = format_value(values[i])
     return texts
 

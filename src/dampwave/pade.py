@@ -9,12 +9,14 @@ c_{S+T+1} theta^{S+T+1}.  Coefficients come from the classical closed form
     c_{S+T+1} = (-1)^S S! T! / ((S+T)! (S+T+1)!),
 
 held as exact rationals; floats enter only when a polynomial is applied.
+Each (S, T) approximant, and its float coefficients, is built once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from math import factorial
 from typing import Sequence
 
@@ -35,11 +37,11 @@ class RationalApproximant:
     q_coeffs: tuple[Fraction, ...]  # b_0..b_S, b_0 = 1
     leading_error: Fraction
 
-    @property
+    @cached_property
     def p_floats(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self.p_coeffs)
 
-    @property
+    @cached_property
     def q_floats(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self.q_coeffs)
 
@@ -51,6 +53,7 @@ def validate_orders(S: int, T: int) -> None:
         raise ValueError("need S + T >= 1")
 
 
+@cache
 def pade_coefficients(S: int, T: int) -> RationalApproximant:
     """Exact coefficients of the (S, T) approximant of the exponential."""
     validate_orders(S, T)

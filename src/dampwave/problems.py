@@ -126,19 +126,6 @@ def format_expression(node: Expression) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def expression_variables(node: Expression) -> set[str]:
-    """Names of the free variables ('x', 't') appearing in the tree."""
-    if isinstance(node, Var):
-        return {node.name} if node.name != "pi" else set()
-    if isinstance(node, Neg):
-        return expression_variables(node.arg)
-    if isinstance(node, BinOp):
-        return expression_variables(node.left) | expression_variables(node.right)
-    if isinstance(node, Call):
-        return expression_variables(node.arg)
-    return set()
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
@@ -322,26 +309,50 @@ _NP_FN = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": n
 _NP_OP = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 
-def _vectorize(expr: Expression) -> Callable:
-    """The tree as nested numpy closures (x, t) -> values, without domain checks."""
+def _hoisted(fn: Callable) -> Callable:
+    """fn, a subtree that reads x but not t, keeping its values for the last node array
+    it was given while that array is read-only and owns its data (a grid's nodes)."""
+    last = [None, None]  # node array, values
+
+    def evaluate(x, t):
+        if x is last[0] and not x.flags.writeable:
+            return last[1]
+        values = fn(x, t)
+        if isinstance(x, np.ndarray) and not x.flags.writeable and x.flags.owndata:
+            last[:] = x, values
+        return values
+
+    return evaluate
+
+
+def _vectorize(expr: Expression) -> tuple[Callable, frozenset]:
+    """The tree as nested numpy closures (x, t) -> values, without domain checks, and the
+    variables it reads. Below a node that reads t, a child subtree that reads only x is
+    `_hoisted`."""
     if isinstance(expr, Num):
         value = expr.value
-        return lambda x, t: value
+        return (lambda x, t: value), frozenset()
     if isinstance(expr, Var):
         if expr.name == "x":
-            return lambda x, t: x
+            return (lambda x, t: x), frozenset("x")
         if expr.name == "t":
-            return lambda x, t: t
-        return lambda x, t: math.pi
+            return (lambda x, t: t), frozenset("t")
+        return (lambda x, t: math.pi), frozenset()
     if isinstance(expr, Neg):
-        arg = _vectorize(expr.arg)
-        return lambda x, t: -arg(x, t)
+        arg, used = _vectorize(expr.arg)
+        return (lambda x, t: -arg(x, t)), used
     if isinstance(expr, Call):
-        fn, arg = _NP_FN[expr.fn], _vectorize(expr.arg)
-        return lambda x, t: fn(arg(x, t))
+        fn, (arg, used) = _NP_FN[expr.fn], _vectorize(expr.arg)
+        return (lambda x, t: fn(arg(x, t))), used
     if isinstance(expr, BinOp):
-        op, left, right = _NP_OP[expr.op], _vectorize(expr.left), _vectorize(expr.right)
-        return lambda x, t: op(left(x, t), right(x, t))
+        op = _NP_OP[expr.op]
+        (left, left_used), (right, right_used) = _vectorize(expr.left), _vectorize(expr.right)
+        used = left_used | right_used
+        if "t" in used:
+            left, right = (_hoisted(f) if u == {"x"} and not isinstance(node, Var) else f
+                           for f, u, node in ((left, left_used, expr.left),
+                                              (right, right_used, expr.right)))
+        return (lambda x, t: op(left(x, t), right(x, t))), used
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -356,8 +367,8 @@ def time_free(fn: Callable) -> bool:
 
 
 def compile_expression(expr: Expression) -> Callable:
-    """Compile the tree once into a closure f(x, t), with
-    `expression_variables(expr)` as its `variables` attribute.
+    """Compile the tree once, in one pass, into a closure f(x, t), with the free
+    variables it reads ('x', 't') as its `variables` attribute.
 
     Scalar arguments go to `eval_expression`. Array arguments take one numpy
     pass that raises FloatingPointError on overflow, division by zero or an
@@ -365,8 +376,15 @@ def compile_expression(expr: Expression) -> Callable:
     intermediate sets one of those, so a pass that completes matches the
     reference. On that raise `operators.sample` calls f node by node, and the
     reference raises the EvaluationError at the first failing node.
+
+    In an expression that reads t, a subtree that reads x but not t (sin(x) in
+    exp(-t)*sin(x)) is evaluated once per node array, when that array is
+    read-only and owns its data, as `SpatialGrid.interior_nodes` does: every
+    later call with the same array reuses the subtree's values, which are the
+    same bits. A writeable or borrowed array is evaluated afresh on every call,
+    and a subtree that raised keeps nothing.
     """
-    vectorized = _vectorize(expr)
+    vectorized, used = _vectorize(expr)
 
     def evaluate(x, t):
         if np.ndim(x) == 0 and np.ndim(t) == 0:
@@ -374,7 +392,7 @@ def compile_expression(expr: Expression) -> Callable:
         with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
             return vectorized(x, t)
 
-    return _marked(evaluate, expression_variables(expr))
+    return _marked(evaluate, used)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +420,9 @@ class DampedWaveProblem:
     `steady`, set on construction, holds when g, u_a and u_b are all `time_free`
     (config expressions without t, the sample problem's zero data); then
     `schemes.make_stepper` evaluates the forcing once, at t = 0, not per level.
+    Otherwise a config's g is evaluated at every level on the grid's read-only
+    nodes, and its subtrees without t are evaluated once per grid (see
+    `compile_expression`); g written in code is called as it is.
     """
 
     domain: tuple[float, float]
@@ -468,19 +489,18 @@ _SCHEMA_FIELDS = {
 }
 
 
-def _compile(field: str, source: object, allowed: set[str]) -> Expression:
+def _compile(field: str, source: object, allowed: set[str]) -> Callable:
     if not isinstance(source, str):
         raise ProblemConfigError(f"field {field!r} must be an expression string")
     try:
         tree = parse_expression(source)
     except ExpressionError as exc:
         raise ProblemConfigError(f"field {field!r}: {exc}") from exc
-    used = expression_variables(tree)
-    if not used <= allowed:
-        raise ProblemConfigError(
-            f"field {field!r} may only use {sorted(allowed)}, found {sorted(used - allowed)}"
-        )
-    return tree
+    f = compile_expression(tree)
+    if not f.variables <= allowed:
+        raise ProblemConfigError(f"field {field!r} may only use {sorted(allowed)}, "
+                                 f"found {sorted(f.variables - allowed)}")
+    return f
 
 
 def load_problem_config(text: str) -> DampedWaveProblem:
@@ -513,35 +533,33 @@ def load_problem_config(text: str) -> DampedWaveProblem:
     if not b > a:
         raise ProblemConfigError(f"field 'domain' must satisfy a < b, got [{a}, {b}]")
 
-    trees: dict[str, Expression] = {}
+    fns: dict[str, Callable] = {}
     for field, allowed in _SCHEMA_FIELDS.items():
         if field not in doc:
             raise ProblemConfigError(f"missing field {field!r}")
-        trees[field] = _compile(field, doc[field], allowed)
-    exact_tree = None
+        fns[field] = _compile(field, doc[field], allowed)
+    exact = None
     if "exact" in doc and doc["exact"] is not None:
-        exact_tree = _compile("exact", doc["exact"], {"x", "t"})
+        exact = _compile("exact", doc["exact"], {"x", "t"})
 
     extras = set(doc) - set(_SCHEMA_FIELDS) - {"domain", "exact"}
     if extras:
         raise ProblemConfigError(f"unknown fields: {sorted(extras)}")
 
-    def of_x(tree: Expression) -> Callable:
-        f = compile_expression(tree)
+    def of_x(f: Callable) -> Callable:
         return lambda x: f(x, 0.0)
 
-    def of_t(tree: Expression) -> Callable:
-        f = compile_expression(tree)
+    def of_t(f: Callable) -> Callable:
         return _marked(lambda t: f(0.0, t), f.variables)
 
     return DampedWaveProblem(
         domain=(a, b),
-        gamma=of_x(trees["gamma"]),
-        g=compile_expression(trees["g"]),
-        phi=of_x(trees["phi"]),
-        psi=of_x(trees["psi"]),
-        u_a=of_t(trees["u_a"]),
-        u_b=of_t(trees["u_b"]),
-        exact=compile_expression(exact_tree) if exact_tree is not None else None,
+        gamma=of_x(fns["gamma"]),
+        g=fns["g"],
+        phi=of_x(fns["phi"]),
+        psi=of_x(fns["psi"]),
+        u_a=of_t(fns["u_a"]),
+        u_b=of_t(fns["u_b"]),
+        exact=exact,
         name="config",
     )

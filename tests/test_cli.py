@@ -594,9 +594,17 @@ class TestErrorWiring:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_help_exits_zero(self):
-        assert run_command(["--help"]) == 0
-        assert run_command(["solve", "--help"]) == 0
+    def test_help_exits_zero(self, capsys, monkeypatch):
+        # each help text is the same from a fresh parser and from the reused one
+        monkeypatch.setenv("COLUMNS", "100")
+        for argv in (["--help"], *([command, "--help"] for command in cli._COMMANDS)):
+            cli.build_parser.cache_clear()
+            assert run_command(argv) == 0
+            fresh = capsys.readouterr()
+            assert fresh.out.startswith("usage: dampwave") and fresh.err == ""
+            for _ in range(2):
+                assert run_command(argv) == 0
+                assert capsys.readouterr() == fresh
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--scheme", "fd11", "--N", "10", "--k", "0.1", "--t-final", "0.1",
@@ -620,6 +628,43 @@ class TestErrorWiring:
         assert code == 2
         assert "missing field 'domain'" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOneParserPerProcess:
+    """run_command reuses one parser; each call gives what a fresh parser gives."""
+
+    SOLVE = ["solve", "--problem", "sample", "--scheme", "fd11", "--N", "10", "--t-final",
+             "0.3"]
+
+    def run(self, capsys, argv, fresh=False):
+        if fresh:
+            cli.build_parser.cache_clear()
+        code = run_command(argv)
+        return code, *capsys.readouterr()
+
+    def solve(self, capsys, path, step, fresh=False):
+        return self.run(capsys, self.SOLVE + [*step, "--out", str(path)], fresh), \
+            path.read_bytes()
+
+    def test_parser_built_once(self):
+        cli.build_parser.cache_clear()
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_error_then_solve(self, tmp_path, capsys):
+        bad = ["solve", "--scheme", "fd11", "--N", "ten"]
+        first = self.run(capsys, bad, fresh=True)
+        assert first[0] == 2 and "invalid int value: 'ten'" in first[2]
+        after = self.solve(capsys, tmp_path / "after.csv", ["--k", "0.1"])
+        assert self.run(capsys, bad) == first
+        fresh = self.solve(capsys, tmp_path / "fresh.csv", ["--k", "0.1"], fresh=True)
+        assert after == fresh and after[0][0] == 0
+
+    def test_step_flag_does_not_leak(self, tmp_path, capsys):
+        fresh = self.solve(capsys, tmp_path / "fresh.csv", ["--r", "0.2"], fresh=True)
+        with_k = self.solve(capsys, tmp_path / "k.csv", ["--k", "0.1"])
+        assert self.solve(capsys, tmp_path / "r.csv", ["--r", "0.2"]) == fresh != with_k
+        args = cli.build_parser().parse_args(self.SOLVE + ["--r", "0.2", "--out", "x.csv"])
+        assert args.k is None and args.r == 0.2
 
 
 class TestSetUpOverflow:

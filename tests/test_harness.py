@@ -497,12 +497,15 @@ class TestCsv:
         st.builds(lambda m, e: m * 10.0**e,
                   st.floats(min_value=1.0, max_value=10.0), st.integers(-320, 307)),
         st.sampled_from(BAND_EDGES),
+        # [1e-4, 1e-3), where repr's "0.000ddd" is rewritten as "d.dde-04"
+        st.floats(min_value=1e-4, max_value=1e-3, exclude_max=True),
     ))
     @example(1e-4)
     @example(1e-3)
     @example(1e16)
+    @example(2.5e-4)
     def test_matches_numpy_reference_formatting(self, f):
-        for v in (f, -f):
+        for v in (f, -f, np.float64(f)):
             assert format_value(v) == numpy_reference_format(v)
 
     def test_crlf_and_terminated(self, tmp_path):
