@@ -9,15 +9,13 @@ Exit codes: 0 success, 2 usage or input error, 3 numerical failure
 (singular system), 4 a requested solve diverged (table2/compare report
 divergence as data and still exit 0).
 
-One parser serves a process: `build_parser` builds it on the first
-`run_command` call and every later call reuses it. Each parse starts from a
-fresh namespace, so no call sees another's arguments.
+Each `run_command` call builds a parser whose subcommands add their
+arguments when they first parse, so a command builds only its own.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import sys
@@ -62,18 +60,22 @@ def _add_scheme_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--pade", help="S,T orders for --scheme fdST (e.g. --pade 2,2)")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dampwave",
-        description="Finite-difference solvers and benchmarks for the 1D damped wave equation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its arguments when it first parses: a command
+    builds the arguments of no other subcommand."""
 
-    # solve, compare and table2 take no --h; without abbreviations it is
-    # refused instead of read as --help
-    sp = sub.add_parser("solve", help="run one scheme and write its error/solution profile",
-                        allow_abbrev=False)
+    def __init__(self, *args, arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            self._arguments, add = None, self._arguments
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _solve_arguments(sp: argparse.ArgumentParser) -> None:
     _add_problem_flag(sp)
     _add_scheme_flags(sp)
     sp.add_argument("--N", type=int, required=True, help="number of subintervals")
@@ -81,15 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-final", type=float, required=True)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("compare", help="run all four standard schemes at the same parameters",
-                        allow_abbrev=False)
+
+def _compare_arguments(sp: argparse.ArgumentParser) -> None:
     _add_problem_flag(sp)
     sp.add_argument("--N", type=int, required=True, help="number of subintervals")
     _add_step_flags(sp)
     sp.add_argument("--t-final", type=float, required=True)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("stability", help="evaluate the explicit stability conditions")
+
+def _stability_arguments(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--gamma-max", type=float, required=True)
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--h", type=float, required=True)
@@ -101,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="accepted and echoed in the --empirical line; does not change the result")
     sp.add_argument("--out", help="optional CSV with the condition report")
 
-    sp = sub.add_parser("convergence", help="halving refinement study with observed orders")
+
+def _convergence_arguments(sp: argparse.ArgumentParser) -> None:
     _add_problem_flag(sp)
     _add_scheme_flags(sp)
     sp.add_argument("--axis", required=True, choices=("time", "space"))
@@ -111,18 +115,43 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-eval", type=float, required=True)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("table1", help="per-node error table at h=pi/10, k=1/10, t=k")
+
+def _table1_arguments(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", default="table1.csv")
 
-    sp = sub.add_parser("table2", help="max error at t-final across Courant ratios, h=pi/50",
-                        allow_abbrev=False)
+
+def _table2_arguments(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", default="table2.csv")
     sp.add_argument("--t-final", type=float, default=6.0)
 
-    sp = sub.add_parser("figures", help="emit profile and error-history series as CSV")
+
+def _figures_arguments(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out-dir", default=".")
     sp.add_argument("--t-final", type=float, default=6.0)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="dampwave",
+        description="Finite-difference solvers and benchmarks for the 1D damped wave equation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    # solve, compare and table2 take no --h; without abbreviations it is
+    # refused instead of read as --help
+    sub.add_parser("solve", help="run one scheme and write its error/solution profile",
+                   allow_abbrev=False, arguments=_solve_arguments)
+    sub.add_parser("compare", help="run all four standard schemes at the same parameters",
+                   allow_abbrev=False, arguments=_compare_arguments)
+    sub.add_parser("stability", help="evaluate the explicit stability conditions",
+                   arguments=_stability_arguments)
+    sub.add_parser("convergence", help="halving refinement study with observed orders",
+                   arguments=_convergence_arguments)
+    sub.add_parser("table1", help="per-node error table at h=pi/10, k=1/10, t=k",
+                   arguments=_table1_arguments)
+    sub.add_parser("table2", help="max error at t-final across Courant ratios, h=pi/50",
+                   allow_abbrev=False, arguments=_table2_arguments)
+    sub.add_parser("figures", help="emit profile and error-history series as CSV",
+                   arguments=_figures_arguments)
     return parser
 
 

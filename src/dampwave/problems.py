@@ -309,26 +309,9 @@ _NP_FN = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": n
 _NP_OP = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 
-def _hoisted(fn: Callable) -> Callable:
-    """fn, a subtree that reads x but not t, keeping its values for the last node array
-    it was given while that array is read-only and owns its data (a grid's nodes)."""
-    last = [None, None]  # node array, values
-
-    def evaluate(x, t):
-        if x is last[0] and not x.flags.writeable:
-            return last[1]
-        values = fn(x, t)
-        if isinstance(x, np.ndarray) and not x.flags.writeable and x.flags.owndata:
-            last[:] = x, values
-        return values
-
-    return evaluate
-
-
 def _vectorize(expr: Expression) -> tuple[Callable, frozenset]:
     """The tree as nested numpy closures (x, t) -> values, without domain checks, and the
-    variables it reads. Below a node that reads t, a child subtree that reads only x is
-    `_hoisted`."""
+    variables it reads."""
     if isinstance(expr, Num):
         value = expr.value
         return (lambda x, t: value), frozenset()
@@ -347,12 +330,7 @@ def _vectorize(expr: Expression) -> tuple[Callable, frozenset]:
     if isinstance(expr, BinOp):
         op = _NP_OP[expr.op]
         (left, left_used), (right, right_used) = _vectorize(expr.left), _vectorize(expr.right)
-        used = left_used | right_used
-        if "t" in used:
-            left, right = (_hoisted(f) if u == {"x"} and not isinstance(node, Var) else f
-                           for f, u, node in ((left, left_used, expr.left),
-                                              (right, right_used, expr.right)))
-        return (lambda x, t: op(left(x, t), right(x, t))), used
+        return (lambda x, t: op(left(x, t), right(x, t))), left_used | right_used
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -376,13 +354,6 @@ def compile_expression(expr: Expression) -> Callable:
     intermediate sets one of those, so a pass that completes matches the
     reference. On that raise `operators.sample` calls f node by node, and the
     reference raises the EvaluationError at the first failing node.
-
-    In an expression that reads t, a subtree that reads x but not t (sin(x) in
-    exp(-t)*sin(x)) is evaluated once per node array, when that array is
-    read-only and owns its data, as `SpatialGrid.interior_nodes` does: every
-    later call with the same array reuses the subtree's values, which are the
-    same bits. A writeable or borrowed array is evaluated afresh on every call,
-    and a subtree that raised keeps nothing.
     """
     vectorized, used = _vectorize(expr)
 
@@ -420,9 +391,6 @@ class DampedWaveProblem:
     `steady`, set on construction, holds when g, u_a and u_b are all `time_free`
     (config expressions without t, the sample problem's zero data); then
     `schemes.make_stepper` evaluates the forcing once, at t = 0, not per level.
-    Otherwise a config's g is evaluated at every level on the grid's read-only
-    nodes, and its subtrees without t are evaluated once per grid (see
-    `compile_expression`); g written in code is called as it is.
     """
 
     domain: tuple[float, float]

@@ -11,9 +11,7 @@ entry at every level, the reference for `solve_evolution`'s spaced checks;
 `on_block` into one trajectory, and `solve_group_every_level` does so for each
 member of a lockstep run. `max_error_per_level` samples the exact
 solution once per level of the reference loop, the reference for
-`harness.max_error_series`. `unhoisted_pass` is an expression's numpy pass with
-every subtree evaluated afresh, the reference for `compile_expression`, which
-evaluates a subtree without t once per grid. `spectral_radius` takes the eigenvalues of a
+`harness.max_error_series`. `spectral_radius` takes the eigenvalues of a
 map's dense matrix, the reference for the per-mode
 `stability.spectral_radius`, and `jury_stable` with `explicit_char_poly`
 places the explicit scheme's per-mode eigenvalues by a coefficient test.
@@ -33,7 +31,7 @@ from dampwave.linalg import BandedMatrix
 from dampwave.harness import Table
 from dampwave.operators import BlockOperator, assemble_system, build_grid, sample, second_difference
 from dampwave.pade import RationalApproximant
-from dampwave.problems import BinOp, Call, ExpressionSyntaxError, Neg, Num, Var
+from dampwave.problems import ExpressionSyntaxError
 
 ORACLE_MAX_SIZE = 200
 SPECTRAL_MAX_SIZE = 2000
@@ -131,30 +129,6 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
         raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
     tokens.append(("end", "", n))
     return tokens
-
-
-_NP_FN = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
-_NP_OP = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
-
-
-def unhoisted_pass(expr, x, t):
-    """The tree's numpy pass at (x, t), under the compiled pass's error state, walking
-    every node on every call; raises FloatingPointError where that pass does."""
-    def walk(node):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            return {"x": x, "t": t, "pi": math.pi}[node.name]
-        if isinstance(node, Neg):
-            return -walk(node.arg)
-        if isinstance(node, Call):
-            return _NP_FN[node.fn](walk(node.arg))
-        if isinstance(node, BinOp):
-            return _NP_OP[node.op](walk(node.left), walk(node.right))
-        raise TypeError(f"not an expression node: {node!r}")
-
-    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
-        return walk(expr)
 
 
 def solve_checking_every_level(problem, grid, config, t_final, every_level=True):

@@ -595,16 +595,14 @@ class TestErrorWiring:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys, monkeypatch):
-        # each help text is the same from a fresh parser and from the reused one
+        # each help text is the same on a repeated call in one process
         monkeypatch.setenv("COLUMNS", "100")
         for argv in (["--help"], *([command, "--help"] for command in cli._COMMANDS)):
-            cli.build_parser.cache_clear()
             assert run_command(argv) == 0
-            fresh = capsys.readouterr()
-            assert fresh.out.startswith("usage: dampwave") and fresh.err == ""
-            for _ in range(2):
-                assert run_command(argv) == 0
-                assert capsys.readouterr() == fresh
+            first = capsys.readouterr()
+            assert first.out.startswith("usage: dampwave") and first.err == ""
+            assert run_command(argv) == 0
+            assert capsys.readouterr() == first
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--scheme", "fd11", "--N", "10", "--k", "0.1", "--t-final", "0.1",
@@ -630,39 +628,40 @@ class TestErrorWiring:
         assert not out.exists()
 
 
-class TestOneParserPerProcess:
-    """run_command reuses one parser; each call gives what a fresh parser gives."""
+class TestSubcommandArguments:
+    """A command builds only its own subcommand's arguments; repeated calls in one process
+    each give what a first call gives."""
 
     SOLVE = ["solve", "--problem", "sample", "--scheme", "fd11", "--N", "10", "--t-final",
              "0.3"]
 
-    def run(self, capsys, argv, fresh=False):
-        if fresh:
-            cli.build_parser.cache_clear()
+    def run(self, capsys, argv):
         code = run_command(argv)
         return code, *capsys.readouterr()
 
-    def solve(self, capsys, path, step, fresh=False):
-        return self.run(capsys, self.SOLVE + [*step, "--out", str(path)], fresh), \
-            path.read_bytes()
+    def solve(self, capsys, path, step):
+        return self.run(capsys, self.SOLVE + [*step, "--out", str(path)]), path.read_bytes()
 
-    def test_parser_built_once(self):
-        cli.build_parser.cache_clear()
-        assert cli.build_parser() is cli.build_parser()
+    def test_only_the_parsed_command_has_its_arguments(self):
+        parser = cli.build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        assert parser.parse_args(["table2"]).t_final == 6.0
+        built = {name for name, sp in commands.items() if len(sp._actions) > 1}
+        assert built == {"table2"}
 
     def test_usage_error_then_solve(self, tmp_path, capsys):
         bad = ["solve", "--scheme", "fd11", "--N", "ten"]
-        first = self.run(capsys, bad, fresh=True)
+        first = self.run(capsys, bad)
         assert first[0] == 2 and "invalid int value: 'ten'" in first[2]
         after = self.solve(capsys, tmp_path / "after.csv", ["--k", "0.1"])
         assert self.run(capsys, bad) == first
-        fresh = self.solve(capsys, tmp_path / "fresh.csv", ["--k", "0.1"], fresh=True)
-        assert after == fresh and after[0][0] == 0
+        again = self.solve(capsys, tmp_path / "again.csv", ["--k", "0.1"])
+        assert after == again and after[0][0] == 0
 
     def test_step_flag_does_not_leak(self, tmp_path, capsys):
-        fresh = self.solve(capsys, tmp_path / "fresh.csv", ["--r", "0.2"], fresh=True)
+        first = self.solve(capsys, tmp_path / "first.csv", ["--r", "0.2"])
         with_k = self.solve(capsys, tmp_path / "k.csv", ["--k", "0.1"])
-        assert self.solve(capsys, tmp_path / "r.csv", ["--r", "0.2"]) == fresh != with_k
+        assert self.solve(capsys, tmp_path / "r.csv", ["--r", "0.2"]) == first != with_k
         args = cli.build_parser().parse_args(self.SOLVE + ["--r", "0.2", "--out", "x.csv"])
         assert args.k is None and args.r == 0.2
 

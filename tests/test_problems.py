@@ -2,7 +2,6 @@ import json
 import math
 import string
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -34,8 +33,7 @@ from dampwave.problems import (
 )
 from dampwave.schemes import config_for, solve_evolution
 
-from dampwave import problems
-from oracles import solve_every_level, tokenize as loop_tokenize, unhoisted_pass
+from oracles import solve_every_level, tokenize as loop_tokenize
 
 SAMPLE_DOC = {
     "domain": [0, math.pi],
@@ -337,89 +335,6 @@ class TestCompiledExpression:
                 sample(f, np.array([1.0, -1.0]), 0.0)
             with pytest.raises(EvaluationError):
                 sample(f, np.array([1.0, 1e3]), 0.0)
-
-
-def space_time_tree(rng, depth):
-    """A random tree that reads x and t: two random trees, one joined with x and one
-    with t, under a random operator."""
-    def op():
-        return "+-*/^"[rng.integers(5)]
-
-    return BinOp(op(), BinOp(op(), random_tree(rng, depth), Var("x")),
-                 BinOp(op(), Var("t"), random_tree(rng, depth)))
-
-
-def _pass(f, x, t):
-    """f(x, t) as (bytes, shape), or the FloatingPointError message it raised."""
-    try:
-        values = np.asarray(f(x, t))
-    except FloatingPointError as exc:
-        return str(exc)
-    return values.tobytes(), values.shape
-
-
-class TestHoisting:
-    """compile_expression evaluates a subtree that reads x but not t once per read-only
-    node array that owns its data, with the bits of the unhoisted pass."""
-
-    TIMES = (0.0, 0.37, -1.5, 2.0, 0.37)
-
-    @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), N=st.sampled_from([2, 5, 40]))
-    def test_same_bits_as_the_unhoisted_pass(self, seed, N):
-        rng = np.random.default_rng(seed)
-        tree = space_time_tree(rng, int(rng.integers(0, 5)))
-        f = compile_expression(tree)
-        assert f.variables == {"x", "t"}
-        nodes = build_grid(-2.0, 3.0, N).interior_nodes
-        for t in self.TIMES:
-            assert _pass(f, nodes, t) == _pass(partial(unhoisted_pass, tree), nodes, t), \
-                format_expression(tree)
-
-    def test_time_free_subtree_evaluated_once_per_grid(self, monkeypatch):
-        calls = []
-        monkeypatch.setitem(problems._NP_FN, "sin",
-                            lambda v: calls.append(v) or np.sin(v))
-        f = compile_expression(parse_expression("exp(-t)*sin(x)"))
-        nodes = build_grid(0.0, math.pi, 8).interior_nodes
-        for t in self.TIMES:
-            f(nodes, t)
-        assert len(calls) == 1
-        other = build_grid(0.0, math.pi, 8).interior_nodes  # equal values, another array
-        f(other, 0.0)
-        f(nodes, 0.0)
-        assert len(calls) == 3
-
-    def test_writeable_or_borrowed_arrays_are_evaluated_afresh(self):
-        tree = parse_expression("t*sin(x) + x^2*cos(t)")
-        f = compile_expression(tree)
-        writeable = np.linspace(0.0, 1.0, 7)
-        owned = np.linspace(0.0, 1.0, 7).copy()
-        owned.setflags(write=False)
-        borrowed_from = np.linspace(0.0, 1.0, 9)
-        borrowed = borrowed_from[1:-1]
-        borrowed.setflags(write=False)
-        for x, mutate in ((writeable, lambda: writeable.__iadd__(0.5)),
-                          (borrowed, lambda: borrowed_from.__imul__(3.0))):
-            for t in self.TIMES:
-                assert _pass(f, x, t) == _pass(partial(unhoisted_pass, tree), x, t)
-                mutate()
-        f(owned, 0.0)
-        assert owned.flags.owndata
-        owned.setflags(write=True)
-        owned += 1.0  # a kept array made writeable again is no longer trusted
-        for t in self.TIMES:
-            assert _pass(f, owned, t) == _pass(partial(unhoisted_pass, tree), owned, t)
-
-    def test_raising_time_free_subtree_raises_on_every_call(self):
-        f = compile_expression(parse_expression("t + sqrt(x - 1)*exp(t)"))
-        nodes = build_grid(0.0, 2.0, 4).interior_nodes  # 0.5, 1.0, 1.5
-        for t in self.TIMES:
-            with pytest.raises(FloatingPointError):
-                f(nodes, t)
-            with pytest.raises(EvaluationError, match=r"sqrt\(\(x - 1\.0\)\)") as err:
-                sample(f, nodes, t)
-            assert str(err.value) == "math domain error in 'sqrt((x - 1.0))'"
 
 
 def test_expression_variables():
