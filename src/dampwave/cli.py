@@ -187,7 +187,7 @@ def _cmd_solve(args) -> int:
     grid = build_grid(*problem.domain, args.N)
     k = _resolve_k(args, grid.h)
     config = config_for(args.scheme, k, _parse_pade(args))
-    traj = solve_evolution(problem, grid, config, args.t_final)
+    (traj,) = solve_evolution(problem, grid, (config,), args.t_final)
     if problem.exact is not None:
         p = harness.error_profile(traj, problem)
         columns = ("x", "numeric", "exact", "abs_error")
@@ -264,7 +264,7 @@ def _empirical_radius(N: int, h: float, k: float, gamma_max: float) -> float:
     op = assemble_system(grid, problem)
     stepper = make_stepper(config_for("fd11", k), op, grid, problem)
     try:
-        return spectral_radius(lambda v: amplify(stepper, v), N)[0]
+        return spectral_radius(lambda v: amplify(stepper, v[:, None])[:, 0], N)[0]
     except ValueError as exc:
         raise ValueError(f"--empirical at N={N}: {exc}") from exc
 

@@ -4,11 +4,11 @@
 endpoint rows from the boundary data. A trajectory holds only the start and
 last levels; `max_error_series` alone reads every level, reducing each block
 that `solve_evolution` hands over against one call of the exact solution.
-`compare_schemes` (Table 1, Table 2) and `max_error_series` (the figure
-series) run the schemes of one (grid, k) in lockstep, as
-one `solve_evolution` call with a member per scheme (see `schemes`): each
-member's results are those of its solo run, and a figure block's one exact
-call serves every member's rows.
+Each solve is one `solve_evolution` call with a config per scheme, a tuple of
+one for `observed_order` and `solution_profile`; `compare_schemes` (Table 1,
+Table 2) and `max_error_series` (the figure series) run their schemes in
+lockstep (see `schemes`), each member's results those of its solo run, and a
+figure block's one exact call serves every member's rows.
 
 Outputs are `Table`s, which store their columns as given, written as
 RFC-4180-style CSV: header row, CRLF line endings, '.' decimal separator,
@@ -118,7 +118,7 @@ def observed_order(
         num_steps(t_eval, k_j)
         level_values.append(k_j if axis == "time" else grid.h)
     for j, (grid, config) in enumerate(runs):
-        traj = solve_evolution(problem, grid, config, t_eval)
+        (traj,) = solve_evolution(problem, grid, (config,), t_eval)
         profile = None if traj.blow_up else error_profile(traj, problem)
         if profile is not None and abs(profile.t - t_eval) > 1e-9 * t_eval:
             raise ValueError(f"level {j} (k={config.k!r}) has no step at t_eval={t_eval!r}; "
@@ -213,7 +213,7 @@ def solution_profile(
 ) -> Table:
     """(x, numeric, exact) series at the last step with t_n <= t."""
     grid = build_grid(*problem.domain, N)
-    traj = solve_evolution(problem, grid, config_for(scheme, k), t)
+    (traj,) = solve_evolution(problem, grid, (config_for(scheme, k),), t)
     profile = error_profile(traj, problem)
     return Table.from_columns(("x", "numeric", "exact"), profile.x, profile.numeric, profile.exact)
 

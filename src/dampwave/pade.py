@@ -81,8 +81,8 @@ def apply_poly(coeffs: Sequence, op: BlockOperator, k: float, v: np.ndarray) -> 
     of exactly 1 (every Pade numerator's p_0, fd01's p_1) adds v itself, unmultiplied: the
     same bits, as 1.0 * x == x. v is never written; the result is a new array.
 
-    v may carry a trailing member axis, (2n, m) for m members stepped in lockstep; op's
-    damping is then (n, m), and a coefficient is a float or an array shaped like v."""
+    v carries a trailing member axis, (2n, m) for the m members of a lane (see `schemes`);
+    op's damping is then (n, m), and a coefficient is a float or an array shaped like v."""
     n = op.n_interior
     acc = v if _is_one(coeffs[-1]) and len(coeffs) > 1 else coeffs[-1] * v
     for c in reversed(coeffs[:-1]):

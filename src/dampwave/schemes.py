@@ -37,42 +37,44 @@ Two families are provided:
   gamma = 1 + x at r = 0.25 the observed orders fall from 1.15 toward 1,
   where oefd and fd11 give 2; with u_xx = 0 oifd is second order too.
 
-Every scheme runs behind one stepper protocol:
+Every scheme runs behind one stepper protocol, as a member of a lane (below):
 
 * `make_stepper` precomputes what a step needs (coefficients and
-  factorizations) and binds the stepper's one forcing source, a function
-  of t: it is evaluated at every level, or once when the problem is
-  `steady` (g, u_a and u_b all `time_free`), with the same bits either way;
-* `stepper.start` is the tuple of levels known before any step, which
-  `make_stepper` builds from phi and psi sampled once at the interior
-  nodes: (V^0,) for the semigroup family, (u^0, u^1) for the baselines;
+  factorizations), binds the one forcing source, a function of t, and
+  returns the one-member lane. The source is evaluated at every level, or
+  once when the problem is `steady` (g, u_a and u_b all `time_free`), with
+  the same bits either way;
+* `stepper.start` is the tuple of levels known before any step, built from
+  phi and psi sampled once at the interior nodes: (V^0,) for the semigroup
+  family, (u^0, u^1) for the baselines;
 * `step_semigroup` and `step_baseline` (bound as `step_oefd` and `step_oifd`
   too) each map (stepper, state) to the next level's StateVector, a baseline
   state carrying u^{n-1} in `prev`. So that each level's forcing is evaluated
-  once, `carry` holds W_n = V^n + (k/2) F(t_n) for the semigroup family and
-  B(t_n) for oifd, whose u^1 level carries the B(k) of its ghost start; it is
-  None on V^0, u^0 and every oefd level. A source returns None for an
-  all-zero term (so an unforced semigroup step is one bare R(Mk) W_n), which
-  adds nothing;
+  once, `carry` holds W_n = V^n + (k/2) F(t_n) for the semigroup family, None
+  on V^0, and for a baseline lane an entry per member: B(t_n) for oifd, whose
+  u^1 level carries the B(k) of its ghost start, None on u^0 and for oefd.
+  A source returns None for an all-zero term (so an unforced semigroup step
+  is one bare R(Mk) W_n), which adds nothing;
 * `solve_evolution` owns the only time loop and its blow-up bookkeeping. It
-  returns the start and last levels (a blown-up run ends at its first
-  non-finite one), and hands every level to `on_block` in checked runs of
-  one reused buffer. It checks every CHECK_EVERY levels and the last:
+  maps a tuple of configs to a tuple of trajectories with the start and last
+  levels (a blown-up run ends at its first non-finite one), and hands every
+  level to `on_block` in checked runs of one reused buffer per lane. It
+  checks every CHECK_EVERY levels and the last:
   a non-finite entry persists at every later level, as every coefficient and
   pivot is finite and NaN and inf spread through +, * and the banded solve.
   A failed check, or a step that raises, rewinds to the last level that
   passed and steps on checking every level. The rewind reuses that level's
   arrays, so no step writes into the arrays of the state it is given.
 
-The schemes of a comparison run in lockstep: given a tuple of configs at one
-k, `solve_evolution` steps them as lanes of members that share array ops,
-semigroup members whose numerators have one length (fd01 and fd11) and the
-baselines (oefd and oifd, through `_baseline_rhs`). A lane stacks its members'
-states along a trailing member axis, node-major and member-minor, (2n, m) or
-(n, m), so that one numpy call serves every member; `v[1:]` and `v[:-1]` stay
-contiguous and `second_difference` keeps its first-axis form. Coefficients
-that differ between members are pre-expanded to the full array shape, as a
-broadcast (m,) or (n, 1) operand costs about three contiguous ones. Each
+The schemes of one solve run in lockstep: `solve_evolution` steps its configs,
+at one k, as lanes of members that share array ops, semigroup members whose
+numerators have one length (fd01 and fd11) and the baselines (oefd and oifd,
+through `_baseline_rhs`). A lane stacks its members' states along a trailing
+member axis, node-major and member-minor, (2n, m) or (n, m), so that one numpy
+call serves every member; `v[1:]` and `v[:-1]` stay contiguous and
+`second_difference` keeps its first-axis form. Coefficients that differ
+between members are pre-expanded to the full array shape, as a broadcast
+(m,) or (n, 1) operand costs about three contiguous ones. Each
 member keeps its own finish on its column (its Q_S solve in interleaved order,
 oifd's solve, oefd's divide) and its own blow-up: a failed check rewinds
 every lane and checks every member at each level from then on, so that each
@@ -164,13 +166,13 @@ def config_for(name: str, k: float, pade_orders: Optional[tuple[int, int]] = Non
 
 @dataclass(slots=True)
 class StateVector:
-    """One time level: [u(x_i); u_t(x_i)] for the semigroup family, u(x_i) and the
-    previous level in prev for the two-level baselines; carry as in `schemes`."""
+    """One time level of a lane, a column per member: [u(x_i); u_t(x_i)] for the semigroup
+    family, u(x_i) and the previous level in prev for the baselines; carry as in `schemes`."""
 
     t: float
     values: np.ndarray
     prev: Optional[np.ndarray] = None
-    carry: Optional[np.ndarray] = None
+    carry: Union[np.ndarray, tuple, None] = None
 
 
 def num_steps(t_final: float, k: float) -> int:
@@ -229,7 +231,7 @@ def _banded_poly(coeffs, op: BlockOperator, k: float) -> linalg.BandedMatrix:
 
 # A lane's coefficients are a float where its members agree, and otherwise pre-expanded
 # to its state's shape; `members` lists the steppers of its state's columns, which finish
-# them, None for a halted one. `make_stepper`'s has no members and finishes its state itself.
+# them, None for a halted one. `make_stepper`'s lane copies its one member (members ()).
 
 
 @dataclass(frozen=True)
@@ -241,7 +243,7 @@ class SemigroupStepper:
     q_fact: Optional[linalg.BandedFactorization]  # None when Q is the identity
     perm: Optional[np.ndarray]  # the interleaved order of the unknowns q_fact solves for
     source: Callable  # t -> (k/2) F(t), None when F(t) is all zero
-    members: Sequence = ()
+    members: Sequence
 
 
 @dataclass(frozen=True)
@@ -253,9 +255,9 @@ class BaselineStepper:
     # (t, B(t) or None) -> (lap_coeff B(t) for oefd, lap_coeff (B(t + k) + B(t)) for oifd;
     # k^2 g(., t); B(t + k) for oifd, None for oefd); an all-zero B or g term is None
     source: Callable
+    members: Sequence
     lhs_denom: Optional[np.ndarray] = None  # oefd: 1 + gamma k/2
     lhs_fact: Optional[linalg.BandedFactorization] = None  # oifd
-    members: Sequence = ()
 
 
 Stepper = Union[SemigroupStepper, BaselineStepper]
@@ -339,8 +341,8 @@ def _bind(problem: DampedWaveProblem, terms: Callable) -> Callable:
 def make_stepper(
     config: SchemeConfig, op: BlockOperator, grid: SpatialGrid, problem: DampedWaveProblem
 ) -> Stepper:
-    """Precompute what a step needs: coefficients, factorizations, start levels and
-    the forcing source."""
+    """The one-member lane of config, its states (size, 1) columns: what a step needs
+    (coefficients, factorizations, start levels and the forcing source) precomputed."""
     k, x = config.k, grid.interior_nodes
     phi, psi = sample(problem.phi, x), sample(problem.psi, x)
     if config.kind == "semigroup":
@@ -349,11 +351,12 @@ def make_stepper(
         if approx.S > 0:
             q_fact = linalg.lu_factor_banded(_banded_poly(approx.q_floats, op, k))
             perm = np.arange(op.size).reshape(2, -1).T.ravel()
-        return SemigroupStepper(
-            config=config, op=op, start=(StateVector(0.0, np.concatenate([phi, psi])),),
-            p=approx.p_floats, q_fact=q_fact, perm=perm,
-            source=_bind(problem, lambda t: _nonzero(k / 2.0 * forcing_vector(problem, grid, t))),
-        )
+        fields = dict(
+            config=config, op=BlockOperator(op.n_interior, op.damping[:, None], op.inv_h2),
+            start=(StateVector(0.0, np.concatenate([phi, psi])[:, None]),),
+            p=approx.p_floats, q_fact=q_fact, perm=perm, source=_bind(
+                problem, lambda t: _nonzero(k / 2.0 * forcing_vector(problem, grid, t)[:, None])))
+        return SemigroupStepper(members=[SemigroupStepper(members=(), **fields)], **fields)
 
     gamma, k2 = op.damping, _square(k)
     lhs = 1.0 + gamma * k / 2.0
@@ -376,17 +379,19 @@ def make_stepper(
         source = _bind(problem, terms)
         u1, b_k = _oifd_ghost_start(phi, psi, gamma, k, lap_coeff, source)
         fields = dict(lhs_fact=_oifd_factor(lhs, lap_coeff))
-    start = (StateVector(0.0, phi), StateVector(k, u1, prev=phi, carry=b_k))
-    return BaselineStepper(config=config, start=start, prev_coeff=gamma * k / 2.0 - 1.0,
-                           lap_coeff=lap_coeff, source=source, **fields)
+    u0 = phi[:, None]
+    start = (StateVector(0.0, u0, carry=(None,)), StateVector(k, u1[:, None], u0, carry=(b_k,)))
+    fields.update(config=config, start=start, prev_coeff=(gamma * k / 2.0 - 1.0)[:, None],
+                  lap_coeff=lap_coeff, source=source)
+    return BaselineStepper(members=[BaselineStepper(members=(), **fields)], **fields)
 
 
 def amplify(stepper: SemigroupStepper, v: np.ndarray) -> np.ndarray:
-    """R(kM) v = Q_S(kM)^{-1} P_T(kM) v, each member's solve on its own column (none on a
-    halted member's); `stability.spectral_radius` applies it to the sine-mode planes to
-    measure its radius for `stability --empirical`."""
+    """R(kM) v = Q_S(kM)^{-1} P_T(kM) v, each member's solve on its own column of v (none on a
+    halted member's; ValueError unless v has a column per member); `stability --empirical`
+    applies a one-member lane to the sine-mode planes to measure its radius."""
     rhs, n = apply_poly(stepper.p, stepper.op, stepper.config.k, v), stepper.op.n_interior
-    for member, col in zip(stepper.members or (stepper,), rhs.reshape(len(rhs), -1).T):
+    for member, col in zip(stepper.members, rhs.reshape(len(rhs), len(stepper.members)).T):
         if member is not None and member.q_fact is not None:  # x is (u_1, w_1, u_2, w_2, ...)
             x = linalg.solve_banded(member.q_fact, col[member.perm])
             col[:n], col[n:] = x[0::2], x[1::2]
@@ -422,14 +427,13 @@ def _baseline_rhs(stepper: BaselineStepper, state: StateVector) -> np.ndarray:
 
 def step_baseline(stepper: BaselineStepper, state: StateVector) -> StateVector:
     """One baseline step, level n (with level n-1 in prev) -> n+1: the shared right-hand
-    side, then each live member's forcing terms and its own finish on its column, a divide
-    for oefd and a banded solve for oifd. oifd takes B(t_n) from its carry when set, and its
-    result carries B(t_{n+1}); a lane's carry is the tuple of its members'."""
+    side, then each live member's forcing terms and finish on its column (ValueError unless
+    state has one per member), a divide for oefd and a banded solve for oifd. oifd takes
+    B(t_n) from its carry entry when set; its result's entry carries B(t_{n+1})."""
     rhs = _baseline_rhs(stepper, state)
     carry = []
-    for member, b, col in zip(stepper.members or (stepper,),  # b: B(t_n) in, B(t_{n+1}) out
-                              state.carry if stepper.members else (state.carry,),
-                              rhs.reshape(len(rhs), -1).T):
+    for member, b, col in zip(stepper.members, state.carry,
+                              rhs.reshape(len(rhs), len(stepper.members)).T):
         if member is not None:  # a halted member's column rides along unread
             b_term, g_term, b = member.source(state.t, b)
             _add_terms(col, b_term, g_term)
@@ -438,44 +442,44 @@ def step_baseline(stepper: BaselineStepper, state: StateVector) -> StateVector:
             else:
                 col[...] = linalg.solve_banded(member.lhs_fact, col)
         carry.append(b)
-    return StateVector(state.t + stepper.config.k, rhs, state.values,
-                       tuple(carry) if stepper.members else carry[0])
+    return StateVector(state.t + stepper.config.k, rhs, state.values, tuple(carry))
 
 
 # the names solve_evolution steps each kind by (the benchmark's tracer patches all three)
 step_oefd = step_oifd = step_baseline
 
 
-def _lockstep(steppers: Sequence[Stepper]) -> Stepper:
-    """One stepper for the members of a lane, with their start levels stacked along a
-    trailing member axis; the semigroup members share the first one's forcing source, as
+def _lockstep(lanes: Sequence[Stepper]) -> Stepper:
+    """One lane of the members of one-member lanes of a kind, their columns side by side (a
+    lone lane is itself); the semigroup members share the first one's forcing source, as
     F(t) is theirs alike."""
-    first = steppers[0]
+    first = lanes[0]
+    if len(lanes) == 1:
+        return first
+
+    def join(arrays):
+        return None if arrays[0] is None else np.concatenate(arrays, axis=-1)
 
     def per_member(values, like):  # a float where all agree, else pre-expanded
         if all(isinstance(v, float) and v == values[0] for v in values):
             return values[0]
-        return np.stack([np.broadcast_to(v, like.shape) for v in values], axis=-1)
-
-    def stack(arrays):
-        return None if arrays[0] is None else np.stack(arrays, axis=-1)
+        return join([np.full(like.shape, v) if isinstance(v, float) else v for v in values])
 
     baseline, u0 = first.config.kind != "semigroup", first.start[0].values
-    start = tuple(StateVector(level[0].t, stack([s.values for s in level]),
-                              stack([s.prev for s in level]),  # V^0 has no carry:
-                              tuple(s.carry for s in level) if baseline else None)
-                  for level in zip(*(s.start for s in steppers)))
+    start = tuple(StateVector(level[0].t, join([s.values for s in level]),
+                              join([s.prev for s in level]),  # V^0 has no carry:
+                              sum((s.carry for s in level), ()) if baseline else None)
+                  for level in zip(*(s.start for s in lanes)))
+    members = [s.members[0] for s in lanes]
     if baseline:
         return dataclasses.replace(
-            first, start=start, members=list(steppers),
-            prev_coeff=per_member([s.prev_coeff for s in steppers], u0),
-            lap_coeff=per_member([s.lap_coeff for s in steppers], u0))
-    damping = per_member([s.op.damping for s in steppers], first.op.damping)
+            first, start=start, members=members,
+            prev_coeff=per_member([s.prev_coeff for s in lanes], u0),
+            lap_coeff=per_member([s.lap_coeff for s in lanes], u0))
+    damping = per_member([s.op.damping for s in lanes], first.op.damping)
     return dataclasses.replace(
-        first, start=start, members=list(steppers), q_fact=None, perm=None,
-        op=dataclasses.replace(first.op, damping=damping),
-        p=tuple(per_member(c, u0) for c in zip(*(s.p for s in steppers))),
-        source=lambda t: None if (f := first.source(t)) is None else f[:, None])
+        first, start=start, members=members, op=dataclasses.replace(first.op, damping=damping),
+        p=tuple(per_member(c, u0) for c in zip(*(s.p for s in lanes))))
 
 
 @dataclass
@@ -505,25 +509,21 @@ class Trajectory:
 def solve_evolution(
     problem: DampedWaveProblem,
     grid: SpatialGrid,
-    config: Union[SchemeConfig, tuple[SchemeConfig, ...]],
+    configs: tuple[SchemeConfig, ...],
     t_final: float,
     on_block: Optional[Callable] = None,
-) -> Union[Trajectory, tuple[Trajectory, ...]]:
-    """Run the configured scheme from the initial data to the last step with t <= t_final, or
-    to the first non-finite level after the initial one, which halts and flags the run. The
-    start and last levels are returned; on_block(first_level, states) gets every level once,
-    in order, in runs that end at multiples of LEVEL_BLOCK, the last level or the blow-up
-    level, each a view of one buffer handed over under the caller's np.geterr() once it has
-    passed a check.
+) -> tuple[Trajectory, ...]:
+    """Run each of m configs, at one k, from the initial data to the last step with t <=
+    t_final, or to its first non-finite level after the initial one, which halts and flags
+    its run; the configs run in lockstep (see `schemes`) from lanes built once, and the run
+    raises if any member's step does. Returns a Trajectory per config, its solo run bit for
+    bit, of the start and last levels.
 
-    A tuple of m configs at one k runs in lockstep (see `schemes`) and returns a tuple of
-    Trajectories, each its member's solo run bit for bit, from lanes built once (a halted
-    member rides along in its lane, its finish skipped). on_block then gets a tuple of each
-    member's rows, none past its blow-up, in runs of at most LEVEL_BLOCK // m levels, so that
-    the (rows, size, m) lane buffers hold no more than a solo run's; the run raises if any
-    member's step does."""
-    group = isinstance(config, tuple)
-    configs = config if group else (config,)
+    on_block(first_level, blocks) gets every level once, in order, in runs that end at
+    multiples of LEVEL_BLOCK // m, the last level or a blow-up level, each handed over under
+    the caller's np.geterr() once it has passed a check: blocks has each config's rows, none
+    past its blow-up, each a view of its lane's one buffer, so that the (rows, size, m) lane
+    buffers hold no more than a solo run's."""
     if len({c.k for c in configs}) != 1:
         raise ValueError(f"a lockstep run needs one time step, got k = {[c.k for c in configs]}")
     k = configs[0].k
@@ -535,7 +535,7 @@ def solve_evolution(
     # level 1; a diverging run overflows before its first non-finite level is caught
     with np.errstate(over="ignore", invalid="ignore"):
         op = assemble_system(grid, problem)
-        solo = [make_stepper(c, op, grid, problem) for c in configs]
+        solo = [make_stepper(c, op, grid, problem) for c in configs]  # one-member lanes
         # chosen per call, so that a rebinding of these module names takes effect
         step = {"semigroup": step_semigroup, "oefd": step_oefd, "oifd": step_oifd}
         # the lanes: the semigroup members with numerators of one length, and the baselines
@@ -581,7 +581,7 @@ def solve_evolution(
                 blocks = tuple(bufs[lane][: 0 if i in halts else level - first + 1, :, j]
                                for i, lane, j in place)
                 with np.errstate(**caller_err):
-                    on_block(first, blocks if group else blocks[0])
+                    on_block(first, blocks)
                 first = level + 1
             # checked at every level since the rewind, so no rewind follows: each member
             # halts as it does solo, and rides along in its lane with its finish skipped
@@ -591,10 +591,8 @@ def solve_evolution(
             checked = (level, states)
 
     # the loop ends on a check: the last level passed it, or the run blew up there
-    trajs = []
-    for i, lane, j in place:
-        last, values = halts.get(i) or (level, states[lane].values[:, j])
-        trajs.append(Trajectory(grid, np.array([0, last]) * k,
-                                np.stack((solo[i].start[0].values, values)),
-                                last if i in halts else None))
-    return tuple(trajs) if group else trajs[0]
+    ends = [halts.get(i) or (level, states[lane].values[:, j]) for i, lane, j in place]
+    return tuple(Trajectory(grid, np.array([0, last]) * k,
+                            np.stack((s.start[0].values[:, 0], values)),
+                            last if i in halts else None)
+                 for i, (s, (last, values)) in enumerate(zip(solo, ends)))

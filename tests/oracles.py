@@ -5,11 +5,11 @@ matrices in band storage and evaluates approximants only as matrix
 polynomials. These densify, exponentiate and evaluate scalars so that small
 cases can be checked directly. `tokenize` is the expression scanner as a
 character loop, the reference for the package's one-pattern scanner, and
-`solve_checking_every_level` is the time loop that looks for a non-finite
-entry at every level, the reference for `solve_evolution`'s spaced checks;
-`solve_every_level` gathers the levels `solve_evolution` hands to its
-`on_block` into one trajectory, and `solve_group_every_level` does so for each
-member of a lockstep run. `max_error_per_level` samples the exact
+`solve_checking_every_level` is the time loop that steps `make_stepper`'s
+one-member lane and looks for a non-finite entry at every level, the
+reference for `solve_evolution`'s spaced checks; `solve_group_every_level`
+gathers the levels `solve_evolution` hands to its `on_block` into one
+trajectory per config. `max_error_per_level` samples the exact
 solution once per level of the reference loop, the reference for
 `harness.max_error_series`. `spectral_radius` takes the eigenvalues of a
 map's dense matrix, the reference for the per-mode
@@ -138,7 +138,7 @@ def solve_checking_every_level(problem, grid, config, t_final, every_level=True)
     step = {"semigroup": schemes.step_semigroup, "oefd": schemes.step_oefd,
             "oifd": schemes.step_oifd}[config.kind]
     start = stepper.start
-    states = np.empty((n_steps + 1 if every_level else 2, start[0].values.size))
+    states = np.empty((n_steps + 1 if every_level else 2, len(start[0].values)))
     kept = 0
     blow_up_index = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -146,7 +146,7 @@ def solve_checking_every_level(problem, grid, config, t_final, every_level=True)
             state = start[level] if level < len(start) else step(stepper, state)
             bad = level > 0 and not np.isfinite(state.values).all()
             if every_level or level == 0 or level == n_steps or bad:
-                states[kept] = state.values
+                states[kept] = state.values[:, 0]
                 kept += 1
             if bad:
                 blow_up_index = level
@@ -156,27 +156,10 @@ def solve_checking_every_level(problem, grid, config, t_final, every_level=True)
                               blow_up_index=blow_up_index)
 
 
-def solve_every_level(problem, grid, config, t_final):
-    """`schemes.solve_evolution` with every level its on_block receives, as one trajectory;
-    asserts that the runs come in order from level 0, each level once, and end in the
-    levels the solve returns."""
-    runs = []
-
-    def keep(first, states):
-        assert first == sum(map(len, runs)) and 0 < len(states) <= schemes.LEVEL_BLOCK + 1
-        runs.append(states.copy())
-
-    ends = schemes.solve_evolution(problem, grid, config, t_final, keep)
-    states = np.concatenate(runs)
-    assert np.array_equal(states[[0, -1]], ends.states, equal_nan=True)
-    return schemes.Trajectory(grid=grid, times=np.arange(len(states)) * config.k,
-                              states=states, blow_up_index=ends.blow_up_index)
-
-
 def solve_group_every_level(problem, grid, configs, t_final):
-    """`schemes.solve_evolution` of configs in lockstep, with every level its on_block hands
-    each member, as one trajectory per member; asserts that a member's rows come in order
-    from level 0, each level once, and end in the levels the solve returns."""
+    """`schemes.solve_evolution` of a tuple of configs, with every level its on_block hands
+    each member, as a tuple of one trajectory per member; asserts that a member's rows come
+    in order from level 0, each level once, and end in the levels the solve returns."""
     runs = [[] for _ in configs]
 
     def keep(first, blocks):
@@ -187,14 +170,14 @@ def solve_group_every_level(problem, grid, configs, t_final):
                 assert first == sum(map(len, rows))
                 rows.append(states.copy())
 
-    ends = schemes.solve_evolution(problem, grid, tuple(configs), t_final, keep)
+    ends = schemes.solve_evolution(problem, grid, configs, t_final, keep)
     trajs = []
     for rows, end, config in zip(runs, ends, configs):
         states = np.concatenate(rows)
         assert np.array_equal(states[[0, -1]], end.states, equal_nan=True)
         trajs.append(schemes.Trajectory(grid=grid, times=np.arange(len(states)) * config.k,
                                         states=states, blow_up_index=end.blow_up_index))
-    return trajs
+    return tuple(trajs)
 
 
 def max_error_per_level(problem, scheme, N, k, t_final):

@@ -27,7 +27,9 @@ from dampwave.schemes import (
 )
 from dampwave.stability import check_explicit_stability, implicit_amplification
 
-from oracles import QuadraticCoeffs, jury_stable, matrix_exponential, solve_every_level
+from oracles import (
+    QuadraticCoeffs, jury_stable, matrix_exponential, solve_group_every_level,
+)
 from test_schemes import FORCED_DOC
 
 GAMMA_STAR = 2.0  # damping maximum of the sample problem
@@ -238,7 +240,7 @@ def test_criterion_6_one_step_oracle():
         defects = []
         for k in (0.1, 0.05):
             stepper = make_stepper(config_for(name, k), op, grid, problem)
-            numeric = step_semigroup(stepper, StateVector(0.0, v0)).values
+            numeric = step_semigroup(stepper, StateVector(0.0, v0[:, None])).values[:, 0]
             oracle = matrix_exponential(op, k) @ v0
             defects.append(np.linalg.norm(numeric - oracle, np.inf))
         ratios[name] = defects[0] / defects[1]
@@ -253,7 +255,7 @@ def test_criterion_6_one_step_oracle():
 def _run_fd01_magnitude(N: int, k: float, t_final: float) -> float:
     problem = sample_problem()
     grid = build_grid(0.0, math.pi, N)
-    traj = solve_every_level(problem, grid, config_for("fd01", k), t_final)
+    (traj,) = solve_group_every_level(problem, grid, (config_for("fd01", k),), t_final)
     finite = traj.states[np.isfinite(traj.states)]
     peak = float(np.abs(finite).max()) if finite.size else math.inf
     return math.inf if traj.blow_up else peak
@@ -272,7 +274,7 @@ def test_criterion_7_verdict_vs_experiment():
             k = alpha * GAMMA_STAR * grid.h**2 / 4.0
             verdict = check_explicit_stability(k, grid.h, GAMMA_STAR)
             assert verdict.stable, (alpha, N)
-            traj = solve_evolution(problem, grid, config_for("fd01", k), 6.0)
+            (traj,) = solve_evolution(problem, grid, (config_for("fd01", k),), 6.0)
             err = np.abs(
                 traj.displacements[-1]
                 - np.exp(-traj.times[-1]) * np.sin(grid.interior_nodes)

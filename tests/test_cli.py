@@ -20,7 +20,7 @@ from dampwave.operators import build_grid
 from dampwave.problems import load_problem_config
 from dampwave.schemes import config_for, solve_evolution
 
-from oracles import solve_every_level
+from oracles import solve_group_every_level
 
 
 def read_csv(path):
@@ -46,9 +46,9 @@ def assert_matches_every_level_run(tmp_path, capsys, monkeypatch, argv, code):
     held = []
 
     def spy(*args, **kwargs):
-        traj = solve_evolution(*args, **kwargs)
-        held.append(traj.states.shape[0])
-        return traj
+        trajs = solve_evolution(*args, **kwargs)
+        held.extend(traj.states.shape[0] for traj in trajs)
+        return trajs
 
     def run(name):
         out = tmp_path / name
@@ -58,7 +58,7 @@ def assert_matches_every_level_run(tmp_path, capsys, monkeypatch, argv, code):
     monkeypatch.setattr(cli, "solve_evolution", spy)
     ends = run("ends.csv")
     assert held == [2]
-    monkeypatch.setattr(cli, "solve_evolution", solve_every_level)
+    monkeypatch.setattr(cli, "solve_evolution", solve_group_every_level)
     assert run("every.csv") == ends
     return ends[1].err
 
@@ -350,7 +350,7 @@ class TestSolve:
         assert len(rows) == 9
         problem = load_problem_config(doc)
         grid = build_grid(0.0, math.pi, 8)
-        traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 0.55)
+        (traj,) = solve_evolution(problem, grid, (config_for("fd11", 0.1),), 0.55)
         t = float(traj.times[-1])
         assert t == pytest.approx(0.5)
         x, numeric = np.array(rows, dtype=float).T
@@ -787,7 +787,9 @@ class TestPackageRoot:
         for scheme, pade in (("fd11", None), ("fdST", (2, 2)), ("oifd", None)):
             config = dampwave.config_for(scheme, 0.5 * grid.h, pade)
             stepper = dampwave.make_stepper(config, op, grid, problem)
-            assert stepper.start[0].values.shape[0] in (op.size, grid.n_interior)
+            # the one-member lane: a state holds one column per member
+            assert len(stepper.members) == 1
+            assert stepper.start[0].values.shape in ((op.size, 1), (grid.n_interior, 1))
 
     @pytest.mark.parametrize("module", ["schemes", "linalg", "harness", "stability"])
     def test_cli_import_binds_the_traced_modules(self, module):

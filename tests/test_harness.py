@@ -30,7 +30,7 @@ from dampwave.operators import build_grid, sample
 from dampwave.problems import DampedWaveProblem, load_problem_config, sample_problem
 from dampwave.schemes import config_for, solve_evolution
 
-from oracles import max_error_per_level, solve_every_level
+from oracles import max_error_per_level, solve_group_every_level
 from test_schemes import FORCED_DOC
 
 # published per-node reference errors for h = pi/10, k = 1/10 (errors of the
@@ -51,8 +51,8 @@ class TestErrorProfile:
     def test_non_finite_velocity_gives_infinite_error(self):
         # fd01 at k = 1.5 first overflows in u_t, at level 335
         problem = sample_problem()
-        traj = solve_evolution(problem, build_grid(0.0, math.pi, 10), config_for("fd01", 1.5),
-                               3000.0)
+        (traj,) = solve_evolution(problem, build_grid(0.0, math.pi, 10),
+                                  (config_for("fd01", 1.5),), 3000.0)
         assert traj.blow_up_index == 335
         assert np.isfinite(traj.displacements[-1]).all()
         profile = error_profile(traj, problem)
@@ -62,7 +62,7 @@ class TestErrorProfile:
     def test_zero_at_initial_time(self):
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 10)
-        traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 0.5)
+        (traj,) = solve_evolution(problem, grid, (config_for("fd11", 0.1),), 0.5)
         # error_profile reads the last level; cut the trajectory after its first
         start = dataclasses.replace(traj, times=traj.times[:1], states=traj.states[:1])
         profile = error_profile(start, problem)
@@ -74,7 +74,7 @@ class TestErrorProfile:
         grid = build_grid(0.0, math.pi, 10)
         center = 5  # x = 1.570796327
         for name, expected in (("fd11", 4.01054e-05), ("fd01", 0.004837418)):
-            traj = solve_evolution(problem, grid, config_for(name, 0.1), 0.1)
+            (traj,) = solve_evolution(problem, grid, (config_for(name, 0.1),), 0.1)
             profile = error_profile(traj, problem)
             assert profile.x[center] == pytest.approx(1.570796327)
             assert profile.abs_error[center] == pytest.approx(expected, rel=1e-5)
@@ -83,7 +83,7 @@ class TestErrorProfile:
         # the last step below t_final is the kept level nearest to it
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 10)
-        traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 0.234)
+        (traj,) = solve_evolution(problem, grid, (config_for("fd11", 0.1),), 0.234)
         profile = error_profile(traj, problem)
         assert profile.t == pytest.approx(0.2)
         assert profile.t - 0.234 == pytest.approx(-0.034)
@@ -91,7 +91,7 @@ class TestErrorProfile:
     def test_boundary_rows_zero_error(self):
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 10)
-        traj = solve_evolution(problem, grid, config_for("oefd", 0.1), 0.3)
+        (traj,) = solve_evolution(problem, grid, (config_for("oefd", 0.1),), 0.3)
         profile = error_profile(traj, problem)
         assert profile.abs_error[0] == 0.0
         assert profile.abs_error[-1] == pytest.approx(0.0, abs=1e-15)
@@ -99,7 +99,7 @@ class TestErrorProfile:
     def test_against_own_output_is_zero(self):
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 8)
-        traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 0.4)
+        (traj,) = solve_evolution(problem, grid, (config_for("fd11", 0.1),), 0.4)
         snapshot = dict(zip(np.round(grid.interior_nodes, 12), traj.displacements[-1]))
 
         def own_output(x, t):
@@ -123,7 +123,7 @@ class TestErrorProfile:
             phi=problem.phi, psi=problem.psi, u_a=problem.u_a, u_b=problem.u_b,
         )
         grid = build_grid(0.0, math.pi, 6)
-        traj = solve_evolution(stripped, grid, config_for("fd11", 0.1), 0.3)
+        (traj,) = solve_evolution(stripped, grid, (config_for("fd11", 0.1),), 0.3)
         with pytest.raises(ValueError, match="exact"):
             error_profile(traj, stripped)
 
@@ -369,7 +369,7 @@ class TestFigureData:
         }))
         (table,) = max_error_series(problem, (scheme,), 12, 0.05, 0.5)
         grid = build_grid(0.0, math.pi, 12)
-        traj = solve_every_level(problem, grid, config_for(scheme, 0.05), 0.5)
+        (traj,) = solve_group_every_level(problem, grid, (config_for(scheme, 0.05),), 0.5)
         x = grid.interior_nodes
         expected = [np.max(np.abs(u - sample(problem.exact, x, t)))
                     for t, u in zip(traj.times, traj.displacements)]

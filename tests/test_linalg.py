@@ -219,7 +219,7 @@ class TestSpectralRadius:
         grid = build_grid(0.0, math.pi, 10)
         op = assemble_system(grid, problem)
         stepper = make_stepper(config_for("fd11", 0.05), op, grid, problem)
-        rho = spectral_radius(lambda v: amplify(stepper, v), op.size)
+        rho = spectral_radius(lambda v: amplify(stepper, v[:, None])[:, 0], op.size)
         assert rho <= 1.0 + 1e-8
         analytic = implicit_amplification(10, math.pi / 10, 0.05, 2.0).max_modulus
         assert rho == pytest.approx(analytic, rel=1e-10)

@@ -33,7 +33,7 @@ from dampwave.problems import (
 )
 from dampwave.schemes import config_for, solve_evolution
 
-from oracles import solve_every_level, tokenize as loop_tokenize
+from oracles import solve_group_every_level, tokenize as loop_tokenize
 
 SAMPLE_DOC = {
     "domain": [0, math.pi],
@@ -437,8 +437,8 @@ class TestLoadConfig:
         grid = build_grid(0.0, math.pi, 8)
         k = 0.05
         for name in ("fd11", "oefd"):
-            t_cfg = solve_every_level(problem_cfg, grid, config_for(name, k), 0.5)
-            t_ref = solve_every_level(problem_ref, grid, config_for(name, k), 0.5)
+            (t_cfg,) = solve_group_every_level(problem_cfg, grid, (config_for(name, k),), 0.5)
+            (t_ref,) = solve_group_every_level(problem_ref, grid, (config_for(name, k),), 0.5)
             assert np.abs(t_cfg.states - t_ref.states).max() <= 1e-14
 
     def test_missing_field_named(self):
@@ -489,6 +489,6 @@ class TestLoadConfig:
         problem = load_problem_config(json.dumps(doc))
         assert problem.exact is None
         grid = build_grid(0.0, math.pi, 6)
-        traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 0.3)
+        (traj,) = solve_evolution(problem, grid, (config_for("fd11", 0.1),), 0.3)
         with pytest.raises(ValueError, match="exact"):
             error_profile(traj, problem)

@@ -36,7 +36,7 @@ from dampwave.schemes import (
 
 from oracles import (
     banded_to_dense, matrix_exponential, operator_to_dense, solve_checking_every_level,
-    solve_every_level, solve_group_every_level,
+    solve_group_every_level,
 )
 
 
@@ -98,10 +98,10 @@ class TestMakeStepper:
         stepper = make_stepper(config_for("oefd", 0.1), op, grid, problem)
         u0, u1 = stepper.start
         assert (u0.t, u1.t) == (0.0, 0.1)
-        assert u0.values == pytest.approx(np.sin(grid.interior_nodes))
-        expected = startup_u1(problem, grid, 0.1, op.damping, u0.values,
+        assert u0.values[:, 0] == pytest.approx(np.sin(grid.interior_nodes))
+        expected = startup_u1(problem, grid, 0.1, op.damping, u0.values[:, 0],
                               -np.sin(grid.interior_nodes))
-        assert u1.values == pytest.approx(expected, abs=0)
+        assert u1.values[:, 0] == pytest.approx(expected, abs=0)
         assert u1.prev is u0.values
 
     @pytest.mark.parametrize("name", ["fd11", "oefd", "oifd"])
@@ -114,7 +114,7 @@ class TestMakeStepper:
             return np.sin(x)
 
         problem = plain_problem(phi=phi)
-        solve_evolution(problem, build_grid(0.0, math.pi, 10), config_for(name, 0.1), 0.5)
+        solve_evolution(problem, build_grid(0.0, math.pi, 10), (config_for(name, 0.1),), 0.5)
         assert array_calls == [9]
 
 
@@ -206,10 +206,10 @@ class TestStepSemigroup:
         # reference: every step evaluates both F(t_n) and F(t_{n+1})
         stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
         (state,) = stepper.start
-        rows = [state.values]
+        rows = [state.values[:, 0]]
         for _ in range(10):
             state = step_semigroup(stepper, dataclasses.replace(state, carry=None))
-            rows.append(state.values)
+            rows.append(state.values[:, 0])
         times = []
 
         def counted(problem, grid, t):
@@ -217,7 +217,7 @@ class TestStepSemigroup:
             return forcing_vector(problem, grid, t)
 
         monkeypatch.setattr(schemes, "forcing_vector", counted)
-        traj = solve_every_level(problem, grid, config, 0.1)
+        (traj,) = solve_group_every_level(problem, grid, (config,), 0.1)
         assert len(traj.times) == 11
         assert len(times) == 11 and len(set(times)) == 11
         assert np.array_equal(traj.states, np.array(rows))
@@ -238,7 +238,7 @@ class TestStepSemigroup:
         k = 0.2
         stepper = make_stepper(config_for("fd11", k), op, grid, problem)
         v0 = np.array([problem.phi(0.5), problem.psi(0.5)])
-        got = step_semigroup(stepper, StateVector(0.0, v0))
+        got = step_semigroup(stepper, StateVector(0.0, v0[:, None]))
 
         m = operator_to_dense(op)
         eye = np.eye(2)
@@ -246,7 +246,7 @@ class TestStepSemigroup:
         f1 = forcing_vector(problem, grid, k)
         rhs = (eye + k * m / 2) @ v0 + (k / 2) * ((eye + k * m / 2) @ f0 + (eye - k * m / 2) @ f1)
         expected = np.linalg.solve(eye - k * m / 2, rhs)
-        assert got.values == pytest.approx(expected, rel=1e-13, abs=1e-13)
+        assert got.values[:, 0] == pytest.approx(expected, rel=1e-13, abs=1e-13)
         assert got.t == pytest.approx(k)
 
     @pytest.mark.parametrize("N", [3, 6])
@@ -260,7 +260,7 @@ class TestStepSemigroup:
         rng = np.random.default_rng(N)
         v = rng.standard_normal(op.size)
         t0 = 0.4
-        got = step_semigroup(stepper, StateVector(t0, v))
+        got = step_semigroup(stepper, StateVector(t0, v[:, None])).values[:, 0]
 
         m = operator_to_dense(op)
         eye = np.eye(op.size)
@@ -268,7 +268,7 @@ class TestStepSemigroup:
         f1 = forcing_vector(problem, grid, t0 + k)
         rhs = (eye + k * m / 2) @ v + (k / 2) * ((eye + k * m / 2) @ f0 + (eye - k * m / 2) @ f1)
         expected = np.linalg.solve(eye - k * m / 2, rhs)
-        assert np.abs(got.values - expected).max() <= 1e-13 * max(1.0, np.abs(expected).max())
+        assert np.abs(got - expected).max() <= 1e-13 * max(1.0, np.abs(expected).max())
 
     def test_small_k_continuity(self):
         problem = sample_problem()
@@ -277,7 +277,7 @@ class TestStepSemigroup:
         v0 = np.concatenate([np.sin(grid.interior_nodes), -np.sin(grid.interior_nodes)])
         for name in ("fd01", "fd11"):
             stepper = make_stepper(config_for(name, 1e-8), op, grid, problem)
-            out = step_semigroup(stepper, StateVector(0.0, v0)).values
+            out = step_semigroup(stepper, StateVector(0.0, v0[:, None])).values[:, 0]
             assert np.abs(out - v0).max() < 1e-6
 
     def test_one_step_defect_refinement(self):
@@ -291,7 +291,7 @@ class TestStepSemigroup:
             defects = []
             for k in (0.1, 0.05):
                 stepper = make_stepper(config_for(name, k), op, grid, problem)
-                got = step_semigroup(stepper, StateVector(0.0, v0)).values
+                got = step_semigroup(stepper, StateVector(0.0, v0[:, None])).values[:, 0]
                 oracle = matrix_exponential(op, k) @ v0
                 defects.append(np.linalg.norm(got - oracle, np.inf))
             ratios[name] = defects[0] / defects[1]
@@ -307,7 +307,7 @@ class TestStepSemigroup:
         defect = {}
         for name, orders in (("fd11", None), ("fdST", (2, 2))):
             stepper = make_stepper(config_for(name, 0.1, orders), op, grid, problem)
-            got = step_semigroup(stepper, StateVector(0.0, v0)).values
+            got = step_semigroup(stepper, StateVector(0.0, v0[:, None])).values[:, 0]
             defect[name] = np.linalg.norm(got - oracle, np.inf)
         assert defect["fdST"] < 0.02 * defect["fd11"]
 
@@ -351,13 +351,13 @@ class TestStartup:
         n_steps = int(math.floor(t_final / k * (1 + 1e-12) + 1e-12))
 
         def run(u1):
-            state = StateVector(k, u1, prev=u0.values)
+            state = StateVector(k, u1[:, None], prev=u0.values, carry=(None,))
             for _ in range(2, n_steps + 1):
                 state = step_oefd(stepper, state)
             exact = np.exp(-n_steps * k) * np.sin(grid.interior_nodes)
-            return np.abs(state.values - exact).max()
+            return np.abs(state.values[:, 0] - exact).max()
 
-        err_taylor = run(u1.values)
+        err_taylor = run(u1.values[:, 0])
         err_exact = run(np.exp(-k) * np.sin(grid.interior_nodes))
         assert abs(err_taylor - err_exact) / max(err_taylor, err_exact) < 0.10
 
@@ -381,10 +381,11 @@ class TestBaselineSteps:
         rng = np.random.default_rng(0)
         u_curr = np.full(grid.n_interior, 3.0) + 0 * rng.standard_normal(grid.n_interior)
         u_prev = np.full(grid.n_interior, 2.0)
-        out = step_oefd(stepper, StateVector(0.4, u_curr, prev=u_prev))
+        state = StateVector(0.4, u_curr[:, None], prev=u_prev[:, None], carry=(None,))
+        out = step_oefd(stepper, state)
         assert out.t == pytest.approx(0.45)
-        assert out.values == pytest.approx(2 * u_curr - u_prev, abs=1e-14)
-        assert out.prev is u_curr
+        assert out.values[:, 0] == pytest.approx(2 * u_curr - u_prev, abs=1e-14)
+        assert out.prev is state.values
 
     def test_oefd_matches_dense_formula(self):
         problem = plain_problem(
@@ -403,7 +404,8 @@ class TestBaselineSteps:
         rng = np.random.default_rng(9)
         u_curr, u_prev = rng.standard_normal((2, grid.n_interior))
         t = 1.1
-        got = step_oefd(stepper, StateVector(t, u_curr, prev=u_prev)).values
+        got = step_oefd(stepper, StateVector(t, u_curr[:, None], prev=u_prev[:, None],
+                                             carry=(None,))).values[:, 0]
 
         n = grid.n_interior
         r = k / grid.h
@@ -436,9 +438,10 @@ class TestBaselineSteps:
         stepper = make_stepper(config_for("oifd", k), op, grid, problem)
         rng = np.random.default_rng(4)
         u_curr, u_prev = rng.standard_normal((2, grid.n_interior))
-        out = step_oifd(stepper, StateVector(0.0, u_curr, prev=u_prev))
-        assert out.values == pytest.approx(2 * u_curr - u_prev, abs=1e-9)
-        assert out.prev is u_curr
+        state = StateVector(0.0, u_curr[:, None], prev=u_prev[:, None], carry=(None,))
+        out = step_oifd(stepper, state)
+        assert out.values[:, 0] == pytest.approx(2 * u_curr - u_prev, abs=1e-9)
+        assert out.prev is state.values
 
     def test_oifd_solve_residual(self):
         problem = sample_problem()
@@ -452,9 +455,9 @@ class TestBaselineSteps:
         gamma = op.damping
         state = stepper.start[1]
         for _ in range(2, 8):
-            t, u, u_prev = state.t, state.values, state.prev
+            t, u, u_prev = state.t, state.values[:, 0], state.prev[:, 0]
             state = step_oifd(stepper, state)
-            u_next = state.values
+            u_next = state.values[:, 0]
             rhs = (
                 2 * u
                 + 0.5 * r**2 * a @ u
@@ -471,7 +474,7 @@ def test_amplify_is_the_unforced_step():
     grid = build_grid(0.0, math.pi, 9)
     op = assemble_system(grid, problem)
     unforced = plain_problem(gamma=lambda x: 1.0 + x, exact=None)
-    v = np.random.default_rng(3).standard_normal(op.size)
+    v = np.random.default_rng(3).standard_normal((op.size, 1))
     for name, orders in (("fd01", None), ("fd11", None), ("fdST", (2, 2))):
         config = config_for(name, 0.1, orders)
         stepper = make_stepper(config, op, grid, problem)
@@ -526,8 +529,8 @@ class TestSteadyForcing:
         assert time_free(problem.u_b) and not time_free(plain_copy(problem).u_b)
         grid = build_grid(0.0, math.pi, 12)
         config = config_for(name, 0.02, orders)
-        steady = solve_every_level(problem, grid, config, 0.5)
-        per_level = solve_every_level(plain_copy(problem), grid, config, 0.5)
+        (steady,) = solve_group_every_level(problem, grid, (config,), 0.5)
+        (per_level,) = solve_group_every_level(plain_copy(problem), grid, (config,), 0.5)
         assert np.array_equal(steady.states, per_level.states)
         assert np.array_equal(steady.times, per_level.times)
 
@@ -542,15 +545,15 @@ class TestSteadyForcing:
 
         monkeypatch.setattr(schemes, "forcing_vector", counted)
         # F = 0 is evaluated once, and its step is R(kM) V exactly
-        traj = solve_every_level(problem, grid, config_for("fd11", 0.1), 1.0)
+        (traj,) = solve_group_every_level(problem, grid, (config_for("fd11", 0.1),), 1.0)
         assert calls == [0.0]
         stepper = make_stepper(config_for("fd11", 0.1), assemble_system(grid, problem), grid,
                                problem)
-        assert np.array_equal(traj.states[1], amplify(stepper, traj.states[0]))
+        assert np.array_equal(traj.states[1], amplify(stepper, traj.states[0][:, None])[:, 0])
         for name in ("fd01", "fd11", "oefd", "oifd"):
             config = config_for(name, 0.1)
-            steady = solve_every_level(problem, grid, config, 1.0)
-            per_level = solve_every_level(plain_copy(problem), grid, config, 1.0)
+            (steady,) = solve_group_every_level(problem, grid, (config,), 1.0)
+            (per_level,) = solve_group_every_level(plain_copy(problem), grid, (config,), 1.0)
             assert np.array_equal(steady.states, per_level.states)
 
     @pytest.mark.parametrize("name,orders", ALL_SCHEMES, ids=[n for n, _ in ALL_SCHEMES])
@@ -570,7 +573,7 @@ class TestSteadyForcing:
 
         def count(problem, steps):
             calls.clear()
-            solve_evolution(problem, grid, config, steps * 0.05)
+            solve_evolution(problem, grid, (config,), steps * 0.05)
             return len(calls)
 
         steady = load_problem_config(json.dumps(STEADY_DOC))
@@ -593,13 +596,13 @@ class TestSteadyForcing:
         assert problem.steady and not time_free(problem.g)
         grid = build_grid(0.0, math.pi, 12)
         config = config_for(name, 0.05, orders)
-        first = solve_every_level(problem, grid, config, 0.5)
+        (first,) = solve_group_every_level(problem, grid, (config,), 0.5)
         # one forcing evaluation per solve: g once, B(t) once (oefd's Taylor start adds g(., 0))
         once = ["g", "u_a", "u_b"] + (["g"] if name == "oefd" else [])
         assert sorted(calls) == sorted(once)
         calls.clear()
-        assert np.array_equal(solve_every_level(problem, grid, config, 1.0).states[:11],
-                              first.states)
+        (again,) = solve_group_every_level(problem, grid, (config,), 1.0)
+        assert np.array_equal(again.states[:11], first.states)
         assert sorted(calls) == sorted(once)
 
 
@@ -617,19 +620,19 @@ class TestStepperProtocol:
         grid = build_grid(0.0, math.pi, 9)
         k = 0.05
         config = config_for(name, k, orders)
-        solve = solve_every_level if every else solve_evolution
+        solve = solve_group_every_level if every else solve_evolution
         if steps == 0:  # no step to report: refused, not answered with the start level
             with pytest.raises(ValueError, match="shorter than one time step"):
-                solve(problem, grid, config, 0.25 * k)
+                solve(problem, grid, (config,), 0.25 * k)
             return
-        traj = solve(problem, grid, config, (steps + 0.25) * k)
+        (traj,) = solve(problem, grid, (config,), (steps + 0.25) * k)
 
         levels = manual_levels(config, problem, grid, steps)
         kept = list(range(steps + 1)) if every else [0, steps]
         assert not traj.blow_up and traj.blow_up_index is None
         assert np.array_equal(traj.times, k * np.array(kept))
         assert [levels[n].t for n in kept] == pytest.approx(traj.times, abs=1e-15)
-        assert np.array_equal(traj.states, np.array([levels[n].values for n in kept]))
+        assert np.array_equal(traj.states, np.array([levels[n].values[:, 0] for n in kept]))
         width = grid.n_interior * (2 if config.kind == "semigroup" else 1)
         assert traj.states.shape == (len(kept), width)
 
@@ -642,7 +645,7 @@ class TestStepperProtocol:
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 50)
         config = config_for(name, r * grid.h)
-        traj = solve_evolution(problem, grid, config, 80.0)
+        (traj,) = solve_evolution(problem, grid, (config,), 80.0)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert traj.blow_up and traj.blow_up_index == level
         kept = [0, level]
@@ -651,7 +654,7 @@ class TestStepperProtocol:
         assert not np.isfinite(traj.states[-1]).all()
         with np.errstate(over="ignore", invalid="ignore"):
             levels = manual_levels(config, problem, grid, level)
-        expected = np.array([levels[n].values for n in kept])
+        expected = np.array([levels[n].values[:, 0] for n in kept])
         assert np.array_equal(traj.states, expected, equal_nan=True)
 
     def test_oifd_boundary_data_evaluated_once_per_time_level(self):
@@ -667,14 +670,14 @@ class TestStepperProtocol:
         config = config_for("oifd", 0.05)
         stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
         state = stepper.start[1]
-        assert np.array_equal(state.carry, boundary_vector(problem, grid, 0.05))
-        rows = [state.values]
+        assert np.array_equal(state.carry[0], boundary_vector(problem, grid, 0.05))
+        rows = [state.values[:, 0]]
         for _ in range(8):
             # reference: every step evaluates both B(t_n) and B(t_{n+1})
-            state = step_oifd(stepper, dataclasses.replace(state, carry=None))
-            rows.append(state.values)
+            state = step_oifd(stepper, dataclasses.replace(state, carry=(None,)))
+            rows.append(state.values[:, 0])
         calls.clear()
-        traj = solve_every_level(problem, grid, config, 0.45)
+        (traj,) = solve_group_every_level(problem, grid, (config,), 0.45)
         assert np.array_equal(traj.states[1:], np.array(rows))
         # the ghost start takes B(0) and B(k), which u^1 carries; each step takes one level
         assert len(calls) == 2 + 8
@@ -719,8 +722,9 @@ def test_solutions_superpose(name, orders):
         c1, c2 = random_coefficients(rng), random_coefficients(rng)
         alpha, beta = rng.uniform(-2.0, 2.0, 2)
         mixed = {f: alpha * c1[f] + beta * c2[f] for f in SUPERPOSITION_TERMS}
-        s1, s2, s = (solve_every_level(linear_problem(c), grid, config, 40 * 0.02).states
-                     for c in (c1, c2, mixed))
+        runs = [solve_group_every_level(linear_problem(c), grid, (config,), 40 * 0.02)[0]
+                for c in (c1, c2, mixed)]
+        s1, s2, s = (traj.states for traj in runs)
         assert len(s) == 41
         scale = max(np.abs(states).max() for states in (s1, s2, s))
         assert np.abs(s - (alpha * s1 + beta * s2)).max() <= 1e-12 * scale
@@ -748,7 +752,7 @@ def test_oifd_is_first_order_in_time_when_u_xxt_is_nonzero():
         errors = []
         for N in (20, 40, 80, 160):
             grid = build_grid(0.0, math.pi, N)
-            traj = solve_evolution(problem, grid, config_for(name, 0.25 * grid.h), 1.0)
+            (traj,) = solve_evolution(problem, grid, (config_for(name, 0.25 * grid.h),), 1.0)
             errors.append(error_profile(traj, problem).max_error)
         orders[name] = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert orders["oifd"] == pytest.approx([1.149, 1.049, 1.026], abs=5e-3)
@@ -792,7 +796,7 @@ def test_time_order_on_forced_problem(name, orders, band):
     grid = build_grid(0.0, math.pi, 16)
 
     def final_u(k):
-        traj = solve_evolution(problem, grid, config_for(name, k, orders), 0.2)
+        (traj,) = solve_evolution(problem, grid, (config_for(name, k, orders),), 0.2)
         assert traj.times[-1] == pytest.approx(0.2, abs=1e-12)
         return traj.displacements[-1]
 
@@ -809,8 +813,8 @@ class TestSolveEvolution:
         problem = forced_problem()
         grid = build_grid(0.0, math.pi, 12)
         config = config_for(name, 0.05, orders)
-        every = solve_every_level(problem, grid, config, 1.33)
-        ends = solve_evolution(problem, grid, config, 1.33)
+        (every,) = solve_group_every_level(problem, grid, (config,), 1.33)
+        (ends,) = solve_evolution(problem, grid, (config,), 1.33)
         assert every.times.shape == (27,) and ends.blow_up_index is every.blow_up_index is None
         assert np.array_equal(ends.times, every.times[[0, -1]])
         assert np.array_equal(ends.states, every.states[[0, -1]])
@@ -825,7 +829,7 @@ class TestSolveEvolution:
             "oifd": 4.384393293e-04,
         }
         for name, value in expected.items():
-            traj = solve_evolution(problem, grid, config_for(name, 0.1), 0.1)
+            (traj,) = solve_evolution(problem, grid, (config_for(name, 0.1),), 0.1)
             errs = np.abs(
                 traj.displacements[-1] - np.exp(-0.1) * np.sin(grid.interior_nodes)
             )
@@ -836,7 +840,7 @@ class TestSolveEvolution:
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 10)
         for name, value in (("fd11", 8.456962e-05), ("fd01", 1.159688e-02)):
-            traj = solve_evolution(problem, grid, config_for(name, 0.1), 0.3)
+            (traj,) = solve_evolution(problem, grid, (config_for(name, 0.1),), 0.3)
             errs = np.abs(
                 traj.displacements[-1] - np.exp(-0.3) * np.sin(grid.interior_nodes)
             )
@@ -846,7 +850,7 @@ class TestSolveEvolution:
         problem = plain_problem(phi=lambda x: 0.0, psi=lambda x: 0.0, exact=None)
         grid = build_grid(0.0, math.pi, 8)
         for name in ("fd01", "fd11", "oefd", "oifd"):
-            traj = solve_every_level(problem, grid, config_for(name, 0.05), 0.5)
+            (traj,) = solve_group_every_level(problem, grid, (config_for(name, 0.05),), 0.5)
             assert not traj.states.any(), name
 
     def test_linearity_in_initial_data(self):
@@ -860,15 +864,15 @@ class TestSolveEvolution:
         )
         grid = build_grid(0.0, math.pi, 8)
         for name in ("fd11", "oefd", "oifd"):
-            t1 = solve_every_level(base, grid, config_for(name, 0.05), 0.5)
-            t2 = solve_every_level(scaled, grid, config_for(name, 0.05), 0.5)
+            (t1,) = solve_group_every_level(base, grid, (config_for(name, 0.05),), 0.5)
+            (t2,) = solve_group_every_level(scaled, grid, (config_for(name, 0.05),), 0.5)
             assert np.abs(t2.states - alpha * t1.states).max() <= 1e-10
 
     def test_implicit_norm_never_grows(self):
         problem = sample_problem()
         for N, k in ((10, 0.1), (23, 0.05), (10, 0.5)):
             grid = build_grid(0.0, math.pi, N)
-            traj = solve_every_level(problem, grid, config_for("fd11", k), 20.0)
+            (traj,) = solve_group_every_level(problem, grid, (config_for("fd11", k),), 20.0)
             norms = np.linalg.norm(traj.states, axis=1)
             assert np.all(np.diff(norms) <= 1e-8), (N, k)
 
@@ -894,7 +898,7 @@ class TestSolveEvolution:
                                 psi=series([b for _, b in modes]), exact=None)
         grid = build_grid(0.0, math.pi, N)
         k = r * grid.h
-        traj = solve_every_level(problem, grid, config_for("fd11", k), 30.25 * k)
+        (traj,) = solve_group_every_level(problem, grid, (config_for("fd11", k),), 30.25 * k)
         u, w = np.split(traj.states, 2, axis=1)
         energy = (w * w).sum(axis=1) - (u * second_difference(u.T).T).sum(axis=1) / grid.h**2
         assert np.all(np.diff(energy) <= 1e-12 * energy[0])
@@ -903,7 +907,7 @@ class TestSolveEvolution:
         problem = plain_problem(gamma=lambda x: 0.0, psi=lambda x: 0.0, exact=None)
         grid = build_grid(0.0, math.pi, 10)
         k = 5.0 * grid.h  # far outside any stability region
-        traj = solve_evolution(problem, grid, config_for("fd01", k), 600.0)
+        (traj,) = solve_evolution(problem, grid, (config_for("fd01", k),), 600.0)
         assert traj.blow_up
         assert traj.blow_up_index is not None
         assert not np.isfinite(traj.states[-1]).all()
@@ -912,36 +916,36 @@ class TestSolveEvolution:
     def test_trajectory_times_and_stride(self):
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 6)
-        traj = solve_every_level(problem, grid, config_for("fd11", 0.1), 1.0)
+        (traj,) = solve_group_every_level(problem, grid, (config_for("fd11", 0.1),), 1.0)
         assert traj.times == pytest.approx(0.1 * np.arange(11))
         assert np.diff(traj.times) == pytest.approx(np.full(10, 0.1))
-        ends = solve_evolution(problem, grid, config_for("fd11", 0.1), 1.0)
+        (ends,) = solve_evolution(problem, grid, (config_for("fd11", 0.1),), 1.0)
         assert np.array_equal(ends.times, traj.times[[0, -1]])
         assert np.array_equal(ends.states, traj.states[[0, -1]])
 
     def test_final_level_always_kept(self):
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 6)
-        traj = solve_evolution(problem, grid, config_for("oefd", 0.1), 0.7)
+        (traj,) = solve_evolution(problem, grid, (config_for("oefd", 0.1),), 0.7)
         assert traj.times[-1] == pytest.approx(0.7)
 
     def test_t_final_not_multiple_of_k(self):
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 6)
-        traj = solve_evolution(problem, grid, config_for("fd11", 0.1), 0.349)
+        (traj,) = solve_evolution(problem, grid, (config_for("fd11", 0.1),), 0.349)
         assert traj.times[-1] == pytest.approx(0.3)
 
     def test_rejects_bad_t_final(self):
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 6)
         with pytest.raises(ValueError):
-            solve_evolution(problem, grid, config_for("fd11", 0.1), -1.0)
+            solve_evolution(problem, grid, (config_for("fd11", 0.1),), -1.0)
 
     def test_step_cap(self):
         problem = sample_problem()
         grid = build_grid(0.0, math.pi, 6)
         with pytest.raises(ValueError, match="steps"):
-            solve_evolution(problem, grid, config_for("fd11", 1e-9), 100.0)
+            solve_evolution(problem, grid, (config_for("fd11", 1e-9),), 100.0)
 
     def test_snapshot_buffer_beyond_memory_raises(self, monkeypatch):
         # the (41, 18, 1) level buffer of 40 steps at N=10, a one-member lane's, is
@@ -956,8 +960,8 @@ class TestSolveEvolution:
         monkeypatch.setattr(np, "empty", refuse_snapshots)
         grid = build_grid(0.0, math.pi, 10)
         with pytest.raises(ValueError, match="cannot hold 41 snapshots"):
-            solve_evolution(sample_problem(), grid, config_for("fd01", 0.1), 4.0,
-                            on_block=lambda first, states: None)
+            solve_evolution(sample_problem(), grid, (config_for("fd01", 0.1),), 4.0,
+                            on_block=lambda first, blocks: None)
 
 
 # the sample problem as a config: u = e^{-t} sin x with gamma = 2 and no forcing
@@ -985,8 +989,8 @@ class TestSpacedBlowUpChecks:
         grid = build_grid(0.0, math.pi, 9)
         config = config_for(scheme[0], 0.05, scheme[1])
         t_final = (steps + 0.25) * 0.05
-        got = (solve_every_level if every_level else solve_evolution)(problem, grid, config,
-                                                                        t_final)
+        (got,) = (solve_group_every_level if every_level else solve_evolution)(
+            problem, grid, (config,), t_final)
         assert got.times[-1] == pytest.approx(steps * 0.05)
         _equal_runs(got, solve_checking_every_level(problem, grid, config, t_final,
                                                     every_level))
@@ -1004,8 +1008,8 @@ class TestSpacedBlowUpChecks:
         grid = build_grid(0.0, math.pi, 50)
         config = config_for(name, r * grid.h)
         t_final = (steps + 0.25) * config.k
-        got = (solve_every_level if every_level else solve_evolution)(problem, grid, config,
-                                                                        t_final)
+        (got,) = (solve_group_every_level if every_level else solve_evolution)(
+            problem, grid, (config,), t_final)
         assert got.blow_up_index == level
         _equal_runs(got, solve_checking_every_level(problem, grid, config, t_final,
                                                     every_level))
@@ -1020,8 +1024,8 @@ class TestSpacedBlowUpChecks:
         grid = build_grid(0.0, math.pi, 50)
         config = config_for(name, 0.5 * grid.h, orders)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = (solve_every_level if every_level else solve_evolution)(problem, grid, config,
-                                                                            10.0)
+            (got,) = (solve_group_every_level if every_level else solve_evolution)(
+                problem, grid, (config,), 10.0)
             want = solve_checking_every_level(problem, grid, config, 10.0, every_level)
         assert got.blow_up_index == 1
         _equal_runs(got, want)
@@ -1033,7 +1037,7 @@ class TestSpacedBlowUpChecks:
         k = 1.59 * grid.h
         problem = load_problem_config(json.dumps(dict(
             SAMPLE_DOC, g=f"0*sqrt({633.5 * k!r} - t)")))
-        got = solve_evolution(problem, grid, config_for("fd01", k), 80.0)
+        (got,) = solve_evolution(problem, grid, (config_for("fd01", k),), 80.0)
         assert got.blow_up_index == 623
         _equal_runs(got, solve_checking_every_level(problem, grid, config_for("fd01", k), 80.0,
                                                     every_level=False))
@@ -1042,9 +1046,11 @@ class TestSpacedBlowUpChecks:
         grid = build_grid(0.0, math.pi, 50)
         k = 0.5 * grid.h
         problem = load_problem_config(json.dumps(dict(SAMPLE_DOC, g=f"0*sqrt({70.5 * k!r} - t)")))
-        for solve in (solve_evolution, solve_checking_every_level):
-            with pytest.raises(ExpressionError, match="math domain error"):
-                solve(problem, grid, config_for("fd11", k), 100 * k)
+        config = config_for("fd11", k)
+        with pytest.raises(ExpressionError, match="math domain error"):
+            solve_evolution(problem, grid, (config,), 100 * k)
+        with pytest.raises(ExpressionError, match="math domain error"):
+            solve_checking_every_level(problem, grid, config, 100 * k)
 
 
 class TestLevelBlocks:
@@ -1064,8 +1070,8 @@ class TestLevelBlocks:
         config = config_for(name, r * grid.h)
         t_final = (steps + 0.25) * config.k
         runs = []
-        ends = solve_evolution(problem, grid, config, t_final,
-                               on_block=lambda first, states: runs.append((first, states)))
+        (ends,) = solve_evolution(problem, grid, (config,), t_final,
+                                  on_block=lambda first, blocks: runs.append((first, *blocks)))
         last = steps if level is None else level
         assert ends.blow_up_index == level
         assert [first for first, _ in runs] == [0] + list(range(LEVEL_BLOCK + 1, last + 1,
@@ -1074,7 +1080,7 @@ class TestLevelBlocks:
         assert all(len(states) <= LEVEL_BLOCK + 1 for _, states in runs)
         assert all(np.shares_memory(runs[0][1], states) for _, states in runs)
         want = solve_checking_every_level(problem, grid, config, t_final)
-        _equal_runs(solve_every_level(problem, grid, config, t_final), want)
+        _equal_runs(solve_group_every_level(problem, grid, (config,), t_final)[0], want)
 
     def test_consumer_runs_under_the_callers_error_state(self):
         # the loop ignores overflow, the consumer does not: under over="raise" an
@@ -1082,12 +1088,12 @@ class TestLevelBlocks:
         grid = build_grid(0.0, math.pi, 50)
         config = config_for("fd01", 1.59 * grid.h)
         with np.errstate(over="raise"):
-            ends = solve_evolution(sample_problem(), grid, config, 80.0,
-                                   on_block=lambda first, states: None)
+            (ends,) = solve_evolution(sample_problem(), grid, (config,), 80.0,
+                                      on_block=lambda first, blocks: None)
             assert ends.blow_up_index == 623
             with pytest.raises(FloatingPointError):
-                solve_evolution(sample_problem(), grid, config, 1.0,
-                                on_block=lambda first, states: states * 1e308 * 1e308)
+                solve_evolution(sample_problem(), grid, (config,), 1.0,
+                                on_block=lambda first, blocks: blocks[0] * 1e308 * 1e308)
 
 
 @pytest.mark.parametrize("doc", [FORCED_DOC, SAMPLE_DOC], ids=["forced", "sample"])
@@ -1100,13 +1106,33 @@ def test_no_step_writes_into_its_input(name, orders, doc):
     config = config_for(name, 0.05, orders)
     stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
     state = stepper.start[-1]
+
+    def arrays(state):  # a baseline lane's carry is a tuple, an entry per member
+        carry = state.carry if isinstance(state.carry, tuple) else (state.carry,)
+        return (state.values, state.prev, *carry)
+
     for _ in range(3):
-        before = [None if a is None else a.copy() for a in (state.values, state.prev, state.carry)]
+        before = [None if a is None else a.copy() for a in arrays(state)]
         after = STEP_FUNCTIONS[config.kind](stepper, state)
-        for old, new in zip(before, (state.values, state.prev, state.carry)):
+        for old, new in zip(before, arrays(state), strict=True):
             assert (old is None) == (new is None)
             assert old is None or np.array_equal(old, new)
         state = after
+
+
+@pytest.mark.parametrize("name,orders", ALL_SCHEMES, ids=[n for n, _ in ALL_SCHEMES])
+def test_a_lane_refuses_a_state_without_a_column_per_member(name, orders):
+    # a one-member lane's (n, 1) coefficients broadcast over a (size, 2) state, whose
+    # second column no member would finish (no Q_S or oifd solve): the step raises instead
+    problem = forced_problem()
+    grid = build_grid(0.0, math.pi, 9)
+    config = config_for(name, 0.05, orders)
+    stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
+    state = stepper.start[-1]
+    wide = dataclasses.replace(state, values=np.repeat(state.values, 2, axis=1),
+                               prev=None if state.prev is None else np.repeat(state.prev, 2, axis=1))
+    with pytest.raises(ValueError, match="cannot reshape"):
+        STEP_FUNCTIONS[config.kind](stepper, wide)
 
 
 LOCKSTEP_SCHEMES = [("fd01", None), ("fd11", None), ("fdST", (2, 2)), ("oefd", None),
@@ -1154,7 +1180,7 @@ class TestLockstep:
         solo = []
         for config in configs:
             try:
-                solo.append(solve_every_level(problem, grid, config, t_final))
+                solo.append(solve_group_every_level(problem, grid, (config,), t_final)[0])
             except ExpressionError:
                 solo.append(None)
             else:  # and the solo run is the loop that checks every level
@@ -1165,7 +1191,7 @@ class TestLockstep:
             with pytest.raises(ExpressionError):
                 solve_evolution(problem, grid, tuple(configs), t_final)
             return
-        every = solve_group_every_level(problem, grid, configs, t_final)
+        every = solve_group_every_level(problem, grid, tuple(configs), t_final)
         ends = solve_evolution(problem, grid, tuple(configs), t_final)
         for got, end, want in zip(every, ends, solo):
             assert got.blow_up_index == end.blow_up_index == want.blow_up_index
@@ -1174,11 +1200,14 @@ class TestLockstep:
             assert np.array_equal(bits(end.states), bits(want.states[[0, -1]]))
 
     def test_a_solo_config_is_the_one_member_group(self):
+        # a one-config solve steps the one-member lane that make_stepper returns
         grid = build_grid(0.0, math.pi, 12)
-        config = config_for("oifd", 0.05)
-        (group,) = solve_evolution(forced_problem(), grid, (config,), 1.0)
-        solo = solve_evolution(forced_problem(), grid, config, 1.0)
-        assert np.array_equal(bits(group.states), bits(solo.states))
+        for name in ("fd11", "oifd"):
+            config = config_for(name, 0.05)
+            (solo,) = solve_evolution(forced_problem(), grid, (config,), 1.0)
+            first, *_, last = manual_levels(config, forced_problem(), grid, 20)
+            assert np.array_equal(bits(solo.states),
+                                  bits(np.stack([first.values[:, 0], last.values[:, 0]])))
 
     def test_members_need_one_time_step(self):
         grid = build_grid(0.0, math.pi, 12)

@@ -223,8 +223,9 @@ class TestImplicitAmplification:
         assert np.abs(1.0 + k * lam).max() <= 1.0
 
 
-def probe_stepper(N, h, k, gamma, name="fd11", orders=None):
-    """The one-step map of an unforced problem on [0, N h], as `stability --empirical` builds it."""
+def probe_map(N, h, k, gamma, name="fd11", orders=None):
+    """The one-step map of an unforced problem on [0, N h], as `stability --empirical` builds it:
+    amplify with make_stepper's one-member lane, on a 1-D vector."""
     problem = DampedWaveProblem(
         domain=(0.0, N * h),
         gamma=gamma if callable(gamma) else lambda x: gamma,
@@ -235,7 +236,9 @@ def probe_stepper(N, h, k, gamma, name="fd11", orders=None):
         u_b=lambda t: 0.0,
     )
     grid = build_grid(0.0, N * h, N)
-    return make_stepper(config_for(name, k, orders), assemble_system(grid, problem), grid, problem)
+    stepper = make_stepper(config_for(name, k, orders), assemble_system(grid, problem), grid,
+                           problem)
+    return lambda v: amplify(stepper, v[:, None])[:, 0]
 
 
 class TestPerModeSpectralRadius:
@@ -249,9 +252,9 @@ class TestPerModeSpectralRadius:
     ])
     @pytest.mark.parametrize("name,orders", [("fd11", None), ("fd01", None), ("fdST", (2, 2))])
     def test_matches_the_dense_oracle(self, N, h, k, gamma, name, orders):
-        stepper = probe_stepper(N, h, k, gamma, name, orders)
-        rho, residual = spectral_radius(lambda v: amplify(stepper, v), N)
-        dense = dense_spectral_radius(lambda v: amplify(stepper, v), 2 * (N - 1))
+        apply = probe_map(N, h, k, gamma, name, orders)
+        rho, residual = spectral_radius(apply, N)
+        dense = dense_spectral_radius(apply, 2 * (N - 1))
         assert rho == pytest.approx(dense, rel=1e-12)
         assert 0.0 <= residual < 1e-12
         if name == "fd11":
@@ -259,21 +262,20 @@ class TestPerModeSpectralRadius:
             assert rho == pytest.approx(closed, rel=1e-12)
 
     def test_bench_configuration(self):
-        stepper = probe_stepper(50, math.pi / 50, 0.05, 2.0)
-        rho, residual = spectral_radius(lambda v: amplify(stepper, v), 50)
+        rho, residual = spectral_radius(probe_map(50, math.pi / 50, 0.05, 2.0), 50)
         assert f"{rho:.12f}" == "0.969829531354"
         assert residual < 1e-12
 
     def test_one_application_per_plane_basis_vector(self):
-        stepper = probe_stepper(9, 0.3, 0.1, 1.0)
+        apply = probe_map(9, 0.3, 0.1, 1.0)
         calls = []
-        spectral_radius(lambda v: calls.append(v) or amplify(stepper, v), 9)
+        spectral_radius(lambda v: calls.append(v) or apply(v), 9)
         assert len(calls) == 16
 
     def test_varying_damping_is_refused_by_name(self):
-        stepper = probe_stepper(20, math.pi / 20, 0.05, lambda x: 1.0 + x)
+        apply = probe_map(20, math.pi / 20, 0.05, lambda x: 1.0 + x)
         with pytest.raises(ModeCouplingError, match="couples sine modes"):
-            spectral_radius(lambda v: amplify(stepper, v), 20)
+            spectral_radius(apply, 20)
 
     @pytest.mark.parametrize("N", [1, MAX_MAP_SIZE // 2 + 2])
     def test_size_bound(self, N):
