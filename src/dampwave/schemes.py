@@ -86,7 +86,15 @@ of halted members is no longer stepped. A solo run is the one-member lane.
 Q_S(Mk) is built once per stepper straight in band storage, in the
 interleaved ordering (u_1, w_1, u_2, w_2, ...): Horner's rule over kM's four
 diagonals (offsets -3, -1, 0, 1) gives (kl, ku) = (3, 1), (3, 2), (5, 3),
-(5, 4) for S = 1..4. It is LU-factored once and solved in O(N) per step.
+(5, 4) for S = 1..4. It is LU-factored once (gbtrf), and each step solves
+with the factor in O(N): by LAPACK gbtrs below `linalg.SWEEP_MIN_N` unknowns
+(every paper-repro system) and at a factor's first solve, and from its second
+solve on by one gather and two BLAS band sweeps on the factor with its row
+interchanges replayed, 1.7-1.8x faster than gbtrs from n ≈ 1600 (the
+crossover is n ≈ 100-150). Both forms give gbtrs's bits, as `linalg` explains;
+the replay waits for the second solve so that neither set-up nor oifd's one
+ghost-start solve pays for it. oifd's tridiagonal left-hand side is solved the
+same way.
 """
 
 from __future__ import annotations

@@ -118,6 +118,27 @@ FORCED_SOLVE_DIGESTS = {
 }
 FORCED_EXACT = "cos(2.0*t)*sin(x) + (1.0 + 0.25*x)*sin(t)"
 
+#: the same digests at N=800 (--r, --t-final 1), above linalg.SWEEP_MIN_N, so that each
+#: factor's solves after its first are band sweeps: the forced problem at r=0.5 and the
+#: sample problem's fd11 at r=3, recorded with gbtrs solves
+LARGE_SOLVE_DIGESTS = {
+    ("forced", "0.5", "fd11"): (
+        "c2f6bbbba1edf4efb5e07502ada303819528de0b821f365e50eb19652cb9b6bc",
+        "f9a439924e173ba8fec58780cf93b733693403916c7c5dc55a87587d6ae5020f"),
+    ("forced", "0.5", "fdST", "--pade", "2,2"): (
+        "0b54f456f8cb3eb107faa0641817948946e73532a2e95e3945ffb11c2fb095fc",
+        "a6055ca156296a22084def27f96696603fc733bf59a8a3a6dbde49ae2d440713"),
+    ("forced", "0.5", "fdST", "--pade", "4,4"): (
+        "d26c08060a30ed1e7356ee407c32eb05d13e75e5aebb7a6c96ab1b38abd2ea9a",
+        "97bdf14a3069bfd9a7db56c04c71332d4883732a65da861dede68d2fa8d471d1"),
+    ("forced", "0.5", "oifd"): (
+        "d6eeaf4fda427df959b3c4c2a704ac315a8f5da23b6016ea35dad0fb19207504",
+        "510893ee9c95aec8968af14561f312acf37f41816ba5e2e57284208ef4c5f2f4"),
+    ("sample", "3", "fd11"): (
+        "d22d4b058f23e6b7fb9c8c61b16055df8c9ca199c71b45d5b71636791aa92e76",
+        "d44312eb40d482946eb674a78df0d65e855d11a14af863594dd93c05fb0a1f16"),
+}
+
 
 def report(name: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'}: {name} ({detail})")
@@ -367,12 +388,12 @@ def test_criterion_11_figure_digests(tmp_path):
     )
 
 
-def _changed_solve_digests(digests, problem, tmp_path, capsys):
+def _changed_solve_digests(digests, problem, tmp_path, capsys, grid=("--N", "40", "--k", "0.05")):
     changed = []
     for scheme, (csv_digest, stdout_digest) in digests.items():
         out = tmp_path / f"{''.join(scheme)}.csv"
-        code = run_command(["solve", "--scheme", *scheme, "--problem", problem, "--N", "40",
-                            "--k", "0.05", "--t-final", "1", "--out", str(out)])
+        code = run_command(["solve", "--scheme", *scheme, "--problem", problem, *grid,
+                            "--t-final", "1", "--out", str(out)])
         stdout = capsys.readouterr().out
         if (code, hashlib.sha256(out.read_bytes()).hexdigest(),
                 hashlib.sha256(stdout.encode()).hexdigest()) != (0, csv_digest, stdout_digest):
@@ -399,4 +420,20 @@ def test_criterion_12_forced_solve_digests(tmp_path, capsys):
         "criterion 12: forced-config solve CSV and stdout byte-identical to their digests",
         not changed,
         f"{len(FORCED_SOLVE_DIGESTS)} schemes, changed={changed}",
+    )
+
+
+def test_criterion_12_large_solve_digests(tmp_path, capsys):
+    """The same at N=800, where the banded solves are the band sweeps."""
+    cfg = tmp_path / "forced.json"
+    cfg.write_text(json.dumps(dict(FORCED_DOC, exact=FORCED_EXACT)))
+    changed = []
+    for (problem, r, *scheme), digests in LARGE_SOLVE_DIGESTS.items():
+        changed += [f"{problem} r={r} {name}" for name in _changed_solve_digests(
+            {tuple(scheme): digests}, str(cfg) if problem == "forced" else problem, tmp_path,
+            capsys, grid=("--N", "800", "--r", r))]
+    report(
+        "criterion 12: N=800 solve CSV and stdout byte-identical to their digests",
+        not changed,
+        f"{len(LARGE_SOLVE_DIGESTS)} solves, changed={changed}",
     )
