@@ -74,14 +74,15 @@ member axis, node-major and member-minor, (2n, m) or (n, m), so that one numpy
 call serves every member; `v[1:]` and `v[:-1]` stay contiguous and
 `second_difference` keeps its first-axis form. Coefficients that differ
 between members are pre-expanded to the full array shape, as a broadcast
-(m,) or (n, 1) operand costs about three contiguous ones. Each
-member keeps its own finish on its column (its Q_S solve in interleaved order,
-oifd's solve, oefd's divide) and its own blow-up: a failed check rewinds
-every lane and checks every member at each level from then on, so that each
-halts at the level, and with the state, of its solo run. Lanes are built once
-per solve and kept to its end: a halted member becomes None in its lane's
-`members` and its column rides along unread, with no finish or forcing; a lane
-of halted members is no longer stepped. A solo run is the one-member lane.
+(m,) or (n, 1) operand costs about three contiguous ones. A lane's `members`
+holds a `Member` record per column: its finish (a Q_S solve in the lane's
+interleaved order, oifd's solve, oefd's divide) and a baseline's forcing
+source. Each member keeps its own blow-up: a failed check rewinds every lane
+and checks every member at each level from then on, so that each halts at the
+level, and with the state, of its solo run. Lanes are built once per solve and
+kept to its end: a halted member's record becomes None and its column rides
+along unread, with no finish or forcing; a lane of halted members is no longer
+stepped. A solo run is the one-member lane, whose record `make_stepper` makes.
 
 Q_S(Mk) is built once per stepper straight in band storage, in the
 interleaved ordering (u_1, w_1, u_2, w_2, ...): Horner's rule over kM's four
@@ -102,7 +103,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -238,8 +239,15 @@ def _banded_poly(coeffs, op: BlockOperator, k: float) -> linalg.BandedMatrix:
 
 
 # A lane's coefficients are a float where its members agree, and otherwise pre-expanded
-# to its state's shape; `members` lists the steppers of its state's columns, which finish
-# them, None for a halted one. `make_stepper`'s lane copies its one member (members ()).
+# to its state's shape; `members` holds what each column does on its own, None once halted.
+
+
+class Member(NamedTuple):
+    # a baseline's (t, B(t) or None) -> (lap_coeff B(t) for oefd, lap_coeff (B(t + k) + B(t))
+    # for oifd; k^2 g(., t); B(t + k) for oifd, None for oefd), an all-zero B or g term None
+    source: Optional[Callable]  # None in a semigroup lane, whose members share its source
+    # Q_S's factor (None when Q is the identity), oifd's left-hand side's, or oefd's divisor
+    finish: Union[linalg.BandedFactorization, np.ndarray, None]
 
 
 @dataclass(frozen=True)
@@ -248,10 +256,9 @@ class SemigroupStepper:
     op: BlockOperator  # a lane's damping is pre-expanded to (n, m)
     start: tuple[StateVector, ...]  # (V^0,)
     p: tuple  # P_T's coefficients
-    q_fact: Optional[linalg.BandedFactorization]  # None when Q is the identity
-    perm: Optional[np.ndarray]  # the interleaved order of the unknowns q_fact solves for
+    perm: np.ndarray  # the interleaved order of the unknowns a Q_S factor solves for
     source: Callable  # t -> (k/2) F(t), None when F(t) is all zero
-    members: Sequence
+    members: Sequence[Optional[Member]]
 
 
 @dataclass(frozen=True)
@@ -260,12 +267,7 @@ class BaselineStepper:
     start: tuple[StateVector, ...]  # (u^0, u^1)
     prev_coeff: np.ndarray  # gamma k/2 - 1, the factor on u^{n-1}
     lap_coeff: Union[float, np.ndarray]  # r^2 (oefd) or r^2/2 (oifd), the factor on A u^n and B
-    # (t, B(t) or None) -> (lap_coeff B(t) for oefd, lap_coeff (B(t + k) + B(t)) for oifd;
-    # k^2 g(., t); B(t + k) for oifd, None for oefd); an all-zero B or g term is None
-    source: Callable
-    members: Sequence
-    lhs_denom: Optional[np.ndarray] = None  # oefd: 1 + gamma k/2
-    lhs_fact: Optional[linalg.BandedFactorization] = None  # oifd
+    members: Sequence[Optional[Member]]
 
 
 Stepper = Union[SemigroupStepper, BaselineStepper]
@@ -350,21 +352,19 @@ def make_stepper(
     config: SchemeConfig, op: BlockOperator, grid: SpatialGrid, problem: DampedWaveProblem
 ) -> Stepper:
     """The one-member lane of config, its states (size, 1) columns: what a step needs
-    (coefficients, factorizations, start levels and the forcing source) precomputed."""
+    (coefficients, factorizations, start levels, forcing source, member record) precomputed."""
     k, x = config.k, grid.interior_nodes
     phi, psi = sample(problem.phi, x), sample(problem.psi, x)
     if config.kind == "semigroup":
         approx = pade_coefficients(*config.orders)
-        q_fact = perm = None
-        if approx.S > 0:
-            q_fact = linalg.lu_factor_banded(_banded_poly(approx.q_floats, op, k))
-            perm = np.arange(op.size).reshape(2, -1).T.ravel()
-        fields = dict(
-            config=config, op=BlockOperator(op.n_interior, op.damping[:, None], op.inv_h2),
-            start=(StateVector(0.0, np.concatenate([phi, psi])[:, None]),),
-            p=approx.p_floats, q_fact=q_fact, perm=perm, source=_bind(
-                problem, lambda t: _nonzero(k / 2.0 * forcing_vector(problem, grid, t)[:, None])))
-        return SemigroupStepper(members=[SemigroupStepper(members=(), **fields)], **fields)
+        q_fact = None if approx.S == 0 else linalg.lu_factor_banded(
+            _banded_poly(approx.q_floats, op, k))
+        return SemigroupStepper(
+            config, BlockOperator(op.n_interior, op.damping[:, None], op.inv_h2),
+            (StateVector(0.0, np.concatenate([phi, psi])[:, None]),), approx.p_floats,
+            np.arange(op.size).reshape(2, -1).T.ravel(), _bind(
+                problem, lambda t: _nonzero(k / 2.0 * forcing_vector(problem, grid, t)[:, None])),
+            [Member(None, q_fact)])
 
     gamma, k2 = op.damping, _square(k)
     lhs = 1.0 + gamma * k / 2.0
@@ -373,8 +373,7 @@ def make_stepper(
         source = _bind(problem, lambda t, _=None: (
             _nonzero(lap_coeff * boundary_vector(problem, grid, t)),
             _nonzero(k2 * sample(problem.g, x, t)), None))
-        u1, b_k = startup_u1(problem, grid, k, gamma, phi, psi), None
-        fields = dict(lhs_denom=lhs)
+        u1, b_k, finish = startup_u1(problem, grid, k, gamma, phi, psi), None, lhs
     else:
         lap_coeff = 0.5 * _square(k / grid.h)
         b_at = _bind(problem, lambda t: boundary_vector(problem, grid, t))  # steady: one B
@@ -386,22 +385,21 @@ def make_stepper(
 
         source = _bind(problem, terms)
         u1, b_k = _oifd_ghost_start(phi, psi, gamma, k, lap_coeff, source)
-        fields = dict(lhs_fact=_oifd_factor(lhs, lap_coeff))
+        finish = _oifd_factor(lhs, lap_coeff)
     u0 = phi[:, None]
     start = (StateVector(0.0, u0, carry=(None,)), StateVector(k, u1[:, None], u0, carry=(b_k,)))
-    fields.update(config=config, start=start, prev_coeff=(gamma * k / 2.0 - 1.0)[:, None],
-                  lap_coeff=lap_coeff, source=source)
-    return BaselineStepper(members=[BaselineStepper(members=(), **fields)], **fields)
+    return BaselineStepper(config, start, (gamma * k / 2.0 - 1.0)[:, None], lap_coeff,
+                           [Member(source, finish)])
 
 
 def amplify(stepper: SemigroupStepper, v: np.ndarray) -> np.ndarray:
-    """R(kM) v = Q_S(kM)^{-1} P_T(kM) v, each member's solve on its own column of v (none on a
-    halted member's; ValueError unless v has a column per member); `stability --empirical`
-    applies a one-member lane to the sine-mode planes to measure its radius."""
+    """R(kM) v = Q_S(kM)^{-1} P_T(kM) v, each member's finish (its Q_S solve) on its own column
+    of v (none on a halted one's; ValueError unless v has a column per member); `stability
+    --empirical` applies a one-member lane to the sine-mode planes to measure its radius."""
     rhs, n = apply_poly(stepper.p, stepper.op, stepper.config.k, v), stepper.op.n_interior
     for member, col in zip(stepper.members, rhs.reshape(len(rhs), len(stepper.members)).T):
-        if member is not None and member.q_fact is not None:  # x is (u_1, w_1, u_2, w_2, ...)
-            x = linalg.solve_banded(member.q_fact, col[member.perm])
+        if member is not None and member.finish is not None:  # x is (u_1, w_1, u_2, w_2, ...)
+            x = linalg.solve_banded(member.finish, col[stepper.perm])
             col[:n], col[n:] = x[0::2], x[1::2]
     return rhs
 
@@ -435,7 +433,7 @@ def _baseline_rhs(stepper: BaselineStepper, state: StateVector) -> np.ndarray:
 
 def step_baseline(stepper: BaselineStepper, state: StateVector) -> StateVector:
     """One baseline step, level n (with level n-1 in prev) -> n+1: the shared right-hand
-    side, then each live member's forcing terms and finish on its column (ValueError unless
+    side, then each live member's record's source and finish on its column (ValueError unless
     state has one per member), a divide for oefd and a banded solve for oifd. oifd takes
     B(t_n) from its carry entry when set; its result's entry carries B(t_{n+1})."""
     rhs = _baseline_rhs(stepper, state)
@@ -445,10 +443,10 @@ def step_baseline(stepper: BaselineStepper, state: StateVector) -> StateVector:
         if member is not None:  # a halted member's column rides along unread
             b_term, g_term, b = member.source(state.t, b)
             _add_terms(col, b_term, g_term)
-            if member.lhs_fact is None:
-                col /= member.lhs_denom
+            if isinstance(member.finish, np.ndarray):
+                col /= member.finish
             else:
-                col[...] = linalg.solve_banded(member.lhs_fact, col)
+                col[...] = linalg.solve_banded(member.finish, col)
         carry.append(b)
     return StateVector(state.t + stepper.config.k, rhs, state.values, tuple(carry))
 
@@ -478,16 +476,15 @@ def _lockstep(lanes: Sequence[Stepper]) -> Stepper:
                               join([s.prev for s in level]),  # V^0 has no carry:
                               sum((s.carry for s in level), ()) if baseline else None)
                   for level in zip(*(s.start for s in lanes)))
-    members = [s.members[0] for s in lanes]
     if baseline:
-        return dataclasses.replace(
-            first, start=start, members=members,
-            prev_coeff=per_member([s.prev_coeff for s in lanes], u0),
-            lap_coeff=per_member([s.lap_coeff for s in lanes], u0))
-    damping = per_member([s.op.damping for s in lanes], first.op.damping)
-    return dataclasses.replace(
-        first, start=start, members=members, op=dataclasses.replace(first.op, damping=damping),
-        p=tuple(per_member(c, u0) for c in zip(*(s.p for s in lanes))))
+        coeffs = dict(prev_coeff=per_member([s.prev_coeff for s in lanes], u0),
+                      lap_coeff=per_member([s.lap_coeff for s in lanes], u0))
+    else:
+        damping = per_member([s.op.damping for s in lanes], first.op.damping)
+        coeffs = dict(op=dataclasses.replace(first.op, damping=damping),
+                      p=tuple(per_member(c, u0) for c in zip(*(s.p for s in lanes))))
+    return dataclasses.replace(first, start=start, members=[s.members[0] for s in lanes],
+                               **coeffs)
 
 
 @dataclass

@@ -787,8 +787,12 @@ class TestPackageRoot:
         for scheme, pade in (("fd11", None), ("fdST", (2, 2)), ("oifd", None)):
             config = dampwave.config_for(scheme, 0.5 * grid.h, pade)
             stepper = dampwave.make_stepper(config, op, grid, problem)
-            # the one-member lane: a state holds one column per member
+            # the one-member lane: a state holds one column per member, and the lane holds
+            # one finish record per member, not a stepper
             assert len(stepper.members) == 1
+            assert not any(isinstance(m, (dampwave.schemes.SemigroupStepper,
+                                          dampwave.schemes.BaselineStepper))
+                           for m in stepper.members)
             assert stepper.start[0].values.shape in ((op.size, 1), (grid.n_interior, 1))
 
     @pytest.mark.parametrize("module", ["schemes", "linalg", "harness", "stability"])

@@ -136,10 +136,8 @@ def sample_factors(name, orders, N, r):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "solve_banded", lambda f, b: solved.append(f) or solve(f, b))
         (member,) = make_stepper(config, assemble_system(grid, problem), grid, problem).members
-    if name == "oifd":
-        return [member.lhs_fact, *solved]
-    assert not solved
-    return [member.q_fact]
+    assert name == "oifd" or not solved
+    return [member.finish, *solved]
 
 
 # every implicit scheme: each (S, T) with S >= 1, and oifd (its step and its ghost start)

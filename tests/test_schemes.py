@@ -81,7 +81,7 @@ class TestMakeStepper:
         grid = build_grid(0.0, math.pi, 10)
         op = assemble_system(grid, problem)
         stepper = make_stepper(config_for("fd01", 0.1), op, grid, problem)
-        assert stepper.q_fact is None
+        assert stepper.members[0].finish is None
 
     @pytest.mark.parametrize("N", [10, 23])
     def test_implicit_factorization_succeeds(self, N):
@@ -89,7 +89,7 @@ class TestMakeStepper:
         grid = build_grid(0.0, math.pi, N)
         op = assemble_system(grid, problem)
         stepper = make_stepper(config_for("fd11", 0.05), op, grid, problem)
-        assert stepper.q_fact is not None
+        assert stepper.members[0].finish is not None
 
     def test_oefd_holds_start_levels(self):
         problem = sample_problem()
@@ -1169,6 +1169,11 @@ class TestLockstep:
              steps=700, raise_at=634)
     @example(members=LOCKSTEP_SCHEMES[:2], N=50, r=1.59, doc=SAMPLE_DOC, steps=700,
              raise_at=634)
+    # systems of n >= SWEEP_MIN_N unknowns, solved by band sweeps from their second solve
+    @example(members=LOCKSTEP_SCHEMES[:2], N=300, r=0.5, doc=FORCED_DOC, steps=130,
+             raise_at=None)
+    @example(members=LOCKSTEP_SCHEMES[3:], N=300, r=0.5, doc=FORCED_DOC, steps=130,
+             raise_at=None)
     def test_members_equal_solo_runs(self, members, N, r, doc, steps, raise_at):
         grid = build_grid(0.0, math.pi, N)
         k = r * grid.h
@@ -1208,6 +1213,26 @@ class TestLockstep:
             first, *_, last = manual_levels(config, forced_problem(), grid, 20)
             assert np.array_equal(bits(solo.states),
                                   bits(np.stack([first.values[:, 0], last.values[:, 0]])))
+
+    def test_a_halted_members_finish_is_skipped_on_the_sweep_path(self, monkeypatch):
+        # fd13 and fd33 share a lane (P_T of one length) and solve by band sweeps at N = 400;
+        # fd13 fails the check at level 192, is re-stepped from 128 and halts at 187, and
+        # its factor is solved no more after that while fd33 runs on to level 424
+        grid = build_grid(0.0, math.pi, 400)
+        configs = tuple(config_for("fdST", 9 * grid.h, orders) for orders in ((1, 3), (3, 3)))
+        solo = [solve_evolution(sample_problem(), grid, (c,), 30.0)[0] for c in configs]
+        solves, solve = {}, schemes.linalg.solve_banded
+        def counted(fact, rhs):
+            solves[fact.kl, fact.ku] = solves.get((fact.kl, fact.ku), 0) + 1
+            return solve(fact, rhs)
+        monkeypatch.setattr(schemes.linalg, "solve_banded", counted)
+        ends = solve_evolution(sample_problem(), grid, configs, 30.0)
+        for end, want in zip(ends, solo):
+            assert end.blow_up_index == want.blow_up_index
+            assert np.array_equal(bits(end.times), bits(want.times))
+            assert np.array_equal(bits(end.states), bits(want.states))
+        assert [end.blow_up_index for end in ends] == [187, None]
+        assert solves == {(3, 1): 192 + 59, (5, 3): 424 + 64}  # Q_1's band, Q_3's band
 
     def test_members_need_one_time_step(self):
         grid = build_grid(0.0, math.pi, 12)
