@@ -250,16 +250,9 @@ def _cmd_stability(args) -> int:
 
 
 def _empirical_radius(N: int, h: float, k: float, gamma_max: float) -> float:
-    problem = DampedWaveProblem(
-        domain=(0.0, N * h),
-        gamma=lambda x: gamma_max,
-        g=lambda x, t: 0.0,
-        phi=lambda x: 0.0,
-        psi=lambda x: 0.0,
-        u_a=lambda t: 0.0,
-        u_b=lambda t: 0.0,
-        name="stability-probe",
-    )
+    zero = lambda *_: 0.0
+    problem = DampedWaveProblem(domain=(0.0, N * h), gamma=lambda x: gamma_max, g=zero, phi=zero,
+                                psi=zero, u_a=zero, u_b=zero, name="stability-probe")
     grid = build_grid(0.0, N * h, N)
     op = assemble_system(grid, problem)
     stepper = make_stepper(config_for("fd11", k), op, grid, problem)
@@ -273,16 +266,8 @@ def _cmd_convergence(args) -> int:
     problem = _resolve_problem(args.problem)
     if problem.exact is None:
         return _fail("convergence needs a problem with an exact solution", EXIT_USAGE)
-    report = harness.observed_order(
-        problem,
-        args.scheme,
-        args.axis,
-        args.base_k,
-        args.base_N,
-        args.levels,
-        args.t_eval,
-        _parse_pade(args),
-    )
+    report = harness.observed_order(problem, args.scheme, args.axis, args.base_k, args.base_N,
+                                    args.levels, args.t_eval, _parse_pade(args))
     # the first level, and any pair with a blown-up level, has no order
     orders = [""] + [float(o) if math.isfinite(o) else "" for o in report.orders]
     for j, order in enumerate(orders):
@@ -295,6 +280,11 @@ def _cmd_convergence(args) -> int:
     levels = range(len(orders))
     table = harness.Table.from_columns(columns, levels, report.levels, report.max_errors, orders)
     harness.write_csv(table, args.out)
+    stall = next((j for j, o in enumerate(report.orders) if not o >= 0.5), None)
+    if stall is not None:  # most likely where the fixed axis's error dominates
+        fixed = f"N={args.base_N}" if report.axis == "time" else f"k={args.base_k!r}"
+        print(f"dampwave: note: the error stops falling from level {stall} to {stall + 1} (order "
+              f"{report.orders[stall]:.3f}); the fixed {fixed} may limit it", file=sys.stderr)
     return EXIT_OK
 
 

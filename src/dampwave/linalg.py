@@ -88,7 +88,7 @@ class BandedFactorization:
     lu: np.ndarray  # gbtrf's Fortran-ordered array: U in rows :kl + ku + 1, multipliers below
     ipiv: np.ndarray  # 0-based: step j swapped rows j and ipiv[j]
     # solve_banded's: [None] after the first solve at n >= SWEEP_MIN_N, then [(perm, lower)],
-    # or [()] where L' is wider than SWEEP_MAX_WIDTH
+    # or [()] where L' is wider than SWEEP_MAX_WIDTH; then (order, order[perm]) for its order
     sweeps: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
@@ -159,20 +159,25 @@ def _sweep_form(fact: BandedFactorization) -> Optional[tuple]:
     return fact.sweeps[0]
 
 
-def solve_banded(fact: BandedFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve (original matrix) x = rhs using the stored factorization."""
+def solve_banded(fact: BandedFactorization, rhs: np.ndarray, order=None) -> np.ndarray:
+    """Solve (original matrix) x = rhs using the stored factorization, or x = rhs[order] for
+    an index array order, which the sweeps gather in one pass with their own."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (fact.n,):
         raise ValueError(f"expected rhs of length {fact.n}, got shape {rhs.shape}")
     form = _sweep_form(fact) if fact.n >= SWEEP_MIN_N else None
     if form:
         perm, lower = form
+        if order is not None:  # rhs[order][perm] is rhs[order[perm]], composed once an order
+            if fact.sweeps[-1][0] is not order:
+                fact.sweeps[1:] = [(order, order[perm])]
+            perm = fact.sweeps[1][1]
         x = rhs[perm]
         _TBSV(len(lower) - 1, lower, x, lower=1, diag=1, overwrite_x=1)
         _TBSV(fact.kl + fact.ku, fact.lu, x, overwrite_x=1)
         if np.isfinite(x).all():  # else gbtrs gives a diverging run's bytes
             return x
-    x, info = _GBTRS(fact.lu, fact.kl, fact.ku, rhs, fact.ipiv)
+    x, info = _GBTRS(fact.lu, fact.kl, fact.ku, rhs if order is None else rhs[order], fact.ipiv)
     if info != 0:
         raise ValueError(f"banded solve failed with info={info}")
     return x

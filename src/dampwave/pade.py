@@ -71,27 +71,23 @@ def pade_coefficients(S: int, T: int) -> RationalApproximant:
     return RationalApproximant(S=S, T=T, p_coeffs=p, q_coeffs=q, leading_error=lead)
 
 
-def _is_one(c) -> bool:
-    return not isinstance(c, np.ndarray) and c == 1.0
-
-
 def apply_poly(coeffs: Sequence, op: BlockOperator, k: float, v: np.ndarray) -> np.ndarray:
     """Evaluate sum_j coeffs[j] (k M)^j v by Horner's rule, each M-product taken in block
     form, M [u; w] = [w; A u / h^2 - Gamma w]: O(N) work, no densification. A coefficient
-    of exactly 1 (every Pade numerator's p_0, fd01's p_1) adds v itself, unmultiplied: the
-    same bits, as 1.0 * x == x. v is never written; the result is a new array.
+    of None is exactly 1 (a lane's resolved ones, `schemes`) and adds v itself, unmultiplied,
+    as 1.0 * x == x. v is never written; the result is a new array unless coeffs is (None,).
 
     v carries a trailing member axis, (2n, m) for the m members of a lane (see `schemes`);
     op's damping is then (n, m), and a coefficient is a float or an array shaped like v."""
     n = op.n_interior
-    acc = v if _is_one(coeffs[-1]) and len(coeffs) > 1 else coeffs[-1] * v
+    acc = v if coeffs[-1] is None else coeffs[-1] * v
     for c in reversed(coeffs[:-1]):
-        out = np.empty_like(acc)
+        out = np.empty(acc.shape)
         out[:n] = acc[n:]
         lap = second_difference(acc[:n], out=out[n:])
         lap *= op.inv_h2
         lap -= op.damping * acc[n:]
         out *= k
-        out += v if _is_one(c) else c * v
+        out += v if c is None else c * v
         acc = out
     return acc

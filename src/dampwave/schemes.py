@@ -53,49 +53,47 @@ Every scheme runs behind one stepper protocol, as a member of a lane (below):
   once, `carry` holds W_n = V^n + (k/2) F(t_n) for the semigroup family, None
   on V^0, and for a baseline lane an entry per member: B(t_n) for oifd, whose
   u^1 level carries the B(k) of its ghost start, None on u^0 and for oefd.
-  A source returns None for an all-zero term (so an unforced semigroup step
-  is one bare R(Mk) W_n), which adds nothing;
+  A source returns None for an all-zero term, which adds nothing;
 * `solve_evolution` owns the only time loop and its blow-up bookkeeping. It
   maps a tuple of configs to a tuple of trajectories with the start and last
   levels (a blown-up run ends at its first non-finite one), and hands every
   level to `on_block` in checked runs of one reused buffer per lane. It
-  checks every CHECK_EVERY levels and the last:
-  a non-finite entry persists at every later level, as every coefficient and
-  pivot is finite and NaN and inf spread through +, * and the banded solve.
-  A failed check, or a step that raises, rewinds to the last level that
-  passed and steps on checking every level. The rewind reuses that level's
-  arrays, so no step writes into the arrays of the state it is given.
+  checks every CHECK_EVERY levels and the last, and steps lane by lane from
+  one check to the next: a non-finite entry persists at every later level, as
+  every coefficient and pivot is finite and NaN and inf spread through +, *
+  and the banded solve. A failed check, or a step that raises, rewinds to the
+  last level that passed and steps on checking every level. The rewind reuses
+  that level's arrays, so no step writes into the arrays of the state it is
+  given.
 
 The schemes of one solve run in lockstep: `solve_evolution` steps its configs,
 at one k, as lanes of members that share array ops, semigroup members whose
-numerators have one length (fd01 and fd11) and the baselines (oefd and oifd,
-through `_baseline_rhs`). A lane stacks its members' states along a trailing
-member axis, node-major and member-minor, (2n, m) or (n, m), so that one numpy
-call serves every member; `v[1:]` and `v[:-1]` stay contiguous and
+numerators have one length (fd01 and fd11) and the baselines (oefd and oifd).
+A lane stacks its members' states along a trailing member axis, node-major and
+member-minor, (2n, m) or (n, m), so that one numpy call serves every member;
 `second_difference` keeps its first-axis form. Coefficients that differ
 between members are pre-expanded to the full array shape, as a broadcast
 (m,) or (n, 1) operand costs about three contiguous ones. A lane's `members`
 holds a `Member` record per column: its finish (a Q_S solve in the lane's
 interleaved order, oifd's solve, oefd's divide) and a baseline's forcing
-source. Each member keeps its own blow-up: a failed check rewinds every lane
-and checks every member at each level from then on, so that each halts at the
-level, and with the state, of its solo run. Lanes are built once per solve and
-kept to its end: a halted member's record becomes None and its column rides
-along unread, with no finish or forcing; a lane of halted members is no longer
-stepped. A solo run is the one-member lane, whose record `make_stepper` makes.
+source. A lane binds once, on its first step, what every level would
+otherwise re-decide, in its `bound`: P_T with its exact ones resolved, a
+steady source's value (an all-zero one dropped) and each live member's finish
+as a (column, finish) entry, by kind. Each member keeps its own blow-up:
+a failed check rewinds every lane and checks every member at each level from
+then on, so that each halts at the level, and with the state, of its solo
+run. A halt rebinds its lane, with that member's record None: its column
+rides along unread, with no finish or forcing, and a lane of halted members
+is no longer stepped. A solo run is the one-member lane `make_stepper` makes.
 
 Q_S(Mk) is built once per stepper straight in band storage, in the
 interleaved ordering (u_1, w_1, u_2, w_2, ...): Horner's rule over kM's four
 diagonals (offsets -3, -1, 0, 1) gives (kl, ku) = (3, 1), (3, 2), (5, 3),
-(5, 4) for S = 1..4. It is LU-factored once (gbtrf), and each step solves
-with the factor in O(N): by LAPACK gbtrs below `linalg.SWEEP_MIN_N` unknowns
-(every paper-repro system) and at a factor's first solve, and from its second
-solve on by one gather and two BLAS band sweeps on the factor with its row
-interchanges replayed, 1.7-1.8x faster than gbtrs from n ≈ 1600 (the
-crossover is n ≈ 100-150). Both forms give gbtrs's bits, as `linalg` explains;
-the replay waits for the second solve so that neither set-up nor oifd's one
-ghost-start solve pays for it. oifd's tridiagonal left-hand side is solved the
-same way.
+(5, 4) for S = 1..4. It is LU-factored once (gbtrf) and solved once a step in
+O(N), with gbtrs or, at `linalg.SWEEP_MIN_N` unknowns and more, by two BLAS
+band sweeps with gbtrs's bits (`linalg`), which gather the right-hand side
+once in the interleaved and the factor's row order together. oifd's
+tridiagonal left-hand side is solved the same way.
 """
 
 from __future__ import annotations
@@ -103,6 +101,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -238,10 +237,6 @@ def _banded_poly(coeffs, op: BlockOperator, k: float) -> linalg.BandedMatrix:
     return linalg.BandedMatrix(n=size, kl=kl, ku=ku, ab=ab)
 
 
-# A lane's coefficients are a float where its members agree, and otherwise pre-expanded
-# to its state's shape; `members` holds what each column does on its own, None once halted.
-
-
 class Member(NamedTuple):
     # a baseline's (t, B(t) or None) -> (lap_coeff B(t) for oefd, lap_coeff (B(t + k) + B(t))
     # for oifd; k^2 g(., t); B(t + k) for oifd, None for oefd), an all-zero B or g term None
@@ -258,7 +253,18 @@ class SemigroupStepper:
     p: tuple  # P_T's coefficients
     perm: np.ndarray  # the interleaved order of the unknowns a Q_S factor solves for
     source: Callable  # t -> (k/2) F(t), None when F(t) is all zero
+    steady: bool  # the problem's: source returns one value, made once
     members: Sequence[Optional[Member]]
+
+    @cached_property
+    def bound(self) -> tuple:
+        """P_T with its exact ones None, the source (None when steady), a steady (k/2) F and
+        (column, Q_S factor) per live member: what a step reads, bound once a lane."""
+        poly = self.p if len(self.p) == 1 else tuple(
+            None if isinstance(c, float) and c == 1.0 else c for c in self.p)
+        return (poly, None if self.steady else self.source,
+                self.source(0.0) if self.steady else None,
+                tuple((j, m.finish) for j, m in enumerate(self.members) if m and m.finish))
 
 
 @dataclass(frozen=True)
@@ -267,7 +273,18 @@ class BaselineStepper:
     start: tuple[StateVector, ...]  # (u^0, u^1)
     prev_coeff: np.ndarray  # gamma k/2 - 1, the factor on u^{n-1}
     lap_coeff: Union[float, np.ndarray]  # r^2 (oefd) or r^2/2 (oifd), the factor on A u^n and B
+    steady: bool  # the problem's: each source returns one value, made once
     members: Sequence[Optional[Member]]
+
+    @cached_property
+    def bound(self) -> tuple:
+        """(column, source, terms) per live member with forcing (a steady one's source None, its
+        terms its B and g), and (column, finish) per live oefd (a divisor) and oifd (a factor)."""
+        live = [(j, m) for j, m in enumerate(self.members) if m is not None]
+        adds = [(j, None, m.source(0.0)[:2]) if self.steady else (j, m.source, ()) for j, m in live]
+        return (tuple(a for a in adds if a[1] or any(x is not None for x in a[2])),
+                tuple((j, m.finish) for j, m in live if isinstance(m.finish, np.ndarray)),
+                tuple((j, m.finish) for j, m in live if not isinstance(m.finish, np.ndarray)))
 
 
 Stepper = Union[SemigroupStepper, BaselineStepper]
@@ -364,7 +381,7 @@ def make_stepper(
             (StateVector(0.0, np.concatenate([phi, psi])[:, None]),), approx.p_floats,
             np.arange(op.size).reshape(2, -1).T.ravel(), _bind(
                 problem, lambda t: _nonzero(k / 2.0 * forcing_vector(problem, grid, t)[:, None])),
-            [Member(None, q_fact)])
+            problem.steady, (Member(None, q_fact),))
 
     gamma, k2 = op.damping, _square(k)
     lhs = 1.0 + gamma * k / 2.0
@@ -389,70 +406,81 @@ def make_stepper(
     u0 = phi[:, None]
     start = (StateVector(0.0, u0, carry=(None,)), StateVector(k, u1[:, None], u0, carry=(b_k,)))
     return BaselineStepper(config, start, (gamma * k / 2.0 - 1.0)[:, None], lap_coeff,
-                           [Member(source, finish)])
+                           problem.steady, (Member(source, finish),))
 
 
 def amplify(stepper: SemigroupStepper, v: np.ndarray) -> np.ndarray:
-    """R(kM) v = Q_S(kM)^{-1} P_T(kM) v, each member's finish (its Q_S solve) on its own column
-    of v (none on a halted one's; ValueError unless v has a column per member); `stability
-    --empirical` applies a one-member lane to the sine-mode planes to measure its radius."""
-    rhs, n = apply_poly(stepper.p, stepper.op, stepper.config.k, v), stepper.op.n_interior
-    for member, col in zip(stepper.members, rhs.reshape(len(rhs), len(stepper.members)).T):
-        if member is not None and member.finish is not None:  # x is (u_1, w_1, u_2, w_2, ...)
-            x = linalg.solve_banded(member.finish, col[stepper.perm])
-            col[:n], col[n:] = x[0::2], x[1::2]
+    """R(kM) v = Q_S(kM)^{-1} P_T(kM) v, each live member's finish (its Q_S solve) on its own
+    column of v (ValueError unless v has a column per member); `stability --empirical`
+    applies a one-member lane to the sine-mode planes to measure its radius."""
+    poly, _, _, finishes = stepper.bound
+    rhs = apply_poly(poly, stepper.op, stepper.config.k, v)
+    rhs.reshape(len(v), len(stepper.members))  # raises unless v has a column per member
+    for j, fact in finishes:  # solved for (u_1, w_1, u_2, w_2, ...)
+        col = rhs[:, j]
+        x = linalg.solve_banded(fact, col, stepper.perm)
+        if len(x) < linalg.SWEEP_MIN_N:  # one scatter by perm; two strided copies from there
+            col[stepper.perm] = x
+        else:
+            col.reshape(2, -1)[...] = x.reshape(-1, 2).T
     return rhs
-
-
-def _plus(v: np.ndarray, half_kf: Optional[np.ndarray]) -> np.ndarray:
-    return v if half_kf is None else v + half_kf
 
 
 def step_semigroup(stepper: SemigroupStepper, state: StateVector) -> StateVector:
     """One (S, T) step, V_{n+1} = R(kM) W_n + (k/2)F_{n+1} with W_n = V_n + (k/2)F_n
     from state.carry (made here when None); the result carries W_{n+1}."""
-    t_next = state.t + stepper.config.k
-    w = state.carry if state.carry is not None else _plus(state.values, stepper.source(state.t))
+    _, source, half_kf, _ = stepper.bound
+    t_next, w = state.t + stepper.config.k, state.carry
+    if w is None:  # V^0
+        w = _add_terms(state.values.copy(), half_kf if source is None else source(state.t))
     values = amplify(stepper, w)
-    half_kf = stepper.source(t_next)
+    if source is not None:
+        half_kf = source(t_next)
     if half_kf is not None:
         values += half_kf
-    return StateVector(t_next, values, None, _plus(values, half_kf))
-
-
-def _baseline_rhs(stepper: BaselineStepper, state: StateVector) -> np.ndarray:
-    """2u + lap_coeff A u + prev_coeff u^{n-1}, summed in that order in one new array that
-    starts as lap_coeff A u (IEEE addition commutes: the bits are the same)."""
-    u = state.values
-    rhs = second_difference(u)
-    rhs *= stepper.lap_coeff
-    rhs += 2.0 * u
-    rhs += stepper.prev_coeff * state.prev
-    return rhs
+    return StateVector(t_next, values, None, values if half_kf is None else values + half_kf)
 
 
 def step_baseline(stepper: BaselineStepper, state: StateVector) -> StateVector:
     """One baseline step, level n (with level n-1 in prev) -> n+1: the shared right-hand
-    side, then each live member's record's source and finish on its column (ValueError unless
-    state has one per member), a divide for oefd and a banded solve for oifd. oifd takes
+    side, each live member's forcing terms on its column (ValueError unless state has one per
+    member), then a divide for each oefd and a banded solve for each oifd. oifd takes
     B(t_n) from its carry entry when set; its result's entry carries B(t_{n+1})."""
-    rhs = _baseline_rhs(stepper, state)
-    carry = []
-    for member, b, col in zip(stepper.members, state.carry,
-                              rhs.reshape(len(rhs), len(stepper.members)).T):
-        if member is not None:  # a halted member's column rides along unread
-            b_term, g_term, b = member.source(state.t, b)
-            _add_terms(col, b_term, g_term)
-            if isinstance(member.finish, np.ndarray):
-                col /= member.finish
-            else:
-                col[...] = linalg.solve_banded(member.finish, col)
-        carry.append(b)
-    return StateVector(state.t + stepper.config.k, rhs, state.values, tuple(carry))
+    adds, divides, solves = stepper.bound
+    u = state.values
+    # 2u + lap_coeff A u + prev_coeff u^{n-1}, summed in that order in one new array that
+    # starts as lap_coeff A u (IEEE addition commutes: the bits are the same)
+    rhs = second_difference(u)
+    rhs.reshape(len(u), len(stepper.members))  # raises unless u has a column per member
+    rhs *= stepper.lap_coeff
+    rhs += 2.0 * u
+    rhs += stepper.prev_coeff * state.prev
+    carry = list(state.carry) if adds else state.carry
+    for j, source, terms in adds:
+        if source is not None:
+            *terms, carry[j] = source(state.t, carry[j])
+        _add_terms(rhs[:, j], *terms)
+    for j, d in divides:
+        col = rhs[:, j]
+        col /= d
+    for j, fact in solves:
+        rhs[:, j] = linalg.solve_banded(fact, rhs[:, j])
+    return StateVector(state.t + stepper.config.k, rhs, u, tuple(carry))
 
 
 # the names solve_evolution steps each kind by (the benchmark's tracer patches all three)
 step_oefd = step_oifd = step_baseline
+
+
+def _advance(step: Callable, lane: Stepper, state: StateVector, levels: range,
+             buf: Optional[np.ndarray], first: int) -> StateVector:
+    """state moved through levels by step (a start level taken as it is), into buf's rows."""
+    begin = len(lane.start)
+    for level in levels:
+        state = step(lane, state) if level >= begin else lane.start[level]
+        if buf is not None:
+            buf[level - first] = state.values
+    return state
 
 
 def _lockstep(lanes: Sequence[Stepper]) -> Stepper:
@@ -483,7 +511,7 @@ def _lockstep(lanes: Sequence[Stepper]) -> Stepper:
         damping = per_member([s.op.damping for s in lanes], first.op.damping)
         coeffs = dict(op=dataclasses.replace(first.op, damping=damping),
                       p=tuple(per_member(c, u0) for c in zip(*(s.p for s in lanes))))
-    return dataclasses.replace(first, start=start, members=[s.members[0] for s in lanes],
+    return dataclasses.replace(first, start=start, members=tuple(s.members[0] for s in lanes),
                                **coeffs)
 
 
@@ -549,33 +577,32 @@ def solve_evolution(
         place = sorted((i, lane, j) for lane, members in enumerate(ids)
                        for j, i in enumerate(members))  # member i is column j of its lane
         lanes = [_lockstep([solo[i] for i in members]) for members in ids]
-        states = [s.start[0] for s in lanes]
         rows = min(block, n_steps) + 1
         try:
-            bufs = [] if on_block is None else [np.empty((rows,) + s.values.shape) for s in states]
+            bufs = [None if on_block is None else np.empty((rows,) + s.start[0].values.shape)
+                    for s in lanes]
         except MemoryError as exc:
             raise ValueError(f"cannot hold {rows} snapshots ({exc})") from None
-        for buf, state in zip(bufs, states):
-            buf[0] = state.values
+        # level 0, a start level of every lane, in row 0
+        states = [_advance(None, s, None, range(1), buf, 0) for s, buf in zip(lanes, bufs)]
         level, first, halts = 0, 0, {}  # first: the next level to hand over, in row 0
         checked = (level, states)  # the last level that passed a check; level 0 is never checked
         spacing = CHECK_EVERY
         while level < n_steps and len(halts) < len(solo):
-            level += 1
-            try:  # a lane whose members have all halted is not stepped
-                states = [s.start[level] if level < len(s.start) else
-                          step[s.config.kind](s, state) if any(s.members) else state
-                          for s, state in zip(lanes, states)]
+            # lane by lane to the next check, at a multiple of spacing or block or the last
+            # level; a lane whose members have all halted is not stepped
+            stop = min(n_steps, (level // spacing + 1) * spacing, (level // block + 1) * block)
+            try:
+                states = [_advance(step[s.config.kind], s, state, range(level + 1, stop + 1),
+                                   buf, first) if any(s.members) else state
+                          for s, state, buf in zip(lanes, states, bufs)]
             except Exception:
                 if spacing == 1:
                     raise
                 # whatever it is, it may come from a level past an unchecked blow-up
                 (level, states), spacing = checked, 1
                 continue
-            for buf, state in zip(bufs, states):
-                buf[level - first] = state.values
-            if level % spacing and level % block and level < n_steps:
-                continue
+            level = stop
             finite = [np.isfinite(state.values).all(axis=0) for state in states]
             failed = [(i, lane, j) for i, lane, j in place
                       if lanes[lane].members[j] is not None and not finite[lane][j]]
@@ -590,9 +617,11 @@ def solve_evolution(
                 first = level + 1
             # checked at every level since the rewind, so no rewind follows: each member
             # halts as it does solo, and rides along in its lane with its finish skipped
-            for i, lane, j in failed:
+            for i, lane, j in failed:  # rebinds the lane
                 halts[i] = (level, states[lane].values[:, j])
-                lanes[lane].members[j] = None
+                members = lanes[lane].members
+                lanes[lane] = dataclasses.replace(
+                    lanes[lane], members=members[:j] + (None,) + members[j + 1:])
             checked = (level, states)
 
     # the loop ends on a check: the last level passed it, or the run blew up there

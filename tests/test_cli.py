@@ -507,6 +507,29 @@ class TestConvergence:
         assert message in capsys.readouterr().err
         assert solves == [] and not out.exists()
 
+    def test_a_flat_order_gets_one_note(self, tmp_path, capsys):
+        # at N=40 the space error floors the time study from level 1 on: stdout, the CSV and
+        # the exit code are as without the note
+        code = run_command(["convergence", "--scheme", "fd11", "--axis", "time",
+                            "--base-k", "0.1", "--base-N", "40", "--levels", "4",
+                            "--t-eval", "0.5", "--out", str(tmp_path / "conv.csv")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert [line.rsplit("order=", 1)[1] for line in captured.out.splitlines()] == [
+            "-", "3.141", "0.069", "-0.597"]
+        assert captured.err == ("dampwave: note: the error stops falling from level 1 to 2 "
+                                "(order 0.069); the fixed N=40 may limit it\n")
+        assert [f"{float(row[3]):.3f}" for row in read_csv(tmp_path / "conv.csv")[1][1:]] == [
+            "3.141", "0.069", "-0.597"]
+
+    def test_a_converging_study_gets_no_note(self, tmp_path, capsys):
+        # the CI step's study, orders about 2
+        code = run_command(["convergence", "--scheme", "fd11", "--axis", "time",
+                            "--base-k", "0.1", "--base-N", "200", "--levels", "3",
+                            "--t-eval", "1", "--out", str(tmp_path / "conv.csv")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_level_off_t_eval_exits_2(self, tmp_path, capsys):
         code = run_command(["convergence", "--scheme", "fd11", "--axis", "time",
                             "--base-k", "0.1", "--base-N", "40", "--levels", "4",

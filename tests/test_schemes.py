@@ -1169,6 +1169,10 @@ class TestLockstep:
              steps=700, raise_at=634)
     @example(members=LOCKSTEP_SCHEMES[:2], N=50, r=1.59, doc=SAMPLE_DOC, steps=700,
              raise_at=634)
+    # the four table schemes: oefd halts at 379 and fd01 at 623, each rebinding its lane,
+    # while oifd and fd11 run on in those lanes
+    @example(members=[LOCKSTEP_SCHEMES[i] for i in (3, 4, 0, 1)], N=50, r=1.59,
+             doc=SAMPLE_DOC, steps=700, raise_at=None)
     # systems of n >= SWEEP_MIN_N unknowns, solved by band sweeps from their second solve
     @example(members=LOCKSTEP_SCHEMES[:2], N=300, r=0.5, doc=FORCED_DOC, steps=130,
              raise_at=None)
@@ -1222,9 +1226,9 @@ class TestLockstep:
         configs = tuple(config_for("fdST", 9 * grid.h, orders) for orders in ((1, 3), (3, 3)))
         solo = [solve_evolution(sample_problem(), grid, (c,), 30.0)[0] for c in configs]
         solves, solve = {}, schemes.linalg.solve_banded
-        def counted(fact, rhs):
+        def counted(fact, *args):
             solves[fact.kl, fact.ku] = solves.get((fact.kl, fact.ku), 0) + 1
-            return solve(fact, rhs)
+            return solve(fact, *args)
         monkeypatch.setattr(schemes.linalg, "solve_banded", counted)
         ends = solve_evolution(sample_problem(), grid, configs, 30.0)
         for end, want in zip(ends, solo):
@@ -1252,3 +1256,88 @@ class TestLockstep:
         grid = build_grid(0.0, math.pi, 12)
         solve_evolution(sample_problem(), grid, tuple(config_for(n, 0.05) for n in names), 0.5)
         assert calls == [2] * (10 if names[0] == "fd01" else 9)
+
+
+class TestDispatchBudget:
+    """The per-level work of a lockstep solve of the four table schemes at N=50, counted at
+    the names the bench tracer patches: one step per lane and level, one apply_poly per
+    semigroup level, one solve per live implicit member and level, and no per-level forcing
+    on the steady sample problem."""
+
+    TABLE = (("oefd", None), ("oifd", None), ("fd01", None), ("fd11", None))
+
+    def run(self, monkeypatch, members, r, steps):
+        """Solve members on the sample problem at N=50 to level steps. Returns the
+        trajectories, a [lane label, level, ids of its live members' factors, ids of the
+        factors solved, apply_poly calls] record per step call, and the number of calls of
+        the forcing sources `schemes._bind` makes and of the functions they evaluate."""
+        grid = build_grid(0.0, math.pi, 50)
+        k = r * grid.h
+        calls, forcing = [], []
+
+        def wrap(module, name, record):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                record(*args)
+                return fn(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        def step(lane, state):
+            live = [id(m.finish) for m in lane.members if m is not None
+                    and isinstance(m.finish, schemes.linalg.BandedFactorization)]
+            calls.append([lane.config.label, round(state.t / k) + 1, live, [], 0])
+
+        def solve(fact, *_):
+            if calls:  # not oifd's ghost start, solved in make_stepper
+                calls[-1][3].append(id(fact))
+
+        def poly(*_):
+            calls[-1][4] += 1
+
+        for name in ("step_semigroup", "step_oefd", "step_oifd"):
+            wrap(schemes, name, step)
+        wrap(schemes, "apply_poly", poly)
+        wrap(schemes.linalg, "solve_banded", solve)
+        for name in ("forcing_vector", "boundary_vector", "sample"):
+            wrap(schemes, name, lambda *_: forcing.append(name))
+        bind = schemes._bind
+
+        def counted_bind(problem, terms):
+            source = bind(problem, terms)
+
+            def counted_source(*args):
+                forcing.append("source")
+                return source(*args)
+            return counted_source
+        monkeypatch.setattr(schemes, "_bind", counted_bind)
+        configs = tuple(config_for(name, k, orders) for name, orders in members)
+        ends = solve_evolution(sample_problem(), grid, configs, (steps + 0.25) * k)
+        return ends, calls, len(forcing)
+
+    def test_one_step_per_lane_and_level(self, monkeypatch):
+        ends, calls, _ = self.run(monkeypatch, self.TABLE, 0.5, 200)
+        assert [end.blow_up_index for end in ends] == [None] * 4
+        # the baselines' lane steps from u^1 on, and is named by its first member's kind
+        assert [level for lane, level, *_ in calls if lane == "fd01"] == list(range(1, 201))
+        assert [level for lane, level, *_ in calls if lane == "oefd"] == list(range(2, 201))
+        assert len(calls) == 200 + 199
+        for lane, _, live, solved, polys in calls:
+            assert polys == (lane == "fd01")  # one apply_poly per semigroup level
+            assert sorted(solved) == sorted(live) and len(live) == 1  # fd11's, or oifd's
+
+    def test_no_solve_after_a_members_halt(self, monkeypatch):
+        # at r=9, oefd halts at 141, fdST 1,3 at 189 and fd01 at 259, each rebinding its
+        # lane; fdST 3,3 shares fdST 1,3's lane, and runs on with oifd and fd11
+        members = self.TABLE + (("fdST", (1, 3)), ("fdST", (3, 3)))
+        ends, calls, _ = self.run(monkeypatch, members, 9.0, 300)
+        assert [end.blow_up_index for end in ends] == [141, None, 259, None, 189, None]
+        for _, _, live, solved, _ in calls:
+            assert sorted(solved) == sorted(live)  # once per live implicit member
+        # the levels fdST 3,3's lane steps with fdST 1,3's factor unsolved
+        assert [level for lane, level, live, *_ in calls
+                if lane == "fd13" and len(live) == 1] == list(range(190, 301))
+
+    def test_a_steady_source_is_not_evaluated_per_level(self, monkeypatch):
+        counts = [self.run(monkeypatch, self.TABLE, 0.5, steps)[2] for steps in (20, 200)]
+        assert counts[0] == counts[1]
