@@ -61,10 +61,10 @@ Every scheme runs behind one stepper protocol, as a member of a lane (below):
   checks every CHECK_EVERY levels and the last, and steps lane by lane from
   one check to the next: a non-finite entry persists at every later level, as
   every coefficient and pivot is finite and NaN and inf spread through +, *
-  and the banded solve. A failed check, or a step that raises, rewinds to the
-  last level that passed and steps on checking every level. The rewind reuses
-  that level's arrays, so no step writes into the arrays of the state it is
-  given.
+  and the banded solve. A failed check, or a span of steps that raises, rewinds
+  to the last level that passed and checks every level up to the end of that
+  span, after which the checks are spaced again. The rewind reuses that level's
+  arrays, so no step writes into the arrays of the state it is given.
 
 The schemes of one solve run in lockstep: `solve_evolution` steps its configs,
 at one k, as lanes of members that share array ops, semigroup members whose
@@ -80,8 +80,8 @@ source. A lane binds once, on its first step, what every level would
 otherwise re-decide, in its `bound`: P_T with its exact ones resolved, a
 steady source's value (an all-zero one dropped) and each live member's finish
 as a (column, finish) entry, by kind. Each member keeps its own blow-up:
-a failed check rewinds every lane and checks every member at each level from
-then on, so that each halts at the level, and with the state, of its solo
+a failed check rewinds every lane and checks every member at each level up to
+that check, so that each halts at the level, and with the state, of its solo
 run. A halt rebinds its lane, with that member's record None: its column
 rides along unread, with no finish or forcing, and a lane of halted members
 is no longer stepped. A solo run is the one-member lane `make_stepper` makes.
@@ -121,9 +121,9 @@ from .problems import DampedWaveProblem
 
 MAX_STEPS = 10_000_000
 
-#: levels between blow-up checks in solve_evolution (every level after a failed one)
+#: levels between solve_evolution's blow-up checks and on_block hand-overs (one level at a
+#: time after a failed check, up to that check)
 CHECK_EVERY = 64
-LEVEL_BLOCK = 4 * CHECK_EVERY  # most levels in a run handed to solve_evolution's on_block
 
 KINDS = ("semigroup", "oefd", "oifd")
 
@@ -553,15 +553,13 @@ def solve_evolution(
     bit, of the start and last levels.
 
     on_block(first_level, blocks) gets every level once, in order, in runs that end at
-    multiples of LEVEL_BLOCK // m, the last level or a blow-up level, each handed over under
-    the caller's np.geterr() once it has passed a check: blocks has each config's rows, none
-    past its blow-up, each a view of its lane's one buffer, so that the (rows, size, m) lane
-    buffers hold no more than a solo run's."""
+    multiples of CHECK_EVERY, the last level or a blow-up level, each handed over under the
+    caller's np.geterr() once it has passed a check: blocks has each config's rows, none
+    past its blow-up, each a view of its lane's one (CHECK_EVERY + 1, size, m) buffer."""
     if len({c.k for c in configs}) != 1:
         raise ValueError(f"a lockstep run needs one time step, got k = {[c.k for c in configs]}")
     k = configs[0].k
     n_steps = num_steps(t_final, k)
-    block = max(LEVEL_BLOCK // len(configs), 1)
     caller_err = np.geterr()
 
     # set-up too, so that an overflow there is a non-finite start level, a blow-up at
@@ -577,7 +575,7 @@ def solve_evolution(
         place = sorted((i, lane, j) for lane, members in enumerate(ids)
                        for j, i in enumerate(members))  # member i is column j of its lane
         lanes = [_lockstep([solo[i] for i in members]) for members in ids]
-        rows = min(block, n_steps) + 1
+        rows = min(CHECK_EVERY, n_steps) + 1
         try:
             bufs = [None if on_block is None else np.empty((rows,) + s.start[0].values.shape)
                     for s in lanes]
@@ -585,44 +583,40 @@ def solve_evolution(
             raise ValueError(f"cannot hold {rows} snapshots ({exc})") from None
         # level 0, a start level of every lane, in row 0
         states = [_advance(None, s, None, range(1), buf, 0) for s, buf in zip(lanes, bufs)]
-        level, first, halts = 0, 0, {}  # first: the next level to hand over, in row 0
-        checked = (level, states)  # the last level that passed a check; level 0 is never checked
-        spacing = CHECK_EVERY
-        while level < n_steps and len(halts) < len(solo):
-            # lane by lane to the next check, at a multiple of spacing or block or the last
-            # level; a lane whose members have all halted is not stepped
-            stop = min(n_steps, (level // spacing + 1) * spacing, (level // block + 1) * block)
+        level, first, halts, recheck = 0, 0, {}, 0  # first: the next level to hand over, in row 0
+        while level < n_steps and len(halts) < len(solo):  # level is 0 or has passed a check
+            # lane by lane to the next check: the next level up to recheck, else the next
+            # multiple of CHECK_EVERY or the last; a lane of halted members is not stepped
+            stop = level + 1 if level < recheck else min(
+                n_steps, (level // CHECK_EVERY + 1) * CHECK_EVERY)
             try:
-                states = [_advance(step[s.config.kind], s, state, range(level + 1, stop + 1),
-                                   buf, first) if any(s.members) else state
-                          for s, state, buf in zip(lanes, states, bufs)]
+                ahead = [_advance(step[s.config.kind], s, state, range(level + 1, stop + 1),
+                                  buf, first) if any(s.members) else state
+                         for s, state, buf in zip(lanes, states, bufs)]
             except Exception:
-                if spacing == 1:
+                if stop == level + 1:  # stepped from a level that passed its check
                     raise
-                # whatever it is, it may come from a level past an unchecked blow-up
-                (level, states), spacing = checked, 1
+                failed = place  # whatever it is, it may come from an unchecked blow-up
+            else:
+                finite = [np.isfinite(state.values).all(axis=0) for state in ahead]
+                failed = [(i, lane, j) for i, lane, j in place
+                          if lanes[lane].members[j] is not None and not finite[lane][j]]
+            if failed and stop > level + 1:  # rewind; each member halts as it does solo
+                recheck = stop
                 continue
-            level = stop
-            finite = [np.isfinite(state.values).all(axis=0) for state in states]
-            failed = [(i, lane, j) for i, lane, j in place
-                      if lanes[lane].members[j] is not None and not finite[lane][j]]
-            if failed and spacing > 1:
-                (level, states), spacing = checked, 1
-                continue
-            if on_block is not None and (failed or not level % block or level == n_steps):
+            level, states = stop, ahead
+            if on_block is not None and (failed or not level % CHECK_EVERY or level == n_steps):
                 blocks = tuple(bufs[lane][: 0 if i in halts else level - first + 1, :, j]
                                for i, lane, j in place)
                 with np.errstate(**caller_err):
                     on_block(first, blocks)
                 first = level + 1
-            # checked at every level since the rewind, so no rewind follows: each member
-            # halts as it does solo, and rides along in its lane with its finish skipped
+            # a halted member rides along in its lane with its finish skipped
             for i, lane, j in failed:  # rebinds the lane
                 halts[i] = (level, states[lane].values[:, j])
                 members = lanes[lane].members
                 lanes[lane] = dataclasses.replace(
                     lanes[lane], members=members[:j] + (None,) + members[j + 1:])
-            checked = (level, states)
 
     # the loop ends on a check: the last level passed it, or the run blew up there
     ends = [halts.get(i) or (level, states[lane].values[:, j]) for i, lane, j in place]

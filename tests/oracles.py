@@ -188,7 +188,7 @@ def solve_group_every_level(problem, grid, configs, t_final):
     def keep(first, blocks):
         assert len(blocks) == len(configs)
         for rows, states in zip(runs, blocks):
-            assert len(states) <= schemes.LEVEL_BLOCK // len(configs) + 1
+            assert len(states) <= schemes.CHECK_EVERY + 1
             if len(states):
                 assert first == sum(map(len, rows))
                 rows.append(states.copy())
