@@ -10,6 +10,7 @@ c_{S+T+1} theta^{S+T+1}.  Coefficients come from the classical closed form
 
 held as exact rationals; floats enter only when a polynomial is applied.
 Each (S, T) approximant, and its float coefficients, is built once per process.
+For S = 1 the exact split P_T = D Q_1 + rho, rho = P_T(T+1), gives R = D + rho/Q_1.
 """
 
 from __future__ import annotations
@@ -44,6 +45,17 @@ class RationalApproximant:
     @cached_property
     def q_floats(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self.q_coeffs)
+
+    @cached_property
+    def split(self) -> tuple[tuple[Fraction, ...], Fraction]:
+        """(D, rho), P_T = D Q_1 + rho for S = 1 (D = 0 for T = 0), D's coefficients ascending."""
+        if self.S != 1:
+            raise ValueError(f"only S = 1 splits over a single root, got S = {self.S}")
+        root, quotient = self.T + 1, [Fraction(0)]  # P_T / (theta - root), highest first
+        for c in reversed(self.p_coeffs[1:]):
+            quotient.append(c + root * quotient[-1])
+        d = tuple(-root * c for c in reversed(quotient[1:])) or (Fraction(0),)
+        return d, self.p_coeffs[0] + root * quotient[-1]
 
 
 def validate_orders(S: int, T: int) -> None:

@@ -61,39 +61,54 @@ Every scheme runs behind one stepper protocol, as a member of a lane (below):
   checks every CHECK_EVERY levels and the last, and steps lane by lane from
   one check to the next: a non-finite entry persists at every later level, as
   every coefficient and pivot is finite and NaN and inf spread through +, *
-  and the banded solve. A failed check, or a span of steps that raises, rewinds
+  and the solves. A failed check, or a span of steps that raises, rewinds
   to the last level that passed and checks every level up to the end of that
   span, after which the checks are spaced again. The rewind reuses that level's
   arrays, so no step writes into the arrays of the state it is given.
 
 The schemes of one solve run in lockstep: `solve_evolution` steps its configs,
 at one k, as lanes of members that share array ops, semigroup members whose
-numerators have one length (fd01 and fd11) and the baselines (oefd and oifd).
-A lane stacks its members' states along a trailing member axis, node-major and
-member-minor, (2n, m) or (n, m), so that one numpy call serves every member;
-`second_difference` keeps its first-axis form. Coefficients that differ
-between members are pre-expanded to the full array shape, as a broadcast
-(m,) or (n, 1) operand costs about three contiguous ones. A lane's `members`
-holds a `Member` record per column: its finish (a Q_S solve in the lane's
-interleaved order, oifd's solve, oefd's divide) and a baseline's forcing
-source. A lane binds once, on its first step, what every level would
-otherwise re-decide, in its `bound`: P_T with its exact ones resolved, a
-steady source's value (an all-zero one dropped) and each live member's finish
-as a (column, finish) entry, by kind. Each member keeps its own blow-up:
+shared passes (below) have one length, such as fd01 and fd11 on small grids,
+and the baselines (oefd and oifd). A lane stacks its members' states along a
+trailing member axis, node-major and member-minor, (2n, m) or (n, m), so that
+one numpy call serves every member; `second_difference` keeps its first-axis
+form. Coefficients that differ between members are pre-expanded to the full
+array shape, as a broadcast (m,) or (n, 1) operand costs about three
+contiguous ones. A lane's `members` holds a `Member` record per column: its
+finish (a Q_S solve in the lane's interleaved order, a `Resolvent`, oifd's
+solve, oefd's divide) and a baseline's forcing source. A lane binds once, on
+its first step, what every level would otherwise re-decide, in its `bound`:
+the shared pass with its exact ones resolved, a steady source's value (an
+all-zero one dropped) and each live member's finish as a (column, finish)
+entry, by kind. Each member keeps its own blow-up:
 a failed check rewinds every lane and checks every member at each level up to
 that check, so that each halts at the level, and with the state, of its solo
 run. A halt rebinds its lane, with that member's record None: its column
 rides along unread, with no finish or forcing, and a lane of halted members
 is no longer stepped. A solo run is the one-member lane `make_stepper` makes.
 
-Q_S(Mk) is built once per stepper straight in band storage, in the
-interleaved ordering (u_1, w_1, u_2, w_2, ...): Horner's rule over kM's four
-diagonals (offsets -3, -1, 0, 1) gives (kl, ku) = (3, 1), (3, 2), (5, 3),
-(5, 4) for S = 1..4. It is LU-factored once (gbtrf) and solved once a step in
-O(N), with gbtrs or, at `linalg.SWEEP_MIN_N` unknowns and more, by two BLAS
-band sweeps with gbtrs's bits (`linalg`), which gather the right-hand side
-once in the interleaved and the factor's row order together. oifd's
-tridiagonal left-hand side is solved the same way.
+An implicit step is one shared pass and one solve a member, factored once per
+stepper in one of two forms (`linalg`):
+
+* from TRIDIAGONAL_MIN_N interior nodes, S = 1 splits exactly as
+  R = D + rho/Q_1 (`pade`): the shared pass is D(kM) v and the finish adds
+  rho (I - cM)^{-1} v, c = k/(T + 1), acting on v, not on P_T(kM) v. Its
+  Schur complement divided by c,
+
+      (I/c + Gamma - (c/h^2) A) x_w = v_w/c + A v_u/h^2,   x_u = v_u + c x_w,
+
+  is SPD for gamma >= 0: one LDL^T per stepper, one solve of N - 1 unknowns a
+  step, and c^2/h^2 never formed. At N = 200 and r = 1e155 that overflows:
+  the undivided form exits 4 on fd11, dividing only the right-hand side by c
+  exits 0 with max|u| = 2.8e140, and this form gives 1.0000000000006 (the
+  banded solve 1.0000000000048). oifd's left-hand sides take the same factor;
+* otherwise Q_S(kM) is built in band storage in the interleaved ordering
+  (u_1, w_1, u_2, w_2, ...), by Horner's rule over kM's four diagonals, and
+  solved by gbtrf and gbtrs. S >= 2 stays here as partial fractions over Q_S's
+  roots lose digits as r grows (a prototype at N = 40 and r = 1e3, against a
+  40-digit reference: (2, 2) off by 1e-9, (4, 4) by 2e-5, gbtrs within 2e-12);
+  so do smaller grids, oifd's too, as Table 1 and Table 2 (N <= 50) are pinned
+  byte for byte under `bench/ref/` until ROADMAP item 6's re-capture.
 """
 
 from __future__ import annotations
@@ -120,6 +135,9 @@ from .pade import apply_poly, pade_coefficients, validate_orders
 from .problems import DampedWaveProblem
 
 MAX_STEPS = 10_000_000
+
+#: interior nodes from which S = 1 members and oifd solve one SPD tridiagonal system
+TRIDIAGONAL_MIN_N = 128
 
 #: levels between solve_evolution's blow-up checks and on_block hand-overs (one level at a
 #: time after a failed check, up to that check)
@@ -237,12 +255,20 @@ def _banded_poly(coeffs, op: BlockOperator, k: float) -> linalg.BandedMatrix:
     return linalg.BandedMatrix(n=size, kl=kl, ku=ku, ab=ab)
 
 
+class Resolvent(NamedTuple):
+    """rho (I - cM)^{-1}, c = k/(T + 1): a (1, T) member's finish on large grids (`schemes`)."""
+
+    rho: float
+    c: float
+    schur: linalg.TridiagonalFactorization  # of I/c + Gamma - (c/h^2) A
+
+
 class Member(NamedTuple):
     # a baseline's (t, B(t) or None) -> (lap_coeff B(t) for oefd, lap_coeff (B(t + k) + B(t))
     # for oifd; k^2 g(., t); B(t + k) for oifd, None for oefd), an all-zero B or g term None
     source: Optional[Callable]  # None in a semigroup lane, whose members share its source
-    # Q_S's factor (None when Q is the identity), oifd's left-hand side's, or oefd's divisor
-    finish: Union[linalg.BandedFactorization, np.ndarray, None]
+    # Q_S's banded factor (None when Q is I) or a Resolvent, oifd's factor, or oefd's divisor
+    finish: Union[linalg.Factorization, Resolvent, np.ndarray, None]
 
 
 @dataclass(frozen=True)
@@ -250,21 +276,24 @@ class SemigroupStepper:
     config: SchemeConfig
     op: BlockOperator  # a lane's damping is pre-expanded to (n, m)
     start: tuple[StateVector, ...]  # (V^0,)
-    p: tuple  # P_T's coefficients
-    perm: np.ndarray  # the interleaved order of the unknowns a Q_S factor solves for
+    p: tuple  # the shared pass's coefficients: P_T's, or D's for a Resolvent finish
+    perm: np.ndarray  # the interleaved order of the unknowns a banded Q_S factor solves for
     source: Callable  # t -> (k/2) F(t), None when F(t) is all zero
     steady: bool  # the problem's: source returns one value, made once
     members: Sequence[Optional[Member]]
 
     @cached_property
     def bound(self) -> tuple:
-        """P_T with its exact ones None, the source (None when steady), a steady (k/2) F and
-        (column, Q_S factor) per live member: what a step reads, bound once a lane."""
+        """The shared pass with its exact ones None, the source (None when steady), a steady
+        (k/2) F, and (column, finish) per live member by kind, (Q_S's banded factors,
+        Resolvents). What a step reads, bound once a lane."""
         poly = self.p if len(self.p) == 1 else tuple(
             None if isinstance(c, float) and c == 1.0 else c for c in self.p)
+        live = [(j, m.finish) for j, m in enumerate(self.members) if m and m.finish]
         return (poly, None if self.steady else self.source,
                 self.source(0.0) if self.steady else None,
-                tuple((j, m.finish) for j, m in enumerate(self.members) if m and m.finish))
+                (tuple((j, f) for j, f in live if not isinstance(f, Resolvent)),
+                 tuple((j, f) for j, f in live if isinstance(f, Resolvent))))
 
 
 @dataclass(frozen=True)
@@ -317,12 +346,13 @@ def startup_u1(
     return u0 + k * psi + 0.5 * _square(k) * (lap - gamma * psi + g0)
 
 
-def _oifd_factor(d: np.ndarray, half_r2: float) -> linalg.BandedFactorization:
-    """LU of diag(d) - (r^2/2) A, the tridiagonal left-hand side of every oifd level."""
-    off = np.full(len(d) - 1, -half_r2)
-    return linalg.lu_factor_banded(
-        linalg.BandedMatrix.from_tridiagonal(lower=off, diag=d + 2.0 * half_r2, upper=off)
-    )
+def _tridiagonal_factor(d: np.ndarray, a: float) -> linalg.Factorization:
+    """diag(d) - a A factored, SPD for d > 0 and a >= 0 (oifd's left-hand sides, a Resolvent's
+    Schur complement): LDL^T from TRIDIAGONAL_MIN_N nodes, banded LU below."""
+    off, diag = np.full(len(d) - 1, -a), d + 2.0 * a
+    if len(d) >= TRIDIAGONAL_MIN_N:
+        return linalg.factor_spd_tridiagonal(diag, off)
+    return linalg.lu_factor_banded(linalg.BandedMatrix.from_tridiagonal(off, diag, off))
 
 
 def _oifd_ghost_start(
@@ -338,7 +368,7 @@ def _oifd_ghost_start(
     """
     b_term, g_term, b_k = source(0.0)
     rhs = 2.0 * u0 + half_r2 * second_difference(u0) - 2.0 * k * (gamma * k / 2.0 - 1.0) * psi
-    u1 = linalg.solve_banded(_oifd_factor(np.full(len(u0), 2.0), half_r2),
+    u1 = linalg.solve_banded(_tridiagonal_factor(np.full(len(u0), 2.0), half_r2),
                              _add_terms(rhs, b_term, g_term))
     return u1, b_k
 
@@ -374,14 +404,20 @@ def make_stepper(
     phi, psi = sample(problem.phi, x), sample(problem.psi, x)
     if config.kind == "semigroup":
         approx = pade_coefficients(*config.orders)
-        q_fact = None if approx.S == 0 else linalg.lu_factor_banded(
-            _banded_poly(approx.q_floats, op, k))
+        p, finish = approx.p_floats, None
+        if approx.S == 1 and op.n_interior >= TRIDIAGONAL_MIN_N:
+            d, rho = approx.split
+            p, c = tuple(map(float, d)), k / (approx.T + 1)
+            finish = Resolvent(float(rho), c, _tridiagonal_factor(1.0 / c + op.damping,
+                                                                  c * op.inv_h2))
+        elif approx.S:
+            finish = linalg.lu_factor_banded(_banded_poly(approx.q_floats, op, k))
         return SemigroupStepper(
             config, BlockOperator(op.n_interior, op.damping[:, None], op.inv_h2),
-            (StateVector(0.0, np.concatenate([phi, psi])[:, None]),), approx.p_floats,
+            (StateVector(0.0, np.concatenate([phi, psi])[:, None]),), p,
             np.arange(op.size).reshape(2, -1).T.ravel(), _bind(
                 problem, lambda t: _nonzero(k / 2.0 * forcing_vector(problem, grid, t)[:, None])),
-            problem.steady, (Member(None, q_fact),))
+            problem.steady, (Member(None, finish),))
 
     gamma, k2 = op.damping, _square(k)
     lhs = 1.0 + gamma * k / 2.0
@@ -402,7 +438,7 @@ def make_stepper(
 
         source = _bind(problem, terms)
         u1, b_k = _oifd_ghost_start(phi, psi, gamma, k, lap_coeff, source)
-        finish = _oifd_factor(lhs, lap_coeff)
+        finish = _tridiagonal_factor(lhs, lap_coeff)
     u0 = phi[:, None]
     start = (StateVector(0.0, u0, carry=(None,)), StateVector(k, u1[:, None], u0, carry=(b_k,)))
     return BaselineStepper(config, start, (gamma * k / 2.0 - 1.0)[:, None], lap_coeff,
@@ -410,19 +446,27 @@ def make_stepper(
 
 
 def amplify(stepper: SemigroupStepper, v: np.ndarray) -> np.ndarray:
-    """R(kM) v = Q_S(kM)^{-1} P_T(kM) v, each live member's finish (its Q_S solve) on its own
-    column of v (ValueError unless v has a column per member); `stability --empirical`
-    applies a one-member lane to the sine-mode planes to measure its radius."""
-    poly, _, _, finishes = stepper.bound
+    """R(kM) v: the shared pass, then each live member's finish on its own column (ValueError
+    unless v has one per member), Q_S(kM)^{-1} P_T(kM) v or D(kM) v + rho (I - cM)^{-1} v.
+    `stability --empirical` applies a one-member lane to the sine-mode planes."""
+    poly, _, _, (solves, resolvents) = stepper.bound
     rhs = apply_poly(poly, stepper.op, stepper.config.k, v)
     rhs.reshape(len(v), len(stepper.members))  # raises unless v has a column per member
-    for j, fact in finishes:  # solved for (u_1, w_1, u_2, w_2, ...)
+    for j, fact in solves:  # solved for (u_1, w_1, u_2, w_2, ...)
         col = rhs[:, j]
-        x = linalg.solve_banded(fact, col, stepper.perm)
-        if len(x) < linalg.SWEEP_MIN_N:  # one scatter by perm; two strided copies from there
-            col[stepper.perm] = x
-        else:
-            col.reshape(2, -1)[...] = x.reshape(-1, 2).T
+        col[stepper.perm] = linalg.solve_banded(fact, col[stepper.perm])
+    for j, (rho, c, schur) in resolvents:  # x = (I - cM)^{-1} v, its w half first
+        n = stepper.op.n_interior
+        b = second_difference(v[:n, j])
+        b *= stepper.op.inv_h2
+        b += v[n:, j] / c
+        x_w = linalg.solve_banded(schur, b)
+        x_u = c * x_w
+        x_u += v[:n, j]
+        x_u *= rho
+        rhs[:n, j] += x_u
+        x_w *= rho
+        rhs[n:, j] += x_w
     return rhs
 
 
@@ -444,7 +488,7 @@ def step_semigroup(stepper: SemigroupStepper, state: StateVector) -> StateVector
 def step_baseline(stepper: BaselineStepper, state: StateVector) -> StateVector:
     """One baseline step, level n (with level n-1 in prev) -> n+1: the shared right-hand
     side, each live member's forcing terms on its column (ValueError unless state has one per
-    member), then a divide for each oefd and a banded solve for each oifd. oifd takes
+    member), then a divide for each oefd and a tridiagonal solve for each oifd. oifd takes
     B(t_n) from its carry entry when set; its result's entry carries B(t_{n+1})."""
     adds, divides, solves = stepper.bound
     u = state.values

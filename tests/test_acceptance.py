@@ -118,12 +118,12 @@ FORCED_SOLVE_DIGESTS = {
 }
 FORCED_EXACT = "cos(2.0*t)*sin(x) + (1.0 + 0.25*x)*sin(t)"
 
-#: the same digests at N=800 (--r, --t-final 1), above linalg.SWEEP_MIN_N, so that each
-#: factor's solves after its first are band sweeps: the forced problem at r=0.5 and the
-#: sample problem's fd11 at r=3, recorded with gbtrs solves
+#: the same digests at N=800 (--r, --t-final 1), above schemes.TRIDIAGONAL_MIN_N nodes, so
+#: that fd11 steps D + rho resolvent and oifd solves LDL^T, while fd22 and fd44 keep their
+#: interleaved gbtrs bytes: the forced problem at r=0.5 and the sample problem's fd11 at r=3
 LARGE_SOLVE_DIGESTS = {
     ("forced", "0.5", "fd11"): (
-        "c2f6bbbba1edf4efb5e07502ada303819528de0b821f365e50eb19652cb9b6bc",
+        "9651cb33cc796fe121a86890bd96f7d64041ef512040a872fd295ad0138c2c1a",
         "f9a439924e173ba8fec58780cf93b733693403916c7c5dc55a87587d6ae5020f"),
     ("forced", "0.5", "fdST", "--pade", "2,2"): (
         "0b54f456f8cb3eb107faa0641817948946e73532a2e95e3945ffb11c2fb095fc",
@@ -132,10 +132,10 @@ LARGE_SOLVE_DIGESTS = {
         "d26c08060a30ed1e7356ee407c32eb05d13e75e5aebb7a6c96ab1b38abd2ea9a",
         "97bdf14a3069bfd9a7db56c04c71332d4883732a65da861dede68d2fa8d471d1"),
     ("forced", "0.5", "oifd"): (
-        "d6eeaf4fda427df959b3c4c2a704ac315a8f5da23b6016ea35dad0fb19207504",
+        "6884c488c28fcc0d2e3f1b26d7224835af5c80489d0c75346643dc70d844da33",
         "510893ee9c95aec8968af14561f312acf37f41816ba5e2e57284208ef4c5f2f4"),
     ("sample", "3", "fd11"): (
-        "d22d4b058f23e6b7fb9c8c61b16055df8c9ca199c71b45d5b71636791aa92e76",
+        "bb5a36921ddd44a7f26d085c73af9c88d080282cf7df332fb16d74b2ad44266d",
         "d44312eb40d482946eb674a78df0d65e855d11a14af863594dd93c05fb0a1f16"),
 }
 
@@ -424,7 +424,7 @@ def test_criterion_12_forced_solve_digests(tmp_path, capsys):
 
 
 def test_criterion_12_large_solve_digests(tmp_path, capsys):
-    """The same at N=800, where the banded solves are the band sweeps."""
+    """The same at N=800, where fd11 and oifd solve SPD tridiagonal systems."""
     cfg = tmp_path / "forced.json"
     cfg.write_text(json.dumps(dict(FORCED_DOC, exact=FORCED_EXACT)))
     changed = []

@@ -729,6 +729,20 @@ class TestSetUpOverflow:
         err = capsys.readouterr().err
         assert step is None and err == "" or f"non-finite state at step {step} " in err
 
+    def test_a_huge_courant_ratio_on_the_tridiagonal_path(self, tmp_path, capsys):
+        # at N=200 fd11 solves its Schur complement over c = k/2, whose c/h^2 is finite where
+        # c^2/h^2 overflows: it exits 0 with the sample problem's |u| <= 1 (R(-inf) = -1);
+        # oifd's r^2/2 overflows in its left-hand side, a blow-up at its ghost start
+        argv = ["solve", "--N", "200", "--r", "1e155", "--t-final", "3e154"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fd11 = run_command([*argv, "--scheme", "fd11", "--out", str(tmp_path / "fd11.csv")])
+            oifd = run_command([*argv, "--scheme", "oifd", "--out", str(tmp_path / "oifd.csv")])
+        assert (fd11, oifd) == (0, 4)
+        assert "non-finite state at step 1 " in capsys.readouterr().err
+        _, rows = read_csv(tmp_path / "fd11.csv")
+        assert abs(max(abs(float(row[1])) for row in rows) - 1.0) <= 1e-9
+
 
 # the expression grammar over a field's variables, with constants near the float
 # range's edges

@@ -1,21 +1,14 @@
 import math
-import os
-import platform
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from dampwave import linalg
 from dampwave.linalg import (
-    SWEEP_MAX_WIDTH,
-    SWEEP_MIN_N,
     BandedMatrix,
     SingularMatrixError,
+    factor_spd_tridiagonal,
     lu_factor_banded,
-    replay_interchanges,
     solve_banded,
 )
 from dampwave.operators import assemble_system, build_grid
@@ -30,9 +23,8 @@ from oracles import (
     operator_to_dense,
     spectral_radius,
 )
-from oracles import replay_interchanges as replay_oracle
 
-GBTRF, GBTRS = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
+GBTRF = scipy.linalg.get_lapack_funcs("gbtrf", dtype=np.float64)
 
 
 def random_banded(rng, n, kl, ku):
@@ -125,182 +117,6 @@ class TestBandedLU:
         with pytest.raises(ValueError):
             solve_banded(fact, np.zeros(5))
 
-
-def sample_factors(name, orders, N, r):
-    """The banded factors a solve of the sample problem at k = r h makes: Q_S's for fdST,
-    and for oifd its step's and its ghost start's, caught as make_stepper solves with it."""
-    grid = build_grid(0.0, math.pi, N)
-    problem = sample_problem()
-    config = config_for(name, r * grid.h, orders)
-    solved, solve = [], linalg.solve_banded
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "solve_banded", lambda f, b: solved.append(f) or solve(f, b))
-        (member,) = make_stepper(config, assemble_system(grid, problem), grid, problem).members
-    assert name == "oifd" or not solved
-    return [member.finish, *solved]
-
-
-# every implicit scheme: each (S, T) with S >= 1, and oifd (its step and its ghost start)
-IMPLICIT = [("fdST", (S, T)) for S in range(1, 5) for T in range(5)] + [("oifd", None)]
-
-
-def gbtrs_bytes(fact, rhs):
-    return GBTRS(fact.lu, fact.kl, fact.ku, rhs, fact.ipiv)[0].tobytes()
-
-
-def check_solves_against_gbtrs(name, orders, solves=50):
-    """Each factor of a sample solve at N = 40 and 300 and r = 0.016, 0.5, 3 and 9 solves
-    random right-hand sides, every fifth with exact zeros of either sign, to gbtrs's bytes;
-    from its second solve on, one with n >= SWEEP_MIN_N sweeps unless L' is too wide."""
-    rng = np.random.default_rng(17)
-    for N, r in [(N, r) for N in (40, 300) for r in (0.016, 0.5, 3.0, 9.0)]:
-        for fact in sample_factors(name, orders, N, r):
-            for i in range(solves):
-                rhs = rng.standard_normal(fact.n)
-                if i % 5 == 0:
-                    rhs[rng.integers(0, fact.n, 8)] = rng.choice([0.0, -0.0], 8)
-                assert solve_banded(fact, rhs).tobytes() == gbtrs_bytes(fact, rhs), (N, r)
-            if fact.n < SWEEP_MIN_N:
-                assert fact.sweeps == []
-            else:
-                narrow = len(replay_interchanges(fact)[1]) <= SWEEP_MAX_WIDTH + 1
-                assert len(fact.sweeps[0]) == (2 if narrow else 0)
-
-
-# the OpenBLAS core types whose daxpy kernels differ, with the CPU flags each needs
-CORE_TYPE_FLAGS = {"Prescott": {"pni"}, "Nehalem": {"sse4_2"}, "SandyBridge": {"avx"},
-                   "Haswell": {"avx2", "fma"}, "SkylakeX": {"avx512f", "avx512bw", "avx512vl"}}
-
-
-def cpu_flags():
-    try:
-        with open("/proc/cpuinfo") as fh:
-            return next(set(line.split(":", 1)[1].split()) for line in fh
-                        if line.startswith("flags"))
-    except (OSError, StopIteration):
-        return set()
-
-
-class TestSweepSolve:
-    """From its second solve on, a factor with n >= SWEEP_MIN_N solves by the gather and
-    two band sweeps of its replayed interchanges; every result is gbtrs's, byte for byte."""
-
-    @pytest.mark.parametrize("name,orders", IMPLICIT, ids=lambda v: str(v).replace(" ", ""))
-    def test_solves_give_the_bytes_of_gbtrs(self, name, orders):
-        check_solves_against_gbtrs(name, orders)
-
-    @pytest.mark.skipif(platform.machine() != "x86_64", reason="x86-64 OpenBLAS core types")
-    @pytest.mark.parametrize("core", sorted(CORE_TYPE_FLAGS))
-    def test_solves_give_the_bytes_of_gbtrs_on_each_openblas_core_type(self, core):
-        # OPENBLAS_CORETYPE picks the kernels when the library loads: a fresh process each
-        if not CORE_TYPE_FLAGS[core] <= cpu_flags():
-            pytest.skip(f"this CPU cannot run OpenBLAS's {core} kernels")
-        code = ("from test_linalg import IMPLICIT, check_solves_against_gbtrs\n"
-                "for name, orders in IMPLICIT: check_solves_against_gbtrs(name, orders, 10)")
-        env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(sys.path))
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=300)
-        assert run.returncode == 0, run.stderr[-2000:]
-
-    def test_too_wide_a_replay_stays_on_gbtrs(self):
-        (fact,) = sample_factors("fdST", (4, 0), 300, 9.0)
-        assert len(replay_interchanges(fact)[1]) > SWEEP_MAX_WIDTH + 1
-        rng = np.random.default_rng(23)
-        for _ in range(3):
-            rhs = rng.standard_normal(fact.n)
-            assert solve_banded(fact, rhs).tobytes() == gbtrs_bytes(fact, rhs)
-        assert fact.sweeps == [()]
-
-    @pytest.mark.parametrize("name,orders,N,r", [
-        ("fdST", (4, 4), 300, 3.0),  # a position pulled up three times
-        ("fd11", None, 3200, 0.5),  # the last position pulled up twice
-    ])
-    def test_positions_pulled_up_more_than_once(self, name, orders, N, r):
-        (fact,) = sample_factors(name, orders, N, r)
-        moved = fact.ipiv[fact.ipiv != np.arange(fact.n)]
-        assert np.bincount(moved).max() > 1
-        rng = np.random.default_rng(18)
-        for _ in range(50):
-            rhs = rng.standard_normal(fact.n)
-            assert solve_banded(fact, rhs).tobytes() == gbtrs_bytes(fact, rhs)
-        assert fact.sweeps[0]
-
-    @pytest.mark.parametrize("name,orders", IMPLICIT, ids=lambda v: str(v).replace(" ", ""))
-    def test_replay_equals_the_one_step_at_a_time_replay(self, name, orders):
-        for N, r in [(40, 0.5), (300, 0.016), (300, 3.0), (300, 9.0)]:
-            for fact in sample_factors(name, orders, N, r):
-                perm, lower = replay_interchanges(fact)
-                want_perm, want_lower = replay_oracle(fact.lu, fact.ipiv, fact.kl, fact.ku)
-                assert np.array_equal(perm, want_perm)
-                assert lower.shape == want_lower.shape and lower.tobytes() == want_lower.tobytes()
-                assert lower.flags.f_contiguous
-
-    def test_the_oracle_replay_refactors_the_matrix(self):
-        # a pivoting band matrix: P A = L' U with L' from the replay and U from gbtrf
-        rng = np.random.default_rng(19)
-        dense = random_banded(rng, 30, 3, 2)
-        dense[np.arange(30), np.arange(30)] = 0.1
-        fact = lu_factor_banded(banded(dense))
-        assert (fact.ipiv != np.arange(30)).any()
-        perm, lower = replay_oracle(fact.lu, fact.ipiv, fact.kl, fact.ku)
-        unit_lower = np.eye(30)
-        for d in range(1, len(lower)):
-            unit_lower += np.diag(lower[d, : 30 - d], -d)
-        upper = np.zeros((30, 30))
-        for d in range(fact.kl + fact.ku + 1):
-            upper += np.diag(fact.lu[fact.kl + fact.ku - d, d:], d)
-        assert unit_lower @ upper == pytest.approx(dense[perm], abs=1e-12)
-
-    @pytest.mark.parametrize("name,orders,r", [("fd11", None, 9.0), ("fdST", (4, 4), 3.0),
-                                               ("oifd", None, 9.0)])
-    def test_non_finite_results_are_gbtrs_bytes(self, name, orders, r):
-        # an inf or NaN meeting a zero slot of the sweeps turns NaN, so those results
-        # come from gbtrs: a diverging run's last level does not depend on the form
-        rng = np.random.default_rng(20)
-        fact = sample_factors(name, orders, 300, r)[0]
-        solve_banded(fact, np.zeros(fact.n))  # the first solve, which is gbtrs's
-        for i in range(30):
-            rhs = rng.uniform(-1.0, 1.0, fact.n) * 10.0 ** rng.uniform(300, 308)  # may overflow
-            if i % 2:
-                rhs[rng.integers(fact.n)] = (math.inf, -math.inf, math.nan)[i % 3]
-            x = solve_banded(fact, rhs)
-            assert x.tobytes() == gbtrs_bytes(fact, rhs)
-            assert i % 2 == 0 or not np.isfinite(x).all()
-        assert fact.sweeps[0]
-
-    def test_a_factor_without_multipliers(self):
-        # kl = 0: no interchanges, and a lower sweep of width 0 that keeps signed zeros
-        rng = np.random.default_rng(22)
-        fact = lu_factor_banded(banded(random_banded(rng, 300, 0, 2)))
-        for _ in range(5):
-            rhs = rng.choice([0.0, -0.0, 1.5, -2.5], 300)
-            assert solve_banded(fact, rhs).tobytes() == gbtrs_bytes(fact, rhs)
-        perm, lower = fact.sweeps[0]
-        assert np.array_equal(perm, np.arange(300)) and lower.shape == (1, 300)
-
-    def test_the_replay_waits_for_the_second_large_solve(self, monkeypatch):
-        # set-up (lu_factor_banded, make_stepper and the oifd ghost start's one solve
-        # in it) never replays; a factor's first large solve is gbtrs's
-        replays = []
-        monkeypatch.setattr(linalg, "replay_interchanges",
-                            lambda f: replays.append(f) or replay_interchanges(f))
-        step, ghost = sample_factors("oifd", None, 800, 0.5)
-        (q_fact,) = sample_factors("fd11", None, 800, 0.5)
-        assert (step.sweeps, ghost.sweeps, q_fact.sweeps, replays) == ([], [None], [], [])
-        rhs = np.ones(q_fact.n)
-        first = solve_banded(q_fact, rhs)
-        assert q_fact.sweeps == [None] and not replays
-        assert solve_banded(q_fact, rhs).tobytes() == first.tobytes()
-        solve_banded(q_fact, rhs)
-        assert replays == [q_fact]
-
-    def test_small_factors_stay_on_gbtrs(self):
-        (fact,) = sample_factors("fd11", None, SWEEP_MIN_N // 2 - 1, 0.5)
-        assert fact.n < SWEEP_MIN_N
-        for _ in range(3):
-            solve_banded(fact, np.ones(fact.n))
-        assert fact.sweeps == []
-
     def test_factorization_in_place_matches_gbtrf_on_a_copy(self):
         # gbtrf on its Fortran-ordered work array in place, the lu and ipiv that f2py's
         # copy of a C-ordered one gives
@@ -313,6 +129,45 @@ class TestSweepSolve:
             fact = lu_factor_banded(matrix)
             assert fact.lu.flags.f_contiguous
             assert fact.lu.tobytes() == lu.tobytes() and np.array_equal(fact.ipiv, ipiv)
+
+
+class TestTridiagonalLDL:
+    @staticmethod
+    def dense(diag, off):
+        return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+    def test_solves_an_spd_system(self):
+        rng = np.random.default_rng(8)
+        n = 300
+        off = rng.uniform(-1.0, 1.0, n - 1)
+        diag = rng.uniform(0.0, 0.1, n) + 2.0 * np.abs(np.concatenate(([0.0], off)))
+        diag += 2.0 * np.abs(np.concatenate((off, [0.0])))
+        inputs = diag.copy(), off.copy()
+        fact = factor_spd_tridiagonal(diag, off)
+        rhs = rng.standard_normal(n)
+        x = solve_banded(fact, rhs)
+        assert np.linalg.norm(self.dense(diag, off) @ x - rhs) < 1e-12 * np.linalg.norm(rhs)
+        assert np.array_equal(diag, inputs[0]) and np.array_equal(off, inputs[1])
+
+    def test_an_indefinite_matrix_raises(self):
+        # [[1, 2, 0], [2, 1, 1], [0, 1, 3]]: the second pivot is 1 - 4 = -3
+        with pytest.raises(SingularMatrixError, match="not positive definite"):
+            factor_spd_tridiagonal(np.array([1.0, 1.0, 3.0]), np.array([2.0, 1.0]))
+
+    def test_a_tiny_pivot_raises(self):
+        # the second pivot, (1 + 1e-15) - 1, is below PIVOT_RTOL times the largest entry
+        with pytest.raises(SingularMatrixError, match="numerically singular"):
+            factor_spd_tridiagonal(np.array([1.0, 1.0 + 1e-15, 1.0]), np.array([1.0, 0.0]))
+
+    def test_non_finite_entries_solve_to_a_non_finite_state(self):
+        # an overflowed system is a blow-up for the time loop, not a singular matrix
+        fact = factor_spd_tridiagonal(np.full(4, math.inf), np.full(3, -math.inf))
+        assert not np.isfinite(solve_banded(fact, np.ones(4))).any()
+
+    def test_dimension_mismatch(self):
+        fact = factor_spd_tridiagonal(np.full(4, 2.0), np.full(3, -1.0))
+        with pytest.raises(ValueError):
+            solve_banded(fact, np.zeros(5))
 
 
 class TestMatrixExponential:

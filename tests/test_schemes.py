@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -34,8 +35,8 @@ from dampwave.schemes import (
 )
 
 from oracles import (
-    banded_to_dense, matrix_exponential, operator_to_dense, solve_checking_every_level,
-    solve_group_every_level,
+    banded_to_dense, dense_amplification, dense_oifd_step, eval_scalar, matrix_exponential,
+    operator_to_dense, solve_checking_every_level, solve_group_every_level,
 )
 
 
@@ -483,6 +484,78 @@ def test_amplify_is_the_unforced_step():
         assert not np.array_equal(forced, amplify(stepper, v))
 
 
+# damping with zeros, at x = pi/3 and 2 pi/3, and no forcing
+SPD_DOC = {"domain": [0, math.pi], "gamma": "2*abs(sin(3*x))", "g": "0", "phi": "sin(x)",
+           "psi": "0", "u_a": "0", "u_b": "0"}
+SPD_SCHEMES = [("fdST", (1, T)) for T in range(5)] + [("oifd", None)]
+
+
+@functools.cache
+def spectrum(N, r):
+    """The eigenvalues of kM for SPD_DOC at k = r pi / N."""
+    grid = build_grid(0.0, math.pi, N)
+    op = assemble_system(grid, load_problem_config(json.dumps(SPD_DOC)))
+    return np.linalg.eigvals(r * grid.h * operator_to_dense(op))
+
+
+class TestTridiagonalPath:
+    """From TRIDIAGONAL_MIN_N interior nodes, a (1, T) member steps D(kM) v + rho (I - cM)^{-1} v
+    and oifd solves its left-hand side by LDL^T.
+
+    Each step is checked against a dense solve, on a rough and a smooth v: oifd's to 1e-12
+    of |ref|, a (1, T) member's to 1e-12 of the largest of |ref|, |v| and |v| times the
+    largest |R| over kM's spectrum. Relative to |ref| alone the smooth v misses in 7 of 50
+    cases, by up to 1.4e-10, where the banded Q_1 solve misses in 8, by up to 9e-11: (1, 2)
+    to (1, 4) grow their stiff modes, fd14 at r = 1e3 by |R| = 3e8, and with them the rounding
+    of v; fd10 at r = 1e3 damps v 25-fold, which x_u = v_u + c x_w cancels (1.1e-12)."""
+
+    @staticmethod
+    def vectors(x, halves):
+        smooth = [np.sin(x) + 0.3 * np.sin(2.0 * x), 0.2 * np.sin(3.0 * x) - np.sin(x)]
+        return {"rough": np.random.default_rng(len(x)).standard_normal(halves * len(x)),
+                "smooth": np.concatenate(smooth[:halves])}
+
+    @pytest.mark.parametrize("r", [0.016, 0.5, 3.0, 9.0, 1e3])
+    @pytest.mark.parametrize("N", [129, 300])
+    @pytest.mark.parametrize("name,orders", SPD_SCHEMES,
+                             ids=[config_for(n, 1.0, o).label for n, o in SPD_SCHEMES])
+    def test_a_step_matches_a_dense_solve(self, name, orders, N, r):
+        problem = load_problem_config(json.dumps(SPD_DOC))
+        grid = build_grid(0.0, math.pi, N)
+        op, k, x = assemble_system(grid, problem), r * grid.h, grid.interior_nodes
+        stepper = make_stepper(config_for(name, k, orders), op, grid, problem)
+        (member,) = stepper.members
+        if name == "oifd":
+            assert isinstance(member.finish, schemes.linalg.TridiagonalFactorization)
+            for kind, u in self.vectors(x, 1).items():
+                prev = np.roll(u, 7) - 0.5 * u
+                got = step_oifd(stepper, StateVector(k, u[:, None], prev[:, None], (None,)))
+                want = dense_oifd_step(op, k, grid.h, u, prev)
+                assert np.abs(got.values[:, 0] - want).max() <= 1e-12 * np.abs(want).max(), kind
+        else:
+            assert isinstance(member.finish, schemes.Resolvent)
+            approx = pade_coefficients(*orders)
+            growth = max(abs(eval_scalar(approx, complex(z))) for z in spectrum(N, r))
+            for kind, v in self.vectors(x, 2).items():
+                got = amplify(stepper, v[:, None])[:, 0]
+                want = dense_amplification(approx, op, k, v)
+                scale = max(np.abs(want).max(), max(1.0, growth) * np.abs(v).max())
+                assert np.abs(got - want).max() <= 1e-12 * scale, kind
+
+    @pytest.mark.parametrize("name,orders", SPD_SCHEMES + [("fdST", (2, 2))],
+                             ids=[config_for(n, 1.0, o).label for n, o in SPD_SCHEMES + [
+                                 ("fdST", (2, 2))]])
+    def test_the_path_starts_at_tridiagonal_min_n_nodes(self, name, orders):
+        problem = load_problem_config(json.dumps(SPD_DOC))
+        for n in (schemes.TRIDIAGONAL_MIN_N - 1, schemes.TRIDIAGONAL_MIN_N):
+            grid = build_grid(0.0, math.pi, n + 1)
+            config = config_for(name, 0.5 * grid.h, orders)
+            (member,) = make_stepper(config, assemble_system(grid, problem), grid,
+                                     problem).members
+            banded = isinstance(member.finish, schemes.linalg.BandedFactorization)
+            assert banded == (n < schemes.TRIDIAGONAL_MIN_N or orders == (2, 2)), n
+
+
 ALL_SCHEMES = [("fd01", None), ("fd11", None), ("fdST", (2, 2)), ("oefd", None), ("oifd", None)]
 STEP_FUNCTIONS = {"semigroup": step_semigroup, "oefd": step_oefd, "oifd": step_oifd}
 
@@ -823,10 +896,12 @@ SECOND, FIRST = (1.9, math.inf), (0.7, 1.3)
 ITEM_1 = ("ROADMAP item 1: next to nonzero Dirichlet data the trapezoid rule's steady state "
           "is off by a multiple of r^2 u_b, an error flat in N")
 ITEM_2 = "ROADMAP item 2: time-dependent Dirichlet data reduce fd11's order to 1.3-1.5"
-ITEM_3 = "ROADMAP item 3: fd10 with constant Dirichlet data reaches order 0.47, unexplained"
+ITEM_1_FD10 = ("ROADMAP item 1: fd10's order 0.47 with constant Dirichlet data is the "
+               "trapezoid rule's steady-state defect in the u_t half, reproduced digit for "
+               "digit by a dense fd10 step (ROADMAP Baseline)")
 # (scheme, Pade orders, the band of every observed order, the configs that miss it and why)
 ORDER_MATRIX = [
-    ("fdST", (1, 0), FIRST, {"constant": ITEM_3}),
+    ("fdST", (1, 0), FIRST, {"constant": ITEM_1_FD10}),
     ("fd11", None, SECOND, {"varying": ITEM_2}),
     ("fdST", (2, 0), SECOND, {"constant": ITEM_1, "varying": ITEM_1}),
     ("fdST", (2, 2), SECOND, {"constant": ITEM_1, "varying": ITEM_1}),
@@ -1170,10 +1245,10 @@ class TestLevelBlocks:
 @pytest.mark.parametrize("doc", [FORCED_DOC, SAMPLE_DOC], ids=["forced", "sample"])
 @pytest.mark.parametrize("name,orders", SIX_SCHEMES,
                          ids=[f"{n}{o[0]}{o[1]}" if o else n for n, o in SIX_SCHEMES])
-def test_no_step_writes_into_its_input(name, orders, doc):
+def test_no_step_writes_into_its_input(name, orders, doc, N=12):
     # solve_evolution rewinds to an earlier level, so a step must leave it as it was
     problem = load_problem_config(json.dumps(doc))
-    grid = build_grid(0.0, math.pi, 12)
+    grid = build_grid(0.0, math.pi, N)
     config = config_for(name, 0.05, orders)
     stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
     state = stepper.start[-1]
@@ -1189,6 +1264,13 @@ def test_no_step_writes_into_its_input(name, orders, doc):
             assert (old is None) == (new is None)
             assert old is None or np.array_equal(old, new)
         state = after
+
+
+@pytest.mark.parametrize("name,orders", SPD_SCHEMES,
+                         ids=[config_for(n, 1.0, o).label for n, o in SPD_SCHEMES])
+def test_no_tridiagonal_step_writes_into_its_input(name, orders):
+    # the resolvent reads its v after the shared pass has made the result
+    test_no_step_writes_into_its_input(name, orders, FORCED_DOC, schemes.TRIDIAGONAL_MIN_N + 1)
 
 
 @pytest.mark.parametrize("name,orders", ALL_SCHEMES, ids=[n for n, _ in ALL_SCHEMES])
@@ -1244,7 +1326,8 @@ class TestLockstep:
     # while oifd and fd11 run on in those lanes
     @example(members=[LOCKSTEP_SCHEMES[i] for i in (3, 4, 0, 1)], N=50, r=1.59,
              doc=SAMPLE_DOC, steps=700, raise_at=None)
-    # systems of n >= SWEEP_MIN_N unknowns, solved by band sweeps from their second solve
+    # grids of TRIDIAGONAL_MIN_N interior nodes and more, where fd11 steps D + rho resolvent
+    # (a lane apart from fd01's) and oifd solves LDL^T
     @example(members=LOCKSTEP_SCHEMES[:2], N=300, r=0.5, doc=FORCED_DOC, steps=130,
              raise_at=None)
     @example(members=LOCKSTEP_SCHEMES[3:], N=300, r=0.5, doc=FORCED_DOC, steps=130,
@@ -1289,16 +1372,17 @@ class TestLockstep:
             assert np.array_equal(bits(solo.states),
                                   bits(np.stack([first.values[:, 0], last.values[:, 0]])))
 
-    def test_a_halted_members_finish_is_skipped_on_the_sweep_path(self, monkeypatch):
-        # fd13 and fd33 share a lane (P_T of one length) and solve by band sweeps at N = 400;
-        # fd13 fails the check at level 192, is re-stepped from 128 and halts at 187, and
-        # its factor is solved no more after that while fd33 runs on to level 424
+    def test_a_halted_members_finish_is_skipped_on_the_tridiagonal_path(self, monkeypatch):
+        # fd14 and fd33 share a lane at N = 400 (D and P_3, one length); fd14 fails the
+        # check at level 192, is re-stepped from 128 and halts at 137, and its tridiagonal
+        # factor is solved no more after that while fd33 runs on to level 424
         grid = build_grid(0.0, math.pi, 400)
-        configs = tuple(config_for("fdST", 9 * grid.h, orders) for orders in ((1, 3), (3, 3)))
+        configs = tuple(config_for("fdST", 9 * grid.h, orders) for orders in ((1, 4), (3, 3)))
         solo = [solve_evolution(sample_problem(), grid, (c,), 30.0)[0] for c in configs]
         solves, solve = {}, schemes.linalg.solve_banded
         def counted(fact, *args):
-            solves[fact.kl, fact.ku] = solves.get((fact.kl, fact.ku), 0) + 1
+            key = type(fact).__name__
+            solves[key] = solves.get(key, 0) + 1
             return solve(fact, *args)
         monkeypatch.setattr(schemes.linalg, "solve_banded", counted)
         ends = solve_evolution(sample_problem(), grid, configs, 30.0)
@@ -1306,8 +1390,10 @@ class TestLockstep:
             assert end.blow_up_index == want.blow_up_index
             assert np.array_equal(bits(end.times), bits(want.times))
             assert np.array_equal(bits(end.states), bits(want.states))
-        assert [end.blow_up_index for end in ends] == [187, None]
-        assert solves == {(3, 1): 192 + 59, (5, 3): 424 + 64}  # Q_1's band, Q_3's band
+        assert [end.blow_up_index for end in ends] == [137, None]
+        # fd14's Schur complement, fd33's Q_3 band
+        assert solves == {"TridiagonalFactorization": 192 + 9,
+                          "BandedFactorization": 424 + 64}
 
     def test_members_need_one_time_step(self):
         grid = build_grid(0.0, math.pi, 12)
