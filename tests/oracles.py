@@ -17,6 +17,9 @@ map's dense matrix, the reference for the per-mode
 places the explicit scheme's per-mode eigenvalues by a coefficient test.
 `dense_amplification` and `dense_oifd_step` take one step by a refined dense
 `numpy.linalg.solve`, the reference for the banded and tridiagonal solves.
+`replay_interchanges` replays gbtrf's row interchanges one step at a time, as
+dense getrf applies them to its finished columns: the unit lower factor L' with
+P A = L' U, the reference that `linalg.lu_factor_banded` factors its matrix.
 """
 
 from __future__ import annotations
@@ -45,6 +48,26 @@ def banded_to_dense(matrix: BandedMatrix) -> np.ndarray:
     for d in range(-matrix.kl, matrix.ku + 1):
         m += np.diag(matrix.ab[matrix.ku - d, max(d, 0) : matrix.n + min(d, 0)], d)
     return m
+
+
+def replay_interchanges(lu: np.ndarray, ipiv: np.ndarray, kl: int, ku: int):
+    """(perm, lower) with A[perm] = L' U for gbtrf's (lu, ipiv): step j swaps the rows
+    j and ipiv[j] of perm and of L' so far, then sets column j's multipliers. lower is
+    L' in band storage, lower[i - j, j] = L'[i, j], as wide as its farthest entry."""
+    n = lu.shape[1]
+    perm = list(range(n))
+    rows = [{} for _ in range(n)]  # rows[i][j] = L'[i, j], for the columns j done so far
+    for j in range(n):
+        p = int(ipiv[j])
+        perm[j], perm[p] = perm[p], perm[j]
+        rows[j], rows[p] = rows[p], rows[j]
+        for t in range(1, min(kl, n - 1 - j) + 1):
+            rows[j + t][j] = lu[kl + ku + t, j]
+    lower = np.zeros((max((i - j for i, row in enumerate(rows) for j in row), default=0) + 1, n))
+    for i, row in enumerate(rows):
+        for j, value in row.items():
+            lower[i - j, j] = value
+    return np.array(perm), lower
 
 
 def operator_to_dense(op: BlockOperator) -> np.ndarray:

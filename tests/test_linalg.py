@@ -1,19 +1,27 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from dampwave import linalg, schemes
 from dampwave.linalg import (
+    BandedFactorization,
     BandedMatrix,
     SingularMatrixError,
+    TridiagonalFactorization,
     factor_spd_tridiagonal,
     lu_factor_banded,
     solve_banded,
 )
 from dampwave.operators import assemble_system, build_grid
+from dampwave.pade import apply_poly, pade_coefficients
 from dampwave.problems import sample_problem
-from dampwave.schemes import amplify, config_for, make_stepper
+from dampwave.schemes import TRIDIAGONAL_MIN_N, amplify, config_for, make_stepper
 from dampwave.stability import implicit_amplification
 
 from oracles import (
@@ -23,8 +31,9 @@ from oracles import (
     operator_to_dense,
     spectral_radius,
 )
+from oracles import replay_interchanges as replay_oracle
 
-GBTRF = scipy.linalg.get_lapack_funcs("gbtrf", dtype=np.float64)
+GBTRF, GBTRS, PTTRS = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs", "pttrs"), dtype=np.float64)
 
 
 def random_banded(rng, n, kl, ku):
@@ -117,19 +126,6 @@ class TestBandedLU:
         with pytest.raises(ValueError):
             solve_banded(fact, np.zeros(5))
 
-    def test_factorization_in_place_matches_gbtrf_on_a_copy(self):
-        # gbtrf on its Fortran-ordered work array in place, the lu and ipiv that f2py's
-        # copy of a C-ordered one gives
-        rng = np.random.default_rng(21)
-        for kl, ku in [(3, 1), (5, 4), (1, 1), (0, 2)]:
-            matrix = banded(random_banded(rng, 400, kl, ku))
-            full = np.zeros((2 * kl + ku + 1, 400))
-            full[kl:] = matrix.ab
-            lu, ipiv, _ = GBTRF(full, kl, ku)
-            fact = lu_factor_banded(matrix)
-            assert fact.lu.flags.f_contiguous
-            assert fact.lu.tobytes() == lu.tobytes() and np.array_equal(fact.ipiv, ipiv)
-
 
 class TestTridiagonalLDL:
     @staticmethod
@@ -168,6 +164,219 @@ class TestTridiagonalLDL:
         fact = factor_spd_tridiagonal(np.full(4, 2.0), np.full(3, -1.0))
         with pytest.raises(ValueError):
             solve_banded(fact, np.zeros(5))
+
+
+def sample_factors(name, orders, N, r):
+    """(matrix, factor) for each system a solve of the sample problem at k = r h factors, as
+    make_stepper factors it: Q_S's band or a Resolvent's Schur complement (diag, off) for
+    fdST, and for oifd its ghost start's left-hand side, then its step's."""
+    grid = build_grid(0.0, math.pi, N)
+    problem = sample_problem()
+    config = config_for(name, r * grid.h, orders)
+    made, band, tri = [], linalg.lu_factor_banded, linalg.factor_spd_tridiagonal
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "lu_factor_banded",
+                      lambda m: made.append((m, band(m))) or made[-1][1])
+        patch.setattr(linalg, "factor_spd_tridiagonal",
+                      lambda d, e: made.append(((d.copy(), e.copy()), tri(d, e))) or made[-1][1])
+        make_stepper(config, assemble_system(grid, problem), grid, problem)
+    assert len(made) == (2 if name == "oifd" else 1)
+    return made
+
+
+def tridiagonal_to_dense(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+# every implicit scheme: each (S, T) with S >= 1, and oifd (its step and its ghost start)
+IMPLICIT = [("fdST", (S, T)) for S in range(1, 5) for T in range(5)] + [("oifd", None)]
+
+
+def gbtrs_bytes(fact, rhs):
+    return GBTRS(fact.lu, fact.kl, fact.ku, rhs, fact.ipiv)[0].tobytes()
+
+
+def pttrs_bytes(fact, rhs):
+    return PTTRS(fact.d, fact.e, rhs)[0].tobytes()
+
+
+def check_solves_against_gbtrs(name, orders, solves=50):
+    """Each factor of a sample solve at N = 40 and 300 and r = 0.016, 0.5, 3 and 9 solves
+    random right-hand sides, every fifth with exact zeros of either sign. A banded one, S >= 2
+    or below TRIDIAGONAL_MIN_N interior nodes, gives gbtrs's bytes; from TRIDIAGONAL_MIN_N
+    nodes a (1, T) or oifd one is LDL^T and leaves a residual within 1e-12 |T| |x|."""
+    rng = np.random.default_rng(17)
+    for N, r in [(N, r) for N in (40, 300) for r in (0.016, 0.5, 3.0, 9.0)]:
+        stays = N - 1 < TRIDIAGONAL_MIN_N or (name == "fdST" and orders[0] >= 2)
+        for matrix, fact in sample_factors(name, orders, N, r):
+            assert isinstance(fact, BandedFactorization if stays else TridiagonalFactorization)
+            dense = None if stays else tridiagonal_to_dense(*matrix)
+            for i in range(solves):
+                rhs = rng.standard_normal(fact.n)
+                if i % 5 == 0:
+                    rhs[rng.integers(0, fact.n, 8)] = rng.choice([0.0, -0.0], 8)
+                x = solve_banded(fact, rhs)
+                if stays:
+                    assert x.tobytes() == gbtrs_bytes(fact, rhs), (N, r)
+                else:
+                    bound = 1e-12 * np.abs(dense).sum(axis=1).max() * np.abs(x).max()
+                    assert np.abs(dense @ x - rhs).max() <= bound, (N, r)
+
+
+# the OpenBLAS core types whose kernels differ, with the CPU flags each needs
+CORE_TYPE_FLAGS = {"Prescott": {"pni"}, "Nehalem": {"sse4_2"}, "SandyBridge": {"avx"},
+                   "Haswell": {"avx2", "fma"}, "SkylakeX": {"avx512f", "avx512bw", "avx512vl"}}
+
+
+def cpu_flags():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next(set(line.split(":", 1)[1].split()) for line in fh
+                        if line.startswith("flags"))
+    except (OSError, StopIteration):
+        return set()
+
+
+class TestSweepSolve:
+    """The solves of the implicit steps on small and large grids, which band sweeps once
+    served from 256 unknowns: S >= 2, and every system below TRIDIAGONAL_MIN_N interior
+    nodes, solve Q_S's band by gbtrs, byte for byte; from TRIDIAGONAL_MIN_N nodes a (1, T)
+    member's resolvent and oifd's left-hand sides solve by LDL^T (TestTridiagonalPath in
+    test_schemes checks those steps against a dense solve)."""
+
+    @pytest.mark.parametrize("name,orders", IMPLICIT, ids=lambda v: str(v).replace(" ", ""))
+    def test_solves_give_the_bytes_of_gbtrs(self, name, orders):
+        check_solves_against_gbtrs(name, orders)
+
+    @pytest.mark.skipif(platform.machine() != "x86_64", reason="x86-64 OpenBLAS core types")
+    @pytest.mark.parametrize("core", sorted(CORE_TYPE_FLAGS))
+    def test_solves_give_the_bytes_of_gbtrs_on_each_openblas_core_type(self, core):
+        # OPENBLAS_CORETYPE picks the kernels when the library loads: a fresh process each
+        if not CORE_TYPE_FLAGS[core] <= cpu_flags():
+            pytest.skip(f"this CPU cannot run OpenBLAS's {core} kernels")
+        code = ("from test_linalg import IMPLICIT, check_solves_against_gbtrs\n"
+                "for name, orders in IMPLICIT: check_solves_against_gbtrs(name, orders, 10)")
+        env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr[-2000:]
+
+    def test_too_wide_a_replay_stays_on_gbtrs(self):
+        # Q_4 at N = 300, r = 9: its interchanges widen L' to 51 diagonals, ten times the
+        # band's kl, and an S >= 2 system stays on gbtrs at any size
+        ((_, fact),) = sample_factors("fdST", (4, 0), 300, 9.0)
+        assert isinstance(fact, BandedFactorization)
+        assert len(replay_oracle(fact.lu, fact.ipiv, fact.kl, fact.ku)[1]) > 5 * fact.kl
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            rhs = rng.standard_normal(fact.n)
+            assert solve_banded(fact, rhs).tobytes() == gbtrs_bytes(fact, rhs)
+
+    @pytest.mark.parametrize("name,orders,N,r", [
+        ("fdST", (4, 4), 300, 3.0),  # a position pulled up three times
+        ("fd11", None, 3200, 0.5),  # the last position pulled up twice
+    ])
+    def test_positions_pulled_up_more_than_once(self, name, orders, N, r):
+        # gbtrs solves Q_S's band however often its interchanges move a row: (4, 4)'s step
+        # is that solve, byte for byte, and fd11's LDL^T step agrees with it to 1e-12
+        grid = build_grid(0.0, math.pi, N)
+        problem = sample_problem()
+        op, k = assemble_system(grid, problem), r * grid.h
+        config = config_for(name, k, orders)
+        approx = pade_coefficients(*config.orders)
+        fact = lu_factor_banded(schemes._banded_poly(approx.q_floats, op, k))
+        moved = fact.ipiv[fact.ipiv != np.arange(fact.n)]
+        assert np.bincount(moved).max() > 1
+        stepper = make_stepper(config, op, grid, problem)
+        rng = np.random.default_rng(18)
+        for _ in range(5):
+            v = rng.standard_normal((op.size, 1))
+            want = apply_poly(approx.p_floats, stepper.op, k, v)[:, 0]
+            want[stepper.perm] = GBTRS(fact.lu, fact.kl, fact.ku, want[stepper.perm], fact.ipiv)[0]
+            got = amplify(stepper, v)[:, 0]
+            if approx.S >= 2:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_the_oracle_replay_refactors_the_matrix(self):
+        # a pivoting band matrix: P A = L' U with L' from the replay and U from gbtrf
+        rng = np.random.default_rng(19)
+        dense = random_banded(rng, 30, 3, 2)
+        dense[np.arange(30), np.arange(30)] = 0.1
+        fact = lu_factor_banded(banded(dense))
+        assert (fact.ipiv != np.arange(30)).any()
+        perm, lower = replay_oracle(fact.lu, fact.ipiv, fact.kl, fact.ku)
+        unit_lower = np.eye(30)
+        for d in range(1, len(lower)):
+            unit_lower += np.diag(lower[d, : 30 - d], -d)
+        upper = np.zeros((30, 30))
+        for d in range(fact.kl + fact.ku + 1):
+            upper += np.diag(fact.lu[fact.kl + fact.ku - d, d:], d)
+        assert unit_lower @ upper == pytest.approx(dense[perm], abs=1e-12)
+
+    @pytest.mark.parametrize("name,orders,r", [("fd11", None, 9.0), ("fdST", (4, 4), 3.0),
+                                               ("oifd", None, 9.0)])
+    def test_non_finite_results_are_gbtrs_bytes(self, name, orders, r):
+        # an overflowing, infinite or NaN right-hand side solves, unraised, to LAPACK's
+        # bytes, gbtrs's for (4, 4) and pttrs's for fd11's and oifd's LDL^T at N = 300, and
+        # a non-finite one to a non-finite state, which the time loop reports as a blow-up
+        rng = np.random.default_rng(20)
+        for _, fact in sample_factors(name, orders, 300, r):
+            lapack = gbtrs_bytes if isinstance(fact, BandedFactorization) else pttrs_bytes
+            for i in range(30):
+                rhs = rng.uniform(-1.0, 1.0, fact.n) * 10.0 ** rng.uniform(300, 308)  # may overflow
+                if i % 2:
+                    rhs[rng.integers(fact.n)] = (math.inf, -math.inf, math.nan)[i % 3]
+                x = solve_banded(fact, rhs)
+                assert x.tobytes() == lapack(fact, rhs)
+                assert i % 2 == 0 or not np.isfinite(x).all()
+
+    def test_a_factor_without_multipliers(self):
+        # kl = 0: no interchanges and an L' of the diagonal alone; signed zeros solve
+        # to gbtrs's bytes
+        rng = np.random.default_rng(22)
+        fact = lu_factor_banded(banded(random_banded(rng, 300, 0, 2)))
+        for _ in range(5):
+            rhs = rng.choice([0.0, -0.0, 1.5, -2.5], 300)
+            assert solve_banded(fact, rhs).tobytes() == gbtrs_bytes(fact, rhs)
+        perm, lower = replay_oracle(fact.lu, fact.ipiv, fact.kl, fact.ku)
+        assert np.array_equal(fact.ipiv, np.arange(300))
+        assert np.array_equal(perm, np.arange(300)) and lower.shape == (1, 300)
+
+    def test_the_replay_waits_for_the_second_large_solve(self, monkeypatch):
+        # set-up factors each system once and solves only oifd's ghost start, once; a
+        # large factor solves a right-hand side to pttrs's bytes from its first solve on
+        solved, solve = [], linalg.solve_banded
+        monkeypatch.setattr(linalg, "solve_banded", lambda f, b: solved.append(f) or solve(f, b))
+        (_, ghost), (_, step) = sample_factors("oifd", None, 800, 0.5)
+        ((_, q_fact),) = sample_factors("fd11", None, 800, 0.5)
+        assert len(solved) == 1 and solved[0] is ghost
+        rhs = np.ones(q_fact.n)
+        first = solve(q_fact, rhs)
+        assert first.tobytes() == pttrs_bytes(q_fact, rhs)
+        for _ in range(2):
+            assert solve(q_fact, rhs).tobytes() == first.tobytes()
+
+    def test_small_factors_stay_on_gbtrs(self):
+        # below TRIDIAGONAL_MIN_N interior nodes every implicit system is a banded LU
+        for name in ("fd11", "oifd"):
+            for N, kind in [(TRIDIAGONAL_MIN_N, BandedFactorization),
+                            (TRIDIAGONAL_MIN_N + 1, TridiagonalFactorization)]:
+                assert all(isinstance(fact, kind) for _, fact in sample_factors(name, None, N, 0.5))
+
+    def test_factorization_in_place_matches_gbtrf_on_a_copy(self):
+        # gbtrf on its Fortran-ordered work array in place, the lu and ipiv that f2py's
+        # copy of a C-ordered one gives
+        rng = np.random.default_rng(21)
+        for kl, ku in [(3, 1), (5, 4), (1, 1), (0, 2)]:
+            matrix = banded(random_banded(rng, 400, kl, ku))
+            full = np.zeros((2 * kl + ku + 1, 400))
+            full[kl:] = matrix.ab
+            lu, ipiv, _ = GBTRF(full, kl, ku)
+            fact = lu_factor_banded(matrix)
+            assert fact.lu.flags.f_contiguous
+            assert fact.lu.tobytes() == lu.tobytes() and np.array_equal(fact.ipiv, ipiv)
 
 
 class TestMatrixExponential:

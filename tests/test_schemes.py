@@ -1372,7 +1372,8 @@ class TestLockstep:
             assert np.array_equal(bits(solo.states),
                                   bits(np.stack([first.values[:, 0], last.values[:, 0]])))
 
-    def test_a_halted_members_finish_is_skipped_on_the_tridiagonal_path(self, monkeypatch):
+    def test_a_halted_members_finish_is_skipped_on_the_sweep_path(self, monkeypatch):
+        # on the large-grid path, once the band sweeps' and now the tridiagonal solves':
         # fd14 and fd33 share a lane at N = 400 (D and P_3, one length); fd14 fails the
         # check at level 192, is re-stepped from 128 and halts at 137, and its tridiagonal
         # factor is solved no more after that while fd33 runs on to level 424
