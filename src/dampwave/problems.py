@@ -106,9 +106,14 @@ Expression = Num | Var | Neg | BinOp | Call
 VARIABLES = ("x", "t", "pi")
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
 
-_FN = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt, "abs": abs}
-_OP = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-       "^": operator.pow}
+#: each operation by name, on floats and on numpy arrays: the five operators, the
+#: FUNCTIONS and "neg" (unary minus; a float stays a float in the array pass too)
+_SCALAR = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt, "abs": abs,
+           "neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}
+_ARRAY = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs,
+          "neg": operator.neg, "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+          "^": np.power}
 
 
 def format_expression(node: Expression) -> str:
@@ -117,13 +122,10 @@ def format_expression(node: Expression) -> str:
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
-    if isinstance(node, Neg):
-        return f"(-{format_expression(node.arg)})"
     if isinstance(node, BinOp):
         return f"({format_expression(node.left)} {node.op} {format_expression(node.right)})"
-    if isinstance(node, Call):
-        return f"{node.fn}({format_expression(node.arg)})"
-    raise TypeError(f"not an expression node: {node!r}")
+    arg = format_expression(node.arg)
+    return f"{node.fn}({arg})" if isinstance(node, Call) else f"(-{arg})"
 
 
 # ---------------------------------------------------------------------------
@@ -283,30 +285,19 @@ def eval_expression(expr: Expression, x: float, t: float) -> float:
         return expr.value
     if isinstance(expr, Var):
         return {"x": x, "t": t, "pi": math.pi}[expr.name]
-    if isinstance(expr, Neg):
-        return -eval_expression(expr.arg, x, t)
-    if isinstance(expr, Call):
-        v = eval_expression(expr.arg, x, t)
-        try:
-            out = _FN[expr.fn](v)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError(str(exc), expr) from None
-        return out
     if isinstance(expr, BinOp):
-        a = eval_expression(expr.left, x, t)
-        b = eval_expression(expr.right, x, t)
-        try:
-            out = _OP[expr.op](a, b)
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise EvaluationError(str(exc), expr) from None
-        if isinstance(out, complex) or not math.isfinite(out):
-            raise EvaluationError("non-finite result", expr)
-        return out
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-_NP_FN = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
-_NP_OP = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+        name = expr.op
+        args = eval_expression(expr.left, x, t), eval_expression(expr.right, x, t)
+    else:
+        name = expr.fn if isinstance(expr, Call) else "neg"
+        args = (eval_expression(expr.arg, x, t),)
+    try:
+        out = _SCALAR[name](*args)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise EvaluationError(str(exc), expr) from None
+    if isinstance(out, complex) or not math.isfinite(out):
+        raise EvaluationError("non-finite result", expr)
+    return out
 
 
 def _vectorize(expr: Expression) -> tuple[Callable, frozenset]:
@@ -321,17 +312,12 @@ def _vectorize(expr: Expression) -> tuple[Callable, frozenset]:
         if expr.name == "t":
             return (lambda x, t: t), frozenset("t")
         return (lambda x, t: math.pi), frozenset()
-    if isinstance(expr, Neg):
-        arg, used = _vectorize(expr.arg)
-        return (lambda x, t: -arg(x, t)), used
-    if isinstance(expr, Call):
-        fn, (arg, used) = _NP_FN[expr.fn], _vectorize(expr.arg)
-        return (lambda x, t: fn(arg(x, t))), used
     if isinstance(expr, BinOp):
-        op = _NP_OP[expr.op]
+        op = _ARRAY[expr.op]
         (left, left_used), (right, right_used) = _vectorize(expr.left), _vectorize(expr.right)
         return (lambda x, t: op(left(x, t), right(x, t))), left_used | right_used
-    raise TypeError(f"not an expression node: {expr!r}")
+    fn, (arg, used) = _ARRAY[expr.fn if isinstance(expr, Call) else "neg"], _vectorize(expr.arg)
+    return (lambda x, t: fn(arg(x, t))), used
 
 
 def _marked(fn: Callable, variables) -> Callable:

@@ -248,6 +248,22 @@ class TestSolve:
         assert code == 2
         assert "(1.0 / (x - 1.0))" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("g,message", [
+        ("sqrt(x - 1)", "math domain error in 'sqrt((x - 1.0))'"),
+        ("1/(x - x)", "float division by zero in '(1.0 / (x - x))'"),
+        ("(-8)^x", "non-finite result in '((-8.0) ^ x)'"),
+        ("exp(1000*x)", "math range error in 'exp((1000.0 * x))'"),
+    ], ids=["domain", "zero-division", "complex-power", "overflow"])
+    def test_forcing_failing_at_a_node_names_that_node(self, tmp_path, capsys, g, message):
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps(dict(UNDAMPED_DOC, g=g)))
+        out = tmp_path / "x.csv"
+        code = run_command(["solve", "--problem", str(cfg), "--scheme", "fd11",
+                            "--N", "20", "--r", "0.5", "--t-final", "0.1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"dampwave: error: {message}\n"
+        assert not out.exists()
+
     def test_blow_up_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "undamped.json"
         cfg.write_text(json.dumps(UNDAMPED_DOC))

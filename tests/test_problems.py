@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from dampwave.harness import error_profile
 from dampwave.operators import build_grid, sample
 from dampwave.problems import (
+    _ARRAY,
+    _SCALAR,
+    FUNCTIONS,
     MAX_DEPTH,
     BinOp,
     Call,
@@ -119,6 +122,9 @@ class TestDepthBound:
         tree = parse_expression(_deep(kind, MAX_DEPTH)[0])
         f = compile_expression(tree)
         assert f.variables == {"x"} and f(np.array([0.5]), 0.0).shape == (1,)
+        # the scalar walk, directly and through the compiled closure
+        assert math.isfinite(eval_expression(tree, 0.5, 0.0))
+        assert f(0.5, 0.0) == eval_expression(tree, 0.5, 0.0)
         format_expression(tree)
 
     @pytest.mark.parametrize("n", [MAX_DEPTH + 1, 1000, 100_000])
@@ -205,6 +211,10 @@ class TestEval:
 
     def test_functions(self):
         assert eval_expression(parse_expression("abs(-3)+sqrt(16)+cos(0)"), 0, 0) == 8.0
+
+    def test_scalar_and_array_tables_name_the_same_operations(self):
+        # a function added to the language cannot be missing from one of the walks
+        assert _SCALAR.keys() == _ARRAY.keys() == {*FUNCTIONS, *"+-*/^", "neg"}
 
 
 def random_tree(rng, depth):

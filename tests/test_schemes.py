@@ -899,6 +899,8 @@ ITEM_2 = "ROADMAP item 2: time-dependent Dirichlet data reduce fd11's order to 1
 ITEM_1_FD10 = ("ROADMAP item 1: fd10's order 0.47 with constant Dirichlet data is the "
                "trapezoid rule's steady-state defect in the u_t half, reproduced digit for "
                "digit by a dense fd10 step (ROADMAP Baseline)")
+ITEM_1_FD01 = ("ROADMAP item 1: fd01's order 1.3 with constant Dirichlet data is the "
+               "trapezoid rule's steady-state defect in the u_t half")
 # (scheme, Pade orders, the band of every observed order, the configs that miss it and why)
 ORDER_MATRIX = [
     ("fdST", (1, 0), FIRST, {"constant": ITEM_1_FD10}),
@@ -911,6 +913,20 @@ ORDER_MATRIX = [
 ]
 
 
+def _observed_orders(data, Ns, config_of_h):
+    """log2 of successive max errors against the exact solution at ORDER_T, solving
+    ORDER_DOCS[data] at each N with the config config_of_h(h)."""
+    problem = load_problem_config(json.dumps(dict(ORDER_DOCS[data], domain=[0, math.pi],
+                                                  gamma=ORDER_GAMMA)))
+    errors = []
+    for N in Ns:
+        grid = build_grid(0.0, math.pi, N)
+        (traj,) = solve_evolution(problem, grid, (config_of_h(grid.h),), ORDER_T)
+        assert traj.times[-1] == pytest.approx(ORDER_T, abs=1e-12)
+        errors.append(error_profile(traj, problem).max_error)
+    return [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+
+
 @pytest.mark.parametrize("name,orders,band,data", [
     pytest.param(name, orders, band, data, id=f"{config_for(name, 1.0, orders).label}-{data}",
                  marks=pytest.mark.xfail(strict=True, reason=misses[data])
@@ -918,17 +934,20 @@ ORDER_MATRIX = [
     for name, orders, band, misses in ORDER_MATRIX for data in ORDER_DOCS])
 def test_order_against_the_exact_solution_at_fixed_courant_ratio(name, orders, band, data):
     # h and k refined together at r = 0.5, N = 25 ... 200, every term of the PDE nonzero
-    problem = load_problem_config(json.dumps(dict(ORDER_DOCS[data], domain=[0, math.pi],
-                                                  gamma=ORDER_GAMMA)))
-    errors = []
-    for N in (25, 50, 100, 200):
-        grid = build_grid(0.0, math.pi, N)
-        (traj,) = solve_evolution(problem, grid, (config_for(name, 0.5 * grid.h, orders),),
-                                  ORDER_T)
-        assert traj.times[-1] == pytest.approx(ORDER_T, abs=1e-12)
-        errors.append(error_profile(traj, problem).max_error)
-    observed = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    observed = _observed_orders(data, (25, 50, 100, 200),
+                                lambda h: config_for(name, 0.5 * h, orders))
     assert all(band[0] <= p <= band[1] for p in observed), observed
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(data, marks=pytest.mark.xfail(strict=True, reason=ITEM_1_FD01)
+                 if data == "constant" else ()) for data in ORDER_DOCS])
+def test_fd01_order_against_the_exact_solution_at_k_of_order_h_squared(data):
+    # fd01 is stable for k <= min(2/gamma, gamma h^2/4), and gamma = 1 + sin(x)/2 >= 1 here,
+    # so k = T/ceil(8T/h^2) <= h^2/8 is stable and its first-order time error is O(h^2)
+    observed = _observed_orders(data, (25, 50, 100), lambda h: config_for(
+        "fd01", ORDER_T / math.ceil(8 * ORDER_T / h**2)))
+    assert all(SECOND[0] <= p <= SECOND[1] for p in observed), observed
 
 
 class TestSolveEvolution:
