@@ -284,7 +284,7 @@ def eval_expression(expr: Expression, x: float, t: float) -> float:
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
-        return {"x": x, "t": t, "pi": math.pi}[expr.name]
+        return x if expr.name == "x" else t if expr.name == "t" else math.pi
     if isinstance(expr, BinOp):
         name = expr.op
         args = eval_expression(expr.left, x, t), eval_expression(expr.right, x, t)

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import tempfile
@@ -594,6 +595,29 @@ class TestFigures:
         assert "figures_fd01_profile_N23_k0.05_t1.csv" in files
         assert "figures_fd11_profile_N23_k0.05_t1.csv" in files
         assert sum(1 for f in files if "maxerr" in f) == 16
+
+    def test_prints_the_note_and_every_path_in_order(self, tmp_path, capsys):
+        assert run_command(["figures", "--out-dir", str(tmp_path), "--t-final", "0.1"]) == 0
+        profiles = [f"figures_{s}_profile_N23_k0.05_t1.csv" for s in ("fd01", "fd11")]
+        series = [f"figures_{s}_maxerr_r{r}.csv"
+                  for r in cli.FIGURE_R_VALUES for s in harness.TABLE_SCHEMES]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("note: profile mesh uses N=23")
+        assert lines[1:] == [f"wrote {tmp_path / name}" for name in profiles + series]
+
+    def test_a_failed_write_in_a_series_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "figures_fd11_maxerr_r0.016.csv"
+        path.mkdir()
+        assert run_command(["figures", "--out-dir", str(tmp_path), "--t-final", "0.1"]) == 2
+        assert capsys.readouterr().err == (f"dampwave: error: cannot write CSV to '{path}': "
+                                           f"[Errno 21] Is a directory: '{path}'\n")
+
+    def test_no_worker_outlives_the_command(self, tmp_path, capsys):
+        assert run_command(["figures", "--out-dir", str(tmp_path), "--t-final", "0.1"]) == 0
+        (tmp_path / "figures_oefd_maxerr_r1.45.csv").unlink()
+        (tmp_path / "figures_oefd_maxerr_r1.45.csv").mkdir()
+        assert run_command(["figures", "--out-dir", str(tmp_path), "--t-final", "0.1"]) == 2
+        assert multiprocessing.active_children() == []
 
     # 0.09 lies below the largest series step, 1.45 pi/50 = 0.0911
     @pytest.mark.parametrize("t_final", ["0", "0.09"])
