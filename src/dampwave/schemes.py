@@ -75,12 +75,11 @@ one numpy call serves every member; `second_difference` keeps its first-axis
 form. Coefficients that differ between members are pre-expanded to the full
 array shape, as a broadcast (m,) or (n, 1) operand costs about three
 contiguous ones. A lane's `members` holds a `Member` record per column: its
-finish (a Q_S solve in the lane's interleaved order, a `Resolvent`, oifd's
-solve, oefd's divide) and a baseline's forcing source. A lane binds once, on
-its first step, what every level would otherwise re-decide, in its `bound`:
-the shared pass with its exact ones resolved, a steady source's value (an
-all-zero one dropped) and each live member's finish as a (column, finish)
-entry, by kind. Each member keeps its own blow-up:
+finish, the one function that finishes its column in place (below), and a
+baseline's forcing source. A lane binds once, on its first step, what every
+level would otherwise re-decide, in its `bound`: the shared pass with its
+exact ones resolved, a steady source's value (an all-zero one dropped) and a
+(column, finish) entry per live member. Each member keeps its own blow-up:
 a failed check rewinds every lane and checks every member at each level up to
 that check, so that each halts at the level, and with the state, of its solo
 run. A halt rebinds its lane, with that member's record None: its column
@@ -88,12 +87,13 @@ rides along unread, with no finish or forcing, and a lane of halted members
 is no longer stepped. A solo run is the one-member lane `make_stepper` makes.
 
 An implicit step is one shared pass and one solve a member, factored once per
-stepper in one of two forms (`linalg`):
+stepper in one of two forms (`linalg`), each bound by `make_stepper` with its
+factor into the member's finish, which solves through `linalg.solve_banded`:
 
 * from TRIDIAGONAL_MIN_N interior nodes, S = 1 splits exactly as
   R = D + rho/Q_1 (`pade`): the shared pass is D(kM) v and the finish adds
-  rho (I - cM)^{-1} v, c = k/(T + 1), acting on v, not on P_T(kM) v. Its
-  Schur complement divided by c,
+  rho (I - cM)^{-1} v to it, c = k/(T + 1), acting on v, not on P_T(kM) v.
+  Its Schur complement divided by c,
 
       (I/c + Gamma - (c/h^2) A) x_w = v_w/c + A v_u/h^2,   x_u = v_u + c x_w,
 
@@ -104,11 +104,12 @@ stepper in one of two forms (`linalg`):
   banded solve 1.0000000000048). oifd's left-hand sides take the same factor;
 * otherwise Q_S(kM) is built in band storage in the interleaved ordering
   (u_1, w_1, u_2, w_2, ...), by Horner's rule over kM's four diagonals, and
-  solved by gbtrf and gbtrs. S >= 2 stays here as partial fractions over Q_S's
-  roots lose digits as r grows (a prototype at N = 40 and r = 1e3, against a
-  40-digit reference: (2, 2) off by 1e-9, (4, 4) by 2e-5, gbtrs within 2e-12);
-  so do smaller grids, oifd's too, as Table 1 and Table 2 (N <= 50) are pinned
-  byte for byte under `bench/ref/` until ROADMAP item 6's re-capture.
+  solved by gbtrf and gbtrs on the column gathered into that order. S >= 2
+  stays here as partial fractions over Q_S's roots lose digits as r grows (a
+  prototype at N = 40 and r = 1e3, against a 40-digit reference: (2, 2) off
+  by 1e-9, (4, 4) by 2e-5, gbtrs within 2e-12); so do smaller grids, oifd's
+  too, as Table 1 and Table 2 (N <= 50) are pinned byte for byte under
+  `bench/ref/` until ROADMAP item 6's re-capture.
 """
 
 from __future__ import annotations
@@ -255,20 +256,13 @@ def _banded_poly(coeffs, op: BlockOperator, k: float) -> linalg.BandedMatrix:
     return linalg.BandedMatrix(n=size, kl=kl, ku=ku, ab=ab)
 
 
-class Resolvent(NamedTuple):
-    """rho (I - cM)^{-1}, c = k/(T + 1): a (1, T) member's finish on large grids (`schemes`)."""
-
-    rho: float
-    c: float
-    schur: linalg.TridiagonalFactorization  # of I/c + Gamma - (c/h^2) A
-
-
 class Member(NamedTuple):
     # a baseline's (t, B(t) or None) -> (lap_coeff B(t) for oefd, lap_coeff (B(t + k) + B(t))
     # for oifd; k^2 g(., t); B(t + k) for oifd, None for oefd), an all-zero B or g term None
     source: Optional[Callable]  # None in a semigroup lane, whose members share its source
-    # Q_S's banded factor (None when Q is I) or a Resolvent, oifd's factor, or oefd's divisor
-    finish: Union[linalg.Factorization, Resolvent, np.ndarray, None]
+    # finishes the member's column in place, bound to its factor by make_stepper: (col, v)
+    # for the semigroup family, col for a baseline; None for an explicit member
+    finish: Optional[Callable]
 
 
 @dataclass(frozen=True)
@@ -276,8 +270,7 @@ class SemigroupStepper:
     config: SchemeConfig
     op: BlockOperator  # a lane's damping is pre-expanded to (n, m)
     start: tuple[StateVector, ...]  # (V^0,)
-    p: tuple  # the shared pass's coefficients: P_T's, or D's for a Resolvent finish
-    perm: np.ndarray  # the interleaved order of the unknowns a banded Q_S factor solves for
+    p: tuple  # the shared pass's coefficients: P_T's, or D's for a Schur finish
     source: Callable  # t -> (k/2) F(t), None when F(t) is all zero
     steady: bool  # the problem's: source returns one value, made once
     members: Sequence[Optional[Member]]
@@ -285,15 +278,13 @@ class SemigroupStepper:
     @cached_property
     def bound(self) -> tuple:
         """The shared pass with its exact ones None, the source (None when steady), a steady
-        (k/2) F, and (column, finish) per live member by kind, (Q_S's banded factors,
-        Resolvents). What a step reads, bound once a lane."""
+        (k/2) F, and (column, finish) per live implicit member. What a step reads, bound once
+        a lane."""
         poly = self.p if len(self.p) == 1 else tuple(
             None if isinstance(c, float) and c == 1.0 else c for c in self.p)
-        live = [(j, m.finish) for j, m in enumerate(self.members) if m and m.finish]
         return (poly, None if self.steady else self.source,
                 self.source(0.0) if self.steady else None,
-                (tuple((j, f) for j, f in live if not isinstance(f, Resolvent)),
-                 tuple((j, f) for j, f in live if isinstance(f, Resolvent))))
+                tuple((j, m.finish) for j, m in enumerate(self.members) if m and m.finish))
 
 
 @dataclass(frozen=True)
@@ -308,12 +299,11 @@ class BaselineStepper:
     @cached_property
     def bound(self) -> tuple:
         """(column, source, terms) per live member with forcing (a steady one's source None, its
-        terms its B and g), and (column, finish) per live oefd (a divisor) and oifd (a factor)."""
+        terms its B and g), and (column, finish) per live member."""
         live = [(j, m) for j, m in enumerate(self.members) if m is not None]
         adds = [(j, None, m.source(0.0)[:2]) if self.steady else (j, m.source, ()) for j, m in live]
         return (tuple(a for a in adds if a[1] or any(x is not None for x in a[2])),
-                tuple((j, m.finish) for j, m in live if isinstance(m.finish, np.ndarray)),
-                tuple((j, m.finish) for j, m in live if not isinstance(m.finish, np.ndarray)))
+                tuple((j, m.finish) for j, m in live))
 
 
 Stepper = Union[SemigroupStepper, BaselineStepper]
@@ -347,8 +337,8 @@ def startup_u1(
 
 
 def _tridiagonal_factor(d: np.ndarray, a: float) -> linalg.Factorization:
-    """diag(d) - a A factored, SPD for d > 0 and a >= 0 (oifd's left-hand sides, a Resolvent's
-    Schur complement): LDL^T from TRIDIAGONAL_MIN_N nodes, banded LU below."""
+    """diag(d) - a A factored, SPD for d > 0 and a >= 0 (oifd's left-hand sides, a Schur
+    finish's complement): LDL^T from TRIDIAGONAL_MIN_N nodes, banded LU below."""
     off, diag = np.full(len(d) - 1, -a), d + 2.0 * a
     if len(d) >= TRIDIAGONAL_MIN_N:
         return linalg.factor_spd_tridiagonal(diag, off)
@@ -403,19 +393,33 @@ def make_stepper(
     k, x = config.k, grid.interior_nodes
     phi, psi = sample(problem.phi, x), sample(problem.psi, x)
     if config.kind == "semigroup":
-        approx = pade_coefficients(*config.orders)
+        approx, n = pade_coefficients(*config.orders), op.n_interior
         p, finish = approx.p_floats, None
-        if approx.S == 1 and op.n_interior >= TRIDIAGONAL_MIN_N:
+        if approx.S == 1 and n >= TRIDIAGONAL_MIN_N:
             d, rho = approx.split
-            p, c = tuple(map(float, d)), k / (approx.T + 1)
-            finish = Resolvent(float(rho), c, _tridiagonal_factor(1.0 / c + op.damping,
-                                                                  c * op.inv_h2))
+            p, c, rho = tuple(map(float, d)), k / (approx.T + 1), float(rho)
+            schur = _tridiagonal_factor(1.0 / c + op.damping, c * op.inv_h2)
+
+            def finish(col, v):  # col += rho x, x = (I - cM)^{-1} v, its w half first
+                b = second_difference(v[:n])
+                b *= op.inv_h2
+                b += v[n:] / c
+                x_w = linalg.solve_banded(schur, b)
+                x_u = c * x_w
+                x_u += v[:n]
+                x_u *= rho
+                col[:n] += x_u
+                x_w *= rho
+                col[n:] += x_w
         elif approx.S:
-            finish = linalg.lu_factor_banded(_banded_poly(approx.q_floats, op, k))
+            q = linalg.lu_factor_banded(_banded_poly(approx.q_floats, op, k))
+            perm = np.arange(op.size).reshape(2, -1).T.ravel()  # (u_1, w_1, u_2, w_2, ...)
+
+            def finish(col, _):
+                col[perm] = linalg.solve_banded(q, col[perm])
         return SemigroupStepper(
-            config, BlockOperator(op.n_interior, op.damping[:, None], op.inv_h2),
-            (StateVector(0.0, np.concatenate([phi, psi])[:, None]),), p,
-            np.arange(op.size).reshape(2, -1).T.ravel(), _bind(
+            config, BlockOperator(n, op.damping[:, None], op.inv_h2),
+            (StateVector(0.0, np.concatenate([phi, psi])[:, None]),), p, _bind(
                 problem, lambda t: _nonzero(k / 2.0 * forcing_vector(problem, grid, t)[:, None])),
             problem.steady, (Member(None, finish),))
 
@@ -426,7 +430,10 @@ def make_stepper(
         source = _bind(problem, lambda t, _=None: (
             _nonzero(lap_coeff * boundary_vector(problem, grid, t)),
             _nonzero(k2 * sample(problem.g, x, t)), None))
-        u1, b_k, finish = startup_u1(problem, grid, k, gamma, phi, psi), None, lhs
+        u1, b_k = startup_u1(problem, grid, k, gamma, phi, psi), None
+
+        def finish(col):
+            col /= lhs
     else:
         lap_coeff = 0.5 * _square(k / grid.h)
         b_at = _bind(problem, lambda t: boundary_vector(problem, grid, t))  # steady: one B
@@ -438,7 +445,10 @@ def make_stepper(
 
         source = _bind(problem, terms)
         u1, b_k = _oifd_ghost_start(phi, psi, gamma, k, lap_coeff, source)
-        finish = _tridiagonal_factor(lhs, lap_coeff)
+        fact = _tridiagonal_factor(lhs, lap_coeff)
+
+        def finish(col):
+            col[:] = linalg.solve_banded(fact, col)
     u0 = phi[:, None]
     start = (StateVector(0.0, u0, carry=(None,)), StateVector(k, u1[:, None], u0, carry=(b_k,)))
     return BaselineStepper(config, start, (gamma * k / 2.0 - 1.0)[:, None], lap_coeff,
@@ -449,24 +459,11 @@ def amplify(stepper: SemigroupStepper, v: np.ndarray) -> np.ndarray:
     """R(kM) v: the shared pass, then each live member's finish on its own column (ValueError
     unless v has one per member), Q_S(kM)^{-1} P_T(kM) v or D(kM) v + rho (I - cM)^{-1} v.
     `stability --empirical` applies a one-member lane to the sine-mode planes."""
-    poly, _, _, (solves, resolvents) = stepper.bound
+    poly, _, _, finishes = stepper.bound
     rhs = apply_poly(poly, stepper.op, stepper.config.k, v)
     rhs.reshape(len(v), len(stepper.members))  # raises unless v has a column per member
-    for j, fact in solves:  # solved for (u_1, w_1, u_2, w_2, ...)
-        col = rhs[:, j]
-        col[stepper.perm] = linalg.solve_banded(fact, col[stepper.perm])
-    for j, (rho, c, schur) in resolvents:  # x = (I - cM)^{-1} v, its w half first
-        n = stepper.op.n_interior
-        b = second_difference(v[:n, j])
-        b *= stepper.op.inv_h2
-        b += v[n:, j] / c
-        x_w = linalg.solve_banded(schur, b)
-        x_u = c * x_w
-        x_u += v[:n, j]
-        x_u *= rho
-        rhs[:n, j] += x_u
-        x_w *= rho
-        rhs[n:, j] += x_w
+    for j, finish in finishes:
+        finish(rhs[:, j], v[:, j])
     return rhs
 
 
@@ -488,9 +485,9 @@ def step_semigroup(stepper: SemigroupStepper, state: StateVector) -> StateVector
 def step_baseline(stepper: BaselineStepper, state: StateVector) -> StateVector:
     """One baseline step, level n (with level n-1 in prev) -> n+1: the shared right-hand
     side, each live member's forcing terms on its column (ValueError unless state has one per
-    member), then a divide for each oefd and a tridiagonal solve for each oifd. oifd takes
-    B(t_n) from its carry entry when set; its result's entry carries B(t_{n+1})."""
-    adds, divides, solves = stepper.bound
+    member), then each live member's finish: oefd's divide, oifd's tridiagonal solve. oifd
+    takes B(t_n) from its carry entry when set; its result's entry carries B(t_{n+1})."""
+    adds, finishes = stepper.bound
     u = state.values
     # 2u + lap_coeff A u + prev_coeff u^{n-1}, summed in that order in one new array that
     # starts as lap_coeff A u (IEEE addition commutes: the bits are the same)
@@ -504,11 +501,8 @@ def step_baseline(stepper: BaselineStepper, state: StateVector) -> StateVector:
         if source is not None:
             *terms, carry[j] = source(state.t, carry[j])
         _add_terms(rhs[:, j], *terms)
-    for j, d in divides:
-        col = rhs[:, j]
-        col /= d
-    for j, fact in solves:
-        rhs[:, j] = linalg.solve_banded(fact, rhs[:, j])
+    for j, finish in finishes:
+        finish(rhs[:, j])
     return StateVector(state.t + stepper.config.k, rhs, u, tuple(carry))
 
 

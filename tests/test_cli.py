@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib.util
 import json
@@ -205,24 +206,35 @@ class TestSolve:
         assert code == 2
         assert "'phi'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text,message", [
-        ("[" * 100_000, "invalid JSON"),
-        (json.dumps(dict(UNDAMPED_DOC, domain=[False, True])), "must be a pair of numbers"),
+    SOLVE_FD11 = ["solve", "--scheme", "fd11", "--N", "10", "--k", "0.1", "--t-final", "0.1"]
+
+    @pytest.mark.parametrize("text,message,command", [
+        ("[" * 100_000, "invalid JSON", SOLVE_FD11),
+        (json.dumps(dict(UNDAMPED_DOC, domain=[False, True])), "must be a pair of numbers",
+         SOLVE_FD11),
         # an int past the float range, and one past Python's int-parsing digit limit
-        (json.dumps(dict(UNDAMPED_DOC, domain=[0, 10**400])), "field 'domain'"),
-        ('{"domain": [0, 1' + "0" * 5000 + "]}", "invalid JSON"),
+        (json.dumps(dict(UNDAMPED_DOC, domain=[0, 10**400])), "field 'domain'", SOLVE_FD11),
+        ('{"domain": [0, 1' + "0" * 5000 + "]}", "invalid JSON", SOLVE_FD11),
         # non-decimal numerals: names to the scanner, numbers or bad characters before
-        (json.dumps(dict(UNDAMPED_DOC, phi="²")), "unknown identifier '²'"),
-        (json.dumps(dict(UNDAMPED_DOC, phi="2²")), "unexpected trailing '²'"),
-        (json.dumps(dict(UNDAMPED_DOC, phi="x + ½")), "unknown identifier '½'"),
+        (json.dumps(dict(UNDAMPED_DOC, phi="²")), "unknown identifier '²'", SOLVE_FD11),
+        (json.dumps(dict(UNDAMPED_DOC, phi="2²")), "unexpected trailing '²'", SOLVE_FD11),
+        (json.dumps(dict(UNDAMPED_DOC, phi="x + ½")), "unknown identifier '½'", SOLVE_FD11),
+        (json.dumps([UNDAMPED_DOC]), "document must be a JSON object", SOLVE_FD11),
+        (json.dumps(dict(UNDAMPED_DOC, gamma=0)), "field 'gamma' must be an expression string",
+         SOLVE_FD11),
+        # a document without exact, which compare and convergence need
+        (json.dumps(UNDAMPED_DOC), "compare needs a problem with an exact solution",
+         ["compare", "--N", "10", "--k", "0.1", "--t-final", "0.1"]),
+        (json.dumps(UNDAMPED_DOC), "convergence needs a problem with an exact solution",
+         ["convergence", "--scheme", "fd11", "--axis", "time", "--base-k", "0.1",
+          "--base-N", "10", "--levels", "3", "--t-eval", "0.2"]),
     ], ids=["nested-json", "boolean-domain", "domain-beyond-float", "domain-beyond-digit-limit",
-            "superscript-numeral", "superscript-after-number", "fraction-numeral"])
-    def test_rejected_document_exits_2(self, tmp_path, capsys, text, message):
+            "superscript-numeral", "superscript-after-number", "fraction-numeral", "json-array",
+            "numeric-field", "compare-without-exact", "convergence-without-exact"])
+    def test_rejected_document_exits_2(self, tmp_path, capsys, text, message, command):
         cfg = tmp_path / "doc.json"
         cfg.write_text(text)
-        code = run_command(["solve", "--problem", str(cfg), "--scheme", "fd11",
-                            "--N", "10", "--k", "0.1", "--t-final", "0.1",
-                            "--out", str(tmp_path / "x.csv")])
+        code = run_command(command + ["--problem", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert message in capsys.readouterr().err
 
@@ -631,18 +643,23 @@ class TestFigures:
 
 class TestRunShorterThanOneStep:
     """t_final < k has no step to report: the command exits 2 and writes nothing,
-    where it used to report the initial data as the answer."""
+    where it used to report the initial data as the answer; so does an option that does
+    not apply to the scheme."""
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--scheme", "fd11", "--N", "10", "--k", "0.1", "--t-final", "0.05"],
-        ["compare", "--N", "10", "--k", "0.1", "--t-final", "0.05"],
-        ["table2", "--t-final", "0.01"],
-    ], ids=["solve", "compare", "table2"])
-    def test_exits_2_without_output(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "--scheme", "fd11", "--N", "10", "--k", "0.1", "--t-final", "0.05"],
+         "t_final=0.05 is shorter than one time step k=0.1"),
+        (["compare", "--N", "10", "--k", "0.1", "--t-final", "0.05"],
+         "t_final=0.05 is shorter than one time step k=0.1"),
+        (["table2", "--t-final", "0.01"], "t_final=0.01 is shorter than one time step k="),
+        (["solve", "--scheme", "fd11", "--pade", "2,2", "--N", "10", "--k", "0.1",
+          "--t-final", "1"], "--pade only applies to --scheme fdST"),
+    ], ids=["solve", "compare", "table2", "pade-without-fdST"])
+    def test_exits_2_without_output(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x.csv"
         assert run_command(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert "shorter than one time step" in captured.err and "t_final=" in captured.err
+        assert captured.err.startswith("dampwave: error: ") and message in captured.err
         assert captured.out == ""
         assert not out.exists()
 
@@ -871,6 +888,21 @@ class TestPackageRoot:
                                           dampwave.schemes.BaselineStepper))
                            for m in stepper.members)
             assert stepper.start[0].values.shape in ((op.size, 1), (grid.n_interior, 1))
+
+    @pytest.mark.parametrize("path", sorted(pathlib.Path(dampwave.__file__).parent.glob("*.py")),
+                             ids=lambda path: path.name)
+    def test_every_imported_name_is_used(self, path):
+        # a name the module imports is read somewhere in it, or re-exported in __all__
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        assert sorted(imported - used) == []
 
     @pytest.mark.parametrize("module", ["schemes", "linalg", "harness", "stability"])
     def test_cli_import_binds_the_traced_modules(self, module):

@@ -168,7 +168,7 @@ class TestTridiagonalLDL:
 
 def sample_factors(name, orders, N, r):
     """(matrix, factor) for each system a solve of the sample problem at k = r h factors, as
-    make_stepper factors it: Q_S's band or a Resolvent's Schur complement (diag, off) for
+    make_stepper factors it: Q_S's band or a Schur finish's complement (diag, off) for
     fdST, and for oifd its ghost start's left-hand side, then its step's."""
     grid = build_grid(0.0, math.pi, N)
     problem = sample_problem()
@@ -288,11 +288,12 @@ class TestSweepSolve:
         moved = fact.ipiv[fact.ipiv != np.arange(fact.n)]
         assert np.bincount(moved).max() > 1
         stepper = make_stepper(config, op, grid, problem)
+        perm = np.arange(op.size).reshape(2, -1).T.ravel()  # (u_1, w_1, u_2, w_2, ...)
         rng = np.random.default_rng(18)
         for _ in range(5):
             v = rng.standard_normal((op.size, 1))
             want = apply_poly(approx.p_floats, stepper.op, k, v)[:, 0]
-            want[stepper.perm] = GBTRS(fact.lu, fact.kl, fact.ku, want[stepper.perm], fact.ipiv)[0]
+            want[perm] = GBTRS(fact.lu, fact.kl, fact.ku, want[perm], fact.ipiv)[0]
             got = amplify(stepper, v)[:, 0]
             if approx.S >= 2:
                 assert got.tobytes() == want.tobytes()

@@ -498,6 +498,21 @@ def spectrum(N, r):
     return np.linalg.eigvals(r * grid.h * operator_to_dense(op))
 
 
+def traced_make_stepper(config, op, grid, problem):
+    """make_stepper's lane for config, and a (linalg factor routine, unknowns) entry per system
+    it factors, in order."""
+    factored = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("lu_factor_banded", "factor_spd_tridiagonal"):
+            def traced(*args, name=name, factor=getattr(schemes.linalg, name)):
+                fact = factor(*args)
+                factored.append((name, fact.n))
+                return fact
+            patch.setattr(schemes.linalg, name, traced)
+        stepper = make_stepper(config, op, grid, problem)
+    return stepper, factored
+
+
 class TestTridiagonalPath:
     """From TRIDIAGONAL_MIN_N interior nodes, a (1, T) member steps D(kM) v + rho (I - cM)^{-1} v
     and oifd solves its left-hand side by LDL^T.
@@ -519,21 +534,23 @@ class TestTridiagonalPath:
     @pytest.mark.parametrize("N", [129, 300])
     @pytest.mark.parametrize("name,orders", SPD_SCHEMES,
                              ids=[config_for(n, 1.0, o).label for n, o in SPD_SCHEMES])
-    def test_a_step_matches_a_dense_solve(self, name, orders, N, r):
+    def test_a_step_matches_a_dense_solve(self, name, orders, N, r, monkeypatch):
         problem = load_problem_config(json.dumps(SPD_DOC))
         grid = build_grid(0.0, math.pi, N)
         op, k, x = assemble_system(grid, problem), r * grid.h, grid.interior_nodes
-        stepper = make_stepper(config_for(name, k, orders), op, grid, problem)
-        (member,) = stepper.members
+        stepper, factored = traced_make_stepper(config_for(name, k, orders), op, grid, problem)
+        # oifd's ghost start and step, a (1, T) member's Schur complement: N - 1 unknowns each
+        assert factored == [("factor_spd_tridiagonal", N - 1)] * (2 if name == "oifd" else 1)
+        solved, solve = [], schemes.linalg.solve_banded
+        monkeypatch.setattr(schemes.linalg, "solve_banded",
+                            lambda fact, b: solved.append(type(fact).__name__) or solve(fact, b))
         if name == "oifd":
-            assert isinstance(member.finish, schemes.linalg.TridiagonalFactorization)
             for kind, u in self.vectors(x, 1).items():
                 prev = np.roll(u, 7) - 0.5 * u
                 got = step_oifd(stepper, StateVector(k, u[:, None], prev[:, None], (None,)))
                 want = dense_oifd_step(op, k, grid.h, u, prev)
                 assert np.abs(got.values[:, 0] - want).max() <= 1e-12 * np.abs(want).max(), kind
         else:
-            assert isinstance(member.finish, schemes.Resolvent)
             approx = pade_coefficients(*orders)
             growth = max(abs(eval_scalar(approx, complex(z))) for z in spectrum(N, r))
             for kind, v in self.vectors(x, 2).items():
@@ -541,19 +558,24 @@ class TestTridiagonalPath:
                 want = dense_amplification(approx, op, k, v)
                 scale = max(np.abs(want).max(), max(1.0, growth) * np.abs(v).max())
                 assert np.abs(got - want).max() <= 1e-12 * scale, kind
+        assert solved == ["TridiagonalFactorization"] * 2  # one LDL^T solve a step
 
     @pytest.mark.parametrize("name,orders", SPD_SCHEMES + [("fdST", (2, 2))],
                              ids=[config_for(n, 1.0, o).label for n, o in SPD_SCHEMES + [
                                  ("fdST", (2, 2))]])
     def test_the_path_starts_at_tridiagonal_min_n_nodes(self, name, orders):
+        # below: Q_S's interleaved band of 2n unknowns, or oifd's tridiagonal band of n; from
+        # TRIDIAGONAL_MIN_N: LDL^T of n, the Schur complement or oifd's left-hand side
         problem = load_problem_config(json.dumps(SPD_DOC))
         for n in (schemes.TRIDIAGONAL_MIN_N - 1, schemes.TRIDIAGONAL_MIN_N):
             grid = build_grid(0.0, math.pi, n + 1)
             config = config_for(name, 0.5 * grid.h, orders)
-            (member,) = make_stepper(config, assemble_system(grid, problem), grid,
-                                     problem).members
-            banded = isinstance(member.finish, schemes.linalg.BandedFactorization)
-            assert banded == (n < schemes.TRIDIAGONAL_MIN_N or orders == (2, 2)), n
+            _, factored = traced_make_stepper(config, assemble_system(grid, problem), grid,
+                                              problem)
+            banded = n < schemes.TRIDIAGONAL_MIN_N or orders == (2, 2)
+            want = ("lu_factor_banded", 2 * n if name == "fdST" else n) if banded else (
+                "factor_spd_tridiagonal", n)
+            assert factored == [want] * (2 if name == "oifd" else 1), n
 
 
 ALL_SCHEMES = [("fd01", None), ("fd11", None), ("fdST", (2, 2)), ("oefd", None), ("oifd", None)]
@@ -950,6 +972,38 @@ def test_fd01_order_against_the_exact_solution_at_k_of_order_h_squared(data):
     assert all(SECOND[0] <= p <= SECOND[1] for p in observed), observed
 
 
+# gamma >= 0 of moderate size: abs() of a small expression in x
+GAMMA_EXPRESSIONS = st.recursive(st.sampled_from(["0", "0.5", "2", "x", "pi"]), lambda inner: (
+    st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda p: f"({p[0]}){p[1]}({p[2]})")
+    | st.tuples(st.sampled_from(["sin", "cos"]), inner).map(lambda p: f"{p[0]}({p[1]})")),
+    max_leaves=4).map(lambda e: f"abs({e})")
+
+
+def energy_by_level(gamma, N, configs, seed, steps):
+    """E = h[u.(-A/h^2)u + w.w] at every level of an unforced solve of configs on [0, pi]
+    with damping gamma (an expression) and phi, psi drawn node by node from seed, read
+    through on_block: a row per config, a column per level."""
+    problem = load_problem_config(json.dumps(dict(
+        domain=[0, math.pi], gamma=gamma, g="0", phi="0", psi="0", u_a="0", u_b="0")))
+    phi, psi = np.random.default_rng(seed).standard_normal((2, N - 1))
+    problem = dataclasses.replace(problem, phi=lambda x: phi if np.ndim(x) else 0.0,
+                                  psi=lambda x: psi if np.ndim(x) else 0.0)
+    grid = build_grid(0.0, math.pi, N)
+    n, h = grid.n_interior, grid.h
+    levels = [[] for _ in configs]
+
+    def on_block(first, blocks):
+        for level, rows in zip(levels, blocks):
+            assert len(level) == first
+            u, w = rows[:, :n], rows[:, n:]
+            potential = -(u * second_difference(u.T).T).sum(axis=1) / h**2  # u.(-A/h^2)u
+            level.extend(h * (potential + (w * w).sum(axis=1)))
+
+    ends = solve_evolution(problem, grid, configs, (steps + 0.25) * configs[0].k, on_block)
+    assert [end.blow_up for end in ends] == [False] * len(configs)
+    return np.array(levels)
+
+
 class TestSolveEvolution:
     @pytest.mark.parametrize("name,orders", ALL_SCHEMES + [("fdST", (3, 3))],
                              ids=[n for n, _ in ALL_SCHEMES] + ["fdST33"])
@@ -1046,6 +1100,29 @@ class TestSolveEvolution:
         u, w = np.split(traj.states, 2, axis=1)
         energy = (w * w).sum(axis=1) - (u * second_difference(u.T).T).sum(axis=1) / grid.h**2
         assert np.all(np.diff(energy) <= 1e-12 * energy[0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        gamma=GAMMA_EXPRESSIONS,
+        # both sides of the Schur finishes' threshold
+        N=st.one_of(st.integers(2, schemes.TRIDIAGONAL_MIN_N),
+                    st.integers(schemes.TRIDIAGONAL_MIN_N + 1, schemes.TRIDIAGONAL_MIN_N + 40)),
+        r=st.floats(0.05, 50.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_stable_pairs_never_increase_the_energy_norm(self, gamma, N, r, seed):
+        # M is dissipative in <V, V'>_E = h[u.(-A/h^2)u' + w.w'] for gamma >= 0, so every
+        # A-stable R(kM), T <= S <= T + 2, is a contraction in it (von Neumann): unforced,
+        # no level of any of the 11 pairs may raise E, whatever the damping and initial data
+        configs = tuple(SchemeConfig("semigroup", r * math.pi / N, (S, T))
+                        for S in range(5) for T in range(5) if T <= S <= T + 2 and S + T)
+        energy = energy_by_level(gamma, N, configs, seed, 70)
+        assert np.all(energy[:, 1:] <= energy[:, :-1] * (1.0 + 1e-12))
+
+    def test_fd01_raises_the_energy_norm_at_r_1_59(self):
+        # fd01 is not A-stable: at r = 1.59 on rough undamped data, E grows
+        energy = energy_by_level("0", 50, (config_for("fd01", 1.59 * math.pi / 50),), 7, 70)
+        assert np.any(energy[:, 1:] > energy[:, :-1] * (1.0 + 1e-12))
 
     def test_blow_up_detected_and_flagged(self):
         problem = plain_problem(gamma=lambda x: 0.0, psi=lambda x: 0.0, exact=None)
@@ -1445,12 +1522,13 @@ class TestDispatchBudget:
 
     def run(self, monkeypatch, members, r, steps):
         """Solve members on the sample problem at N=50 to level steps. Returns the
-        trajectories, a [lane label, level, ids of its live members' factors, ids of the
-        factors solved, apply_poly calls] record per step call, and the number of calls of
-        the forcing sources `schemes._bind` makes and of the functions they evaluate."""
+        trajectories, a [lane label, level, ids of the factors its live implicit members step
+        with, ids of the factors solved, apply_poly calls] record per step call, and the number
+        of calls of the forcing sources `schemes._bind` makes and of the functions they
+        evaluate."""
         grid = build_grid(0.0, math.pi, 50)
         k = r * grid.h
-        calls, forcing = [], []
+        calls, forcing, made, factors = [], [], [], {}
 
         def wrap(module, name, record):
             fn = getattr(module, name)
@@ -1461,8 +1539,7 @@ class TestDispatchBudget:
             monkeypatch.setattr(module, name, counted)
 
         def step(lane, state):
-            live = [id(m.finish) for m in lane.members if m is not None
-                    and isinstance(m.finish, schemes.linalg.BandedFactorization)]
+            live = [id(factors[m]) for m in lane.members if m in factors]
             calls.append([lane.config.label, round(state.t / k) + 1, live, [], 0])
 
         def solve(fact, *_):
@@ -1472,6 +1549,18 @@ class TestDispatchBudget:
         def poly(*_):
             calls[-1][4] += 1
 
+        def stepper_with_factor(*args):
+            made.clear()
+            stepper = make(*args)
+            if made:  # the last factor made: oifd's step's, after its ghost start's
+                factors[stepper.members[0]] = made[-1]
+            return stepper
+
+        factor = schemes.linalg.lu_factor_banded
+        monkeypatch.setattr(schemes.linalg, "lu_factor_banded",
+                            lambda matrix: made.append(factor(matrix)) or made[-1])
+        make = schemes.make_stepper
+        monkeypatch.setattr(schemes, "make_stepper", stepper_with_factor)
         for name in ("step_semigroup", "step_oefd", "step_oifd"):
             wrap(schemes, name, step)
         wrap(schemes, "apply_poly", poly)
