@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
+from numpy import add, multiply  # a bound pass's ufuncs, by bare name: one lookup a call
 
 from .problems import DampedWaveProblem, ExpressionError
 
@@ -105,9 +107,31 @@ def second_difference(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.nda
     """A v for the second-difference matrix A = tridiag(1, -2, 1) (no 1/h^2 factor), into
     out when given (shaped like v, not overlapping it). Works along the first axis, so
     second_difference(np.eye(n)) is A itself."""
-    out = np.multiply(-2.0, v, out=out)
-    out[:-1] += v[1:]
-    out[1:] += v[:-1]
+    return difference_pass(v, np.empty(v.shape) if out is None else out)()
+
+
+def scalar(c):
+    """c as an operand of a bound pass: a float as a read-only 0-d array, which a ufunc takes
+    with less work per call than a Python float and with the same bits; anything else as it
+    is."""
+    return _readonly(np.array(c)) if isinstance(c, float) else c
+
+
+_MINUS_TWO = scalar(-2.0)
+
+
+def difference_pass(v: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
+    """The pass of `second_difference` from v into out, its views cut here once: a function
+    of no arguments that writes A v into out and returns out. Like every bound pass, it is a
+    partial of a module function, which makes two objects for the collector to track where a
+    closure makes one per variable it reads."""
+    return partial(_difference, v, out, out[:-1], out[1:], v[:-1], v[1:])
+
+
+def _difference(v, out, out_head, out_tail, v_head, v_tail) -> np.ndarray:
+    multiply(_MINUS_TWO, v, out)
+    add(out_head, v_tail, out_head)
+    add(out_tail, v_head, out_tail)
     return out
 
 

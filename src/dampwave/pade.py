@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from math import factorial
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy import add, multiply, subtract  # the pass's ufuncs, one lookup a call
 
-from .operators import BlockOperator, second_difference
+from .operators import BlockOperator, difference_pass, scalar
 
 MAX_ORDER = 4  # supported range for the scheme family
 
@@ -83,23 +84,57 @@ def pade_coefficients(S: int, T: int) -> RationalApproximant:
     return RationalApproximant(S=S, T=T, p_coeffs=p, q_coeffs=q, leading_error=lead)
 
 
-def apply_poly(coeffs: Sequence, op: BlockOperator, k: float, v: np.ndarray) -> np.ndarray:
-    """Evaluate sum_j coeffs[j] (k M)^j v by Horner's rule, each M-product taken in block
-    form, M [u; w] = [w; A u / h^2 - Gamma w]: O(N) work, no densification. A coefficient
+def apply_poly(coeffs: Sequence, op: BlockOperator, k: float, v: np.ndarray,
+               out: Optional[np.ndarray] = None, work: Optional[list] = None
+               ) -> Callable[[], np.ndarray]:
+    """The Horner pass of sum_j coeffs[j] (k M)^j v, each M-product taken in block form,
+    M [u; w] = [w; A u / h^2 - Gamma w]: O(N) work, no densification. Returns a function of
+    no arguments that writes the sum into out (a new array shaped like v when None) and
+    returns out. Every view the pass reads or writes is cut here, once, so that a lane's step
+    plan (`schemes`) runs it at every level with no slicing and no allocation. Its scratch
+    arrays come from work, a list of arrays shaped like v that the pass extends to the (at
+    most two) it needs, so that passes over different arrays can share them. A coefficient
     of None is exactly 1 (a lane's resolved ones, `schemes`) and adds v itself, unmultiplied,
-    as 1.0 * x == x. v is never written; the result is a new array unless coeffs is (None,).
+    as 1.0 * x == x. The pass never writes v, which shares no memory with out or work;
+    ValueError unless v has op.size rows.
 
     v carries a trailing member axis, (2n, m) for the m members of a lane (see `schemes`);
     op's damping is then (n, m), and a coefficient is a float or an array shaped like v."""
-    n = op.n_interior
-    acc = v if coeffs[-1] is None else coeffs[-1] * v
-    for c in reversed(coeffs[:-1]):
-        out = np.empty(acc.shape)
-        out[:n] = acc[n:]
-        lap = second_difference(acc[:n], out=out[n:])
-        lap *= op.inv_h2
-        lap -= op.damping * acc[n:]
-        out *= k
-        out += v if c is None else c * v
-        acc = out
-    return acc
+    if len(v) != op.size:
+        raise ValueError(f"expected {op.size} rows, got an array of shape {v.shape}")
+    n, degree, first = op.n_interior, len(coeffs) - 1, scalar(coeffs[-1])
+    out, work = np.empty(v.shape) if out is None else out, [] if work is None else work
+    work.extend(np.empty(v.shape) for _ in range(min(degree, 2) - len(work)))
+    # acc[j] = sum_{i >= j} coeffs[i] (kM)^(i - j) v: out, then two accumulators in turn,
+    # the last v itself when its coefficient is None; a stage's products go into the
+    # accumulator it reads, once read, or into the other one when it reads v
+    acc = [out] + [work[(j - 1) % 2] for j in range(1, degree + 1)]
+    if degree and first is None:
+        acc[degree] = v
+    stages = []
+    for c, src, dst in zip(coeffs[-2::-1], acc[:0:-1], acc[-2::-1]):
+        temp = work[(degree - 1) % 2] if src is v else src
+        stages.append((src[n:], dst, dst[:n], dst[n:], difference_pass(src[:n], dst[n:]),
+                       temp, temp[n:], scalar(c)))
+    return partial(_horner, v, out, acc[degree], first, tuple(stages), op.damping,
+                   scalar(op.inv_h2), scalar(k))
+
+
+def _horner(v, out, top, first, stages, damping, inv_h2, k) -> np.ndarray:
+    if first is not None:
+        multiply(first, v, top)
+    elif top is out:  # coeffs is (None,)
+        out[...] = v
+    for src_w, dst, dst_u, dst_w, difference, temp, damped, c in stages:
+        dst_u[...] = src_w
+        difference()
+        multiply(dst_w, inv_h2, dst_w)
+        multiply(damping, src_w, damped)
+        subtract(dst_w, damped, dst_w)
+        multiply(dst, k, dst)
+        if c is None:
+            add(dst, v, dst)
+        else:
+            multiply(c, v, temp)
+            add(dst, temp, dst)
+    return out

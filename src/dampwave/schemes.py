@@ -53,7 +53,11 @@ Every scheme runs behind one stepper protocol, as a member of a lane (below):
   once, `carry` holds W_n = V^n + (k/2) F(t_n) for the semigroup family, None
   on V^0, and for a baseline lane an entry per member: B(t_n) for oifd, whose
   u^1 level carries the B(k) of its ghost start, None on u^0 and for oefd.
-  A source returns None for an all-zero term, which adds nothing;
+  A source returns None for an all-zero term, which adds nothing. No step
+  writes into the state it is given, and a state that a step returns lives in
+  a ring slot of its lane's plan (below): it stays intact for exactly one
+  further step of its lane, after which a caller that keeps it must have
+  copied it;
 * `solve_evolution` owns the only time loop and its blow-up bookkeeping. It
   maps a tuple of configs to a tuple of trajectories with the start and last
   levels (a blown-up run ends at its first non-finite one), and hands every
@@ -61,10 +65,11 @@ Every scheme runs behind one stepper protocol, as a member of a lane (below):
   checks every CHECK_EVERY levels and the last, and steps lane by lane from
   one check to the next: a non-finite entry persists at every later level, as
   every coefficient and pivot is finite and NaN and inf spread through +, *
-  and the solves. A failed check, or a span of steps that raises, rewinds
-  to the last level that passed and checks every level up to the end of that
-  span, after which the checks are spaced again. The rewind reuses that level's
-  arrays, so no step writes into the arrays of the state it is given.
+  and the solves. Before each lane's span it copies the lane's checked level
+  aside, once. A lane whose check fails, or whose span raises, is rewound
+  alone: it restarts from exactly the bits of that copy and is checked at
+  every level up to the end of its span, while the other lanes wait at the
+  check with their checked levels. The checks are then spaced again.
 
 The schemes of one solve run in lockstep: `solve_evolution` steps its configs,
 at one k, as lanes of members that share array ops, semigroup members whose
@@ -75,16 +80,31 @@ one numpy call serves every member; `second_difference` keeps its first-axis
 form. Coefficients that differ between members are pre-expanded to the full
 array shape, as a broadcast (m,) or (n, 1) operand costs about three
 contiguous ones. A lane's `members` holds a `Member` record per column: its
-finish, the one function that finishes its column in place (below), and a
-baseline's forcing source. A lane binds once, on its first step, what every
-level would otherwise re-decide, in its `bound`: the shared pass with its
-exact ones resolved, a steady source's value (an all-zero one dropped) and a
-(column, finish) entry per live member. Each member keeps its own blow-up:
-a failed check rewinds every lane and checks every member at each level up to
-that check, so that each halts at the level, and with the state, of its solo
-run. A halt rebinds its lane, with that member's record None: its column
-rides along unread, with no finish or forcing, and a lane of halted members
-is no longer stepped. A solo run is the one-member lane `make_stepper` makes.
+finish, bound to its factor, which binds the function that finishes its column
+in place (below), and a baseline's forcing source. A lane binds once, on its
+first step, what every level would otherwise re-decide, in its `bound`: the
+shared pass with its exact ones resolved, a steady source's value (an
+all-zero one dropped) and a (column, finish) entry per live member.
+
+On that first step it also binds its step plan, so that `make_stepper`'s
+set-up does not grow. The plan holds a ring of level arrays, 2 for the
+semigroup family ((V, W) pairs, W being V itself in an unforced lane) and 3
+for the baselines, the aside arrays that hold a checked level or any other
+state a step is given once the ring holds a level, and the scratch of its
+passes. For each pair of arrays that a level reads and writes it binds that
+level once: `pade.apply_poly`'s Horner pass and each live member's finish,
+with every view they read or write (the halves of a level, the shifted rows of
+the second difference, a member's column) cut once, each a `partial` of a
+module function. A level then reads one slot and writes the next with `out=`
+ufuncs, with no allocation and no slicing, and a step from the state the plan
+returned last goes straight to the level after it. The plan holds no
+reference to its lane, so that no reference cycle outlives a solve, and the
+arrays and bound levels go with the lane. Each member keeps its own
+blow-up: its lane's rewind checks every member at each level up to that
+check, so that each halts at the level, and with the state, of its solo run.
+A halt rebinds its lane, with that member's record None: its column rides
+along unread, with no finish or forcing, and a lane of halted members is no
+longer stepped. A solo run is the one-member lane `make_stepper` makes.
 
 An implicit step is one shared pass and one solve a member, factored once per
 stepper in one of two forms (`linalg`), each bound by `make_stepper` with its
@@ -117,10 +137,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
+from numpy import add, divide, multiply  # a bound level's ufuncs, one lookup a call
 
 from . import linalg
 from .operators import (
@@ -128,8 +149,10 @@ from .operators import (
     SpatialGrid,
     assemble_system,
     boundary_vector,
+    difference_pass,
     forcing_vector,
     sample,
+    scalar,
     second_difference,
 )
 from .pade import apply_poly, pade_coefficients, validate_orders
@@ -260,8 +283,9 @@ class Member(NamedTuple):
     # a baseline's (t, B(t) or None) -> (lap_coeff B(t) for oefd, lap_coeff (B(t + k) + B(t))
     # for oifd; k^2 g(., t); B(t + k) for oifd, None for oefd), an all-zero B or g term None
     source: Optional[Callable]  # None in a semigroup lane, whose members share its source
-    # finishes the member's column in place, bound to its factor by make_stepper: (col, v)
-    # for the semigroup family, col for a baseline; None for an explicit member
+    # bound to its factor by make_stepper, binds the function of no arguments that finishes
+    # the member's column in place: (col, v, scratch) for the semigroup family, scratch a
+    # flat array of at least 2n, col for a baseline; None for an explicit member
     finish: Optional[Callable]
 
 
@@ -286,6 +310,27 @@ class SemigroupStepper:
                 self.source(0.0) if self.steady else None,
                 tuple((j, m.finish) for j, m in enumerate(self.members) if m and m.finish))
 
+    @cached_property
+    def plan(self) -> "_SemigroupPlan":  # bound on the lane's first step
+        return _SemigroupPlan(self)
+
+    @cached_property
+    def amplifier(self) -> tuple:
+        """(v, out, passes): `passes` from v into out, two arrays of their own shaped like a
+        level, bound on the lane's first `amplify`."""
+        v, out = np.empty((2,) + self.start[0].values.shape)
+        return v, out, self.passes(v, out, [])
+
+    def passes(self, v: np.ndarray, out: np.ndarray, work: list) -> list:
+        """R(kM) v into out, bound with their views: the shared pass, then each live member's
+        finish. work is `apply_poly`'s, its first array the finishes' scratch too."""
+        poly, _, _, finishes = self.bound
+        passes = [apply_poly(poly, self.op, self.config.k, v, out, work)]
+        if finishes and not work:
+            work.append(np.empty(v.shape))
+        return passes + [finish(out[:, j], v[:, j], work[0].reshape(-1))
+                         for j, finish in finishes]
+
 
 @dataclass(frozen=True)
 class BaselineStepper:
@@ -304,6 +349,10 @@ class BaselineStepper:
         adds = [(j, None, m.source(0.0)[:2]) if self.steady else (j, m.source, ()) for j, m in live]
         return (tuple(a for a in adds if a[1] or any(x is not None for x in a[2])),
                 tuple((j, m.finish) for j, m in live))
+
+    @cached_property
+    def plan(self) -> "_BaselinePlan":  # bound on the lane's first step
+        return _BaselinePlan(self)
 
 
 Stepper = Union[SemigroupStepper, BaselineStepper]
@@ -399,24 +448,38 @@ def make_stepper(
             d, rho = approx.split
             p, c, rho = tuple(map(float, d)), k / (approx.T + 1), float(rho)
             schur = _tridiagonal_factor(1.0 / c + op.damping, c * op.inv_h2)
+            c, rho, inv_h2 = scalar(c), scalar(rho), scalar(op.inv_h2)
 
-            def finish(col, v):  # col += rho x, x = (I - cM)^{-1} v, its w half first
-                b = second_difference(v[:n])
-                b *= op.inv_h2
-                b += v[n:] / c
+            def resolvent(v_u, v_w, col_u, col_w, b, x_u, difference):
+                difference()  # col += rho x, x = (I - cM)^{-1} v, its w half first
+                multiply(b, inv_h2, b)
+                divide(v_w, c, x_u)
+                add(b, x_u, b)
                 x_w = linalg.solve_banded(schur, b)
-                x_u = c * x_w
-                x_u += v[:n]
-                x_u *= rho
-                col[:n] += x_u
-                x_w *= rho
-                col[n:] += x_w
+                multiply(c, x_w, x_u)
+                add(x_u, v_u, x_u)
+                multiply(x_u, rho, x_u)
+                add(col_u, x_u, col_u)
+                multiply(x_w, rho, x_w)
+                add(col_w, x_w, col_w)
+
+            def finish(col, v, scratch):
+                b, x_u = scratch[:n], scratch[n:op.size]  # x_u holds v_w/c until b takes it
+                return partial(resolvent, v[:n], v[n:], col[:n], col[n:], b, x_u,
+                               difference_pass(v[:n], b))
         elif approx.S:
             q = linalg.lu_factor_banded(_banded_poly(approx.q_floats, op, k))
             perm = np.arange(op.size).reshape(2, -1).T.ravel()  # (u_1, w_1, u_2, w_2, ...)
 
-            def finish(col, _):
-                col[perm] = linalg.solve_banded(q, col[perm])
+            def interleaved(col, gathered, into_u, into_w, col_u, col_w):
+                into_u[...] = col_u  # gathered = col[perm]
+                into_w[...] = col_w
+                col[perm] = linalg.solve_banded(q, gathered)
+
+            def finish(col, _, scratch):
+                gathered = scratch[:op.size]
+                return partial(interleaved, col, gathered, *gathered.reshape(n, 2).T, col[:n],
+                               col[n:])
         return SemigroupStepper(
             config, BlockOperator(n, op.damping[:, None], op.inv_h2),
             (StateVector(0.0, np.concatenate([phi, psi])[:, None]),), p, _bind(
@@ -433,7 +496,7 @@ def make_stepper(
         u1, b_k = startup_u1(problem, grid, k, gamma, phi, psi), None
 
         def finish(col):
-            col /= lhs
+            return partial(divide, col, lhs, col)
     else:
         lap_coeff = 0.5 * _square(k / grid.h)
         b_at = _bind(problem, lambda t: boundary_vector(problem, grid, t))  # steady: one B
@@ -447,8 +510,11 @@ def make_stepper(
         u1, b_k = _oifd_ghost_start(phi, psi, gamma, k, lap_coeff, source)
         fact = _tridiagonal_factor(lhs, lap_coeff)
 
+        def tridiagonal(col):
+            col[...] = linalg.solve_banded(fact, col)
+
         def finish(col):
-            col[:] = linalg.solve_banded(fact, col)
+            return partial(tridiagonal, col)
     u0 = phi[:, None]
     start = (StateVector(0.0, u0, carry=(None,)), StateVector(k, u1[:, None], u0, carry=(b_k,)))
     return BaselineStepper(config, start, (gamma * k / 2.0 - 1.0)[:, None], lap_coeff,
@@ -456,54 +522,206 @@ def make_stepper(
 
 
 def amplify(stepper: SemigroupStepper, v: np.ndarray) -> np.ndarray:
-    """R(kM) v: the shared pass, then each live member's finish on its own column (ValueError
-    unless v has one per member), Q_S(kM)^{-1} P_T(kM) v or D(kM) v + rho (I - cM)^{-1} v.
-    `stability --empirical` applies a one-member lane to the sine-mode planes."""
-    poly, _, _, finishes = stepper.bound
-    rhs = apply_poly(poly, stepper.op, stepper.config.k, v)
-    rhs.reshape(len(v), len(stepper.members))  # raises unless v has a column per member
-    for j, finish in finishes:
-        finish(rhs[:, j], v[:, j])
-    return rhs
+    """R(kM) v, a new array: the shared pass, then each live member's finish on its own column
+    (ValueError unless v has one per member), Q_S(kM)^{-1} P_T(kM) v or D(kM) v + rho (I -
+    cM)^{-1} v. `stability --empirical` applies a one-member lane to the sine-mode planes."""
+    v_in, out, passes = stepper.amplifier
+    v_in[...] = v.reshape(v_in.shape)  # raises unless v has a column per member
+    for run in passes:
+        run()
+    return out.copy()
+
+
+class _Plan:
+    """A lane's step plan (see `schemes`): its level arrays, the scratch its passes share, and
+    per key, a tuple of array indices that ends in the ring slot a level writes, the bound
+    level and the key of the level after it. A step from the state the plan returned last
+    takes that next key; any other state is routed by what it holds."""
+
+    def __init__(self, follow: tuple):
+        # no reference to the lane, which holds the plan: no cycle keeps either alive
+        self.levels, self.head, self.follow = {}, None, follow
+
+    def step(self, lane: Stepper, state: StateVector) -> StateVector:
+        key = self.follow if state is self.head else self._route(state)
+        level, self.follow = self.levels.get(key) or self._bind(lane, key)
+        self.head = level(state)
+        return self.head
+
+
+class _SemigroupPlan(_Plan):
+    """Two (V, W) ring slots, W being V itself when the lane has no forcing, and the aside
+    slot (third), one array for both, which holds the W_n (or the V_n, when the carry is None)
+    of a checked level or of any other state a step is given: W_n is all that a level reads.
+    Key: (source slot, destination slot)."""
+
+    def __init__(self, lane: SemigroupStepper):
+        super().__init__((1, 0))
+        _, source, half_kf, _ = lane.bound
+        shape, self.forced = lane.start[0].values.shape, source is not None or half_kf is not None
+
+        def slot():
+            v = np.empty(shape)
+            return v, np.empty(shape) if self.forced else v
+        aside = np.empty(shape)
+        self.slots, self.work = [slot(), slot(), (aside, aside)], []
+
+    def keep(self, state: StateVector) -> StateVector:
+        """state, copied aside when it lies in the ring, which later steps overwrite."""
+        if any(state.values is v for v, _ in self.slots[:2]):
+            return self._stage(state, 2)
+        return state
+
+    def _stage(self, state: StateVector, src: int) -> StateVector:
+        """state copied into slot src, the aside only its W_n (or its V_n when its carry is
+        None); ValueError unless it has a column per member."""
+        v, w = self.slots[src]
+        values = state.values.reshape(v.shape)
+        if w is v:  # one array: W_n, which is the carry, or V_n when that is None
+            v[...] = values if state.carry is None else state.carry
+        else:
+            v[...] = values
+            if state.carry is not None:
+                w[...] = state.carry
+        return StateVector(state.t, v, None, None if state.carry is None else w)
+
+    def _route(self, state: StateVector) -> tuple:
+        last = self.follow[0]  # the slot written last, which the next level leaves intact
+        for src in (last, 2):
+            v, w = self.slots[src]
+            if state.values is v and (state.carry is None or state.carry is w):
+                return src, 1 - last
+        src = 2 if self.head else last  # before the plan's first level its ring holds none
+        self._stage(state, src)
+        return src, 1 - last
+
+    def _bind(self, lane: SemigroupStepper, key: tuple) -> tuple:
+        src, dst = key
+        _, source, half_kf, _ = lane.bound
+        (v, w), (v_next, w_next) = self.slots[src], self.slots[dst]
+        # a forced level writes W_{n+1} last: until then it is the passes' first scratch
+        work = [w_next] + self.work if self.forced else self.work
+        passes = tuple(lane.passes(w, v_next, work))
+        self.work = work[self.forced:]
+        self.levels[key] = partial(_semigroup_level, source, half_kf, self.forced, v, w, v_next,
+                                   w_next, passes, lane.config.k), (dst, 1 - dst)
+        return self.levels[key]
+
+
+def _semigroup_level(source, half_kf, forced, v, w, v_next, w_next, passes, k,
+                     state: StateVector) -> StateVector:
+    """A semigroup level, bound by `_SemigroupPlan`: W_n made from V_n when the carry is None,
+    the passes from W_n into V_{n+1}, then (k/2) F_{n+1} added and W_{n+1} made."""
+    if forced and state.carry is None:  # V^0
+        _sum_into(w, v, half_kf if source is None else source(state.t))
+    for run in passes:
+        run()
+    t_next = state.t + k
+    if not forced:
+        return StateVector(t_next, v_next, None, v_next)
+    half = half_kf if source is None else source(t_next)
+    if half is not None:
+        add(v_next, half, v_next)
+    _sum_into(w_next, v_next, half)
+    return StateVector(t_next, v_next, None, w_next)
+
+
+def _sum_into(out: np.ndarray, a: np.ndarray, b: Optional[np.ndarray]) -> None:
+    """out = a + b, or a copy of a when b is None (an all-zero term)."""
+    if b is None:
+        out[...] = a
+    else:
+        add(a, b, out)
+
+
+class _BaselinePlan(_Plan):
+    """Three ring arrays (0 to 2), the pair any other state a step is given is copied into
+    (3, 4), the pair a checked level is kept in (5, 6), and a scratch array. Key: (u, u^{n-1},
+    destination) array indices."""
+
+    def __init__(self, lane: BaselineStepper):
+        super().__init__((2, 1, 0))
+        shape = lane.start[0].values.shape
+        self.arrays, self.work = [np.empty(shape) for _ in range(7)], np.empty(shape)
+
+    def keep(self, state: StateVector) -> StateVector:
+        """state, copied to the kept pair when it lies in the ring, which later steps
+        overwrite; its u^{n-1} may lie in the pair that a step copies other states into."""
+        if any(state.values is a for a in self.arrays[:3]):
+            return self._stage(state, 5, 6)
+        return state
+
+    def _stage(self, state: StateVector, u: int, prev: int) -> StateVector:
+        """state copied into arrays u and prev; ValueError unless it has a column per member."""
+        values = state.values.reshape(self.arrays[u].shape)
+        self.arrays[prev][...] = state.prev
+        self.arrays[u][...] = values
+        return StateVector(state.t, self.arrays[u], self.arrays[prev], state.carry)
+
+    def _route(self, state: StateVector) -> tuple:
+        last, arrays = self.follow[0], self.arrays  # the array written last, left intact
+        before, dst = (last - 1) % 3, (last + 1) % 3
+        if state.values is arrays[last]:
+            for prev in (before, 3):  # after a level from the ring, or from a copied state
+                if state.prev is arrays[prev]:
+                    return last, prev, dst
+        src = (3, 4) if self.head else (last, before)  # before the first level the ring is free
+        self._stage(state, *src)
+        return src + (dst,)
+
+    def _bind(self, lane: BaselineStepper, key: tuple) -> tuple:
+        adds, finishes = lane.bound
+        u, prev, out = (self.arrays[i] for i in key)
+        self.levels[key] = partial(
+            _baseline_level, difference_pass(u, out), u, prev, out, self.work,
+            scalar(lane.lap_coeff), lane.prev_coeff,
+            tuple((j, out[:, j], source, terms) for j, source, terms in adds),
+            tuple(finish(out[:, j]) for j, finish in finishes), lane.config.k), (
+            key[2], key[0], (key[2] + 1) % 3)
+        return self.levels[key]
+
+
+_TWO = scalar(2.0)
+
+
+def _baseline_level(difference, u, prev, out, temp, lap_coeff, prev_coeff, forcing, passes, k,
+                    state: StateVector) -> StateVector:
+    """A baseline level, bound by `_BaselinePlan`: 2u + lap_coeff A u + prev_coeff u^{n-1},
+    summed in that order into out, which starts as lap_coeff A u (IEEE addition commutes: the
+    bits are the same), each member's forcing terms on its column, then the finishes."""
+    difference()
+    multiply(out, lap_coeff, out)
+    multiply(_TWO, u, temp)
+    add(out, temp, out)
+    multiply(prev_coeff, prev, temp)
+    add(out, temp, out)
+    carry = list(state.carry) if forcing else state.carry
+    for j, col, source, terms in forcing:
+        if source is not None:
+            *terms, carry[j] = source(state.t, carry[j])
+        for term in terms:
+            if term is not None:
+                add(col, term, col)
+    for run in passes:
+        run()
+    return StateVector(state.t + k, out, state.values, tuple(carry))
 
 
 def step_semigroup(stepper: SemigroupStepper, state: StateVector) -> StateVector:
     """One (S, T) step, V_{n+1} = R(kM) W_n + (k/2)F_{n+1} with W_n = V_n + (k/2)F_n
-    from state.carry (made here when None); the result carries W_{n+1}."""
-    _, source, half_kf, _ = stepper.bound
-    t_next, w = state.t + stepper.config.k, state.carry
-    if w is None:  # V^0
-        w = _add_terms(state.values.copy(), half_kf if source is None else source(state.t))
-    values = amplify(stepper, w)
-    if source is not None:
-        half_kf = source(t_next)
-    if half_kf is not None:
-        values += half_kf
-    return StateVector(t_next, values, None, values if half_kf is None else values + half_kf)
+    from state.carry (made here when None); the result carries W_{n+1}. Its arrays are a ring
+    slot of the lane's plan, intact for exactly one further step of the lane (see `schemes`)."""
+    return stepper.plan.step(stepper, state)
 
 
 def step_baseline(stepper: BaselineStepper, state: StateVector) -> StateVector:
     """One baseline step, level n (with level n-1 in prev) -> n+1: the shared right-hand
     side, each live member's forcing terms on its column (ValueError unless state has one per
     member), then each live member's finish: oefd's divide, oifd's tridiagonal solve. oifd
-    takes B(t_n) from its carry entry when set; its result's entry carries B(t_{n+1})."""
-    adds, finishes = stepper.bound
-    u = state.values
-    # 2u + lap_coeff A u + prev_coeff u^{n-1}, summed in that order in one new array that
-    # starts as lap_coeff A u (IEEE addition commutes: the bits are the same)
-    rhs = second_difference(u)
-    rhs.reshape(len(u), len(stepper.members))  # raises unless u has a column per member
-    rhs *= stepper.lap_coeff
-    rhs += 2.0 * u
-    rhs += stepper.prev_coeff * state.prev
-    carry = list(state.carry) if adds else state.carry
-    for j, source, terms in adds:
-        if source is not None:
-            *terms, carry[j] = source(state.t, carry[j])
-        _add_terms(rhs[:, j], *terms)
-    for j, finish in finishes:
-        finish(rhs[:, j])
-    return StateVector(state.t + stepper.config.k, rhs, u, tuple(carry))
+    takes B(t_n) from its carry entry when set; its result's entry carries B(t_{n+1}). Its
+    values are a ring array of the lane's plan, intact for exactly one further step of the
+    lane (see `schemes`)."""
+    return stepper.plan.step(stepper, state)
 
 
 # the names solve_evolution steps each kind by (the benchmark's tracer patches all three)
@@ -511,13 +729,14 @@ step_oefd = step_oifd = step_baseline
 
 
 def _advance(step: Callable, lane: Stepper, state: StateVector, levels: range,
-             buf: Optional[np.ndarray], first: int) -> StateVector:
-    """state moved through levels by step (a start level taken as it is), into buf's rows."""
+             rows: Optional[list], first: int) -> StateVector:
+    """state moved through levels by step (a start level taken as it is), each copied into
+    its row of a buffer, rows its row views from `first` on."""
     begin = len(lane.start)
     for level in levels:
         state = step(lane, state) if level >= begin else lane.start[level]
-        if buf is not None:
-            buf[level - first] = state.values
+        if rows is not None:
+            rows[level - first][...] = state.values
     return state
 
 
@@ -591,9 +810,10 @@ def solve_evolution(
     bit, of the start and last levels.
 
     on_block(first_level, blocks) gets every level once, in order, in runs that end at
-    multiples of CHECK_EVERY, the last level or a blow-up level, each handed over under the
-    caller's np.geterr() once it has passed a check: blocks has each config's rows, none
-    past its blow-up, each a view of its lane's one (CHECK_EVERY + 1, size, m) buffer."""
+    multiples of CHECK_EVERY or the last level, each handed over under the caller's
+    np.geterr() once it has passed a check: blocks has each config's rows, which end at its
+    blow-up level, none past it, each a view of its lane's one (CHECK_EVERY + 1, size, m)
+    buffer."""
     if len({c.k for c in configs}) != 1:
         raise ValueError(f"a lockstep run needs one time step, got k = {[c.k for c in configs]}")
     k = configs[0].k
@@ -613,48 +833,65 @@ def solve_evolution(
         place = sorted((i, lane, j) for lane, members in enumerate(ids)
                        for j, i in enumerate(members))  # member i is column j of its lane
         lanes = [_lockstep([solo[i] for i in members]) for members in ids]
-        rows = min(CHECK_EVERY, n_steps) + 1
+        depth = min(CHECK_EVERY, n_steps) + 1
         try:
-            bufs = [None if on_block is None else np.empty((rows,) + s.start[0].values.shape)
+            bufs = [None if on_block is None else np.empty((depth,) + s.start[0].values.shape)
                     for s in lanes]
         except MemoryError as exc:
-            raise ValueError(f"cannot hold {rows} snapshots ({exc})") from None
+            raise ValueError(f"cannot hold {depth} snapshots ({exc})") from None
+        rows = [None if buf is None else list(buf) for buf in bufs]  # each row's view, cut once
         # level 0, a start level of every lane, in row 0
-        states = [_advance(None, s, None, range(1), buf, 0) for s, buf in zip(lanes, bufs)]
-        level, first, halts, recheck = 0, 0, {}, 0  # first: the next level to hand over, in row 0
-        while level < n_steps and len(halts) < len(solo):  # level is 0 or has passed a check
-            # lane by lane to the next check: the next level up to recheck, else the next
-            # multiple of CHECK_EVERY or the last; a lane of halted members is not stepped
-            stop = level + 1 if level < recheck else min(
-                n_steps, (level // CHECK_EVERY + 1) * CHECK_EVERY)
-            try:
-                ahead = [_advance(step[s.config.kind], s, state, range(level + 1, stop + 1),
-                                  buf, first) if any(s.members) else state
-                         for s, state, buf in zip(lanes, states, bufs)]
-            except Exception:
-                if stop == level + 1:  # stepped from a level that passed its check
-                    raise
-                failed = place  # whatever it is, it may come from an unchecked blow-up
-            else:
-                finite = [np.isfinite(state.values).all(axis=0) for state in ahead]
-                failed = [(i, lane, j) for i, lane, j in place
-                          if lanes[lane].members[j] is not None and not finite[lane][j]]
-            if failed and stop > level + 1:  # rewind; each member halts as it does solo
-                recheck = stop
-                continue
-            level, states = stop, ahead
-            if on_block is not None and (failed or not level % CHECK_EVERY or level == n_steps):
-                blocks = tuple(bufs[lane][: 0 if i in halts else level - first + 1, :, j]
-                               for i, lane, j in place)
-                with np.errstate(**caller_err):
-                    on_block(first, blocks)
-                first = level + 1
-            # a halted member rides along in its lane with its finish skipped
-            for i, lane, j in failed:  # rebinds the lane
-                halts[i] = (level, states[lane].values[:, j])
-                members = lanes[lane].members
+        states = [_advance(None, s, None, range(1), r, 0) for s, r in zip(lanes, rows)]
+        config = {(lane, j): i for i, lane, j in place}
+        level, first, halts = 0, 0, {}  # first: the next level to hand over, in row 0
+
+        def advance(lane, state, levels):
+            s = lanes[lane]
+            return _advance(step[s.config.kind], s, state, levels, rows[lane], first)
+
+        def failing(lane, state):  # the live members of a lane whose column is not finite
+            finite = np.isfinite(state.values).all(axis=0)
+            return [j for j, m in enumerate(lanes[lane].members) if m and not finite[j]]
+
+        def halt(lane, state, at):  # each failing member halts there; rebinds its lane
+            for j in failing(lane, state):
+                halts[config[lane, j]] = (at, state.values[:, j].copy())
+                members = lanes[lane].members  # its column rides along, unread
                 lanes[lane] = dataclasses.replace(
                     lanes[lane], members=members[:j] + (None,) + members[j + 1:])
+
+        while level < n_steps and len(halts) < len(solo):  # every lane has passed level's check
+            # lane by lane to the next multiple of CHECK_EVERY or the last level, each lane's
+            # checked level copied aside first; a lane of halted members is not stepped
+            stop = min(n_steps, (level // CHECK_EVERY + 1) * CHECK_EVERY)
+            span = range(level + 1, stop + 1)
+            for lane, state in enumerate(states):
+                if not any(lanes[lane].members):
+                    continue
+                kept = lanes[lane].plan.keep(state)
+                try:
+                    state = advance(lane, state, span)
+                except Exception:
+                    if len(span) == 1:  # stepped from a level that passed its check
+                        raise
+                    state = None  # whatever it is, it may come from an unchecked blow-up
+                if state is None or len(span) > 1 and failing(lane, state):
+                    state = kept  # rewind this lane alone, and check it at every level
+                    for at in span:
+                        state = advance(lane, state, range(at, at + 1))
+                        halt(lane, state, at)
+                        if not any(lanes[lane].members):
+                            break
+                elif len(span) == 1:
+                    halt(lane, state, stop)
+                states[lane] = state
+            level = stop
+            if on_block is not None:  # each member's rows up to level or its blow-up
+                blocks = tuple(bufs[lane][: max(0, (halts[i][0] if i in halts else level)
+                                                - first + 1), :, j] for i, lane, j in place)
+                with np.errstate(**caller_err):
+                    on_block(first, blocks)
+            first = level + 1
 
     # the loop ends on a check: the last level passed it, or the run blew up there
     ends = [halts.get(i) or (level, states[lane].values[:, j]) for i, lane, j in place]

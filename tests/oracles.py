@@ -17,6 +17,9 @@ map's dense matrix, the reference for the per-mode
 places the explicit scheme's per-mode eigenvalues by a coefficient test.
 `dense_amplification` and `dense_oifd_step` take one step by a refined dense
 `numpy.linalg.solve`, the reference for the banded and tridiagonal solves.
+`semidiscrete_solution` solves the semi-discrete system exactly, by one matrix
+exponential, the reference that splits a scheme's error into its time part and
+its space part.
 `replay_interchanges` replays gbtrf's row interchanges one step at a time, as
 dense getrf applies them to its finished columns: the unit lower factor L' with
 P A = L' U, the reference that `linalg.lu_factor_banded` factors its matrix.
@@ -34,7 +37,9 @@ from scipy.linalg import expm
 from dampwave import schemes
 from dampwave.linalg import BandedMatrix
 from dampwave.harness import Table
-from dampwave.operators import BlockOperator, assemble_system, build_grid, sample, second_difference
+from dampwave.operators import (
+    BlockOperator, assemble_system, build_grid, forcing_vector, sample, second_difference,
+)
 from dampwave.pade import RationalApproximant
 from dampwave.problems import ExpressionSyntaxError
 
@@ -120,6 +125,41 @@ def matrix_exponential(op: BlockOperator, k: float) -> np.ndarray:
             f"oracle limited to systems of size {ORACLE_MAX_SIZE}, got {op.size}"
         )
     return expm(k * operator_to_dense(op))
+
+
+#: the generator of z(t) = [cos t, sin t, cos 2t, sin 2t]: dz/dt = SPECTRAL_GENERATOR z
+SPECTRAL_GENERATOR = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                               [0.0, 0.0, 0.0, -2.0], [0.0, 0.0, 2.0, 0.0]])
+
+
+def _spectral_basis(t: float) -> np.ndarray:
+    return np.array([math.cos(t), math.sin(t), math.cos(2.0 * t), math.sin(2.0 * t)])
+
+
+def semidiscrete_solution(problem, grid, t: float) -> np.ndarray:
+    """V(t) = [u; u_t] at the interior nodes, exactly, for dV/dt = MV + F(t) from V(0) = [phi;
+    psi], when F(t) = C z(t) with z(t) = [cos t, sin t, cos 2t, sin 2t] (ValueError
+    otherwise): one expm of the (2n + 4)-square system d/dt [V; z] = [[M, C], [0, Omega]]
+    [V; z] (Van Loan, IEEE TAC 23 (1978)). C is fitted to F at four times and checked at a
+    fifth; against a scheme it gives the scheme's time error alone."""
+    op = assemble_system(grid, problem)
+    if op.size > ORACLE_MAX_SIZE:
+        raise ValueError(f"oracle limited to systems of size {ORACLE_MAX_SIZE}, got {op.size}")
+    times = (0.0, 0.5, 1.0, 1.5)
+    forcing = np.array([forcing_vector(problem, grid, s) for s in times]).T
+    basis = np.array([_spectral_basis(s) for s in times]).T
+    coupling = np.linalg.solve(basis.T, forcing.T).T  # F(s) = coupling z(s) at each time
+    check = forcing_vector(problem, grid, 2.3)
+    if np.abs(coupling @ _spectral_basis(2.3) - check).max() > 1e-10 * max(
+            1.0, np.abs(check).max()):
+        raise ValueError("F(t) is not a combination of cos t, sin t, cos 2t and sin 2t")
+    system = np.zeros((op.size + 4, op.size + 4))
+    system[: op.size, : op.size] = operator_to_dense(op)
+    system[: op.size, op.size:] = coupling
+    system[op.size:, op.size:] = SPECTRAL_GENERATOR
+    x = grid.interior_nodes
+    start = np.concatenate([sample(problem.phi, x), sample(problem.psi, x), _spectral_basis(0.0)])
+    return (expm(t * system) @ start)[: op.size]
 
 
 def _poly_scalar(coeffs: Sequence[float], theta: float) -> float:

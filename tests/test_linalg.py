@@ -292,7 +292,7 @@ class TestSweepSolve:
         rng = np.random.default_rng(18)
         for _ in range(5):
             v = rng.standard_normal((op.size, 1))
-            want = apply_poly(approx.p_floats, stepper.op, k, v)[:, 0]
+            want = apply_poly(approx.p_floats, stepper.op, k, v)()[:, 0]
             want[perm] = GBTRS(fact.lu, fact.kl, fact.ku, want[perm], fact.ipiv)[0]
             got = amplify(stepper, v)[:, 0]
             if approx.S >= 2:

@@ -126,7 +126,7 @@ class TestAssembleSystem:
         dense = operator_to_dense(op)
         for _ in range(5):
             v = rng.standard_normal(op.size)
-            lhs = apply_poly((0.0, 1.0), op, 1.0, v)
+            lhs = apply_poly((0.0, 1.0), op, 1.0, v)()
             rhs = dense @ v
             assert np.abs(lhs - rhs).max() <= 1e-13 * max(1.0, np.abs(rhs).max())
 

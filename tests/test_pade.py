@@ -109,13 +109,13 @@ class TestApplyPoly:
         op = small_operator()
         rng = np.random.default_rng(0)
         v = rng.standard_normal(op.size)
-        assert apply_poly([1.0], op, 0.3, v) == pytest.approx(v, abs=0)
+        assert apply_poly([1.0], op, 0.3, v)() == pytest.approx(v, abs=0)
 
     def test_k_zero_collapses(self):
         op = small_operator()
         rng = np.random.default_rng(1)
         v = rng.standard_normal(op.size)
-        assert apply_poly([1.0, 1.0], op, 0.0, v) == pytest.approx(v, abs=0)
+        assert apply_poly([1.0, 1.0], op, 0.0, v)() == pytest.approx(v, abs=0)
 
     def test_matches_dense_polynomial(self):
         op = small_operator(N=3)  # 4x4 system
@@ -128,7 +128,7 @@ class TestApplyPoly:
             expected = sum(
                 c * np.linalg.matrix_power(k * dense, j) @ v for j, c in enumerate(coeffs)
             )
-            got = apply_poly(coeffs, op, k, v)
+            got = apply_poly(coeffs, op, k, v)()
             assert np.abs(got - expected).max() <= 1e-13 * max(1.0, np.abs(expected).max())
 
     def test_linear_in_v(self):
@@ -136,8 +136,8 @@ class TestApplyPoly:
         rng = np.random.default_rng(3)
         v, w = rng.standard_normal((2, op.size))
         coeffs = (1.0, -0.5, 0.25)
-        left = apply_poly(coeffs, op, 0.1, 2.0 * v + w)
-        right = 2.0 * apply_poly(coeffs, op, 0.1, v) + apply_poly(coeffs, op, 0.1, w)
+        left = apply_poly(coeffs, op, 0.1, 2.0 * v + w)()
+        right = 2.0 * apply_poly(coeffs, op, 0.1, v)() + apply_poly(coeffs, op, 0.1, w)()
         assert left == pytest.approx(right, rel=1e-13, abs=1e-13)
 
     def test_dimension_mismatch(self):

@@ -36,7 +36,8 @@ from dampwave.schemes import (
 
 from oracles import (
     banded_to_dense, dense_amplification, dense_oifd_step, eval_scalar, matrix_exponential,
-    operator_to_dense, solve_checking_every_level, solve_group_every_level,
+    operator_to_dense, semidiscrete_solution, solve_checking_every_level,
+    solve_group_every_level,
 )
 
 
@@ -209,7 +210,7 @@ class TestStepSemigroup:
         rows = [state.values[:, 0]]
         for _ in range(10):
             state = step_semigroup(stepper, dataclasses.replace(state, carry=None))
-            rows.append(state.values[:, 0])
+            rows.append(state.values[:, 0].copy())  # a step's ring slot is written again
         times = []
 
         def counted(problem, grid, t):
@@ -589,12 +590,15 @@ def forced_problem():
 
 
 def manual_levels(config, problem, grid, steps):
-    """The start levels, then steps made one by one, up to level `steps`."""
+    """The start levels, then steps made one by one, up to level `steps`, each step's values
+    copied out of the ring slot that later steps write again."""
     stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
     levels = list(stepper.start)
     assert len(levels) == (1 if config.kind == "semigroup" else 2)
+    state = levels[-1]
     while len(levels) <= steps:
-        levels.append(STEP_FUNCTIONS[config.kind](stepper, levels[-1]))
+        state = STEP_FUNCTIONS[config.kind](stepper, state)
+        levels.append(dataclasses.replace(state, values=state.values.copy()))
     return levels[: steps + 1]
 
 
@@ -769,7 +773,7 @@ class TestStepperProtocol:
         for _ in range(8):
             # reference: every step evaluates both B(t_n) and B(t_{n+1})
             state = step_oifd(stepper, dataclasses.replace(state, carry=(None,)))
-            rows.append(state.values[:, 0])
+            rows.append(state.values[:, 0].copy())  # a step's ring array is written again
         calls.clear()
         (traj,) = solve_group_every_level(problem, grid, (config,), 0.45)
         assert np.array_equal(traj.states[1:], np.array(rows))
@@ -970,6 +974,45 @@ def test_fd01_order_against_the_exact_solution_at_k_of_order_h_squared(data):
     observed = _observed_orders(data, (25, 50, 100), lambda h: config_for(
         "fd01", ORDER_T / math.ceil(8 * ORDER_T / h**2)))
     assert all(SECOND[0] <= p <= SECOND[1] for p in observed), observed
+
+
+def _order_problem(data):
+    return load_problem_config(json.dumps(dict(ORDER_DOCS[data], domain=[0, math.pi],
+                                               gamma=ORDER_GAMMA)))
+
+
+def test_fd11_converges_in_time_to_the_semidiscrete_solution():
+    # the exact solution of dV/dt = MV + F(t) has no time error, so against it a fine-k run
+    # of fd11 shows its time error alone, with time-varying data too: at N = 25 and
+    # k = T/256 ... T/16384 its u is off by 1.47e-5 ... 3.58e-9, order 2 at each halving
+    problem, grid = _order_problem("varying"), build_grid(0.0, math.pi, 25)
+    want = semidiscrete_solution(problem, grid, ORDER_T)[: grid.n_interior]
+    errors = []
+    for steps in (2**j for j in range(8, 15)):
+        (traj,) = solve_evolution(problem, grid, (config_for("fd11", ORDER_T / steps),), ORDER_T)
+        assert traj.times[-1] == pytest.approx(ORDER_T, abs=1e-12)
+        errors.append(np.abs(traj.displacements[-1] - want).max())
+    observed = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert all(1.9 <= p <= 2.1 for p in observed), observed
+    assert errors[0] == pytest.approx(1.47e-5, rel=0.01)
+
+
+@pytest.mark.parametrize("data", ["zero", "varying"])
+def test_the_semidiscrete_solution_is_second_order_in_space(data):
+    # its distance to the exact solution is the space error, the same for every scheme
+    problem = _order_problem(data)
+    errors = []
+    for N in (25, 50, 100):
+        grid = build_grid(0.0, math.pi, N)
+        u = semidiscrete_solution(problem, grid, ORDER_T)[: grid.n_interior]
+        errors.append(np.abs(u - problem.exact(grid.interior_nodes, ORDER_T)).max())
+    observed = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert all(1.95 <= p <= 2.05 for p in observed), observed
+
+
+def test_the_semidiscrete_solution_needs_trigonometric_forcing():
+    with pytest.raises(ValueError, match="not a combination"):
+        semidiscrete_solution(_order_problem("constant"), build_grid(0.0, math.pi, 25), 1.0)
 
 
 # gamma >= 0 of moderate size: abs() of a small expression in x
@@ -1253,8 +1296,9 @@ class TestSpacedBlowUpChecks:
 
     def test_checks_are_spaced_again_after_a_rewind(self, monkeypatch):
         # the four table schemes at r=1.59: the check at 384 finds oefd's halt at 379 and
-        # the check at 640 fd01's at 623; each rewind steps the two lanes one level at a
-        # time up to that check only, and spaced checks resume from there
+        # the check at 640 fd01's at 623; each rewind steps the failing member's lane alone
+        # one level at a time up to that check only, the other lane waiting there, and
+        # spaced checks resume from there
         grid = build_grid(0.0, math.pi, 50)
         configs = tuple(config_for(name, 1.59 * grid.h) for name in ("oefd", "oifd", "fd01",
                                                                       "fd11"))
@@ -1270,7 +1314,7 @@ class TestSpacedBlowUpChecks:
         for config, end in zip(configs, ends):
             _equal_runs(end, solve_checking_every_level(sample_problem(), grid, config, 80.0,
                                                         every_level=False))
-        assert spans.count(1) <= 2 * CHECK_EVERY * 2  # two lanes' levels per halt
+        assert spans.count(1) <= 2 * CHECK_EVERY  # one lane's levels per halt
 
     def test_step_raising_past_an_unchecked_blow_up_reports_the_blow_up(self):
         # g raises from level 634 on, 11 levels past fd01's blow-up at 623 and before
@@ -1360,6 +1404,30 @@ def test_no_step_writes_into_its_input(name, orders, doc, N=12):
             assert (old is None) == (new is None)
             assert old is None or np.array_equal(old, new)
         state = after
+
+
+@pytest.mark.parametrize("name,orders", SIX_SCHEMES,
+                         ids=[f"{n}{o[0]}{o[1]}" if o else n for n, o in SIX_SCHEMES])
+def test_a_step_result_stays_intact_for_one_further_step(name, orders):
+    # a step writes its level into the next array of its lane's ring, 2 for the semigroup
+    # family and 3 for the baselines: a result stays intact while the next step reads it, and
+    # while a step from any other state runs, and its array is written again a ring later
+    problem = forced_problem()
+    grid = build_grid(0.0, math.pi, 12)
+    config = config_for(name, 0.05, orders)
+    stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
+    step, ring = STEP_FUNCTIONS[config.kind], 2 if config.kind == "semigroup" else 3
+    states = [step(stepper, stepper.start[-1])]
+    for _ in range(2 * ring):
+        before = states[-1].values.copy()
+        states.append(step(stepper, states[-1]))
+        assert np.array_equal(states[-2].values, before)
+    for n in range(len(states) - ring):
+        assert states[n + ring].values is states[n].values
+        assert all(states[n + i].values is not states[n].values for i in range(1, ring))
+    last, before = states[-1], states[-1].values.copy()
+    step(stepper, dataclasses.replace(last, values=last.values.copy()))
+    assert np.array_equal(last.values, before)
 
 
 @pytest.mark.parametrize("name,orders", SPD_SCHEMES,
@@ -1514,9 +1582,9 @@ class TestLockstep:
 
 class TestDispatchBudget:
     """The per-level work of a lockstep solve of the four table schemes at N=50, counted at
-    the names the bench tracer patches: one step per lane and level, one apply_poly per
-    semigroup level, one solve per live implicit member and level, and no per-level forcing
-    on the steady sample problem."""
+    the names the bench tracer patches: one step per lane and level, apply_poly only as the
+    semigroup lane's plan binds a pass, one solve per live implicit member and level, and no
+    per-level forcing on the steady sample problem."""
 
     TABLE = (("oefd", None), ("oifd", None), ("fd01", None), ("fd11", None))
 
@@ -1589,8 +1657,12 @@ class TestDispatchBudget:
         assert [level for lane, level, *_ in calls if lane == "oefd"] == list(range(2, 201))
         assert len(calls) == 200 + 199
         for lane, _, live, solved, polys in calls:
-            assert polys == (lane == "fd01")  # one apply_poly per semigroup level
             assert sorted(solved) == sorted(live) and len(live) == 1  # fd11's, or oifd's
+        # the plan binds a pass per (source, destination) slot pair as a level first needs
+        # one: from V^0, copied into the ring, and back, and no rewind binds one from aside
+        assert [(lane, level) for lane, level, *_, polys in calls if polys] == [
+            ("fd01", 1), ("fd01", 2)]
+        assert {polys for *_, polys in calls} == {0, 1}
 
     def test_no_solve_after_a_members_halt(self, monkeypatch):
         # at r=9, oefd halts at 141, fdST 1,3 at 189 and fd01 at 259, each rebinding its
