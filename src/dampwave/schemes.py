@@ -47,12 +47,12 @@ Every scheme runs behind one stepper protocol, as a member of a lane (below):
 * `stepper.start` is the tuple of levels known before any step, built from
   phi and psi sampled once at the interior nodes: (V^0,) for the semigroup
   family, (u^0, u^1) for the baselines;
-* `step_semigroup` and `step_baseline` (bound as `step_oefd` and `step_oifd`
-  too) each map (stepper, state) to the next level's StateVector, a baseline
-  state carrying u^{n-1} in `prev`. So that each level's forcing is evaluated
-  once, `carry` holds W_n = V^n + (k/2) F(t_n) for the semigroup family, None
-  on V^0, and for a baseline lane an entry per member: B(t_n) for oifd, whose
-  u^1 level carries the B(k) of its ghost start, None on u^0 and for oefd.
+* `step_semigroup`, `step_oefd` and `step_oifd`, one function, map (stepper,
+  state) to the next level's StateVector, a baseline state carrying u^{n-1}
+  in `prev`. So that each level's forcing is evaluated once, `carry` holds
+  W_n = V^n + (k/2) F(t_n) for the semigroup family, None on V^0, and for a
+  baseline lane an entry per member: B(t_n) for oifd, whose u^1 level
+  carries the B(k) of its ghost start, None on u^0 and for oefd.
   A source returns None for an all-zero term, which adds nothing. No step
   writes into the state it is given, and a state that a step returns lives in
   a ring slot of its lane's plan (below): it stays intact for exactly one
@@ -78,28 +78,24 @@ and the baselines (oefd and oifd). A lane stacks its members' states along a
 trailing member axis, node-major and member-minor, (2n, m) or (n, m), so that
 one numpy call serves every member; `second_difference` keeps its first-axis
 form. Coefficients that differ between members are pre-expanded to the full
-array shape, as a broadcast (m,) or (n, 1) operand costs about three
-contiguous ones. A lane's `members` holds a `Member` record per column: its
-finish, bound to its factor, which binds the function that finishes its column
-in place (below), and a baseline's forcing source. A lane binds once, on its
-first step, what every level would otherwise re-decide, in its `bound`: the
-shared pass with its exact ones resolved, a steady source's value (an
-all-zero one dropped) and a (column, finish) entry per live member.
+array shape, as a broadcast operand costs more than a contiguous one. A
+lane's `members` holds a `Member` record per column: its finish, bound to its
+factor, which binds the function that finishes its column in place (below),
+and a baseline's forcing source. A lane binds once, on its first step, what
+every level would otherwise re-decide, in its `bound`: the shared pass with
+its exact ones resolved, a steady source's value (an all-zero one dropped)
+and a (column, finish) entry per live member.
 
 On that first step it also binds its step plan, so that `make_stepper`'s
-set-up does not grow. The plan holds a ring of level arrays, 2 for the
-semigroup family ((V, W) pairs, W being V itself in an unforced lane) and 3
-for the baselines, the aside arrays that hold a checked level or any other
-state a step is given once the ring holds a level, and the scratch of its
-passes. For each pair of arrays that a level reads and writes it binds that
-level once: `pade.apply_poly`'s Horner pass and each live member's finish,
-with every view they read or write (the halves of a level, the shifted rows of
-the second difference, a member's column) cut once, each a `partial` of a
-module function. A level then reads one slot and writes the next with `out=`
-ufuncs, with no allocation and no slicing, and a step from the state the plan
-returned last goes straight to the level after it. The plan holds no
-reference to its lane, so that no reference cycle outlives a solve, and the
-arrays and bound levels go with the lane. Each member keeps its own
+set-up does not grow: a ring of 3 (V, W) slots for the semigroup family (W
+being V itself in an unforced lane) and of 4 arrays for the baselines, whose
+state takes 2. A step from the plan's last result runs the level bound to that
+result's slot, which writes the next slot; any other state is first copied
+into the slots just after it, so that the last result stays intact. Each
+slot's level, `pade.apply_poly`'s Horner pass and each live member's finish
+with every view they read or write cut once, is bound once, a `partial` of a
+module function running `out=` ufuncs. The plan holds no reference to its
+lane, so that no reference cycle outlives a solve. Each member keeps its own
 blow-up: its lane's rewind checks every member at each level up to that
 check, so that each halts at the level, and with the state, of its solo run.
 A halt rebinds its lane, with that member's record None: its column rides
@@ -118,18 +114,14 @@ factor into the member's finish, which solves through `linalg.solve_banded`:
       (I/c + Gamma - (c/h^2) A) x_w = v_w/c + A v_u/h^2,   x_u = v_u + c x_w,
 
   is SPD for gamma >= 0: one LDL^T per stepper, one solve of N - 1 unknowns a
-  step, and c^2/h^2 never formed. At N = 200 and r = 1e155 that overflows:
-  the undivided form exits 4 on fd11, dividing only the right-hand side by c
-  exits 0 with max|u| = 2.8e140, and this form gives 1.0000000000006 (the
-  banded solve 1.0000000000048). oifd's left-hand sides take the same factor;
+  step, and c^2/h^2, which overflows at large r, never formed. oifd's
+  left-hand sides take the same factor;
 * otherwise Q_S(kM) is built in band storage in the interleaved ordering
   (u_1, w_1, u_2, w_2, ...), by Horner's rule over kM's four diagonals, and
   solved by gbtrf and gbtrs on the column gathered into that order. S >= 2
-  stays here as partial fractions over Q_S's roots lose digits as r grows (a
-  prototype at N = 40 and r = 1e3, against a 40-digit reference: (2, 2) off
-  by 1e-9, (4, 4) by 2e-5, gbtrs within 2e-12); so do smaller grids, oifd's
-  too, as Table 1 and Table 2 (N <= 50) are pinned byte for byte under
-  `bench/ref/` until ROADMAP item 6's re-capture.
+  stays here as partial fractions over Q_S's roots lose digits as r grows;
+  so do smaller grids, oifd's too, as Table 1 and Table 2 (N <= 50) are
+  pinned byte for byte under `bench/ref/` until ROADMAP item 6's re-capture.
 """
 
 from __future__ import annotations
@@ -533,79 +525,64 @@ def amplify(stepper: SemigroupStepper, v: np.ndarray) -> np.ndarray:
 
 
 class _Plan:
-    """A lane's step plan (see `schemes`): its level arrays, the scratch its passes share, and
-    per key, a tuple of array indices that ends in the ring slot a level writes, the bound
-    level and the key of the level after it. A step from the state the plan returned last
-    takes that next key; any other state is routed by what it holds."""
+    """A lane's step plan (see `schemes`): a ring of level arrays, the scratch its passes
+    share, and per ring slot the level that reads it and writes the next, bound on the first
+    step from that slot."""
 
-    def __init__(self, follow: tuple):
+    def __init__(self, ring: list):
         # no reference to the lane, which holds the plan: no cycle keeps either alive
-        self.levels, self.head, self.follow = {}, None, follow
+        self.ring, self.levels, self.head, self.at = ring, [None] * len(ring), None, -1
 
     def step(self, lane: Stepper, state: StateVector) -> StateVector:
-        key = self.follow if state is self.head else self._route(state)
-        level, self.follow = self.levels.get(key) or self._bind(lane, key)
-        self.head = level(state)
+        at = self.at  # the head's slot
+        if state is not self.head:  # into the slots after the head's, which stays intact
+            at = self._stage(state, at)
+        level = self.levels[at] or self._bind(lane, at)
+        self.head, self.at = level(state), (at + 1) % len(self.ring)
         return self.head
 
 
+def _copy(state: StateVector) -> StateVector:
+    """state with copies of its arrays, which no step of its lane overwrites."""
+    def copied(a):
+        return a.copy() if isinstance(a, np.ndarray) else a
+    return StateVector(state.t, copied(state.values), copied(state.prev), copied(state.carry))
+
+
 class _SemigroupPlan(_Plan):
-    """Two (V, W) ring slots, W being V itself when the lane has no forcing, and the aside
-    slot (third), one array for both, which holds the W_n (or the V_n, when the carry is None)
-    of a checked level or of any other state a step is given: W_n is all that a level reads.
-    Key: (source slot, destination slot)."""
+    """Three (V, W) ring slots, W being V itself when the lane has no forcing; a state takes
+    one, and W_n is all that a level reads of it (V_n too when its carry is None)."""
 
     def __init__(self, lane: SemigroupStepper):
-        super().__init__((1, 0))
         _, source, half_kf, _ = lane.bound
         shape, self.forced = lane.start[0].values.shape, source is not None or half_kf is not None
 
         def slot():
             v = np.empty(shape)
             return v, np.empty(shape) if self.forced else v
-        aside = np.empty(shape)
-        self.slots, self.work = [slot(), slot(), (aside, aside)], []
+        super().__init__([slot() for _ in range(3)])
+        self.work = []
 
-    def keep(self, state: StateVector) -> StateVector:
-        """state, copied aside when it lies in the ring, which later steps overwrite."""
-        if any(state.values is v for v, _ in self.slots[:2]):
-            return self._stage(state, 2)
-        return state
+    def _stage(self, state: StateVector, at: int) -> int:
+        """The slot after at, state copied into it; ValueError unless state has a column per
+        member."""
+        at = (at + 1) % 3
+        v, w = self.ring[at]
+        v[...] = state.values.reshape(v.shape)
+        if state.carry is not None:
+            w[...] = state.carry
+        return at
 
-    def _stage(self, state: StateVector, src: int) -> StateVector:
-        """state copied into slot src, the aside only its W_n (or its V_n when its carry is
-        None); ValueError unless it has a column per member."""
-        v, w = self.slots[src]
-        values = state.values.reshape(v.shape)
-        if w is v:  # one array: W_n, which is the carry, or V_n when that is None
-            v[...] = values if state.carry is None else state.carry
-        else:
-            v[...] = values
-            if state.carry is not None:
-                w[...] = state.carry
-        return StateVector(state.t, v, None, None if state.carry is None else w)
-
-    def _route(self, state: StateVector) -> tuple:
-        last = self.follow[0]  # the slot written last, which the next level leaves intact
-        for src in (last, 2):
-            v, w = self.slots[src]
-            if state.values is v and (state.carry is None or state.carry is w):
-                return src, 1 - last
-        src = 2 if self.head else last  # before the plan's first level its ring holds none
-        self._stage(state, src)
-        return src, 1 - last
-
-    def _bind(self, lane: SemigroupStepper, key: tuple) -> tuple:
-        src, dst = key
+    def _bind(self, lane: SemigroupStepper, at: int) -> Callable:
         _, source, half_kf, _ = lane.bound
-        (v, w), (v_next, w_next) = self.slots[src], self.slots[dst]
+        (v, w), (v_next, w_next) = self.ring[at], self.ring[(at + 1) % 3]
         # a forced level writes W_{n+1} last: until then it is the passes' first scratch
         work = [w_next] + self.work if self.forced else self.work
         passes = tuple(lane.passes(w, v_next, work))
         self.work = work[self.forced:]
-        self.levels[key] = partial(_semigroup_level, source, half_kf, self.forced, v, w, v_next,
-                                   w_next, passes, lane.config.k), (dst, 1 - dst)
-        return self.levels[key]
+        self.levels[at] = partial(_semigroup_level, source, half_kf, self.forced, v, w, v_next,
+                                  w_next, passes, lane.config.k)
+        return self.levels[at]
 
 
 def _semigroup_level(source, half_kf, forced, v, w, v_next, w_next, passes, k,
@@ -635,50 +612,32 @@ def _sum_into(out: np.ndarray, a: np.ndarray, b: Optional[np.ndarray]) -> None:
 
 
 class _BaselinePlan(_Plan):
-    """Three ring arrays (0 to 2), the pair any other state a step is given is copied into
-    (3, 4), the pair a checked level is kept in (5, 6), and a scratch array. Key: (u, u^{n-1},
-    destination) array indices."""
+    """Four ring arrays, a state taking two, u^{n-1} in the slot before its u, and a scratch
+    array."""
 
     def __init__(self, lane: BaselineStepper):
-        super().__init__((2, 1, 0))
         shape = lane.start[0].values.shape
-        self.arrays, self.work = [np.empty(shape) for _ in range(7)], np.empty(shape)
+        super().__init__([np.empty(shape) for _ in range(4)])
+        self.work = np.empty(shape)
 
-    def keep(self, state: StateVector) -> StateVector:
-        """state, copied to the kept pair when it lies in the ring, which later steps
-        overwrite; its u^{n-1} may lie in the pair that a step copies other states into."""
-        if any(state.values is a for a in self.arrays[:3]):
-            return self._stage(state, 5, 6)
-        return state
+    def _stage(self, state: StateVector, at: int) -> int:
+        """The second slot after at, state's u copied into it and its u^{n-1} into the first;
+        ValueError unless state has a column per member."""
+        prev, u = self.ring[(at + 1) % 4], self.ring[(at + 2) % 4]
+        values = state.values.reshape(u.shape)
+        prev[...] = state.prev
+        u[...] = values
+        return (at + 2) % 4
 
-    def _stage(self, state: StateVector, u: int, prev: int) -> StateVector:
-        """state copied into arrays u and prev; ValueError unless it has a column per member."""
-        values = state.values.reshape(self.arrays[u].shape)
-        self.arrays[prev][...] = state.prev
-        self.arrays[u][...] = values
-        return StateVector(state.t, self.arrays[u], self.arrays[prev], state.carry)
-
-    def _route(self, state: StateVector) -> tuple:
-        last, arrays = self.follow[0], self.arrays  # the array written last, left intact
-        before, dst = (last - 1) % 3, (last + 1) % 3
-        if state.values is arrays[last]:
-            for prev in (before, 3):  # after a level from the ring, or from a copied state
-                if state.prev is arrays[prev]:
-                    return last, prev, dst
-        src = (3, 4) if self.head else (last, before)  # before the first level the ring is free
-        self._stage(state, *src)
-        return src + (dst,)
-
-    def _bind(self, lane: BaselineStepper, key: tuple) -> tuple:
+    def _bind(self, lane: BaselineStepper, at: int) -> Callable:
         adds, finishes = lane.bound
-        u, prev, out = (self.arrays[i] for i in key)
-        self.levels[key] = partial(
+        prev, u, out = (self.ring[i % 4] for i in (at - 1, at, at + 1))
+        self.levels[at] = partial(
             _baseline_level, difference_pass(u, out), u, prev, out, self.work,
             scalar(lane.lap_coeff), lane.prev_coeff,
             tuple((j, out[:, j], source, terms) for j, source, terms in adds),
-            tuple(finish(out[:, j]) for j, finish in finishes), lane.config.k), (
-            key[2], key[0], (key[2] + 1) % 3)
-        return self.levels[key]
+            tuple(finish(out[:, j]) for j, finish in finishes), lane.config.k)
+        return self.levels[at]
 
 
 _TWO = scalar(2.0)
@@ -707,25 +666,19 @@ def _baseline_level(difference, u, prev, out, temp, lap_coeff, prev_coeff, forci
     return StateVector(state.t + k, out, state.values, tuple(carry))
 
 
-def step_semigroup(stepper: SemigroupStepper, state: StateVector) -> StateVector:
-    """One (S, T) step, V_{n+1} = R(kM) W_n + (k/2)F_{n+1} with W_n = V_n + (k/2)F_n
-    from state.carry (made here when None); the result carries W_{n+1}. Its arrays are a ring
-    slot of the lane's plan, intact for exactly one further step of the lane (see `schemes`)."""
-    return stepper.plan.step(stepper, state)
-
-
-def step_baseline(stepper: BaselineStepper, state: StateVector) -> StateVector:
-    """One baseline step, level n (with level n-1 in prev) -> n+1: the shared right-hand
-    side, each live member's forcing terms on its column (ValueError unless state has one per
-    member), then each live member's finish: oefd's divide, oifd's tridiagonal solve. oifd
-    takes B(t_n) from its carry entry when set; its result's entry carries B(t_{n+1}). Its
-    values are a ring array of the lane's plan, intact for exactly one further step of the
-    lane (see `schemes`)."""
+def _step(stepper: Stepper, state: StateVector) -> StateVector:
+    """One step of a lane, state (ValueError unless it has a column per member) to the next
+    level. (S, T): V_{n+1} = R(kM) W_n + (k/2)F_{n+1}, W_n = V_n + (k/2)F_n from state.carry
+    (made here when None), the result carrying W_{n+1}. Baselines: level n (level n-1 in
+    prev) to n+1, the shared right-hand side, each live member's forcing terms on its column,
+    then each live member's finish (oefd's divide, oifd's tridiagonal solve); oifd takes
+    B(t_n) from its carry entry when set, its result's entry carrying B(t_{n+1}). The level it
+    returns lies in ring slots of the lane's plan, intact for exactly one further step of it."""
     return stepper.plan.step(stepper, state)
 
 
 # the names solve_evolution steps each kind by (the benchmark's tracer patches all three)
-step_oefd = step_oifd = step_baseline
+step_semigroup = step_oefd = step_oifd = _step
 
 
 def _advance(step: Callable, lane: Stepper, state: StateVector, levels: range,
@@ -862,13 +815,13 @@ def solve_evolution(
 
         while level < n_steps and len(halts) < len(solo):  # every lane has passed level's check
             # lane by lane to the next multiple of CHECK_EVERY or the last level, each lane's
-            # checked level copied aside first; a lane of halted members is not stepped
+            # checked level copied first; a lane of halted members is not stepped
             stop = min(n_steps, (level // CHECK_EVERY + 1) * CHECK_EVERY)
             span = range(level + 1, stop + 1)
             for lane, state in enumerate(states):
                 if not any(lanes[lane].members):
                     continue
-                kept = lanes[lane].plan.keep(state)
+                kept = _copy(state)
                 try:
                     state = advance(lane, state, span)
                 except Exception:

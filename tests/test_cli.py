@@ -863,7 +863,7 @@ class TestPackageRoot:
     def test_every_traced_name_stays_bound(self):
         # each per-layer bench metric reads null when no name of its bucket is bound;
         # ("cli", "step_semigroup") has never been bound, as the CLI steps no scheme, and
-        # leaves PATCH_POINTS with ROADMAP item 8's bench clean-up
+        # leaves PATCH_POINTS with ROADMAP item 4's bench clean-up
         spec = importlib.util.spec_from_file_location(
             "bench_tracer", pathlib.Path(__file__).parents[1] / "bench" / "tracer.py")
         tracer = importlib.util.module_from_spec(spec)

@@ -1406,17 +1406,20 @@ def test_no_step_writes_into_its_input(name, orders, doc, N=12):
         state = after
 
 
-@pytest.mark.parametrize("name,orders", SIX_SCHEMES,
-                         ids=[f"{n}{o[0]}{o[1]}" if o else n for n, o in SIX_SCHEMES])
-def test_a_step_result_stays_intact_for_one_further_step(name, orders):
-    # a step writes its level into the next array of its lane's ring, 2 for the semigroup
-    # family and 3 for the baselines: a result stays intact while the next step reads it, and
+@pytest.mark.parametrize("name,orders,make_problem,N", [
+    pytest.param(n, o, make, N, id=(f"{n}{o[0]}{o[1]}" if o else n)
+                 + ("-sample" if make is sample_problem else "") + (f"-N{N}" if N != 12 else ""))
+    for n, o in SIX_SCHEMES for make in (forced_problem, sample_problem)
+    for N in (12, schemes.TRIDIAGONAL_MIN_N + 1)])
+def test_a_step_result_stays_intact_for_one_further_step(name, orders, make_problem, N):
+    # a step writes its level into the next array of its lane's ring, 3 for the semigroup
+    # family and 4 for the baselines: a result stays intact while the next step reads it, and
     # while a step from any other state runs, and its array is written again a ring later
-    problem = forced_problem()
-    grid = build_grid(0.0, math.pi, 12)
+    problem = make_problem()
+    grid = build_grid(0.0, math.pi, N)
     config = config_for(name, 0.05, orders)
     stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
-    step, ring = STEP_FUNCTIONS[config.kind], 2 if config.kind == "semigroup" else 3
+    step, ring = STEP_FUNCTIONS[config.kind], 3 if config.kind == "semigroup" else 4
     states = [step(stepper, stepper.start[-1])]
     for _ in range(2 * ring):
         before = states[-1].values.copy()
@@ -1425,9 +1428,19 @@ def test_a_step_result_stays_intact_for_one_further_step(name, orders):
     for n in range(len(states) - ring):
         assert states[n + ring].values is states[n].values
         assert all(states[n + i].values is not states[n].values for i in range(1, ring))
-    last, before = states[-1], states[-1].values.copy()
-    step(stepper, dataclasses.replace(last, values=last.values.copy()))
-    assert np.array_equal(last.values, before)
+
+    def bits(state):  # a baseline lane's carry is a tuple, an entry per member
+        carry = state.carry if isinstance(state.carry, tuple) else (state.carry,)
+        return [None if a is None else a.tobytes() for a in (state.values, *carry)]
+
+    # a step from a copy of the result before the last, which it copies into the ring, leaves
+    # the last intact and gives the bits that the step from that result itself gave
+    last, before, source = states[-1], bits(states[-1]), states[-2]
+    copy = dataclasses.replace(source, values=source.values.copy(), carry=(
+        source.carry.copy() if isinstance(source.carry, np.ndarray) else source.carry))
+    again = step(stepper, copy)
+    assert bits(last) == before
+    assert bits(again) == before
 
 
 @pytest.mark.parametrize("name,orders", SPD_SCHEMES,
@@ -1658,10 +1671,10 @@ class TestDispatchBudget:
         assert len(calls) == 200 + 199
         for lane, _, live, solved, polys in calls:
             assert sorted(solved) == sorted(live) and len(live) == 1  # fd11's, or oifd's
-        # the plan binds a pass per (source, destination) slot pair as a level first needs
-        # one: from V^0, copied into the ring, and back, and no rewind binds one from aside
+        # the plan binds a pass per ring slot as a level first reads it: V^0 copied into the
+        # first slot, then the other two, and none again
         assert [(lane, level) for lane, level, *_, polys in calls if polys] == [
-            ("fd01", 1), ("fd01", 2)]
+            ("fd01", 1), ("fd01", 2), ("fd01", 3)]
         assert {polys for *_, polys in calls} == {0, 1}
 
     def test_no_solve_after_a_members_halt(self, monkeypatch):
