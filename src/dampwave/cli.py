@@ -12,13 +12,14 @@ divergence as data and still exit 0).
 Each `run_command` call builds a parser whose subcommands add their
 arguments when they first parse, so a command builds only its own.
 
-figures runs each max-error series' two lanes, (oefd, oifd) and (fd01, fd11),
-as jobs in a process pool with one worker per CPU. The CSVs keep their bytes,
-because `solve_evolution` gives every member its solo run bit for bit. The
-speed-up needs the fork start method, the Linux default through Python 3.13: a
-spawned worker would import numpy and dampwave again. Python 3.12 and later
-warn when a process that already runs OpenBLAS threads forks, so a move past
-3.11 must revisit this.
+table2's rows and figures' max-error lanes, (oefd, oifd) and (fd01, fd11) per
+series, run through `harness.fan_out`: one share per CPU this process may run
+on, fixed before any fork, longest processing time first by cost (a lane's level
+count times its family's measured cost per level). The parent runs the first
+share, a child forked with the fork start method each other share; each job
+computes what it does in a serial run, so every byte is kept. Python 3.12 and
+later warn when a process that already runs OpenBLAS threads forks, so a move
+past 3.11 must revisit this.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import harness, stability
 from .linalg import SingularMatrixError
@@ -316,11 +316,11 @@ def _cmd_table2(args) -> int:
     return EXIT_OK
 
 
-def _figure_series(r: float, family: tuple[str, ...], out_dir: str, t_final: float) -> list[str]:
-    """One lane of a max-error series, run in a worker: its schemes' CSVs at h = pi/50,
-    k = r*h, and their paths. It builds the sample problem, whose lambdas do not pickle."""
+def _figure_series(problem: DampedWaveProblem, r: float, family: tuple[str, ...], out_dir: str,
+                   t_final: float) -> list[str]:
+    """One lane of a max-error series: its schemes' CSVs at h = pi/50, k = r*h, and their paths."""
     h = math.pi / 50
-    tables = harness.max_error_series(sample_problem(), family, 50, r * h, t_final)
+    tables = harness.max_error_series(problem, family, 50, r * h, t_final)
     paths = [os.path.join(out_dir, f"figures_{scheme}_maxerr_r{r}.csv") for scheme in family]
     for table, path in zip(tables, paths):
         harness.write_csv(table, path)
@@ -329,8 +329,11 @@ def _figure_series(r: float, family: tuple[str, ...], out_dir: str, t_final: flo
 
 def _cmd_figures(args) -> int:
     h = math.pi / 50
-    for r in FIGURE_R_VALUES:  # every series' --t-final check, before any file is written
-        num_steps(args.t_final, r * h)
+    # each lane's family and its measured cost per level at N = 50 in microseconds: the
+    # step, the error reduction and the CSV row
+    lanes = ((harness.TABLE_SCHEMES[:2], 11.5), (harness.TABLE_SCHEMES[2:], 13.4))
+    # every series' --t-final check, before any file is written
+    costs = [us * (num_steps(args.t_final, r * h) + 1) for r in FIGURE_R_VALUES for _, us in lanes]
     problem = sample_problem()
     os.makedirs(args.out_dir, exist_ok=True)
     print(
@@ -343,12 +346,10 @@ def _cmd_figures(args) -> int:
         path = os.path.join(args.out_dir, f"figures_{scheme}_profile_N{FIGURE_GRID_N}_k0.05_t1.csv")
         harness.write_csv(table, path)
         written.append(path)
-    # the slowest series, r = 0.016, first: its two lanes start one per worker
-    jobs = [(r, family, args.out_dir, args.t_final) for r in FIGURE_R_VALUES
-            for family in (harness.TABLE_SCHEMES[:2], harness.TABLE_SCHEMES[2:])]
-    with ProcessPoolExecutor(min(len(jobs), os.cpu_count() or 1)) as pool:
-        for paths in pool.map(_figure_series, *zip(*jobs)):
-            written += paths
+    jobs = [(problem, r, family, args.out_dir, args.t_final) for r in FIGURE_R_VALUES
+            for family, _ in lanes]
+    for paths in harness.fan_out(_figure_series, jobs, costs):
+        written += paths
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

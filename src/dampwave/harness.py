@@ -8,7 +8,9 @@ Each solve is one `solve_evolution` call with a config per scheme, a tuple of
 one for `observed_order` and `solution_profile`; `compare_schemes` (Table 1,
 Table 2) and `max_error_series` (the figure series) run their schemes in
 lockstep (see `schemes`), each member's results those of its solo run, and a
-figure block's one exact call serves every member's rows.
+figure block's one exact call serves every member's rows. `fan_out` runs
+Table 2's rows, and the figure lanes for `cli`, on a split fixed before it
+forks: the parent takes the first share and one forked child each other share.
 
 Outputs are `Table`s, which store their columns as given, written as
 RFC-4180-style CSV: header row, CRLF line endings, '.' decimal separator,
@@ -22,6 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing.connection  # fan_out's fork modules, loaded at import, not by a fork
+import multiprocessing.popen_fork
+import os
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -196,16 +201,83 @@ def reproduce_table2(t_final: float = 6.0) -> Table:
 
     The mesh is h = pi/50 (the reference ratios leave it unstated); divergent
     runs keep their magnitude and carry a flag column rather than failing.
+    The rows run through `fan_out`, each costed by its level count.
     """
     problem = sample_problem()
     grid = build_grid(*problem.domain, 50)
     columns = ("r", "k") + tuple(c for name in TABLE_SCHEMES for c in (name, f"{name}_diverged"))
-    rows = []
-    for r in TABLE2_R_VALUES:
-        k = r * grid.h
-        _, summary = compare_schemes(problem, grid, k, t_final)
-        rows.append((r, k) + tuple(v for name in TABLE_SCHEMES for v in summary[name]))
-    return Table.from_rows(columns, rows)
+    costs = [num_steps(t_final, r * grid.h) + 1 for r in TABLE2_R_VALUES]
+    jobs = [(problem, grid, r, t_final) for r in TABLE2_R_VALUES]
+    return Table.from_rows(columns, fan_out(_table2_row, jobs, costs))
+
+
+def _table2_row(problem: DampedWaveProblem, grid: SpatialGrid, r: float, t_final: float) -> tuple:
+    k = r * grid.h
+    _, summary = compare_schemes(problem, grid, k, t_final)
+    return (r, k) + tuple(v for name in TABLE_SCHEMES for v in summary[name])
+
+
+def fan_out(run, jobs, costs) -> list:
+    """[run(*job) for job in jobs], split over the CPUs this process may run on.
+
+    The split is fixed before any fork, longest processing time first over `costs`: the
+    parent runs group 0 in-process and a child forked from the "fork" context each other
+    group, so jobs and run reach it unpickled and only its results or exception come back
+    through a pipe. With one CPU or one job nothing forks. A child that exits without a
+    reply raises RuntimeError. Every child is joined before fan_out returns, or, once any
+    share has raised, terminated and joined before the exception leaves.
+    """
+    n = min(len(jobs), _cpus())
+    groups, loads = [[] for _ in range(n)], [0] * n
+    for i in sorted(range(len(jobs)), key=lambda i: -costs[i]):
+        g = loads.index(min(loads))
+        groups[g].append(i)
+        loads[g] += costs[i]
+    groups = [sorted(group) for group in groups]  # each share runs in job order
+    fork, children = multiprocessing.get_context("fork"), []
+    try:
+        for group in groups[1:]:
+            reader, writer = fork.Pipe(duplex=False)
+            child = fork.Process(target=_serve, args=(writer, run, [jobs[i] for i in group]))
+            child.start()
+            writer.close()  # the child's end alone: its exit ends the parent's recv
+            children.append((group, child, reader))
+        results = {i: run(*jobs[i]) for i in groups[0]}
+        for group, child, reader in children:
+            try:
+                ok, value = reader.recv()
+            except EOFError:  # the child exited without a reply
+                child.join()
+                raise RuntimeError(f"a fan-out child exited with code {child.exitcode} "
+                                   "before it replied") from None
+            if not ok:
+                raise value
+            results.update(zip(group, value))
+    except BaseException:
+        for _, child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for _, child, reader in children:
+            reader.close()
+            child.join()
+    return [results[i] for i in range(len(jobs))]
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _serve(writer, run, jobs) -> None:
+    """A forked child's work: its jobs' results, or the exception one raised, to the parent."""
+    try:
+        reply = True, [run(*job) for job in jobs]
+    except Exception as exc:  # raised again in the parent
+        reply = False, exc
+    writer.send(reply)
 
 
 def solution_profile(

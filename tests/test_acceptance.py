@@ -359,14 +359,16 @@ def test_criterion_9_cli_determinism(tmp_path):
     )
 
 
-def test_criterion_10_tables_match_references(tmp_path):
-    """table1 and table2 write the committed reference bytes."""
+def test_criterion_10_tables_match_references(tmp_path, set_cpus):
+    """table1 and table2 write the committed reference bytes, on one CPU and on two."""
     mismatched = []
-    for argv, ref in ((["table1"], "table1.csv"), (["table2"], "table2_full.csv")):
-        out = tmp_path / ref
-        code = run_command(argv + ["--out", str(out)])
-        if code != 0 or out.read_bytes() != (REF_DIR / ref).read_bytes():
-            mismatched.append(f"{argv[0]} (exit {code})")
+    for cpus in (1, 2):
+        set_cpus(cpus)
+        for argv, ref in ((["table1"], "table1.csv"), (["table2"], "table2_full.csv")):
+            out = tmp_path / f"cpus{cpus}_{ref}"
+            code = run_command(argv + ["--out", str(out)])
+            if code != 0 or out.read_bytes() != (REF_DIR / ref).read_bytes():
+                mismatched.append(f"{argv[0]} on {cpus} CPU(s) (exit {code})")
     report(
         "criterion 10: Table 1 and Table 2 equal bench/ref byte for byte",
         not mismatched,
@@ -374,17 +376,22 @@ def test_criterion_10_tables_match_references(tmp_path):
     )
 
 
-def test_criterion_11_figure_digests(tmp_path):
-    """Every figure series keeps its recorded bytes."""
-    code = run_command(["figures", "--out-dir", str(tmp_path)])
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.glob("*.csv")}
-    changed = sorted(n for n in FIGURE_DIGESTS.keys() | digests.keys()
-                     if digests.get(n) != FIGURE_DIGESTS.get(n))
+def test_criterion_11_figure_digests(tmp_path, set_cpus):
+    """Every figure series keeps its recorded bytes, on one CPU and on two."""
+    failed = []
+    for cpus in (1, 2):
+        set_cpus(cpus)
+        out = tmp_path / f"cpus{cpus}"
+        code = run_command(["figures", "--out-dir", str(out)])
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+        changed = sorted(n for n in FIGURE_DIGESTS.keys() | digests.keys()
+                         if digests.get(n) != FIGURE_DIGESTS.get(n))
+        if code != 0 or changed:
+            failed.append(f"{cpus} CPU(s): exit {code}, {len(digests)} files, changed={changed}")
     report(
         "criterion 11: figure CSVs byte-identical to their recorded digests",
-        code == 0 and not changed,
-        f"exit {code}, {len(digests)} files, changed={changed}",
+        not failed,
+        f"failed={failed}",
     )
 
 

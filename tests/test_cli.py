@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import pathlib
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -608,28 +609,85 @@ class TestFigures:
         assert "figures_fd11_profile_N23_k0.05_t1.csv" in files
         assert sum(1 for f in files if "maxerr" in f) == 16
 
-    def test_prints_the_note_and_every_path_in_order(self, tmp_path, capsys):
-        assert run_command(["figures", "--out-dir", str(tmp_path), "--t-final", "0.1"]) == 0
+    def test_prints_the_note_and_every_path_in_order(self, tmp_path, capsys, set_cpus):
         profiles = [f"figures_{s}_profile_N23_k0.05_t1.csv" for s in ("fd01", "fd11")]
         series = [f"figures_{s}_maxerr_r{r}.csv"
                   for r in cli.FIGURE_R_VALUES for s in harness.TABLE_SCHEMES]
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("note: profile mesh uses N=23")
-        assert lines[1:] == [f"wrote {tmp_path / name}" for name in profiles + series]
+        for cpus in (1, 2):
+            set_cpus(cpus)
+            assert run_command(["figures", "--out-dir", str(tmp_path), "--t-final", "0.1"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0].startswith("note: profile mesh uses N=23")
+            assert lines[1:] == [f"wrote {tmp_path / name}" for name in profiles + series]
 
-    def test_a_failed_write_in_a_series_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "figures_fd11_maxerr_r0.016.csv"
-        path.mkdir()
-        assert run_command(["figures", "--out-dir", str(tmp_path), "--t-final", "0.1"]) == 2
-        assert capsys.readouterr().err == (f"dampwave: error: cannot write CSV to '{path}': "
-                                           f"[Errno 21] Is a directory: '{path}'\n")
+    def test_a_failed_write_in_a_series_exits_2(self, tmp_path, capsys, set_cpus):
+        # the parent runs the r = 0.016 (fd01, fd11) lane and every lane from r = 0.995 on,
+        # the child the r = 0.016 (oefd, oifd) lane and both r = 0.159 lanes
+        set_cpus(2)
+        for name in ("figures_fd11_maxerr_r0.016.csv", "figures_oefd_maxerr_r0.016.csv"):
+            path = tmp_path / name[:-4] / name
+            path.mkdir(parents=True)
+            assert run_command(["figures", "--out-dir", str(path.parent), "--t-final", "0.1"]) == 2
+            assert capsys.readouterr().err == (f"dampwave: error: cannot write CSV to '{path}': "
+                                               f"[Errno 21] Is a directory: '{path}'\n")
 
-    def test_no_worker_outlives_the_command(self, tmp_path, capsys):
+    def test_no_worker_outlives_the_command(self, tmp_path, capsys, monkeypatch, set_cpus):
+        set_cpus(2)
         assert run_command(["figures", "--out-dir", str(tmp_path), "--t-final", "0.1"]) == 0
-        (tmp_path / "figures_oefd_maxerr_r1.45.csv").unlink()
-        (tmp_path / "figures_oefd_maxerr_r1.45.csv").mkdir()
+        (tmp_path / "figures_oefd_maxerr_r0.159.csv").unlink()
+        (tmp_path / "figures_oefd_maxerr_r0.159.csv").mkdir()  # a lane of the child's
         assert run_command(["figures", "--out-dir", str(tmp_path), "--t-final", "0.1"]) == 2
         assert multiprocessing.active_children() == []
+        parent, series = os.getpid(), cli._figure_series
+
+        def exits_in_the_child(*job):  # the child dies before it replies
+            if os.getpid() != parent:
+                os._exit(9)
+            return series(*job)
+
+        monkeypatch.setattr(cli, "_figure_series", exits_in_the_child)
+        with pytest.raises(RuntimeError, match="exited with code 9 "):
+            run_command(["figures", "--out-dir", str(tmp_path), "--t-final", "0.1"])
+        assert multiprocessing.active_children() == []
+
+        def fails_in_the_parent(*job):  # the parent's share raises while the child runs
+            if os.getpid() == parent:
+                raise ValueError("the parent's share failed")
+            time.sleep(0.1)
+            return series(*job)
+
+        monkeypatch.setattr(cli, "_figure_series", fails_in_the_parent)
+        capsys.readouterr()
+        assert run_command(["figures", "--out-dir", str(tmp_path), "--t-final", "0.1"]) == 2
+        assert capsys.readouterr().err == "dampwave: error: the parent's share failed\n"
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_starts_no_child(self, tmp_path, capsys, monkeypatch, set_cpus):
+        # table2's rows and figures' lanes all run in the parent, with no child alive,
+        # and write what a run that forks writes
+        parent, calls = os.getpid(), []
+
+        def spy(run):
+            def spied(*args):
+                calls.append((os.getpid(), multiprocessing.active_children()))
+                return run(*args)
+            return spied
+
+        monkeypatch.setattr(harness, "compare_schemes", spy(harness.compare_schemes))
+        monkeypatch.setattr(cli, "_figure_series", spy(cli._figure_series))
+        outputs = {}
+        for cpus in (2, 1):
+            set_cpus(cpus)
+            out = tmp_path / f"cpus{cpus}"
+            out.mkdir()
+            calls.clear()
+            assert run_command(["table2", "--out", str(out / "table2.csv"), "--t-final", "1"]) == 0
+            assert run_command(["figures", "--out-dir", str(out), "--t-final", "0.1"]) == 0
+            outputs[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
+            # of 5 rows and 8 lanes, the forking parent's shares are rows 0, 1, 4 and 5 lanes
+            assert len(calls) == (13 if cpus == 1 else 8)
+        assert calls == [(parent, [])] * 13
+        assert len(outputs[1]) == 19 and outputs[1] == outputs[2]
 
     # 0.09 lies below the largest series step, 1.45 pi/50 = 0.0911
     @pytest.mark.parametrize("t_final", ["0", "0.09"])

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from dampwave.harness import (
     Table,
     compare_schemes,
     error_profile,
+    fan_out,
     format_value,
     max_error_series,
     observed_order,
@@ -279,6 +281,25 @@ class TestTable2:
     def test_oefd_diverges_at_large_ratio(self, table):
         assert table.column("oefd")[0] > 1e6
         assert table.column("oefd_diverged")[0] is True
+
+
+class TestFanOut:
+    def test_the_split_is_fixed_by_the_costs(self, set_cpus):
+        # the parent runs the jobs costing {334, 113, 38} and one child {261, 188}, every
+        # time, and the results come back in job order
+        set_cpus(2)
+        parent, costs = os.getpid(), (334, 261, 188, 113, 38)
+        runs = [fan_out(lambda cost: (cost, os.getpid() == parent), [(c,) for c in costs], costs)
+                for _ in range(2)]
+        assert runs == [[(334, True), (261, False), (188, False), (113, True), (38, True)]] * 2
+
+    def test_one_cpu_or_one_job_runs_in_process(self, set_cpus, monkeypatch):
+        parent = os.getpid()
+        set_cpus(2)
+        assert fan_out(lambda: os.getpid(), [()], [1]) == [parent]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
+        assert fan_out(lambda: os.getpid(), [(), ()], [1, 1]) == [parent] * 2
 
 
 class TestFigureData:
