@@ -9,8 +9,8 @@ Exit codes: 0 success, 2 usage or input error, 3 numerical failure
 (singular system), 4 a requested solve diverged (table2/compare report
 divergence as data and still exit 0).
 
-Each `run_command` call builds a parser whose subcommands add their
-arguments when they first parse, so a command builds only its own.
+Each `run_command` call builds the top-level parser and only its own
+subcommand's parser.
 
 table2's rows and figures' max-error lanes, (oefd, oifd) and (fd01, fd11) per
 series, run through `harness.fan_out`: one share per CPU this process may run
@@ -18,8 +18,10 @@ on, fixed before any fork, longest processing time first by cost (a lane's level
 count times its family's measured cost per level). The parent runs the first
 share, a child forked with the fork start method each other share; each job
 computes what it does in a serial run, so every byte is kept. Python 3.12 and
-later warn when a process that already runs OpenBLAS threads forks, so a move
-past 3.11 must revisit this.
+later warn when a process forks with more than one OS thread, counted in the
+parent just after the fork; OpenBLAS's fork handler has stopped its pool by
+then, so the process has one (pinned by test_harness.py's
+TestFanOut::test_a_fork_leaves_the_parent_one_thread).
 """
 
 from __future__ import annotations
@@ -69,19 +71,18 @@ def _add_scheme_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--pade", help="S,T orders for --scheme fdST (e.g. --pade 2,2)")
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its arguments when it first parses: a command
-    builds the arguments of no other subcommand."""
+class _Subcommand:
+    """A subcommand's parser, kept as argparse's keyword arguments and built with its
+    arguments when it parses: argparse calls nothing else on a subcommand parser, and
+    parses with it once per command."""
 
-    def __init__(self, *args, arguments=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._arguments = arguments
+    def __init__(self, *, arguments, **kwargs):
+        self._arguments, self._kwargs = arguments, kwargs
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._arguments is not None:
-            self._arguments, add = None, self._arguments
-            add(self)
-        return super().parse_known_args(args, namespace)
+        parser = argparse.ArgumentParser(**self._kwargs)
+        self._arguments(parser)
+        return parser.parse_known_args(args, namespace)
 
 
 def _solve_arguments(sp: argparse.ArgumentParser) -> None:

@@ -26,6 +26,7 @@ word characters. The operators are + - * / ^ ( ); any other character is an erro
 
 from __future__ import annotations
 
+import copyreg
 import json
 import math
 import operator
@@ -40,6 +41,10 @@ import numpy as np
 
 class ExpressionError(ValueError):
     """Base class for expression parsing and evaluation failures."""
+
+    def __reduce__(self):
+        # unpickled without __init__, which in a subclass takes more than the message
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ExpressionSyntaxError(ExpressionError):

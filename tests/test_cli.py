@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import importlib.util
@@ -780,12 +781,48 @@ class TestSubcommandArguments:
     def solve(self, capsys, path, step):
         return self.run(capsys, self.SOLVE + [*step, "--out", str(path)]), path.read_bytes()
 
-    def test_only_the_parsed_command_has_its_arguments(self):
-        parser = cli.build_parser()
-        commands = parser._subparsers._group_actions[0].choices
-        assert parser.parse_args(["table2"]).t_final == 6.0
-        built = {name for name, sp in commands.items() if len(sp._actions) > 1}
-        assert built == {"table2"}
+    def test_only_the_parsed_command_has_its_arguments(self, monkeypatch):
+        # a command builds the top-level parser and its own subcommand's, and --help of
+        # the top level builds no subcommand's
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert cli.build_parser().parse_args(["table2"]).t_final == 6.0
+        assert len(built) == 2
+        built.clear()
+        forced = ["solve", "--problem", "forced.json", "--scheme", "fdST", "--pade", "2,2",
+                  "--N", "800", "--r", "0.5", "--t-final", "0.04", "--out", "forced.csv"]
+        assert cli.build_parser().parse_args(forced).pade == "2,2"
+        assert len(built) == 2
+        built.clear()
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["--help"])
+        assert len(built) == 1
+
+    class EagerSubcommand(argparse.ArgumentParser):
+        """The subcommand parser as it was before the stand-in: built, with its arguments,
+        when build_parser adds it."""
+
+        def __init__(self, *, arguments, **kwargs):
+            super().__init__(**kwargs)
+            arguments(self)
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], *([command, "--help"] for command in cli._COMMANDS), [],
+        ["bogus"], ["-1", "solve"], ["--foo", "table1"], ["--", "table1"],
+        ["solve", "--he"], ["solve", "--N", "ten"],
+        ["solve", "--scheme", "fd11", "--N", "10", "--k", "0.1", "--t-final", "0.3"],
+        ["solve", "--k", "0.1", "--r", "0.2"],
+    ], ids=" ".join)
+    def test_same_text_as_an_eager_parser(self, capsys, monkeypatch, argv):
+        lazy = self.run(capsys, argv)
+        monkeypatch.setattr(cli, "_Subcommand", self.EagerSubcommand)
+        assert self.run(capsys, argv) == lazy
 
     def test_usage_error_then_solve(self, tmp_path, capsys):
         bad = ["solve", "--scheme", "fd11", "--N", "ten"]

@@ -5,6 +5,9 @@ import io
 import json
 import math
 import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dampwave import linalg, problems, stability
 from dampwave.harness import (
     _BLOCK_ROWS,
     DIVERGENCE_THRESHOLD,
@@ -28,9 +32,22 @@ from dampwave.harness import (
     solution_profile,
     write_csv,
 )
+from dampwave.linalg import SingularMatrixError
 from dampwave.operators import build_grid, sample
-from dampwave.problems import DampedWaveProblem, load_problem_config, sample_problem
+from dampwave.problems import (
+    DampedWaveProblem,
+    EvaluationError,
+    ExpressionError,
+    ExpressionSyntaxError,
+    Num,
+    ProblemConfigError,
+    UnknownIdentifierError,
+    load_problem_config,
+    parse_expression,
+    sample_problem,
+)
 from dampwave.schemes import config_for, solve_evolution
+from dampwave.stability import ModeCouplingError
 
 from oracles import max_error_per_level, solve_group_every_level
 from test_schemes import FORCED_DOC
@@ -283,6 +300,15 @@ class TestTable2:
         assert table.column("oefd_diverged")[0] is True
 
 
+#: one instance of each exception class of problems, linalg and stability
+ERRORS = [
+    ExpressionSyntaxError("bad", 3, ("x", ")")), UnknownIdentifierError("y", 2),
+    EvaluationError("overflow", Num(1.0)), ExpressionError("plain"),
+    ProblemConfigError("no gamma"), SingularMatrixError("zero pivot"),
+    ModeCouplingError("off its plane"),
+]
+
+
 class TestFanOut:
     def test_the_split_is_fixed_by_the_costs(self, set_cpus):
         # the parent runs the jobs costing {334, 113, 38} and one child {261, 188}, every
@@ -300,6 +326,55 @@ class TestFanOut:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
         assert fan_out(lambda: os.getpid(), [(), ()], [1, 1]) == [parent] * 2
+
+    @pytest.mark.parametrize("error", ERRORS, ids=lambda error: type(error).__name__)
+    def test_every_error_class_survives_the_pipe(self, error):
+        # a child's exception reaches the parent pickled
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error) and str(copy) == str(error)
+        for name in ("offset", "expected", "name", "expression"):
+            assert getattr(copy, name, None) == getattr(error, name, None)
+
+    def test_the_error_classes_are_all_covered(self):
+        classes = {cls for module in (problems, linalg, stability) for cls in vars(module).values()
+                   if isinstance(cls, type) and issubclass(cls, Exception)
+                   and cls.__module__ == module.__name__}
+        assert classes == {type(error) for error in ERRORS}
+
+    def test_a_childs_expression_error_is_raised_in_the_parent(self, set_cpus):
+        # the parent parses the costlier "x"; the child's "1 +" fails
+        set_cpus(2)
+        with pytest.raises(ExpressionSyntaxError) as raised:
+            fan_out(parse_expression, [("1 +",), ("x",)], [1, 2])
+        with pytest.raises(ExpressionSyntaxError) as direct:
+            parse_expression("1 +")
+        assert str(raised.value) == str(direct.value)
+        assert raised.value.offset == direct.value.offset == 3
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/stat")
+    def test_a_fork_leaves_the_parent_one_thread(self):
+        # Python 3.12 and later warn when a process with more than one OS thread forks, and
+        # count the threads in the parent just after the fork: OpenBLAS stops its pool in
+        # its fork handler, so the CLI's process has one then. In a fresh process, so that
+        # pytest's own threads do not count.
+        script = """if True:
+            import os
+            os.sched_getaffinity = lambda pid: {0, 1}
+            from dampwave import cli, harness
+            def threads():
+                with open("/proc/self/stat") as fh:
+                    return int(fh.read().rsplit(")", 1)[1].split()[17])
+            seen = []
+            os.register_at_fork(after_in_parent=lambda: seen.append(threads()))
+            assert harness.fan_out(abs, [(-1,), (-2,)], [1, 1]) == [1, 2]
+            print(seen)
+        """
+        src = os.path.dirname(os.path.dirname(problems.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[1]\n"
 
 
 class TestFigureData:
