@@ -13,15 +13,8 @@ Each `run_command` call builds the top-level parser and only its own
 subcommand's parser.
 
 table2's rows and figures' max-error lanes, (oefd, oifd) and (fd01, fd11) per
-series, run through `harness.fan_out`: one share per CPU this process may run
-on, fixed before any fork, longest processing time first by cost (a lane's level
-count times its family's measured cost per level). The parent runs the first
-share, a child forked with the fork start method each other share; each job
-computes what it does in a serial run, so every byte is kept. Python 3.12 and
-later warn when a process forks with more than one OS thread, counted in the
-parent just after the fork; OpenBLAS's fork handler has stopped its pool by
-then, so the process has one (pinned by test_harness.py's
-TestFanOut::test_a_fork_leaves_the_parent_one_thread).
+series, run through `harness.fan_out`, whose docstring states how the work is
+split and forked.
 """
 
 from __future__ import annotations
@@ -35,7 +28,9 @@ from . import harness, stability
 from .linalg import SingularMatrixError
 from .operators import assemble_system, build_grid
 from .problems import DampedWaveProblem, ProblemConfigError, load_problem_config, sample_problem
-from .schemes import SCHEME_NAMES, amplify, config_for, make_stepper, num_steps, solve_evolution
+from .schemes import (
+    SCHEME_NAMES, StateVector, config_for, make_stepper, num_steps, solve_evolution, step_semigroup,
+)
 from .stability import MAX_MAP_SIZE, spectral_radius
 
 FIGURE_GRID_N = 23  # nearest subinterval count to the reference mesh width 0.13464
@@ -261,13 +256,16 @@ def _cmd_stability(args) -> int:
 
 def _empirical_radius(N: int, h: float, k: float, gamma_max: float) -> float:
     zero = lambda *_: 0.0
+    zero.variables = frozenset()  # reads no t: the probe is `steady`, its lane unforced
     problem = DampedWaveProblem(domain=(0.0, N * h), gamma=lambda x: gamma_max, g=zero, phi=zero,
                                 psi=zero, u_a=zero, u_b=zero, name="stability-probe")
     grid = build_grid(0.0, N * h, N)
     op = assemble_system(grid, problem)
     stepper = make_stepper(config_for("fd11", k), op, grid, problem)
+    # an unforced step is R(kM) v exactly; its result lives in a ring slot of the lane's plan
+    step = lambda v: step_semigroup(stepper, StateVector(0.0, v[:, None])).values[:, 0].copy()
     try:
-        return spectral_radius(lambda v: amplify(stepper, v[:, None])[:, 0], N)[0]
+        return spectral_radius(step, N)[0]
     except ValueError as exc:
         raise ValueError(f"--empirical at N={N}: {exc}") from exc
 

@@ -225,7 +225,10 @@ def fan_out(run, jobs, costs) -> list:
     group, so jobs and run reach it unpickled and only its results or exception come back
     through a pipe. With one CPU or one job nothing forks. A child that exits without a
     reply raises RuntimeError. Every child is joined before fan_out returns, or, once any
-    share has raised, terminated and joined before the exception leaves.
+    share has raised, terminated and joined before the exception leaves. Python 3.12 and
+    later warn when a process forks with more than one OS thread; OpenBLAS's fork handler
+    stops its pool first, so the parent has one (TestFanOut's
+    test_a_fork_leaves_the_parent_one_thread).
     """
     n = min(len(jobs), _cpus())
     groups, loads = [[] for _ in range(n)], [0] * n

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy import add, multiply  # a bound pass's ufuncs, by bare name: one lookup a call
@@ -103,11 +103,10 @@ def sample(fn: Callable, nodes: np.ndarray, *t: float) -> np.ndarray:
     return values
 
 
-def second_difference(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """A v for the second-difference matrix A = tridiag(1, -2, 1) (no 1/h^2 factor), into
-    out when given (shaped like v, not overlapping it). Works along the first axis, so
-    second_difference(np.eye(n)) is A itself."""
-    return difference_pass(v, np.empty(v.shape) if out is None else out)()
+def second_difference(v: np.ndarray) -> np.ndarray:
+    """A v, a new array, for the second-difference matrix A = tridiag(1, -2, 1) (no 1/h^2
+    factor). Works along the first axis, so second_difference(np.eye(n)) is A itself."""
+    return difference_pass(v, np.empty(v.shape))()
 
 
 def scalar(c):

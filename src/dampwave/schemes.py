@@ -81,15 +81,15 @@ form. Coefficients that differ between members are pre-expanded to the full
 array shape, as a broadcast operand costs more than a contiguous one. A
 lane's `members` holds a `Member` record per column: its finish, bound to its
 factor, which binds the function that finishes its column in place (below),
-and a baseline's forcing source. A lane binds once, on its first step, what
-every level would otherwise re-decide, in its `bound`: the shared pass with
-its exact ones resolved, a steady source's value (an all-zero one dropped)
-and a (column, finish) entry per live member.
+and a baseline's forcing source.
 
-On that first step it also binds its step plan, so that `make_stepper`'s
-set-up does not grow: a ring of 3 (V, W) slots for the semigroup family (W
-being V itself in an unforced lane) and of 4 arrays for the baselines, whose
-state takes 2. A step from the plan's last result runs the level bound to that
+A lane binds its step plan on its first step, so that `make_stepper`'s set-up
+does not grow. The plan is all that a step reads: what every level would
+otherwise re-decide (the shared pass with its exact ones resolved, a steady
+source's value, an all-zero one dropped, and a (column, finish) entry per live
+member), and a ring of 3 (V, W) slots for the semigroup family (W being V
+itself in an unforced lane) or of 4 arrays for the baselines, whose state
+takes 2. A step from the plan's last result runs the level bound to that
 result's slot, which writes the next slot; any other state is first copied
 into the slots just after it, so that the last result stays intact. Each
 slot's level, `pade.apply_poly`'s Horner pass and each live member's finish
@@ -275,9 +275,10 @@ class Member(NamedTuple):
     # a baseline's (t, B(t) or None) -> (lap_coeff B(t) for oefd, lap_coeff (B(t + k) + B(t))
     # for oifd; k^2 g(., t); B(t + k) for oifd, None for oefd), an all-zero B or g term None
     source: Optional[Callable]  # None in a semigroup lane, whose members share its source
-    # bound to its factor by make_stepper, binds the function of no arguments that finishes
-    # the member's column in place: (col, v, scratch) for the semigroup family, scratch a
-    # flat array of at least 2n, col for a baseline; None for an explicit member
+    # bound to its factor by make_stepper; the lane's step plan calls it once a ring slot, on
+    # that slot's views, (col, v, scratch) for the semigroup family, scratch a flat array of at
+    # least 2n, col for a baseline, for the function of no arguments that finishes the
+    # member's column in place; None for an explicit member
     finish: Optional[Callable]
 
 
@@ -292,36 +293,8 @@ class SemigroupStepper:
     members: Sequence[Optional[Member]]
 
     @cached_property
-    def bound(self) -> tuple:
-        """The shared pass with its exact ones None, the source (None when steady), a steady
-        (k/2) F, and (column, finish) per live implicit member. What a step reads, bound once
-        a lane."""
-        poly = self.p if len(self.p) == 1 else tuple(
-            None if isinstance(c, float) and c == 1.0 else c for c in self.p)
-        return (poly, None if self.steady else self.source,
-                self.source(0.0) if self.steady else None,
-                tuple((j, m.finish) for j, m in enumerate(self.members) if m and m.finish))
-
-    @cached_property
     def plan(self) -> "_SemigroupPlan":  # bound on the lane's first step
         return _SemigroupPlan(self)
-
-    @cached_property
-    def amplifier(self) -> tuple:
-        """(v, out, passes): `passes` from v into out, two arrays of their own shaped like a
-        level, bound on the lane's first `amplify`."""
-        v, out = np.empty((2,) + self.start[0].values.shape)
-        return v, out, self.passes(v, out, [])
-
-    def passes(self, v: np.ndarray, out: np.ndarray, work: list) -> list:
-        """R(kM) v into out, bound with their views: the shared pass, then each live member's
-        finish. work is `apply_poly`'s, its first array the finishes' scratch too."""
-        poly, _, _, finishes = self.bound
-        passes = [apply_poly(poly, self.op, self.config.k, v, out, work)]
-        if finishes and not work:
-            work.append(np.empty(v.shape))
-        return passes + [finish(out[:, j], v[:, j], work[0].reshape(-1))
-                         for j, finish in finishes]
 
 
 @dataclass(frozen=True)
@@ -332,15 +305,6 @@ class BaselineStepper:
     lap_coeff: Union[float, np.ndarray]  # r^2 (oefd) or r^2/2 (oifd), the factor on A u^n and B
     steady: bool  # the problem's: each source returns one value, made once
     members: Sequence[Optional[Member]]
-
-    @cached_property
-    def bound(self) -> tuple:
-        """(column, source, terms) per live member with forcing (a steady one's source None, its
-        terms its B and g), and (column, finish) per live member."""
-        live = [(j, m) for j, m in enumerate(self.members) if m is not None]
-        adds = [(j, None, m.source(0.0)[:2]) if self.steady else (j, m.source, ()) for j, m in live]
-        return (tuple(a for a in adds if a[1] or any(x is not None for x in a[2])),
-                tuple((j, m.finish) for j, m in live))
 
     @cached_property
     def plan(self) -> "_BaselinePlan":  # bound on the lane's first step
@@ -399,22 +363,15 @@ def _oifd_ghost_start(
     """
     b_term, g_term, b_k = source(0.0)
     rhs = 2.0 * u0 + half_r2 * second_difference(u0) - 2.0 * k * (gamma * k / 2.0 - 1.0) * psi
-    u1 = linalg.solve_banded(_tridiagonal_factor(np.full(len(u0), 2.0), half_r2),
-                             _add_terms(rhs, b_term, g_term))
-    return u1, b_k
+    for term in (b_term, g_term):  # None, an all-zero term, adds nothing
+        if term is not None:
+            rhs += term
+    return linalg.solve_banded(_tridiagonal_factor(np.full(len(u0), 2.0), half_r2), rhs), b_k
 
 
 def _nonzero(term: np.ndarray) -> Optional[np.ndarray]:
     """term, or None when it is all zero (count_nonzero is the cheapest any() numpy has)."""
     return term if np.count_nonzero(term) else None
-
-
-def _add_terms(rhs: np.ndarray, *terms: Optional[np.ndarray]) -> np.ndarray:
-    """rhs += each term in turn, None adding nothing; returns rhs."""
-    for term in terms:
-        if term is not None:
-            rhs += term
-    return rhs
 
 
 def _bind(problem: DampedWaveProblem, terms: Callable) -> Callable:
@@ -513,17 +470,6 @@ def make_stepper(
                            problem.steady, (Member(source, finish),))
 
 
-def amplify(stepper: SemigroupStepper, v: np.ndarray) -> np.ndarray:
-    """R(kM) v, a new array: the shared pass, then each live member's finish on its own column
-    (ValueError unless v has one per member), Q_S(kM)^{-1} P_T(kM) v or D(kM) v + rho (I -
-    cM)^{-1} v. `stability --empirical` applies a one-member lane to the sine-mode planes."""
-    v_in, out, passes = stepper.amplifier
-    v_in[...] = v.reshape(v_in.shape)  # raises unless v has a column per member
-    for run in passes:
-        run()
-    return out.copy()
-
-
 class _Plan:
     """A lane's step plan (see `schemes`): a ring of level arrays, the scratch its passes
     share, and per ring slot the level that reads it and writes the next, bound on the first
@@ -554,8 +500,14 @@ class _SemigroupPlan(_Plan):
     one, and W_n is all that a level reads of it (V_n too when its carry is None)."""
 
     def __init__(self, lane: SemigroupStepper):
-        _, source, half_kf, _ = lane.bound
-        shape, self.forced = lane.start[0].values.shape, source is not None or half_kf is not None
+        # the shared pass with its exact ones None, the source (None when steady), a steady
+        # source's one (k/2) F, made by `_bind`, and (column, finish) per live implicit member
+        self.poly = lane.p if len(lane.p) == 1 else tuple(
+            None if isinstance(c, float) and c == 1.0 else c for c in lane.p)
+        self.source, self.half_kf = (None, lane.source(0.0)) if lane.steady else (lane.source, None)
+        self.finishes = tuple((j, m.finish) for j, m in enumerate(lane.members) if m and m.finish)
+        shape = lane.start[0].values.shape
+        self.forced = self.source is not None or self.half_kf is not None
 
         def slot():
             v = np.empty(shape)
@@ -574,14 +526,18 @@ class _SemigroupPlan(_Plan):
         return at
 
     def _bind(self, lane: SemigroupStepper, at: int) -> Callable:
-        _, source, half_kf, _ = lane.bound
         (v, w), (v_next, w_next) = self.ring[at], self.ring[(at + 1) % 3]
-        # a forced level writes W_{n+1} last: until then it is the passes' first scratch
+        # a forced level writes W_{n+1} last: until then it is the passes' first scratch, and
+        # the finishes' scratch is the first array of apply_poly's work
         work = [w_next] + self.work if self.forced else self.work
-        passes = tuple(lane.passes(w, v_next, work))
+        passes = [apply_poly(self.poly, lane.op, lane.config.k, w, v_next, work)]
+        if self.finishes and not work:
+            work.append(np.empty(w.shape))
+        passes += [finish(v_next[:, j], w[:, j], work[0].reshape(-1))
+                   for j, finish in self.finishes]
         self.work = work[self.forced:]
-        self.levels[at] = partial(_semigroup_level, source, half_kf, self.forced, v, w, v_next,
-                                  w_next, passes, lane.config.k)
+        self.levels[at] = partial(_semigroup_level, self.source, self.half_kf, self.forced, v, w,
+                                  v_next, w_next, tuple(passes), lane.config.k)
         return self.levels[at]
 
 
@@ -616,6 +572,12 @@ class _BaselinePlan(_Plan):
     array."""
 
     def __init__(self, lane: BaselineStepper):
+        # (column, source, terms) per live member with forcing, a steady one's source None and
+        # its terms its B and g
+        live = [(j, m) for j, m in enumerate(lane.members) if m is not None]
+        adds = [(j, None, m.source(0.0)[:2]) if lane.steady else (j, m.source, ()) for j, m in live]
+        self.adds = tuple(a for a in adds if a[1] or any(x is not None for x in a[2]))
+        self.finishes = tuple((j, m.finish) for j, m in live)
         shape = lane.start[0].values.shape
         super().__init__([np.empty(shape) for _ in range(4)])
         self.work = np.empty(shape)
@@ -630,13 +592,12 @@ class _BaselinePlan(_Plan):
         return (at + 2) % 4
 
     def _bind(self, lane: BaselineStepper, at: int) -> Callable:
-        adds, finishes = lane.bound
         prev, u, out = (self.ring[i % 4] for i in (at - 1, at, at + 1))
         self.levels[at] = partial(
             _baseline_level, difference_pass(u, out), u, prev, out, self.work,
             scalar(lane.lap_coeff), lane.prev_coeff,
-            tuple((j, out[:, j], source, terms) for j, source, terms in adds),
-            tuple(finish(out[:, j]) for j, finish in finishes), lane.config.k)
+            tuple((j, out[:, j], source, terms) for j, source, terms in self.adds),
+            tuple(finish(out[:, j]) for j, finish in self.finishes), lane.config.k)
         return self.levels[at]
 
 

@@ -23,6 +23,7 @@ from dampwave.linalg import SingularMatrixError
 from dampwave.operators import build_grid
 from dampwave.problems import load_problem_config
 from dampwave.schemes import config_for, solve_evolution
+from dampwave.stability import implicit_amplification
 
 from oracles import solve_group_every_level
 
@@ -447,6 +448,19 @@ class TestStability:
         empirical = float(out.split("empirical spectral radius (seed=5):")[1].split()[0])
         assert analytic == pytest.approx(0.969829531, rel=1e-9)
         assert empirical == pytest.approx(analytic, rel=1e-10)
+
+    def test_empirical_on_the_schur_path(self, capsys):
+        # from TRIDIAGONAL_MIN_N interior nodes fd11's step is D + rho resolvent, the resolvent
+        # solved through the Schur complement's LDL^T
+        assert 200 - 1 >= dampwave.schemes.TRIDIAGONAL_MIN_N
+        code = run_command(["stability", "--gamma-max", "2", "--k", "0.05",
+                            "--h", repr(math.pi / 200), "--N", "200",
+                            "--empirical", "--seed", "5"])
+        assert code == 0
+        out = capsys.readouterr().out
+        closed = implicit_amplification(200, math.pi / 200, 0.05, 2.0).max_modulus
+        empirical = float(out.split("empirical spectral radius (seed=5):")[1].split()[0])
+        assert empirical == pytest.approx(closed, rel=1e-10)
 
     def test_empirical_size_bound_exits_2(self, capsys):
         code = run_command(["stability", "--gamma-max", "2", "--k", "0.05",
@@ -957,15 +971,14 @@ class TestPackageRoot:
 
     def test_every_traced_name_stays_bound(self):
         # each per-layer bench metric reads null when no name of its bucket is bound;
-        # ("cli", "step_semigroup") has never been bound, as the CLI steps no scheme, and
-        # leaves PATCH_POINTS with ROADMAP item 4's bench clean-up
+        # ("cli", "step_semigroup") is the step `stability --empirical` measures
         spec = importlib.util.spec_from_file_location(
             "bench_tracer", pathlib.Path(__file__).parents[1] / "bench" / "tracer.py")
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
         unbound = [(module, name) for module, name, _ in tracer.PATCH_POINTS
                    if not callable(getattr(getattr(dampwave, module), name, None))]
-        assert set(unbound) <= {("cli", "step_semigroup")}
+        assert unbound == []
 
     def test_make_stepper_takes_what_the_bench_set_up_passes(self):
         # bench/run.py measure_setup: config_for(scheme, k, pade), then

@@ -21,7 +21,9 @@ from dampwave.linalg import (
 from dampwave.operators import assemble_system, build_grid
 from dampwave.pade import apply_poly, pade_coefficients
 from dampwave.problems import sample_problem
-from dampwave.schemes import TRIDIAGONAL_MIN_N, amplify, config_for, make_stepper
+from dampwave.schemes import (
+    TRIDIAGONAL_MIN_N, StateVector, config_for, make_stepper, step_semigroup,
+)
 from dampwave.stability import implicit_amplification
 
 from oracles import (
@@ -294,7 +296,7 @@ class TestSweepSolve:
             v = rng.standard_normal((op.size, 1))
             want = apply_poly(approx.p_floats, stepper.op, k, v)()[:, 0]
             want[perm] = GBTRS(fact.lu, fact.kl, fact.ku, want[perm], fact.ipiv)[0]
-            got = amplify(stepper, v)[:, 0]
+            got = step_semigroup(stepper, StateVector(0.0, v)).values[:, 0]  # R(kM) v: F = 0
             if approx.S >= 2:
                 assert got.tobytes() == want.tobytes()
             else:
@@ -489,7 +491,9 @@ class TestSpectralRadius:
         grid = build_grid(0.0, math.pi, 10)
         op = assemble_system(grid, problem)
         stepper = make_stepper(config_for("fd11", 0.05), op, grid, problem)
-        rho = spectral_radius(lambda v: amplify(stepper, v[:, None])[:, 0], op.size)
+        rho = spectral_radius(  # F = 0: a step is R(kM) v
+            lambda v: step_semigroup(stepper, StateVector(0.0, v[:, None])).values[:, 0].copy(),
+            op.size)
         assert rho <= 1.0 + 1e-8
         analytic = implicit_amplification(10, math.pi / 10, 0.05, 2.0).max_modulus
         assert rho == pytest.approx(analytic, rel=1e-10)

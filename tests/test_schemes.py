@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from dampwave.harness import error_profile
 from dampwave.operators import (
     assemble_system, boundary_vector, build_grid, forcing_vector, second_difference,
 )
-from dampwave.pade import pade_coefficients
+from dampwave.pade import apply_poly, pade_coefficients
 from dampwave.problems import (
     DampedWaveProblem, ExpressionError, load_problem_config, sample_problem, time_free,
 )
@@ -22,7 +23,6 @@ from dampwave.schemes import (
     CHECK_EVERY,
     SchemeConfig,
     StateVector,
-    amplify,
     config_for,
     make_stepper,
     solve_evolution,
@@ -470,21 +470,6 @@ class TestBaselineSteps:
             assert np.linalg.norm(lhs - rhs) < 1e-11 * max(1.0, np.linalg.norm(rhs))
 
 
-def test_amplify_is_the_unforced_step():
-    problem = plain_problem(gamma=lambda x: 1.0 + x, g=lambda x, t: np.sin(x) * t, exact=None)
-    grid = build_grid(0.0, math.pi, 9)
-    op = assemble_system(grid, problem)
-    unforced = plain_problem(gamma=lambda x: 1.0 + x, exact=None)
-    v = np.random.default_rng(3).standard_normal((op.size, 1))
-    for name, orders in (("fd01", None), ("fd11", None), ("fdST", (2, 2))):
-        config = config_for(name, 0.1, orders)
-        stepper = make_stepper(config, op, grid, problem)
-        plain = make_stepper(config, op, grid, unforced)
-        assert np.array_equal(amplify(stepper, v), step_semigroup(plain, StateVector(0.4, v)).values)
-        forced = step_semigroup(stepper, StateVector(0.4, v)).values
-        assert not np.array_equal(forced, amplify(stepper, v))
-
-
 # damping with zeros, at x = pi/3 and 2 pi/3, and no forcing
 SPD_DOC = {"domain": [0, math.pi], "gamma": "2*abs(sin(3*x))", "g": "0", "phi": "sin(x)",
            "psi": "0", "u_a": "0", "u_b": "0"}
@@ -555,7 +540,7 @@ class TestTridiagonalPath:
             approx = pade_coefficients(*orders)
             growth = max(abs(eval_scalar(approx, complex(z))) for z in spectrum(N, r))
             for kind, v in self.vectors(x, 2).items():
-                got = amplify(stepper, v[:, None])[:, 0]
+                got = step_semigroup(stepper, StateVector(0.0, v[:, None])).values[:, 0]
                 want = dense_amplification(approx, op, k, v)
                 scale = max(np.abs(want).max(), max(1.0, growth) * np.abs(v).max())
                 assert np.abs(got - want).max() <= 1e-12 * scale, kind
@@ -642,12 +627,17 @@ class TestSteadyForcing:
             return forcing_vector(*args)
 
         monkeypatch.setattr(schemes, "forcing_vector", counted)
-        # F = 0 is evaluated once, and its step is R(kM) V exactly
+        # F = 0 is evaluated once, and its step is R(kM) V exactly: the P_T Horner pass, then
+        # gbtrs on Q_S's interleaved band
         (traj,) = solve_group_every_level(problem, grid, (config_for("fd11", 0.1),), 1.0)
         assert calls == [0.0]
-        stepper = make_stepper(config_for("fd11", 0.1), assemble_system(grid, problem), grid,
-                               problem)
-        assert np.array_equal(traj.states[1], amplify(stepper, traj.states[0][:, None])[:, 0])
+        op, approx = assemble_system(grid, problem), pade_coefficients(1, 1)
+        fact = schemes.linalg.lu_factor_banded(_banded_poly(approx.q_floats, op, 0.1))
+        perm = np.arange(op.size).reshape(2, -1).T.ravel()  # (u_1, w_1, u_2, w_2, ...)
+        (gbtrs,) = scipy.linalg.get_lapack_funcs(("gbtrs",), dtype=np.float64)
+        want = apply_poly(approx.p_floats, op, 0.1, traj.states[0])()
+        want[perm] = gbtrs(fact.lu, fact.kl, fact.ku, want[perm], fact.ipiv)[0]
+        assert traj.states[1].tobytes() == want.tobytes()
         for name in ("fd01", "fd11", "oefd", "oifd"):
             config = config_for(name, 0.1)
             (steady,) = solve_group_every_level(problem, grid, (config,), 1.0)
