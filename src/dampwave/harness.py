@@ -13,11 +13,12 @@ Table 2's rows, and the figure lanes for `cli`, on a split fixed before it
 forks: the parent takes the first share and one forked child each other share.
 
 Outputs are `Table`s, which store their columns as given, written as
-RFC-4180-style CSV: header row, CRLF line endings, '.' decimal separator,
-scientific notation for magnitudes below 1e-3, shortest round-trip float
-formatting. The body is formatted and written in blocks of rows; a float64
-column takes repr, and only the cells where `format_value` differs from it
-(integral values below 1e16, [1e-4, 1e-3)) leave that path.
+RFC-4180-style CSV: header row, CRLF line endings, '.' decimal separator. A
+float cell holds its shortest round-trip digits, in scientific notation below
+1e-3 and from 1e16 (a signed exponent of at least two digits); an integral
+value below 1e16 is an integer and a non-finite one nan, inf or -inf.
+`format_value` formats one cell; a float64 column takes its digits, a block of
+rows at a time, from orjson's shortest round-trip (Ryu) formatter.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import orjson
 
 from .operators import SpatialGrid, build_grid, sample
 from .problems import DampedWaveProblem, ExpressionError, sample_problem
@@ -139,9 +141,7 @@ def observed_order(
 @dataclass(frozen=True)
 class Table:
     """Labelled columns for CSV emission, each stored as given (arrays stay arrays).
-    `write_csv` writes the body in blocks of rows; of a float64 column only the cells
-    that repr prints unlike `format_value` (integral below 1e16, [1e-4, 1e-3)) leave
-    the repr path. `rows` and `column` build Python values (tolist): flags are bools."""
+    `rows` and `column` build Python values (tolist): flags are bools."""
 
     columns: tuple[str, ...]
     data: tuple  # one equally long sequence per column
@@ -330,13 +330,11 @@ def max_error_series(
 
 
 def format_value(v) -> str:
-    """Deterministic, round-trippable cell formatting.
+    """One CSV cell, as the module docstring states for floats.
 
-    Floats keep their shortest round-trip representation; magnitudes below
-    1e-3 (and at or above 1e16) use scientific notation. repr gives exactly
-    that outside [1e-4, 1e-3), once a trailing ".0" is dropped; it prints nan,
-    inf and -inf as they are. Inside that band repr prints the same digits
-    positionally, "0.000ddd", which are moved into "d.dde-04".
+    repr gives a float's form outside [1e-4, 1e-3), once a trailing ".0" is
+    dropped; inside that band it prints the digits positionally, "0.000ddd",
+    which `_scientific` moves into "d.dde-04".
     """
     if not isinstance(v, float):  # np.float64 is a float
         if isinstance(v, (bool, np.bool_)):
@@ -350,32 +348,41 @@ def format_value(v) -> str:
         return "0"
     text = repr(f)
     if 1e-4 <= abs(f) < 1e-3:
-        return _e04(text)
+        return _scientific(text)
     return text[:-2] if text.endswith(".0") else text
 
 
-def _e04(text: str) -> str:
-    """repr's "0.000ddd" of a magnitude in [1e-4, 1e-3) as "d.dde-04", its sign kept."""
+def _scientific(text: str) -> str:
+    """A positional "0.000ddd" or "0.0000ddd" (a magnitude in [1e-4, 1e-3) or [1e-5, 1e-4))
+    as "d.dde-04" or "d.dde-05", its sign kept."""
     sign, _, digits = text.partition("0.000")
-    return f"{sign}{digits[0]}{'.' if digits[1:] else ''}{digits[1:]}e-04"
+    exponent = "e-04"
+    if digits[0] == "0":
+        digits, exponent = digits[1:], "e-05"
+    return f"{sign}{digits[0]}{'.' if digits[1:] else ''}{digits[1:]}{exponent}"
 
 
 _BLOCK_ROWS = 256  # rows per CSV write
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+_ONE_DIGIT_EXPONENT = re.compile(r"e-(?=\d(?:,|$))")
+_UNSIGNED_EXPONENT = re.compile(r"e(?=\d)")
 
 
 def _fields(col) -> list[str]:
-    """One block of a column as CSV fields: repr for a float64 array, its [1e-4, 1e-3)
-    cells rewritten by `_e04` and its integral cells by format_value; format_value
-    elsewhere, quoted as csv's QUOTE_MINIMAL quotes."""
-    values = _values(col)
+    """One block of a column as format_value's CSV fields, quoted as csv's QUOTE_MINIMAL
+    quotes. A float64 array's come from one orjson call: "e-9" and "e16" become "e-09" and
+    "e+16" over the block's text, its positional [1e-5, 1e-3) cells go through `_scientific`
+    and its integral cells below 1e16 and non-finite ("null") ones through format_value."""
     if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
-        texts = map(format_value, values)
+        texts = map(format_value, _values(col))
         return ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) else t for t in texts]
-    texts, mag = list(map(repr, values)), np.abs(col)
-    for i in np.flatnonzero((mag >= 1e-4) & (mag < 1e-3)).tolist():
-        texts[i] = _e04(texts[i])
-    for i in np.flatnonzero((col == np.trunc(col)) & (mag < 1e16)).tolist():
+    values = col.tolist()
+    text = orjson.dumps(values).decode()[1:-1]
+    text = _UNSIGNED_EXPONENT.sub("e+", _ONE_DIGIT_EXPONENT.sub("e-0", text))
+    texts, mag = text.split(","), np.abs(col)
+    for i in np.flatnonzero((mag >= 1e-5) & (mag < 1e-3)).tolist():
+        texts[i] = _scientific(texts[i])
+    for i in np.flatnonzero(((col == np.trunc(col)) & (mag < 1e16)) | ~np.isfinite(col)).tolist():
         texts[i] = format_value(values[i])
     return texts
 

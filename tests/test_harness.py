@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -481,9 +482,9 @@ def numpy_reference_format(f):
     return np.format_float_positional(f, unique=True, trim="-")
 
 
-# the edges of the scientific band and of repr's positional band, with their
-# neighbouring floats
-BAND_EDGES = [float(v) for edge in (1e-4, 1e-3, 1e16)
+# with their neighbouring floats, the edges of the scientific band, of repr's positional
+# band, of orjson's positional band (1e-5) and of orjson's one-digit exponents (1e-9, 1e-10)
+BAND_EDGES = [float(v) for edge in (1e-10, 1e-9, 1e-5, 1e-4, 1e-3, 1e16)
               for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))]
 
 
@@ -546,6 +547,22 @@ class TestCsv:
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         write_csv(table, path)
         assert path.read_bytes() == reference_csv(table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2 * B + 3).flatmap(
+        lambda n: st.lists(st.floats(), min_size=n, max_size=n)))
+    def test_float64_column_matches_per_cell_writer_bytes(self, tmp_path_factory, cells):
+        table = Table(("v",), (np.array(cells, dtype=np.float64),))
+        path = tmp_path_factory.mktemp("csv") / "f.csv"
+        write_csv(table, path)
+        assert path.read_bytes() == reference_csv(table)
+
+    def test_orjson_forms_that_the_float64_path_rewrites(self):
+        # write_csv rewrites exactly these forms; a formatter that changes one fails here
+        cells = [1e-5, float(np.nextafter(1e-5, 0.0)), 2.5e-4, 1e-9, 1e16, 1.5e-10,
+                 math.nan, math.inf, -math.inf, -0.0, 12.0]
+        assert orjson.dumps(cells) == (b"[0.00001,9.999999999999999e-6,0.00025,1e-9,1e16,"
+                                       b"1.5e-10,null,null,null,-0.0,12.0]")
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
