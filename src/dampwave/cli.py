@@ -24,7 +24,7 @@ import math
 import os
 import sys
 
-from . import harness, stability
+from . import harness, linalg, stability
 from .linalg import SingularMatrixError
 from .operators import assemble_system, build_grid
 from .problems import DampedWaveProblem, ProblemConfigError, load_problem_config, sample_problem
@@ -328,9 +328,9 @@ def _figure_series(problem: DampedWaveProblem, r: float, family: tuple[str, ...]
 
 def _cmd_figures(args) -> int:
     h = math.pi / 50
-    # each lane's family and its measured cost per level at N = 50 in microseconds: the
-    # step, the error reduction and the CSV row
-    lanes = ((harness.TABLE_SCHEMES[:2], 11.5), (harness.TABLE_SCHEMES[2:], 13.4))
+    # each lane's family and its measured cost per level at N = 50 and r = 0.016 in
+    # microseconds: the dense path's set-up and blocks, the error reduction and the CSV row
+    lanes = ((harness.TABLE_SCHEMES[:2], 9.6), (harness.TABLE_SCHEMES[2:], 9.0))
     # every series' --t-final check, before any file is written
     costs = [us * (num_steps(args.t_final, r * h) + 1) for r in FIGURE_R_VALUES for _, us in lanes]
     problem = sample_problem()
@@ -366,6 +366,7 @@ _COMMANDS = {
 
 
 def run_command(argv) -> int:
+    linalg.single_thread_blas()  # before any fan-out fork
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -382,7 +382,9 @@ def _fields(col) -> list[str]:
     texts, mag = text.split(","), np.abs(col)
     for i in np.flatnonzero((mag >= 1e-5) & (mag < 1e-3)).tolist():
         texts[i] = _scientific(texts[i])
-    for i in np.flatnonzero(((col == np.trunc(col)) & (mag < 1e16)) | ~np.isfinite(col)).tolist():
+    with np.errstate(invalid="ignore"):  # np.trunc of a signaling NaN warns
+        integral = (col == np.trunc(col)) & (mag < 1e16)
+    for i in np.flatnonzero(integral | ~np.isfinite(col)).tolist():
         texts[i] = format_value(values[i])
     return texts
 

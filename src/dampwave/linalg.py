@@ -18,6 +18,7 @@ entries solves to a non-finite state, which the time loop reports as a blow-up.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Union
 
@@ -123,3 +124,31 @@ def solve_banded(fact: Factorization, rhs: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"banded solve failed with info={info}")
     return x
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy.linalg calls, found by name
+    (a numpy 2 or numpy 1 wheel's, or a system one), or None for any other BLAS."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # dlsym searches what it links
+    except OSError:
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        get, set_ = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+        if get is not None and set_ is not None:
+            get.restype, set_.argtypes = ctypes.c_int, (ctypes.c_int,)
+            return get, set_
+    return None
+
+
+_OPENBLAS_THREADS = _openblas_threads()  # looked up once, at import
+
+
+def single_thread_blas() -> None:
+    """Runs numpy's OpenBLAS on one thread from here on; any other BLAS is left as it is.
+    The dense spans' eigvals and products are at most 128 square, where a BLAS worker that
+    one wakes spins for about 0.1 s after it, taking the CPU that a fan-out child needs. Call
+    it before forking: a set after a fork restarts the pool that the fork stopped."""
+    if _OPENBLAS_THREADS is not None and _OPENBLAS_THREADS[0]() != 1:
+        _OPENBLAS_THREADS[1](1)

@@ -102,6 +102,20 @@ A halt rebinds its lane, with that member's record None: its column rides
 along unread, with no finish or forcing, and a lane of halted members is no
 longer stepped. A solo run is the one-member lane `make_stepper` makes.
 
+A member leaves its lane in the same way for the dense path, after the first
+CHECK_EVERY levels, when its lane is unforced, its run has DENSE_MIN_LEVELS
+levels or more, and its one-step map G, on [u; u_t] or a baseline's
+[u^n; u^{n-1}] and built by stepping unit columns through a copy of its solo
+lane, has at most DENSE_MAX_ROWS rows and, with entries below FLUSH times its
+largest flushed, a spectral radius of at most 1 by numpy's eigvals. Every
+later level is then G^DENSE_SPAN (flushed squares) times the level
+DENSE_SPAN before it, one product a block of DENSE_SPAN levels, and is
+checked. In lockstep such a member is still its solo run bit for bit, and
+its first CHECK_EVERY + 1 levels are its stepped ones; its later levels are
+not, and end within 1e-10 of them on the `figures` lanes at r = 0.016.
+A growing map (every pinned blow-up), a forced lane, a larger grid or a
+shorter run keeps stepping.
+
 An implicit step is one shared pass and one solve a member, factored once per
 stepper in one of two forms (`linalg`), each bound by `make_stepper` with its
 factor into the member's finish, which solves through `linalg.solve_banded`:
@@ -158,6 +172,16 @@ TRIDIAGONAL_MIN_N = 128
 #: levels between solve_evolution's blow-up checks and on_block hand-overs (one level at a
 #: time after a failed check, up to that check)
 CHECK_EVERY = 64
+
+#: a member advances by a power of its one-step map (see `schemes`) from this many levels and up
+#: to this many rows of that map, in blocks of DENSE_SPAN levels
+DENSE_MIN_LEVELS = 1024
+DENSE_MAX_ROWS = 128
+DENSE_SPAN = 16
+
+#: a dense map's entries below this times its largest are flushed to zero, so that its
+#: products meet no subnormal entry (fd11's map at N = 50 and r = 0.001 holds 26)
+FLUSH = 1e-200
 
 KINDS = ("semigroup", "oefd", "oifd")
 
@@ -577,6 +601,7 @@ class _BaselinePlan(_Plan):
         live = [(j, m) for j, m in enumerate(lane.members) if m is not None]
         adds = [(j, None, m.source(0.0)[:2]) if lane.steady else (j, m.source, ()) for j, m in live]
         self.adds = tuple(a for a in adds if a[1] or any(x is not None for x in a[2]))
+        self.forced = bool(self.adds)
         self.finishes = tuple((j, m.finish) for j, m in live)
         shape = lane.start[0].values.shape
         super().__init__([np.empty(shape) for _ in range(4)])
@@ -652,6 +677,70 @@ def _advance(step: Callable, lane: Stepper, state: StateVector, levels: range,
         if rows is not None:
             rows[level - first][...] = state.values
     return state
+
+
+def _flushed(a: np.ndarray) -> np.ndarray:
+    """a with its entries below FLUSH times its largest set to zero, in place."""
+    a[np.abs(a) < FLUSH * np.abs(a).max()] = 0.0
+    return a
+
+
+def _one_step_map(step: Callable, lane: Stepper) -> np.ndarray:
+    """The flushed one-step map G of an unforced one-member lane, V^{n+1} = G V^n, or
+    [u^{n+1}; u^n] = G [u^n; u^{n-1}] for a baseline, its columns stepped from unit columns
+    through a copy of the lane, whose plan is its own."""
+    lane, n = dataclasses.replace(lane), lane.start[0].values.shape[0]
+    baseline = lane.config.kind != "semigroup"
+    size = 2 * n if baseline else n
+    g, unit = np.zeros((size, size)), np.zeros((size, 1))
+    g[n:, :size - n] = np.eye(size - n)  # a baseline's u^n
+    for j in range(size):
+        unit[j] = 1.0
+        state = StateVector(0.0, unit[:n], *((unit[n:], (None,)) if baseline else ()))
+        g[:n, j] = step(lane, state).values[:, 0]
+        unit[j] = 0.0
+    return _flushed(g)
+
+
+def _power(step: Callable, lane: Stepper) -> Optional[np.ndarray]:
+    """G^DENSE_SPAN of an unforced one-member lane by flushed squaring, or None when its
+    flushed one-step map G is not finite or grows, rho(G) > 1 by eigvals."""
+    g = _one_step_map(step, lane)
+    if not np.isfinite(g).all() or np.abs(np.linalg.eigvals(g)).max() > 1.0:
+        return None
+    for _ in range(DENSE_SPAN.bit_length() - 1):  # DENSE_SPAN a power of 2
+        g = _flushed(g @ g)
+    return g
+
+
+class _Dense:
+    """A member that advances by a power of its one-step map (see `schemes`): `levels` holds,
+    as rows of the map's state, the DENSE_SPAN levels before a span and then the span's."""
+
+    def __init__(self, power: np.ndarray, checked: np.ndarray):
+        # checked: the member's rows of the first span, (CHECK_EVERY + 1, width)
+        s, n = DENSE_SPAN, checked.shape[1]
+        # contiguous: a product with a transposed view takes about twice as long
+        self.power_t, self.width, self.last = np.ascontiguousarray(power.T), n, 0
+        self.levels = np.empty((s + CHECK_EVERY, len(power)))
+        self.levels[:s, :n] = checked[-s:]
+        self.levels[:s, n:] = checked[-s - 1:-1, :len(power) - n]  # a baseline's u^{n-1}
+
+    def advance(self, count: int) -> np.ndarray:
+        """The next count levels' rows (each row's level values), one gemm a DENSE_SPAN of them,
+        each level from the one DENSE_SPAN before it; intact until the next advance."""
+        s, levels = DENSE_SPAN, self.levels
+        levels[:s] = levels[self.last:self.last + s]
+        for at in range(0, count, s):
+            stop = min(at + s, count)
+            np.dot(levels[at:stop], self.power_t, out=levels[s + at:s + stop])
+        self.last = count
+        return levels[s:s + count, :self.width]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The last level's values."""
+        return self.levels[DENSE_SPAN + self.last - 1, :self.width]
 
 
 def _lockstep(lanes: Sequence[Stepper]) -> Stepper:
@@ -748,9 +837,11 @@ def solve_evolution(
                        for j, i in enumerate(members))  # member i is column j of its lane
         lanes = [_lockstep([solo[i] for i in members]) for members in ids]
         depth = min(CHECK_EVERY, n_steps) + 1
+        # the cheap conditions of the dense path, which reads the first span's rows
+        dense_ok = problem.steady and n_steps >= DENSE_MIN_LEVELS and op.size <= DENSE_MAX_ROWS
         try:
-            bufs = [None if on_block is None else np.empty((depth,) + s.start[0].values.shape)
-                    for s in lanes]
+            bufs = [np.empty((depth,) + s.start[0].values.shape)
+                    if on_block is not None or dense_ok else None for s in lanes]
         except MemoryError as exc:
             raise ValueError(f"cannot hold {depth} snapshots ({exc})") from None
         rows = [None if buf is None else list(buf) for buf in bufs]  # each row's view, cut once
@@ -758,6 +849,7 @@ def solve_evolution(
         states = [_advance(None, s, None, range(1), r, 0) for s, r in zip(lanes, rows)]
         config = {(lane, j): i for i, lane, j in place}
         level, first, halts = 0, 0, {}  # first: the next level to hand over, in row 0
+        dense = {}  # (lane, column): _Dense of each member that left its lane for the dense path
 
         def advance(lane, state, levels):
             s = lanes[lane]
@@ -767,14 +859,28 @@ def solve_evolution(
             finite = np.isfinite(state.values).all(axis=0)
             return [j for j, m in enumerate(lanes[lane].members) if m and not finite[j]]
 
-        def halt(lane, state, at):  # each failing member halts there; rebinds its lane
+        def leave(lane, j):  # member j's column rides along, unread; rebinds its lane
+            members = lanes[lane].members
+            lanes[lane] = dataclasses.replace(
+                lanes[lane], members=members[:j] + (None,) + members[j + 1:])
+
+        def halt(lane, state, at):  # each failing member halts there
             for j in failing(lane, state):
                 halts[config[lane, j]] = (at, state.values[:, j].copy())
-                members = lanes[lane].members  # its column rides along, unread
-                lanes[lane] = dataclasses.replace(
-                    lanes[lane], members=members[:j] + (None,) + members[j + 1:])
+                leave(lane, j)
+
+        def go_dense(lane):  # each live member of an unforced lane whose map does not grow
+            s = lanes[lane]
+            for j, m in enumerate(s.members if any(s.members) and not s.plan.forced else ()):
+                power = m and _power(step[s.config.kind], solo[config[lane, j]])
+                if power is not None:
+                    dense[lane, j] = _Dense(power, bufs[lane][..., j])
+                    leave(lane, j)
 
         while level < n_steps and len(halts) < len(solo):  # every lane has passed level's check
+            if level == CHECK_EVERY and dense_ok:  # the first dense span
+                for lane in range(len(lanes)):
+                    go_dense(lane)
             # lane by lane to the next multiple of CHECK_EVERY or the last level, each lane's
             # checked level copied first; a lane of halted members is not stepped
             stop = min(n_steps, (level // CHECK_EVERY + 1) * CHECK_EVERY)
@@ -799,6 +905,14 @@ def solve_evolution(
                 elif len(span) == 1:
                     halt(lane, state, stop)
                 states[lane] = state
+            for (lane, j), d in dense.items():  # checked at every level, all in hand
+                if config[lane, j] not in halts:
+                    spanned = d.advance(len(span))
+                    if not np.isfinite(spanned).all():  # it halts at its first non-finite level
+                        at = int(np.isfinite(spanned).all(axis=1).argmin())
+                        halts[config[lane, j]] = (level + 1 + at, spanned[at].copy())
+                    if on_block is not None:
+                        bufs[lane][:len(span), :, j] = spanned
             level = stop
             if on_block is not None:  # each member's rows up to level or its blow-up
                 blocks = tuple(bufs[lane][: max(0, (halts[i][0] if i in halts else level)
@@ -808,7 +922,8 @@ def solve_evolution(
             first = level + 1
 
     # the loop ends on a check: the last level passed it, or the run blew up there
-    ends = [halts.get(i) or (level, states[lane].values[:, j]) for i, lane, j in place]
+    ends = [halts.get(i) or (level, dense[lane, j].values if (lane, j) in dense
+                             else states[lane].values[:, j]) for i, lane, j in place]
     return tuple(Trajectory(grid, np.array([0, last]) * k,
                             np.stack((s.start[0].values[:, 0], values)),
                             last if i in halts else None)

@@ -41,7 +41,7 @@ REF_DIR = Path(__file__).resolve().parents[1] / "bench" / "ref"
 #: means to alter a figure's bytes updates its digest here and says why.
 FIGURE_DIGESTS = {
     "figures_fd01_maxerr_r0.016.csv":
-        "d6e94c74c1c982af53cdd4c2af9edb85e7e9525d1f68584f867ec8c653015146",
+        "5131048ce2044d728356de68101fd7f6c9f85157eb787236ac94e6c5d964533f",
     "figures_fd01_maxerr_r0.159.csv":
         "69f6b5e7b608338b000cce1dbe39da2a6dceecef7ac6694f53330abd00749fb3",
     "figures_fd01_maxerr_r0.995.csv":
@@ -51,7 +51,7 @@ FIGURE_DIGESTS = {
     "figures_fd01_profile_N23_k0.05_t1.csv":
         "aad2966dae93acb82e8ba0d8cd1ed8d8cc474395d71d48ee3d7e24ede0c6b997",
     "figures_fd11_maxerr_r0.016.csv":
-        "c29e47e4a0a0725a9574bbf4374dc4c5e818aef4c475b109e6fda7697fac6280",
+        "714b443c4c994b675b88cd24ba08ff46d02e0950b380e67d2932ce34481d6c71",
     "figures_fd11_maxerr_r0.159.csv":
         "f8a096aa8405be61d21c81d44814d4faad316d62140bb7cc33dae660dececefa",
     "figures_fd11_maxerr_r0.995.csv":
@@ -61,7 +61,7 @@ FIGURE_DIGESTS = {
     "figures_fd11_profile_N23_k0.05_t1.csv":
         "ca79da5615518c91a46638d55a4134346118fcb9b71332c0862a986a5400bef6",
     "figures_oefd_maxerr_r0.016.csv":
-        "bbebb229f3dadb58356d81b8936ef9cc543380e4adaabaf941c7fefc80c586e5",
+        "ed896707280c903c6f2ae1bfe73361d08f17ab42e454f6d3e89a5ea313c2e76e",
     "figures_oefd_maxerr_r0.159.csv":
         "167dab8002313277fa6e4c2ae54be234c45a94b345f917bdd1ad19083ce58e88",
     "figures_oefd_maxerr_r0.995.csv":
@@ -69,7 +69,7 @@ FIGURE_DIGESTS = {
     "figures_oefd_maxerr_r1.45.csv":
         "5776c56d22b808cd9e3035043602e77826905b55c3a8f1f2cb0244d093dbc18e",
     "figures_oifd_maxerr_r0.016.csv":
-        "6ec26e7161378b67599e72354cff3f37a6c5d3a513c9bebec16989bd71bf304e",
+        "f97003eedb62255ff68062e63dd320891a6073f67bc2f43f0c2d34aab03c961f",
     "figures_oifd_maxerr_r0.159.csv":
         "abccb20a12688ade346ba33cbfb687fbb533bd9a84d8bf0aeacdbdbf65540ef7",
     "figures_oifd_maxerr_r0.995.csv":

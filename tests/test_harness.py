@@ -9,6 +9,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import orjson
@@ -563,6 +564,19 @@ class TestCsv:
                  math.nan, math.inf, -math.inf, -0.0, 12.0]
         assert orjson.dumps(cells) == (b"[0.00001,9.999999999999999e-6,0.00025,1e-9,1e16,"
                                        b"1.5e-10,null,null,null,-0.0,12.0]")
+
+    def test_a_signaling_nan_writes_as_a_quiet_one(self, tmp_path):
+        snan = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+        assert np.isnan(snan[0])
+        paths = []
+        for nan in (snan, np.array([math.nan])):
+            column = np.concatenate(([1.0, 2.5e-4], nan, [3.0]))
+            paths.append(tmp_path / f"{len(paths)}.csv")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                write_csv(Table(("v", "w"), (column, column[::-1].copy())), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes() == (
+            b"v,w\r\n1,3\r\n2.5e-04,nan\r\nnan,2.5e-04\r\n3,1\r\n")
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -1683,3 +1683,133 @@ class TestDispatchBudget:
     def test_a_steady_source_is_not_evaluated_per_level(self, monkeypatch):
         counts = [self.run(monkeypatch, self.TABLE, 0.5, steps)[2] for steps in (20, 200)]
         assert counts[0] == counts[1]
+
+
+class TestDensePath:
+    """A long unforced small-grid member whose one-step map G does not grow advances by G^16
+    after its first CHECK_EVERY span: within 1e-10 of stepping at the last level, every level
+    of the first span bit for bit, and in lockstep bit for bit its solo run."""
+
+    FAMILIES = (("oefd", "oifd"), ("fd01", "fd11"))
+
+    @staticmethod
+    def solve(configs, t_final, N=50, problem=None, stepped=False, monkeypatch=None):
+        """The trajectories and every member's rows (each on_block run, stacked), dense
+        unless stepped."""
+        if stepped:
+            monkeypatch.setattr(schemes, "DENSE_MIN_LEVELS", math.inf)
+        runs = []
+        ends = solve_evolution(problem or sample_problem(), build_grid(0.0, math.pi, N),
+                               configs, t_final,
+                               on_block=lambda first, blocks: runs.append(
+                                   [b.copy() for b in blocks]))
+        if stepped:
+            monkeypatch.undo()
+        return ends, [np.concatenate(rows) for rows in zip(*runs)]
+
+    @pytest.mark.parametrize("name", ["oefd", "oifd", "fd01", "fd11"])
+    def test_within_1e_10_of_stepping(self, name, monkeypatch):
+        grid = build_grid(0.0, math.pi, 50)
+        config = config_for(name, 0.016 * grid.h)
+        steps = []
+        for kind in ("step_semigroup", "step_oefd", "step_oifd"):
+            step = getattr(schemes, kind)
+            monkeypatch.setattr(schemes, kind, lambda lane, state, step=step: (
+                steps.append(state.t), step(lane, state))[1])
+        (dense,), (dense_rows,) = self.solve((config,), 6.0)
+        dense_steps = len(steps)
+        (stepped,), (stepped_rows,) = self.solve((config,), 6.0, stepped=True,
+                                                 monkeypatch=monkeypatch)
+        assert len(dense_rows) == len(stepped_rows) == 5969
+        assert dense_steps < 300 < len(steps)  # the first span and G's columns, not 5968 steps
+        assert np.array_equal(bits(dense_rows[:CHECK_EVERY + 1]),
+                              bits(stepped_rows[:CHECK_EVERY + 1]))
+        assert not np.array_equal(dense_rows[CHECK_EVERY + 1:], stepped_rows[CHECK_EVERY + 1:])
+        assert np.abs(dense.states[-1] - stepped.states[-1]).max() <= 1e-10
+        assert np.array_equal(bits(dense.states[-1]), bits(dense_rows[-1]))
+        assert dense.blow_up_index is None
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=["baselines", "semigroup"])
+    def test_lockstep_equals_solo_dense_runs(self, family):
+        configs = tuple(config_for(name, 0.016 * math.pi / 50) for name in family)
+        ends, rows = self.solve(configs, 6.0)
+        for config, end, member_rows in zip(configs, ends, rows):
+            (solo,), (solo_rows,) = self.solve((config,), 6.0)
+            assert np.array_equal(bits(end.states), bits(solo.states))
+            assert np.array_equal(bits(member_rows), bits(solo_rows))
+
+    def test_without_on_block_the_last_level_is_the_same(self):
+        config = config_for("fd11", 0.016 * math.pi / 50)
+        (ends,), _ = self.solve((config,), 6.0)
+        (bare,) = solve_evolution(sample_problem(), build_grid(0.0, math.pi, 50), (config,), 6.0)
+        assert np.array_equal(bits(bare.states), bits(ends.states))
+
+    def test_a_growing_member_keeps_stepping_beside_a_dense_one(self, monkeypatch):
+        # fd01's map grows at r = 0.159 (rho > 1) and fd11's does not: in their lane fd11 goes
+        # dense and fd01 steps on, its every level the bits of the all-stepped run
+        k = 0.159 * math.pi / 50
+        configs = (config_for("fd01", k), config_for("fd11", k))
+        t_final = 1100.25 * k
+        ends, rows = self.solve(configs, t_final)
+        stepped, stepped_rows = self.solve(configs, t_final, stepped=True,
+                                           monkeypatch=monkeypatch)
+        assert np.array_equal(bits(rows[0]), bits(stepped_rows[0]))
+        assert np.array_equal(bits(ends[0].states), bits(stepped[0].states))
+        assert not np.array_equal(rows[1], stepped_rows[1])
+        assert np.abs(ends[1].states[-1] - stepped[1].states[-1]).max() <= 1e-10
+        for config, end, member_rows in zip(configs, ends, rows):
+            (solo,), (solo_rows,) = self.solve((config,), t_final)
+            assert np.array_equal(bits(member_rows), bits(solo_rows))
+            assert np.array_equal(bits(end.states), bits(solo.states))
+
+    # the pinned blow-ups, each run past DENSE_MIN_LEVELS so that its gate measures rho > 1
+    @pytest.mark.parametrize("name,N,k,level", [
+        ("fd01", 50, 1.59 * math.pi / 50, 623), ("oefd", 50, 1.59 * math.pi / 50, 379),
+        ("fd01", 50, 3.0 * math.pi / 50, 414), ("fd01", 10, 1.5, 335),
+    ], ids=["fd01-623", "oefd-379", "fd01-414", "fd01-335"])
+    def test_pinned_blow_ups_keep_stepping(self, name, N, k, level, monkeypatch):
+        eigvals = []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a, f=np.linalg.eigvals: (
+            eigvals.append(a.shape), f(a))[1])
+        config = config_for(name, k)
+        t_final = (schemes.DENSE_MIN_LEVELS + 0.25) * k
+        (end,), (rows,) = self.solve((config,), t_final, N=N)
+        assert eigvals  # the gate ran
+        assert end.blow_up_index == level == len(rows) - 1
+        (stepped,), (stepped_rows,) = self.solve((config,), t_final, N=N, stepped=True,
+                                                 monkeypatch=monkeypatch)
+        _equal_runs(end, stepped)
+        assert np.array_equal(bits(rows), bits(stepped_rows))
+
+    def test_a_non_finite_dense_level_halts_its_member(self, monkeypatch):
+        # a power scaled by 1e300 overflows the second block after the first span: the
+        # member halts at its first non-finite level, as a stepped one does
+        power = schemes._power
+        monkeypatch.setattr(schemes, "_power", lambda *args: power(*args) * 1e300)
+        config = config_for("fd11", 0.016 * math.pi / 50)
+        (end,), (rows,) = self.solve((config,), 6.0)
+        assert end.blow_up_index == CHECK_EVERY + 1 + schemes.DENSE_SPAN == len(rows) - 1
+        assert np.isfinite(rows[:-1]).all() and not np.isfinite(rows[-1]).all()
+        assert np.array_equal(bits(end.states[-1]), bits(rows[-1]))
+
+    @pytest.mark.parametrize("case", ["forced", "short", "large"])
+    def test_the_gate_runs_no_eigvals_unless_its_cheap_conditions_hold(self, case, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", None)  # a call raises TypeError
+        problem, N, levels = {"forced": (forced_problem(), 10, 1100),
+                              "short": (sample_problem(), 10, schemes.DENSE_MIN_LEVELS - 1),
+                              "large": (sample_problem(), 66, 1100)}[case]
+        k = 0.016 * math.pi / N
+        solve_evolution(problem, build_grid(0.0, math.pi, N),
+                        (config_for("oifd", k), config_for("fd11", k)), (levels + 0.25) * k)
+
+    @pytest.mark.parametrize("name,r", [("oifd", 0.016), ("fd11", 0.001)])
+    def test_a_flushed_map_holds_no_subnormal(self, name, r, monkeypatch):
+        grid = build_grid(0.0, math.pi, 50)
+        problem = sample_problem()
+        stepper = make_stepper(config_for(name, r * grid.h), assemble_system(grid, problem),
+                               grid, problem)
+        g = schemes._one_step_map(schemes._step, stepper)
+        assert np.abs(g[g != 0.0]).min() >= np.finfo(float).tiny
+        monkeypatch.setattr(schemes, "FLUSH", 0.0)  # unflushed, fd11's holds some at r = 0.001
+        g = schemes._one_step_map(schemes._step, stepper)
+        assert (np.abs(g[g != 0.0]).min() < np.finfo(float).tiny) == (name == "fd11")
