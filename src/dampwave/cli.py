@@ -328,9 +328,10 @@ def _figure_series(problem: DampedWaveProblem, r: float, family: tuple[str, ...]
 
 def _cmd_figures(args) -> int:
     h = math.pi / 50
-    # each lane's family and its measured cost per level at N = 50 and r = 0.016 in
-    # microseconds: the dense path's set-up and blocks, the error reduction and the CSV row
-    lanes = ((harness.TABLE_SCHEMES[:2], 9.6), (harness.TABLE_SCHEMES[2:], 9.0))
+    # each lane's family and its cost per level for the fan-out's split: at t = 6 these put
+    # the r = 0.016 (oefd, oifd) lane, the r = 0.159 (fd01, fd11) lane and both r = 1.45
+    # lanes in the parent, 35 of the eight lanes' measured 69 ms at N = 50
+    lanes = ((harness.TABLE_SCHEMES[:2], 9.2), (harness.TABLE_SCHEMES[2:], 9.0))
     # every series' --t-final check, before any file is written
     costs = [us * (num_steps(args.t_final, r * h) + 1) for r in FIGURE_R_VALUES for _, us in lanes]
     problem = sample_problem()

@@ -368,10 +368,36 @@ _ONE_DIGIT_EXPONENT = re.compile(r"e-(?=\d(?:,|$))")
 _UNSIGNED_EXPONENT = re.compile(r"e(?=\d)")
 
 
+def _band_moved(text: str, band: np.ndarray) -> str:
+    """A float64 block's orjson text, its cells at the indices band, each a positional
+    "0.000ddd" or "0.0000ddd" after an optional "-", written as `_scientific` writes them, by
+    one byte gather over the text and the literals after it."""
+    n = len(text) + 1  # orjson's text is ascii; the literals start at n + 1
+    src = np.frombuffer(f",{text},.e-04e-05".encode(), np.uint8)
+    cuts = np.flatnonzero(src[:n + 1] == ord(","))  # the commas around each cell
+    s, e = cuts[band] + 1, cuts[band + 1]
+    lead = s + (src[s] == ord("-"))
+    five = src[lead + 5] == ord("0")  # "0.0000": e-05
+    lead += 5 + five  # the first significant digit
+    # the segments gathered for each band cell: the text up to its "0.000", its first digit,
+    # "." unless that is its only digit, its other digits and its exponent; then the end
+    start, length = np.zeros((2, len(band) + 1, 5), np.intp)
+    start[:, 0] = np.concatenate(([1], e))
+    length[:, 0] = np.concatenate((lead - five - 5, [n])) - start[:, 0]
+    start[:-1, 1], length[:-1, 1] = lead, 1
+    start[:-1, 2], length[:-1, 2] = n + 1, e - lead > 1
+    start[:-1, 3], length[:-1, 3] = lead + 1, e - lead - 1
+    start[:-1, 4], length[:-1, 4] = n + 2 + 4 * five, 4
+    start, length = start.ravel(), length.ravel()
+    at = np.repeat(start - np.cumsum(length) + length, length)
+    at += np.arange(len(at))
+    return src[at].tobytes().decode()
+
+
 def _fields(col) -> list[str]:
     """One block of a column as format_value's CSV fields, quoted as csv's QUOTE_MINIMAL
     quotes. A float64 array's come from one orjson call: "e-9" and "e16" become "e-09" and
-    "e+16" over the block's text, its positional [1e-5, 1e-3) cells go through `_scientific`
+    "e+16" over the block's text, its positional [1e-5, 1e-3) cells are moved by `_band_moved`
     and its integral cells below 1e16 and non-finite ("null") ones through format_value."""
     if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
         texts = map(format_value, _values(col))
@@ -379,9 +405,9 @@ def _fields(col) -> list[str]:
     values = col.tolist()
     text = orjson.dumps(values).decode()[1:-1]
     text = _UNSIGNED_EXPONENT.sub("e+", _ONE_DIGIT_EXPONENT.sub("e-0", text))
-    texts, mag = text.split(","), np.abs(col)
-    for i in np.flatnonzero((mag >= 1e-5) & (mag < 1e-3)).tolist():
-        texts[i] = _scientific(texts[i])
+    mag = np.abs(col)
+    band = np.flatnonzero((mag >= 1e-5) & (mag < 1e-3))
+    texts = (_band_moved(text, band) if band.size else text).split(",")
     with np.errstate(invalid="ignore"):  # np.trunc of a signaling NaN warns
         integral = (col == np.trunc(col)) & (mag < 1e16)
     for i in np.flatnonzero(integral | ~np.isfinite(col)).tolist():

@@ -147,8 +147,9 @@ _OPENBLAS_THREADS = _openblas_threads()  # looked up once, at import
 
 def single_thread_blas() -> None:
     """Runs numpy's OpenBLAS on one thread from here on; any other BLAS is left as it is.
-    The dense spans' eigvals and products are at most 128 square, where a BLAS worker that
-    one wakes spins for about 0.1 s after it, taking the CPU that a fan-out child needs. Call
-    it before forking: a set after a fork restarts the pool that the fork stopped."""
+    The dense spans' squarings, products and fallback eigvals are at most 128 square, where a
+    BLAS worker that one wakes spins for about 0.1 s after it, taking the CPU that a fan-out
+    child needs. Call it before forking: a set after a fork restarts the pool that the fork
+    stopped."""
     if _OPENBLAS_THREADS is not None and _OPENBLAS_THREADS[0]() != 1:
         _OPENBLAS_THREADS[1](1)

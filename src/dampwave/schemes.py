@@ -107,14 +107,15 @@ CHECK_EVERY levels, when its lane is unforced, its run has DENSE_MIN_LEVELS
 levels or more, and its one-step map G, on [u; u_t] or a baseline's
 [u^n; u^{n-1}] and built by stepping unit columns through a copy of its solo
 lane, has at most DENSE_MAX_ROWS rows and, with entries below FLUSH times its
-largest flushed, a spectral radius of at most 1 by numpy's eigvals. Every
-later level is then G^DENSE_SPAN (flushed squares) times the level
-DENSE_SPAN before it, one product a block of DENSE_SPAN levels, and is
-checked. In lockstep such a member is still its solo run bit for bit, and
-its first CHECK_EVERY + 1 levels are its stepped ones; its later levels are
-not, and end within 1e-10 of them on the `figures` lanes at r = 0.016.
-A growing map (every pinned blow-up), a forced lane, a larger grid or a
-shorter run keeps stepping.
+largest flushed, does not grow: a flushed square G^(2^b) from G^DENSE_SPAN up
+to G^(2^CERTIFY_BITS) has an infinity norm of at most 1, which bounds
+rho(G)^(2^b), or else numpy's eigvals gives rho(G) <= 1. Every later level
+is then G^DENSE_SPAN (flushed squares) times the level DENSE_SPAN before it,
+one product a block of DENSE_SPAN levels, and is checked. In lockstep such a
+member is still its solo run bit for bit, and its first CHECK_EVERY + 1
+levels are its stepped ones; its later levels are not, and end within 1e-10
+of them on the `figures` lanes at r = 0.016. A growing map (every pinned
+blow-up), a forced lane, a larger grid or a shorter run keeps stepping.
 
 An implicit step is one shared pass and one solve a member, factored once per
 stepper in one of two forms (`linalg`), each bound by `make_stepper` with its
@@ -182,6 +183,10 @@ DENSE_SPAN = 16
 #: a dense map's entries below this times its largest are flushed to zero, so that its
 #: products meet no subnormal entry (fd11's map at N = 50 and r = 0.001 holds 26)
 FLUSH = 1e-200
+
+#: a dense map's squares are tried up to G^(2^CERTIFY_BITS) before eigvals; at N = 50 and
+#: r = 0.016 the first with an infinity norm of at most 1 is fd11's 2^13th, the others' 2^14th
+CERTIFY_BITS = 14
 
 KINDS = ("semigroup", "oefd", "oifd")
 
@@ -704,13 +709,19 @@ def _one_step_map(step: Callable, lane: Stepper) -> np.ndarray:
 
 def _power(step: Callable, lane: Stepper) -> Optional[np.ndarray]:
     """G^DENSE_SPAN of an unforced one-member lane by flushed squaring, or None when its
-    flushed one-step map G is not finite or grows, rho(G) > 1 by eigvals."""
+    flushed one-step map G is not finite or may grow: G is admitted when a flushed square
+    G^(2^b), DENSE_SPAN <= 2^b <= 2^CERTIFY_BITS, has an infinity norm of at most 1, a bound
+    on rho(G)^(2^b), and otherwise only when rho(G) <= 1 by eigvals."""
     g = _one_step_map(step, lane)
-    if not np.isfinite(g).all() or np.abs(np.linalg.eigvals(g)).max() > 1.0:
+    if not np.isfinite(g).all():
         return None
-    for _ in range(DENSE_SPAN.bit_length() - 1):  # DENSE_SPAN a power of 2
-        g = _flushed(g @ g)
-    return g
+    power, bits = g, DENSE_SPAN.bit_length() - 1  # DENSE_SPAN a power of 2
+    for _ in range(bits):
+        power = _flushed(power @ power)
+    square = power  # G^(2^bits); no square of a norm that could overflow
+    while 1.0 < (norm := np.abs(square).sum(axis=1).max()) <= 1e100 and bits < CERTIFY_BITS:
+        square, bits = _flushed(square @ square), bits + 1
+    return power if norm <= 1.0 or np.abs(np.linalg.eigvals(g)).max() <= 1.0 else None
 
 
 class _Dense:

@@ -658,8 +658,8 @@ class TestFigures:
         assert run.stdout == "1\n"
 
     def test_a_failed_write_in_a_series_exits_2(self, tmp_path, capsys, set_cpus):
-        # at this --t-final the parent runs the r = 0.016 (oefd, oifd) lane and the (fd01,
-        # fd11) lanes at r = 0.159 and 1.45, the child the other five
+        # at this --t-final the parent runs the r = 0.016 (oefd, oifd) lane, the r = 0.159
+        # (fd01, fd11) lane and both r = 1.45 lanes, the child the other four
         set_cpus(2)
         for name in ("figures_fd11_maxerr_r0.016.csv", "figures_oefd_maxerr_r0.016.csv"):
             path = tmp_path / name[:-4] / name
@@ -721,8 +721,8 @@ class TestFigures:
             assert run_command(["table2", "--out", str(out / "table2.csv"), "--t-final", "1"]) == 0
             assert run_command(["figures", "--out-dir", str(out), "--t-final", "0.1"]) == 0
             outputs[cpus] = {p.name: p.read_bytes() for p in out.iterdir()}
-            # of 5 rows and 8 lanes, the forking parent's shares are rows 0, 1, 4 and 3 lanes
-            assert len(calls) == (13 if cpus == 1 else 6)
+            # of 5 rows and 8 lanes, the forking parent's shares are rows 0, 1, 4 and 4 lanes
+            assert len(calls) == (13 if cpus == 1 else 7)
         assert calls == [(parent, [])] * 13
         assert len(outputs[1]) == 19 and outputs[1] == outputs[2]
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from dampwave import linalg, problems, stability
 from dampwave.harness import (
     _BLOCK_ROWS,
+    _fields,
     DIVERGENCE_THRESHOLD,
     TABLE_SCHEMES,
     Table,
@@ -557,6 +558,19 @@ class TestCsv:
         path = tmp_path_factory.mktemp("csv") / "f.csv"
         write_csv(table, path)
         assert path.read_bytes() == reference_csv(table)
+
+    # orjson's positional band, [1e-5, 1e-3): its edges, one-digit and short cells, and any
+    # float in it, each either sign, beside cells outside it or at a block's ends
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(
+        st.sampled_from([v for v in BAND_EDGES if 1e-6 < v < 1e-2]
+                        + [1e-5, 2e-5, 9e-5, 1e-4, 3e-4, 9e-4, 1.5e-5, 2.5e-4, 9.99e-4]),
+        st.builds(lambda d, e: d * 10.0**e, st.integers(1, 999), st.integers(-8, -4)),
+        st.floats(1e-5, 1e-3, exclude_max=True),
+        FLOAT_CELLS), st.booleans()), min_size=1, max_size=B)
+        .map(lambda cells: [-v if negative else v for v, negative in cells]))
+    def test_band_cells_match_format_value(self, cells):
+        assert _fields(np.array(cells)) == [format_value(v) for v in cells]
 
     def test_orjson_forms_that_the_float64_path_rewrites(self):
         # write_csv rewrites exactly these forms; a formatter that changes one fails here

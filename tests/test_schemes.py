@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1709,6 +1710,7 @@ class TestDensePath:
 
     @pytest.mark.parametrize("name", ["oefd", "oifd", "fd01", "fd11"])
     def test_within_1e_10_of_stepping(self, name, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", None)  # the certificate alone admits it
         grid = build_grid(0.0, math.pi, 50)
         config = config_for(name, 0.016 * grid.h)
         steps = []
@@ -1761,6 +1763,30 @@ class TestDensePath:
             (solo,), (solo_rows,) = self.solve((config,), t_final)
             assert np.array_equal(bits(member_rows), bits(solo_rows))
             assert np.array_equal(bits(end.states), bits(solo.states))
+
+    @pytest.mark.parametrize("r", [0.016, 0.05, 0.159, 0.995, 1.59])
+    @pytest.mark.parametrize("N", [40, 50])
+    @pytest.mark.parametrize("name", ["oefd", "oifd", "fd01", "fd11"])
+    def test_the_certificate_agrees_with_eigvals(self, name, N, r, monkeypatch):
+        # on this grid a power's norm admits exactly the maps with rho <= 1, and a growing
+        # map stops squaring before any overflow: the fallback is reached, and no call warns
+        grid = build_grid(0.0, math.pi, N)
+        problem = sample_problem()
+        stepper = make_stepper(config_for(name, r * grid.h), assemble_system(grid, problem),
+                               grid, problem)
+        g = schemes._one_step_map(schemes._step, stepper)
+        rho = np.abs(np.linalg.eigvals(g)).max()
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a, f=np.linalg.eigvals: (
+            calls.append(a.shape), f(a))[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            power = schemes._power(schemes._step, stepper)
+        assert (not calls) == (power is not None) == (rho <= 1.0)
+        if power is not None:
+            for _ in range(schemes.DENSE_SPAN.bit_length() - 1):
+                g = schemes._flushed(g @ g)
+            assert np.array_equal(power, g)  # G^16, the span's power
 
     # the pinned blow-ups, each run past DENSE_MIN_LEVELS so that its gate measures rho > 1
     @pytest.mark.parametrize("name,N,k,level", [
