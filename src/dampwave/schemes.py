@@ -44,15 +44,17 @@ Every scheme runs behind one stepper protocol, as a member of a lane (below):
   returns the one-member lane. The source is evaluated at every level, or
   once when the problem is `steady` (g, u_a and u_b all `time_free`), with
   the same bits either way;
-* `stepper.start` is the tuple of levels known before any step, built from
-  phi and psi sampled once at the interior nodes: (V^0,) for the semigroup
-  family, (u^0, u^1) for the baselines;
+* a state is one column of 2n entries a member: V = [u; u_t] for the
+  semigroup family, [u^n; u^{n-1}] for the baselines, whose level copies u^n
+  into its lower half. `stepper.start` is the tuple of levels known before
+  any step, built from phi and psi sampled once at the interior nodes: (V^0,)
+  for the semigroup family, ([u^0; 0], [u^1; u^0]) for the baselines;
 * `step_semigroup`, `step_oefd` and `step_oifd`, one function, map (stepper,
-  state) to the next level's StateVector, a baseline state carrying u^{n-1}
-  in `prev`. So that each level's forcing is evaluated once, `carry` holds
-  W_n = V^n + (k/2) F(t_n) for the semigroup family, None on V^0, and for a
-  baseline lane an entry per member: B(t_n) for oifd, whose u^1 level
-  carries the B(k) of its ghost start, None on u^0 and for oefd.
+  state) to the next level's StateVector. So that each level's forcing is
+  evaluated once, `carry` holds W_n = V^n + (k/2) F(t_n) for the semigroup
+  family, None on V^0, and for a baseline lane an entry per member: B(t_n)
+  for oifd, whose u^1 level carries the B(k) of its ghost start, None on u^0
+  and for oefd.
   A source returns None for an all-zero term, which adds nothing. No step
   writes into the state it is given, and a state that a step returns lives in
   a ring slot of its lane's plan (below): it stays intact for exactly one
@@ -75,23 +77,22 @@ The schemes of one solve run in lockstep: `solve_evolution` steps its configs,
 at one k, as lanes of members that share array ops, semigroup members whose
 shared passes (below) have one length, such as fd01 and fd11 on small grids,
 and the baselines (oefd and oifd). A lane stacks its members' states along a
-trailing member axis, node-major and member-minor, (2n, m) or (n, m), so that
-one numpy call serves every member; `second_difference` keeps its first-axis
-form. Coefficients that differ between members are pre-expanded to the full
-array shape, as a broadcast operand costs more than a contiguous one. A
-lane's `members` holds a `Member` record per column: its finish, bound to its
-factor, which binds the function that finishes its column in place (below),
-and a baseline's forcing source.
+trailing member axis, node-major and member-minor, (2n, m), so that one numpy
+call serves every member; `second_difference` keeps its first-axis form.
+Coefficients that differ between members are pre-expanded to the full array
+shape, as a broadcast operand costs more than a contiguous one. A lane's
+`members` holds a `Member` record per column: its finish, bound to its factor,
+which binds the function that finishes its column in place (below), and a
+baseline's forcing source.
 
 A lane binds its step plan on its first step, so that `make_stepper`'s set-up
 does not grow. The plan is all that a step reads: what every level would
 otherwise re-decide (the shared pass with its exact ones resolved, a steady
 source's value, an all-zero one dropped, and a (column, finish) entry per live
-member), and a ring of 3 (V, W) slots for the semigroup family (W being V
-itself in an unforced lane) or of 4 arrays for the baselines, whose state
-takes 2. A step from the plan's last result runs the level bound to that
-result's slot, which writes the next slot; any other state is first copied
-into the slots just after it, so that the last result stays intact. Each
+member), and a ring of 3 (V, W) slots, W being V itself unless the lane is a
+forced semigroup one. A step from the plan's last result runs the level bound
+to that result's slot, which writes the next slot; any other state is first
+copied into the slot just after it, so that the last result stays intact. Each
 slot's level, `pade.apply_poly`'s Horner pass and each live member's finish
 with every view they read or write cut once, is bound once, a `partial` of a
 module function running `out=` ufuncs. The plan holds no reference to its
@@ -104,18 +105,18 @@ longer stepped. A solo run is the one-member lane `make_stepper` makes.
 
 A member leaves its lane in the same way for the dense path, after the first
 CHECK_EVERY levels, when its lane is unforced, its run has DENSE_MIN_LEVELS
-levels or more, and its one-step map G, on [u; u_t] or a baseline's
-[u^n; u^{n-1}] and built by stepping unit columns through a copy of its solo
-lane, has at most DENSE_MAX_ROWS rows and, with entries below FLUSH times its
-largest flushed, does not grow: a flushed square G^(2^b) from G^DENSE_SPAN up
-to G^(2^CERTIFY_BITS) has an infinity norm of at most 1, which bounds
-rho(G)^(2^b), or else numpy's eigvals gives rho(G) <= 1. Every later level
-is then G^DENSE_SPAN (flushed squares) times the level DENSE_SPAN before it,
-one product a block of DENSE_SPAN levels, and is checked. In lockstep such a
-member is still its solo run bit for bit, and its first CHECK_EVERY + 1
-levels are its stepped ones; its later levels are not, and end within 1e-10
-of them on the `figures` lanes at r = 0.016. A growing map (every pinned
-blow-up), a forced lane, a larger grid or a shorter run keeps stepping.
+levels or more, and its one-step map G on its state, built by stepping unit
+columns through a copy of its solo lane, has at most DENSE_MAX_ROWS rows and,
+with entries below FLUSH times its largest flushed, does not grow: a flushed
+square G^(2^b) from G^DENSE_SPAN up to G^(2^CERTIFY_BITS) has an infinity norm
+of at most 1, which bounds rho(G)^(2^b), or else numpy's eigvals gives
+rho(G) <= 1. Every later level is then G^DENSE_SPAN (flushed squares) times
+the level DENSE_SPAN before it, one product a block of DENSE_SPAN levels, and
+is checked. In lockstep such a member is still its solo run bit for bit, and
+its first CHECK_EVERY + 1 levels are its stepped ones; its later levels are
+not, and end within 1e-10 of them on the `figures` lanes at r = 0.016. A
+growing map (every pinned blow-up), a forced lane, a larger grid or a shorter
+run keeps stepping.
 
 An implicit step is one shared pass and one solve a member, factored once per
 stepper in one of two forms (`linalg`), each bound by `make_stepper` with its
@@ -238,11 +239,10 @@ def config_for(name: str, k: float, pade_orders: Optional[tuple[int, int]] = Non
 @dataclass(slots=True)
 class StateVector:
     """One time level of a lane, a column per member: [u(x_i); u_t(x_i)] for the semigroup
-    family, u(x_i) and the previous level in prev for the baselines; carry as in `schemes`."""
+    family, [u^n(x_i); u^{n-1}(x_i)] for the baselines; carry as in `schemes`."""
 
     t: float
     values: np.ndarray
-    prev: Optional[np.ndarray] = None
     carry: Union[np.ndarray, tuple, None] = None
 
 
@@ -306,41 +306,27 @@ class Member(NamedTuple):
     source: Optional[Callable]  # None in a semigroup lane, whose members share its source
     # bound to its factor by make_stepper; the lane's step plan calls it once a ring slot, on
     # that slot's views, (col, v, scratch) for the semigroup family, scratch a flat array of at
-    # least 2n, col for a baseline, for the function of no arguments that finishes the
-    # member's column in place; None for an explicit member
+    # least 2n, col (its u^{n+1} half) for a baseline, for the function of no arguments that
+    # finishes the member's column in place; None for an explicit member
     finish: Optional[Callable]
 
 
 @dataclass(frozen=True)
-class SemigroupStepper:
+class Stepper:
     config: SchemeConfig
     op: BlockOperator  # a lane's damping is pre-expanded to (n, m)
-    start: tuple[StateVector, ...]  # (V^0,)
-    p: tuple  # the shared pass's coefficients: P_T's, or D's for a Schur finish
-    source: Callable  # t -> (k/2) F(t), None when F(t) is all zero
-    steady: bool  # the problem's: source returns one value, made once
+    start: tuple[StateVector, ...]  # (V^0,), or a baseline's ([u^0; 0], [u^1; u^0])
+    # the shared pass's coefficients: P_T's, or D's for a Schur finish; a baseline's
+    # (lap_coeff, prev_coeff), r^2 (oefd) or r^2/2 (oifd) on A u^n and B, gamma k/2 - 1 on u^{n-1}
+    p: tuple
+    # t -> (k/2) F(t), None when F(t) is all zero; None for a baseline, whose members keep theirs
+    source: Optional[Callable]
+    steady: bool  # the problem's: a source returns one value, made once
     members: Sequence[Optional[Member]]
 
     @cached_property
-    def plan(self) -> "_SemigroupPlan":  # bound on the lane's first step
-        return _SemigroupPlan(self)
-
-
-@dataclass(frozen=True)
-class BaselineStepper:
-    config: SchemeConfig
-    start: tuple[StateVector, ...]  # (u^0, u^1)
-    prev_coeff: np.ndarray  # gamma k/2 - 1, the factor on u^{n-1}
-    lap_coeff: Union[float, np.ndarray]  # r^2 (oefd) or r^2/2 (oifd), the factor on A u^n and B
-    steady: bool  # the problem's: each source returns one value, made once
-    members: Sequence[Optional[Member]]
-
-    @cached_property
-    def plan(self) -> "_BaselinePlan":  # bound on the lane's first step
-        return _BaselinePlan(self)
-
-
-Stepper = Union[SemigroupStepper, BaselineStepper]
+    def plan(self) -> "_Plan":  # bound on the lane's first step
+        return _Plan(self)
 
 
 def _square(v: float) -> float:
@@ -415,12 +401,13 @@ def _bind(problem: DampedWaveProblem, terms: Callable) -> Callable:
 def make_stepper(
     config: SchemeConfig, op: BlockOperator, grid: SpatialGrid, problem: DampedWaveProblem
 ) -> Stepper:
-    """The one-member lane of config, its states (size, 1) columns: what a step needs
+    """The one-member lane of config, its states (op.size, 1) columns: what a step needs
     (coefficients, factorizations, start levels, forcing source, member record) precomputed."""
-    k, x = config.k, grid.interior_nodes
+    k, x, n = config.k, grid.interior_nodes, op.n_interior
     phi, psi = sample(problem.phi, x), sample(problem.psi, x)
+    lane_op = BlockOperator(n, op.damping[:, None], op.inv_h2)
     if config.kind == "semigroup":
-        approx, n = pade_coefficients(*config.orders), op.n_interior
+        approx = pade_coefficients(*config.orders)
         p, finish = approx.p_floats, None
         if approx.S == 1 and n >= TRIDIAGONAL_MIN_N:
             d, rho = approx.split
@@ -458,9 +445,8 @@ def make_stepper(
                 gathered = scratch[:op.size]
                 return partial(interleaved, col, gathered, *gathered.reshape(n, 2).T, col[:n],
                                col[n:])
-        return SemigroupStepper(
-            config, BlockOperator(n, op.damping[:, None], op.inv_h2),
-            (StateVector(0.0, np.concatenate([phi, psi])[:, None]),), p, _bind(
+        return Stepper(
+            config, lane_op, (StateVector(0.0, np.concatenate([phi, psi])[:, None]),), p, _bind(
                 problem, lambda t: _nonzero(k / 2.0 * forcing_vector(problem, grid, t)[:, None])),
             problem.steady, (Member(None, finish),))
 
@@ -493,99 +479,108 @@ def make_stepper(
 
         def finish(col):
             return partial(tridiagonal, col)
-    u0 = phi[:, None]
-    start = (StateVector(0.0, u0, carry=(None,)), StateVector(k, u1[:, None], u0, carry=(b_k,)))
-    return BaselineStepper(config, start, (gamma * k / 2.0 - 1.0)[:, None], lap_coeff,
-                           problem.steady, (Member(source, finish),))
+    start = (StateVector(0.0, np.concatenate([phi, np.zeros(n)])[:, None], (None,)),
+             StateVector(k, np.concatenate([u1, phi])[:, None], (b_k,)))
+    return Stepper(config, lane_op, start, (lap_coeff, (gamma * k / 2.0 - 1.0)[:, None]), None,
+                   problem.steady, (Member(source, finish),))
 
 
 class _Plan:
-    """A lane's step plan (see `schemes`): a ring of level arrays, the scratch its passes
-    share, and per ring slot the level that reads it and writes the next, bound on the first
-    step from that slot."""
+    """A lane's step plan (see `schemes`): a ring of three (V, W) slots, a state taking one,
+    the scratch its passes share, and per slot the level that reads it and writes the next,
+    bound on the first step from that slot. W_n is all that a semigroup level reads of its
+    slot (V_n too when its carry is None); W is V itself unless that lane is forced."""
 
-    def __init__(self, ring: list):
-        # no reference to the lane, which holds the plan: no cycle keeps either alive
-        self.ring, self.levels, self.head, self.at = ring, [None] * len(ring), None, -1
-
-    def step(self, lane: Stepper, state: StateVector) -> StateVector:
-        at = self.at  # the head's slot
-        if state is not self.head:  # into the slots after the head's, which stays intact
-            at = self._stage(state, at)
-        level = self.levels[at] or self._bind(lane, at)
-        self.head, self.at = level(state), (at + 1) % len(self.ring)
-        return self.head
-
-
-def _copy(state: StateVector) -> StateVector:
-    """state with copies of its arrays, which no step of its lane overwrites."""
-    def copied(a):
-        return a.copy() if isinstance(a, np.ndarray) else a
-    return StateVector(state.t, copied(state.values), copied(state.prev), copied(state.carry))
-
-
-class _SemigroupPlan(_Plan):
-    """Three (V, W) ring slots, W being V itself when the lane has no forcing; a state takes
-    one, and W_n is all that a level reads of it (V_n too when its carry is None)."""
-
-    def __init__(self, lane: SemigroupStepper):
-        # the shared pass with its exact ones None, the source (None when steady), a steady
-        # source's one (k/2) F, made by `_bind`, and (column, finish) per live implicit member
-        self.poly = lane.p if len(lane.p) == 1 else tuple(
-            None if isinstance(c, float) and c == 1.0 else c for c in lane.p)
-        self.source, self.half_kf = (None, lane.source(0.0)) if lane.steady else (lane.source, None)
-        self.finishes = tuple((j, m.finish) for j, m in enumerate(lane.members) if m and m.finish)
+    def __init__(self, lane: Stepper):
+        # no reference to the lane, which holds the plan: no cycle keeps either alive; a
+        # (column, finish) entry per live member that has a finish
+        live = [(j, m) for j, m in enumerate(lane.members) if m is not None]
+        self.finishes = tuple((j, m.finish) for j, m in live if m.finish)
+        semigroup = lane.config.kind == "semigroup"
+        if semigroup:
+            # the shared pass with its exact ones None, the source (None when steady), and a
+            # steady source's one (k/2) F, made by `_bind`
+            self.poly = lane.p if len(lane.p) == 1 else tuple(
+                None if isinstance(c, float) and c == 1.0 else c for c in lane.p)
+            self.source, self.half_kf = ((None, lane.source(0.0)) if lane.steady
+                                         else (lane.source, None))
+            self.forced = self.source is not None or self.half_kf is not None
+        else:
+            # (column, source, terms) per live member with forcing, a steady one's source None
+            # and its terms its B and g
+            adds = [(j, None, m.source(0.0)[:2]) if lane.steady else (j, m.source, ())
+                    for j, m in live]
+            self.adds = tuple(a for a in adds if a[1] or any(x is not None for x in a[2]))
+            self.forced = bool(self.adds)
         shape = lane.start[0].values.shape
-        self.forced = self.source is not None or self.half_kf is not None
 
         def slot():
             v = np.empty(shape)
-            return v, np.empty(shape) if self.forced else v
-        super().__init__([slot() for _ in range(3)])
-        self.work = []
+            return v, np.empty(shape) if semigroup and self.forced else v
+        self.ring, self.levels = [slot() for _ in range(3)], [None] * 3
+        self.head, self.at, self.work = None, -1, []
 
-    def _stage(self, state: StateVector, at: int) -> int:
-        """The slot after at, state copied into it; ValueError unless state has a column per
-        member."""
-        at = (at + 1) % 3
-        v, w = self.ring[at]
-        v[...] = state.values.reshape(v.shape)
-        if state.carry is not None:
-            w[...] = state.carry
-        return at
+    def step(self, lane: Stepper, state: StateVector) -> StateVector:
+        at = self.at  # the head's slot
+        if state is not self.head:  # into the slot after the head's, which stays intact
+            at = (at + 1) % 3
+            v, w = self.ring[at]
+            v[...] = state.values.reshape(v.shape)  # ValueError unless a column per member
+            if w is not v and state.carry is not None:
+                w[...] = state.carry
+        level = self.levels[at] or self._bind(lane, at)
+        self.head, self.at = level(state), (at + 1) % 3
+        return self.head
 
-    def _bind(self, lane: SemigroupStepper, at: int) -> Callable:
+    def _bind(self, lane: Stepper, at: int) -> Callable:
         (v, w), (v_next, w_next) = self.ring[at], self.ring[(at + 1) % 3]
+        k, n = lane.config.k, lane.op.n_interior
+        if lane.config.kind != "semigroup":  # [u^n; u^{n-1}] into [u^{n+1}; u^n]
+            self.work = self.work or [np.empty(v[:n].shape)]
+            lap_coeff, prev_coeff = (c if isinstance(c, float) else c[:n] for c in lane.p)
+            u, out = v[:n], v_next[:n]
+            self.levels[at] = partial(
+                _baseline_level, difference_pass(u, out), u, v[n:], v_next, out, v_next[n:],
+                self.work[0], scalar(lap_coeff), prev_coeff,
+                tuple((j, out[:, j], source, terms) for j, source, terms in self.adds),
+                tuple(finish(out[:, j]) for j, finish in self.finishes), k)
+            return self.levels[at]
         # a forced level writes W_{n+1} last: until then it is the passes' first scratch, and
         # the finishes' scratch is the first array of apply_poly's work
         work = [w_next] + self.work if self.forced else self.work
-        passes = [apply_poly(self.poly, lane.op, lane.config.k, w, v_next, work)]
+        passes = [apply_poly(self.poly, lane.op, k, w, v_next, work)]
         if self.finishes and not work:
             work.append(np.empty(w.shape))
         passes += [finish(v_next[:, j], w[:, j], work[0].reshape(-1))
                    for j, finish in self.finishes]
         self.work = work[self.forced:]
         self.levels[at] = partial(_semigroup_level, self.source, self.half_kf, self.forced, v, w,
-                                  v_next, w_next, tuple(passes), lane.config.k)
+                                  v_next, w_next, tuple(passes), k)
         return self.levels[at]
+
+
+def _copy(state: StateVector) -> StateVector:
+    """state with copies of its arrays, which no step of its lane overwrites."""
+    carry = state.carry.copy() if isinstance(state.carry, np.ndarray) else state.carry
+    return StateVector(state.t, state.values.copy(), carry)
 
 
 def _semigroup_level(source, half_kf, forced, v, w, v_next, w_next, passes, k,
                      state: StateVector) -> StateVector:
-    """A semigroup level, bound by `_SemigroupPlan`: W_n made from V_n when the carry is None,
-    the passes from W_n into V_{n+1}, then (k/2) F_{n+1} added and W_{n+1} made."""
+    """A semigroup level, bound by `_Plan`: W_n made from V_n when the carry is None, the
+    passes from W_n into V_{n+1}, then (k/2) F_{n+1} added and W_{n+1} made."""
     if forced and state.carry is None:  # V^0
         _sum_into(w, v, half_kf if source is None else source(state.t))
     for run in passes:
         run()
     t_next = state.t + k
     if not forced:
-        return StateVector(t_next, v_next, None, v_next)
+        return StateVector(t_next, v_next, v_next)
     half = half_kf if source is None else source(t_next)
     if half is not None:
         add(v_next, half, v_next)
     _sum_into(w_next, v_next, half)
-    return StateVector(t_next, v_next, None, w_next)
+    return StateVector(t_next, v_next, w_next)
 
 
 def _sum_into(out: np.ndarray, a: np.ndarray, b: Optional[np.ndarray]) -> None:
@@ -596,49 +591,15 @@ def _sum_into(out: np.ndarray, a: np.ndarray, b: Optional[np.ndarray]) -> None:
         add(a, b, out)
 
 
-class _BaselinePlan(_Plan):
-    """Four ring arrays, a state taking two, u^{n-1} in the slot before its u, and a scratch
-    array."""
-
-    def __init__(self, lane: BaselineStepper):
-        # (column, source, terms) per live member with forcing, a steady one's source None and
-        # its terms its B and g
-        live = [(j, m) for j, m in enumerate(lane.members) if m is not None]
-        adds = [(j, None, m.source(0.0)[:2]) if lane.steady else (j, m.source, ()) for j, m in live]
-        self.adds = tuple(a for a in adds if a[1] or any(x is not None for x in a[2]))
-        self.forced = bool(self.adds)
-        self.finishes = tuple((j, m.finish) for j, m in live)
-        shape = lane.start[0].values.shape
-        super().__init__([np.empty(shape) for _ in range(4)])
-        self.work = np.empty(shape)
-
-    def _stage(self, state: StateVector, at: int) -> int:
-        """The second slot after at, state's u copied into it and its u^{n-1} into the first;
-        ValueError unless state has a column per member."""
-        prev, u = self.ring[(at + 1) % 4], self.ring[(at + 2) % 4]
-        values = state.values.reshape(u.shape)
-        prev[...] = state.prev
-        u[...] = values
-        return (at + 2) % 4
-
-    def _bind(self, lane: BaselineStepper, at: int) -> Callable:
-        prev, u, out = (self.ring[i % 4] for i in (at - 1, at, at + 1))
-        self.levels[at] = partial(
-            _baseline_level, difference_pass(u, out), u, prev, out, self.work,
-            scalar(lane.lap_coeff), lane.prev_coeff,
-            tuple((j, out[:, j], source, terms) for j, source, terms in self.adds),
-            tuple(finish(out[:, j]) for j, finish in self.finishes), lane.config.k)
-        return self.levels[at]
-
-
 _TWO = scalar(2.0)
 
 
-def _baseline_level(difference, u, prev, out, temp, lap_coeff, prev_coeff, forcing, passes, k,
-                    state: StateVector) -> StateVector:
-    """A baseline level, bound by `_BaselinePlan`: 2u + lap_coeff A u + prev_coeff u^{n-1},
-    summed in that order into out, which starts as lap_coeff A u (IEEE addition commutes: the
-    bits are the same), each member's forcing terms on its column, then the finishes."""
+def _baseline_level(difference, u, prev, v_next, out, out_prev, temp, lap_coeff, prev_coeff,
+                    forcing, passes, k, state: StateVector) -> StateVector:
+    """A baseline level, bound by `_Plan`: 2u + lap_coeff A u + prev_coeff u^{n-1}, summed in
+    that order into out, u^{n+1}'s half of v_next, which starts as lap_coeff A u (IEEE
+    addition commutes: the bits are the same), each member's forcing terms on its column, the
+    finishes, and then u copied into v_next's u^n half."""
     difference()
     multiply(out, lap_coeff, out)
     multiply(_TWO, u, temp)
@@ -654,17 +615,19 @@ def _baseline_level(difference, u, prev, out, temp, lap_coeff, prev_coeff, forci
                 add(col, term, col)
     for run in passes:
         run()
-    return StateVector(state.t + k, out, state.values, tuple(carry))
+    out_prev[...] = u
+    return StateVector(state.t + k, v_next, tuple(carry))
 
 
 def _step(stepper: Stepper, state: StateVector) -> StateVector:
     """One step of a lane, state (ValueError unless it has a column per member) to the next
     level. (S, T): V_{n+1} = R(kM) W_n + (k/2)F_{n+1}, W_n = V_n + (k/2)F_n from state.carry
-    (made here when None), the result carrying W_{n+1}. Baselines: level n (level n-1 in
-    prev) to n+1, the shared right-hand side, each live member's forcing terms on its column,
-    then each live member's finish (oefd's divide, oifd's tridiagonal solve); oifd takes
-    B(t_n) from its carry entry when set, its result's entry carrying B(t_{n+1}). The level it
-    returns lies in ring slots of the lane's plan, intact for exactly one further step of it."""
+    (made here when None), the result carrying W_{n+1}. Baselines: [u^n; u^{n-1}] to
+    [u^{n+1}; u^n], the shared right-hand side, each live member's forcing terms on its
+    column, then each live member's finish (oefd's divide, oifd's tridiagonal solve); oifd
+    takes B(t_n) from its carry entry when set, its result's entry carrying B(t_{n+1}). The
+    level it returns lies in a ring slot of the lane's plan, intact for exactly one further
+    step of it."""
     return stepper.plan.step(stepper, state)
 
 
@@ -691,18 +654,14 @@ def _flushed(a: np.ndarray) -> np.ndarray:
 
 
 def _one_step_map(step: Callable, lane: Stepper) -> np.ndarray:
-    """The flushed one-step map G of an unforced one-member lane, V^{n+1} = G V^n, or
-    [u^{n+1}; u^n] = G [u^n; u^{n-1}] for a baseline, its columns stepped from unit columns
-    through a copy of the lane, whose plan is its own."""
-    lane, n = dataclasses.replace(lane), lane.start[0].values.shape[0]
-    baseline = lane.config.kind != "semigroup"
-    size = 2 * n if baseline else n
-    g, unit = np.zeros((size, size)), np.zeros((size, 1))
-    g[n:, :size - n] = np.eye(size - n)  # a baseline's u^n
+    """The flushed one-step map G of an unforced one-member lane, V^{n+1} = G V^n on its
+    state, its columns stepped from unit columns through a copy of the lane, whose plan is its
+    own."""
+    lane, size = dataclasses.replace(lane), lane.op.size
+    g, unit = np.empty((size, size)), np.zeros((size, 1))
     for j in range(size):
         unit[j] = 1.0
-        state = StateVector(0.0, unit[:n], *((unit[n:], (None,)) if baseline else ()))
-        g[:n, j] = step(lane, state).values[:, 0]
+        g[:, j] = step(lane, StateVector(0.0, unit, lane.start[0].carry)).values[:, 0]
         unit[j] = 0.0
     return _flushed(g)
 
@@ -726,32 +685,30 @@ def _power(step: Callable, lane: Stepper) -> Optional[np.ndarray]:
 
 class _Dense:
     """A member that advances by a power of its one-step map (see `schemes`): `levels` holds,
-    as rows of the map's state, the DENSE_SPAN levels before a span and then the span's."""
+    as rows, the DENSE_SPAN levels before a span and then the span's."""
 
     def __init__(self, power: np.ndarray, checked: np.ndarray):
-        # checked: the member's rows of the first span, (CHECK_EVERY + 1, width)
-        s, n = DENSE_SPAN, checked.shape[1]
+        # checked: the member's rows of the first span, (CHECK_EVERY + 1, 2n)
         # contiguous: a product with a transposed view takes about twice as long
-        self.power_t, self.width, self.last = np.ascontiguousarray(power.T), n, 0
-        self.levels = np.empty((s + CHECK_EVERY, len(power)))
-        self.levels[:s, :n] = checked[-s:]
-        self.levels[:s, n:] = checked[-s - 1:-1, :len(power) - n]  # a baseline's u^{n-1}
+        self.power_t, self.last = np.ascontiguousarray(power.T), 0
+        self.levels = np.empty((DENSE_SPAN + CHECK_EVERY, len(power)))
+        self.levels[:DENSE_SPAN] = checked[-DENSE_SPAN:]
 
     def advance(self, count: int) -> np.ndarray:
-        """The next count levels' rows (each row's level values), one gemm a DENSE_SPAN of them,
-        each level from the one DENSE_SPAN before it; intact until the next advance."""
+        """The next count levels' rows, one gemm a DENSE_SPAN of them, each level from the one
+        DENSE_SPAN before it; intact until the next advance."""
         s, levels = DENSE_SPAN, self.levels
         levels[:s] = levels[self.last:self.last + s]
         for at in range(0, count, s):
             stop = min(at + s, count)
             np.dot(levels[at:stop], self.power_t, out=levels[s + at:s + stop])
         self.last = count
-        return levels[s:s + count, :self.width]
+        return levels[s:s + count]
 
     @property
     def values(self) -> np.ndarray:
         """The last level's values."""
-        return self.levels[DENSE_SPAN + self.last - 1, :self.width]
+        return self.levels[DENSE_SPAN + self.last - 1]
 
 
 def _lockstep(lanes: Sequence[Stepper]) -> Stepper:
@@ -762,38 +719,30 @@ def _lockstep(lanes: Sequence[Stepper]) -> Stepper:
     if len(lanes) == 1:
         return first
 
-    def join(arrays):
-        return None if arrays[0] is None else np.concatenate(arrays, axis=-1)
-
     def per_member(values, like):  # a float where all agree, else pre-expanded
         if all(isinstance(v, float) and v == values[0] for v in values):
             return values[0]
-        return join([np.full(like.shape, v) if isinstance(v, float) else v for v in values])
+        return np.concatenate(
+            [np.full(like.shape, v) if isinstance(v, float) else v for v in values], axis=-1)
 
-    baseline, u0 = first.config.kind != "semigroup", first.start[0].values
-    start = tuple(StateVector(level[0].t, join([s.values for s in level]),
-                              join([s.prev for s in level]),  # V^0 has no carry:
-                              sum((s.carry for s in level), ()) if baseline else None)
+    start = tuple(StateVector(level[0].t, np.concatenate([s.values for s in level], axis=-1),
+                              None if level[0].carry is None else sum((s.carry for s in level), ()))
                   for level in zip(*(s.start for s in lanes)))
-    if baseline:
-        coeffs = dict(prev_coeff=per_member([s.prev_coeff for s in lanes], u0),
-                      lap_coeff=per_member([s.lap_coeff for s in lanes], u0))
-    else:
-        damping = per_member([s.op.damping for s in lanes], first.op.damping)
-        coeffs = dict(op=dataclasses.replace(first.op, damping=damping),
-                      p=tuple(per_member(c, u0) for c in zip(*(s.p for s in lanes))))
-    return dataclasses.replace(first, start=start, members=tuple(s.members[0] for s in lanes),
-                               **coeffs)
+    damping = per_member([s.op.damping for s in lanes], first.op.damping)
+    return dataclasses.replace(
+        first, op=dataclasses.replace(first.op, damping=damping), start=start,
+        p=tuple(per_member(c, first.start[0].values) for c in zip(*(s.p for s in lanes))),
+        members=tuple(s.members[0] for s in lanes))
 
 
 @dataclass
 class Trajectory:
     """The start and last levels of a solve: times, states and blow-up bookkeeping.
 
-    For semigroup schemes a state row is the full [u; u_t] vector; for the
-    two-level baselines it is the displacement vector alone. The last row is
-    the last level computed: the last step with t <= t_final, or the level
-    that halted a blown-up run.
+    A state row is the full state, [u; u_t] for semigroup schemes and
+    [u^n; u^{n-1}] for the two-level baselines. The last row is the last level
+    computed: the last step with t <= t_final, or the level that halted a
+    blown-up run.
     """
 
     grid: SpatialGrid
@@ -826,7 +775,7 @@ def solve_evolution(
     on_block(first_level, blocks) gets every level once, in order, in runs that end at
     multiples of CHECK_EVERY or the last level, each handed over under the caller's
     np.geterr() once it has passed a check: blocks has each config's rows, which end at its
-    blow-up level, none past it, each a view of its lane's one (CHECK_EVERY + 1, size, m)
+    blow-up level, none past it, each a view of its lane's one (CHECK_EVERY + 1, 2n, m)
     buffer."""
     if len({c.k for c in configs}) != 1:
         raise ValueError(f"a lockstep run needs one time step, got k = {[c.k for c in configs]}")

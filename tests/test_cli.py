@@ -1014,10 +1014,8 @@ class TestPackageRoot:
             # the one-member lane: a state holds one column per member, and the lane holds
             # one finish record per member, not a stepper
             assert len(stepper.members) == 1
-            assert not any(isinstance(m, (dampwave.schemes.SemigroupStepper,
-                                          dampwave.schemes.BaselineStepper))
-                           for m in stepper.members)
-            assert stepper.start[0].values.shape in ((op.size, 1), (grid.n_interior, 1))
+            assert not any(isinstance(m, dampwave.schemes.Stepper) for m in stepper.members)
+            assert stepper.start[0].values.shape == (op.size, 1)
 
     @pytest.mark.parametrize("path", sorted(pathlib.Path(dampwave.__file__).parent.glob("*.py")),
                              ids=lambda path: path.name)

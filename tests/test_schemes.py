@@ -98,13 +98,15 @@ class TestMakeStepper:
         grid = build_grid(0.0, math.pi, 10)
         op = assemble_system(grid, problem)
         stepper = make_stepper(config_for("oefd", 0.1), op, grid, problem)
-        u0, u1 = stepper.start
+        u0, u1 = stepper.start  # [u^0; 0] and [u^1; u^0]
+        n = grid.n_interior
         assert (u0.t, u1.t) == (0.0, 0.1)
-        assert u0.values[:, 0] == pytest.approx(np.sin(grid.interior_nodes))
-        expected = startup_u1(problem, grid, 0.1, op.damping, u0.values[:, 0],
+        assert u0.values[:n, 0] == pytest.approx(np.sin(grid.interior_nodes))
+        assert not u0.values[n:].any()
+        expected = startup_u1(problem, grid, 0.1, op.damping, u0.values[:n, 0],
                               -np.sin(grid.interior_nodes))
-        assert u1.values[:, 0] == pytest.approx(expected, abs=0)
-        assert u1.prev is u0.values
+        assert u1.values[:n, 0] == pytest.approx(expected, abs=0)
+        assert np.array_equal(u1.values[n:], u0.values[:n])
 
     @pytest.mark.parametrize("name", ["fd11", "oefd", "oifd"])
     def test_phi_sampled_once_per_solve(self, name):
@@ -350,16 +352,16 @@ class TestStartup:
         op = assemble_system(grid, problem)
         stepper = make_stepper(config_for("oefd", k), op, grid, problem)
         u0, u1 = stepper.start
-        n_steps = int(math.floor(t_final / k * (1 + 1e-12) + 1e-12))
+        n, n_steps = grid.n_interior, int(math.floor(t_final / k * (1 + 1e-12) + 1e-12))
 
         def run(u1):
-            state = StateVector(k, u1[:, None], prev=u0.values, carry=(None,))
+            state = StateVector(k, np.concatenate([u1, u0.values[:n, 0]])[:, None], carry=(None,))
             for _ in range(2, n_steps + 1):
                 state = step_oefd(stepper, state)
             exact = np.exp(-n_steps * k) * np.sin(grid.interior_nodes)
-            return np.abs(state.values[:, 0] - exact).max()
+            return np.abs(state.values[:n, 0] - exact).max()
 
-        err_taylor = run(u1.values[:, 0])
+        err_taylor = run(u1.values[:n, 0])
         err_exact = run(np.exp(-k) * np.sin(grid.interior_nodes))
         assert abs(err_taylor - err_exact) / max(err_taylor, err_exact) < 0.10
 
@@ -382,12 +384,12 @@ class TestBaselineSteps:
         stepper = make_stepper(config_for("oefd", 0.05), op, grid, problem)
         rng = np.random.default_rng(0)
         u_curr = np.full(grid.n_interior, 3.0) + 0 * rng.standard_normal(grid.n_interior)
-        u_prev = np.full(grid.n_interior, 2.0)
-        state = StateVector(0.4, u_curr[:, None], prev=u_prev[:, None], carry=(None,))
+        u_prev, n = np.full(grid.n_interior, 2.0), grid.n_interior
+        state = StateVector(0.4, np.concatenate([u_curr, u_prev])[:, None], carry=(None,))
         out = step_oefd(stepper, state)
         assert out.t == pytest.approx(0.45)
-        assert out.values[:, 0] == pytest.approx(2 * u_curr - u_prev, abs=1e-14)
-        assert out.prev is state.values
+        assert out.values[:n, 0] == pytest.approx(2 * u_curr - u_prev, abs=1e-14)
+        assert np.array_equal(out.values[n:], state.values[:n])
 
     def test_oefd_matches_dense_formula(self):
         problem = plain_problem(
@@ -406,10 +408,10 @@ class TestBaselineSteps:
         rng = np.random.default_rng(9)
         u_curr, u_prev = rng.standard_normal((2, grid.n_interior))
         t = 1.1
-        got = step_oefd(stepper, StateVector(t, u_curr[:, None], prev=u_prev[:, None],
-                                             carry=(None,))).values[:, 0]
-
         n = grid.n_interior
+        got = step_oefd(stepper, StateVector(t, np.concatenate([u_curr, u_prev])[:, None],
+                                             carry=(None,))).values[:n, 0]
+
         r = k / grid.h
         a = np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
         gamma = np.array([problem.gamma(x) for x in grid.interior_nodes])
@@ -440,10 +442,11 @@ class TestBaselineSteps:
         stepper = make_stepper(config_for("oifd", k), op, grid, problem)
         rng = np.random.default_rng(4)
         u_curr, u_prev = rng.standard_normal((2, grid.n_interior))
-        state = StateVector(0.0, u_curr[:, None], prev=u_prev[:, None], carry=(None,))
+        state = StateVector(0.0, np.concatenate([u_curr, u_prev])[:, None], carry=(None,))
         out = step_oifd(stepper, state)
-        assert out.values[:, 0] == pytest.approx(2 * u_curr - u_prev, abs=1e-9)
-        assert out.prev is state.values
+        n = grid.n_interior
+        assert out.values[:n, 0] == pytest.approx(2 * u_curr - u_prev, abs=1e-9)
+        assert np.array_equal(out.values[n:], state.values[:n])
 
     def test_oifd_solve_residual(self):
         problem = sample_problem()
@@ -457,9 +460,9 @@ class TestBaselineSteps:
         gamma = op.damping
         state = stepper.start[1]
         for _ in range(2, 8):
-            t, u, u_prev = state.t, state.values[:, 0], state.prev[:, 0]
+            t, u, u_prev = state.t, state.values[:n, 0], state.values[n:, 0]
             state = step_oifd(stepper, state)
-            u_next = state.values[:, 0]
+            u_next = state.values[:n, 0]
             rhs = (
                 2 * u
                 + 0.5 * r**2 * a @ u
@@ -469,6 +472,24 @@ class TestBaselineSteps:
             )
             lhs = (1 + gamma * k / 2) * u_next - 0.5 * r**2 * a @ u_next
             assert np.linalg.norm(lhs - rhs) < 1e-11 * max(1.0, np.linalg.norm(rhs))
+
+    @pytest.mark.parametrize("N", [12, schemes.TRIDIAGONAL_MIN_N + 1])  # both factor forms
+    @pytest.mark.parametrize("name", ["oefd", "oifd"])
+    def test_a_step_copies_u_into_its_lower_half(self, name, N):
+        # a step maps [u^n; u^{n-1}] to [u^{n+1}; u^n], its lower half the bits of its input's
+        # upper half, so that an unforced lane's one-step map has [I 0] as its lower n rows
+        grid = build_grid(0.0, math.pi, N)
+        n = grid.n_interior
+        for problem in (forced_problem(), sample_problem()):  # sample_problem is unforced
+            stepper = make_stepper(config_for(name, 0.05), assemble_system(grid, problem), grid,
+                                   problem)
+            state = stepper.start[-1]
+            for _ in range(3):
+                after = STEP_FUNCTIONS[name](stepper, state)
+                assert np.array_equal(bits(after.values[n:]), bits(state.values[:n]))
+                state = after
+        g = schemes._one_step_map(schemes._step, stepper)
+        assert np.array_equal(bits(g[n:]), bits(np.eye(n, 2 * n)))
 
 
 # damping with zeros, at x = pi/3 and 2 pi/3, and no forcing
@@ -534,9 +555,10 @@ class TestTridiagonalPath:
         if name == "oifd":
             for kind, u in self.vectors(x, 1).items():
                 prev = np.roll(u, 7) - 0.5 * u
-                got = step_oifd(stepper, StateVector(k, u[:, None], prev[:, None], (None,)))
+                got = step_oifd(stepper, StateVector(k, np.concatenate([u, prev])[:, None],
+                                                     (None,))).values[:len(u), 0]
                 want = dense_oifd_step(op, k, grid.h, u, prev)
-                assert np.abs(got.values[:, 0] - want).max() <= 1e-12 * np.abs(want).max(), kind
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), kind
         else:
             approx = pade_coefficients(*orders)
             growth = max(abs(eval_scalar(approx, complex(z))) for z in spectrum(N, r))
@@ -722,8 +744,7 @@ class TestStepperProtocol:
         assert np.array_equal(traj.times, k * np.array(kept))
         assert [levels[n].t for n in kept] == pytest.approx(traj.times, abs=1e-15)
         assert np.array_equal(traj.states, np.array([levels[n].values[:, 0] for n in kept]))
-        width = grid.n_interior * (2 if config.kind == "semigroup" else 1)
-        assert traj.states.shape == (len(kept), width)
+        assert traj.states.shape == (len(kept), 2 * grid.n_interior)
 
     @pytest.mark.parametrize("name,r,level", [("fd01", 1.59, 623), ("oefd", 1.59, 379),
                                               ("fd01", 3.0, 414)],
@@ -1386,7 +1407,7 @@ def test_no_step_writes_into_its_input(name, orders, doc, N=12):
 
     def arrays(state):  # a baseline lane's carry is a tuple, an entry per member
         carry = state.carry if isinstance(state.carry, tuple) else (state.carry,)
-        return (state.values, state.prev, *carry)
+        return (state.values, *carry)
 
     for _ in range(3):
         before = [None if a is None else a.copy() for a in arrays(state)]
@@ -1403,14 +1424,14 @@ def test_no_step_writes_into_its_input(name, orders, doc, N=12):
     for n, o in SIX_SCHEMES for make in (forced_problem, sample_problem)
     for N in (12, schemes.TRIDIAGONAL_MIN_N + 1)])
 def test_a_step_result_stays_intact_for_one_further_step(name, orders, make_problem, N):
-    # a step writes its level into the next array of its lane's ring, 3 for the semigroup
-    # family and 4 for the baselines: a result stays intact while the next step reads it, and
-    # while a step from any other state runs, and its array is written again a ring later
+    # a step writes its level into the next slot of its lane's ring of 3: a result stays
+    # intact while the next step reads it, and while a step from any other state runs, and its
+    # array is written again a ring later
     problem = make_problem()
     grid = build_grid(0.0, math.pi, N)
     config = config_for(name, 0.05, orders)
     stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
-    step, ring = STEP_FUNCTIONS[config.kind], 3 if config.kind == "semigroup" else 4
+    step, ring = STEP_FUNCTIONS[config.kind], 3
     states = [step(stepper, stepper.start[-1])]
     for _ in range(2 * ring):
         before = states[-1].values.copy()
@@ -1450,8 +1471,7 @@ def test_a_lane_refuses_a_state_without_a_column_per_member(name, orders):
     config = config_for(name, 0.05, orders)
     stepper = make_stepper(config, assemble_system(grid, problem), grid, problem)
     state = stepper.start[-1]
-    wide = dataclasses.replace(state, values=np.repeat(state.values, 2, axis=1),
-                               prev=None if state.prev is None else np.repeat(state.prev, 2, axis=1))
+    wide = dataclasses.replace(state, values=np.repeat(state.values, 2, axis=1))
     with pytest.raises(ValueError, match="cannot reshape"):
         STEP_FUNCTIONS[config.kind](stepper, wide)
 
